@@ -12,10 +12,12 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, RunFailure, load_config, resolve_profile
-from .evaluate import build_report, icp_align, load_trajectory, map_rmse, planning_stats, save_report
+from .evaluate import build_report, load_trajectory, planning_stats, save_report
+from .global_map import load_map
 from .local_map import SchemaMismatchError, read_snapshot_log
-from .pipeline import replay_snapshots, run_pipeline
+from .pipeline import map_alignment, replay_snapshots, run_pipeline
 from .simulate import (
+    CenterlineGeometry,
     InfeasibleTrackError,
     TrackSpec,
     TrackValidationError,
@@ -72,13 +74,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_input(load, path):
+    """``load(path)`` for an input file named on the command line.
+
+    A missing, unreadable or malformed file is a configuration error (exit
+    code 2), not a run failure.
+    """
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def _read_planner_log(path) -> list[dict]:
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+        if header.get("kind") != "planner_log":
+            raise ConfigError(f"{path} is not a planner log")
+        for line in fh:
+            if line.strip():
+                records.append(json.loads(line))
+    return records
+
+
 def _spec_from_args(args) -> TrackSpec:
-    base = {}
-    if args.spec:
-        path = Path(args.spec)
-        if not path.exists():
-            raise ConfigError(f"spec file not found: {args.spec}")
-        base = json.loads(path.read_text())
+    base = _load_input(_read_json, args.spec) if args.spec else {}
     overrides = {
         "kind": args.kind,
         "length_m": args.length_m,
@@ -121,10 +148,7 @@ def _cmd_run(args) -> int:
     if args.no_plan:
         updates["plan_enabled"] = False
     if args.mode_schedule:
-        path = Path(args.mode_schedule)
-        if not path.exists():
-            raise ConfigError(f"mode schedule file not found: {args.mode_schedule}")
-        updates["mode_schedule"] = json.loads(path.read_text())
+        updates["mode_schedule"] = _load_input(_read_json, args.mode_schedule)
     if updates:
         config = dataclasses.replace(config, **updates)
     if args.profile:
@@ -142,53 +166,27 @@ def _cmd_replay(args) -> int:
         config = dataclasses.replace(config, verbose_candidates=True)
     if args.prior_weight is not None:
         config = dataclasses.replace(config, prior_weight=args.prior_weight)
+    track = _load_input(load_track, args.track) if args.track else None
     try:
-        snapshots = read_snapshot_log(args.snapshots)
+        snapshots = _load_input(read_snapshot_log, args.snapshots)
     except SchemaMismatchError as exc:
         raise ConfigError(str(exc)) from exc
-    except FileNotFoundError as exc:
-        raise ConfigError(f"snapshot log not found: {args.snapshots}") from exc
-    track = load_track(args.track) if args.track else None
     report = replay_snapshots(snapshots, config, args.out, track)
     print(f"replayed {report['frames']} snapshots into {args.out}")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    track = load_track(args.track)
+    track = _load_input(load_track, args.track)
+    records = _load_input(load_map, args.map) if args.map else None
+    planner_records = _load_input(_read_planner_log, args.planner_log) if args.planner_log else None
+    trajectory = _load_input(load_trajectory, args.trajectory) if args.trajectory else None
     map_metrics = None
-    if args.map:
-        from .global_map import load_map
-        from .simulate import CenterlineGeometry
-
-        records = load_map(args.map)
-        if records:
-            import numpy as np
-
-            start = CenterlineGeometry(track.centerline).pose_at(0.0)
-            pts = np.array([[r["x_m"], r["y_m"]] for r in records])
-            world = np.array([start.rotation() @ p + start.position for p in pts])
-            alignment = icp_align(world, track.cone_positions(), init=type(start).identity())
-            map_metrics = {
-                "rmse_m": map_rmse(alignment),
-                "matched": len(alignment.correspondences),
-                "unmatched_estimated": alignment.unmatched_estimated,
-                "unmatched_truth": alignment.unmatched_truth,
-            }
-        else:
-            map_metrics = {"rmse_m": None, "landmarks": 0}
-    stats = None
-    if args.planner_log:
-        records = []
-        with open(args.planner_log, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("kind") != "planner_log":
-                raise ConfigError("not a planner log")
-            for line in fh:
-                if line.strip():
-                    records.append(json.loads(line))
-        trajectory = load_trajectory(args.trajectory) if args.trajectory else None
-        stats = planning_stats(records, track, trajectory)
+    if records:
+        map_metrics = map_alignment(records, track, CenterlineGeometry(track.centerline).pose_at(0.0))
+    elif records is not None:
+        map_metrics = {"rmse_m": None, "landmarks": 0}
+    stats = planning_stats(planner_records, track, trajectory) if planner_records is not None else None
     report = build_report(map_metrics, stats, None, {"track_length_m": track.total_length})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -47,7 +47,6 @@ class RunConfig:
     closed_loop: bool = False
     closed_loop_speed_mps: float = 5.0
     divergence_margin_m: float = 3.0
-    optimize_every: int = 10
     local_map_overrides: dict = field(default_factory=dict)
     global_map_overrides: dict = field(default_factory=dict)
     planner_limit_overrides: dict = field(default_factory=dict)
@@ -85,9 +84,7 @@ class RunConfig:
         )
 
     def global_map_config(self) -> GlobalMapConfig:
-        overrides = dict(self.global_map_overrides)
-        overrides.setdefault("optimize_every", self.optimize_every)
-        return GlobalMapConfig(**overrides)
+        return GlobalMapConfig(**self.global_map_overrides)
 
     def planner_config(self) -> PlannerConfig:
         limits = SearchLimits(**self.planner_limit_overrides)
@@ -115,7 +112,6 @@ class RunConfig:
             "closed_loop": self.closed_loop,
             "closed_loop_speed_mps": self.closed_loop_speed_mps,
             "divergence_margin_m": self.divergence_margin_m,
-            "optimize_every": self.optimize_every,
             "local_map_overrides": self.local_map_overrides,
             "global_map_overrides": self.global_map_overrides,
             "planner_limit_overrides": self.planner_limit_overrides,

@@ -105,7 +105,7 @@ class GlobalMapConfig:
     lambda_up: float = 10.0
     lambda_down: float = 0.25
     max_lambda_steps: int = 10
-    optimize_every: int = 10  # snapshots between incremental optimizations
+    optimize_every: int = 10  # snapshots between incremental optimizations; 0 leaves only the final solve
     # landmarks with fewer observation edges than this are dropped at export
     # (transient association outliers die young)
     export_min_edges: int = 1

@@ -8,26 +8,28 @@ all run artifacts into a directory and returns a summary.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .config import RunConfig, RunFailure, dump_resolved
-from .core import Pose2, SensorSource, Velocity2, integrate_velocity, normalize_angle, relative_pose
+from .core import Pose2, SensorSource, Velocity2, integrate_velocity, relative_pose
 from .evaluate import build_report, icp_align, map_rmse, planning_stats, save_report, save_trajectory
 from .global_map import Graph, add_snapshot, export_map, optimize, save_graph, save_map
-from .local_map import LocalMapState, SnapshotLogWriter, ingest_frame
-from .planner import plan_record, plan_snapshot
+from .local_map import LocalMapSnapshot, LocalMapState, MapMode, SnapshotLogWriter, ingest_frame
+from .planner import PlanResult, plan_record, plan_snapshot
 from .simulate import (
     CenterlineGeometry,
+    ScenarioDriver,
     SimRun,
     TrackDefinition,
     curvature_limited_speed_profile,
+    discrete_frames,
     generate_track,
     load_track,
     noisy_velocity,
@@ -85,10 +87,11 @@ def _resolve_track(config: RunConfig, out_dir: Path) -> TrackDefinition:
 
 
 class _ClosedLoopSteering:
-    """Pure-pursuit follower of the latest selected path (local frame)."""
+    """Closed-loop driver: pure pursuit of the latest selected path (local frame)."""
 
     def __init__(self, lookahead_m: float = 4.0):
         self.lookahead = lookahead_m
+        self.progress = 0.0  # arc length driven along the centerline
         self._waypoints: np.ndarray | None = None
         self._local_ego: Pose2 | None = None
 
@@ -113,6 +116,116 @@ class _ClosedLoopSteering:
         curvature = 2.0 * target[1] / d2
         return curvature * speed
 
+    def poses(self, geom: CenterlineGeometry, config: RunConfig, max_frames: int) -> Iterator[Pose2]:
+        """True poses steered by the latest plan until one lap of progress or ``max_frames``.
+
+        Each pose is stepped after the consumer has handled the previous one.
+        Raises :class:`RunFailure` when the ego leaves the track corridor.
+        """
+        dt = 1.0 / config.frame_rate_hz
+        pose = geom.pose_at(0.0)
+        last_s = 0.0
+        k = 0
+        while self.progress < geom.length and k < max_frames:
+            yield pose
+            s_here = geom.nearest_arc_length(pose.position)
+            lateral = float(np.hypot(*(pose.position - geom.point_at(s_here))))
+            if lateral > config.divergence_margin_m:
+                raise RunFailure(f"ego left the track corridor: {lateral:.2f} m off the centerline at {k * dt:.1f} s")
+            delta_s = (s_here - last_s) % geom.length
+            if delta_s < geom.length / 2:
+                self.progress += delta_s
+            last_s = s_here
+            speed = config.closed_loop_speed_mps
+            pose = integrate_velocity(pose, Velocity2(speed, 0.0, self.yaw_rate(speed)), dt)
+            k += 1
+
+
+class _SnapshotEngine:
+    """The per-snapshot half of the pipeline, shared by run and replay.
+
+    Plans on each snapshot and logs the plan to ``planner_log.ndjson``, adds
+    the snapshot to the optimized graph and to a never-optimized
+    dead-reckoning graph, and solves the optimized graph every
+    ``optimize_every`` snapshots. :meth:`finish` runs the final solve and
+    writes both maps and the graph.
+    """
+
+    def __init__(self, config: RunConfig, out_dir: Path):
+        self.config = config
+        self.planner_cfg = config.planner_config()
+        self.global_cfg = config.global_map_config()
+        self.graph = Graph()
+        self.baseline = Graph()
+        self.planner_records: list[dict] = []
+        self.timings: dict[str, list[float]] = {"planner": [], "global_map": []}
+        self.steps = 0
+        self._prev_ego: Pose2 | None = None
+        self._since_opt = 0
+        self._planner_fh = open(out_dir / "planner_log.ndjson", "w", encoding="utf-8")
+        self._planner_fh.write(json.dumps({"schema_version": 1, "kind": "planner_log"}, sort_keys=True) + "\n")
+
+    def step(self, snapshot: LocalMapSnapshot) -> PlanResult | None:
+        """Plan on and map one snapshot; returns the plan, or None when planning is off."""
+        result = None
+        if self.config.plan_enabled:
+            t0 = time.perf_counter()
+            result = plan_snapshot(snapshot, self.planner_cfg)
+            self.timings["planner"].append((time.perf_counter() - t0) * 1e3)
+            record = plan_record(result, snapshot, self.config.verbose_candidates)
+            self.planner_records.append(record)
+            self._planner_fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+        t0 = time.perf_counter()
+        odom = Pose2.identity() if self._prev_ego is None else relative_pose(self._prev_ego, snapshot.ego)
+        add_snapshot(self.graph, snapshot, odom, self.global_cfg)
+        add_snapshot(self.baseline, snapshot, odom, self.global_cfg)
+        self._since_opt += 1
+        if self.global_cfg.optimize_every and self._since_opt >= self.global_cfg.optimize_every:
+            self.graph.merge_estimates(optimize(self.graph, self.global_cfg).graph)
+            self._since_opt = 0
+        self.timings["global_map"].append((time.perf_counter() - t0) * 1e3)
+        self._prev_ego = snapshot.ego
+        self.steps += 1
+        return result
+
+    def close(self) -> None:
+        self._planner_fh.close()
+
+    def finish(self, out_dir: Path) -> tuple[list[dict], list[dict], float | None]:
+        """Final solve and exports; returns the estimated map, the dead-reckoned map and the final cost."""
+        final_cost = None
+        if self.graph.poses:
+            result = optimize(self.graph, self.global_cfg)
+            self.graph.merge_estimates(result.graph)
+            final_cost = result.final_cost
+        min_edges = self.global_cfg.export_min_edges
+        estimated = export_map(self.graph, require_optimized=False, min_edges=min_edges)
+        dead_reckoned = export_map(self.baseline, require_optimized=False, min_edges=min_edges)
+        save_map(estimated, out_dir / "map_estimated.json")
+        save_map(dead_reckoned, out_dir / "map_dead_reckoned.json")
+        save_graph(self.graph, out_dir / "graph.json")
+        return estimated, dead_reckoned, final_cost
+
+
+def map_alignment(records: list[dict], track: TrackDefinition, start_pose: Pose2) -> dict:
+    """Align an exported map to the track's cones and return the map metrics.
+
+    Map coordinates are relative to the lap's start pose, which places them
+    in the world before ICP refines the fit.
+    """
+    pts = np.array([[r["x_m"], r["y_m"]] for r in records])
+    world = np.array([start_pose.rotation() @ p + start_pose.position for p in pts])
+    alignment = icp_align(world, track.cone_positions(), init=Pose2.identity())
+    return {
+        "rmse_m": map_rmse(alignment),
+        "matched": len(alignment.correspondences),
+        "unmatched_estimated": alignment.unmatched_estimated,
+        "unmatched_truth": alignment.unmatched_truth,
+        "alignment_rotation_rad": alignment.rotation,
+        "alignment_translation_m": [float(v) for v in alignment.translation],
+    }
+
 
 def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     """Execute one scenario and write all artifacts under ``out_dir``.
@@ -130,59 +243,31 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     speed_profile = curvature_limited_speed_profile(track, config.max_speed_mps, config.lateral_accel_mps2)
     run = SimRun(track, speed_profile, config.frame_rate_hz, config.seed)
     local_cfg = config.local_map_config()
-    global_cfg = config.global_map_config()
-    planner_cfg = config.planner_config()
+    force = None if config.force_mode is None else MapMode(config.force_mode)
 
     rng = np.random.default_rng(config.seed)
     liveness = _PipelineLiveness(config)
     state = LocalMapState()
-    graph = Graph()
-    baseline = Graph()  # never optimized: the dead-reckoning reference
-    timings: dict[str, list[float]] = {"sense": [], "local_map": [], "planner": [], "global_map": []}
-    planner_records: list[dict] = []
+    timings: dict[str, list[float]] = {"sense": [], "local_map": []}
     trajectory_rows: list[tuple[float, Pose2, Pose2]] = []
-    trajectory: dict[float, tuple[Pose2, Pose2]] = {}
     steering = _ClosedLoopSteering()
-
-    dt = 1.0 / config.frame_rate_hz
     velocity_profile = config.profiles["fusion"]  # ego-motion source, independent of cone pipelines
-    snapshots_since_opt = 0
-    prev_ego: Pose2 | None = None
-    start_pose: Pose2 | None = None
-    frames = 0
+    start_pose = geom.pose_at(0.0)
     completed = False
     failure: RunFailure | None = None
 
+    if config.closed_loop:
+        dt = 1.0 / config.frame_rate_hz
+        max_frames = int(3 * geom.length / (min(v for _, v in speed_profile) * dt)) + 10
+        true_frames = discrete_frames(steering.poses(geom, config, max_frames), dt)
+    else:
+        true_frames = ScenarioDriver(run).frames()
+
     snapshot_writer = SnapshotLogWriter(out_dir / "snapshots.ndjson")
-    planner_fh = open(out_dir / "planner_log.ndjson", "w", encoding="utf-8")
-    planner_fh.write(json.dumps({"schema_version": 1, "kind": "planner_log"}, sort_keys=True) + "\n")
-
-    true_pose = geom.pose_at(0.0)
-    prev_true: Pose2 | None = None
-    arc_s = 0.0  # open-loop position along the centerline
-    progress = 0.0
-    last_s = 0.0
-    max_frames = int(3 * geom.length / (min(v for _, v in speed_profile) * dt)) + 10
-
+    engine = _SnapshotEngine(config, out_dir)
     try:
-        while progress < geom.length and frames < max_frames:
-            timestamp = frames * dt
-            frame_dt = 0.0 if frames == 0 else dt
+        for timestamp, frame_dt, true_pose, true_vel in true_frames:
             liveness.advance(timestamp)
-
-            # exact discrete true velocity: dead-reckoning the noise-free
-            # readings reproduces the true pose
-            if prev_true is None:
-                true_vel = Velocity2.zero()
-            else:
-                d = true_pose.position - prev_true.position
-                c, s = math.cos(prev_true.theta), math.sin(prev_true.theta)
-                true_vel = Velocity2(
-                    (c * d[0] + s * d[1]) / frame_dt,
-                    (-s * d[0] + c * d[1]) / frame_dt,
-                    normalize_angle(true_pose.theta - prev_true.theta) / frame_dt,
-                )
-            start_pose = start_pose or true_pose
 
             t0 = time.perf_counter()
             observations = []
@@ -194,100 +279,35 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
             timings["sense"].append((time.perf_counter() - t0) * 1e3)
 
             t0 = time.perf_counter()
-            force = None if config.force_mode is None else _force_map_mode(config.force_mode)
             state, snapshot = ingest_frame(
                 state, observations, vel_reading, frame_dt, local_cfg, mode=force, present_sources=present
             )
             timings["local_map"].append((time.perf_counter() - t0) * 1e3)
             snapshot_writer.write(snapshot)
             trajectory_rows.append((snapshot.timestamp, true_pose, snapshot.ego))
-            trajectory[snapshot.timestamp] = (true_pose, snapshot.ego)
 
-            if config.plan_enabled:
-                t0 = time.perf_counter()
-                result = plan_snapshot(snapshot, planner_cfg)
-                timings["planner"].append((time.perf_counter() - t0) * 1e3)
-                record = plan_record(result, snapshot, config.verbose_candidates)
-                planner_records.append(record)
-                planner_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                if config.closed_loop and result.selected is not None:
-                    steering.update_plan(result.selected.waypoints, snapshot.ego)
-
-            t0 = time.perf_counter()
-            odom = Pose2.identity() if prev_ego is None else relative_pose(prev_ego, snapshot.ego)
-            add_snapshot(graph, snapshot, odom, global_cfg)
-            add_snapshot(baseline, snapshot, odom, global_cfg)
-            snapshots_since_opt += 1
-            if global_cfg.optimize_every and snapshots_since_opt >= global_cfg.optimize_every:
-                result_opt = optimize(graph, global_cfg)
-                graph.merge_estimates(result_opt.graph)
-                snapshots_since_opt = 0
-            timings["global_map"].append((time.perf_counter() - t0) * 1e3)
-
-            prev_ego = snapshot.ego
-            prev_true = true_pose
-            frames += 1
-
-            # advance the true pose
-            if config.closed_loop:
-                s_here = geom.nearest_arc_length(true_pose.position)
-                lateral = float(np.hypot(*(true_pose.position - geom.point_at(s_here))))
-                if lateral > config.divergence_margin_m:
-                    raise RunFailure(
-                        f"ego left the track corridor: {lateral:.2f} m off the centerline at {timestamp:.1f} s"
-                    )
-                delta_s = (s_here - last_s) % geom.length
-                if delta_s < geom.length / 2:
-                    progress += delta_s
-                last_s = s_here
-                speed = config.closed_loop_speed_mps
-                yaw = steering.yaw_rate(speed)
-                true_pose = integrate_velocity(true_pose, Velocity2(speed, 0.0, yaw), dt)
-            else:
-                arc_s += run.speed_at(arc_s) * dt
-                progress = arc_s
-                true_pose = geom.pose_at(arc_s)
-        completed = progress >= geom.length
+            plan = engine.step(snapshot)
+            if config.closed_loop and plan is not None and plan.selected is not None:
+                steering.update_plan(plan.selected.waypoints, snapshot.ego)
+        completed = not config.closed_loop or steering.progress >= geom.length
     except RunFailure as exc:
         failure = exc
     finally:
         snapshot_writer.close()
-        planner_fh.close()
+        engine.close()
 
-    # final optimization pass and exports
-    final_cost = None
-    if graph.poses:
-        result_opt = optimize(graph, global_cfg)
-        graph.merge_estimates(result_opt.graph)
-        final_cost = result_opt.final_cost
-    estimated = export_map(graph, require_optimized=False, min_edges=global_cfg.export_min_edges)
-    dead_reckoned = export_map(baseline, require_optimized=False, min_edges=global_cfg.export_min_edges)
-    save_map(estimated, out_dir / "map_estimated.json")
-    save_map(dead_reckoned, out_dir / "map_dead_reckoned.json")
-    save_graph(graph, out_dir / "graph.json")
+    estimated, dead_reckoned, final_cost = engine.finish(out_dir)
+    timings.update(engine.timings)
     save_trajectory(out_dir / "trajectory.csv", trajectory_rows)
     _write_planner_timing(out_dir / "planner_timing.csv", timings["planner"])
 
-    rmse = rmse_dr = None
     map_metrics: dict = {"landmarks": len(estimated), "final_cost": final_cost}
-    if estimated and start_pose is not None:
-        truth = track.cone_positions()
-        rmse = _aligned_rmse(estimated, truth, start_pose)
-        rmse_dr = _aligned_rmse(dead_reckoned, truth, start_pose)
-        alignment = _alignment(estimated, truth, start_pose)
-        map_metrics.update(
-            {
-                "rmse_m": rmse,
-                "rmse_dead_reckoned_m": rmse_dr,
-                "matched": len(alignment.correspondences),
-                "unmatched_estimated": alignment.unmatched_estimated,
-                "unmatched_truth": alignment.unmatched_truth,
-                "alignment_rotation_rad": alignment.rotation,
-                "alignment_translation_m": [float(v) for v in alignment.translation],
-            }
-        )
+    if estimated:
+        map_metrics.update(map_alignment(estimated, track, start_pose))
+        map_metrics["rmse_dead_reckoned_m"] = map_alignment(dead_reckoned, track, start_pose)["rmse_m"]
 
-    stats = planning_stats(planner_records, track, trajectory) if planner_records else None
+    trajectory = {t: (true, ego) for t, true, ego in trajectory_rows}
+    stats = planning_stats(engine.planner_records, track, trajectory) if engine.planner_records else None
     report = build_report(
         map_metrics,
         stats,
@@ -295,7 +315,7 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
         {
             "name": config.name,
             "seed": config.seed,
-            "frames": frames,
+            "frames": engine.steps,
             "completed_lap": completed,
             "track_length_m": track.total_length,
             "failure": str(failure) if failure else None,
@@ -305,23 +325,9 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
 
     if failure is not None:
         raise RunFailure(str(failure))
-    return RunResult(completed, frames, out_dir, rmse, rmse_dr, report)
-
-
-def _force_map_mode(name: str):
-    from .local_map import MapMode
-
-    return MapMode(name)
-
-
-def _alignment(records: list[dict], truth: np.ndarray, start_pose: Pose2):
-    pts = np.array([[r["x_m"], r["y_m"]] for r in records])
-    world = np.array([start_pose.rotation() @ p + start_pose.position for p in pts])
-    return icp_align(world, truth, init=Pose2.identity())
-
-
-def _aligned_rmse(records: list[dict], truth: np.ndarray, start_pose: Pose2) -> float:
-    return map_rmse(_alignment(records, truth, start_pose))
+    return RunResult(
+        completed, engine.steps, out_dir, map_metrics.get("rmse_m"), map_metrics.get("rmse_dead_reckoned_m"), report
+    )
 
 
 def _write_planner_timing(path: Path, samples_ms: list[float]) -> None:
@@ -340,40 +346,24 @@ def replay_snapshots(
 ) -> dict:
     """Re-run planning and graph building on recorded snapshots.
 
-    Deterministic: identical snapshots and configs produce byte-identical
-    planner logs and map exports.
+    Runs the same per-snapshot step as :func:`run_pipeline`, so a run's
+    snapshot log and config reproduce its planner log, maps and graph byte
+    for byte.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_resolved(config, out_dir / "config_resolved.json")
-    planner_cfg = config.planner_config()
-    global_cfg = config.global_map_config()
-
-    planner_records = []
-    graph = Graph()
-    prev_ego: Pose2 | None = None
-    with open(out_dir / "planner_log.ndjson", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema_version": 1, "kind": "planner_log"}, sort_keys=True) + "\n")
+    engine = _SnapshotEngine(config, out_dir)
+    try:
         for snapshot in snapshots:
-            if config.plan_enabled:
-                result = plan_snapshot(snapshot, planner_cfg)
-                record = plan_record(result, snapshot, config.verbose_candidates)
-                planner_records.append(record)
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-            odom = Pose2.identity() if prev_ego is None else relative_pose(prev_ego, snapshot.ego)
-            add_snapshot(graph, snapshot, odom, global_cfg)
-            prev_ego = snapshot.ego
+            engine.step(snapshot)
+    finally:
+        engine.close()
+    estimated, _, _ = engine.finish(out_dir)
 
-    if graph.poses:
-        result_opt = optimize(graph, global_cfg)
-        graph.merge_estimates(result_opt.graph)
-    estimated = export_map(graph, require_optimized=False, min_edges=global_cfg.export_min_edges)
-    save_map(estimated, out_dir / "map_estimated.json")
-    save_graph(graph, out_dir / "graph.json")
-
-    report: dict = {"frames": len(planner_records), "landmarks": len(estimated)}
-    if track is not None and planner_records:
-        stats = planning_stats(planner_records, track)
+    report: dict = {"frames": engine.steps, "landmarks": len(estimated)}
+    if track is not None and engine.planner_records:
+        stats = planning_stats(engine.planner_records, track)
         report["planning"] = {
             "path_length_fractions": [float(v) for v in stats.path_length_fractions],
             "out_of_track_fractions": [float(v) for v in stats.out_of_track_fractions],

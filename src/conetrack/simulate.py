@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -537,17 +537,6 @@ def curvature_limited_speed_profile(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SimFrame:
-    """One emitted sensor frame. ``true_pose`` is for evaluation only."""
-
-    timestamp: float
-    dt: float
-    observations: tuple[ConeObservation, ...]
-    velocity: Velocity2
-    true_pose: Pose2
-
-
 def _peaked_distribution(class_idx: np.ndarray, confidence: float) -> list[ColorDistribution]:
     rest = (1.0 - confidence) / 2.0
     out = []
@@ -623,36 +612,33 @@ def noisy_velocity(true_vel: Velocity2, profile: SensorProfile, rng: np.random.G
     )
 
 
-def simulate_frame(
-    run: SimRun,
-    true_pose: Pose2,
-    profile: SensorProfile,
-    rng: np.random.Generator,
-    timestamp: float = 0.0,
-    true_velocity: Velocity2 | None = None,
-) -> tuple[list[ConeObservation], Velocity2]:
-    """One frame of observations plus a noisy velocity reading.
-
-    When no explicit velocity is given it is derived from the nearest
-    centerline station (speed profile plus path curvature).
-    """
-    if true_velocity is None:
-        geom = CenterlineGeometry(run.track.centerline)
-        s = geom.nearest_arc_length(true_pose.position)
-        v = run.speed_at(s)
-        true_velocity = Velocity2(v, 0.0, geom.curvature_at(s) * v)
-    obs = observe_cones(run.track, true_pose, profile, rng, timestamp)
-    return obs, noisy_velocity(true_velocity, profile, rng)
-
-
-class ScenarioDriver:
-    """Steps the true pose along the centerline one lap at the frame rate.
+def discrete_frames(poses: Iterable[Pose2], dt: float) -> Iterator[tuple[float, float, Pose2, Velocity2]]:
+    """Yield (timestamp, dt, true_pose, true_velocity) for true poses one frame period apart.
 
     The true body velocity emitted for frame ``k`` is the exact discrete
     increment from pose ``k-1`` to pose ``k``, so a noise-free consumer that
     dead-reckons with single-step Euler integration reproduces the true pose
-    exactly. Noise is layered on top of this discrete ground truth.
+    exactly. Noise is layered on top of this discrete ground truth. The first
+    frame has zero dt and zero velocity.
     """
+    prev: Pose2 | None = None
+    for k, pose in enumerate(poses):
+        if prev is None:
+            yield 0.0, 0.0, pose, Velocity2.zero()
+        else:
+            d = pose.position - prev.position
+            c, s = math.cos(prev.theta), math.sin(prev.theta)
+            vel = Velocity2(
+                (c * d[0] + s * d[1]) / dt,
+                (-s * d[0] + c * d[1]) / dt,
+                normalize_angle(pose.theta - prev.theta) / dt,
+            )
+            yield k * dt, dt, pose, vel
+        prev = pose
+
+
+class ScenarioDriver:
+    """Steps the true pose along the centerline one lap at the frame rate."""
 
     def __init__(self, run: SimRun):
         self.run = run
@@ -660,34 +646,11 @@ class ScenarioDriver:
         self.dt = 1.0 / run.frame_rate_hz
 
     def frames(self) -> Iterator[tuple[float, float, Pose2, Velocity2]]:
-        """Yield (timestamp, dt, true_pose, true_velocity) until the lap closes."""
+        """Yield (timestamp, dt, true_pose, true_velocity) until the lap closes (see :func:`discrete_frames`)."""
+        return discrete_frames(self._poses(), self.dt)
+
+    def _poses(self) -> Iterator[Pose2]:
         s = 0.0
-        k = 0
-        prev_pose: Pose2 | None = None
         while s < self.geom.length:
-            pose = self.geom.pose_at(s)
-            if prev_pose is None:
-                vel = Velocity2.zero()
-                dt = 0.0
-            else:
-                dt = self.dt
-                d = pose.position - prev_pose.position
-                c, si = math.cos(prev_pose.theta), math.sin(prev_pose.theta)
-                vel = Velocity2(
-                    (c * d[0] + si * d[1]) / dt,
-                    (-si * d[0] + c * d[1]) / dt,
-                    normalize_angle(pose.theta - prev_pose.theta) / dt,
-                )
-            yield k * self.dt, dt, pose, vel
-            prev_pose = pose
+            yield self.geom.pose_at(s)
             s += self.run.speed_at(s) * self.dt
-            k += 1
-
-
-def run_scenario(run: SimRun, profile: SensorProfile) -> Iterator[SimFrame]:
-    """Drive one lap, emitting observation frames; deterministic per seed."""
-    rng = np.random.default_rng(run.seed)
-    driver = ScenarioDriver(run)
-    for timestamp, dt, pose, vel in driver.frames():
-        obs = observe_cones(run.track, pose, profile, rng, timestamp)
-        yield SimFrame(timestamp, dt, tuple(obs), noisy_velocity(vel, profile, rng), pose)

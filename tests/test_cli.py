@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from conetrack.cli import main
+from conetrack.config import dump_resolved, load_config
+from conetrack.simulate import TrackSpec, generate_track, save_track
 
 
 def read_json(path):
@@ -104,6 +106,17 @@ def run_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def noisy_run(tmp_path_factory):
+    """A run with fusion sensor noise and planning off, so the periodic solves move the map."""
+    root = tmp_path_factory.mktemp("noisy")
+    config = root / "config.json"
+    dump_resolved(dataclasses.replace(load_config("noise-free-circle"), plan_enabled=False), config)
+    out = root / "run"
+    assert main(["run", "--config", str(config), "--profile", "builtin:fusion", "--out", str(out)]) == 0
+    return config, out
+
+
 class TestReplay:
 
     def test_replay_reproduces_planner_log(self, tmp_path, run_dir):
@@ -124,6 +137,17 @@ class TestReplay:
         assert code == 0
         assert (out / "planner_log.ndjson").read_bytes() == (run_dir / "planner_log.ndjson").read_bytes()
         assert (out / "map_estimated.json").read_bytes() == (run_dir / "map_estimated.json").read_bytes()
+
+    def test_noisy_replay_reproduces_maps_and_counts_snapshots(self, tmp_path, noisy_run, capsys):
+        config, run = noisy_run
+        out = tmp_path / "replay"
+        assert main(["replay", "--snapshots", str(run / "snapshots.ndjson"), "--config", str(config), "--out", str(out)]) == 0
+        for name in ("planner_log.ndjson", "map_estimated.json", "map_dead_reckoned.json", "graph.json"):
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
+        frames = read_json(run / "report.json")["run"]["frames"]
+        assert frames > 0
+        assert read_json(out / "replay_report.json")["frames"] == frames
+        assert f"replayed {frames} snapshots" in capsys.readouterr().out
 
     def test_replay_with_doubled_prior_weight_differs(self, tmp_path, run_dir):
         out = tmp_path / "replay2"
@@ -161,6 +185,34 @@ class TestReplay:
         bad = tmp_path / "bad.ndjson"
         bad.write_text('{"schema_version": 99, "kind": "snapshot_log"}\n')
         assert main(["replay", "--snapshots", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+BAD_INPUTS = [
+    ["eval", "--track", "{missing}"],
+    ["eval", "--track", "{garbage}"],
+    ["eval", "--track", "{track}", "--map", "{missing}"],
+    ["eval", "--track", "{track}", "--map", "{garbage}"],
+    ["eval", "--track", "{track}", "--planner-log", "{missing}"],
+    ["eval", "--track", "{track}", "--planner-log", "{garbage}"],
+    ["eval", "--track", "{track}", "--trajectory", "{missing}"],
+    ["replay", "--snapshots", "{missing}"],
+    ["replay", "--snapshots", "{garbage}", "--track", "{missing}"],
+    ["run", "--config", "noise-free-circle", "--mode-schedule", "{missing}"],
+    ["run", "--config", "noise-free-circle", "--mode-schedule", "{garbage}"],
+    ["generate", "--spec", "{missing}"],
+    ["generate", "--spec", "{garbage}"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: "-".join(a.strip("-{}") for a in argv))
+def test_missing_or_malformed_input_file_exits_2(tmp_path, capsys, argv):
+    paths = {"missing": tmp_path / "missing.json", "garbage": tmp_path / "garbage.json", "track": tmp_path / "track.json"}
+    paths["garbage"].write_text("not json {")
+    save_track(generate_track(TrackSpec(kind="circle", radius_m=20.0), 0), paths["track"])
+    bad = [a for a in argv if a in ("{missing}", "{garbage}")][-1]
+    assert main([a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and bad.format(**paths) in err
 
 
 class TestEval:

@@ -18,10 +18,9 @@ from conetrack.simulate import (
     generate_track,
     load_track,
     noise_free_profile,
+    noisy_velocity,
     observe_cones,
-    run_scenario,
     save_track,
-    simulate_frame,
     validate_track,
 )
 
@@ -214,13 +213,14 @@ class TestFrameSimulation:
         total = sum(len(observe_cones(track, pose, profile, rng, 0.0)) for _ in range(10_000))
         assert total / 10_000 == pytest.approx(0.5, abs=0.03)
 
-    def test_simulate_frame_derives_velocity(self):
-        track = generate_track(CIRCLE_SPEC, seed=1)
-        run = SimRun.constant_speed(track, 5.0)
-        pose = CenterlineGeometry(track.centerline).pose_at(10.0)
-        obs, vel = simulate_frame(run, pose, noise_free_profile(), np.random.default_rng(0))
-        assert vel.vx == pytest.approx(5.0)
-        assert vel.yaw_rate == pytest.approx(5.0 / 30.0, rel=0.05)
+
+
+def sensor_stream(run, profile):
+    """(timestamp, observations, noisy velocity) per frame of one driven lap."""
+    rng = np.random.default_rng(run.seed)
+    for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+        obs = observe_cones(run.track, pose, profile, rng, timestamp)
+        yield timestamp, obs, noisy_velocity(vel, profile, rng)
 
 
 class TestScenario:
@@ -228,7 +228,7 @@ class TestScenario:
         track = generate_track(TrackSpec(kind="circle", radius_m=213.0 / (2 * math.pi)), seed=1)
         assert track.total_length == pytest.approx(213.0, abs=0.5)
         run = SimRun.constant_speed(track, 5.0, frame_rate_hz=10.0)
-        frames = list(run_scenario(run, noise_free_profile()))
+        frames = list(sensor_stream(run, noise_free_profile()))
         expected = track.total_length / (5.0 * 0.1)
         assert abs(len(frames) - expected) <= 1.0
 
@@ -239,13 +239,13 @@ class TestScenario:
 
         def digest(frames):
             parts = []
-            for f in frames:
-                parts.append((f.timestamp, f.velocity.vx, f.velocity.vy, f.velocity.yaw_rate))
-                for o in f.observations:
+            for timestamp, observations, velocity in frames:
+                parts.append((timestamp, velocity.vx, velocity.vy, velocity.yaw_rate))
+                for o in observations:
                     parts.append(tuple(o.position.mean) + tuple(o.color.as_array()))
             return parts
 
-        assert digest(run_scenario(run, profile)) == digest(run_scenario(run, profile))
+        assert digest(sensor_stream(run, profile)) == digest(sensor_stream(run, profile))
 
     def test_zero_speed_profile_rejected(self):
         track = generate_track(CIRCLE_SPEC, seed=1)
