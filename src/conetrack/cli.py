@@ -78,7 +78,7 @@ def _load_input(load, path):
     """``load(path)`` for an input file named on the command line.
 
     A missing, unreadable or malformed file is a configuration error (exit
-    code 2), not a run failure.
+    code 2), not a run failure, and its message names the file.
     """
     try:
         return load(path)
@@ -86,6 +86,8 @@ def _load_input(load, path):
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (ConfigError, TrackValidationError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _read_json(path):
@@ -97,7 +99,7 @@ def _read_planner_log(path) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         if header.get("kind") != "planner_log":
-            raise ConfigError(f"{path} is not a planner log")
+            raise ConfigError("not a planner log")
         for line in fh:
             if line.strip():
                 records.append(json.loads(line))
@@ -147,10 +149,12 @@ def _cmd_run(args) -> int:
         updates["verbose_candidates"] = True
     if args.no_plan:
         updates["plan_enabled"] = False
-    if args.mode_schedule:
-        updates["mode_schedule"] = _load_input(_read_json, args.mode_schedule)
     if updates:
         config = dataclasses.replace(config, **updates)
+    if args.mode_schedule:
+        config = _load_input(
+            lambda path: dataclasses.replace(config, mode_schedule=_read_json(path)), args.mode_schedule
+        )
     if args.profile:
         config.profiles = dict(config.profiles)
         config.profiles["fusion"] = resolve_profile(args.profile)

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .core import is_finite_number
 from .global_map import GlobalMapConfig
 from .local_map import LocalMapConfig
-from .planner import PlannerConfig, PriorConfig, SearchLimits
+from .planner import PlannerConfig
 from .simulate import SensorProfile, TrackSpec, default_profile, noise_free_profile
 
 SOURCE_MODES = ("fusion", "lidar_only", "camera_only")
@@ -61,10 +62,18 @@ class RunConfig:
             raise ConfigError(f"unknown force_mode {self.force_mode!r}")
         if self.frame_rate_hz <= 0 or self.max_speed_mps <= 0:
             raise ConfigError("frame rate and speed must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.mode_schedule, list):
+            raise ConfigError(f"mode schedule must be a list of events, got {self.mode_schedule!r}")
         for event in self.mode_schedule:
-            if "time_s" not in event or not ({"fail", "restore"} & set(event)):
+            if not isinstance(event, dict) or "time_s" not in event or not ({"fail", "restore"} & set(event)):
                 raise ConfigError(f"schedule event needs time_s and fail/restore: {event}")
+            if not is_finite_number(event["time_s"]):
+                raise ConfigError(f"schedule event time_s must be a finite number: {event}")
             for key in ("fail", "restore"):
+                if not isinstance(event.get(key, []), list):
+                    raise ConfigError(f"schedule event {key} must be a list of pipelines: {event}")
                 for source in event.get(key, []):
                     if source not in SOURCE_MODES:
                         raise ConfigError(f"unknown pipeline {source!r} in mode schedule")
@@ -87,11 +96,11 @@ class RunConfig:
         return GlobalMapConfig(**self.global_map_overrides)
 
     def planner_config(self) -> PlannerConfig:
-        limits = SearchLimits(**self.planner_limit_overrides)
-        prior = PriorConfig.defaults(limits)
+        config = PlannerConfig.with_limits(**self.planner_limit_overrides)
         if self.prior_weight is not None:
-            prior = dataclasses.replace(prior, prior_weight=self.prior_weight)
-        return PlannerConfig(limits=limits, prior=prior)
+            prior = dataclasses.replace(config.prior, prior_weight=self.prior_weight)
+            config = dataclasses.replace(config, prior=prior)
+        return config
 
     # -- serialization ------------------------------------------------------
 
@@ -170,10 +179,11 @@ def load_config(ref: str | Path) -> RunConfig:
     path = Path(ref)
     if path.exists():
         try:
-            data = json.loads(path.read_text())
+            return RunConfig.from_dict(json.loads(path.read_text()))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return RunConfig.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     builtin = builtin_config_names()
     name = str(ref)
     if name in builtin:

@@ -19,6 +19,11 @@ TWO_PI = 2.0 * math.pi
 COV_EIGENVALUE_FLOOR = 1e-9
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite int or float read from outside input (a bool is not a number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def normalize_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     wrapped = math.pi - (math.pi - theta) % TWO_PI

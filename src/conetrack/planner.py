@@ -9,12 +9,16 @@ probability of the color class its assigned role requires: left-boundary
 cones count the better of blue/unknown, right-boundary cones the better of
 yellow/unknown, and every remaining cone its most probable class, so the
 whole snapshot votes on every candidate.
+
+The search always scores: each path is scored once, as the search grows it,
+and that one score gates its extensions, orders the beam and is the score
+the emitted candidate carries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -107,9 +111,9 @@ class CandidatePath:
     left_sequence: tuple[int, ...]  # left cones in first-crossing order
     right_sequence: tuple[int, ...]
     features: PathFeatures
-    log_prior: float = math.nan
-    log_likelihood: float = math.nan
-    log_posterior: float = math.nan
+    log_prior: float
+    log_likelihood: float
+    log_posterior: float
 
     def __post_init__(self) -> None:
         wp = np.asarray(self.waypoints, dtype=float).reshape(-1, 2)
@@ -236,6 +240,32 @@ def log_prior(features: PathFeatures, config: PriorConfig) -> float:
     return -config.prior_weight * cost
 
 
+def _cone_log_terms(cones: Sequence[ConeEstimate], floor: float) -> list[tuple[float, float, float]]:
+    """Per-cone log color probability as a left cone, a right cone and neither."""
+    terms = []
+    for cone in cones:
+        c = cone.color
+        terms.append(
+            (
+                math.log(max(c.p_blue, c.p_unknown, floor)),
+                math.log(max(c.p_yellow, c.p_unknown, floor)),
+                math.log(max(c.p_blue, c.p_yellow, c.p_unknown, floor)),
+            )
+        )
+    return terms
+
+
+def _summed_log_terms(
+    terms: Sequence[tuple[float, float, float]], left_cones: frozenset[int], right_cones: frozenset[int]
+) -> float:
+    # one cone at a time in index order from 0.0, never a pairwise or
+    # compensated sum: every logged score depends on this exact order
+    total = 0.0
+    for idx, (left, right, other) in enumerate(terms):
+        total += left if idx in left_cones else right if idx in right_cones else other
+    return total
+
+
 def log_likelihood(
     cones: Sequence[ConeEstimate],
     left_cones: frozenset[int],
@@ -243,46 +273,7 @@ def log_likelihood(
     floor: float = LIKELIHOOD_FLOOR,
 ) -> float:
     """Color agreement of every snapshot cone with its role under this path."""
-    total = 0.0
-    for idx, cone in enumerate(cones):
-        color = cone.color
-        if idx in left_cones:
-            p = max(color.p_blue, color.p_unknown)
-        elif idx in right_cones:
-            p = max(color.p_yellow, color.p_unknown)
-        else:
-            p = max(color.p_blue, color.p_yellow, color.p_unknown)
-        total += math.log(max(p, floor))
-    return total
-
-
-class _ConeLogTable:
-    """Per-cone log color probabilities for incremental likelihood scoring.
-
-    ``value`` agrees with :func:`log_likelihood` up to summation order; the
-    search uses it for expansion gating and beam ordering only, final
-    candidate scores always come from the reference form.
-    """
-
-    def __init__(self, cones: Sequence[ConeEstimate], floor: float):
-        n = len(cones)
-        self.left = np.empty(n)
-        self.right = np.empty(n)
-        self.best = np.empty(n)
-        for i, cone in enumerate(cones):
-            c = cone.color
-            self.left[i] = math.log(max(c.p_blue, c.p_unknown, floor))
-            self.right[i] = math.log(max(c.p_yellow, c.p_unknown, floor))
-            self.best[i] = math.log(max(c.p_blue, c.p_yellow, c.p_unknown, floor))
-        self.base = float(self.best.sum())
-
-    def value(self, left_ids, right_ids) -> float:
-        total = self.base
-        for i in left_ids:
-            total += self.left[i] - self.best[i]
-        for i in right_ids:
-            total += self.right[i] - self.best[i]
-        return total
+    return _summed_log_terms(_cone_log_terms(cones, floor), left_cones, right_cones)
 
 
 @dataclass
@@ -291,111 +282,75 @@ class _PartialPath:
     visited: set[int]
     crossed: list[tuple[int, int]]
     waypoints: list[np.ndarray]
-    left_votes: dict[int, int]
-    right_votes: dict[int, int]
-    order: list[int]  # cone indices in first-crossing order
+    net_votes: dict[int, int]  # left minus right votes per cone, in first-crossing order
     length: float
-
-
-def _finalize_sides(partial: _PartialPath) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    left, right = [], []
-    for idx in partial.order:
-        lv = partial.left_votes.get(idx, 0)
-        rv = partial.right_votes.get(idx, 0)
-        (left if lv >= rv else right).append(idx)
-    return tuple(left), tuple(right)
-
-
-def _candidate_from_partial(partial: _PartialPath, points: np.ndarray, limits: SearchLimits) -> CandidatePath:
-    left_seq, right_seq = _finalize_sides(partial)
-    waypoints = np.array(partial.waypoints)
-    features = compute_features(waypoints, partial.crossed, points, left_seq, right_seq, limits)
-    return CandidatePath(
-        waypoints=waypoints,
-        crossed_edges=tuple(partial.crossed),
-        left_cones=frozenset(left_seq),
-        right_cones=frozenset(right_seq),
-        left_sequence=left_seq,
-        right_sequence=right_seq,
-        features=features,
-    )
+    scored: CandidatePath | None  # scored once, when extended into; None only at the root
 
 
 def enumerate_paths(
     tri: Triangulation,
     ego: Pose2,
-    limits: SearchLimits = SearchLimits(),
-    cones: Sequence[ConeEstimate] | None = None,
-    prior_config: PriorConfig | None = None,
-    likelihood_floor: float = LIKELIHOOD_FLOOR,
+    cones: Sequence[ConeEstimate],
+    config: PlannerConfig,
 ) -> list[CandidatePath]:
-    """Grow maximal candidate paths triangle-to-triangle from the ego.
+    """Grow maximal scored candidate paths triangle-to-triangle from the ego.
 
     The root triangle is the one whose centroid is nearest a probe point 1 m
     ahead of the ego. Expansion crosses interior edges into unvisited
     triangles, stopping at the edge budget, the length cap, or a dead end;
-    each stop emits one candidate. The frontier is beam-limited for bounded
-    worst-case cost.
+    each stop emits one candidate. The frontier is beam-limited by posterior
+    for bounded worst-case cost.
 
-    When ``cones`` (and a prior config) are given, a step that lowers the
-    partial path's posterior is treated as a dead end: consistent corridor
-    extensions always score upward through the edge-count and length terms,
-    so growth stops exactly where continuing would mean crossing evidence
-    that contradicts the path, instead of baking a bad tail into every
-    candidate.
+    Each path is scored once, when the search grows it: its features, log
+    prior, log likelihood and log posterior are those of the candidate it
+    would emit. A step that lowers the posterior is treated as a dead end:
+    consistent corridor extensions always score upward through the
+    edge-count and length terms, so growth stops exactly where continuing
+    would mean crossing evidence that contradicts the path, instead of baking
+    a bad tail into every candidate.
     """
+    limits = config.limits
+    terms = _cone_log_terms(cones, config.likelihood_floor)
     centroids = tri.points[tri.simplices].mean(axis=1)
     probe = ego.position + np.array([math.cos(ego.theta), math.sin(ego.theta)])
     start = int(np.argmin(np.hypot(centroids[:, 0] - probe[0], centroids[:, 1] - probe[1])))
     heading = np.array([math.cos(ego.theta), math.sin(ego.theta)])
 
-    use_scores = cones is not None and prior_config is not None
-    table = _ConeLogTable(cones, likelihood_floor) if use_scores else None
-
-    def posterior(partial: _PartialPath) -> float:
-        left_seq, right_seq = _finalize_sides(partial)
-        features = compute_features(
-            np.array(partial.waypoints) if partial.waypoints else np.zeros((0, 2)),
-            partial.crossed,
-            tri.points,
-            left_seq,
-            right_seq,
-            limits,
+    def score(crossed: list[tuple[int, int]], waypoints: list[np.ndarray], net_votes: dict[int, int]) -> CandidatePath:
+        left_seq = tuple(idx for idx, net in net_votes.items() if net >= 0)
+        right_seq = tuple(idx for idx, net in net_votes.items() if net < 0)
+        left_cones, right_cones = frozenset(left_seq), frozenset(right_seq)
+        wp = np.array(waypoints)
+        features = compute_features(wp, crossed, tri.points, left_seq, right_seq, limits)
+        lp = log_prior(features, config.prior)
+        ll = _summed_log_terms(terms, left_cones, right_cones)
+        return CandidatePath(
+            wp, tuple(crossed), left_cones, right_cones, left_seq, right_seq, features, lp, ll, lp + ll
         )
-        return log_prior(features, prior_config) + table.value(left_seq, right_seq)
-
-    def vote_sides(partial: _PartialPath, edge: tuple[int, int], midpoint: np.ndarray, prev: np.ndarray) -> None:
-        d = midpoint - prev
-        if np.hypot(*d) < 1e-12:
-            d = heading
-        for idx in edge:
-            if idx not in partial.left_votes and idx not in partial.right_votes:
-                partial.order.append(idx)
-            off = tri.points[idx] - midpoint
-            if d[0] * off[1] - d[1] * off[0] > 0:
-                partial.left_votes[idx] = partial.left_votes.get(idx, 0) + 1
-                partial.right_votes.setdefault(idx, 0)
-            else:
-                partial.right_votes[idx] = partial.right_votes.get(idx, 0) + 1
-                partial.left_votes.setdefault(idx, 0)
 
     def extend(partial: _PartialPath, nb: int, edge: tuple[int, int]) -> _PartialPath:
         midpoint = 0.5 * (tri.points[edge[0]] + tri.points[edge[1]])
         prev = partial.waypoints[-1] if partial.waypoints else ego.position
-        child = _PartialPath(
+        d = midpoint - prev
+        if np.hypot(*d) < 1e-12:
+            d = heading
+        net_votes = dict(partial.net_votes)
+        for idx in edge:
+            off = tri.points[idx] - midpoint
+            net_votes[idx] = net_votes.get(idx, 0) + (1 if d[0] * off[1] - d[1] * off[0] > 0 else -1)
+        crossed = partial.crossed + [edge]
+        waypoints = partial.waypoints + [midpoint]
+        return _PartialPath(
             triangle=nb,
             visited=partial.visited | {nb},
-            crossed=partial.crossed + [edge],
-            waypoints=partial.waypoints + [midpoint],
-            left_votes=dict(partial.left_votes),
-            right_votes=dict(partial.right_votes),
-            order=list(partial.order),
+            crossed=crossed,
+            waypoints=waypoints,
+            net_votes=net_votes,
             length=partial.length + (float(np.hypot(*(midpoint - prev))) if partial.waypoints else 0.0),
+            scored=score(crossed, waypoints, net_votes),
         )
-        vote_sides(child, edge, midpoint, prev)
-        return child
 
-    root = _PartialPath(start, {start}, [], [], {}, {}, [], 0.0)
+    root = _PartialPath(start, {start}, [], [], {}, 0.0, None)
     first_moves = []
     for nb, edge in tri.interior_crossings(start):
         midpoint = 0.5 * (tri.points[edge[0]] + tri.points[edge[1]])
@@ -405,10 +360,7 @@ def enumerate_paths(
         first_moves = [m for m in first_moves if m[0]]
 
     frontier = [extend(root, nb, edge) for _, nb, edge in first_moves]
-    scores = {id(p): posterior(p) for p in frontier} if use_scores else {}
     candidates: list[CandidatePath] = []
-    if not frontier:
-        return candidates
 
     def turn_ok(partial: _PartialPath, edge: tuple[int, int]) -> bool:
         midpoint = 0.5 * (tri.points[edge[0]] + tri.points[edge[1]])
@@ -429,54 +381,25 @@ def enumerate_paths(
 
     while frontier:
         next_frontier: list[_PartialPath] = []
-        next_scores: dict[int, float] = {}
         for partial in frontier:
             if len(partial.crossed) >= limits.max_edges or partial.length >= limits.max_length_m:
-                candidates.append(_candidate_from_partial(partial, tri.points, limits))
+                candidates.append(partial.scored)
                 continue
-            moves = [
-                (nb, edge)
+            children = [
+                extend(partial, nb, edge)
                 for nb, edge in tri.interior_crossings(partial.triangle)
                 if nb not in partial.visited and edge != partial.crossed[-1] and turn_ok(partial, edge)
             ]
-            children = [extend(partial, nb, edge) for nb, edge in moves]
-            if use_scores:
-                kept = []
-                for child in children:
-                    score = posterior(child)
-                    if score >= scores[id(partial)] - 1e-9:
-                        next_scores[id(child)] = score
-                        kept.append(child)
-                children = kept
+            children = [c for c in children if c.scored.log_posterior >= partial.scored.log_posterior - 1e-9]
             if not children:
-                candidates.append(_candidate_from_partial(partial, tri.points, limits))
+                candidates.append(partial.scored)
                 continue
             next_frontier.extend(children)
         if limits.beam_width is not None and len(next_frontier) > limits.beam_width:
-            if use_scores:
-                next_frontier.sort(key=lambda p: (-next_scores[id(p)], p.crossed))
-            else:
-                # deterministic trim: longer paths first, then lexicographic edges
-                next_frontier.sort(key=lambda p: (-p.length, p.crossed))
+            next_frontier.sort(key=lambda p: (-p.scored.log_posterior, p.crossed))
             next_frontier = next_frontier[: limits.beam_width]
         frontier = next_frontier
-        scores = next_scores
     return candidates
-
-
-def score_candidates(
-    candidates: Sequence[CandidatePath],
-    cones: Sequence[ConeEstimate],
-    prior_config: PriorConfig,
-    floor: float = LIKELIHOOD_FLOOR,
-) -> list[CandidatePath]:
-    """Attach log prior, likelihood, and their sum (the log posterior)."""
-    out = []
-    for cand in candidates:
-        lp = log_prior(cand.features, prior_config)
-        ll = log_likelihood(cones, cand.left_cones, cand.right_cones, floor)
-        out.append(replace(cand, log_prior=lp, log_likelihood=ll, log_posterior=lp + ll))
-    return out
 
 
 def select_path(candidates: Sequence[CandidatePath]) -> CandidatePath | None:
@@ -484,8 +407,6 @@ def select_path(candidates: Sequence[CandidatePath]) -> CandidatePath | None:
     best = None
     best_key = None
     for idx, cand in enumerate(candidates):
-        if math.isnan(cand.log_posterior):
-            raise ValueError("candidates must be scored before selection")
         key = (
             -cand.log_posterior,
             -cand.features.length_m,
@@ -528,12 +449,8 @@ def plan_snapshot(snapshot, config: PlannerConfig = PlannerConfig()) -> PlanResu
         tri = triangulate(positions)
     except DegenerateSnapshotError:
         return PlanResult(None, (), cone_ids)
-    candidates = enumerate_paths(
-        tri, snapshot.ego, config.limits, cones=cones, prior_config=config.prior,
-        likelihood_floor=config.likelihood_floor,
-    )
-    scored = score_candidates(candidates, cones, config.prior, config.likelihood_floor)
-    return PlanResult(select_path(scored), tuple(scored), cone_ids)
+    candidates = enumerate_paths(tri, snapshot.ego, cones, config)
+    return PlanResult(select_path(candidates), tuple(candidates), cone_ids)
 
 
 def plan_record(result: PlanResult, snapshot, verbose_candidates: bool = False) -> dict:

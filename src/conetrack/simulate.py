@@ -25,6 +25,7 @@ from .core import (
     Pose2,
     SensorSource,
     Velocity2,
+    is_finite_number,
     normalize_angle,
 )
 
@@ -96,10 +97,32 @@ class TrackDefinition:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrackDefinition":
-        cones = tuple(
-            TrackCone(np.array([c["x_m"], c["y_m"]]), c["color"]) for c in data["cones"]
-        )
-        return cls(cones, np.array(data["centerline_m"], dtype=float), float(data["total_length_m"]))
+        """Parse a track document; a missing or mistyped field raises :class:`TrackValidationError` naming it."""
+        if not isinstance(data, dict):
+            raise TrackValidationError("a track must be a JSON object")
+        for key in ("cones", "centerline_m", "total_length_m"):
+            if key not in data:
+                raise TrackValidationError(f"track field {key!r} is missing")
+        if not isinstance(data["cones"], list):
+            raise TrackValidationError("track field 'cones' needs a list of cones")
+        cones = []
+        for k, c in enumerate(data["cones"]):
+            if not isinstance(c, dict) or not (is_finite_number(c.get("x_m")) and is_finite_number(c.get("y_m"))):
+                raise TrackValidationError(f"track field 'cones' item {k} needs numeric x_m and y_m: {c!r}")
+            try:
+                cones.append(TrackCone(np.array([c["x_m"], c["y_m"]], dtype=float), c.get("color")))
+            except ValueError as exc:
+                raise TrackValidationError(f"track field 'cones' item {k}: {exc}") from exc
+        line = data["centerline_m"]
+        if not (
+            isinstance(line, list) and len(line) >= 3
+            and all(isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p)) for p in line)
+        ):
+            raise TrackValidationError("track field 'centerline_m' needs a list of at least 3 [x, y] number pairs")
+        length = data["total_length_m"]
+        if not (is_finite_number(length) and length > 0):
+            raise TrackValidationError(f"track field 'total_length_m' needs a positive number, got {length!r}")
+        return cls(tuple(cones), np.array(line, dtype=float), float(length))
 
 
 def save_track(track: TrackDefinition, path: Path | str) -> None:

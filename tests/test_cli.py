@@ -201,18 +201,33 @@ BAD_INPUTS = [
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{garbage}"],
     ["generate", "--spec", "{missing}"],
     ["generate", "--spec", "{garbage}"],
+    ["eval", "--track", "{fieldless}"],
+    ["run", "--config", "noise-free-circle", "--mode-schedule", "{badtime}"],
+    ["run", "--config", "{badseed}"],
 ]
+
+# placeholder -> (file content, None for no file; text the error must contain)
+BAD_FILES = {
+    "missing": (None, ""),
+    "garbage": ("not json {", ""),
+    "fieldless": ('{"cones": []}', "'centerline_m'"),
+    "badtime": ('[{"time_s": "abc", "fail": ["fusion"]}]', "time_s"),
+    "badseed": ('{"seed": "x"}', "seed"),
+}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: "-".join(a.strip("-{}") for a in argv))
 def test_missing_or_malformed_input_file_exits_2(tmp_path, capsys, argv):
-    paths = {"missing": tmp_path / "missing.json", "garbage": tmp_path / "garbage.json", "track": tmp_path / "track.json"}
-    paths["garbage"].write_text("not json {")
+    paths = {name: tmp_path / f"{name}.json" for name in [*BAD_FILES, "track"]}
+    for name, (content, _) in BAD_FILES.items():
+        if content is not None:
+            paths[name].write_text(content)
     save_track(generate_track(TrackSpec(kind="circle", radius_m=20.0), 0), paths["track"])
-    bad = [a for a in argv if a in ("{missing}", "{garbage}")][-1]
+    bad = [a.strip("{}") for a in argv if a.strip("{}") in BAD_FILES][-1]
     assert main([a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and bad.format(**paths) in err
+    assert "config error" in err and str(paths[bad]) in err and BAD_FILES[bad][1] in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestEval:

@@ -1,10 +1,11 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from conetrack.core import ColorDistribution, ConeEstimate, Gaussian2, Pose2
-from conetrack.local_map import LocalMapSnapshot, MapMode
+from conetrack.local_map import LocalMapConfig, LocalMapSnapshot, LocalMapState, MapMode, ingest_frame
 from conetrack.planner import (
     CandidatePath,
     DegenerateSnapshotError,
@@ -19,9 +20,17 @@ from conetrack.planner import (
     log_prior,
     plan_record,
     plan_snapshot,
-    score_candidates,
     select_path,
     triangulate,
+)
+from conetrack.simulate import (
+    ScenarioDriver,
+    SimRun,
+    TrackSpec,
+    default_profile,
+    generate_track,
+    noisy_velocity,
+    observe_cones,
 )
 
 
@@ -93,7 +102,8 @@ class TestEnumerate:
         snap = corridor_snapshot(n_stations=6, stagger=1.25)
         positions = np.array([c.position.mean for c in snap.cones])
         tri = triangulate(positions)
-        paths = enumerate_paths(tri, snap.ego, SearchLimits(max_edges=50, max_length_m=100.0))
+        config = PlannerConfig.with_limits(max_edges=50, max_length_m=100.0)
+        paths = enumerate_paths(tri, snap.ego, snap.cones, config)
         assert len(paths) == 1
 
     def test_y_junction_multiple_candidates(self):
@@ -113,7 +123,8 @@ class TestEnumerate:
         snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), tuple(cones), frozenset(range(cid)), MapMode.FUSION)
         positions = np.array([c.position.mean for c in snap.cones])
         tri = triangulate(positions)
-        paths = enumerate_paths(tri, snap.ego, SearchLimits(max_edges=50, max_length_m=100.0))
+        config = PlannerConfig.with_limits(max_edges=50, max_length_m=100.0)
+        paths = enumerate_paths(tri, snap.ego, snap.cones, config)
         assert len(paths) >= 2
 
     def test_straight_corridor_waypoints_on_centerline(self):
@@ -306,13 +317,57 @@ class TestSelection:
     def test_empty_candidates_returns_none(self):
         assert select_path([]) is None
 
-    def test_unscored_candidates_rejected(self):
-        snap = corridor_snapshot(n_stations=5)
-        positions = np.array([c.position.mean for c in snap.cones])
-        tri = triangulate(positions)
-        raw = enumerate_paths(tri, snap.ego, SearchLimits())
-        with pytest.raises(ValueError):
-            select_path(raw)
+
+def reference_log_likelihood(cones, left_cones, right_cones, floor=1e-6):
+    """Per-cone loop the planner's log-term table must reproduce bit for bit."""
+    total = 0.0
+    for idx, cone in enumerate(cones):
+        color = cone.color
+        if idx in left_cones:
+            p = max(color.p_blue, color.p_unknown)
+        elif idx in right_cones:
+            p = max(color.p_yellow, color.p_unknown)
+        else:
+            p = max(color.p_blue, color.p_yellow, color.p_unknown)
+        total += math.log(max(p, floor))
+    return total
+
+
+def noisy_run_snapshots(frames):
+    """Local-map snapshots of the first ``frames`` frames of a seeded noisy fusion lap."""
+    track = generate_track(TrackSpec(length_m=210.0), seed=4)
+    profile = default_profile("fusion")
+    run = SimRun.constant_speed(track, 5.0, frame_rate_hz=10.0, seed=11)
+    config = LocalMapConfig.for_profile(profile, run.frame_rate_hz)
+    rng = np.random.default_rng(run.seed)
+    state, snaps = LocalMapState(), []
+    for timestamp, dt, pose, vel in islice(ScenarioDriver(run).frames(), frames):
+        obs = observe_cones(track, pose, profile, rng, timestamp)
+        state, snap = ingest_frame(state, obs, noisy_velocity(vel, profile, rng), dt, config)
+        snaps.append(snap)
+    return snaps
+
+
+class TestScoreOnce:
+    def test_search_scores_equal_fresh_scoring_of_each_candidate(self):
+        # the search scores each path once, as it grows it; every emitted
+        # candidate must carry exactly the scores of its own final geometry
+        config = PlannerConfig()
+        snaps = [corridor_snapshot(n_stations=8, jitter=0.25, seed=s) for s in range(5)]
+        snaps += noisy_run_snapshots(60)
+        planned = 0
+        for snap in snaps:
+            result = plan_snapshot(snap, config)
+            planned += bool(result.candidates)
+            positions = np.array([c.position.mean for c in snap.cones])
+            for cand in result.candidates:
+                ll = log_likelihood(snap.cones, cand.left_cones, cand.right_cones)
+                assert cand.log_likelihood == ll == reference_log_likelihood(snap.cones, cand.left_cones, cand.right_cones)
+                assert cand.features == compute_features(
+                    cand.waypoints, cand.crossed_edges, positions, cand.left_sequence, cand.right_sequence, config.limits
+                )
+                assert cand.log_prior == log_prior(cand.features, config.prior)
+        assert planned >= 25
 
 
 class TestNoiseFreeContainment:
