@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, RunFailure, load_config, resolve_profile
+from .config import ConfigError, RunConfig, RunFailure, load_config, read_input, resolve_profile
 from .evaluate import build_report, load_trajectory, planning_stats, save_report
 from .global_map import load_map
 from .local_map import SchemaMismatchError, read_snapshot_log
@@ -74,22 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_input(load, path):
-    """``load(path)`` for an input file named on the command line.
-
-    A missing, unreadable or malformed file is a configuration error (exit
-    code 2), not a run failure, and its message names the file.
-    """
-    try:
-        return load(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    except (ConfigError, TrackValidationError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _read_json(path):
     return json.loads(Path(path).read_text())
 
@@ -107,7 +91,7 @@ def _read_planner_log(path) -> list[dict]:
 
 
 def _spec_from_args(args) -> TrackSpec:
-    base = _load_input(_read_json, args.spec) if args.spec else {}
+    base = read_input(_read_json, args.spec) if args.spec else {}
     overrides = {
         "kind": args.kind,
         "length_m": args.length_m,
@@ -152,7 +136,7 @@ def _cmd_run(args) -> int:
     if updates:
         config = dataclasses.replace(config, **updates)
     if args.mode_schedule:
-        config = _load_input(
+        config = read_input(
             lambda path: dataclasses.replace(config, mode_schedule=_read_json(path)), args.mode_schedule
         )
     if args.profile:
@@ -170,9 +154,9 @@ def _cmd_replay(args) -> int:
         config = dataclasses.replace(config, verbose_candidates=True)
     if args.prior_weight is not None:
         config = dataclasses.replace(config, prior_weight=args.prior_weight)
-    track = _load_input(load_track, args.track) if args.track else None
+    track = read_input(load_track, args.track) if args.track else None
     try:
-        snapshots = _load_input(read_snapshot_log, args.snapshots)
+        snapshots = read_input(read_snapshot_log, args.snapshots)
     except SchemaMismatchError as exc:
         raise ConfigError(str(exc)) from exc
     report = replay_snapshots(snapshots, config, args.out, track)
@@ -181,10 +165,10 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    track = _load_input(load_track, args.track)
-    records = _load_input(load_map, args.map) if args.map else None
-    planner_records = _load_input(_read_planner_log, args.planner_log) if args.planner_log else None
-    trajectory = _load_input(load_trajectory, args.trajectory) if args.trajectory else None
+    track = read_input(load_track, args.track)
+    records = read_input(load_map, args.map) if args.map else None
+    planner_records = read_input(_read_planner_log, args.planner_log) if args.planner_log else None
+    trajectory = read_input(load_trajectory, args.trajectory) if args.trajectory else None
     map_metrics = None
     if records:
         map_metrics = map_alignment(records, track, CenterlineGeometry(track.centerline).pose_at(0.0))

@@ -18,7 +18,7 @@ from .core import is_finite_number
 from .global_map import GlobalMapConfig
 from .local_map import LocalMapConfig
 from .planner import PlannerConfig
-from .simulate import SensorProfile, TrackSpec, default_profile, noise_free_profile
+from .simulate import SensorProfile, TrackSpec, TrackValidationError, default_profile, noise_free_profile
 
 SOURCE_MODES = ("fusion", "lidar_only", "camera_only")
 
@@ -77,6 +77,10 @@ class RunConfig:
                 for source in event.get(key, []):
                     if source not in SOURCE_MODES:
                         raise ConfigError(f"unknown pipeline {source!r} in mode schedule")
+        try:  # an override the module configs do not take fails here, not mid-run
+            self.local_map_config(), self.global_map_config(), self.planner_config()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad module override: {exc}") from exc
 
     # -- derived module configs -------------------------------------------
 
@@ -129,6 +133,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
@@ -154,6 +160,22 @@ class RunConfig:
             return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def read_input(load, path):
+    """``load(path)`` for an input file named by the user.
+
+    A missing, unreadable or malformed file is a configuration error (exit
+    code 2), not a run failure, and its message names the file.
+    """
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (ConfigError, TrackValidationError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def resolve_profile(ref: str) -> SensorProfile:

@@ -364,10 +364,10 @@ def load_trajectory(path: Path | str) -> dict[float, tuple[Pose2, Pose2]]:
 # Timing and reports
 
 
-def timing_percentiles(samples_ms: Sequence[float], percentiles=(50, 90, 99)) -> dict[str, float]:
-    """Nearest-rank percentiles of a timing series (milliseconds)."""
+def timing_percentiles(samples_ms: Sequence[float], percentiles=(50, 90, 99)) -> dict[str, float | None]:
+    """Nearest-rank percentiles of a timing series (milliseconds); None for an empty series."""
     if not samples_ms:
-        return {f"p{p}_ms": float("nan") for p in percentiles} | {"mean_ms": float("nan"), "count": 0}
+        return {f"p{p}_ms": None for p in percentiles} | {"mean_ms": None, "count": 0}
     ordered = sorted(samples_ms)
     out = {}
     for p in percentiles:

@@ -1,6 +1,6 @@
 """Globally consistent cone map via pose-landmark graph optimization.
 
-Snapshots from the local map append a pose node (chained by an odometry edge
+Snapshots from the local map append a pose (chained by an odometry edge
 integrated from the velocity estimate) plus body-frame observation edges to
 landmarks. New landmarks are created only for cones observed in the latest
 frame and close to the car; association first re-uses the local map's stable
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,71 +23,28 @@ from scipy.sparse.linalg import splu
 
 from .core import (
     ColorDistribution,
+    ConeClass,
     Pose2,
     body_frame_point,
     compose,
+    normalize_angle,
     transform_point,
 )
 from .local_map import LocalMapSnapshot
 
 GRAPH_SCHEMA_VERSION = 1
 
+# one row per edge; odometry row k links pose k to pose k + 1
+ODOMETRY_EDGE = np.dtype([("relative", float, (3,)), ("information", float, (3, 3))])
+OBSERVATION_EDGE = np.dtype(
+    [("pose", np.intp), ("landmark", np.intp), ("measurement", float, (2,)), ("information", float, (2, 2))]
+)
+# landmark class codes, in ColorDistribution.argmax_class order
+_CLASSES = (ConeClass.BLUE, ConeClass.YELLOW, ConeClass.UNKNOWN)
+
 
 class GraphStructureError(ValueError):
     """Graph is structurally under-determined beyond the gauge freedom."""
-
-
-@dataclass
-class PoseNode:
-    id: int
-    pose: Pose2
-
-
-@dataclass
-class LandmarkNode:
-    id: int
-    position: np.ndarray  # (2,) world frame, current estimate
-    color_evidence: dict[int, np.ndarray] = field(default_factory=dict)  # by local cone id
-    local_id_links: set[int] = field(default_factory=set)
-
-    def merged_color(self) -> ColorDistribution:
-        total = np.zeros(3)
-        for ev in self.color_evidence.values():
-            total += ev
-        if total.sum() <= 0:
-            return ColorDistribution(0.0, 0.0, 1.0)
-        return ColorDistribution.from_evidence(total)
-
-
-@dataclass(frozen=True)
-class OdometryEdge:
-    from_id: int
-    to_id: int
-    relative: Pose2
-    information: np.ndarray  # 3x3
-
-    def __post_init__(self) -> None:
-        if self.to_id != self.from_id + 1:
-            raise ValueError("odometry edges connect consecutive poses")
-        info = np.array(self.information, dtype=float).reshape(3, 3)
-        info.setflags(write=False)
-        object.__setattr__(self, "information", info)
-
-
-@dataclass(frozen=True)
-class ObservationEdge:
-    pose_id: int
-    landmark_id: int
-    measurement: np.ndarray  # (2,) body frame
-    information: np.ndarray  # 2x2
-
-    def __post_init__(self) -> None:
-        meas = np.array(self.measurement, dtype=float).reshape(2)
-        info = np.array(self.information, dtype=float).reshape(2, 2)
-        meas.setflags(write=False)
-        info.setflags(write=False)
-        object.__setattr__(self, "measurement", meas)
-        object.__setattr__(self, "information", info)
 
 
 @dataclass(frozen=True)
@@ -110,52 +67,138 @@ class GlobalMapConfig:
     # (transient association outliers die young)
     export_min_edges: int = 1
 
+    def __post_init__(self) -> None:
+        every = self.optimize_every
+        if isinstance(every, bool) or not isinstance(every, int) or every < 0:
+            raise ValueError(f"optimize_every must be a non-negative integer, got {every!r}")
+
+
+@dataclass
+class OptimizeResult:
+    poses: np.ndarray  # (n, 3) solved (x, y, theta), row k = pose k
+    landmarks: np.ndarray  # (m, 2) solved positions
+    final_cost: float
+    iterations: int
+    converged: bool
+    message: str
+
+
+class _Rows:
+    """A growable array: ``rows`` views the filled prefix of a buffer whose
+    capacity doubles when an append overflows it."""
+
+    def __init__(self, dtype, row_shape: tuple[int, ...] = ()):
+        self._buffer = np.zeros((16, *row_shape), dtype)
+        self.rows = self._buffer[:0]
+
+    def append(self, new) -> None:
+        n = len(self.rows)
+        end = n + len(new)
+        if end > len(self._buffer):
+            grown = np.zeros((max(end, 2 * len(self._buffer)), *self._buffer.shape[1:]), self._buffer.dtype)
+            grown[:n] = self.rows
+            self._buffer = grown
+        self._buffer[n:end] = new
+        self.rows = self._buffer[:end]
+
 
 class Graph:
-    """Pose-landmark graph; single-writer construction, copy-on-optimize."""
+    """Pose-landmark graph held as arrays; single writer, grown in place.
+
+    ``poses`` (n, 3) holds pose k as (x, y, theta) in row k, pose 0 being the
+    gauge; ``landmarks`` (m, 2) the landmark positions; ``odometry_edges``
+    (``ODOMETRY_EDGE`` rows) the motion from pose k to k + 1 in row k;
+    ``observation_edges`` (``OBSERVATION_EDGE`` rows) body-frame landmark
+    measurements. ``color_evidence[i]`` is landmark i's ``{local cone id:
+    evidence}`` in link order, its dominant class cached beside it.
+    :func:`optimize` reads the arrays; :meth:`merge_estimates` writes a solve back.
+    """
 
     def __init__(self) -> None:
-        self.poses: list[PoseNode] = []
-        self.landmarks: list[LandmarkNode] = []
-        self.odometry_edges: list[OdometryEdge] = []
-        self.observation_edges: list[ObservationEdge] = []
-        self.local_links: dict[int, int] = {}  # local cone id -> landmark id
+        self._poses = _Rows(float, (3,))
+        self._landmarks = _Rows(float, (2,))
+        self._classes = _Rows(np.int8)
+        self._odometry = _Rows(ODOMETRY_EDGE)
+        self._observations = _Rows(OBSERVATION_EDGE)
+        self.color_evidence: list[dict[int, np.ndarray]] = []
+        self.local_links: dict[int, int] = {}
         self.last_timestamp: float | None = None
         self.optimized = False
 
-    def copy(self) -> "Graph":
-        g = Graph()
-        g.poses = [PoseNode(p.id, p.pose) for p in self.poses]
-        g.landmarks = [
-            LandmarkNode(
-                l.id,
-                l.position.copy(),
-                {k: v.copy() for k, v in l.color_evidence.items()},
-                set(l.local_id_links),
-            )
-            for l in self.landmarks
-        ]
-        g.odometry_edges = list(self.odometry_edges)
-        g.observation_edges = list(self.observation_edges)
-        g.local_links = dict(self.local_links)
-        g.last_timestamp = self.last_timestamp
-        g.optimized = self.optimized
-        return g
+    @property
+    def poses(self) -> np.ndarray:
+        return self._poses.rows
 
-    def merge_estimates(self, optimized: "Graph") -> None:
-        """Pull node estimates from an optimized copy back by id.
+    @property
+    def landmarks(self) -> np.ndarray:
+        return self._landmarks.rows
 
-        Nodes added after the copy was taken keep their construction-time
-        estimates, so optimization can run beside ongoing construction.
+    @property
+    def odometry_edges(self) -> np.ndarray:
+        return self._odometry.rows
+
+    @property
+    def observation_edges(self) -> np.ndarray:
+        return self._observations.rows
+
+    def add_pose(self, pose: Pose2, odometry: Pose2 | None = None, information=None) -> None:
+        """Append a pose; each pose after the first comes with the odometry edge from its predecessor."""
+        if (odometry is None) != (len(self.poses) == 0):
+            raise ValueError("every pose but the first is chained to its predecessor by one odometry edge")
+        self._poses.append([pose.as_array()])
+        if odometry is not None:
+            self._odometry.append(np.array([(odometry.as_array(), information)], ODOMETRY_EDGE))
+
+    def add_landmark(self, position: np.ndarray) -> int:
+        """Append a landmark without color evidence; returns its row."""
+        self._landmarks.append([position])
+        self._classes.append([_CLASSES.index(ConeClass.UNKNOWN)])
+        self.color_evidence.append({})
+        return len(self.landmarks) - 1
+
+    def update_color(self, landmark: int, local_id: int, evidence: np.ndarray) -> None:
+        """Set local cone ``local_id``'s color evidence for ``landmark`` and refresh its class."""
+        merged = self.color_evidence[landmark]
+        merged[local_id] = evidence
+        self._classes.rows[landmark] = _CLASSES.index(_merged_color(merged).argmax_class())
+
+    def add_observations(self, pose, landmark, measurement, information) -> None:
+        """Append observation edges: pose rows, landmark rows, (k, 2) measurements, (k, 2, 2) information."""
+        edges = np.zeros(len(landmark), OBSERVATION_EDGE)
+        edges["pose"] = pose
+        edges["landmark"] = landmark
+        edges["measurement"] = np.reshape(measurement, (-1, 2))
+        edges["information"] = np.reshape(information, (-1, 2, 2))
+        self._observations.append(edges)
+
+    def merge_estimates(self, result: OptimizeResult) -> None:
+        """Commit a solve: its poses and landmarks overwrite the first rows of this graph's.
+
+        Rows added after the solved graph was read keep their construction
+        estimates. Headings are normalized as :class:`Pose2` normalizes them.
         """
-        for node in optimized.poses:
-            if node.id < len(self.poses):
-                self.poses[node.id].pose = node.pose
-        by_id = {l.id: l for l in self.landmarks}
-        for lm in optimized.landmarks:
-            if lm.id in by_id:
-                by_id[lm.id].position = lm.position.copy()
-        self.optimized = self.optimized or optimized.optimized
+        n, m = len(result.poses), len(result.landmarks)
+        self.poses[:n, :2] = result.poses[:, :2]
+        self.poses[:n, 2] = [normalize_angle(theta) for theta in result.poses[:, 2].tolist()]
+        self.landmarks[:m] = result.landmarks
+        self.optimized = True
+
+
+def _merged_color(evidence: dict[int, np.ndarray]) -> ColorDistribution:
+    total = np.zeros(3)
+    for ev in evidence.values():
+        total += ev
+    if total.sum() <= 0:
+        return ColorDistribution(0.0, 0.0, 1.0)
+    return ColorDistribution.from_evidence(total)
+
+
+def _row_pose(row: np.ndarray) -> Pose2:
+    """The pose a row of ``Graph.poses`` holds; ``Pose2(*row)`` would normalize
+    the heading a second time, which can change its last bit."""
+    pose = Pose2(float(row[0]), float(row[1]), 0.0)
+    object.__setattr__(pose, "theta", float(row[2]))
+    return pose
 
 
 def add_snapshot(
@@ -169,25 +212,22 @@ def add_snapshot(
     dt = 0.0 if graph.last_timestamp is None else snapshot.timestamp - graph.last_timestamp
     graph.last_timestamp = snapshot.timestamp
 
-    if not graph.poses:
-        pose_est = Pose2.identity()
-        graph.poses.append(PoseNode(0, pose_est))
-    else:
-        prev = graph.poses[-1]
-        pose_est = compose(prev.pose, odometry)
-        node = PoseNode(prev.id + 1, pose_est)
-        graph.poses.append(node)
+    if len(graph.poses):
+        pose = compose(_row_pose(graph.poses[-1]), odometry)
         sx, sy, st = config.odometry_sigma_rates
         dt_f = max(dt, 1e-3)
         info = np.diag([1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)])
-        graph.odometry_edges.append(OdometryEdge(prev.id, node.id, odometry, info))
+        graph.add_pose(pose, odometry, info)
+    else:
+        pose = Pose2.identity()
+        graph.add_pose(pose)
 
-    pose_node = graph.poses[-1]
     ego = snapshot.ego
     # a landmark whose linked local cone is still alive in this snapshot is a
     # different physical cone than any newly created local id: the local map's
     # probabilistic association already separated them
     live_ids = {c.id for c in snapshot.cones}
+    landmarks, measurements, variances = [], [], []
     for cone in snapshot.cones:
         if cone.id not in snapshot.observed_ids:
             continue
@@ -195,52 +235,46 @@ def add_snapshot(
         if math.hypot(offset[0], offset[1]) > config.proximity_radius_m:
             continue
         z = body_frame_point(ego, cone.position.mean)
-        lm_id = graph.local_links.get(cone.id)
-        if lm_id is None:
-            world_guess = transform_point(pose_node.pose, z)
-            lm_id = _associate_landmark(
+        lm = graph.local_links.get(cone.id)
+        if lm is None:
+            world_guess = transform_point(pose, z)
+            lm = _associate_landmark(
                 graph, world_guess, config.association_radius_m, live_ids, cone.color.argmax_class()
             )
-            if lm_id is None:
-                lm_id = len(graph.landmarks)
-                graph.landmarks.append(LandmarkNode(lm_id, world_guess.copy()))
-            graph.local_links[cone.id] = lm_id
-        landmark = graph.landmarks[lm_id]
-        landmark.local_id_links.add(cone.id)
-        landmark.color_evidence[cone.id] = np.array(cone.color_evidence)
-        sigma_sq = max(
-            float(np.trace(cone.position.cov)) / 2.0, config.observation_sigma_floor_m**2
-        )
-        graph.observation_edges.append(
-            ObservationEdge(pose_node.id, lm_id, z, np.eye(2) / sigma_sq)
-        )
+            if lm is None:
+                lm = graph.add_landmark(world_guess)
+            graph.local_links[cone.id] = lm
+        graph.update_color(lm, cone.id, cone.color_evidence)
+        landmarks.append(lm)
+        measurements.append(z)
+        variances.append(max(float(np.trace(cone.position.cov)) / 2.0, config.observation_sigma_floor_m**2))
+    graph.add_observations(
+        len(graph.poses) - 1, landmarks, measurements, np.eye(2) / np.reshape(variances, (-1, 1, 1))
+    )
     return graph
 
 
 def _associate_landmark(
-    graph: Graph,
-    world_point: np.ndarray,
-    radius: float,
-    exclude_live: set[int] = frozenset(),
-    cone_class=None,
+    graph: Graph, world_point: np.ndarray, radius: float, live_ids: set[int], cone_class: ConeClass
 ) -> int | None:
-    """Nearest compatible landmark within the merge radius, if any.
+    """Nearest compatible landmark within the merge radius, if any; the highest id wins a tie.
 
     Compatibility: no link to a cone still alive in the current snapshot (the
     local map already separated those), and the same dominant color class, so
     a drifted revisit cannot collapse differently-colored neighbors.
     """
+    offset = graph.landmarks - world_point
+    # a landmark outside the box around the point is outside the radius too
+    candidate = (graph._classes.rows == _CLASSES.index(cone_class)) & (np.abs(offset) <= radius).all(axis=1)
+    candidate[[graph.local_links[c] for c in live_ids if c in graph.local_links]] = False
     best = None
     best_d = radius
-    for lm in graph.landmarks:
-        if lm.local_id_links & exclude_live:
-            continue
-        if cone_class is not None and lm.merged_color().argmax_class() is not cone_class:
-            continue
-        d = math.hypot(lm.position[0] - world_point[0], lm.position[1] - world_point[1])
+    for i in np.flatnonzero(candidate).tolist():
+        # math.hypot, not np.hypot: the two can differ in the last bit
+        d = math.hypot(offset[i, 0], offset[i, 1])
         if d <= best_d:
             best_d = d
-            best = lm.id
+            best = i
     return best
 
 
@@ -338,36 +372,13 @@ def _observation_batch(pose: np.ndarray, lm: np.ndarray, z: np.ndarray, jac: boo
 # Solver
 
 
-@dataclass
-class OptimizeResult:
-    graph: Graph
-    final_cost: float
-    iterations: int
-    converged: bool
-    message: str
-
-
 def _check_structure(graph: Graph) -> None:
-    if not graph.poses:
+    if not len(graph.poses):
         raise GraphStructureError("graph has no pose nodes")
-    touched = np.zeros(len(graph.landmarks), dtype=bool)
-    for edge in graph.observation_edges:
-        touched[edge.landmark_id] = True
-    if len(graph.landmarks) and not touched.all():
-        missing = [int(i) for i in np.flatnonzero(~touched)]
+    edge_counts = np.bincount(graph.observation_edges["landmark"], minlength=len(graph.landmarks))
+    if not edge_counts.all():
+        missing = np.flatnonzero(edge_counts == 0).tolist()
         raise GraphStructureError(f"landmarks without observation edges: {missing}")
-    if len(graph.odometry_edges) != max(len(graph.poses) - 1, 0):
-        raise GraphStructureError("odometry chain does not cover all poses")
-
-
-def _pack(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    poses = np.array([p.pose.as_array() for p in graph.poses])
-    lms = (
-        np.array([l.position for l in graph.landmarks])
-        if graph.landmarks
-        else np.zeros((0, 2))
-    )
-    return poses, lms
 
 
 def _whiten(information: np.ndarray) -> np.ndarray:
@@ -375,14 +386,14 @@ def _whiten(information: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(information).transpose(0, 2, 1)
 
 
-def _assemble(graph: Graph, poses: np.ndarray, lms: np.ndarray, sqrt_odo, sqrt_obs, jac: bool):
+def _assemble(poses, lms, odometry: np.ndarray, observations: np.ndarray, sqrt_odo, sqrt_obs, jac: bool):
     """Whitened residual vector and (optionally) sparse Jacobian.
 
     Variable layout: poses 1..n-1 as (x, y, theta) blocks, then landmarks as
     (x, y) blocks. Pose 0 is the fixed gauge.
     """
-    n_odo = len(graph.odometry_edges)
-    n_obs = len(graph.observation_edges)
+    n_odo = len(odometry)
+    n_obs = len(observations)
     n_pose_vars = 3 * (len(poses) - 1)
     n_vars = n_pose_vars + 2 * len(lms)
     residuals = np.zeros(3 * n_odo + 2 * n_obs)
@@ -392,10 +403,9 @@ def _assemble(graph: Graph, poses: np.ndarray, lms: np.ndarray, sqrt_odo, sqrt_o
     vals: list[np.ndarray] = []
 
     if n_odo:
-        oi = np.array([e.from_id for e in graph.odometry_edges])
-        oj = np.array([e.to_id for e in graph.odometry_edges])
-        oz = np.array([e.relative.as_array() for e in graph.odometry_edges])
-        res, (ji, jj) = _odometry_batch(poses[oi], poses[oj], oz, jac)
+        oi = np.arange(n_odo)
+        oj = oi + 1
+        res, (ji, jj) = _odometry_batch(poses[oi], poses[oj], odometry["relative"], jac)
         wres = np.einsum("eab,eb->ea", sqrt_odo, res)
         residuals[: 3 * n_odo] = wres.ravel()
         if jac:
@@ -415,9 +425,9 @@ def _assemble(graph: Graph, poses: np.ndarray, lms: np.ndarray, sqrt_odo, sqrt_o
                 vals.append(blocks[e_idx].ravel())
 
     if n_obs:
-        pidx = np.array([e.pose_id for e in graph.observation_edges])
-        lidx = np.array([e.landmark_id for e in graph.observation_edges])
-        z = np.array([e.measurement for e in graph.observation_edges])
+        pidx = observations["pose"]
+        lidx = observations["landmark"]
+        z = observations["measurement"]
         res, (jp, jl) = _observation_batch(poses[pidx], lms[lidx], z, jac)
         wres = np.einsum("eab,eb->ea", sqrt_obs, res)
         residuals[3 * n_odo :] = wres.ravel()
@@ -463,29 +473,22 @@ def _apply_step(poses: np.ndarray, lms: np.ndarray, delta: np.ndarray):
 
 
 def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> OptimizeResult:
-    """Damped Gauss-Newton on the full graph; returns an optimized copy.
+    """Damped Gauss-Newton on the full graph; returns the solved estimates.
 
-    The first pose is held fixed as the gauge. Iterations stop when the
-    relative cost decrease falls under the configured tolerance, the damping
-    stalls, or the iteration budget runs out; accepted steps never increase
-    the cost.
+    The graph is read, not changed: :meth:`Graph.merge_estimates` commits the
+    result. The first pose is held fixed as the gauge. Iterations stop when
+    the relative cost decrease falls under the configured tolerance, the
+    damping stalls, or the iteration budget runs out; accepted steps never
+    increase the cost.
     """
     _check_structure(graph)
-    work = graph.copy()
-    poses, lms = _pack(work)
-    sqrt_odo = (
-        _whiten(np.array([e.information for e in work.odometry_edges]))
-        if work.odometry_edges
-        else np.zeros((0, 3, 3))
-    )
-    sqrt_obs = (
-        _whiten(np.array([e.information for e in work.observation_edges]))
-        if work.observation_edges
-        else np.zeros((0, 2, 2))
-    )
+    odometry, observations = graph.odometry_edges, graph.observation_edges
+    sqrt_odo = _whiten(odometry["information"])
+    sqrt_obs = _whiten(observations["information"])
+    poses, lms = graph.poses.copy(), graph.landmarks.copy()
 
     def total_cost(p, l):
-        res, _ = _assemble(work, p, l, sqrt_odo, sqrt_obs, jac=False)
+        res, _ = _assemble(p, l, odometry, observations, sqrt_odo, sqrt_obs, jac=False)
         return float(res @ res)
 
     cost = total_cost(poses, lms)
@@ -500,7 +503,7 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
         message = "already at a zero-residual configuration"
     else:
         for _ in range(config.max_iterations):
-            residuals, jacobian = _assemble(work, poses, lms, sqrt_odo, sqrt_obs, jac=True)
+            residuals, jacobian = _assemble(poses, lms, odometry, observations, sqrt_odo, sqrt_obs, jac=True)
             hess = (jacobian.T @ jacobian).tocsc()
             grad = jacobian.T @ residuals
             diag = np.maximum(hess.diagonal(), 1e-9)
@@ -538,34 +541,25 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
                 message = "relative cost decrease below tolerance"
                 break
 
-    for k, node in enumerate(work.poses):
-        node.pose = Pose2(*poses[k])
-    for k, lm in enumerate(work.landmarks):
-        lm.position = lms[k].copy()
-    work.optimized = True
-    return OptimizeResult(work, cost, iterations, converged, message)
+    return OptimizeResult(poses, lms, cost, iterations, converged, message)
 
 
-def export_map(graph: Graph, require_optimized: bool = True, min_edges: int = 1) -> list[dict]:
+def export_map(graph: Graph, min_edges: int = 1) -> list[dict]:
     """Landmark positions and merged colors as JSON-ready records.
 
     ``min_edges`` drops landmarks observed fewer times than stated.
     """
-    if require_optimized and not graph.optimized:
-        raise ValueError("graph has not been optimized; pass require_optimized=False to export anyway")
-    edge_counts: dict[int, int] = {}
-    for edge in graph.observation_edges:
-        edge_counts[edge.landmark_id] = edge_counts.get(edge.landmark_id, 0) + 1
+    edge_counts = np.bincount(graph.observation_edges["landmark"], minlength=len(graph.landmarks))
     out = []
-    for lm in graph.landmarks:
-        if edge_counts.get(lm.id, 0) < min_edges:
+    for i, (x, y) in enumerate(graph.landmarks.tolist()):
+        if edge_counts[i] < min_edges:
             continue
-        color = lm.merged_color()
+        color = _merged_color(graph.color_evidence[i])
         out.append(
             {
-                "id": lm.id,
-                "x_m": float(lm.position[0]),
-                "y_m": float(lm.position[1]),
+                "id": i,
+                "x_m": x,
+                "y_m": y,
                 "color": color.argmax_class().value,
                 "p_blue": color.p_blue,
                 "p_yellow": color.p_yellow,
@@ -584,41 +578,42 @@ def load_map(path: Path | str) -> list[dict]:
 
 
 def graph_to_dict(graph: Graph) -> dict:
+    links: list[list[int]] = [[] for _ in graph.color_evidence]
+    for local_id, lm in graph.local_links.items():
+        links[lm].append(local_id)
+    odometry, observations = graph.odometry_edges, graph.observation_edges
     return {
         "schema_version": GRAPH_SCHEMA_VERSION,
         "optimized": graph.optimized,
         "last_timestamp_s": graph.last_timestamp,
         "poses": [
-            {"id": p.id, "x_m": p.pose.x, "y_m": p.pose.y, "theta_rad": p.pose.theta}
-            for p in graph.poses
+            {"id": k, "x_m": x, "y_m": y, "theta_rad": theta}
+            for k, (x, y, theta) in enumerate(graph.poses.tolist())
         ],
         "landmarks": [
             {
-                "id": l.id,
-                "x_m": float(l.position[0]),
-                "y_m": float(l.position[1]),
-                "color_evidence": {str(k): [float(x) for x in v] for k, v in sorted(l.color_evidence.items())},
-                "local_id_links": sorted(l.local_id_links),
+                "id": i,
+                "x_m": x,
+                "y_m": y,
+                "color_evidence": {str(k): [float(v) for v in ev] for k, ev in sorted(evidence.items())},
+                "local_id_links": sorted(links[i]),
             }
-            for l in graph.landmarks
+            for i, ((x, y), evidence) in enumerate(zip(graph.landmarks.tolist(), graph.color_evidence))
         ],
         "odometry_edges": [
-            {
-                "from": e.from_id,
-                "to": e.to_id,
-                "relative": [e.relative.x, e.relative.y, e.relative.theta],
-                "information": [[float(v) for v in row] for row in e.information],
-            }
-            for e in graph.odometry_edges
+            {"from": k, "to": k + 1, "relative": relative, "information": information}
+            for k, (relative, information) in enumerate(
+                zip(odometry["relative"].tolist(), odometry["information"].tolist())
+            )
         ],
         "observation_edges": [
-            {
-                "pose": e.pose_id,
-                "landmark": e.landmark_id,
-                "measurement_m": [float(v) for v in e.measurement],
-                "information": [[float(v) for v in row] for row in e.information],
-            }
-            for e in graph.observation_edges
+            {"pose": pose, "landmark": lm, "measurement_m": measurement, "information": information}
+            for pose, lm, measurement, information in zip(
+                observations["pose"].tolist(),
+                observations["landmark"].tolist(),
+                observations["measurement"].tolist(),
+                observations["information"].tolist(),
+            )
         ],
         "local_links": {str(k): v for k, v in sorted(graph.local_links.items())},
     }
@@ -630,24 +625,26 @@ def graph_from_dict(data: dict) -> Graph:
     g = Graph()
     g.optimized = data["optimized"]
     g.last_timestamp = data["last_timestamp_s"]
-    g.poses = [PoseNode(p["id"], Pose2(p["x_m"], p["y_m"], p["theta_rad"])) for p in data["poses"]]
+    odometry = data["odometry_edges"]
+    if [(e["from"], e["to"]) for e in odometry] != [(k, k + 1) for k in range(len(data["poses"]) - 1)]:
+        raise ValueError("odometry edges must chain each pose to the next")
+    for k, p in enumerate(data["poses"]):
+        pose = Pose2(p["x_m"], p["y_m"], p["theta_rad"])
+        if k == 0:
+            g.add_pose(pose)
+        else:
+            g.add_pose(pose, Pose2(*odometry[k - 1]["relative"]), np.array(odometry[k - 1]["information"]))
     for l in data["landmarks"]:
-        g.landmarks.append(
-            LandmarkNode(
-                l["id"],
-                np.array([l["x_m"], l["y_m"]]),
-                {int(k): np.array(v) for k, v in l["color_evidence"].items()},
-                set(l["local_id_links"]),
-            )
-        )
-    g.odometry_edges = [
-        OdometryEdge(e["from"], e["to"], Pose2(*e["relative"]), np.array(e["information"]))
-        for e in data["odometry_edges"]
-    ]
-    g.observation_edges = [
-        ObservationEdge(e["pose"], e["landmark"], np.array(e["measurement_m"]), np.array(e["information"]))
-        for e in data["observation_edges"]
-    ]
+        lm = g.add_landmark(np.array([l["x_m"], l["y_m"]]))
+        for local_id, ev in l["color_evidence"].items():
+            g.update_color(lm, int(local_id), np.array(ev))
+    edges = data["observation_edges"]
+    g.add_observations(
+        [e["pose"] for e in edges],
+        [e["landmark"] for e in edges],
+        [e["measurement_m"] for e in edges],
+        [e["information"] for e in edges],
+    )
     g.local_links = {int(k): v for k, v in data["local_links"].items()}
     return g
 

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import RunConfig, RunFailure, dump_resolved
+from .config import RunConfig, RunFailure, dump_resolved, read_input
 from .core import Pose2, SensorSource, Velocity2, integrate_velocity, relative_pose
 from .evaluate import build_report, icp_align, map_rmse, planning_stats, save_report, save_trajectory
 from .global_map import Graph, add_snapshot, export_map, optimize, save_graph, save_map
@@ -73,17 +73,6 @@ class _PipelineLiveness:
         if "fusion" in self.alive:
             return ["fusion"]
         return [m for m in ("lidar_only", "camera_only") if m in self.alive]
-
-
-def _resolve_track(config: RunConfig, out_dir: Path) -> TrackDefinition:
-    from .simulate import save_track
-
-    if config.track_file:
-        track = load_track(config.track_file)
-    else:
-        track = generate_track(config.track_spec, config.seed)
-    save_track(track, out_dir / "track.json")
-    return track
 
 
 class _ClosedLoopSteering:
@@ -182,7 +171,7 @@ class _SnapshotEngine:
         add_snapshot(self.baseline, snapshot, odom, self.global_cfg)
         self._since_opt += 1
         if self.global_cfg.optimize_every and self._since_opt >= self.global_cfg.optimize_every:
-            self.graph.merge_estimates(optimize(self.graph, self.global_cfg).graph)
+            self.graph.merge_estimates(optimize(self.graph, self.global_cfg))
             self._since_opt = 0
         self.timings["global_map"].append((time.perf_counter() - t0) * 1e3)
         self._prev_ego = snapshot.ego
@@ -195,13 +184,13 @@ class _SnapshotEngine:
     def finish(self, out_dir: Path) -> tuple[list[dict], list[dict], float | None]:
         """Final solve and exports; returns the estimated map, the dead-reckoned map and the final cost."""
         final_cost = None
-        if self.graph.poses:
+        if len(self.graph.poses):
             result = optimize(self.graph, self.global_cfg)
-            self.graph.merge_estimates(result.graph)
+            self.graph.merge_estimates(result)
             final_cost = result.final_cost
         min_edges = self.global_cfg.export_min_edges
-        estimated = export_map(self.graph, require_optimized=False, min_edges=min_edges)
-        dead_reckoned = export_map(self.baseline, require_optimized=False, min_edges=min_edges)
+        estimated = export_map(self.graph, min_edges=min_edges)
+        dead_reckoned = export_map(self.baseline, min_edges=min_edges)
         save_map(estimated, out_dir / "map_estimated.json")
         save_map(dead_reckoned, out_dir / "map_dead_reckoned.json")
         save_graph(self.graph, out_dir / "graph.json")
@@ -234,10 +223,16 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     closed-loop follower leaves the track corridor by more than the
     configured margin.
     """
+    from .simulate import save_track
+
+    if config.track_file:  # a bad track file stops the run before any artifact is written
+        track = read_input(load_track, config.track_file)
+    else:
+        track = generate_track(config.track_spec, config.seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_resolved(config, out_dir / "config_resolved.json")
-    track = _resolve_track(config, out_dir)
+    save_track(track, out_dir / "track.json")
     geom = CenterlineGeometry(track.centerline)
 
     speed_profile = curvature_limited_speed_profile(track, config.max_speed_mps, config.lateral_accel_mps2)

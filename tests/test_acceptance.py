@@ -374,11 +374,12 @@ class TestAC7SolverCorrectness:
         _, graph, _ = build_noise_free_graph()
         exact_cost = optimize(graph).final_cost
         rng2 = np.random.default_rng(7)
-        for node in graph.poses[1:]:
+        for k in range(1, len(graph.poses)):
             noise = rng2.normal(scale=0.02, size=3)
-            node.pose = Pose2(node.pose.x + noise[0], node.pose.y + noise[1], node.pose.theta + 0.05 * noise[2])
-        for lm in graph.landmarks:
-            lm.position = lm.position + rng2.normal(scale=0.03, size=2)
+            x, y, theta = graph.poses[k]
+            graph.poses[k] = Pose2(x + noise[0], y + noise[1], theta + 0.05 * noise[2]).as_array()
+        for i in range(len(graph.landmarks)):
+            graph.landmarks[i] = graph.landmarks[i] + rng2.normal(scale=0.03, size=2)
         perturbed_cost = optimize(graph).final_cost
         ok = worst < 1e-6 and exact_cost < 1e-16 and perturbed_cost < 1e-16
         announce(

@@ -98,6 +98,25 @@ class TestRun:
         assert modes == {"lidar_only"}
         assert read_json(out / "report.json")["map"]["rmse_m"] <= 0.5
 
+    def test_no_plan_report_is_strict_json(self, noisy_run):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((noisy_run[1] / "report.json").read_text(), parse_constant=reject)
+        assert report["timing"]["planner"] == {"p50_ms": None, "p90_ms": None, "p99_ms": None, "mean_ms": None, "count": 0}
+
+    @pytest.mark.parametrize("content", [None, "not json {", '{"cones": []}'], ids=["missing", "garbage", "fieldless"])
+    def test_bad_track_file_exits_2_before_any_artifact(self, tmp_path, capsys, content):
+        track = tmp_path / "track.json"
+        if content is not None:
+            track.write_text(content)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"track_file": str(track)}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(track) in err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -204,6 +223,12 @@ BAD_INPUTS = [
     ["eval", "--track", "{fieldless}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{badtime}"],
     ["run", "--config", "{badseed}"],
+    ["run", "--config", "{notobject}"],
+    ["run", "--config", "{badlimit}"],
+    ["run", "--config", "{badlocal}"],
+    ["run", "--config", "{badglobal}"],
+    ["run", "--config", "{negevery}"],
+    ["run", "--config", "{floatevery}"],
 ]
 
 # placeholder -> (file content, None for no file; text the error must contain)
@@ -213,6 +238,12 @@ BAD_FILES = {
     "fieldless": ('{"cones": []}', "'centerline_m'"),
     "badtime": ('[{"time_s": "abc", "fail": ["fusion"]}]', "time_s"),
     "badseed": ('{"seed": "x"}', "seed"),
+    "notobject": ("[1, 2]", "JSON object"),
+    "badlimit": ('{"planner_limit_overrides": {"beam": 5}}', "'beam'"),
+    "badlocal": ('{"local_map_overrides": {"no_such_gate": 1.0}}', "'no_such_gate'"),
+    "badglobal": ('{"global_map_overrides": {"no_such_gate": 1.0}}', "'no_such_gate'"),
+    "negevery": ('{"global_map_overrides": {"optimize_every": -1}}', "optimize_every"),
+    "floatevery": ('{"global_map_overrides": {"optimize_every": 2.5}}', "optimize_every"),
 }
 
 

@@ -1,10 +1,14 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from conetrack.config import load_config, resolve_profile
 from conetrack.core import (
     ColorDistribution,
+    ConeClass,
     ConeEstimate,
     Gaussian2,
     Pose2,
@@ -17,10 +21,7 @@ from conetrack.global_map import (
     Graph,
     GlobalMapConfig,
     GraphStructureError,
-    LandmarkNode,
-    ObservationEdge,
-    OdometryEdge,
-    PoseNode,
+    _associate_landmark,
     add_snapshot,
     export_map,
     graph_from_dict,
@@ -40,6 +41,7 @@ from conetrack.local_map import (
     MapMode,
     ingest_frame,
 )
+from conetrack.pipeline import run_pipeline
 from conetrack.simulate import (
     ScenarioDriver,
     SensorProfile,
@@ -87,7 +89,7 @@ class TestGraphConstruction:
         snap = make_snapshot(0.0, Pose2.identity(), [(0, (14.0, 0.0)), (1, (3.0, 0.0))])
         graph = add_snapshot(Graph(), snap, Pose2.identity(), CONFIG)
         assert len(graph.landmarks) == 1
-        assert np.allclose(graph.landmarks[0].position, [3.0, 0.0])
+        assert np.allclose(graph.landmarks[0], [3.0, 0.0])
 
     def test_unobserved_cone_not_added(self):
         snap = make_snapshot(0.0, Pose2.identity(), [(0, (3.0, 0.0)), (1, (4.0, 1.0))], observed=[0])
@@ -116,6 +118,53 @@ class TestGraphConstruction:
         add_snapshot(graph, make_snapshot(1.0, Pose2.identity(), [(0, (3.0, 0.0))]), Pose2.identity(), CONFIG)
         with pytest.raises(ValueError):
             add_snapshot(graph, make_snapshot(0.5, Pose2.identity(), []), Pose2.identity(), CONFIG)
+
+
+def associate_by_scalar_loop(graph, world_point, radius, live_ids, cone_class):
+    """Reference for _associate_landmark: the per-landmark loop it replaced."""
+    links = {}
+    for local_id, lm in graph.local_links.items():
+        links.setdefault(lm, set()).add(local_id)
+    best, best_d, ties = None, radius, 0
+    for i, position in enumerate(graph.landmarks):
+        if links.get(i, set()) & live_ids:
+            continue
+        total = np.zeros(3)
+        for ev in graph.color_evidence[i].values():
+            total += ev
+        color = ColorDistribution.from_evidence(total) if total.sum() > 0 else ColorDistribution(0.0, 0.0, 1.0)
+        if color.argmax_class() is not cone_class:
+            continue
+        d = math.hypot(position[0] - world_point[0], position[1] - world_point[1])
+        if d <= best_d:
+            ties = ties + 1 if best is not None and d == best_d else 0
+            best_d, best = d, i
+    return best, ties
+
+
+class TestAssociation:
+    def test_numpy_pass_equals_scalar_loop(self):
+        rng = np.random.default_rng(21)
+        classes = (ConeClass.BLUE, ConeClass.YELLOW, ConeClass.UNKNOWN)
+        matched = tied = 0
+        for _ in range(300):
+            graph = Graph()
+            next_id = 0
+            for _ in range(rng.integers(0, 25)):
+                # half-metre grid positions, so equal distances (ties) occur
+                lm = graph.add_landmark(0.5 * rng.integers(-4, 5, size=2).astype(float))
+                for _ in range(rng.integers(0, 3)):
+                    graph.update_color(lm, next_id, rng.integers(0, 3, size=3).astype(float))
+                    graph.local_links[next_id] = lm
+                    next_id += 1
+            live = {int(i) for i in rng.integers(0, next_id + 5, size=rng.integers(0, 6))}
+            point = 0.5 * rng.integers(-4, 5, size=2) + rng.choice([0.0, 0.3], size=2)
+            cone_class = classes[rng.integers(0, 3)]
+            expected, ties = associate_by_scalar_loop(graph, point, 1.5, live, cone_class)
+            assert _associate_landmark(graph, point, 1.5, live, cone_class) == expected
+            matched += expected is not None
+            tied += ties > 0
+        assert matched > 50 and tied > 10
 
 
 class TestResidualsAndJacobians:
@@ -205,29 +254,30 @@ class TestOptimize:
         track, graph, start_pose = build_noise_free_graph()
         result = optimize(graph, CONFIG)
         truth = track.cone_positions()
-        for lm in result.graph.landmarks:
-            world = transform_point(start_pose, lm.position)
+        for lm in result.landmarks:
+            world = transform_point(start_pose, lm)
             assert np.hypot(*(truth - world).T).min() < 1e-6
 
     def test_single_pose_single_landmark_fully_determined(self):
         graph = Graph()
-        graph.poses.append(PoseNode(0, Pose2(1.0, 2.0, 0.5)))
-        graph.landmarks.append(LandmarkNode(0, np.array([0.0, 0.0])))  # bad init
+        graph.add_pose(Pose2(1.0, 2.0, 0.5))
+        graph.add_landmark(np.array([0.0, 0.0]))  # bad init
         z = np.array([2.0, 1.0])
-        graph.observation_edges.append(ObservationEdge(0, 0, z, np.eye(2)))
+        graph.add_observations([0], [0], [z], [np.eye(2)])
         result = optimize(graph, CONFIG)
         expected = transform_point(Pose2(1.0, 2.0, 0.5), z)
-        assert result.graph.landmarks[0].position == pytest.approx(expected, abs=1e-8)
+        assert result.landmarks[0] == pytest.approx(expected, abs=1e-8)
         assert result.final_cost < 1e-16
 
     def test_perturbed_noise_free_graph_reconverges(self):
         _, graph, _ = build_noise_free_graph()
         rng = np.random.default_rng(3)
-        for node in graph.poses[1:]:
+        for k in range(1, len(graph.poses)):
             noise = rng.normal(scale=0.03, size=3)
-            node.pose = Pose2(node.pose.x + noise[0], node.pose.y + noise[1], node.pose.theta + noise[2] * 0.1)
-        for lm in graph.landmarks:
-            lm.position = lm.position + rng.normal(scale=0.05, size=2)
+            x, y, theta = graph.poses[k]
+            graph.poses[k] = Pose2(x + noise[0], y + noise[1], theta + noise[2] * 0.1).as_array()
+        for i in range(len(graph.landmarks)):
+            graph.landmarks[i] = graph.landmarks[i] + rng.normal(scale=0.05, size=2)
         result = optimize(graph, CONFIG)
         assert result.final_cost < 1e-16
 
@@ -235,8 +285,8 @@ class TestOptimize:
         # track the cost by re-optimizing with increasing iteration budgets
         _, graph, _ = build_noise_free_graph()
         rng = np.random.default_rng(4)
-        for lm in graph.landmarks:
-            lm.position = lm.position + rng.normal(scale=0.05, size=2)
+        for i in range(len(graph.landmarks)):
+            graph.landmarks[i] = graph.landmarks[i] + rng.normal(scale=0.05, size=2)
         costs = []
         for max_iter in (1, 2, 4, 8, 16):
             cfg = GlobalMapConfig(max_iterations=max_iter)
@@ -246,25 +296,24 @@ class TestOptimize:
     def test_gauge_invariance_of_shape(self):
         _, graph, _ = build_noise_free_graph()
         rng = np.random.default_rng(5)
-        for lm in graph.landmarks:
-            lm.position = lm.position + rng.normal(scale=0.02, size=2)
+        for i in range(len(graph.landmarks)):
+            graph.landmarks[i] = graph.landmarks[i] + rng.normal(scale=0.02, size=2)
         base = optimize(graph, CONFIG)
-        # rigidly transform every free node's initial guess
+        # rigidly transform every free node's initial guess (the solve left the graph as it was)
         shift = Pose2(3.0, -2.0, 0.4)
-        moved = graph.copy()
-        for node in moved.poses[1:]:
-            node.pose = compose(shift, node.pose) if node.id != 0 else node.pose
-        for lm in moved.landmarks:
-            lm.position = transform_point(shift, lm.position)
-        other = optimize(moved, CONFIG)
+        for k in range(1, len(graph.poses)):
+            graph.poses[k] = compose(shift, Pose2(*graph.poses[k])).as_array()
+        for i in range(len(graph.landmarks)):
+            graph.landmarks[i] = transform_point(shift, graph.landmarks[i])
+        other = optimize(graph, CONFIG)
         # same gauge anchor -> identical optimum regardless of initialization
-        for a, b in zip(base.graph.landmarks, other.graph.landmarks):
-            assert np.allclose(a.position, b.position, atol=1e-5)
+        for a, b in zip(base.landmarks, other.landmarks):
+            assert np.allclose(a, b, atol=1e-5)
 
     def test_structure_error_for_dangling_landmark(self):
         graph = Graph()
-        graph.poses.append(PoseNode(0, Pose2.identity()))
-        graph.landmarks.append(LandmarkNode(0, np.array([1.0, 0.0])))
+        graph.add_pose(Pose2.identity())
+        graph.add_landmark(np.array([1.0, 0.0]))
         with pytest.raises(GraphStructureError):
             optimize(graph, CONFIG)
 
@@ -291,9 +340,9 @@ class TestNoisyImprovement:
             odom = Pose2.identity() if prev_ego is None else relative_pose(prev_ego, snap.ego)
             add_snapshot(graph, snap, odom, CONFIG)
             prev_ego = snap.ego
-        dead_reckoned = export_map(graph, require_optimized=False)
-        result = optimize(graph, CONFIG)
-        optimized = export_map(result.graph)
+        dead_reckoned = export_map(graph)
+        graph.merge_estimates(optimize(graph, CONFIG))
+        optimized = export_map(graph)
         truth = track.cone_positions()
 
         def rmse(records):
@@ -305,26 +354,26 @@ class TestNoisyImprovement:
         assert rmse(optimized) < rmse(dead_reckoned)
 
 
-class TestOptimizeOnCopy:
-    def test_merge_back_while_construction_continued(self):
+class TestMergeEstimates:
+    def test_merge_commits_prefix_while_construction_continues(self):
         _, graph, _ = build_noise_free_graph(frame_rate=2.0)
         rng = np.random.default_rng(9)
-        for lm in graph.landmarks:
-            lm.position = lm.position + rng.normal(scale=0.05, size=2)
-        frozen = graph.copy()
-        result = optimize(frozen, CONFIG)
-        # construction continues on the original while the copy optimizes
-        last = graph.poses[-1]
+        for i in range(len(graph.landmarks)):
+            graph.landmarks[i] = graph.landmarks[i] + rng.normal(scale=0.05, size=2)
+        result = optimize(graph, CONFIG)
+        assert not graph.optimized  # the solve did not touch the graph
+        # construction continues after the solve read the graph
         extra = make_snapshot(
-            graph.last_timestamp + 0.5, last.pose, [(999_001, (2.0, 0.5)), (999_002, (2.0, -0.5))]
+            graph.last_timestamp + 0.5, Pose2(*graph.poses[-1]), [(999_001, (2.0, 0.5)), (999_002, (2.0, -0.5))]
         )
         add_snapshot(graph, extra, Pose2.identity(), CONFIG)
         n_landmarks_after = len(graph.landmarks)
-        graph.merge_estimates(result.graph)
-        assert len(graph.landmarks) == n_landmarks_after  # new nodes untouched
+        new_rows = graph.landmarks[len(result.landmarks):].copy()
+        graph.merge_estimates(result)
+        assert len(graph.landmarks) == n_landmarks_after
+        assert len(new_rows) == 2 and np.array_equal(graph.landmarks[len(result.landmarks):], new_rows)  # new nodes untouched
         # optimized estimates were pulled in for pre-existing landmarks
-        for lm_opt in result.graph.landmarks:
-            assert np.allclose(graph.landmarks[lm_opt.id].position, lm_opt.position)
+        assert np.allclose(graph.landmarks[: len(result.landmarks)], result.landmarks)
         assert graph.optimized
 
 
@@ -341,19 +390,13 @@ class TestSerialization:
         graph.optimized = True
         assert export_map(graph) == []
 
-    def test_export_requires_optimization(self):
-        graph = Graph()
-        with pytest.raises(ValueError):
-            export_map(graph)
-
     def test_export_color_merge(self):
         graph = Graph()
-        lm = LandmarkNode(0, np.array([1.0, 2.0]))
-        lm.color_evidence[0] = np.array([3.0, 1.0, 0.0])
-        lm.color_evidence[5] = np.array([2.0, 0.0, 1.0])
-        graph.landmarks.append(lm)
-        graph.poses.append(PoseNode(0, Pose2.identity()))
-        graph.observation_edges.append(ObservationEdge(0, 0, np.array([1.0, 2.0]), np.eye(2)))
+        lm = graph.add_landmark(np.array([1.0, 2.0]))
+        graph.update_color(lm, 0, np.array([3.0, 1.0, 0.0]))
+        graph.update_color(lm, 5, np.array([2.0, 0.0, 1.0]))
+        graph.add_pose(Pose2.identity())
+        graph.add_observations([0], [lm], [[1.0, 2.0]], [np.eye(2)])
         graph.optimized = True
         (record,) = export_map(graph)
         assert record["color"] == "blue"
@@ -361,13 +404,32 @@ class TestSerialization:
 
     def test_export_min_edges_filters_transients(self):
         graph = Graph()
-        graph.poses.append(PoseNode(0, Pose2.identity()))
+        graph.add_pose(Pose2.identity())
         for k, n_edges in enumerate((5, 1)):
-            lm = LandmarkNode(k, np.array([float(k), 0.0]))
-            lm.color_evidence[k] = np.array([1.0, 0.0, 0.0])
-            graph.landmarks.append(lm)
+            lm = graph.add_landmark(np.array([float(k), 0.0]))
+            graph.update_color(lm, k, np.array([1.0, 0.0, 0.0]))
             for _ in range(n_edges):
-                graph.observation_edges.append(ObservationEdge(0, k, np.array([float(k), 0.0]), np.eye(2)))
+                graph.add_observations([0], [lm], [[float(k), 0.0]], [np.eye(2)])
         graph.optimized = True
         records = export_map(graph, min_edges=3)
         assert [r["id"] for r in records] == [0]
+
+
+# sha256 of the global-map artifacts of a noise-free-circle lap with fusion
+# sensor noise and the planner off, as the per-node graph of earlier versions
+# wrote them
+GOLDEN_DIGESTS = {
+    "graph.json": "bc78bbee436115e89e436eb15da1ac12489216b0366ea6a9b1feef3f58c53dcb",
+    "map_estimated.json": "dd8289228e62bd39d020d1eacadf1b5485ffed6646cf301d0dc0f6cd0ca06136",
+    "map_dead_reckoned.json": "c6d8f861a275025841fff837a1ec33b0bb7128c972650474c79c80632dd3f2bf",
+}
+
+
+class TestGoldenBytes:
+    def test_noisy_lap_writes_the_recorded_graph_and_maps(self, tmp_path):
+        # covers association, loop closure, the periodic and final solves and both exports
+        config = dataclasses.replace(load_config("noise-free-circle"), plan_enabled=False)
+        config.profiles = {**config.profiles, "fusion": resolve_profile("builtin:fusion")}
+        run_pipeline(config, tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+        assert digests == GOLDEN_DIGESTS
