@@ -9,6 +9,7 @@ so runs are self-describing.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -21,6 +22,16 @@ from .planner import PlannerConfig
 from .simulate import SensorProfile, TrackSpec, TrackValidationError, default_profile, noise_free_profile
 
 SOURCE_MODES = ("fusion", "lidar_only", "camera_only")
+
+
+def emitting_sources(alive: set[str]) -> list[str]:
+    """The live pipelines whose cones reach the local map.
+
+    While early fusion runs, the single-sensor pipelines stay silent.
+    """
+    if "fusion" in alive:
+        return ["fusion"]
+    return [m for m in ("lidar_only", "camera_only") if m in alive]
 
 
 class ConfigError(ValueError):
@@ -77,23 +88,53 @@ class RunConfig:
                 for source in event.get(key, []):
                     if source not in SOURCE_MODES:
                         raise ConfigError(f"unknown pipeline {source!r} in mode schedule")
+        missing = sorted(self.reachable_modes() - set(self.profiles))
+        if missing:
+            raise ConfigError(f"profiles lack {missing}, which this run can use (fusion also gives ego motion)")
         try:  # an override the module configs do not take fails here, not mid-run
             self.local_map_config(), self.global_map_config(), self.planner_config()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad module override: {exc}") from exc
 
+    # -- pipelines ----------------------------------------------------------
+
+    def initial_pipelines(self) -> set[str]:
+        """Perception pipelines up when the run starts, per ``force_mode``."""
+        if self.force_mode is None:
+            return set(SOURCE_MODES)
+        if self.force_mode == "degraded":
+            return {"lidar_only", "camera_only"}
+        return {self.force_mode}
+
+    def reachable_modes(self) -> set[str]:
+        """Every mode whose profile a run can read.
+
+        Fusion always supplies ego motion, and a pipeline that emits at the
+        start or after any step of the failure schedule observes cones (the
+        primary mode is among those at the start).
+        """
+        alive = self.initial_pipelines()
+        needed = {"fusion"} | set(emitting_sources(alive))
+        events = sorted(self.mode_schedule, key=lambda e: e["time_s"])
+        for _, step in itertools.groupby(events, key=lambda e: e["time_s"]):
+            for event in step:
+                alive = (alive - set(event.get("fail", []))) | set(event.get("restore", []))
+            needed |= set(emitting_sources(alive))
+        return needed
+
     # -- derived module configs -------------------------------------------
 
-    def primary_profile(self) -> SensorProfile:
+    def primary_mode(self) -> str:
+        """The mode whose profile sets the local map's gates."""
         if self.force_mode in (None, "fusion"):
-            return self.profiles["fusion"]
+            return "fusion"
         if self.force_mode == "degraded":
-            return self.profiles["lidar_only"]
-        return self.profiles[self.force_mode]
+            return "lidar_only"
+        return self.force_mode
 
     def local_map_config(self) -> LocalMapConfig:
         return LocalMapConfig.for_profile(
-            self.primary_profile(), self.frame_rate_hz, **self.local_map_overrides
+            self.profiles[self.primary_mode()], self.frame_rate_hz, **self.local_map_overrides
         )
 
     def global_map_config(self) -> GlobalMapConfig:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -44,11 +44,6 @@ class AlignmentResult:
     rmse: float
     unmatched_estimated: int
     unmatched_truth: int
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return points @ rot.T + self.translation
 
 
 def _greedy_one_to_one(est: np.ndarray, truth: np.ndarray, reject_radius: float):
@@ -195,10 +190,19 @@ class TrackCorridor:
 
     For a closed loop this is an annulus: inside the outer ring and outside
     the inner ring. ``inner`` may be ``None`` for simple (non-loop) regions.
+    ``edge_start`` and ``edge_end`` hold every boundary edge of both rings,
+    each ring closed back onto its first vertex.
     """
 
     outer: np.ndarray
     inner: np.ndarray | None = None
+    edge_start: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_end: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rings = [np.asarray(ring, dtype=float) for ring in (self.outer, self.inner) if ring is not None]
+        object.__setattr__(self, "edge_start", np.vstack(rings))
+        object.__setattr__(self, "edge_end", np.vstack([np.roll(ring, -1, axis=0) for ring in rings]))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
@@ -206,12 +210,6 @@ class TrackCorridor:
         if self.inner is not None:
             inside &= ~points_in_polygon(points, self.inner)
         return inside
-
-    def boundary_rings(self) -> list[np.ndarray]:
-        rings = [self.outer]
-        if self.inner is not None:
-            rings.append(self.inner)
-        return rings
 
 
 def track_corridor(track: TrackDefinition) -> TrackCorridor:
@@ -233,32 +231,17 @@ def track_corridor(track: TrackDefinition) -> TrackCorridor:
 
 
 def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
-    """Even-odd (ray crossing) point-in-polygon test, vectorized over points."""
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    px, py = polygon[:, 0], polygon[:, 1]
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
-    for (x1, y1, x2, y2) in zip(px, py, qx, qy):
-        crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (x < x_at)
-    return inside
+    """Even-odd (ray crossing) point-in-polygon test.
 
-
-def _segments_cross(p1, p2, q1, q2) -> tuple[bool, float]:
-    """Whether segment p1-p2 crosses q1-q2; returns the parameter along p."""
-    d = p2 - p1
-    e = q2 - q1
-    denom = d[0] * e[1] - d[1] * e[0]
-    if abs(denom) < 1e-15:
-        return False, 0.0
-    w = q1 - p1
-    t = (w[0] * e[1] - w[1] * e[0]) / denom
-    u = (w[0] * d[1] - w[1] * d[0]) / denom
-    if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
-        return True, float(t)
-    return False, 0.0
+    One points x edges matrix of ray crossings, reduced per point with XOR.
+    """
+    x, y = points[:, :1], points[:, 1:]
+    x1, y1 = polygon[:, 0], polygon[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    crosses = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    return np.logical_xor.reduce(crosses & (x < x_at), axis=1)
 
 
 def first_exit_distance(
@@ -267,25 +250,30 @@ def first_exit_distance(
     """Arc distance from the car at which the path first leaves the corridor.
 
     Walks the polyline (car -> waypoints) testing each vertex and each segment
-    against the boundary rings, so crossings between waypoints are caught.
+    against the boundary rings, so crossings between waypoints are caught. All
+    segments meet all boundary edges in one broadcast; a segment leaves at the
+    smallest parameter of the edges it crosses (closed intervals, near-parallel
+    pairs rejected).
     """
     if len(waypoints) == 0:
         return None
     chain = np.vstack([np.asarray(ego_xy, dtype=float)[None, :], waypoints])
     inside = corridor.contains(chain)
-    rings = [np.vstack([ring, ring[:1]]) for ring in corridor.boundary_rings()]
+    d = np.diff(chain, axis=0)[:, None, :]  # (segments, 1, 2)
+    q1 = corridor.edge_start
+    e = corridor.edge_end - q1  # (edges, 2)
+    w = q1 - chain[:-1, None, :]  # (segments, edges, 2)
+    denom = d[..., 0] * e[:, 1] - d[..., 1] * e[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w[..., 0] * e[:, 1] - w[..., 1] * e[:, 0]) / denom
+        u = (w[..., 0] * d[..., 1] - w[..., 1] * d[..., 0]) / denom
+    crossed = ~(np.abs(denom) < 1e-15) & (0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0)
+    first_t = np.where(crossed, t, np.inf).min(axis=1)
+    seg_lens = np.hypot(d[:, 0, 0], d[:, 0, 1])
     arc = 0.0
-    for k in range(len(chain) - 1):
-        p1, p2 = chain[k], chain[k + 1]
-        seg_len = float(np.hypot(*(p2 - p1)))
-        best_t = None
-        for ring in rings:
-            for q in range(len(ring) - 1):
-                crossed, t = _segments_cross(p1, p2, ring[q], ring[q + 1])
-                if crossed and (best_t is None or t < best_t):
-                    best_t = t
-        if best_t is not None:
-            return arc + best_t * seg_len
+    for k, seg_len in enumerate(seg_lens.tolist()):
+        if crossed[k].any():
+            return arc + float(first_t[k]) * seg_len
         if not inside[k + 1]:
             return arc + seg_len
         arc += seg_len
@@ -421,7 +409,3 @@ def save_report(report: dict, json_path: Path | str, csv_path: Path | str | None
                     exits[k] if k < len(exits) else "",
                 ]
             )
-
-
-def load_report(path: Path | str) -> dict:
-    return json.loads(Path(path).read_text())

@@ -17,9 +17,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import RunConfig, RunFailure, dump_resolved, read_input
+from .config import RunConfig, RunFailure, dump_resolved, emitting_sources, read_input
 from .core import Pose2, SensorSource, Velocity2, integrate_velocity, relative_pose
-from .evaluate import build_report, icp_align, map_rmse, planning_stats, save_report, save_trajectory
+from .evaluate import (
+    build_report,
+    icp_align,
+    map_rmse,
+    planning_stats,
+    save_report,
+    save_trajectory,
+    timing_percentiles,
+)
 from .global_map import Graph, add_snapshot, export_map, optimize, save_graph, save_map
 from .local_map import LocalMapSnapshot, LocalMapState, MapMode, SnapshotLogWriter, ingest_frame
 from .planner import PlanResult, plan_record, plan_snapshot
@@ -51,13 +59,7 @@ class _PipelineLiveness:
     """Tracks which perception pipelines are up, per the failure schedule."""
 
     def __init__(self, config: RunConfig):
-        self.alive = {"fusion", "lidar_only", "camera_only"}
-        if config.force_mode == "degraded":
-            self.alive = {"lidar_only", "camera_only"}
-        elif config.force_mode in ("lidar_only", "camera_only"):
-            self.alive = {config.force_mode}
-        elif config.force_mode == "fusion":
-            self.alive = {"fusion"}
+        self.alive = config.initial_pipelines()
         self._events = sorted(config.mode_schedule, key=lambda e: e["time_s"])
         self._next = 0
 
@@ -67,12 +69,6 @@ class _PipelineLiveness:
             self.alive -= set(event.get("fail", []))
             self.alive |= set(event.get("restore", []))
             self._next += 1
-
-    def emitting_sources(self) -> list[str]:
-        # when early fusion runs, single-sensor pipelines stay silent
-        if "fusion" in self.alive:
-            return ["fusion"]
-        return [m for m in ("lidar_only", "camera_only") if m in self.alive]
 
 
 class _ClosedLoopSteering:
@@ -267,7 +263,7 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
             t0 = time.perf_counter()
             observations = []
             present = set()
-            for source in liveness.emitting_sources():
+            for source in emitting_sources(liveness.alive):
                 observations.extend(observe_cones(track, true_pose, config.profiles[source], rng, timestamp))
                 present.add(SensorSource(source))
             vel_reading = noisy_velocity(true_vel, velocity_profile, rng)
@@ -301,8 +297,12 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
         map_metrics.update(map_alignment(estimated, track, start_pose))
         map_metrics["rmse_dead_reckoned_m"] = map_alignment(dead_reckoned, track, start_pose)["rmse_m"]
 
-    trajectory = {t: (true, ego) for t, true, ego in trajectory_rows}
-    stats = planning_stats(engine.planner_records, track, trajectory) if engine.planner_records else None
+    stats = None
+    if engine.planner_records:
+        trajectory = {t: (true, ego) for t, true, ego in trajectory_rows}
+        t0 = time.perf_counter()
+        stats = planning_stats(engine.planner_records, track, trajectory)
+        timings["planning_stats"] = [(time.perf_counter() - t0) * 1e3]
     report = build_report(
         map_metrics,
         stats,
@@ -358,7 +358,9 @@ def replay_snapshots(
 
     report: dict = {"frames": engine.steps, "landmarks": len(estimated)}
     if track is not None and engine.planner_records:
+        t0 = time.perf_counter()
         stats = planning_stats(engine.planner_records, track)
+        report["timing"] = {"planning_stats": timing_percentiles([(time.perf_counter() - t0) * 1e3])}
         report["planning"] = {
             "path_length_fractions": [float(v) for v in stats.path_length_fractions],
             "out_of_track_fractions": [float(v) for v in stats.out_of_track_fractions],

@@ -17,9 +17,11 @@ the emitted candidate carries.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+import operator
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
@@ -50,17 +52,6 @@ class Triangulation:
         for tri in self.simplices:
             for a, b in ((0, 1), (1, 2), (0, 2)):
                 out.add(tuple(sorted((int(tri[a]), int(tri[b])))))
-        return out
-
-    def interior_crossings(self, t: int) -> list[tuple[int, tuple[int, int]]]:
-        """(neighbor triangle, shared edge) pairs reachable from triangle t."""
-        out = []
-        for k in range(3):
-            nb = int(self.neighbors[t, k])
-            if nb < 0:
-                continue
-            verts = [int(v) for i, v in enumerate(self.simplices[t]) if i != k]
-            out.append((nb, (min(verts), max(verts))))
         return out
 
 
@@ -185,7 +176,9 @@ def _population_std(values: Sequence[float]) -> float:
     if len(values) < 1:
         return 0.0
     arr = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.mean((arr - arr.mean()) ** 2)))
+    n = len(arr)
+    # the arithmetic of np.mean (one reduce, one division) without its overhead
+    return math.sqrt(np.add.reduce((arr - np.add.reduce(arr) / n) ** 2) / n)
 
 
 def compute_features(
@@ -240,30 +233,29 @@ def log_prior(features: PathFeatures, config: PriorConfig) -> float:
     return -config.prior_weight * cost
 
 
-def _cone_log_terms(cones: Sequence[ConeEstimate], floor: float) -> list[tuple[float, float, float]]:
+def _cone_log_terms(cones: Sequence[ConeEstimate], floor: float) -> tuple[list[float], list[float], list[float]]:
     """Per-cone log color probability as a left cone, a right cone and neither."""
-    terms = []
+    left, right, other = [], [], []
     for cone in cones:
         c = cone.color
-        terms.append(
-            (
-                math.log(max(c.p_blue, c.p_unknown, floor)),
-                math.log(max(c.p_yellow, c.p_unknown, floor)),
-                math.log(max(c.p_blue, c.p_yellow, c.p_unknown, floor)),
-            )
-        )
-    return terms
+        left.append(math.log(max(c.p_blue, c.p_unknown, floor)))
+        right.append(math.log(max(c.p_yellow, c.p_unknown, floor)))
+        other.append(math.log(max(c.p_blue, c.p_yellow, c.p_unknown, floor)))
+    return left, right, other
 
 
 def _summed_log_terms(
-    terms: Sequence[tuple[float, float, float]], left_cones: frozenset[int], right_cones: frozenset[int]
+    terms: tuple[list[float], list[float], list[float]], left_cones: Iterable[int], right_cones: Iterable[int]
 ) -> float:
+    left, right, other = terms
+    values = list(other)
+    for idx in right_cones:
+        values[idx] = right[idx]
+    for idx in left_cones:  # a cone in both sets counts as left
+        values[idx] = left[idx]
     # one cone at a time in index order from 0.0, never a pairwise or
     # compensated sum: every logged score depends on this exact order
-    total = 0.0
-    for idx, (left, right, other) in enumerate(terms):
-        total += left if idx in left_cones else right if idx in right_cones else other
-    return total
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def log_likelihood(
@@ -276,15 +268,105 @@ def log_likelihood(
     return _summed_log_terms(_cone_log_terms(cones, floor), left_cones, right_cones)
 
 
-@dataclass
+@dataclass(frozen=True)
+class _SearchTables:
+    """Per-snapshot geometry the search looks up instead of recomputing.
+
+    Edge slot ``3 * t + k`` is the edge of triangle ``t`` facing its vertex
+    ``k``, as in ``Triangulation.neighbors``. Per slot: ``neighbor`` (-1 on
+    the hull), the sorted cone pair ``lo``/``hi``, the midpoint
+    ``mid_x``/``mid_y`` and ``twin``, the same edge's slot in the neighbor
+    (meaningless on the hull).
+    Step ``3 * slot + k`` moves from the midpoint of edge ``slot`` to that of
+    edge ``k`` of the same triangle: ``step_x``, ``step_y``, ``step_len`` and
+    ``step_heading``. ``dist[a][b]`` is the distance from cone ``a`` to cone
+    ``b``. Every value is what the numpy expressions of
+    :func:`compute_features` give, element for element. The lists are flat
+    so that building them allocates few objects.
+    """
+
+    neighbor: list[int]
+    lo: list[int]
+    hi: list[int]
+    mid_x: list[float]
+    mid_y: list[float]
+    twin: list[int]
+    step_x: list[float]
+    step_y: list[float]
+    step_len: list[float]
+    step_heading: list[float]
+    dist: list[list[float]]
+
+    @classmethod
+    def build(cls, tri: Triangulation) -> "_SearchTables":
+        pts = tri.points
+        facing = tri.simplices[:, [[1, 2], [0, 2], [0, 1]]]  # (m, 3, 2): the edge facing each vertex
+        lo, hi = facing.min(axis=2), facing.max(axis=2)
+        mid = 0.5 * (pts[lo] + pts[hi])
+        step = mid[:, None, :, :] - mid[:, :, None, :]  # step[t, i, k] = mid[t, k] - mid[t, i]
+        nbs = tri.neighbors
+        twin = 3 * nbs + np.argmax(nbs[nbs] == np.arange(len(nbs))[:, None, None], axis=2)
+        return cls(
+            neighbor=nbs.ravel().tolist(),
+            lo=lo.ravel().tolist(),
+            hi=hi.ravel().tolist(),
+            mid_x=mid[..., 0].ravel().tolist(),
+            mid_y=mid[..., 1].ravel().tolist(),
+            twin=twin.ravel().tolist(),
+            step_x=step[..., 0].ravel().tolist(),
+            step_y=step[..., 1].ravel().tolist(),
+            step_len=np.hypot(step[..., 0], step[..., 1]).ravel().tolist(),
+            step_heading=np.arctan2(step[..., 1], step[..., 0]).ravel().tolist(),
+            dist=np.hypot(pts[None, :, 0] - pts[:, None, 0], pts[None, :, 1] - pts[:, None, 1]).tolist(),
+        )
+
+
+@dataclass(slots=True)
 class _PartialPath:
+    """A path as the search grows it, with the state one extension updates in O(1).
+
+    The state is the per-segment lengths, the last step and its heading, the
+    running maximum turn, the crossed-edge widths and each side's cone
+    sequence with its spacing deviation. Length and deviations are reduced
+    afresh from their per-element lists, never kept as running sums, so the
+    features are exactly those :func:`compute_features` gives the path. The
+    defaults describe the root: no edge crossed yet.
+    """
+
     triangle: int
+    slot: int  # the edge slot the path entered the triangle by; -1 at the root
     visited: set[int]
-    crossed: list[tuple[int, int]]
-    waypoints: list[np.ndarray]
-    net_votes: dict[int, int]  # left minus right votes per cone, in first-crossing order
-    length: float
-    scored: CandidatePath | None  # scored once, when extended into; None only at the root
+    crossed: list[tuple[int, int]] = field(default_factory=list)
+    waypoints: list[tuple[float, float]] = field(default_factory=list)
+    net_votes: dict[int, int] = field(default_factory=dict)  # left minus right votes, in first-crossing order
+    length: float = 0.0  # running length, for the search's length cap only
+    step: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (dx, dy, length) into the last waypoint
+    seg_lengths: list[float] = field(default_factory=list)  # waypoint-to-waypoint segment lengths
+    heading: float | None = None  # heading of the last segment
+    max_turn: float = 0.0
+    widths: list[float] = field(default_factory=list)  # crossed-edge lengths
+    left: tuple[int, ...] = ()  # left cones in first-crossing order
+    right: tuple[int, ...] = ()
+    left_std: float = 0.0
+    right_std: float = 0.0
+    features: PathFeatures | None = None
+    log_prior: float = 0.0
+    log_likelihood: float = 0.0
+    log_posterior: float = 0.0
+
+    def candidate(self) -> CandidatePath:
+        return CandidatePath(
+            np.array(self.waypoints),
+            tuple(self.crossed),
+            frozenset(self.left),
+            frozenset(self.right),
+            self.left,
+            self.right,
+            self.features,
+            self.log_prior,
+            self.log_likelihood,
+            self.log_posterior,
+        )
 
 
 def enumerate_paths(
@@ -311,92 +393,127 @@ def enumerate_paths(
     """
     limits = config.limits
     terms = _cone_log_terms(cones, config.likelihood_floor)
-    centroids = tri.points[tri.simplices].mean(axis=1)
-    probe = ego.position + np.array([math.cos(ego.theta), math.sin(ego.theta)])
-    start = int(np.argmin(np.hypot(centroids[:, 0] - probe[0], centroids[:, 1] - probe[1])))
+    tables = _SearchTables.build(tri)
+    points = tri.points.tolist()
+    dist = tables.dist
     heading = np.array([math.cos(ego.theta), math.sin(ego.theta)])
+    centroids = tri.points[tri.simplices].mean(axis=1)
+    probe = ego.position + heading
+    start = int(np.argmin(np.hypot(centroids[:, 0] - probe[0], centroids[:, 1] - probe[1])))
+    heading_xy = tuple(heading.tolist())
+    ego_x, ego_y = ego.position.tolist()
 
-    def score(crossed: list[tuple[int, int]], waypoints: list[np.ndarray], net_votes: dict[int, int]) -> CandidatePath:
-        left_seq = tuple(idx for idx, net in net_votes.items() if net >= 0)
-        right_seq = tuple(idx for idx, net in net_votes.items() if net < 0)
-        left_cones, right_cones = frozenset(left_seq), frozenset(right_seq)
-        wp = np.array(waypoints)
-        features = compute_features(wp, crossed, tri.points, left_seq, right_seq, limits)
-        lp = log_prior(features, config.prior)
-        ll = _summed_log_terms(terms, left_cones, right_cones)
-        return CandidatePath(
-            wp, tuple(crossed), left_cones, right_cones, left_seq, right_seq, features, lp, ll, lp + ll
-        )
+    def side_std(sequence: tuple[int, ...], before: tuple[int, ...], std_before: float) -> float:
+        if sequence == before:
+            return std_before
+        if len(sequence) < 2:
+            return 0.0
+        return _population_std([dist[a][b] for a, b in zip(sequence, sequence[1:])])
 
-    def extend(partial: _PartialPath, nb: int, edge: tuple[int, int]) -> _PartialPath:
-        midpoint = 0.5 * (tri.points[edge[0]] + tri.points[edge[1]])
-        prev = partial.waypoints[-1] if partial.waypoints else ego.position
-        d = midpoint - prev
-        if np.hypot(*d) < 1e-12:
-            d = heading
+    def extend(partial: _PartialPath, k: int) -> _PartialPath:
+        slot = 3 * partial.triangle + k
+        edge = (tables.lo[slot], tables.hi[slot])
+        mid_x, mid_y = tables.mid_x[slot], tables.mid_y[slot]
+        if partial.waypoints:
+            move = 3 * partial.slot + k
+            dx, dy, seg_len = tables.step_x[move], tables.step_y[move], tables.step_len[move]
+            seg_heading = tables.step_heading[move]
+            length = partial.length + seg_len
+            seg_lengths = partial.seg_lengths + [seg_len]
+            max_turn = partial.max_turn
+            if partial.heading is not None:
+                max_turn = max(max_turn, abs(normalize_angle(seg_heading - partial.heading)))
+        else:  # the first waypoint: its step runs from the ego and adds no segment
+            dx, dy = mid_x - ego_x, mid_y - ego_y
+            seg_len = float(np.hypot(dx, dy))
+            length, seg_lengths, seg_heading, max_turn = 0.0, [], None, 0.0
+        d_x, d_y = heading_xy if seg_len < 1e-12 else (dx, dy)
         net_votes = dict(partial.net_votes)
         for idx in edge:
-            off = tri.points[idx] - midpoint
-            net_votes[idx] = net_votes.get(idx, 0) + (1 if d[0] * off[1] - d[1] * off[0] > 0 else -1)
+            off_x, off_y = points[idx][0] - mid_x, points[idx][1] - mid_y
+            net_votes[idx] = net_votes.get(idx, 0) + (1 if d_x * off_y - d_y * off_x > 0 else -1)
         crossed = partial.crossed + [edge]
-        waypoints = partial.waypoints + [midpoint]
+        widths = partial.widths + [dist[edge[0]][edge[1]]]
+        left = tuple(idx for idx, net in net_votes.items() if net >= 0)
+        right = tuple(idx for idx, net in net_votes.items() if net < 0)
+        left_std = side_std(left, partial.left, partial.left_std)
+        right_std = side_std(right, partial.right, partial.right_std)
+        features = PathFeatures(
+            max_heading_change_rad=max_turn,
+            left_spacing_std_m=left_std,
+            right_spacing_std_m=right_std,
+            width_std_m=_population_std(widths),
+            crossed_edges_capped=float(min(len(crossed), limits.desired_edge_count)),
+            length_m=float(np.add.reduce(seg_lengths)) if seg_lengths else 0.0,
+        )
+        lp = log_prior(features, config.prior)
+        ll = _summed_log_terms(terms, left, right)
+        nb = tables.neighbor[slot]
         return _PartialPath(
             triangle=nb,
+            slot=tables.twin[slot],
             visited=partial.visited | {nb},
             crossed=crossed,
-            waypoints=waypoints,
+            waypoints=partial.waypoints + [(mid_x, mid_y)],
             net_votes=net_votes,
-            length=partial.length + (float(np.hypot(*(midpoint - prev))) if partial.waypoints else 0.0),
-            scored=score(crossed, waypoints, net_votes),
+            length=length,
+            step=(dx, dy, seg_len),
+            seg_lengths=seg_lengths,
+            heading=seg_heading,
+            max_turn=max_turn,
+            widths=widths,
+            left=left,
+            right=right,
+            left_std=left_std,
+            right_std=right_std,
+            features=features,
+            log_prior=lp,
+            log_likelihood=ll,
+            log_posterior=lp + ll,
         )
 
-    root = _PartialPath(start, {start}, [], [], {}, 0.0, None)
-    first_moves = []
-    for nb, edge in tri.interior_crossings(start):
-        midpoint = 0.5 * (tri.points[edge[0]] + tri.points[edge[1]])
-        ahead = float((midpoint - ego.position) @ heading) > 0.0
-        first_moves.append((ahead, nb, edge))
-    if limits.require_forward_start and any(ahead for ahead, _, _ in first_moves):
-        first_moves = [m for m in first_moves if m[0]]
-
-    frontier = [extend(root, nb, edge) for _, nb, edge in first_moves]
-    candidates: list[CandidatePath] = []
-
-    def turn_ok(partial: _PartialPath, edge: tuple[int, int]) -> bool:
-        midpoint = 0.5 * (tri.points[edge[0]] + tri.points[edge[1]])
-        if len(partial.waypoints) < 2:
-            prev_dir = partial.waypoints[-1] - ego.position if partial.waypoints else heading
-        else:
-            prev_dir = partial.waypoints[-1] - partial.waypoints[-2]
-        new_dir = midpoint - partial.waypoints[-1]
-        if np.hypot(*new_dir) > limits.max_step_length_m:
+    def can_extend(partial: _PartialPath, k: int) -> bool:
+        """An unvisited neighbor, reached without too long a step or too sharp a turn."""
+        slot = 3 * partial.triangle + k
+        nb = tables.neighbor[slot]
+        if nb < 0 or nb in partial.visited or slot == partial.slot:
             return False
-        if np.hypot(*new_dir) < 1e-12 or np.hypot(*prev_dir) < 1e-12:
+        move = 3 * partial.slot + k
+        new_x, new_y, new_len = tables.step_x[move], tables.step_y[move], tables.step_len[move]
+        if new_len > limits.max_step_length_m:
+            return False
+        prev_x, prev_y, prev_len = partial.step
+        if new_len < 1e-12 or prev_len < 1e-12:
             return True
-        turn = math.atan2(
-            prev_dir[0] * new_dir[1] - prev_dir[1] * new_dir[0],
-            prev_dir[0] * new_dir[0] + prev_dir[1] * new_dir[1],
-        )
+        turn = math.atan2(prev_x * new_y - prev_y * new_x, prev_x * new_x + prev_y * new_y)
         return abs(turn) <= limits.max_step_turn_rad
 
+    root = _PartialPath(triangle=start, slot=-1, visited={start})
+    first_moves = []
+    for k in range(3):
+        slot = 3 * start + k
+        if tables.neighbor[slot] >= 0:
+            midpoint = np.array([tables.mid_x[slot], tables.mid_y[slot]])
+            first_moves.append((float((midpoint - ego.position) @ heading) > 0.0, k))
+    if limits.require_forward_start and any(ahead for ahead, _ in first_moves):
+        first_moves = [m for m in first_moves if m[0]]
+
+    frontier = [extend(root, k) for _, k in first_moves]
+    candidates: list[CandidatePath] = []
     while frontier:
         next_frontier: list[_PartialPath] = []
         for partial in frontier:
             if len(partial.crossed) >= limits.max_edges or partial.length >= limits.max_length_m:
-                candidates.append(partial.scored)
+                candidates.append(partial.candidate())
                 continue
-            children = [
-                extend(partial, nb, edge)
-                for nb, edge in tri.interior_crossings(partial.triangle)
-                if nb not in partial.visited and edge != partial.crossed[-1] and turn_ok(partial, edge)
-            ]
-            children = [c for c in children if c.scored.log_posterior >= partial.scored.log_posterior - 1e-9]
+            children = [extend(partial, k) for k in range(3) if can_extend(partial, k)]
+            children = [c for c in children if c.log_posterior >= partial.log_posterior - 1e-9]
             if not children:
-                candidates.append(partial.scored)
+                candidates.append(partial.candidate())
                 continue
             next_frontier.extend(children)
         if limits.beam_width is not None and len(next_frontier) > limits.beam_width:
-            next_frontier.sort(key=lambda p: (-p.scored.log_posterior, p.crossed))
+            next_frontier.sort(key=lambda p: (-p.log_posterior, p.crossed))
             next_frontier = next_frontier[: limits.beam_width]
         frontier = next_frontier
     return candidates

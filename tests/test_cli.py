@@ -105,6 +105,10 @@ class TestRun:
         report = json.loads((noisy_run[1] / "report.json").read_text(), parse_constant=reject)
         assert report["timing"]["planner"] == {"p50_ms": None, "p90_ms": None, "p99_ms": None, "mean_ms": None, "count": 0}
 
+    def test_report_times_planning_stats_only_when_planning(self, run_dir, noisy_run):
+        assert read_json(run_dir / "report.json")["timing"]["planning_stats"]["count"] == 1
+        assert "planning_stats" not in read_json(noisy_run[1] / "report.json")["timing"]
+
     @pytest.mark.parametrize("content", [None, "not json {", '{"cones": []}'], ids=["missing", "garbage", "fieldless"])
     def test_bad_track_file_exits_2_before_any_artifact(self, tmp_path, capsys, content):
         track = tmp_path / "track.json"
@@ -156,6 +160,7 @@ class TestReplay:
         assert code == 0
         assert (out / "planner_log.ndjson").read_bytes() == (run_dir / "planner_log.ndjson").read_bytes()
         assert (out / "map_estimated.json").read_bytes() == (run_dir / "map_estimated.json").read_bytes()
+        assert read_json(out / "replay_report.json")["timing"]["planning_stats"]["count"] == 1
 
     def test_noisy_replay_reproduces_maps_and_counts_snapshots(self, tmp_path, noisy_run, capsys):
         config, run = noisy_run
@@ -229,6 +234,8 @@ BAD_INPUTS = [
     ["run", "--config", "{badglobal}"],
     ["run", "--config", "{negevery}"],
     ["run", "--config", "{floatevery}"],
+    ["run", "--config", "{degradednolidar}"],
+    ["run", "--config", "{nofusion}"],
 ]
 
 # placeholder -> (file content, None for no file; text the error must contain)
@@ -244,6 +251,11 @@ BAD_FILES = {
     "badglobal": ('{"global_map_overrides": {"no_such_gate": 1.0}}', "'no_such_gate'"),
     "negevery": ('{"global_map_overrides": {"optimize_every": -1}}', "optimize_every"),
     "floatevery": ('{"global_map_overrides": {"optimize_every": 2.5}}', "optimize_every"),
+    "degradednolidar": (
+        '{"profiles": {"fusion": "builtin:fusion"}, "force_mode": "degraded"}',
+        "['camera_only', 'lidar_only']",
+    ),
+    "nofusion": ('{"profiles": {"lidar_only": "builtin:lidar_only"}}', "['fusion']"),
 }
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conetrack.core import Pose2
 from conetrack.evaluate import (
@@ -185,6 +187,138 @@ class TestCorridorGeometry:
         ego = np.array([1.0, 0.0])
         waypoints = np.array([[5.0, 0.5], [10.0, -0.5], [15.0, 0.0]])
         assert first_exit_distance(ego, waypoints, corridor) is None
+
+
+def reference_points_in_polygon(points, polygon):
+    """Per-edge loop the points x edges matrix must reproduce exactly."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    px, py = polygon[:, 0], polygon[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    for (x1, y1, x2, y2) in zip(px, py, qx, qy):
+        crosses = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses & (x < x_at)
+    return inside
+
+
+def _segments_cross(p1, p2, q1, q2):
+    d = p2 - p1
+    e = q2 - q1
+    denom = d[0] * e[1] - d[1] * e[0]
+    if abs(denom) < 1e-15:
+        return False, 0.0
+    w = q1 - p1
+    t = (w[0] * e[1] - w[1] * e[0]) / denom
+    u = (w[0] * d[1] - w[1] * d[0]) / denom
+    if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
+        return True, float(t)
+    return False, 0.0
+
+
+def reference_first_exit_distance(ego_xy, waypoints, corridor):
+    """Scalar segment-by-edge loop the broadcast exit test must reproduce exactly."""
+    if len(waypoints) == 0:
+        return None
+    chain = np.vstack([np.asarray(ego_xy, dtype=float)[None, :], waypoints])
+    inside = reference_points_in_polygon(chain, corridor.outer)
+    if corridor.inner is not None:
+        inside &= ~reference_points_in_polygon(chain, corridor.inner)
+    rings = [np.vstack([ring, ring[:1]]) for ring in (corridor.outer, corridor.inner) if ring is not None]
+    arc = 0.0
+    for k in range(len(chain) - 1):
+        p1, p2 = chain[k], chain[k + 1]
+        seg_len = float(np.hypot(*(p2 - p1)))
+        best_t = None
+        for ring in rings:
+            for q in range(len(ring) - 1):
+                crossed, t = _segments_cross(p1, p2, ring[q], ring[q + 1])
+                if crossed and (best_t is None or t < best_t):
+                    best_t = t
+        if best_t is not None:
+            return arc + best_t * seg_len
+        if not inside[k + 1]:
+            return arc + seg_len
+        arc += seg_len
+    return None
+
+
+# coordinates on a half-metre grid make parallel, collinear and vertex-touching
+# segments common; free floats cover the general position
+grid_coord = st.integers(-16, 16).map(lambda v: v / 2.0)
+free_coord = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
+coord = st.one_of(grid_coord, free_coord)
+point = st.tuples(coord, coord)
+
+
+@st.composite
+def corridors(draw):
+    if draw(st.booleans()):  # a random, possibly self-crossing polygon, no inner ring
+        return TrackCorridor(outer=np.array(draw(st.lists(point, min_size=3, max_size=12)), dtype=float))
+    n = draw(st.integers(3, 12))
+    angles = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    radii = [draw(st.sampled_from([5.0, 6.0, 6.5, 7.0])) for _ in range(n)]
+    inner_scale = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    outer = np.column_stack([np.cos(angles) * radii, np.sin(angles) * radii])
+    if draw(st.booleans()):
+        outer = np.round(outer * 2.0) / 2.0  # snap to the grid the path points use
+    return TrackCorridor(outer=outer, inner=outer[::-1] * inner_scale)
+
+
+@st.composite
+def paths_in(draw, corridor):
+    """An ego point and 1-25 waypoints, some on ring vertices or edges, some repeated."""
+    rings = [ring for ring in (corridor.outer, corridor.inner) if ring is not None]
+    vertices = [tuple(v) for ring in rings for v in ring]
+    edge_midpoints = [tuple((a + b) / 2) for ring in rings for a, b in zip(ring, np.roll(ring, -1, axis=0))]
+    chain = [draw(point)]
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["free", "vertex", "edge", "repeat"]))
+        if kind == "vertex":
+            chain.append(draw(st.sampled_from(vertices)))
+        elif kind == "edge":
+            chain.append(draw(st.sampled_from(edge_midpoints)))
+        elif kind == "repeat":
+            chain.append(chain[-1])
+        else:
+            chain.append(draw(point))
+    return np.array(chain[0], dtype=float), np.array(chain[1:], dtype=float)
+
+
+class TestBroadcastEqualsScalarReference:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_first_exit_distance(self, data):
+        corridor = data.draw(corridors())
+        ego, waypoints = data.draw(paths_in(corridor))
+        assert first_exit_distance(ego, waypoints, corridor) == reference_first_exit_distance(ego, waypoints, corridor)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polygon=st.lists(point, min_size=1, max_size=12), points=st.lists(point, min_size=1, max_size=30))
+    def test_points_in_polygon(self, polygon, points):
+        polygon, points = np.array(polygon, dtype=float), np.array(points, dtype=float)
+        for probe in (points, np.vstack([points, polygon])):  # and every vertex itself
+            assert np.array_equal(points_in_polygon(probe, polygon), reference_points_in_polygon(probe, polygon))
+
+    def test_empty_path_has_no_exit(self):
+        corridor = TrackCorridor(outer=np.array([[0, -2], [20, -2], [20, 2], [0, 2]], dtype=float))
+        assert first_exit_distance(np.zeros(2), np.zeros((0, 2)), corridor) is None
+
+    def test_path_ending_on_the_boundary_exits_there(self):
+        # the bottom edge counts as inside, so only the closed t interval sees the exit
+        corridor = TrackCorridor(outer=np.array([[0, -2], [20, -2], [20, 2], [0, 2]], dtype=float))
+        ego, waypoints = np.array([1.0, 0.0]), np.array([[10.0, -2.0]])
+        expected = math.hypot(9.0, 2.0)
+        assert first_exit_distance(ego, waypoints, corridor) == reference_first_exit_distance(ego, waypoints, corridor)
+        assert first_exit_distance(ego, waypoints, corridor) == pytest.approx(expected, abs=1e-12)
+
+    def test_near_parallel_crossing_counts_at_the_next_vertex(self):
+        # |denom| = 4e-16 is rejected, so the exit is found at the outside waypoint
+        corridor = TrackCorridor(outer=np.array([[0, 0], [20, 0], [20, 4], [0, 4]], dtype=float))
+        ego, waypoints = np.array([5.0, 1e-17]), np.array([[10.0, -1e-17]])
+        assert first_exit_distance(ego, waypoints, corridor) == reference_first_exit_distance(ego, waypoints, corridor)
+        assert first_exit_distance(ego, waypoints, corridor) == 5.0
 
 
 class TestPlanningStats:

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conetrack.core import ColorDistribution, ConeEstimate, Gaussian2, Pose2
 from conetrack.local_map import LocalMapConfig, LocalMapSnapshot, LocalMapState, MapMode, ingest_frame
@@ -14,6 +18,7 @@ from conetrack.planner import (
     PlannerConfig,
     PriorConfig,
     SearchLimits,
+    _population_std,
     compute_features,
     enumerate_paths,
     log_likelihood,
@@ -181,6 +186,27 @@ class TestFeatures:
         edges = [(0, 1)] * 20
         f = compute_features(wp, edges, np.zeros((2, 2)), (), (), SearchLimits(desired_edge_count=15))
         assert f.crossed_edges_capped == 15.0
+
+
+def reference_population_std(values):
+    """The np.mean form the planner's standard deviation must reproduce bit for bit."""
+    if len(values) < 1:
+        return 0.0
+    arr = np.asarray(values, dtype=float)
+    return float(np.sqrt(np.mean((arr - arr.mean()) ** 2)))
+
+
+class TestPopulationStd:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 8.0), st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_equals_np_mean_form(self, values):
+        assert _population_std(values) == reference_population_std(values)
 
 
 class TestPrior:
@@ -368,6 +394,20 @@ class TestScoreOnce:
                 )
                 assert cand.log_prior == log_prior(cand.features, config.prior)
         assert planned >= 25
+
+
+class TestGoldenBytes:
+    # sha256 of the plan records below, recorded while the search scored
+    # every path with compute_features from scratch; with verbose candidates
+    # it pins every candidate's scores, not only the selected path
+    PLAN_RECORDS_SHA256 = "c83f5d39f6e114592c6a8096169aa11d278818e830cce03caff6d5be8d9b8b06"
+
+    def test_noisy_lap_plans_the_recorded_candidates(self):
+        digest = hashlib.sha256()
+        for snap in noisy_run_snapshots(60):
+            record = plan_record(plan_snapshot(snap, PlannerConfig()), snap, verbose_candidates=True)
+            digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+        assert digest.hexdigest() == self.PLAN_RECORDS_SHA256
 
 
 class TestNoiseFreeContainment:
