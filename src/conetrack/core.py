@@ -105,20 +105,24 @@ def relative_pose(a: Pose2, b: Pose2) -> Pose2:
 
 
 def transform_point(pose: Pose2, point: np.ndarray) -> np.ndarray:
-    """Map a body-frame point into the pose's parent frame."""
+    """Map body-frame points, shape (..., 2), into the pose's parent frame."""
     c, s = math.cos(pose.theta), math.sin(pose.theta)
-    x, y = float(point[0]), float(point[1])
-    return np.array([pose.x + c * x - s * y, pose.y + s * x + c * y])
+    p = np.asarray(point, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    return np.stack([pose.x + c * x - s * y, pose.y + s * x + c * y], axis=-1)
 
 
 def body_frame_point(pose: Pose2, point: np.ndarray) -> np.ndarray:
-    """Map a parent-frame point into the pose's body frame."""
+    """Map parent-frame points, shape (..., 2), into the pose's body frame."""
     c, s = math.cos(pose.theta), math.sin(pose.theta)
-    dx, dy = float(point[0]) - pose.x, float(point[1]) - pose.y
-    return np.array([c * dx + s * dy, -s * dx + c * dy])
+    p = np.asarray(point, dtype=float)
+    dx, dy = p[..., 0] - pose.x, p[..., 1] - pose.y
+    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
 
 
 def rotate_covariance(theta: float, cov: np.ndarray) -> np.ndarray:
+    """``R cov R^T`` for one covariance or a stack (..., 2, 2); a stack is one
+    batched matmul, which gives each matrix the bits the single product does."""
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     return rot @ cov @ rot.T
@@ -192,9 +196,38 @@ class ColorDistribution:
         return (ConeClass.BLUE, ConeClass.YELLOW, ConeClass.UNKNOWN)[idx]
 
 
+# Where the closed-form smallest eigenvalue clears the floor by this much
+# (relative to the matrix's entries), eigh's would too; the two differ by a
+# few units in the last place of the largest entry.
+_SPD_MARGIN = 1e-12
+
+
+def _clear_of_floor(a, b, d, floor: float, hypot):
+    """Closed-form smallest eigenvalue of [[a, b], [b, d]] clears ``floor`` by the margin (False on NaN)."""
+    return 0.5 * (a + d) - hypot(0.5 * (a - d), b) >= floor + _SPD_MARGIN * (abs(a) + abs(b) + abs(d))
+
+
 def project_spd(cov: np.ndarray, floor: float = COV_EIGENVALUE_FLOOR) -> np.ndarray:
-    """Project a 2x2 matrix onto the SPD cone: symmetrize, floor eigenvalues."""
-    sym = 0.5 * (cov + cov.T)
+    """Project a 2x2 matrix, or a stack (..., 2, 2), onto the SPD cone: symmetrize, floor eigenvalues.
+
+    Only a matrix whose closed-form smallest eigenvalue is below the floor or
+    within a rounding margin of it goes to ``eigh``; every other matrix is
+    returned symmetrized, which is what the eigh test gives it too.
+    """
+    if cov.ndim == 2:  # numpy on 0-d values costs more than eigh itself
+        sym = 0.5 * (cov + cov.T)
+        (a, b), (_, d) = sym.tolist()
+        return sym if _clear_of_floor(a, b, d, floor, math.hypot) else _floor_eigenvalues(sym, floor)
+    sym = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    clear = _clear_of_floor(sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1], floor, np.hypot)
+    if not clear.all():
+        flat = sym.reshape(-1, 2, 2)
+        for k in np.flatnonzero(~clear.reshape(-1)).tolist():
+            flat[k] = _floor_eigenvalues(flat[k], floor)
+    return sym
+
+
+def _floor_eigenvalues(sym: np.ndarray, floor: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(sym)
     if vals[0] >= floor:
         return sym
@@ -215,7 +248,8 @@ class Gaussian2:
     """2D Gaussian over positions: mean in meters, SPD covariance in m^2.
 
     The covariance is symmetrized and eigenvalue-floored on construction, and
-    both arrays are made read-only so shared references stay consistent.
+    both arrays are made read-only so shared references stay consistent. A
+    NaN or infinite entry raises ``ValueError``.
     """
 
     mean: np.ndarray
@@ -223,7 +257,10 @@ class Gaussian2:
 
     def __post_init__(self) -> None:
         mean = np.array(self.mean, dtype=float).reshape(2)
-        cov = project_spd(np.array(self.cov, dtype=float).reshape(2, 2))
+        cov = np.array(self.cov, dtype=float).reshape(2, 2)
+        if not all(map(math.isfinite, mean.tolist() + cov.ravel().tolist())):
+            raise ValueError(f"Gaussian2 needs a finite mean and covariance, got {mean.tolist()} and {cov.tolist()}")
+        cov = project_spd(cov)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -231,7 +268,8 @@ class Gaussian2:
 
     @classmethod
     def isotropic(cls, mean, sigma: float) -> "Gaussian2":
-        return cls(np.asarray(mean, dtype=float), (sigma * sigma) * np.eye(2))
+        var = sigma * sigma
+        return cls(mean, np.array([[var, 0.0], [0.0, var]]))
 
 
 def bhattacharyya_distance(a: Gaussian2, b: Gaussian2) -> float:
@@ -293,11 +331,12 @@ class ConeObservation:
 
 @dataclass(frozen=True, eq=False)
 class ConeEstimate:
-    """Filtered landmark estimate held by the local map.
+    """One local-map cone, for callers that build a map cone by cone.
 
-    ``color_evidence`` accumulates per-class observation mass; the reported
-    color distribution is always its normalization, so the two cannot drift
-    apart. ``existence`` is the negative-observation certainty score.
+    The local map itself holds its cones as arrays (``local_map.ConeTable``).
+    ``color_evidence`` accumulates per-class observation mass; the cone's
+    color distribution is its normalization. ``existence`` is the
+    negative-observation certainty score.
     """
 
     id: int
@@ -308,17 +347,10 @@ class ConeEstimate:
 
     def __post_init__(self) -> None:
         ev = np.array(self.color_evidence, dtype=float).reshape(3)
-        total = float(ev.sum())
-        if ev.min() < 0 or total <= 0:
-            raise ValueError("color evidence must be non-negative with positive sum")
+        values = ev.tolist()
+        if not (min(values) >= 0 and 0 < sum(values) < math.inf):
+            raise ValueError("color evidence must be finite and non-negative with positive sum")
         ev.setflags(write=False)
         object.__setattr__(self, "color_evidence", ev)
-        object.__setattr__(
-            self, "_color", ColorDistribution(ev[0] / total, ev[1] / total, ev[2] / total)
-        )
         if not 0.0 <= self.existence <= 1.0:
             raise ValueError(f"existence must be in [0, 1], got {self.existence}")
-
-    @property
-    def color(self) -> ColorDistribution:
-        return self._color

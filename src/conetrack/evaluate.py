@@ -315,7 +315,7 @@ def planning_stats(
             to_world = compose(true_pose, invert(ego_at_frame))
         else:
             to_world = start_pose
-        wp_world = np.array([transform_point(to_world, wp) for wp in waypoints])
+        wp_world = transform_point(to_world, waypoints)
         ego_world = transform_point(to_world, ego_local.position)
         exit_d = first_exit_distance(ego_world, wp_world, corridor)
         if exit_d is not None:

@@ -159,7 +159,7 @@ class Graph:
     def update_color(self, landmark: int, local_id: int, evidence: np.ndarray) -> None:
         """Set local cone ``local_id``'s color evidence for ``landmark`` and refresh its class."""
         merged = self.color_evidence[landmark]
-        merged[local_id] = evidence
+        merged[local_id] = np.array(evidence)  # a row view would keep its whole snapshot block alive
         self._classes.rows[landmark] = _CLASSES.index(_merged_color(merged).argmax_class())
 
     def add_observations(self, pose, landmark, measurement, information) -> None:
@@ -223,33 +223,36 @@ def add_snapshot(
         graph.add_pose(pose)
 
     ego = snapshot.ego
+    cones = snapshot.cones
+    ids = cones.ids.tolist()
     # a landmark whose linked local cone is still alive in this snapshot is a
     # different physical cone than any newly created local id: the local map's
     # probabilistic association already separated them
-    live_ids = {c.id for c in snapshot.cones}
-    landmarks, measurements, variances = [], [], []
-    for cone in snapshot.cones:
-        if cone.id not in snapshot.observed_ids:
+    live_ids = set(ids)
+    rows = [k for k, cid in enumerate(ids) if cid in snapshot.observed_ids]
+    means = cones.means[rows]
+    measurements = body_frame_point(ego, means)
+    evidence = cones.color_evidence[rows]
+    floor = config.observation_sigma_floor_m**2
+    variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
+    landmarks, kept = [], []
+    for j, (dx, dy) in enumerate((means - ego.position).tolist()):
+        if math.hypot(dx, dy) > config.proximity_radius_m:
             continue
-        offset = cone.position.mean - ego.position
-        if math.hypot(offset[0], offset[1]) > config.proximity_radius_m:
-            continue
-        z = body_frame_point(ego, cone.position.mean)
-        lm = graph.local_links.get(cone.id)
+        cid = ids[rows[j]]
+        lm = graph.local_links.get(cid)
         if lm is None:
-            world_guess = transform_point(pose, z)
-            lm = _associate_landmark(
-                graph, world_guess, config.association_radius_m, live_ids, cone.color.argmax_class()
-            )
+            world_guess = transform_point(pose, measurements[j])
+            cone_class = ColorDistribution.from_evidence(evidence[j]).argmax_class()
+            lm = _associate_landmark(graph, world_guess, config.association_radius_m, live_ids, cone_class)
             if lm is None:
                 lm = graph.add_landmark(world_guess)
-            graph.local_links[cone.id] = lm
-        graph.update_color(lm, cone.id, cone.color_evidence)
+            graph.local_links[cid] = lm
+        graph.update_color(lm, cid, evidence[j])
         landmarks.append(lm)
-        measurements.append(z)
-        variances.append(max(float(np.trace(cone.position.cov)) / 2.0, config.observation_sigma_floor_m**2))
+        kept.append(j)
     graph.add_observations(
-        len(graph.poses) - 1, landmarks, measurements, np.eye(2) / np.reshape(variances, (-1, 1, 1))
+        len(graph.poses) - 1, landmarks, measurements[kept], np.eye(2) / variances[kept].reshape(-1, 1, 1)
     )
     return graph
 

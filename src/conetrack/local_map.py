@@ -6,8 +6,9 @@ uncertainty is filtered with linear Kalman updates and grown with a process
 noise term on prediction, colors accumulate as normalized evidence sums, and
 an existence score driven by negative observations prunes false positives.
 
-All operations are functional: they return new state objects and never touch
-previously emitted snapshots.
+The map is a :class:`ConeTable`, one row per cone in ascending id order, and
+every filter step is a vectorized pure function that returns new read-only
+arrays, so an emitted snapshot shares the state's arrays and never changes.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    ColorDistribution,
     ConeEstimate,
     ConeObservation,
-    Gaussian2,
     Pose2,
     SensorSource,
     Velocity2,
     bhattacharyya_distance_matrix,
     integrate_velocity,
+    is_finite_number,
+    project_spd,
     rotate_covariance,
     transform_point,
 )
@@ -55,6 +56,26 @@ _MODE_SOURCES = {
     MapMode.CAMERA_ONLY: (SensorSource.CAMERA_ONLY,),
     MapMode.DEGRADED: (SensorSource.LIDAR_ONLY, SensorSource.CAMERA_ONLY),
 }
+
+# (field, lowest, highest, whether the lowest value itself is allowed)
+_CONFIG_RANGES = (
+    ("gate_distance", 0.0, math.inf, False),
+    ("covariance_ceiling", 0.0, math.inf, False),
+    ("max_range_m", 0.0, math.inf, False),
+    ("fov_half_angle_rad", 0.0, math.pi, False),
+    ("negative_frustum_shrink", 0.0, 1.0, False),
+    ("existence_gain", 0.0, 1.0, True),
+    ("existence_decay", 0.0, 1.0, True),
+    ("prune_threshold", 0.0, 1.0, True),
+    ("initial_existence", 0.0, 1.0, True),
+    ("staleness_timeout_s", 0.0, math.inf, True),
+)
+
+
+def _check_range(name: str, value, low: float, high: float, low_ok: bool) -> None:
+    if not (is_finite_number(value) and (value >= low if low_ok else value > low) and value <= high):
+        interval = f"{'[' if low_ok else '('}{low}, {high}]"
+        raise ValueError(f"local map {name} must be a finite number in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +113,21 @@ class LocalMapConfig:
     # per-(mode, source) color evidence scaling; unlisted pairs weigh 1.0
     color_weights: tuple[tuple[str, str, float], ...] = ((MapMode.DEGRADED.value, SensorSource.LIDAR_ONLY.value, 0.3),)
 
+    def __post_init__(self) -> None:
+        for name, low, high, low_ok in _CONFIG_RANGES:
+            _check_range(name, getattr(self, name), low, high, low_ok)
+        if self.eviction_timeout_s is not None:
+            _check_range("eviction_timeout_s", self.eviction_timeout_s, 0.0, math.inf, False)
+        rates = self.process_noise_rate
+        if not (isinstance(rates, (tuple, list)) and len(rates) == 2):
+            raise ValueError(f"local map process_noise_rate must be two rates, got {rates!r}")
+        for rate in rates:
+            _check_range("process_noise_rate", rate, 0.0, math.inf, True)
+        for entry in self.color_weights:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 3):
+                raise ValueError(f"local map color_weights entries must be (mode, source, weight), got {entry!r}")
+            _check_range("color_weights", entry[2], 0.0, math.inf, True)
+
     def color_weight(self, mode: MapMode, source: SensorSource) -> float:
         for mode_v, source_v, w in self.color_weights:
             if mode_v == mode.value and source_v == source.value:
@@ -128,12 +164,57 @@ class LocalMapConfig:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class ConeTable:
+    """The map's cones as read-only arrays, one row per cone in ascending id order.
+
+    ``ids`` (n,); ``means`` (n, 2) and ``covs`` (n, 2, 2) in the local-map
+    frame; ``color_evidence`` (n, 3) per-class observation mass, whose
+    normalization is the cone's color; ``existence`` (n,) the
+    negative-observation score; ``last_seen`` (n,) the last frame time that
+    matched or created the cone.
+    """
+
+    ids: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    color_evidence: np.ndarray
+    existence: np.ndarray
+    last_seen: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.ids, self.means, self.covs, self.color_evidence, self.existence, self.last_seen):
+            column.setflags(write=False)
+
+    @classmethod
+    def from_estimates(cls, cones: Iterable[ConeEstimate] = ()) -> "ConeTable":
+        """Pack cone estimates, built one at a time at the API edge, into a table sorted by id."""
+        cones = sorted(cones, key=lambda c: c.id)
+        return cls(
+            np.array([c.id for c in cones], np.int64),
+            np.array([c.position.mean for c in cones], float).reshape(-1, 2),
+            np.array([c.position.cov for c in cones], float).reshape(-1, 2, 2),
+            np.array([c.color_evidence for c in cones], float).reshape(-1, 3),
+            np.array([c.existence for c in cones], float),
+            np.array([c.last_seen for c in cones], float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> "ConeTable":
+        """The table of the given rows (indices or a boolean mask), in that order."""
+        return ConeTable(
+            self.ids[rows], self.means[rows], self.covs[rows], self.color_evidence[rows], self.existence[rows], self.last_seen[rows]
+        )
+
+
 @dataclass(frozen=True)
 class LocalMapState:
     """Filter state; treat as immutable and use the module operations."""
 
     ego: Pose2 = field(default_factory=Pose2.identity)
-    cones: dict[int, ConeEstimate] = field(default_factory=dict)
+    cones: ConeTable = field(default_factory=ConeTable.from_estimates)
     time: float = 0.0
     mode: MapMode = MapMode.FUSION
     next_cone_id: int = 0
@@ -142,11 +223,10 @@ class LocalMapState:
 
 @dataclass(frozen=True)
 class AssociationResult:
-    """One-to-one matching of a frame's observations against the map."""
+    """One-to-one matching of a batch of observations against the map."""
 
-    pairs: tuple[tuple[int, int], ...]  # (observation index, cone id)
+    pairs: tuple[tuple[int, int], ...]  # (observation index, cone id), by observation index
     new_observations: tuple[int, ...]  # unmatched observation indices
-    unmatched_cones_in_fov: tuple[int, ...]  # cone ids expected but unseen
 
 
 @dataclass(frozen=True)
@@ -160,7 +240,7 @@ class LocalMapSnapshot:
 
     timestamp: float
     ego: Pose2
-    cones: tuple[ConeEstimate, ...]
+    cones: ConeTable
     observed_ids: frozenset[int]
     mode: MapMode
 
@@ -175,129 +255,118 @@ def predict(state: LocalMapState, vel: Velocity2, dt: float, config: LocalMapCon
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return state
-    ego = integrate_velocity(state.ego, vel, dt)
-    growth = np.diag(config.process_noise_rate) * dt
-    cones = {}
-    for cid, cone in state.cones.items():
-        cov = cone.position.cov + growth
-        mean_var = 0.5 * (cov[0, 0] + cov[1, 1])
-        if mean_var > config.covariance_ceiling:
-            cov = cov * (config.covariance_ceiling / mean_var)
-        cones[cid] = replace(cone, position=Gaussian2(cone.position.mean, cov))
-    return replace(state, ego=ego, cones=cones, time=state.time + dt)
+    cones = state.cones
+    covs = cones.covs + np.diag(config.process_noise_rate) * dt
+    mean_var = 0.5 * (covs[:, 0, 0] + covs[:, 1, 1])
+    over = mean_var > config.covariance_ceiling
+    if over.any():
+        covs[over] = covs[over] * (config.covariance_ceiling / mean_var[over])[:, None, None]
+    grown = ConeTable(cones.ids, cones.means, project_spd(covs), cones.color_evidence, cones.existence, cones.last_seen)
+    return LocalMapState(
+        integrate_velocity(state.ego, vel, dt), grown, state.time + dt, state.mode, state.next_cone_id, state.last_source_time
+    )
 
 
-def observation_to_local(ego: Pose2, obs: ConeObservation) -> ConeObservation:
-    """Re-express a car-frame observation in the local-map frame."""
-    mean = transform_point(ego, obs.position.mean)
-    cov = rotate_covariance(ego.theta, obs.position.cov)
-    return replace(obs, position=Gaussian2(mean, cov))
+def observations_to_local(ego: Pose2, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re-express car-frame observations, (k, 2) means and (k, 2, 2) covariances, in the local-map frame."""
+    return transform_point(ego, means), project_spd(rotate_covariance(ego.theta, covs))
 
 
-def _in_frustum(ego: Pose2, point: np.ndarray, config: LocalMapConfig, shrink: float = 1.0) -> bool:
-    d = point - ego.position
-    r = math.hypot(d[0], d[1])
-    if r > config.max_range_m * shrink:
-        return False
-    bearing = math.atan2(d[1], d[0]) - ego.theta
-    bearing = math.atan2(math.sin(bearing), math.cos(bearing))
-    return abs(bearing) <= config.fov_half_angle_rad * shrink
+# a frustum decision this close to a limit is re-made with the math.* scalar
+# test: numpy's hypot/arctan2/sin/cos can differ from it in the last bit
+_FRUSTUM_BAND = 1e-9
 
 
-def associate(
-    state: LocalMapState, observations: Sequence[ConeObservation], config: LocalMapConfig
-) -> AssociationResult:
+def _in_frustum(ego: Pose2, means: np.ndarray, config: LocalMapConfig, shrink: float) -> np.ndarray:
+    """Which rows of ``means`` lie in the sensor frustum scaled by ``shrink``."""
+    max_r, max_bearing = config.max_range_m * shrink, config.fov_half_angle_rad * shrink
+    d = means - ego.position
+    r = np.hypot(d[:, 0], d[:, 1])
+    bearing = np.arctan2(d[:, 1], d[:, 0]) - ego.theta
+    bearing = np.abs(np.arctan2(np.sin(bearing), np.cos(bearing)))
+    inside = (r <= max_r) & (bearing <= max_bearing)
+    near = (np.abs(r - max_r) <= _FRUSTUM_BAND * max_r) | (np.abs(bearing - max_bearing) <= _FRUSTUM_BAND)
+    for k in np.flatnonzero(near).tolist():
+        dx, dy = d[k].tolist()
+        b = math.atan2(dy, dx) - ego.theta
+        inside[k] = math.hypot(dx, dy) <= max_r and abs(math.atan2(math.sin(b), math.cos(b))) <= max_bearing
+    return inside
+
+
+def associate(cones: ConeTable, means: np.ndarray, covs: np.ndarray, config: LocalMapConfig) -> AssociationResult:
     """Greedy one-to-one matching by ascending Bhattacharyya distance.
 
-    Observations must already be expressed in the local-map frame. Matches
-    above the gate are rejected; leftover observations are new. Cones inside
-    the (slightly shrunk) sensor frustum that received no observation are
-    reported for the negative observation model.
+    Observations, (k, 2) means and (k, 2, 2) covariances, must already be
+    expressed in the local-map frame. Ties are broken by cone id, then by
+    observation index. Matches above the gate are rejected; leftover
+    observations are new.
     """
-    cone_ids = sorted(state.cones)
-    if not observations or not cone_ids:
-        unmatched = tuple(
-            cid for cid in cone_ids if _in_frustum(state.ego, state.cones[cid].position.mean, config, config.negative_frustum_shrink)
-        )
-        return AssociationResult((), tuple(range(len(observations))), unmatched)
-
-    obs_means = np.array([o.position.mean for o in observations])
-    obs_covs = np.array([o.position.cov for o in observations])
-    cone_means = np.array([state.cones[cid].position.mean for cid in cone_ids])
-    cone_covs = np.array([state.cones[cid].position.cov for cid in cone_ids])
-    dist = bhattacharyya_distance_matrix(obs_means, obs_covs, cone_means, cone_covs)
-
+    if not len(means) or not len(cones):
+        return AssociationResult((), tuple(range(len(means))))
+    dist = bhattacharyya_distance_matrix(means, covs, cones.means, cones.covs)
     oi, ci = np.nonzero(dist <= config.gate_distance)
-    order = sorted(range(len(oi)), key=lambda k: (dist[oi[k], ci[k]], cone_ids[ci[k]], oi[k]))
+    order = np.lexsort((oi, cones.ids[ci], dist[oi, ci]))
     used_obs: set[int] = set()
-    used_cones: set[int] = set()
+    used_rows: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for k in order:
-        o, c = int(oi[k]), int(ci[k])
-        if o in used_obs or c in used_cones:
+    for o, c in zip(oi[order].tolist(), ci[order].tolist()):
+        if o in used_obs or c in used_rows:
             continue
         used_obs.add(o)
-        used_cones.add(c)
-        pairs.append((o, cone_ids[c]))
+        used_rows.add(c)
+        pairs.append((o, c))
     pairs.sort()
-    new = tuple(i for i in range(len(observations)) if i not in used_obs)
-    matched_ids = {cid for _, cid in pairs}
-    unmatched = tuple(
-        cid
-        for cid in cone_ids
-        if cid not in matched_ids
-        and _in_frustum(state.ego, state.cones[cid].position.mean, config, config.negative_frustum_shrink)
-    )
-    return AssociationResult(tuple(pairs), new, unmatched)
+    ids = cones.ids.tolist()
+    new = tuple(i for i in range(len(means)) if i not in used_obs)
+    return AssociationResult(tuple((o, ids[c]) for o, c in pairs), new)
 
 
-def update_position(cone: ConeEstimate, obs: ConeObservation) -> ConeEstimate:
-    """Linear Kalman update with an identity observation model."""
-    sigma = cone.position.cov
-    innovation_cov = sigma + obs.position.cov
-    det = innovation_cov[0, 0] * innovation_cov[1, 1] - innovation_cov[0, 1] * innovation_cov[1, 0]
-    if det <= 0 or not np.isfinite(det):
+def update_position(
+    means: np.ndarray, covs: np.ndarray, obs_means: np.ndarray, obs_covs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear Kalman updates with an identity observation model, one per row.
+
+    The products are batched ``np.matmul`` in the operand order of the
+    one-matrix update, which gives each row the same bits.
+    """
+    innovation_cov = covs + obs_covs
+    s00, s01, s10, s11 = (innovation_cov[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    det = s00 * s11 - s01 * s10
+    if not (np.all(det > 0) and np.all(np.isfinite(det))):
         raise ValueError("singular innovation covariance")
-    inv = np.array(
-        [[innovation_cov[1, 1], -innovation_cov[0, 1]], [-innovation_cov[1, 0], innovation_cov[0, 0]]]
-    ) / det
-    gain = sigma @ inv
-    mean = cone.position.mean + gain @ (obs.position.mean - cone.position.mean)
-    cov = (np.eye(2) - gain) @ sigma
-    return replace(cone, position=Gaussian2(mean, cov))
+    inv = np.stack([s11, -s01, -s10, s00], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
+    gain = covs @ inv
+    updated = means + (gain @ (obs_means - means)[:, :, None])[:, :, 0]
+    return updated, project_spd((np.eye(2) - gain) @ covs)
 
 
-def update_color(cone: ConeEstimate, obs_color: ColorDistribution, weight: float = 1.0) -> ConeEstimate:
-    """Accumulate color evidence; the reported color is its normalization."""
-    return replace(cone, color_evidence=cone.color_evidence + weight * obs_color.as_array())
+def update_color(evidence: np.ndarray, colors: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """Accumulate color evidence, one row per cone; the reported color is its normalization."""
+    return evidence + weight * colors
+
+
+def unseen_in_fov(cones: ConeTable, ego: Pose2, observed: np.ndarray, config: LocalMapConfig) -> np.ndarray:
+    """Rows the sensors should have seen but did not: not ``observed``, inside the shrunk frustum."""
+    return ~observed & _in_frustum(ego, cones.means, config, config.negative_frustum_shrink)
 
 
 def apply_negative_observations(
-    state: LocalMapState, result: AssociationResult, config: LocalMapConfig
-) -> LocalMapState:
-    """Existence bookkeeping: boost matched cones, decay unseen-in-FOV cones.
+    cones: ConeTable, matched: np.ndarray, unseen: np.ndarray, config: LocalMapConfig
+) -> ConeTable:
+    """Existence bookkeeping: boost ``matched`` rows, decay ``unseen`` rows.
 
-    Cones whose existence falls below the prune threshold are deleted.
+    Unseen cones whose existence falls below the prune threshold are deleted.
     """
-    matched = {cid for _, cid in result.pairs}
-    cones: dict[int, ConeEstimate] = {}
-    unseen = set(result.unmatched_cones_in_fov)
-    for cid, cone in state.cones.items():
-        if cid in matched:
-            existence = cone.existence + config.existence_gain * (1.0 - cone.existence)
-            cones[cid] = replace(cone, existence=existence)
-        elif cid in unseen:
-            existence = cone.existence * config.existence_decay
-            if existence >= config.prune_threshold:
-                cones[cid] = replace(cone, existence=existence)
-        else:
-            cones[cid] = cone
-    return replace(state, cones=cones)
+    e = cones.existence
+    existence = np.where(matched, e + config.existence_gain * (1.0 - e), np.where(unseen, e * config.existence_decay, e))
+    table = ConeTable(cones.ids, cones.means, cones.covs, cones.color_evidence, existence, cones.last_seen)
+    keep = ~unseen | (existence >= config.prune_threshold)
+    return table if keep.all() else table.take(keep)
 
 
-def _resolve_mode(state: LocalMapState, now: float, config: LocalMapConfig) -> MapMode:
+def _resolve_mode(last_source_time: dict[SensorSource, float], mode: MapMode, now: float, config: LocalMapConfig) -> MapMode:
     def fresh(source: SensorSource) -> bool:
-        last = state.last_source_time.get(source)
+        last = last_source_time.get(source)
         return last is not None and now - last <= config.staleness_timeout_s
 
     if fresh(SensorSource.FUSION):
@@ -309,7 +378,7 @@ def _resolve_mode(state: LocalMapState, now: float, config: LocalMapConfig) -> M
         return MapMode.LIDAR_ONLY
     if camera:
         return MapMode.CAMERA_ONLY
-    return state.mode
+    return mode
 
 
 def ingest_frame(
@@ -324,79 +393,62 @@ def ingest_frame(
     """Run one full filter step and emit a frozen snapshot.
 
     predict -> per-source association -> Kalman/color updates -> negative
-    observation pass -> prune -> snapshot. ``mode`` forces the operating mode;
-    otherwise it is derived from per-source message staleness.
+    observation pass -> prune -> eviction -> snapshot. Each source associates
+    against the map the previous source left. ``mode`` forces the operating
+    mode; otherwise it is derived from per-source message staleness.
     ``present_sources`` marks pipelines that delivered a (possibly empty)
     message this frame; by default it is inferred from the observations.
     """
     state = predict(state, vel, dt, config)
-    now = state.time
+    now, ego = state.time, state.ego
 
     sources = set(present_sources) if present_sources is not None else {o.source for o in observations}
-    last_seen = dict(state.last_source_time)
+    last_source_time = dict(state.last_source_time)
     for source in sources:
-        last_seen[source] = now
-    state = replace(state, last_source_time=last_seen)
-    active_mode = mode if mode is not None else _resolve_mode(state, now, config)
-    state = replace(state, mode=active_mode)
+        last_source_time[source] = now
+    active_mode = mode if mode is not None else _resolve_mode(last_source_time, state.mode, now, config)
 
-    all_pairs: list[tuple[int, int]] = []
-    all_new: list[int] = []
-    observed: set[int] = set()
+    cones, next_id = state.cones, state.next_cone_id
+    matched = np.zeros(len(cones), bool)
     for source in _MODE_SOURCES[active_mode]:
-        group = [(i, o) for i, o in enumerate(observations) if o.source is source]
+        group = [o for o in observations if o.source is source]
         if not group:
             continue
-        local_obs = [observation_to_local(state.ego, o) for _, o in group]
-        assoc = associate(state, local_obs, config)
-        cones = dict(state.cones)
+        means, covs = observations_to_local(
+            ego, np.array([o.position.mean for o in group]), np.array([o.position.cov for o in group])
+        )
+        colors = np.array([(o.color.p_blue, o.color.p_yellow, o.color.p_unknown) for o in group])
         weight = config.color_weight(active_mode, source)
-        for obs_idx, cid in assoc.pairs:
-            cone = update_position(cones[cid], local_obs[obs_idx])
-            cone = update_color(cone, local_obs[obs_idx].color, weight)
-            cones[cid] = replace(cone, last_seen=now)
-            observed.add(cid)
-            all_pairs.append((group[obs_idx][0], cid))
-        next_id = state.next_cone_id
-        for obs_idx in assoc.new_observations:
-            o = local_obs[obs_idx]
-            cones[next_id] = ConeEstimate(
-                id=next_id,
-                position=o.position,
-                color_evidence=weight * o.color.as_array() + 1e-12,
-                existence=config.initial_existence,
-                last_seen=now,
-            )
-            observed.add(next_id)
-            all_new.append(group[obs_idx][0])
-            next_id += 1
-        state = replace(state, cones=cones, next_cone_id=next_id)
+        assoc = associate(cones, means, covs, config)
+        obs = [o for o, _ in assoc.pairs]
+        rows = np.searchsorted(cones.ids, [cid for _, cid in assoc.pairs])
+        new = list(assoc.new_observations)
+        # matched rows get the Kalman and color updates; new observations become rows at the end
+        table_means = np.concatenate([cones.means, means[new]])
+        table_covs = np.concatenate([cones.covs, covs[new]])
+        evidence = np.concatenate([cones.color_evidence, weight * colors[new] + 1e-12])
+        last_seen = np.concatenate([cones.last_seen, np.full(len(new), now)])
+        table_means[rows], table_covs[rows] = update_position(cones.means[rows], cones.covs[rows], means[obs], covs[obs])
+        evidence[rows] = update_color(cones.color_evidence[rows], colors[obs], weight)
+        last_seen[rows] = now
+        ids = np.concatenate([cones.ids, np.arange(next_id, next_id + len(new))])
+        existence = np.concatenate([cones.existence, np.full(len(new), config.initial_existence)])
+        cones = ConeTable(ids, table_means, table_covs, evidence, existence, last_seen)
+        next_id += len(new)
+        matched = np.concatenate([matched, np.zeros(len(new), bool)])
+        matched[rows] = True
+    observed = matched.copy()
+    observed[len(state.cones) :] = True  # the rows the frame created
+    # an observed cone is neither pruned (it is not unseen) nor evicted (seen now)
+    observed_ids = frozenset(cones.ids[observed].tolist())
 
-    unmatched_in_fov = tuple(
-        cid
-        for cid in sorted(state.cones)
-        if cid not in observed
-        and _in_frustum(state.ego, state.cones[cid].position.mean, config, config.negative_frustum_shrink)
-    )
-    frame_result = AssociationResult(tuple(sorted(all_pairs)), tuple(sorted(all_new)), unmatched_in_fov)
-    state = apply_negative_observations(state, frame_result, config)
+    cones = apply_negative_observations(cones, matched, unseen_in_fov(cones, ego, observed, config), config)
     if config.eviction_timeout_s is not None:
-        fresh = {
-            cid: cone
-            for cid, cone in state.cones.items()
-            if now - cone.last_seen <= config.eviction_timeout_s
-        }
-        if len(fresh) != len(state.cones):
-            state = replace(state, cones=fresh)
-
-    snapshot = LocalMapSnapshot(
-        timestamp=now,
-        ego=state.ego,
-        cones=tuple(state.cones[cid] for cid in sorted(state.cones)),
-        observed_ids=frozenset(cid for cid in observed if cid in state.cones),
-        mode=active_mode,
-    )
-    return state, snapshot
+        fresh = now - cones.last_seen <= config.eviction_timeout_s
+        if not fresh.all():
+            cones = cones.take(fresh)
+    state = LocalMapState(ego, cones, now, active_mode, next_id, last_source_time)
+    return state, LocalMapSnapshot(now, ego, cones, observed_ids, active_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -404,45 +456,47 @@ def ingest_frame(
 
 
 def snapshot_to_dict(snapshot: LocalMapSnapshot) -> dict:
+    cones = snapshot.cones
+    columns = (cones.ids, cones.means, cones.covs, cones.color_evidence, cones.existence, cones.last_seen)
     return {
         "timestamp_s": snapshot.timestamp,
         "mode": snapshot.mode.value,
         "ego": {"x_m": snapshot.ego.x, "y_m": snapshot.ego.y, "theta_rad": snapshot.ego.theta},
         "observed_ids": sorted(snapshot.observed_ids),
         "cones": [
-            {
-                "id": cone.id,
-                "x_m": float(cone.position.mean[0]),
-                "y_m": float(cone.position.mean[1]),
-                "cov_m2": [[float(v) for v in row] for row in cone.position.cov],
-                "color_evidence": [float(v) for v in cone.color_evidence],
-                "existence": cone.existence,
-                "last_seen_s": cone.last_seen,
-            }
-            for cone in snapshot.cones
+            {"id": cid, "x_m": x, "y_m": y, "cov_m2": cov, "color_evidence": ev, "existence": e, "last_seen_s": t}
+            for cid, (x, y), cov, ev, e, t in zip(*(column.tolist() for column in columns))
         ],
     }
 
 
 def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
+    """One snapshot log row; ``ValueError`` on a cone table the filter cannot have written."""
+    rows = data["cones"]
+    n = len(rows)
+    ids = [c["id"] for c in rows]
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in ids) or any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("snapshot cone ids must be integers in ascending order")
+    means = np.array([[c["x_m"], c["y_m"]] for c in rows], dtype=float).reshape(n, 2)
+    covs = np.array([c["cov_m2"] for c in rows], dtype=float).reshape(n, 2, 2)
+    evidence = np.array([c["color_evidence"] for c in rows], dtype=float).reshape(n, 3)
+    existence = np.array([c["existence"] for c in rows], dtype=float)
+    if not (np.isfinite(means).all() and np.isfinite(covs).all() and np.isfinite(evidence).all()):
+        raise ValueError("snapshot cone means, covariances and color evidence must be finite")
+    if (evidence < 0).any() or (evidence.sum(axis=1) <= 0).any():
+        raise ValueError("snapshot cone color evidence must be non-negative with a positive sum")
+    if not ((existence >= 0.0) & (existence <= 1.0)).all():
+        raise ValueError("snapshot cone existence must be in [0, 1]")
+    cones = ConeTable(
+        np.array(ids, np.int64).reshape(n),
+        means,
+        project_spd(covs),
+        evidence,
+        existence,
+        np.array([c["last_seen_s"] for c in rows], dtype=float),
+    )
     ego = Pose2(data["ego"]["x_m"], data["ego"]["y_m"], data["ego"]["theta_rad"])
-    cones = tuple(
-        ConeEstimate(
-            id=c["id"],
-            position=Gaussian2(np.array([c["x_m"], c["y_m"]]), np.array(c["cov_m2"])),
-            color_evidence=np.array(c["color_evidence"]),
-            existence=c["existence"],
-            last_seen=c["last_seen_s"],
-        )
-        for c in data["cones"]
-    )
-    return LocalMapSnapshot(
-        timestamp=data["timestamp_s"],
-        ego=ego,
-        cones=cones,
-        observed_ids=frozenset(data["observed_ids"]),
-        mode=MapMode(data["mode"]),
-    )
+    return LocalMapSnapshot(data["timestamp_s"], ego, cones, frozenset(data["observed_ids"]), MapMode(data["mode"]))
 
 
 class SnapshotLogWriter:

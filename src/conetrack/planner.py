@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .core import ConeEstimate, Pose2, normalize_angle
+from .core import Pose2, normalize_angle
 
 LIKELIHOOD_FLOOR = 1e-6
 
@@ -233,14 +233,20 @@ def log_prior(features: PathFeatures, config: PriorConfig) -> float:
     return -config.prior_weight * cost
 
 
-def _cone_log_terms(cones: Sequence[ConeEstimate], floor: float) -> tuple[list[float], list[float], list[float]]:
-    """Per-cone log color probability as a left cone, a right cone and neither."""
+def _cone_log_terms(color_evidence: np.ndarray, floor: float) -> tuple[list[float], list[float], list[float]]:
+    """Per-cone log color probability as a left cone, a right cone and neither.
+
+    ``color_evidence`` is (n, 3) per-class evidence; a cone's color is its
+    row divided by the row's sum, added left to right as ``ndarray.sum`` adds
+    three values.
+    """
+    ev = color_evidence
+    probabilities = ev / (ev[:, 0] + ev[:, 1] + ev[:, 2])[:, None]
     left, right, other = [], [], []
-    for cone in cones:
-        c = cone.color
-        left.append(math.log(max(c.p_blue, c.p_unknown, floor)))
-        right.append(math.log(max(c.p_yellow, c.p_unknown, floor)))
-        other.append(math.log(max(c.p_blue, c.p_yellow, c.p_unknown, floor)))
+    for blue, yellow, unknown in probabilities.tolist():
+        left.append(math.log(max(blue, unknown, floor)))
+        right.append(math.log(max(yellow, unknown, floor)))
+        other.append(math.log(max(blue, yellow, unknown, floor)))
     return left, right, other
 
 
@@ -259,13 +265,13 @@ def _summed_log_terms(
 
 
 def log_likelihood(
-    cones: Sequence[ConeEstimate],
+    color_evidence: np.ndarray,
     left_cones: frozenset[int],
     right_cones: frozenset[int],
     floor: float = LIKELIHOOD_FLOOR,
 ) -> float:
-    """Color agreement of every snapshot cone with its role under this path."""
-    return _summed_log_terms(_cone_log_terms(cones, floor), left_cones, right_cones)
+    """Color agreement of every snapshot cone, one (n, 3) evidence row each, with its role under this path."""
+    return _summed_log_terms(_cone_log_terms(color_evidence, floor), left_cones, right_cones)
 
 
 @dataclass(frozen=True)
@@ -372,7 +378,7 @@ class _PartialPath:
 def enumerate_paths(
     tri: Triangulation,
     ego: Pose2,
-    cones: Sequence[ConeEstimate],
+    color_evidence: np.ndarray,
     config: PlannerConfig,
 ) -> list[CandidatePath]:
     """Grow maximal scored candidate paths triangle-to-triangle from the ego.
@@ -392,7 +398,7 @@ def enumerate_paths(
     a bad tail into every candidate.
     """
     limits = config.limits
-    terms = _cone_log_terms(cones, config.likelihood_floor)
+    terms = _cone_log_terms(color_evidence, config.likelihood_floor)
     tables = _SearchTables.build(tri)
     points = tri.points.tolist()
     dist = tables.dist
@@ -558,15 +564,14 @@ class PlanResult:
 def plan_snapshot(snapshot, config: PlannerConfig = PlannerConfig()) -> PlanResult:
     """Full planning pass over one snapshot; empty result when degenerate."""
     cones = snapshot.cones
-    cone_ids = tuple(c.id for c in cones)
+    cone_ids = tuple(cones.ids.tolist())
     if len(cones) < 3:
         return PlanResult(None, (), cone_ids)
-    positions = np.array([c.position.mean for c in cones])
     try:
-        tri = triangulate(positions)
+        tri = triangulate(cones.means)
     except DegenerateSnapshotError:
         return PlanResult(None, (), cone_ids)
-    candidates = enumerate_paths(tri, snapshot.ego, cones, config)
+    candidates = enumerate_paths(tri, snapshot.ego, cones.color_evidence, config)
     return PlanResult(select_path(candidates), tuple(candidates), cone_ids)
 
 

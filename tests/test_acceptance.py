@@ -30,7 +30,7 @@ from conetrack.global_map import (
     odometry_residual,
     optimize,
 )
-from conetrack.local_map import LocalMapConfig, LocalMapState, ingest_frame, update_position
+from conetrack.local_map import ConeTable, LocalMapConfig, LocalMapState, ingest_frame, update_position
 from conetrack.pipeline import run_pipeline
 from conetrack.planner import (
     PathFeatures,
@@ -148,14 +148,15 @@ class TestAC3FalsePositiveRejection:
                 existence=1.0,
                 last_seen=frames[frame_idx][0],
             )
-            cones = dict(forked.cones)
-            cones[10_000_000] = phantom
+            injected = ConeTable.from_estimates([phantom])
+            columns = [f.name for f in dataclasses.fields(ConeTable)]
+            cones = ConeTable(*(np.concatenate([getattr(forked.cones, c), getattr(injected, c)]) for c in columns))
             forked = dataclasses.replace(forked, cones=cones)
             gone_at = None
             t0 = frames[frame_idx][0]
             for timestamp, dt, obs, vel in frames[frame_idx + 1 :]:
                 forked, snap = ingest_frame(forked, obs, vel, dt, config)
-                if all(c.id != 10_000_000 for c in snap.cones):
+                if 10_000_000 not in snap.cones.ids:
                     gone_at = timestamp
                     break
                 if timestamp - t0 > 1.0:
@@ -268,7 +269,7 @@ class TestAC6PosteriorExactness:
             left = frozenset(int(i) for i in np.flatnonzero(sides == 0))
             right = frozenset(int(i) for i in np.flatnonzero(sides == 1))
             lp = log_prior(features, prior_config)
-            ll = log_likelihood(cones, left, right)
+            ll = log_likelihood(np.array([c.color_evidence for c in cones]), left, right)
             posterior = lp + ll
             if abs(posterior - (lp + ll)) > 1e-12:
                 exact = False
@@ -319,7 +320,7 @@ class TestAC6PosteriorExactness:
                         )
                     )
                     cid += 1
-            snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), tuple(cones), frozenset(range(cid)), MapMode.FUSION)
+            snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), ConeTable.from_estimates(cones), frozenset(range(cid)), MapMode.FUSION)
             result = plan_snapshot(snap, config)
             if not result.candidates:
                 continue
@@ -327,7 +328,7 @@ class TestAC6PosteriorExactness:
             best_idx, best_key = None, None
             for idx, cand in enumerate(result.candidates):
                 lp = log_prior(cand.features, config.prior)
-                ll = log_likelihood(snap.cones, cand.left_cones, cand.right_cones)
+                ll = log_likelihood(snap.cones.color_evidence, cand.left_cones, cand.right_cones)
                 key = (-(lp + ll), -cand.features.length_m, cand.features.max_heading_change_rad, idx)
                 if best_key is None or key < best_key:
                     best_idx, best_key = idx, key
@@ -457,9 +458,11 @@ class TestAC9FilterConsistency:
             )
             z = truth + rng.normal(scale=sigma, size=2)
             obs = ConeObservation(Gaussian2.isotropic(z, sigma), ColorDistribution(1, 0, 0), 0.1, SensorSource.FUSION)
-            cone = update_position(cone, obs)
-            err = cone.position.mean - truth
-            nees.append(float(err @ np.linalg.solve(cone.position.cov, err)))
+            means, covs = update_position(
+                cone.position.mean[None], cone.position.cov[None], obs.position.mean[None], obs.position.cov[None]
+            )
+            err = means[0] - truth
+            nees.append(float(err @ np.linalg.solve(covs[0], err)))
         mean_nees = float(np.mean(nees))
         lo = chi2.ppf(0.025, 2 * n) / n
         hi = chi2.ppf(0.975, 2 * n) / n

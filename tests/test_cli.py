@@ -232,6 +232,10 @@ BAD_INPUTS = [
     ["run", "--config", "{badlimit}"],
     ["run", "--config", "{badlocal}"],
     ["run", "--config", "{badglobal}"],
+    ["run", "--config", "{nangate}"],
+    ["run", "--config", "{negnoise}"],
+    ["run", "--config", "{baddecay}"],
+    ["run", "--config", "{infeviction}"],
     ["run", "--config", "{negevery}"],
     ["run", "--config", "{floatevery}"],
     ["run", "--config", "{degradednolidar}"],
@@ -249,6 +253,10 @@ BAD_FILES = {
     "badlimit": ('{"planner_limit_overrides": {"beam": 5}}', "'beam'"),
     "badlocal": ('{"local_map_overrides": {"no_such_gate": 1.0}}', "'no_such_gate'"),
     "badglobal": ('{"global_map_overrides": {"no_such_gate": 1.0}}', "'no_such_gate'"),
+    "nangate": ('{"local_map_overrides": {"gate_distance": NaN}}', "gate_distance"),
+    "negnoise": ('{"local_map_overrides": {"process_noise_rate": [-0.1, 0.02]}}', "process_noise_rate"),
+    "baddecay": ('{"local_map_overrides": {"existence_decay": 2.0}}', "existence_decay"),
+    "infeviction": ('{"local_map_overrides": {"eviction_timeout_s": Infinity}}', "eviction_timeout_s"),
     "negevery": ('{"global_map_overrides": {"optimize_every": -1}}', "optimize_every"),
     "floatevery": ('{"global_map_overrides": {"optimize_every": 2.5}}', "optimize_every"),
     "degradednolidar": (

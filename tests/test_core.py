@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conetrack.core import (
+    COV_EIGENVALUE_FLOOR,
     ColorDistribution,
     ConeClass,
     Gaussian2,
@@ -151,6 +154,64 @@ class TestGaussian:
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         assert np.allclose(project_spd(cov), cov)
 
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            ((math.nan, 0.0), [[1.0, 0.0], [0.0, 1.0]]),
+            ((0.0, math.inf), [[1.0, 0.0], [0.0, 1.0]]),
+            ((0.0, 0.0), [[math.nan, 0.0], [0.0, 1.0]]),
+            ((0.0, 0.0), [[1.0, math.inf], [math.inf, 1.0]]),
+            ((0.0, 0.0), [[1.0, 0.0], [0.0, -math.inf]]),
+        ],
+    )
+    def test_rejects_non_finite(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            Gaussian2(np.array(mean), np.array(cov))
+
+
+def eigh_projection(cov, floor=COV_EIGENVALUE_FLOOR):
+    """The eigh-always projection that project_spd's closed-form test stands in for."""
+    sym = 0.5 * (cov + cov.T)
+    vals, vecs = np.linalg.eigh(sym)
+    if vals[0] >= floor:
+        return sym
+    return (vecs * np.maximum(vals, floor)) @ vecs.T
+
+
+def rotated(l1, l2, theta):
+    """Exactly symmetric R diag(l1, l2) R^T."""
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    m = rot @ np.diag([l1, l2]) @ rot.T
+    return 0.5 * (m + m.T)
+
+
+entries = st.floats(-1e6, 1e6, allow_nan=False)
+# one eigenvalue within 1e-3 relative of the floor, the other up to 1e6
+near_floor = st.builds(
+    lambda r, big, theta: rotated(COV_EIGENVALUE_FLOOR * (1 + r), big, theta),
+    st.floats(-1e-3, 1e-3),
+    st.floats(COV_EIGENVALUE_FLOOR, 1e6),
+    st.floats(-math.pi, math.pi),
+)
+symmetric = st.one_of(st.builds(lambda a, b, d: np.array([[a, b], [b, d]]), entries, entries, entries), near_floor)
+
+
+class TestProjectSpdProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(symmetric)
+    def test_closed_form_decision_agrees_with_eigh(self, cov):
+        # the projection equals the eigh-always one bit for bit, one matrix or a stack
+        expected = eigh_projection(cov)
+        assert np.array_equal(project_spd(cov), expected)
+        assert np.array_equal(project_spd(np.stack([cov, cov.T]))[1], expected)
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_floor)
+    def test_returned_matrix_clears_the_floor_where_eigh_says_so(self, cov):
+        if np.linalg.eigvalsh(cov)[0] >= COV_EIGENVALUE_FLOOR:
+            assert np.array_equal(project_spd(cov), cov)
+
 
 class TestBhattacharyya:
     def test_identical_is_zero(self):
@@ -200,6 +261,29 @@ class TestBhattacharyya:
         for i, a in enumerate(gas):
             for j, b in enumerate(gbs):
                 assert mat[i, j] == pytest.approx(bhattacharyya_distance(a, b), abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-50, 50), st.floats(-50, 50), st.floats(1e-3, 1e2), st.floats(1e-3, 1e2), st.floats(-math.pi, math.pi)
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    def test_matrix_equals_scalar_property(self, specs):
+        gaussians = []
+        for x, y, l1, l2, theta in specs:
+            c, s = math.cos(theta), math.sin(theta)
+            rot = np.array([[c, -s], [s, c]])
+            gaussians.append(Gaussian2(np.array([x, y]), rot @ np.diag([l1, l2]) @ rot.T))
+        means = np.array([g.mean for g in gaussians])
+        covs = np.array([g.cov for g in gaussians])
+        mat = bhattacharyya_distance_matrix(means, covs, means[::-1], covs[::-1])
+        for i, a in enumerate(gaussians):
+            for j, b in enumerate(gaussians[::-1]):
+                assert mat[i, j] == pytest.approx(bhattacharyya_distance(a, b), rel=1e-9, abs=1e-9)
 
     def test_rejects_non_spd(self):
         good = Gaussian2.isotropic([0, 0], 1.0)

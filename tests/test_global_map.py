@@ -35,6 +35,7 @@ from conetrack.global_map import (
     save_graph,
 )
 from conetrack.local_map import (
+    ConeTable,
     LocalMapConfig,
     LocalMapSnapshot,
     LocalMapState,
@@ -58,7 +59,7 @@ CONFIG = GlobalMapConfig()
 
 def make_snapshot(timestamp, ego, cone_specs, observed=None):
     """cone_specs: list of (id, local_xy)."""
-    cones = tuple(
+    cones = ConeTable.from_estimates(
         ConeEstimate(
             id=cid,
             position=Gaussian2.isotropic(np.array(xy, dtype=float), 0.1),

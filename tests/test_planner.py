@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conetrack.core import ColorDistribution, ConeEstimate, Gaussian2, Pose2
-from conetrack.local_map import LocalMapConfig, LocalMapSnapshot, LocalMapState, MapMode, ingest_frame
+from conetrack.local_map import ConeTable, LocalMapConfig, LocalMapSnapshot, LocalMapState, MapMode, ingest_frame
 from conetrack.planner import (
     CandidatePath,
     DegenerateSnapshotError,
@@ -49,6 +50,11 @@ def make_cone(cid, xy, color=(0.98, 0.01, 0.01)):
     )
 
 
+def evidence(cones):
+    """The (n, 3) color evidence of cone estimates, in id order."""
+    return ConeTable.from_estimates(cones).color_evidence
+
+
 BLUE = (0.98, 0.01, 0.01)
 YELLOW = (0.01, 0.98, 0.01)
 
@@ -65,7 +71,7 @@ def corridor_snapshot(n_stations=8, spacing=2.5, width=4.0, stagger=0.0, jitter=
             pos = np.array([xx, y]) + rng.normal(scale=jitter, size=2)
             cones.append(make_cone(cid, pos, color))
             cid += 1
-    return LocalMapSnapshot(0.0, Pose2(0.0, 0.0, 0.0), tuple(cones), frozenset(range(cid)), MapMode.FUSION)
+    return LocalMapSnapshot(0.0, Pose2(0.0, 0.0, 0.0), ConeTable.from_estimates(cones), frozenset(range(cid)), MapMode.FUSION)
 
 
 class TestTriangulate:
@@ -105,10 +111,10 @@ class TestTriangulate:
 class TestEnumerate:
     def test_single_corridor_single_maximal_path(self):
         snap = corridor_snapshot(n_stations=6, stagger=1.25)
-        positions = np.array([c.position.mean for c in snap.cones])
+        positions = snap.cones.means
         tri = triangulate(positions)
         config = PlannerConfig.with_limits(max_edges=50, max_length_m=100.0)
-        paths = enumerate_paths(tri, snap.ego, snap.cones, config)
+        paths = enumerate_paths(tri, snap.ego, snap.cones.color_evidence, config)
         assert len(paths) == 1
 
     def test_y_junction_multiple_candidates(self):
@@ -125,11 +131,11 @@ class TestEnumerate:
             cones.append(make_cone(cid, tuple(base + up - [0, 2.0]), YELLOW)); cid += 1
             cones.append(make_cone(cid, tuple(base - up + [0, 2.0]), BLUE)); cid += 1
             cones.append(make_cone(cid, tuple(base - up - [0, 2.0]), YELLOW)); cid += 1
-        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), tuple(cones), frozenset(range(cid)), MapMode.FUSION)
-        positions = np.array([c.position.mean for c in snap.cones])
+        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), ConeTable.from_estimates(cones), frozenset(range(cid)), MapMode.FUSION)
+        positions = snap.cones.means
         tri = triangulate(positions)
         config = PlannerConfig.with_limits(max_edges=50, max_length_m=100.0)
-        paths = enumerate_paths(tri, snap.ego, snap.cones, config)
+        paths = enumerate_paths(tri, snap.ego, snap.cones.color_evidence, config)
         assert len(paths) >= 2
 
     def test_straight_corridor_waypoints_on_centerline(self):
@@ -142,14 +148,14 @@ class TestEnumerate:
     def test_waypoints_are_crossed_edge_midpoints(self):
         snap = corridor_snapshot(n_stations=6, stagger=1.25)
         result = plan_snapshot(snap)
-        positions = np.array([c.position.mean for c in snap.cones])
+        positions = snap.cones.means
         sel = result.selected
         for wp, (a, b) in zip(sel.waypoints, sel.crossed_edges):
             assert np.allclose(wp, 0.5 * (positions[a] + positions[b]))
 
     def test_too_few_cones_yields_empty_result(self):
         cones = (make_cone(0, (1, 1)), make_cone(1, (2, 1)))
-        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), cones, frozenset({0, 1}), MapMode.FUSION)
+        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), ConeTable.from_estimates(cones), frozenset({0, 1}), MapMode.FUSION)
         result = plan_snapshot(snap)
         assert result.selected is None
         assert result.candidates == ()
@@ -245,23 +251,23 @@ class TestPrior:
 class TestLikelihood:
     def test_certain_consistent_cones_zero(self):
         cones = [make_cone(0, (0, 2), (1.0, 0.0, 0.0)), make_cone(1, (0, -2), (0.0, 1.0, 0.0))]
-        ll = log_likelihood(cones, frozenset({0}), frozenset({1}))
+        ll = log_likelihood(evidence(cones), frozenset({0}), frozenset({1}))
         assert ll == pytest.approx(0.0)
 
     def test_left_cone_takes_max_of_blue_and_unknown(self):
         cones = [make_cone(0, (0, 2), (0.7, 0.2, 0.1))]
-        assert log_likelihood(cones, frozenset({0}), frozenset()) == pytest.approx(math.log(0.7))
+        assert log_likelihood(evidence(cones), frozenset({0}), frozenset()) == pytest.approx(math.log(0.7))
         cones = [make_cone(0, (0, 2), (0.1, 0.2, 0.7))]
-        assert log_likelihood(cones, frozenset({0}), frozenset()) == pytest.approx(math.log(0.7))
+        assert log_likelihood(evidence(cones), frozenset({0}), frozenset()) == pytest.approx(math.log(0.7))
 
     def test_contradiction_floored(self):
         cones = [make_cone(0, (0, 2), (0.0, 1.0, 0.0))]  # certain yellow on the left
-        ll = log_likelihood(cones, frozenset({0}), frozenset())
+        ll = log_likelihood(evidence(cones), frozenset({0}), frozenset())
         assert ll == pytest.approx(math.log(1e-6))
 
     def test_non_boundary_cone_takes_global_max(self):
         cones = [make_cone(0, (9, 9), (0.2, 0.5, 0.3))]
-        assert log_likelihood(cones, frozenset(), frozenset()) == pytest.approx(math.log(0.5))
+        assert log_likelihood(evidence(cones), frozenset(), frozenset()) == pytest.approx(math.log(0.5))
 
     def test_every_cone_contributes(self):
         snap = corridor_snapshot(n_stations=5)
@@ -269,9 +275,8 @@ class TestLikelihood:
         sel = result.selected
         # adding a far-away cone changes the likelihood by exactly its own factor
         extra = make_cone(99, (-30.0, 30.0), (0.2, 0.3, 0.5))
-        cones = list(snap.cones) + [extra]
-        ll_with = log_likelihood(cones, sel.left_cones, sel.right_cones)
-        ll_without = log_likelihood(snap.cones, sel.left_cones, sel.right_cones)
+        ll_with = log_likelihood(np.vstack([snap.cones.color_evidence, extra.color_evidence]), sel.left_cones, sel.right_cones)
+        ll_without = log_likelihood(snap.cones.color_evidence, sel.left_cones, sel.right_cones)
         assert ll_with - ll_without == pytest.approx(math.log(0.5))
 
 
@@ -297,10 +302,10 @@ class TestSelection:
             x = 2.5 * k
             cones.append(make_cone(cid, (x, 2.0), BLUE)); cid += 1
             cones.append(make_cone(cid, (x, -2.0), YELLOW)); cid += 1
-        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), tuple(cones), frozenset(range(cid)), MapMode.FUSION)
+        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), ConeTable.from_estimates(cones), frozenset(range(cid)), MapMode.FUSION)
         result = plan_snapshot(snap)
         sel = result.selected
-        positions = np.array([c.position.mean for c in snap.cones])
+        positions = snap.cones.means
         assert all(positions[i][1] > 0 for i in sel.left_cones)
         assert all(positions[i][1] < 0 for i in sel.right_cones)
 
@@ -321,7 +326,7 @@ class TestSelection:
             best_idx, best_key = None, None
             for idx, cand in enumerate(result.candidates):
                 lp = log_prior(cand.features, config.prior)
-                ll = log_likelihood(snap.cones, cand.left_cones, cand.right_cones)
+                ll = log_likelihood(snap.cones.color_evidence, cand.left_cones, cand.right_cones)
                 key = (-(lp + ll), -cand.features.length_m, cand.features.max_heading_change_rad, idx)
                 if best_key is None or key < best_key:
                     best_idx, best_key = idx, key
@@ -330,10 +335,7 @@ class TestSelection:
     def test_evidence_scaling_invariance(self):
         snap = corridor_snapshot(n_stations=7, jitter=0.2, seed=9)
         result = plan_snapshot(snap)
-        scaled_cones = tuple(
-            ConeEstimate(c.id, c.position, c.color_evidence * 7.5, c.existence, c.last_seen)
-            for c in snap.cones
-        )
+        scaled_cones = dataclasses.replace(snap.cones, color_evidence=snap.cones.color_evidence * 7.5)
         scaled_snap = LocalMapSnapshot(
             snap.timestamp, snap.ego, scaled_cones, snap.observed_ids, snap.mode
         )
@@ -344,11 +346,11 @@ class TestSelection:
         assert select_path([]) is None
 
 
-def reference_log_likelihood(cones, left_cones, right_cones, floor=1e-6):
+def reference_log_likelihood(color_evidence, left_cones, right_cones, floor=1e-6):
     """Per-cone loop the planner's log-term table must reproduce bit for bit."""
     total = 0.0
-    for idx, cone in enumerate(cones):
-        color = cone.color
+    for idx, evidence in enumerate(color_evidence):
+        color = ColorDistribution.from_evidence(evidence)
         if idx in left_cones:
             p = max(color.p_blue, color.p_unknown)
         elif idx in right_cones:
@@ -385,10 +387,10 @@ class TestScoreOnce:
         for snap in snaps:
             result = plan_snapshot(snap, config)
             planned += bool(result.candidates)
-            positions = np.array([c.position.mean for c in snap.cones])
+            positions = snap.cones.means
             for cand in result.candidates:
-                ll = log_likelihood(snap.cones, cand.left_cones, cand.right_cones)
-                assert cand.log_likelihood == ll == reference_log_likelihood(snap.cones, cand.left_cones, cand.right_cones)
+                ll = log_likelihood(snap.cones.color_evidence, cand.left_cones, cand.right_cones)
+                assert cand.log_likelihood == ll == reference_log_likelihood(snap.cones.color_evidence, cand.left_cones, cand.right_cones)
                 assert cand.features == compute_features(
                     cand.waypoints, cand.crossed_edges, positions, cand.left_sequence, cand.right_sequence, config.limits
                 )
@@ -436,7 +438,7 @@ class TestNoiseFreeContainment:
                     visible.append(make_cone(len(visible), tuple(cone.position), color))
             if len(visible) < 3:
                 continue
-            snap = LocalMapSnapshot(0.0, ego, tuple(visible), frozenset(c.id for c in visible), MapMode.FUSION)
+            snap = LocalMapSnapshot(0.0, ego, ConeTable.from_estimates(visible), frozenset(c.id for c in visible), MapMode.FUSION)
             result = plan_snapshot(snap, config)
             if result.selected is None:
                 continue
