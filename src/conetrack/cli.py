@@ -14,7 +14,7 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, RunFailure, load_config, read_input, resolve_profile
 from .evaluate import build_report, load_trajectory, planning_stats, save_report
 from .global_map import load_map
-from .local_map import SchemaMismatchError, read_snapshot_log
+from .local_map import read_snapshot_log
 from .pipeline import map_alignment, replay_snapshots, run_pipeline
 from .simulate import (
     CenterlineGeometry,
@@ -157,8 +157,10 @@ def _cmd_replay(args) -> int:
     track = read_input(load_track, args.track) if args.track else None
     try:
         snapshots = read_input(read_snapshot_log, args.snapshots)
-    except SchemaMismatchError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:  # another schema, or a malformed record before the last line
+        raise ConfigError(f"{args.snapshots}: {exc}") from exc
     report = replay_snapshots(snapshots, config, args.out, track)
     print(f"replayed {report['frames']} snapshots into {args.out}")
     return EXIT_OK

@@ -221,9 +221,8 @@ def project_spd(cov: np.ndarray, floor: float = COV_EIGENVALUE_FLOOR) -> np.ndar
     sym = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     clear = _clear_of_floor(sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1], floor, np.hypot)
     if not clear.all():
-        flat = sym.reshape(-1, 2, 2)
-        for k in np.flatnonzero(~clear.reshape(-1)).tolist():
-            flat[k] = _floor_eigenvalues(flat[k], floor)
+        near = ~clear
+        sym[near] = [_floor_eigenvalues(m, floor) for m in sym[near]]
     return sym
 
 

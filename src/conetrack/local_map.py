@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     ConeEstimate,
     ConeObservation,
+    Gaussian2,
     Pose2,
     SensorSource,
     Velocity2,
@@ -225,7 +226,7 @@ class LocalMapState:
 class AssociationResult:
     """One-to-one matching of a batch of observations against the map."""
 
-    pairs: tuple[tuple[int, int], ...]  # (observation index, cone id), by observation index
+    pairs: tuple[tuple[int, int], ...]  # (observation index, cone row), by observation index
     new_observations: tuple[int, ...]  # unmatched observation indices
 
 
@@ -272,25 +273,14 @@ def observations_to_local(ego: Pose2, means: np.ndarray, covs: np.ndarray) -> tu
     return transform_point(ego, means), project_spd(rotate_covariance(ego.theta, covs))
 
 
-# a frustum decision this close to a limit is re-made with the math.* scalar
-# test: numpy's hypot/arctan2/sin/cos can differ from it in the last bit
-_FRUSTUM_BAND = 1e-9
-
-
 def _in_frustum(ego: Pose2, means: np.ndarray, config: LocalMapConfig, shrink: float) -> np.ndarray:
     """Which rows of ``means`` lie in the sensor frustum scaled by ``shrink``."""
     max_r, max_bearing = config.max_range_m * shrink, config.fov_half_angle_rad * shrink
-    d = means - ego.position
-    r = np.hypot(d[:, 0], d[:, 1])
-    bearing = np.arctan2(d[:, 1], d[:, 0]) - ego.theta
-    bearing = np.abs(np.arctan2(np.sin(bearing), np.cos(bearing)))
-    inside = (r <= max_r) & (bearing <= max_bearing)
-    near = (np.abs(r - max_r) <= _FRUSTUM_BAND * max_r) | (np.abs(bearing - max_bearing) <= _FRUSTUM_BAND)
-    for k in np.flatnonzero(near).tolist():
-        dx, dy = d[k].tolist()
-        b = math.atan2(dy, dx) - ego.theta
-        inside[k] = math.hypot(dx, dy) <= max_r and abs(math.atan2(math.sin(b), math.cos(b))) <= max_bearing
-    return inside
+    inside = []
+    for dx, dy in (means - ego.position).tolist():
+        bearing = math.atan2(dy, dx) - ego.theta
+        inside.append(math.hypot(dx, dy) <= max_r and abs(math.atan2(math.sin(bearing), math.cos(bearing))) <= max_bearing)
+    return np.array(inside, bool)
 
 
 def associate(cones: ConeTable, means: np.ndarray, covs: np.ndarray, config: LocalMapConfig) -> AssociationResult:
@@ -305,7 +295,7 @@ def associate(cones: ConeTable, means: np.ndarray, covs: np.ndarray, config: Loc
         return AssociationResult((), tuple(range(len(means))))
     dist = bhattacharyya_distance_matrix(means, covs, cones.means, cones.covs)
     oi, ci = np.nonzero(dist <= config.gate_distance)
-    order = np.lexsort((oi, cones.ids[ci], dist[oi, ci]))
+    order = np.lexsort((oi, ci, dist[oi, ci]))  # rows ascend with cone id
     used_obs: set[int] = set()
     used_rows: set[int] = set()
     pairs: list[tuple[int, int]] = []
@@ -315,10 +305,8 @@ def associate(cones: ConeTable, means: np.ndarray, covs: np.ndarray, config: Loc
         used_obs.add(o)
         used_rows.add(c)
         pairs.append((o, c))
-    pairs.sort()
-    ids = cones.ids.tolist()
     new = tuple(i for i in range(len(means)) if i not in used_obs)
-    return AssociationResult(tuple((o, ids[c]) for o, c in pairs), new)
+    return AssociationResult(tuple(sorted(pairs)), new)
 
 
 def update_position(
@@ -421,7 +409,7 @@ def ingest_frame(
         weight = config.color_weight(active_mode, source)
         assoc = associate(cones, means, covs, config)
         obs = [o for o, _ in assoc.pairs]
-        rows = np.searchsorted(cones.ids, [cid for _, cid in assoc.pairs])
+        rows = [c for _, c in assoc.pairs]
         new = list(assoc.new_observations)
         # matched rows get the Kalman and color updates; new observations become rows at the end
         table_means = np.concatenate([cones.means, means[new]])
@@ -471,29 +459,16 @@ def snapshot_to_dict(snapshot: LocalMapSnapshot) -> dict:
 
 
 def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
-    """One snapshot log row; ``ValueError`` on a cone table the filter cannot have written."""
-    rows = data["cones"]
-    n = len(rows)
-    ids = [c["id"] for c in rows]
-    if not all(isinstance(i, int) and not isinstance(i, bool) for i in ids) or any(a >= b for a, b in zip(ids, ids[1:])):
-        raise ValueError("snapshot cone ids must be integers in ascending order")
-    means = np.array([[c["x_m"], c["y_m"]] for c in rows], dtype=float).reshape(n, 2)
-    covs = np.array([c["cov_m2"] for c in rows], dtype=float).reshape(n, 2, 2)
-    evidence = np.array([c["color_evidence"] for c in rows], dtype=float).reshape(n, 3)
-    existence = np.array([c["existence"] for c in rows], dtype=float)
-    if not (np.isfinite(means).all() and np.isfinite(covs).all() and np.isfinite(evidence).all()):
-        raise ValueError("snapshot cone means, covariances and color evidence must be finite")
-    if (evidence < 0).any() or (evidence.sum(axis=1) <= 0).any():
-        raise ValueError("snapshot cone color evidence must be non-negative with a positive sum")
-    if not ((existence >= 0.0) & (existence <= 1.0)).all():
-        raise ValueError("snapshot cone existence must be in [0, 1]")
-    cones = ConeTable(
-        np.array(ids, np.int64).reshape(n),
-        means,
-        project_spd(covs),
-        evidence,
-        existence,
-        np.array([c["last_seen_s"] for c in rows], dtype=float),
+    """One snapshot log row; its cones are checked one at a time, as :class:`ConeEstimate` views."""
+    cones = ConeTable.from_estimates(
+        ConeEstimate(
+            id=c["id"],
+            position=Gaussian2(np.array([c["x_m"], c["y_m"]]), np.array(c["cov_m2"])),
+            color_evidence=np.array(c["color_evidence"]),
+            existence=c["existence"],
+            last_seen=c["last_seen_s"],
+        )
+        for c in data["cones"]
     )
     ego = Pose2(data["ego"]["x_m"], data["ego"]["y_m"], data["ego"]["theta_rad"])
     return LocalMapSnapshot(data["timestamp_s"], ego, cones, frozenset(data["observed_ids"]), MapMode(data["mode"]))
@@ -524,10 +499,12 @@ class SchemaMismatchError(ValueError):
 
 
 def read_snapshot_log(path: Path | str, strict: bool = False) -> list[LocalMapSnapshot]:
-    """Read a snapshot log; a malformed tail is tolerated unless ``strict``.
+    """Read a snapshot log; a malformed last record is tolerated unless ``strict``.
 
-    Raises :class:`SchemaMismatchError` when the header announces another
-    schema version.
+    Only the last non-empty line can be a truncated tail: a malformed record
+    followed by another line raises ``ValueError`` naming its line. Raises
+    :class:`SchemaMismatchError` when the header announces another schema
+    version.
     """
     snapshots: list[LocalMapSnapshot] = []
     with open(path, encoding="utf-8") as fh:
@@ -538,13 +515,13 @@ def read_snapshot_log(path: Path | str, strict: bool = False) -> list[LocalMapSn
             raise SchemaMismatchError("snapshot log missing schema header") from exc
         if header.get("kind") != "snapshot_log" or header.get("schema_version") != SNAPSHOT_SCHEMA_VERSION:
             raise SchemaMismatchError(f"unsupported snapshot log header: {header}")
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                snapshots.append(snapshot_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError):
-                if strict:
-                    raise
-                break  # truncated tail: keep the valid prefix
+        lines = [(number, line) for number, line in enumerate(fh, start=2) if line.strip()]
+    for number, line in lines:
+        try:
+            snapshots.append(snapshot_from_dict(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            if strict:
+                raise
+            if number != lines[-1][0]:
+                raise ValueError(f"malformed snapshot record on line {number}, before the last line: {exc!r}") from exc
     return snapshots

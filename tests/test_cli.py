@@ -221,6 +221,7 @@ BAD_INPUTS = [
     ["eval", "--track", "{track}", "--trajectory", "{missing}"],
     ["replay", "--snapshots", "{missing}"],
     ["replay", "--snapshots", "{garbage}", "--track", "{missing}"],
+    ["replay", "--snapshots", "{midlog}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{missing}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{garbage}"],
     ["generate", "--spec", "{missing}"],
@@ -246,6 +247,7 @@ BAD_INPUTS = [
 BAD_FILES = {
     "missing": (None, ""),
     "garbage": ("not json {", ""),
+    "midlog": ('{"kind": "snapshot_log", "schema_version": 1}\n{"cones": []}\n{"cones": []}\n', "line 2"),
     "fieldless": ('{"cones": []}', "'centerline_m'"),
     "badtime": ('[{"time_s": "abc", "fail": ["fusion"]}]', "time_s"),
     "badseed": ('{"seed": "x"}', "seed"),

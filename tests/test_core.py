@@ -205,12 +205,8 @@ class TestProjectSpdProperties:
         expected = eigh_projection(cov)
         assert np.array_equal(project_spd(cov), expected)
         assert np.array_equal(project_spd(np.stack([cov, cov.T]))[1], expected)
-
-    @settings(max_examples=400, deadline=None)
-    @given(near_floor)
-    def test_returned_matrix_clears_the_floor_where_eigh_says_so(self, cov):
-        if np.linalg.eigvalsh(cov)[0] >= COV_EIGENVALUE_FLOOR:
-            assert np.array_equal(project_spd(cov), cov)
+        stack = np.stack([np.stack([cov, cov.T])] * 3, axis=1).transpose(1, 0, 2, 3)  # (3, 2, 2, 2), not C-contiguous
+        assert all(np.array_equal(m, expected) for m in project_spd(stack).reshape(-1, 2, 2))
 
 
 class TestBhattacharyya:
