@@ -50,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="run config JSON path or builtin scenario name")
     run.add_argument("--seed", type=int, help="override the config seed")
     run.add_argument("--out", required=True, help="run output directory")
-    run.add_argument("--profile", help="override the fusion sensor profile (path or builtin:<mode>)")
+    run.add_argument(
+        "--profile", help="override the fusion sensor profile (a fusion-mode profile file, builtin:fusion or noise_free:fusion)"
+    )
     run.add_argument("--mode-schedule", help="JSON file with timed pipeline failure events")
     run.add_argument("--force-mode", choices=("fusion", "lidar_only", "camera_only", "degraded"))
     run.add_argument("--closed-loop", action="store_true", help="steer the ego by pure pursuit of the planned path")
@@ -140,8 +142,7 @@ def _cmd_run(args) -> int:
             lambda path: dataclasses.replace(config, mode_schedule=_read_json(path)), args.mode_schedule
         )
     if args.profile:
-        config.profiles = dict(config.profiles)
-        config.profiles["fusion"] = resolve_profile(args.profile)
+        config = dataclasses.replace(config, profiles={**config.profiles, "fusion": resolve_profile(args.profile)})
     result = run_pipeline(config, args.out)
     rmse = "n/a" if result.rmse_m is None else f"{result.rmse_m:.3f} m"
     print(f"run complete: {result.frames} frames, map RMSE {rmse}, artifacts in {result.out_dir}")

@@ -11,15 +11,16 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core import is_finite_number
+from .core import check_range, is_finite_number
 from .global_map import GlobalMapConfig
 from .local_map import LocalMapConfig
 from .planner import PlannerConfig
-from .simulate import SensorProfile, TrackSpec, TrackValidationError, default_profile, noise_free_profile
+from .simulate import SensorProfile, TrackSpec, TrackValidationError, default_profile, load_profile, noise_free_profile
 
 SOURCE_MODES = ("fusion", "lidar_only", "camera_only")
 
@@ -71,8 +72,14 @@ class RunConfig:
             self.profiles = {m: default_profile(m) for m in SOURCE_MODES}
         if self.force_mode not in (None, "fusion", "lidar_only", "camera_only", "degraded"):
             raise ConfigError(f"unknown force_mode {self.force_mode!r}")
-        if self.frame_rate_hz <= 0 or self.max_speed_mps <= 0:
-            raise ConfigError("frame rate and speed must be positive")
+        for name in ("frame_rate_hz", "max_speed_mps", "lateral_accel_mps2", "closed_loop_speed_mps", "divergence_margin_m"):
+            try:
+                check_range(name, getattr(self, name), 0.0, math.inf, False)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        for mode, profile in self.profiles.items():
+            if profile.mode != mode:
+                raise ConfigError(f"the {mode} profile has mode {profile.mode!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.mode_schedule, list):
@@ -189,13 +196,10 @@ class RunConfig:
         for mode, value in (data.get("profiles") or {}).items():
             if mode not in SOURCE_MODES:
                 raise ConfigError(f"unknown profile mode {mode!r}")
-            if isinstance(value, str):
-                profiles[mode] = resolve_profile(value)
-            else:
-                try:
-                    profiles[mode] = SensorProfile.from_dict(value)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad profile for {mode}: {exc}") from exc
+            try:
+                profiles[mode] = resolve_profile(value) if isinstance(value, str) else SensorProfile.from_dict(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad profile for {mode}: {exc}") from exc
         data["profiles"] = profiles
         try:
             return cls(**data)
@@ -231,10 +235,12 @@ def resolve_profile(ref: str) -> SensorProfile:
         if mode not in SOURCE_MODES:
             raise ConfigError(f"no noise-free profile for mode {mode!r}")
         return noise_free_profile(mode)
-    path = Path(ref)
-    if not path.exists():
-        raise ConfigError(f"profile file not found: {ref}")
-    return SensorProfile.from_dict(json.loads(path.read_text()))
+    try:
+        return read_input(load_profile, ref)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a field the profile does not take, or one out of range
+        raise ConfigError(f"{ref}: {exc}") from exc
 
 
 def load_config(ref: str | Path) -> RunConfig:

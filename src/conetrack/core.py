@@ -24,6 +24,16 @@ def is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def check_range(name: str, value, low: float, high: float, low_ok: bool) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite number in the interval.
+
+    The interval is ``[low, high]`` or ``(low, high]`` per ``low_ok``.
+    """
+    if not (is_finite_number(value) and (value >= low if low_ok else value > low) and value <= high):
+        interval = f"{'[' if low_ok else '('}{low}, {high}]"
+        raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
 def normalize_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     wrapped = math.pi - (math.pi - theta) % TWO_PI
@@ -318,14 +328,27 @@ class SensorSource(Enum):
     CAMERA_ONLY = "camera_only"
 
 
-@dataclass(frozen=True)
-class ConeObservation:
-    """One detected cone in the car frame at a given time."""
+@dataclass(frozen=True, eq=False)
+class ObservationBatch:
+    """One source's detections in one frame, in the car frame, as read-only arrays.
 
-    position: Gaussian2
-    color: ColorDistribution
-    timestamp: float
+    ``means`` (k, 2) in meters; ``covs`` (k, 2, 2) SPD covariances in m^2;
+    ``colors`` (k, 3) the per-detection distribution over {blue, yellow,
+    unknown}. A delivered batch marks its source as alive even when empty.
+    """
+
     source: SensorSource
+    timestamp: float
+    means: np.ndarray
+    covs: np.ndarray
+    colors: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.means, self.covs, self.colors):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.means)
 
 
 @dataclass(frozen=True, eq=False)

@@ -239,7 +239,7 @@ def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     x1, y1 = polygon[:, 0], polygon[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     crosses = (y1 > y) != (y2 > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x_at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
     return np.logical_xor.reduce(crosses & (x < x_at), axis=1)
 
@@ -264,7 +264,7 @@ def first_exit_distance(
     e = corridor.edge_end - q1  # (edges, 2)
     w = q1 - chain[:-1, None, :]  # (segments, edges, 2)
     denom = d[..., 0] * e[:, 1] - d[..., 1] * e[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # near-parallel pairs are masked below
         t = (w[..., 0] * e[:, 1] - w[..., 1] * e[:, 0]) / denom
         u = (w[..., 0] * d[..., 1] - w[..., 1] * d[..., 0]) / denom
     crossed = ~(np.abs(denom) < 1e-15) & (0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0)

@@ -26,6 +26,7 @@ from .core import (
     ConeClass,
     Pose2,
     body_frame_point,
+    check_range,
     compose,
     normalize_angle,
     transform_point,
@@ -45,6 +46,19 @@ _CLASSES = (ConeClass.BLUE, ConeClass.YELLOW, ConeClass.UNKNOWN)
 
 class GraphStructureError(ValueError):
     """Graph is structurally under-determined beyond the gauge freedom."""
+
+
+# (field, lowest, highest, whether the lowest value itself is allowed)
+_CONFIG_RANGES = (
+    ("proximity_radius_m", 0.0, math.inf, False),
+    ("association_radius_m", 0.0, math.inf, False),
+    ("observation_sigma_floor_m", 0.0, math.inf, True),
+    ("relative_tolerance", 0.0, math.inf, True),
+    ("absolute_cost_floor", 0.0, math.inf, True),
+    ("initial_lambda", 0.0, math.inf, False),
+    ("lambda_up", 1.0, math.inf, False),
+    ("lambda_down", 0.0, 1.0, False),
+)
 
 
 @dataclass(frozen=True)
@@ -68,9 +82,19 @@ class GlobalMapConfig:
     export_min_edges: int = 1
 
     def __post_init__(self) -> None:
-        every = self.optimize_every
-        if isinstance(every, bool) or not isinstance(every, int) or every < 0:
-            raise ValueError(f"optimize_every must be a non-negative integer, got {every!r}")
+        for name, low, high, low_ok in _CONFIG_RANGES:
+            check_range(f"global map {name}", getattr(self, name), low, high, low_ok)
+        if self.lambda_down == 1.0:  # a damping that never relaxes
+            raise ValueError("global map lambda_down must be below 1.0, got 1.0")
+        rates = self.odometry_sigma_rates
+        if not (isinstance(rates, (tuple, list)) and len(rates) == 3):
+            raise ValueError(f"global map odometry_sigma_rates must be three rates, got {rates!r}")
+        for rate in rates:
+            check_range("global map odometry_sigma_rates", rate, 0.0, math.inf, False)
+        for name, low in (("max_iterations", 1), ("max_lambda_steps", 1), ("optimize_every", 0), ("export_min_edges", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"global map {name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass

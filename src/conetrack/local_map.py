@@ -24,14 +24,14 @@ import numpy as np
 
 from .core import (
     ConeEstimate,
-    ConeObservation,
     Gaussian2,
+    ObservationBatch,
     Pose2,
     SensorSource,
     Velocity2,
     bhattacharyya_distance_matrix,
+    check_range,
     integrate_velocity,
-    is_finite_number,
     project_spd,
     rotate_covariance,
     transform_point,
@@ -73,12 +73,6 @@ _CONFIG_RANGES = (
 )
 
 
-def _check_range(name: str, value, low: float, high: float, low_ok: bool) -> None:
-    if not (is_finite_number(value) and (value >= low if low_ok else value > low) and value <= high):
-        interval = f"{'[' if low_ok else '('}{low}, {high}]"
-        raise ValueError(f"local map {name} must be a finite number in {interval}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LocalMapConfig:
     """Tunable filter parameters.
@@ -116,18 +110,18 @@ class LocalMapConfig:
 
     def __post_init__(self) -> None:
         for name, low, high, low_ok in _CONFIG_RANGES:
-            _check_range(name, getattr(self, name), low, high, low_ok)
+            check_range(f"local map {name}", getattr(self, name), low, high, low_ok)
         if self.eviction_timeout_s is not None:
-            _check_range("eviction_timeout_s", self.eviction_timeout_s, 0.0, math.inf, False)
+            check_range("local map eviction_timeout_s", self.eviction_timeout_s, 0.0, math.inf, False)
         rates = self.process_noise_rate
         if not (isinstance(rates, (tuple, list)) and len(rates) == 2):
             raise ValueError(f"local map process_noise_rate must be two rates, got {rates!r}")
         for rate in rates:
-            _check_range("process_noise_rate", rate, 0.0, math.inf, True)
+            check_range("local map process_noise_rate", rate, 0.0, math.inf, True)
         for entry in self.color_weights:
             if not (isinstance(entry, (tuple, list)) and len(entry) == 3):
                 raise ValueError(f"local map color_weights entries must be (mode, source, weight), got {entry!r}")
-            _check_range("color_weights", entry[2], 0.0, math.inf, True)
+            check_range("local map color_weights", entry[2], 0.0, math.inf, True)
 
     def color_weight(self, mode: MapMode, source: SensorSource) -> float:
         for mode_v, source_v, w in self.color_weights:
@@ -371,41 +365,39 @@ def _resolve_mode(last_source_time: dict[SensorSource, float], mode: MapMode, no
 
 def ingest_frame(
     state: LocalMapState,
-    observations: Sequence[ConeObservation],
+    batches: Sequence[ObservationBatch],
     vel: Velocity2,
     dt: float,
     config: LocalMapConfig,
     mode: MapMode | None = None,
-    present_sources: Iterable[SensorSource] | None = None,
 ) -> tuple[LocalMapState, LocalMapSnapshot]:
     """Run one full filter step and emit a frozen snapshot.
 
     predict -> per-source association -> Kalman/color updates -> negative
-    observation pass -> prune -> eviction -> snapshot. Each source associates
-    against the map the previous source left. ``mode`` forces the operating
-    mode; otherwise it is derived from per-source message staleness.
-    ``present_sources`` marks pipelines that delivered a (possibly empty)
-    message this frame; by default it is inferred from the observations.
+    observation pass -> prune -> eviction -> snapshot. ``batches`` holds at
+    most one batch per source; a delivered batch, even an empty one, marks
+    its pipeline as alive. Each source associates against the map the
+    previous source left. ``mode`` forces the operating mode; otherwise it is
+    derived from per-source message staleness.
     """
+    by_source = {batch.source: batch for batch in batches}
+    if len(by_source) != len(batches):
+        raise ValueError(f"more than one observation batch per source: {[b.source.value for b in batches]}")
     state = predict(state, vel, dt, config)
     now, ego = state.time, state.ego
 
-    sources = set(present_sources) if present_sources is not None else {o.source for o in observations}
     last_source_time = dict(state.last_source_time)
-    for source in sources:
+    for source in by_source:
         last_source_time[source] = now
     active_mode = mode if mode is not None else _resolve_mode(last_source_time, state.mode, now, config)
 
     cones, next_id = state.cones, state.next_cone_id
     matched = np.zeros(len(cones), bool)
     for source in _MODE_SOURCES[active_mode]:
-        group = [o for o in observations if o.source is source]
-        if not group:
+        batch = by_source.get(source)
+        if batch is None or not len(batch):
             continue
-        means, covs = observations_to_local(
-            ego, np.array([o.position.mean for o in group]), np.array([o.position.cov for o in group])
-        )
-        colors = np.array([(o.color.p_blue, o.color.p_yellow, o.color.p_unknown) for o in group])
+        means, covs = observations_to_local(ego, batch.means, batch.covs)
         weight = config.color_weight(active_mode, source)
         assoc = associate(cones, means, covs, config)
         obs = [o for o, _ in assoc.pairs]
@@ -414,10 +406,10 @@ def ingest_frame(
         # matched rows get the Kalman and color updates; new observations become rows at the end
         table_means = np.concatenate([cones.means, means[new]])
         table_covs = np.concatenate([cones.covs, covs[new]])
-        evidence = np.concatenate([cones.color_evidence, weight * colors[new] + 1e-12])
+        evidence = np.concatenate([cones.color_evidence, weight * batch.colors[new] + 1e-12])
         last_seen = np.concatenate([cones.last_seen, np.full(len(new), now)])
         table_means[rows], table_covs[rows] = update_position(cones.means[rows], cones.covs[rows], means[obs], covs[obs])
-        evidence[rows] = update_color(cones.color_evidence[rows], colors[obs], weight)
+        evidence[rows] = update_color(cones.color_evidence[rows], batch.colors[obs], weight)
         last_seen[rows] = now
         ids = np.concatenate([cones.ids, np.arange(next_id, next_id + len(new))])
         existence = np.concatenate([cones.existence, np.full(len(new), config.initial_existence)])
@@ -443,21 +435,6 @@ def ingest_frame(
 # Snapshot log serialization (newline-delimited JSON)
 
 
-def snapshot_to_dict(snapshot: LocalMapSnapshot) -> dict:
-    cones = snapshot.cones
-    columns = (cones.ids, cones.means, cones.covs, cones.color_evidence, cones.existence, cones.last_seen)
-    return {
-        "timestamp_s": snapshot.timestamp,
-        "mode": snapshot.mode.value,
-        "ego": {"x_m": snapshot.ego.x, "y_m": snapshot.ego.y, "theta_rad": snapshot.ego.theta},
-        "observed_ids": sorted(snapshot.observed_ids),
-        "cones": [
-            {"id": cid, "x_m": x, "y_m": y, "cov_m2": cov, "color_evidence": ev, "existence": e, "last_seen_s": t}
-            for cid, (x, y), cov, ev, e, t in zip(*(column.tolist() for column in columns))
-        ],
-    }
-
-
 def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
     """One snapshot log row; its cones are checked one at a time, as :class:`ConeEstimate` views."""
     cones = ConeTable.from_estimates(
@@ -474,6 +451,19 @@ def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
     return LocalMapSnapshot(data["timestamp_s"], ego, cones, frozenset(data["observed_ids"]), MapMode(data["mode"]))
 
 
+# One snapshot log line, keys in sorted order, with json's separators. ``%r``
+# of a finite Python float is the text json writes for it, and ``%d`` of an
+# id held as a float is its integer text (ids stay below 2**53).
+_CONE_ROW = (
+    '{"color_evidence": [%r, %r, %r], "cov_m2": [[%r, %r], [%r, %r]], '
+    '"existence": %r, "id": %d, "last_seen_s": %r, "x_m": %r, "y_m": %r}'
+)
+_SNAPSHOT_LINE = (
+    '{"cones": [%s], "ego": {"theta_rad": %r, "x_m": %r, "y_m": %r}, '
+    '"mode": "%s", "observed_ids": [%s], "timestamp_s": %r}\n'
+)
+
+
 class SnapshotLogWriter:
     """Writes one snapshot per line, with a schema header line."""
 
@@ -482,7 +472,15 @@ class SnapshotLogWriter:
         self._fh.write(json.dumps({"schema_version": SNAPSHOT_SCHEMA_VERSION, "kind": "snapshot_log"}, sort_keys=True) + "\n")
 
     def write(self, snapshot: LocalMapSnapshot) -> None:
-        self._fh.write(json.dumps(snapshot_to_dict(snapshot), sort_keys=True) + "\n")
+        """Format the snapshot's finite arrays straight into its JSON line."""
+        cones, ego = snapshot.cones, snapshot.ego
+        n = len(cones)
+        columns = (cones.color_evidence, cones.covs.reshape(n, 4), cones.existence, cones.ids, cones.last_seen, cones.means)
+        rows = ", ".join([_CONE_ROW] * n) % tuple(np.column_stack(columns).ravel().tolist())
+        observed = ", ".join(map(str, sorted(snapshot.observed_ids)))
+        # the filter's ego and time can be numpy floats, whose %r is not json's text
+        fields = (rows, float(ego.theta), float(ego.x), float(ego.y), snapshot.mode.value, observed, float(snapshot.timestamp))
+        self._fh.write(_SNAPSHOT_LINE % fields)
 
     def close(self) -> None:
         self._fh.close()

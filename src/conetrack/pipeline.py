@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import RunConfig, RunFailure, dump_resolved, emitting_sources, read_input
-from .core import Pose2, SensorSource, Velocity2, integrate_velocity, relative_pose
+from .core import Pose2, Velocity2, integrate_velocity, relative_pose
 from .evaluate import (
     build_report,
     icp_align,
@@ -261,18 +261,15 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
             liveness.advance(timestamp)
 
             t0 = time.perf_counter()
-            observations = []
-            present = set()
-            for source in emitting_sources(liveness.alive):
-                observations.extend(observe_cones(track, true_pose, config.profiles[source], rng, timestamp))
-                present.add(SensorSource(source))
+            batches = [
+                observe_cones(track, true_pose, config.profiles[source], rng, timestamp)
+                for source in emitting_sources(liveness.alive)
+            ]
             vel_reading = noisy_velocity(true_vel, velocity_profile, rng)
             timings["sense"].append((time.perf_counter() - t0) * 1e3)
 
             t0 = time.perf_counter()
-            state, snapshot = ingest_frame(
-                state, observations, vel_reading, frame_dt, local_cfg, mode=force, present_sources=present
-            )
+            state, snapshot = ingest_frame(state, batches, vel_reading, frame_dt, local_cfg, mode=force)
             timings["local_map"].append((time.perf_counter() - t0) * 1e3)
             snapshot_writer.write(snapshot)
             trajectory_rows.append((snapshot.timestamp, true_pose, snapshot.ego))

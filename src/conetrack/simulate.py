@@ -18,13 +18,12 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .core import (
-    ColorDistribution,
-    ConeClass,
-    ConeObservation,
-    Gaussian2,
+    COV_EIGENVALUE_FLOOR,
+    ObservationBatch,
     Pose2,
     SensorSource,
     Velocity2,
+    check_range,
     is_finite_number,
     normalize_angle,
 )
@@ -80,9 +79,13 @@ class TrackDefinition:
         line.setflags(write=False)
         object.__setattr__(self, "centerline", line)
         object.__setattr__(self, "cones", tuple(self.cones))
+        positions = np.array([c.position for c in self.cones], dtype=float).reshape(-1, 2)
+        positions.setflags(write=False)
+        object.__setattr__(self, "_positions", positions)
 
     def cone_positions(self) -> np.ndarray:
-        return np.array([c.position for c in self.cones])
+        """(n, 2) world positions, one row per cone; read-only, computed once."""
+        return self._positions
 
     def to_dict(self) -> dict:
         return {
@@ -403,18 +406,31 @@ class SensorProfile:
     velocity_sigma_per_speed: tuple[float, float, float] = (0.004, 0.002, 0.0004)
 
     def __post_init__(self) -> None:
-        for bins in (self.color_accuracy_bins, self.recall_bins):
-            edges = [e for e, _ in bins]
-            if edges != sorted(edges):
-                raise ValueError("range bins must be ordered")
-            if any(not 0.0 <= v <= 1.0 for _, v in bins):
-                raise ValueError("bin values must lie in [0, 1]")
-        if not 1 / 3 <= self.color_confidence <= 1.0:
-            raise ValueError("color_confidence must lie in [1/3, 1]")
-        object.__setattr__(self, "color_accuracy_bins", tuple(tuple(b) for b in self.color_accuracy_bins))
-        object.__setattr__(self, "recall_bins", tuple(tuple(b) for b in self.recall_bins))
-        object.__setattr__(self, "velocity_sigma", tuple(self.velocity_sigma))
-        object.__setattr__(self, "velocity_sigma_per_speed", tuple(self.velocity_sigma_per_speed))
+        """Reject a field out of range, naming it; the all-zero noise of a noise-free profile is valid."""
+        if self.mode not in {source.value for source in SensorSource}:
+            raise ValueError(f"sensor profile mode must be fusion, lidar_only or camera_only, got {self.mode!r}")
+        check_range("sensor profile max_range_m", self.max_range_m, 0.0, math.inf, False)
+        check_range("sensor profile fov_half_angle_rad", self.fov_half_angle_rad, 0.0, math.pi, False)
+        for name in ("sigma_base_m", "sigma_range_coeff_m_per_m2", "false_positives_per_frame"):
+            check_range(f"sensor profile {name}", getattr(self, name), 0.0, math.inf, True)
+        check_range("sensor profile color_confidence", self.color_confidence, 1 / 3, 1.0, True)
+        for name in ("velocity_sigma", "velocity_sigma_per_speed"):
+            sigmas = tuple(getattr(self, name))
+            if len(sigmas) != 3:
+                raise ValueError(f"sensor profile {name} must be three sigmas, got {sigmas!r}")
+            for sigma in sigmas:
+                check_range(f"sensor profile {name}", sigma, 0.0, math.inf, True)
+            object.__setattr__(self, name, sigmas)
+        for name in ("color_accuracy_bins", "recall_bins"):
+            bins = tuple(tuple(b) for b in getattr(self, name))
+            if not bins or any(len(b) != 2 for b in bins):
+                raise ValueError(f"sensor profile {name} must be (range edge, value) pairs, got {bins!r}")
+            for edge, value in bins:
+                check_range(f"sensor profile {name} edge", edge, 0.0, math.inf, False)
+                check_range(f"sensor profile {name} value", value, 0.0, 1.0, True)
+            if [e for e, _ in bins] != sorted(e for e, _ in bins):
+                raise ValueError(f"sensor profile {name} edges must be ordered")
+            object.__setattr__(self, name, bins)
 
     @property
     def source(self) -> SensorSource:
@@ -446,14 +462,7 @@ class SensorProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SensorProfile":
-        kwargs = dict(data)
-        for key in ("color_accuracy_bins", "recall_bins"):
-            if key in kwargs:
-                kwargs[key] = tuple(tuple(b) for b in kwargs[key])
-        for key in ("velocity_sigma", "velocity_sigma_per_speed"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def _step_lookup(bins: Sequence[tuple[float, float]], ranges: np.ndarray) -> np.ndarray:
@@ -560,66 +569,48 @@ def curvature_limited_speed_profile(
     return tuple(out)
 
 
-def _peaked_distribution(class_idx: np.ndarray, confidence: float) -> list[ColorDistribution]:
-    rest = (1.0 - confidence) / 2.0
-    out = []
-    for idx in class_idx:
-        probs = [rest, rest, rest]
-        probs[int(idx)] = confidence
-        out.append(ColorDistribution(*probs))
-    return out
-
-
 _CLASS_INDEX = {"blue": 0, "yellow": 1, "orange": 2, "unknown": 2}
 
 
 def observe_cones(
     track: TrackDefinition, true_pose: Pose2, profile: SensorProfile, rng: np.random.Generator, timestamp: float
-) -> list[ConeObservation]:
-    """Sample one frame of cone detections in the car frame."""
-    positions = track.cone_positions()
-    rel = positions - true_pose.position
+) -> ObservationBatch:
+    """Sample one frame of cone detections in the car frame: detections, then false positives."""
+    rel = track.cone_positions() - true_pose.position
     c, s = math.cos(true_pose.theta), math.sin(true_pose.theta)
-    body = np.column_stack([c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1]])
-    ranges = np.hypot(body[:, 0], body[:, 1])
-    bearings = np.arctan2(body[:, 1], body[:, 0])
-    in_frustum = (ranges <= profile.max_range_m) & (np.abs(bearings) <= profile.fov_half_angle_rad)
-
-    idx = np.flatnonzero(in_frustum)
+    x, y = c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1]
+    ranges = np.hypot(x, y)
+    in_range = np.flatnonzero(ranges <= profile.max_range_m)
+    idx = in_range[np.abs(np.arctan2(y[in_range], x[in_range])) <= profile.fov_half_angle_rad]
     detected = idx[rng.random(len(idx)) < profile.recall(ranges[idx])]
 
-    obs: list[ConeObservation] = []
-    if len(detected):
-        r = ranges[detected]
-        sigma = profile.position_sigma(r)
-        noisy = body[detected] + rng.normal(size=(len(detected), 2)) * sigma[:, None]
-        accuracy = profile.color_accuracy(r)
-        correct = rng.random(len(detected)) < accuracy
-        alt_pick = rng.integers(0, 2, size=len(detected))
-        true_idx = np.array([_CLASS_INDEX[track.cones[i].color] for i in detected])
-        sampled = true_idx.copy()
-        for k in np.flatnonzero(~correct):
-            others = [j for j in range(3) if j != true_idx[k]]
-            sampled[k] = others[alt_pick[k]]
-        colors = _peaked_distribution(sampled, profile.color_confidence)
-        for k in range(len(detected)):
-            cov = (sigma[k] ** 2) * np.eye(2)
-            obs.append(
-                ConeObservation(Gaussian2(noisy[k], cov), colors[k], timestamp, profile.source)
-            )
+    r = ranges[detected]
+    sigma = profile.position_sigma(r)
+    noise = rng.normal(size=(len(detected), 2)) * sigma[:, None]
+    correct = rng.random(len(detected)) < profile.color_accuracy(r)
+    alt_pick = rng.integers(0, 2, size=len(detected))
+    true_idx = np.array([_CLASS_INDEX[track.cones[i].color] for i in detected], dtype=np.intp)
+    # a confused detection takes the lower (pick 0) or higher (pick 1) of the two other classes
+    classes = np.where(correct, true_idx, alt_pick + (alt_pick >= true_idx))
+    means = np.column_stack([x[detected], y[detected]]) + noise
 
     n_fp = int(rng.poisson(profile.false_positives_per_frame))
     if n_fp:
         fp_bearing = rng.uniform(-profile.fov_half_angle_rad, profile.fov_half_angle_rad, size=n_fp)
         fp_range = profile.max_range_m * np.sqrt(rng.random(n_fp))  # uniform over frustum area
-        fp_body = np.column_stack([fp_range * np.cos(fp_bearing), fp_range * np.sin(fp_bearing)])
-        fp_sigma = profile.position_sigma(fp_range)
-        fp_class = rng.integers(0, 3, size=n_fp)
-        fp_colors = _peaked_distribution(fp_class, profile.color_confidence)
-        for k in range(n_fp):
-            cov = (fp_sigma[k] ** 2) * np.eye(2)
-            obs.append(ConeObservation(Gaussian2(fp_body[k], cov), fp_colors[k], timestamp, profile.source))
-    return obs
+        means = np.concatenate([means, np.column_stack([fp_range * np.cos(fp_bearing), fp_range * np.sin(fp_bearing)])])
+        sigma = np.concatenate([sigma, profile.position_sigma(fp_range)])
+        classes = np.concatenate([classes, rng.integers(0, 3, size=n_fp)])
+
+    # C pow, not sigma * sigma: the two differ in the last bit for about one
+    # sigma in a thousand. An isotropic covariance's eigenvalues are its
+    # diagonal, so flooring them is project_spd's projection.
+    variances = np.maximum(np.float_power(sigma, 2), COV_EIGENVALUE_FLOOR)
+    covs = np.zeros((len(sigma), 2, 2))
+    covs[:, 0, 0] = covs[:, 1, 1] = variances
+    colors = np.full((len(classes), 3), (1.0 - profile.color_confidence) / 2.0)
+    colors[np.arange(len(classes)), classes] = profile.color_confidence
+    return ObservationBatch(profile.source, timestamp, means, covs, colors)
 
 
 def noisy_velocity(true_vel: Velocity2, profile: SensorProfile, rng: np.random.Generator) -> Velocity2:

@@ -13,15 +13,7 @@ import numpy as np
 import pytest
 
 from conetrack.config import load_config, resolve_profile
-from conetrack.core import (
-    ColorDistribution,
-    ConeEstimate,
-    ConeObservation,
-    Gaussian2,
-    Pose2,
-    SensorSource,
-    Velocity2,
-)
+from conetrack.core import ConeEstimate, Gaussian2, Pose2, Velocity2
 from conetrack.evaluate import align_exact_correspondences, icp_align
 from conetrack.global_map import (
     observation_jacobians,
@@ -128,7 +120,7 @@ class TestAC3FalsePositiveRejection:
             obs = observe_cones(track, pose, profile, rng, timestamp)
             frames.append((timestamp, dt, obs, vel))
             states.append(state)
-            state, _ = ingest_frame(state, obs, vel, dt, config)
+            state, _ = ingest_frame(state, [obs], vel, dt, config)
 
         inj_rng = np.random.default_rng(99)
         inject_at = sorted(inj_rng.choice(np.arange(20, len(frames) - 10), size=100, replace=False))
@@ -155,7 +147,7 @@ class TestAC3FalsePositiveRejection:
             gone_at = None
             t0 = frames[frame_idx][0]
             for timestamp, dt, obs, vel in frames[frame_idx + 1 :]:
-                forked, snap = ingest_frame(forked, obs, vel, dt, config)
+                forked, snap = ingest_frame(forked, [obs], vel, dt, config)
                 if 10_000_000 not in snap.cones.ids:
                     gone_at = timestamp
                     break
@@ -457,10 +449,8 @@ class TestAC9FilterConsistency:
                 last_seen=0.0,
             )
             z = truth + rng.normal(scale=sigma, size=2)
-            obs = ConeObservation(Gaussian2.isotropic(z, sigma), ColorDistribution(1, 0, 0), 0.1, SensorSource.FUSION)
-            means, covs = update_position(
-                cone.position.mean[None], cone.position.cov[None], obs.position.mean[None], obs.position.cov[None]
-            )
+            obs = Gaussian2.isotropic(z, sigma)
+            means, covs = update_position(cone.position.mean[None], cone.position.cov[None], obs.mean[None], obs.cov[None])
             err = means[0] - truth
             nees.append(float(err @ np.linalg.solve(covs[0], err)))
         mean_nees = float(np.mean(nees))

@@ -241,6 +241,16 @@ BAD_INPUTS = [
     ["run", "--config", "{floatevery}"],
     ["run", "--config", "{degradednolidar}"],
     ["run", "--config", "{nofusion}"],
+    ["run", "--config", "{nansigma}"],
+    ["run", "--config", "{negfalsepositives}"],
+    ["run", "--config", "{negsigma}"],
+    ["run", "--config", "noise-free-circle", "--profile", "{negsigmaprofile}"],
+    ["run", "--config", "{mismatchedprofile}"],
+    ["run", "--config", "{negradius}"],
+    ["run", "--config", "{nanfloor}"],
+    ["run", "--config", "{infspeed}"],
+    ["run", "--config", "{neglateral}"],
+    ["run", "--config", "{nanrate}"],
 ]
 
 # placeholder -> (file content, None for no file; text the error must contain)
@@ -266,6 +276,19 @@ BAD_FILES = {
         "['camera_only', 'lidar_only']",
     ),
     "nofusion": ('{"profiles": {"lidar_only": "builtin:lidar_only"}}', "['fusion']"),
+    "nansigma": ('{"profiles": {"fusion": {"mode": "fusion", "sigma_base_m": NaN}}}', "sigma_base_m"),
+    "negfalsepositives": (
+        '{"profiles": {"fusion": {"mode": "fusion", "false_positives_per_frame": -1.0}}}',
+        "false_positives_per_frame",
+    ),
+    "negsigma": ('{"profiles": {"fusion": {"mode": "fusion", "sigma_base_m": -0.05}}}', "sigma_base_m"),
+    "negsigmaprofile": ('{"mode": "fusion", "sigma_base_m": -0.05}', "sigma_base_m"),
+    "mismatchedprofile": ('{"profiles": {"fusion": "builtin:lidar_only"}}', "'lidar_only'"),
+    "negradius": ('{"global_map_overrides": {"association_radius_m": -1.0}}', "association_radius_m"),
+    "nanfloor": ('{"global_map_overrides": {"observation_sigma_floor_m": NaN}}', "observation_sigma_floor_m"),
+    "infspeed": ('{"max_speed_mps": Infinity}', "max_speed_mps"),
+    "neglateral": ('{"lateral_accel_mps2": -6.0}', "lateral_accel_mps2"),
+    "nanrate": ('{"frame_rate_hz": NaN}', "frame_rate_hz"),
 }
 
 

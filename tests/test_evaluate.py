@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def reference_points_in_polygon(points, polygon):
     qx, qy = np.roll(px, -1), np.roll(py, -1)
     for (x1, y1, x2, y2) in zip(px, py, qx, qy):
         crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
         inside ^= crosses & (x < x_at)
     return inside
@@ -319,6 +320,17 @@ class TestBroadcastEqualsScalarReference:
         ego, waypoints = np.array([5.0, 1e-17]), np.array([[10.0, -1e-17]])
         assert first_exit_distance(ego, waypoints, corridor) == reference_first_exit_distance(ego, waypoints, corridor)
         assert first_exit_distance(ego, waypoints, corridor) == 5.0
+
+
+    def test_segment_parallel_to_an_edge_within_a_subnormal_denominator(self):
+        # the bottom edge rises 5e-324 m over 20 m: its divisions overflow, and the pair is masked
+        corridor = TrackCorridor(outer=np.array([[0, 0], [20, 5e-324], [20, 4], [0, 4]], dtype=float))
+        ego, waypoints = np.array([1.0, 2.0]), np.array([[6.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exit_distance = first_exit_distance(ego, waypoints, corridor)
+            assert exit_distance == reference_first_exit_distance(ego, waypoints, corridor)
+        assert exit_distance is None
 
 
 class TestPlanningStats:

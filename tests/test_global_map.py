@@ -233,7 +233,7 @@ def build_noise_free_graph(radius=20.0, speed=5.0, frame_rate=5.0):
     for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
         start_pose = start_pose or pose
         obs = observe_cones(track, pose, profile, rng, timestamp)
-        state, snap = ingest_frame(state, obs, vel, dt, cfg)
+        state, snap = ingest_frame(state, [obs], vel, dt, cfg)
         odom = Pose2.identity() if prev_ego is None else relative_pose(prev_ego, snap.ego)
         add_snapshot(graph, snap, odom, CONFIG)
         prev_ego = snap.ego
@@ -337,7 +337,7 @@ class TestNoisyImprovement:
             start_pose = start_pose or pose
             obs = observe_cones(track, pose, profile, rng, timestamp)
             vel_noisy = noisy_velocity(vel, profile, rng)
-            state, snap = ingest_frame(state, obs, vel_noisy, dt, cfg_local)
+            state, snap = ingest_frame(state, [obs], vel_noisy, dt, cfg_local)
             odom = Pose2.identity() if prev_ego is None else relative_pose(prev_ego, snap.ego)
             add_snapshot(graph, snap, odom, CONFIG)
             prev_ego = snap.ego
@@ -424,6 +424,32 @@ GOLDEN_DIGESTS = {
     "map_estimated.json": "dd8289228e62bd39d020d1eacadf1b5485ffed6646cf301d0dc0f6cd0ca06136",
     "map_dead_reckoned.json": "c6d8f861a275025841fff837a1ec33b0bb7128c972650474c79c80632dd3f2bf",
 }
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("proximity_radius_m", 0.0),
+            ("association_radius_m", -1.0),
+            ("odometry_sigma_rates", (0.08, 0.0, 0.012)),
+            ("odometry_sigma_rates", (0.08, 0.08)),
+            ("observation_sigma_floor_m", math.nan),
+            ("max_iterations", 0),
+            ("max_iterations", 2.5),
+            ("relative_tolerance", -1e-8),
+            ("absolute_cost_floor", math.inf),
+            ("initial_lambda", 0.0),
+            ("lambda_up", 1.0),
+            ("lambda_down", 1.0),
+            ("lambda_down", 0.0),
+            ("max_lambda_steps", 0),
+            ("export_min_edges", True),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GlobalMapConfig(**{name: value})
 
 
 class TestGoldenBytes:

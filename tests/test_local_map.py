@@ -6,13 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conetrack.core import (
     ColorDistribution,
     ConeClass,
     ConeEstimate,
-    ConeObservation,
     Gaussian2,
+    ObservationBatch,
     Pose2,
     SensorSource,
     Velocity2,
@@ -37,7 +39,6 @@ from conetrack.local_map import (
     predict,
     read_snapshot_log,
     snapshot_from_dict,
-    snapshot_to_dict,
     unseen_in_fov,
     update_color,
     update_position,
@@ -68,9 +69,33 @@ def make_cone(cid=0, mean=(0.0, 0.0), sigma=0.3, evidence=(1.0, 0.0, 0.0), exist
 
 
 def make_obs(mean, sigma=0.1, color=(1.0, 0.0, 0.0), t=0.0, source=SensorSource.FUSION):
-    return ConeObservation(
-        Gaussian2.isotropic(np.array(mean, dtype=float), sigma), ColorDistribution(*color), t, source
-    )
+    """One detection, as a one-row batch."""
+    position = Gaussian2.isotropic(np.array(mean, dtype=float), sigma)
+    return ObservationBatch(source, t, position.mean[None], position.cov[None], np.array([color], dtype=float))
+
+
+def joined(*batches):
+    """The rows of same-source batches, in order, as one batch."""
+    first = batches[0]
+    columns = (np.concatenate([getattr(b, name) for b in batches]) for name in ("means", "covs", "colors"))
+    return ObservationBatch(first.source, first.timestamp, *columns)
+
+
+def per_source(*observations):
+    """One batch per source of one-row batches, rows in the given order."""
+    groups: dict = {}
+    for o in observations:
+        groups.setdefault(o.source, []).append(o)
+    return [joined(*group) for group in groups.values()]
+
+
+def empty_batch(source):
+    return ObservationBatch(source, 0.0, np.zeros((0, 2)), np.zeros((0, 2, 2)), np.zeros((0, 3)))
+
+
+def position_of(obs):
+    """The one detection of a one-row batch as a Gaussian."""
+    return Gaussian2(obs.means[0], obs.covs[0])
 
 
 def map_of(*cones):
@@ -78,10 +103,27 @@ def map_of(*cones):
 
 
 def obs_arrays(observations):
-    """(k, 2) means and (k, 2, 2) covariances of observations."""
-    means = np.array([o.position.mean for o in observations]).reshape(-1, 2)
-    covs = np.array([o.position.cov for o in observations]).reshape(-1, 2, 2)
-    return means, covs
+    """(k, 2) means and (k, 2, 2) covariances of one-row batches."""
+    if not observations:
+        return np.zeros((0, 2)), np.zeros((0, 2, 2))
+    batch = joined(*observations)
+    return batch.means, batch.covs
+
+
+def snapshot_to_dict(snapshot: LocalMapSnapshot) -> dict:
+    """One snapshot log row as a dict; ``json.dumps(..., sort_keys=True)`` of it is the log line's reference bytes."""
+    cones = snapshot.cones
+    columns = (cones.ids, cones.means, cones.covs, cones.color_evidence, cones.existence, cones.last_seen)
+    return {
+        "timestamp_s": snapshot.timestamp,
+        "mode": snapshot.mode.value,
+        "ego": {"x_m": snapshot.ego.x, "y_m": snapshot.ego.y, "theta_rad": snapshot.ego.theta},
+        "observed_ids": sorted(snapshot.observed_ids),
+        "cones": [
+            {"id": cid, "x_m": x, "y_m": y, "cov_m2": cov, "color_evidence": ev, "existence": e, "last_seen_s": t}
+            for cid, (x, y), cov, ev, e, t in zip(*(column.tolist() for column in columns))
+        ],
+    }
 
 
 def id_pairs(cones, result):
@@ -110,9 +152,7 @@ def negative_pass(state, result, config=CONFIG):
 
 def kalman(cone, obs):
     """One Kalman update through the array API: the updated mean and covariance."""
-    means, covs = update_position(
-        cone.position.mean[None], cone.position.cov[None], obs.position.mean[None], obs.position.cov[None]
-    )
+    means, covs = update_position(cone.position.mean[None], cone.position.cov[None], obs.means, obs.covs)
     return means[0], covs[0]
 
 
@@ -180,7 +220,7 @@ class TestAssociate:
             z = np.array([2.0, 0.0]) + rng.normal(scale=0.6, size=2)
             obs = make_obs(z, sigma=0.2)
             result = associate(state.cones, *obs_arrays([obs]), CONFIG)
-            dists = {cid: bhattacharyya_distance(obs.position, c.position) for cid, c in cones.items()}
+            dists = {cid: bhattacharyya_distance(position_of(obs), c.position) for cid, c in cones.items()}
             best = min(dists, key=lambda cid: (dists[cid], cid))
             if dists[best] <= CONFIG.gate_distance:
                 assert id_pairs(state.cones, result) == ((0, best),)
@@ -243,7 +283,7 @@ class TestKalmanUpdate:
         obs = make_obs((0.1, -0.1), sigma=0.5)
         traces = [np.trace(cov)]
         for _ in range(20):
-            (mean,), (cov,) = update_position(mean[None], cov[None], obs.position.mean[None], obs.position.cov[None])
+            (mean,), (cov,) = update_position(mean[None], cov[None], obs.means, obs.covs)
             traces.append(np.trace(cov))
         assert all(b < a for a, b in zip(traces, traces[1:]))
         # the trace converges toward the observation-noise-limited floor
@@ -328,7 +368,7 @@ def run_noise_free_lap(track, speed=5.0, frame_rate=10.0, mode=None, profile=Non
     for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
         start_pose = start_pose or pose
         obs = observe_cones(track, pose, profile, rng, timestamp)
-        state, snap = ingest_frame(state, obs, vel, dt, cfg, mode=mode)
+        state, snap = ingest_frame(state, [obs], vel, dt, cfg, mode=mode)
         snapshots.append(snap)
     return state, snapshots, start_pose
 
@@ -369,14 +409,9 @@ class TestIngest:
             obs = observe_cones(track, pose, profile, rng, timestamp)
             if math.isclose(timestamp, inject_at):
                 # phantom cone 6 m dead ahead, observed exactly once
-                phantom = ConeObservation(
-                    Gaussian2.isotropic(np.array([6.0, 0.0]), 0.05),
-                    ColorDistribution(0.0, 0.0, 1.0),
-                    timestamp,
-                    SensorSource.FUSION,
-                )
-                obs = list(obs) + [phantom]
-            state, snap = ingest_frame(state, obs, vel, dt, cfg)
+                phantom = make_obs((6.0, 0.0), sigma=0.05, color=(0.0, 0.0, 1.0), t=timestamp)
+                obs = joined(obs, phantom)
+            state, snap = ingest_frame(state, [obs], vel, dt, cfg)
             if math.isclose(timestamp, inject_at):
                 truth = track.cone_positions()
                 for cid, mean in zip(snap.cones.ids.tolist(), snap.cones.means):
@@ -402,7 +437,7 @@ class TestIngest:
         first_copy = None
         for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
             obs = observe_cones(track, pose, profile, rng, timestamp)
-            state, snap = ingest_frame(state, obs, vel, dt, cfg)
+            state, snap = ingest_frame(state, [obs], vel, dt, cfg)
             if first_snap is None:
                 first_snap = snap
                 first_copy = snapshot_to_dict(snap)
@@ -426,7 +461,7 @@ class TestIngest:
             grown = dict(zip(predicted.cones.ids.tolist(), np.trace(predicted.cones.covs, axis1=1, axis2=2)))
             for cid in before:
                 assert grown[cid] >= before[cid] - 1e-12
-            state, snap = ingest_frame(state, obs, vel, dt, cfg)
+            state, snap = ingest_frame(state, [obs], vel, dt, cfg)
             cones = snap.cones
             for cid, cov, last_seen in zip(cones.ids.tolist(), cones.covs, cones.last_seen.tolist()):
                 if cid in grown and last_seen == snap.timestamp:
@@ -440,22 +475,22 @@ class TestIngest:
         t = 0.0
         # fusion alive
         for _ in range(5):
-            obs = [make_obs((5.0, 0.0), t=t, source=SensorSource.FUSION)]
+            obs = per_source(make_obs((5.0, 0.0), t=t, source=SensorSource.FUSION))
             state, snap = ingest_frame(state, obs, Velocity2.zero(), 0.1 if t else 0.0, cfg)
             t += 0.1
         assert snap.mode is MapMode.FUSION
         # fusion dies; lidar + camera continue
         for _ in range(6):
-            obs = [
+            obs = per_source(
                 make_obs((5.0, 0.0), t=t, source=SensorSource.LIDAR_ONLY),
                 make_obs((5.0, 0.0), sigma=0.8, color=(0.9, 0.05, 0.05), t=t, source=SensorSource.CAMERA_ONLY),
-            ]
+            )
             state, snap = ingest_frame(state, obs, Velocity2.zero(), 0.1, cfg)
             t += 0.1
         assert snap.mode is MapMode.DEGRADED
         # camera dies too
         for _ in range(6):
-            obs = [make_obs((5.0, 0.0), t=t, source=SensorSource.LIDAR_ONLY)]
+            obs = per_source(make_obs((5.0, 0.0), t=t, source=SensorSource.LIDAR_ONLY))
             state, snap = ingest_frame(state, obs, Velocity2.zero(), 0.1, cfg)
             t += 0.1
         assert snap.mode is MapMode.LIDAR_ONLY
@@ -463,10 +498,10 @@ class TestIngest:
     def test_fusion_mode_ignores_single_sensor_observations(self):
         cfg = LocalMapConfig.for_frame_rate(10.0)
         state = LocalMapState()
-        obs = [
+        obs = per_source(
             make_obs((5.0, 0.0), t=0.0, source=SensorSource.FUSION),
             make_obs((8.0, 2.0), t=0.0, source=SensorSource.LIDAR_ONLY),
-        ]
+        )
         state, snap = ingest_frame(state, obs, Velocity2.zero(), 0.0, cfg)
         assert snap.mode is MapMode.FUSION
         assert len(snap.cones) == 1
@@ -581,6 +616,76 @@ class TestSnapshotLog:
             read_snapshot_log(path)
 
 
+def degraded_lap_snapshots(length_m=90.0, seed=455):
+    """Snapshots of a seeded lap whose fusion pipeline fails at 3 s, so both single-sensor sources associate."""
+    spec = dataclasses.replace(load_config("modes-5ms").track_spec, length_m=length_m)
+    track = generate_track(spec, seed=seed)
+    profiles = {m: default_profile(m) for m in ("fusion", "lidar_only", "camera_only")}
+    config = LocalMapConfig.for_profile(profiles["lidar_only"], 10.0)
+    run = SimRun.constant_speed(track, 5.0, 10.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    state, snapshots = LocalMapState(), []
+    for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+        alive = ["fusion"] if timestamp < 3.0 else ["lidar_only", "camera_only"]
+        batches = [observe_cones(track, pose, profiles[m], rng, timestamp) for m in alive]
+        state, snap = ingest_frame(state, batches, noisy_velocity(vel, profiles["fusion"], rng), dt, config)
+        snapshots.append(snap)
+    return snapshots
+
+
+def json_line(snapshot):
+    return json.dumps(snapshot_to_dict(snapshot), sort_keys=True) + "\n"
+
+
+def written_lines(path, snapshots):
+    with SnapshotLogWriter(path) as writer:
+        for snap in snapshots:
+            writer.write(snap)
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+
+
+finite_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300, 0.1]),
+)
+
+
+@st.composite
+def snapshots(draw):
+    """A snapshot of random cone rows, possibly none, with ids up to 2**53."""
+    ids = sorted(draw(st.sets(st.integers(0, 2**53), max_size=8)))
+    n = len(ids)
+    columns = {name: draw(st.lists(finite_float, min_size=n * width, max_size=n * width)) for name, width in
+               (("means", 2), ("covs", 4), ("color_evidence", 3), ("existence", 1), ("last_seen", 1))}
+    cones = ConeTable(
+        np.array(ids, np.int64),
+        np.array(columns["means"], float).reshape(n, 2),
+        np.array(columns["covs"], float).reshape(n, 2, 2),
+        np.array(columns["color_evidence"], float).reshape(n, 3),
+        np.array(columns["existence"], float),
+        np.array(columns["last_seen"], float),
+    )
+    # the filter's ego and time are numpy floats, which json writes as plain floats
+    x, y, theta, timestamp = (np.float64(draw(finite_float)) for _ in range(4))
+    observed = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    ego = Pose2(x, y, draw(st.floats(-math.pi, math.pi)))
+    return LocalMapSnapshot(timestamp, ego, cones, frozenset(observed), draw(st.sampled_from(list(MapMode))))
+
+
+class TestSnapshotLogWriterMatchesJson:
+    """The writer's template against ``json.dumps`` of the row dict, the encoding it replaced."""
+
+    def test_every_line_of_a_seeded_degraded_lap(self, tmp_path):
+        lap = degraded_lap_snapshots()
+        assert {s.mode for s in lap} == {MapMode.FUSION, MapMode.DEGRADED}
+        assert written_lines(tmp_path / "snaps.ndjson", lap) == [json_line(s) for s in lap]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(snapshot=snapshots())
+    def test_random_cone_tables(self, tmp_path, snapshot):
+        assert written_lines(tmp_path / "snap.ndjson", [snapshot]) == [json_line(snapshot)]
+
+
 class TestEdgeCases:
     def test_empty_frame_on_empty_map(self):
         state, snap = ingest_frame(LocalMapState(), [], Velocity2(1.0, 0.0, 0.0), 0.1, CONFIG)
@@ -593,23 +698,40 @@ class TestEdgeCases:
 
     def test_repeated_timestamp_leaves_covariances_untouched(self):
         state = map_of(make_cone(0, (5.0, 0.0), sigma=0.3), make_cone(1, (-5.0, 0.0), sigma=0.4))
-        out, _ = ingest_frame(state, [], Velocity2(2.0, 0.0, 0.1), 0.0, CONFIG, present_sources=[SensorSource.FUSION])
+        out, _ = ingest_frame(state, [empty_batch(SensorSource.FUSION)], Velocity2(2.0, 0.0, 0.1), 0.0, CONFIG)
         assert np.array_equal(out.cones.covs, state.cones.covs)
         assert out.ego == state.ego and out.time == state.time
 
+    def test_an_empty_batch_keeps_its_source_alive(self):
+        cfg = LocalMapConfig.for_frame_rate(10.0)
+        obs = per_source(
+            make_obs((5.0, 0.0), source=SensorSource.LIDAR_ONLY),
+            make_obs((5.0, 0.0), sigma=0.8, source=SensorSource.CAMERA_ONLY),
+        )
+        state, snap = ingest_frame(LocalMapState(), obs, Velocity2.zero(), 0.0, cfg)
+        assert snap.mode is MapMode.DEGRADED
+        for _ in range(6):  # past the staleness timeout: the camera goes stale, the lidar does not
+            state, snap = ingest_frame(state, [empty_batch(SensorSource.LIDAR_ONLY)], Velocity2.zero(), 0.1, cfg)
+        assert snap.mode is MapMode.LIDAR_ONLY and snap.observed_ids == frozenset()
+
+    def test_two_batches_of_one_source_rejected(self):
+        obs = [make_obs((5.0, 0.0)), make_obs((8.0, 0.0))]
+        with pytest.raises(ValueError, match="more than one observation batch"):
+            ingest_frame(LocalMapState(), obs, Velocity2.zero(), 0.0, CONFIG)
+
     def test_no_live_pipeline_keeps_mode_and_only_runs_the_negative_pass(self):
         cfg = LocalMapConfig.for_frame_rate(10.0)
-        obs = [
+        obs = per_source(
             make_obs((5.0, 0.0), source=SensorSource.LIDAR_ONLY),
             make_obs((5.0, 0.0), sigma=0.8, color=(0.9, 0.05, 0.05), source=SensorSource.CAMERA_ONLY),
             make_obs((-6.0, 1.0), source=SensorSource.LIDAR_ONLY),  # behind the ego once it turns around
-        ]
+        )
         state, snap = ingest_frame(LocalMapState(), obs, Velocity2.zero(), 0.0, cfg)
         assert snap.mode is MapMode.DEGRADED
         state = replace(state, ego=Pose2(0.0, 0.0, 0.0))
         for _ in range(6):  # past the staleness timeout
             before = state.cones
-            state, snap = ingest_frame(state, [], Velocity2.zero(), 0.1, cfg, present_sources=[])
+            state, snap = ingest_frame(state, [], Velocity2.zero(), 0.1, cfg)
             assert snap.mode is MapMode.DEGRADED
             assert snap.observed_ids == frozenset() and state.next_cone_id == 2
             kept = np.isin(before.ids, state.cones.ids)
@@ -706,6 +828,19 @@ def ref_predict(state, vel, dt, config):
     return replace(state, ego=ego, cones=cones, time=state.time + dt)
 
 
+@dataclasses.dataclass(frozen=True)
+class RefObservation:
+    """One detection of the per-cone reference: a Gaussian and a color distribution."""
+
+    position: Gaussian2
+    color: np.ndarray
+
+
+def ref_observations(batch):
+    """A batch's rows, one :class:`RefObservation` (one ``Gaussian2``) each."""
+    return [RefObservation(Gaussian2(m, c), color) for m, c, color in zip(batch.means, batch.covs, batch.colors)]
+
+
 def ref_observation_to_local(ego, obs):
     mean = transform_point(ego, obs.position.mean)
     return replace(obs, position=Gaussian2(mean, rotate_covariance(ego.theta, obs.position.cov)))
@@ -770,19 +905,19 @@ def ref_mode(state, now, config):
     return MapMode.CAMERA_ONLY if camera else state.mode
 
 
-def ref_ingest(state, observations, vel, dt, config, present_sources):
+def ref_ingest(state, batches, vel, dt, config):
     """One frame of the per-cone filter; returns the state and the observed ids."""
     state = ref_predict(state, vel, dt, config)
     now = state.time
     last_seen = dict(state.last_source_time)
-    for source in present_sources:
-        last_seen[source] = now
+    for batch in batches:
+        last_seen[batch.source] = now
     state = replace(state, last_source_time=last_seen)
     mode = ref_mode(state, now, config)
     state = replace(state, mode=mode)
     matched, observed = set(), set()
     for source in REF_MODE_SOURCES[mode]:
-        local = [ref_observation_to_local(state.ego, o) for o in observations if o.source is source]
+        local = [ref_observation_to_local(state.ego, o) for b in batches if b.source is source for o in ref_observations(b)]
         if not local:
             continue
         pairs, new = ref_associate(state, local, config)
@@ -790,14 +925,14 @@ def ref_ingest(state, observations, vel, dt, config, present_sources):
         weight = config.color_weight(mode, source)
         for obs_idx, cid in pairs:
             cone = ref_update_position(cones[cid], local[obs_idx])
-            evidence = cone.color_evidence + weight * local[obs_idx].color.as_array()
+            evidence = cone.color_evidence + weight * local[obs_idx].color
             cones[cid] = replace(cone, color_evidence=evidence, last_seen=now)
             matched.add(cid)
             observed.add(cid)
         next_id = state.next_cone_id
         for obs_idx in new:
             o = local[obs_idx]
-            cones[next_id] = ConeEstimate(next_id, o.position, weight * o.color.as_array() + 1e-12, config.initial_existence, now)
+            cones[next_id] = ConeEstimate(next_id, o.position, weight * o.color + 1e-12, config.initial_existence, now)
             observed.add(next_id)
             next_id += 1
         state = replace(state, cones=cones, next_cone_id=next_id)
@@ -829,11 +964,10 @@ class TestArrayFilterMatchesPerConeReference:
         modes = set()
         for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
             alive = ["fusion"] if timestamp < 3.0 else ["lidar_only", "camera_only"]
-            obs = [o for m in alive for o in observe_cones(track, pose, profiles[m], rng, timestamp)]
-            present = {SensorSource(m) for m in alive}
+            obs = [observe_cones(track, pose, profiles[m], rng, timestamp) for m in alive]
             vel = noisy_velocity(vel, profiles["fusion"], rng)
-            state, snap = ingest_frame(state, obs, vel, dt, config, present_sources=present)
-            ref, ref_observed = ref_ingest(ref, obs, vel, dt, config, present)
+            state, snap = ingest_frame(state, obs, vel, dt, config)
+            ref, ref_observed = ref_ingest(ref, obs, vel, dt, config)
             ids = sorted(ref.cones)
             cones = [ref.cones[cid] for cid in ids]
             expected = {

@@ -371,7 +371,7 @@ def noisy_run_snapshots(frames):
     state, snaps = LocalMapState(), []
     for timestamp, dt, pose, vel in islice(ScenarioDriver(run).frames(), frames):
         obs = observe_cones(track, pose, profile, rng, timestamp)
-        state, snap = ingest_frame(state, obs, noisy_velocity(vel, profile, rng), dt, config)
+        state, snap = ingest_frame(state, [obs], noisy_velocity(vel, profile, rng), dt, config)
         snaps.append(snap)
     return snaps
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conetrack.core import ConeClass, Pose2, Velocity2, integrate_velocity
+from conetrack.core import ColorDistribution, ConeClass, Gaussian2, Pose2, SensorSource, Velocity2, integrate_velocity
 from conetrack.simulate import (
     CenterlineGeometry,
     InfeasibleTrackError,
@@ -102,6 +102,31 @@ class TestSensorProfile:
         with pytest.raises(ValueError):
             SensorProfile(mode="fusion", recall_bins=((10.0, 1.4),))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("mode", "radar"),
+            ("max_range_m", 0.0),
+            ("max_range_m", math.inf),
+            ("fov_half_angle_rad", 0.0),
+            ("fov_half_angle_rad", 3.5),
+            ("sigma_base_m", math.nan),
+            ("sigma_base_m", -0.01),
+            ("sigma_range_coeff_m_per_m2", math.inf),
+            ("false_positives_per_frame", -0.5),
+            ("color_confidence", math.nan),
+            ("velocity_sigma", (0.05, math.nan, 0.004)),
+            ("velocity_sigma_per_speed", (0.004, 0.002)),
+            ("recall_bins", ((math.nan, 0.9),)),
+            ("recall_bins", ((0.0, 0.9),)),
+            ("color_accuracy_bins", ((15.0, math.nan),)),
+            ("color_accuracy_bins", ()),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SensorProfile(**{"mode": "fusion", name: value})
+
     def test_json_roundtrip(self, tmp_path):
         from conetrack.simulate import load_profile, save_profile
 
@@ -118,10 +143,10 @@ class TestFrameSimulation:
         pose = CenterlineGeometry(track.centerline).pose_at(0.0)
         rng = np.random.default_rng(0)
         obs = observe_cones(track, pose, profile, rng, 0.0)
-        assert obs, "cones expected in the frustum at the start line"
+        assert len(obs), "cones expected in the frustum at the start line"
         positions = track.cone_positions()
-        for o in obs:
-            world = pose.rotation() @ o.position.mean + pose.position
+        for mean in obs.means:
+            world = pose.rotation() @ mean + pose.position
             dists = np.hypot(*(positions - world).T)
             assert dists.min() < 1e-9
 
@@ -131,7 +156,7 @@ class TestFrameSimulation:
         pose = Pose2(0.0, 0.0, 0.0)  # circle center: all cones ~28-32 m away
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert observe_cones(track, pose, profile, rng, 0.0) == []
+            assert len(observe_cones(track, pose, profile, rng, 0.0)) == 0
 
     def test_recall_monte_carlo(self):
         # one cone at 10 m dead ahead, recall 0.9 configured
@@ -149,7 +174,7 @@ class TestFrameSimulation:
         )
         rng = np.random.default_rng(123)
         pose = Pose2(0, 0, 0)
-        hits = sum(bool(observe_cones(track, pose, profile, rng, 0.0)) for _ in range(10_000))
+        hits = sum(bool(len(observe_cones(track, pose, profile, rng, 0.0))) for _ in range(10_000))
         assert hits / 10_000 == pytest.approx(0.9, abs=0.01)
 
     def test_position_noise_calibrated_per_bin(self):
@@ -169,10 +194,10 @@ class TestFrameSimulation:
         pose = Pose2(0, 0, 0)
         errors = {r: [] for r in (3.0, 8.0, 13.0)}
         for _ in range(10_000):
-            for o in observe_cones(track, pose, profile, rng, 0.0):
-                r = min(errors, key=lambda rr: abs(rr - np.hypot(*o.position.mean)))
+            for mean in observe_cones(track, pose, profile, rng, 0.0).means:
+                r = min(errors, key=lambda rr: abs(rr - np.hypot(*mean)))
                 truth = np.array([r, 0.0])
-                errors[r].append(o.position.mean - truth)
+                errors[r].append(mean - truth)
         for r, errs in errors.items():
             expected = 0.05 + 0.001 * r * r
             measured = np.asarray(errs).std(axis=0)
@@ -196,8 +221,8 @@ class TestFrameSimulation:
         pose = Pose2(0, 0, 0)
         n, correct = 20_000, 0
         for _ in range(n):
-            (o,) = observe_cones(track, pose, profile, rng, 0.0)
-            correct += o.color.argmax_class() is ConeClass.YELLOW
+            (color,) = observe_cones(track, pose, profile, rng, 0.0).colors
+            correct += ColorDistribution(*color).argmax_class() is ConeClass.YELLOW
         assert correct / n == pytest.approx(0.85, abs=0.02)
 
     def test_false_positive_rate(self):
@@ -241,8 +266,8 @@ class TestScenario:
             parts = []
             for timestamp, observations, velocity in frames:
                 parts.append((timestamp, velocity.vx, velocity.vy, velocity.yaw_rate))
-                for o in observations:
-                    parts.append(tuple(o.position.mean) + tuple(o.color.as_array()))
+                for mean, color in zip(observations.means, observations.colors):
+                    parts.append(tuple(mean) + tuple(color))
             return parts
 
         assert digest(sensor_stream(run, profile)) == digest(sensor_stream(run, profile))
@@ -268,3 +293,91 @@ class TestScenario:
         speeds = np.array([v for _, v in profile])
         assert speeds.max() == pytest.approx(12.0)
         assert speeds.min() < 9.0
+
+
+# ---------------------------------------------------------------------------
+# Per-detection reference: the observe_cones that built one Gaussian2 and one
+# ColorDistribution per detection, kept here to pin the batch to it bit for bit
+
+REF_CLASS_INDEX = {"blue": 0, "yellow": 1, "orange": 2, "unknown": 2}
+
+
+def ref_peaked_distribution(class_idx, confidence):
+    rest = (1.0 - confidence) / 2.0
+    out = []
+    for idx in class_idx:
+        probs = [rest, rest, rest]
+        probs[int(idx)] = confidence
+        out.append(ColorDistribution(*probs))
+    return out
+
+
+def ref_observe_cones(track, true_pose, profile, rng, timestamp):
+    """Returns the detections as (Gaussian2, ColorDistribution) pairs, the false-positive count and the confused count."""
+    positions = track.cone_positions()
+    rel = positions - true_pose.position
+    c, s = math.cos(true_pose.theta), math.sin(true_pose.theta)
+    body = np.column_stack([c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1]])
+    ranges = np.hypot(body[:, 0], body[:, 1])
+    bearings = np.arctan2(body[:, 1], body[:, 0])
+    in_frustum = (ranges <= profile.max_range_m) & (np.abs(bearings) <= profile.fov_half_angle_rad)
+
+    idx = np.flatnonzero(in_frustum)
+    detected = idx[rng.random(len(idx)) < profile.recall(ranges[idx])]
+
+    obs, confused = [], 0
+    if len(detected):
+        r = ranges[detected]
+        sigma = profile.position_sigma(r)
+        noisy = body[detected] + rng.normal(size=(len(detected), 2)) * sigma[:, None]
+        accuracy = profile.color_accuracy(r)
+        correct = rng.random(len(detected)) < accuracy
+        alt_pick = rng.integers(0, 2, size=len(detected))
+        true_idx = np.array([REF_CLASS_INDEX[track.cones[i].color] for i in detected])
+        sampled = true_idx.copy()
+        for k in np.flatnonzero(~correct):
+            others = [j for j in range(3) if j != true_idx[k]]
+            sampled[k] = others[alt_pick[k]]
+            confused += 1
+        colors = ref_peaked_distribution(sampled, profile.color_confidence)
+        for k in range(len(detected)):
+            cov = (sigma[k] ** 2) * np.eye(2)
+            obs.append((Gaussian2(noisy[k], cov), colors[k]))
+
+    n_fp = int(rng.poisson(profile.false_positives_per_frame))
+    if n_fp:
+        fp_bearing = rng.uniform(-profile.fov_half_angle_rad, profile.fov_half_angle_rad, size=n_fp)
+        fp_range = profile.max_range_m * np.sqrt(rng.random(n_fp))
+        fp_body = np.column_stack([fp_range * np.cos(fp_bearing), fp_range * np.sin(fp_bearing)])
+        fp_sigma = profile.position_sigma(fp_range)
+        fp_class = rng.integers(0, 3, size=n_fp)
+        fp_colors = ref_peaked_distribution(fp_class, profile.color_confidence)
+        for k in range(n_fp):
+            cov = (fp_sigma[k] ** 2) * np.eye(2)
+            obs.append((Gaussian2(fp_body[k], cov), fp_colors[k]))
+    return obs, n_fp, confused
+
+
+class TestBatchMatchesPerDetectionReference:
+    @pytest.mark.parametrize("mode", ["fusion", "lidar_only", "camera_only"])
+    @pytest.mark.parametrize("make_profile", [default_profile, noise_free_profile], ids=["builtin", "noise_free"])
+    def test_seeded_lap_bit_identical(self, mode, make_profile):
+        profile = make_profile(mode)
+        if make_profile is noise_free_profile:  # confusion and false positives on top of exact positions
+            profile = SensorProfile(**{**profile.to_dict(), "color_accuracy_bins": [[15.0, 0.8]], "false_positives_per_frame": 0.3})
+        track = generate_track(TrackSpec(length_m=200.0), seed=11)
+        run = SimRun.constant_speed(track, 5.0, seed=11)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        false_positives = confused = 0
+        for timestamp, _, pose, _ in ScenarioDriver(run).frames():
+            batch = observe_cones(track, pose, profile, rng, timestamp)
+            ref, n_fp, n_confused = ref_observe_cones(track, pose, profile, ref_rng, timestamp)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert (batch.source, batch.timestamp) == (SensorSource(mode), timestamp)
+            assert np.array_equal(batch.means, np.array([g.mean for g, _ in ref]).reshape(-1, 2))
+            assert np.array_equal(batch.covs, np.array([g.cov for g, _ in ref]).reshape(-1, 2, 2))
+            assert np.array_equal(batch.colors, np.array([c.as_array() for _, c in ref]).reshape(-1, 3))
+            assert not any(column.flags.writeable for column in (batch.means, batch.covs, batch.colors))
+            false_positives += n_fp
+            confused += n_confused
+        assert false_positives > 0 and confused > 0
