@@ -156,12 +156,7 @@ def _cmd_replay(args) -> int:
     if args.prior_weight is not None:
         config = dataclasses.replace(config, prior_weight=args.prior_weight)
     track = read_input(load_track, args.track) if args.track else None
-    try:
-        snapshots = read_input(read_snapshot_log, args.snapshots)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # another schema, or a malformed record before the last line
-        raise ConfigError(f"{args.snapshots}: {exc}") from exc
+    snapshots = read_input(read_snapshot_log, args.snapshots)
     report = replay_snapshots(snapshots, config, args.out, track)
     print(f"replayed {report['frames']} snapshots into {args.out}")
     return EXIT_OK

@@ -20,7 +20,7 @@ from .core import check_range, is_finite_number
 from .global_map import GlobalMapConfig
 from .local_map import LocalMapConfig
 from .planner import PlannerConfig
-from .simulate import SensorProfile, TrackSpec, TrackValidationError, default_profile, load_profile, noise_free_profile
+from .simulate import SensorProfile, TrackSpec, default_profile, load_profile, noise_free_profile
 
 SOURCE_MODES = ("fusion", "lidar_only", "camera_only")
 
@@ -219,7 +219,7 @@ def read_input(load, path):
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    except (ConfigError, TrackValidationError) as exc:
+    except ValueError as exc:  # a malformed record, field or schema
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -22,12 +22,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .core import (
-    ColorDistribution,
     ConeClass,
     Pose2,
     body_frame_point,
     check_range,
     compose,
+    is_finite_number,
     normalize_angle,
     transform_point,
 )
@@ -40,7 +40,7 @@ ODOMETRY_EDGE = np.dtype([("relative", float, (3,)), ("information", float, (3, 
 OBSERVATION_EDGE = np.dtype(
     [("pose", np.intp), ("landmark", np.intp), ("measurement", float, (2,)), ("information", float, (2, 2))]
 )
-# landmark class codes, in ColorDistribution.argmax_class order
+# landmark class codes, in colour evidence order
 _CLASSES = (ConeClass.BLUE, ConeClass.YELLOW, ConeClass.UNKNOWN)
 
 
@@ -76,7 +76,6 @@ class GlobalMapConfig:
     lambda_up: float = 10.0
     lambda_down: float = 0.25
     max_lambda_steps: int = 10
-    optimize_every: int = 10  # snapshots between incremental optimizations; 0 leaves only the final solve
     # landmarks with fewer observation edges than this are dropped at export
     # (transient association outliers die young)
     export_min_edges: int = 1
@@ -91,7 +90,7 @@ class GlobalMapConfig:
             raise ValueError(f"global map odometry_sigma_rates must be three rates, got {rates!r}")
         for rate in rates:
             check_range("global map odometry_sigma_rates", rate, 0.0, math.inf, False)
-        for name, low in (("max_iterations", 1), ("max_lambda_steps", 1), ("optimize_every", 0), ("export_min_edges", 0)):
+        for name, low in (("max_iterations", 1), ("max_lambda_steps", 1), ("export_min_edges", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValueError(f"global map {name} must be an integer >= {low}, got {value!r}")
@@ -184,7 +183,7 @@ class Graph:
         """Set local cone ``local_id``'s color evidence for ``landmark`` and refresh its class."""
         merged = self.color_evidence[landmark]
         merged[local_id] = np.array(evidence)  # a row view would keep its whole snapshot block alive
-        self._classes.rows[landmark] = _CLASSES.index(_merged_color(merged).argmax_class())
+        self._classes.rows[landmark] = np.argmax(_color_probabilities(merged.values()))
 
     def add_observations(self, pose, landmark, measurement, information) -> None:
         """Append observation edges: pose rows, landmark rows, (k, 2) measurements, (k, 2, 2) information."""
@@ -196,25 +195,23 @@ class Graph:
         self._observations.append(edges)
 
     def merge_estimates(self, result: OptimizeResult) -> None:
-        """Commit a solve: its poses and landmarks overwrite the first rows of this graph's.
+        """Commit a solve of this graph: its poses and landmarks overwrite the graph's.
 
-        Rows added after the solved graph was read keep their construction
-        estimates. Headings are normalized as :class:`Pose2` normalizes them.
+        Headings are normalized as :class:`Pose2` normalizes them.
         """
-        n, m = len(result.poses), len(result.landmarks)
-        self.poses[:n, :2] = result.poses[:, :2]
-        self.poses[:n, 2] = [normalize_angle(theta) for theta in result.poses[:, 2].tolist()]
-        self.landmarks[:m] = result.landmarks
+        self.poses[:, :2] = result.poses[:, :2]
+        self.poses[:, 2] = [normalize_angle(theta) for theta in result.poses[:, 2].tolist()]
+        self.landmarks[:] = result.landmarks
         self.optimized = True
 
 
-def _merged_color(evidence: dict[int, np.ndarray]) -> ColorDistribution:
+def _color_probabilities(evidence) -> np.ndarray:
+    """(blue, yellow, unknown) probabilities of the sum of colour evidence arrays; no evidence reads as unknown."""
     total = np.zeros(3)
-    for ev in evidence.values():
+    for ev in evidence:
         total += ev
-    if total.sum() <= 0:
-        return ColorDistribution(0.0, 0.0, 1.0)
-    return ColorDistribution.from_evidence(total)
+    total_sum = float(total.sum())
+    return total / total_sum if total_sum > 0 else np.array([0.0, 0.0, 1.0])
 
 
 def _row_pose(row: np.ndarray) -> Pose2:
@@ -267,7 +264,7 @@ def add_snapshot(
         lm = graph.local_links.get(cid)
         if lm is None:
             world_guess = transform_point(pose, measurements[j])
-            cone_class = ColorDistribution.from_evidence(evidence[j]).argmax_class()
+            cone_class = _CLASSES[np.argmax(_color_probabilities([evidence[j]]))]
             lm = _associate_landmark(graph, world_guess, config.association_radius_m, live_ids, cone_class)
             if lm is None:
                 lm = graph.add_landmark(world_guess)
@@ -581,16 +578,17 @@ def export_map(graph: Graph, min_edges: int = 1) -> list[dict]:
     for i, (x, y) in enumerate(graph.landmarks.tolist()):
         if edge_counts[i] < min_edges:
             continue
-        color = _merged_color(graph.color_evidence[i])
+        probabilities = _color_probabilities(graph.color_evidence[i].values())
+        p_blue, p_yellow, p_unknown = probabilities.tolist()
         out.append(
             {
                 "id": i,
                 "x_m": x,
                 "y_m": y,
-                "color": color.argmax_class().value,
-                "p_blue": color.p_blue,
-                "p_yellow": color.p_yellow,
-                "p_unknown": color.p_unknown,
+                "color": _CLASSES[np.argmax(probabilities)].value,
+                "p_blue": p_blue,
+                "p_yellow": p_yellow,
+                "p_unknown": p_unknown,
             }
         )
     return out
@@ -601,7 +599,14 @@ def save_map(records: list[dict], path: Path | str) -> None:
 
 
 def load_map(path: Path | str) -> list[dict]:
-    return json.loads(Path(path).read_text())
+    """Read an exported map; raises ``ValueError`` naming a record that is not an object with finite ``x_m`` and ``y_m``."""
+    records = json.loads(Path(path).read_text())
+    if not isinstance(records, list):
+        raise ValueError("a map must be a JSON list of landmark records")
+    for k, record in enumerate(records):
+        if not (isinstance(record, dict) and is_finite_number(record.get("x_m")) and is_finite_number(record.get("y_m"))):
+            raise ValueError(f"map record {k} needs finite numeric x_m and y_m: {record!r}")
+    return records
 
 
 def graph_to_dict(graph: Graph) -> dict:

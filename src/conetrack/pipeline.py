@@ -1,9 +1,9 @@
 """End-to-end scenario execution.
 
 Wires the stages together per frame: synthetic sensing -> local map ->
-{planner, global map}, with incremental graph optimization, per-stage timing,
-pipeline-failure scheduling, and optional closed-loop path following. Writes
-all run artifacts into a directory and returns a summary.
+{planner, global map}, with per-stage timing, pipeline-failure scheduling and
+optional closed-loop path following; the graph is solved once, after the last
+frame. Writes all run artifacts into a directory and returns a summary.
 """
 
 from __future__ import annotations
@@ -129,11 +129,10 @@ class _ClosedLoopSteering:
 class _SnapshotEngine:
     """The per-snapshot half of the pipeline, shared by run and replay.
 
-    Plans on each snapshot and logs the plan to ``planner_log.ndjson``, adds
-    the snapshot to the optimized graph and to a never-optimized
-    dead-reckoning graph, and solves the optimized graph every
-    ``optimize_every`` snapshots. :meth:`finish` runs the final solve and
-    writes both maps and the graph.
+    Plans on each snapshot and logs the plan to ``planner_log.ndjson``, and
+    adds the snapshot to the one graph. :meth:`finish` exports the graph as
+    the dead-reckoned map, solves it once, and writes the estimated map and
+    the graph.
     """
 
     def __init__(self, config: RunConfig, out_dir: Path):
@@ -141,12 +140,10 @@ class _SnapshotEngine:
         self.planner_cfg = config.planner_config()
         self.global_cfg = config.global_map_config()
         self.graph = Graph()
-        self.baseline = Graph()
         self.planner_records: list[dict] = []
-        self.timings: dict[str, list[float]] = {"planner": [], "global_map": []}
+        self.timings: dict[str, list[float]] = {"planner": [], "global_map": [], "final_solve": []}
         self.steps = 0
         self._prev_ego: Pose2 | None = None
-        self._since_opt = 0
         self._planner_fh = open(out_dir / "planner_log.ndjson", "w", encoding="utf-8")
         self._planner_fh.write(json.dumps({"schema_version": 1, "kind": "planner_log"}, sort_keys=True) + "\n")
 
@@ -164,11 +161,6 @@ class _SnapshotEngine:
         t0 = time.perf_counter()
         odom = Pose2.identity() if self._prev_ego is None else relative_pose(self._prev_ego, snapshot.ego)
         add_snapshot(self.graph, snapshot, odom, self.global_cfg)
-        add_snapshot(self.baseline, snapshot, odom, self.global_cfg)
-        self._since_opt += 1
-        if self.global_cfg.optimize_every and self._since_opt >= self.global_cfg.optimize_every:
-            self.graph.merge_estimates(optimize(self.graph, self.global_cfg))
-            self._since_opt = 0
         self.timings["global_map"].append((time.perf_counter() - t0) * 1e3)
         self._prev_ego = snapshot.ego
         self.steps += 1
@@ -178,15 +170,17 @@ class _SnapshotEngine:
         self._planner_fh.close()
 
     def finish(self, out_dir: Path) -> tuple[list[dict], list[dict], float | None]:
-        """Final solve and exports; returns the estimated map, the dead-reckoned map and the final cost."""
+        """Export, solve (timed as ``final_solve``), export; returns the estimated map, the dead-reckoned map and the final cost."""
+        min_edges = self.global_cfg.export_min_edges
+        dead_reckoned = export_map(self.graph, min_edges=min_edges)
         final_cost = None
         if len(self.graph.poses):
+            t0 = time.perf_counter()
             result = optimize(self.graph, self.global_cfg)
             self.graph.merge_estimates(result)
+            self.timings["final_solve"].append((time.perf_counter() - t0) * 1e3)
             final_cost = result.final_cost
-        min_edges = self.global_cfg.export_min_edges
         estimated = export_map(self.graph, min_edges=min_edges)
-        dead_reckoned = export_map(self.baseline, min_edges=min_edges)
         save_map(estimated, out_dir / "map_estimated.json")
         save_map(dead_reckoned, out_dir / "map_dead_reckoned.json")
         save_graph(self.graph, out_dir / "graph.json")
@@ -354,14 +348,16 @@ def replay_snapshots(
     estimated, _, _ = engine.finish(out_dir)
 
     report: dict = {"frames": engine.steps, "landmarks": len(estimated)}
+    timings = {"final_solve": engine.timings["final_solve"]}
     if track is not None and engine.planner_records:
         t0 = time.perf_counter()
         stats = planning_stats(engine.planner_records, track)
-        report["timing"] = {"planning_stats": timing_percentiles([(time.perf_counter() - t0) * 1e3])}
+        timings["planning_stats"] = [(time.perf_counter() - t0) * 1e3]
         report["planning"] = {
             "path_length_fractions": [float(v) for v in stats.path_length_fractions],
             "out_of_track_fractions": [float(v) for v in stats.out_of_track_fractions],
             "total_paths": stats.total_paths,
         }
+    report["timing"] = {stage: timing_percentiles(samples) for stage, samples in timings.items()}
     (out_dir / "replay_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     return report

@@ -71,6 +71,26 @@ class TestAC1MappingAccuracy:
         announce("AC-1 (5 m/s)", ok, f"rmse {result.rmse_m:.3f} m <= 0.20, runtime {elapsed:.1f} s < 60")
 
 
+class TestHeldOutLaps:
+    """Held-out seeds of the AC-1 scenarios, planner off, at AC-1's bounds.
+
+    A solve while the graph is still being built moves the world-frame guess
+    that revisited cones are re-associated by; on these laps that closed the
+    loop one cone off (0.52 m and 0.57 m against 0.07 m and 0.06 m).
+    """
+
+    @pytest.mark.parametrize("name, seed, bound", [("fsg-like-12ms", 1000002, 0.35), ("fsg-like-5ms", 1000010, 0.20)])
+    def test_held_out_map_within_ac1_bound(self, tmp_path, name, seed, bound):
+        config = dataclasses.replace(load_config(name), seed=seed, plan_enabled=False)
+        result = run_pipeline(config, tmp_path / name)
+        ok = result.completed_lap and result.rmse_m <= bound and result.rmse_m < result.rmse_dead_reckoned_m
+        announce(
+            f"held-out {name} seed {seed}",
+            ok,
+            f"rmse {result.rmse_m:.3f} m <= {bound}, dead reckoned {result.rmse_dead_reckoned_m:.3f} m",
+        )
+
+
 class TestAC2OptimizationImprovement:
     def test_ac2_optimized_beats_dead_reckoning(self, tmp_path):
         wins = 0
@@ -88,7 +108,7 @@ class TestAC2OptimizationImprovement:
                 track_spec=dataclasses.replace(
                     config.track_spec, length_m=200.0, hairpin_count=0, cone_spacing_m=3.5, radial_variation=0.18
                 ),
-                global_map_overrides={"optimize_every": 0, "export_min_edges": 4},
+                global_map_overrides={"export_min_edges": 4},
             )
             result = run_pipeline(config, tmp_path / f"s{seed}")
             wins += result.rmse_m < result.rmse_dead_reckoned_m
@@ -171,7 +191,7 @@ class TestAC4FourModes:
                 profiles=noise_free,
                 force_mode=mode,
                 plan_enabled=False,
-                global_map_overrides={"export_min_edges": 1, "optimize_every": 10},
+                global_map_overrides={"export_min_edges": 1},
             )
             nf = run_pipeline(nf_config, tmp_path / f"nf_{mode}")
             import json

@@ -47,6 +47,7 @@ class TestRun:
         report = read_json(out / "report.json")
         assert report["map"]["rmse_m"] < 1e-9
         assert report["run"]["completed_lap"] is True
+        assert report["timing"]["final_solve"]["count"] == 1
         for name in (
             "config_resolved.json",
             "track.json",
@@ -131,7 +132,7 @@ def run_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def noisy_run(tmp_path_factory):
-    """A run with fusion sensor noise and planning off, so the periodic solves move the map."""
+    """A run with fusion sensor noise and planning off, so the final solve moves the map."""
     root = tmp_path_factory.mktemp("noisy")
     config = root / "config.json"
     dump_resolved(dataclasses.replace(load_config("noise-free-circle"), plan_enabled=False), config)
@@ -171,6 +172,7 @@ class TestReplay:
         frames = read_json(run / "report.json")["run"]["frames"]
         assert frames > 0
         assert read_json(out / "replay_report.json")["frames"] == frames
+        assert read_json(out / "replay_report.json")["timing"]["final_solve"]["count"] == 1
         assert f"replayed {frames} snapshots" in capsys.readouterr().out
 
     def test_replay_with_doubled_prior_weight_differs(self, tmp_path, run_dir):
@@ -216,6 +218,11 @@ BAD_INPUTS = [
     ["eval", "--track", "{garbage}"],
     ["eval", "--track", "{track}", "--map", "{missing}"],
     ["eval", "--track", "{track}", "--map", "{garbage}"],
+    ["eval", "--track", "{track}", "--map", "{stringmap}"],
+    ["eval", "--track", "{track}", "--map", "{scalarmap}"],
+    ["eval", "--track", "{track}", "--map", "{ymissingmap}"],
+    ["eval", "--track", "{track}", "--map", "{nanmap}"],
+    ["eval", "--track", "{track}", "--map", "{objectmap}"],
     ["eval", "--track", "{track}", "--planner-log", "{missing}"],
     ["eval", "--track", "{track}", "--planner-log", "{garbage}"],
     ["eval", "--track", "{track}", "--trajectory", "{missing}"],
@@ -259,6 +266,11 @@ BAD_FILES = {
     "garbage": ("not json {", ""),
     "midlog": ('{"kind": "snapshot_log", "schema_version": 1}\n{"cones": []}\n{"cones": []}\n', "line 2"),
     "fieldless": ('{"cones": []}', "'centerline_m'"),
+    "stringmap": ('[{"x_m": "a", "y_m": 1}]', "map record 0"),
+    "scalarmap": ('[{"x_m": 0.0, "y_m": 1.0}, 7]', "map record 1"),
+    "ymissingmap": ('[{"x_m": 0.0}]', "map record 0"),
+    "nanmap": ('[{"x_m": NaN, "y_m": 1.0}]', "map record 0"),
+    "objectmap": ('{"x_m": 0.0, "y_m": 1.0}', "JSON list"),
     "badtime": ('[{"time_s": "abc", "fail": ["fusion"]}]', "time_s"),
     "badseed": ('{"seed": "x"}', "seed"),
     "notobject": ("[1, 2]", "JSON object"),

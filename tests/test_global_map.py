@@ -14,6 +14,7 @@ from conetrack.core import (
     Pose2,
     body_frame_point,
     compose,
+    normalize_angle,
     relative_pose,
     transform_point,
 )
@@ -356,25 +357,18 @@ class TestNoisyImprovement:
 
 
 class TestMergeEstimates:
-    def test_merge_commits_prefix_while_construction_continues(self):
+    def test_merge_commits_every_row(self):
         _, graph, _ = build_noise_free_graph(frame_rate=2.0)
         rng = np.random.default_rng(9)
         for i in range(len(graph.landmarks)):
             graph.landmarks[i] = graph.landmarks[i] + rng.normal(scale=0.05, size=2)
+        before = graph.landmarks.copy()
         result = optimize(graph, CONFIG)
-        assert not graph.optimized  # the solve did not touch the graph
-        # construction continues after the solve read the graph
-        extra = make_snapshot(
-            graph.last_timestamp + 0.5, Pose2(*graph.poses[-1]), [(999_001, (2.0, 0.5)), (999_002, (2.0, -0.5))]
-        )
-        add_snapshot(graph, extra, Pose2.identity(), CONFIG)
-        n_landmarks_after = len(graph.landmarks)
-        new_rows = graph.landmarks[len(result.landmarks):].copy()
+        assert not graph.optimized and np.array_equal(graph.landmarks, before)  # the solve did not touch the graph
         graph.merge_estimates(result)
-        assert len(graph.landmarks) == n_landmarks_after
-        assert len(new_rows) == 2 and np.array_equal(graph.landmarks[len(result.landmarks):], new_rows)  # new nodes untouched
-        # optimized estimates were pulled in for pre-existing landmarks
-        assert np.allclose(graph.landmarks[: len(result.landmarks)], result.landmarks)
+        assert np.array_equal(graph.landmarks, result.landmarks)
+        assert np.array_equal(graph.poses[:, :2], result.poses[:, :2])
+        assert graph.poses[:, 2].tolist() == [normalize_angle(theta) for theta in result.poses[:, 2].tolist()]
         assert graph.optimized
 
 
@@ -417,11 +411,12 @@ class TestSerialization:
 
 
 # sha256 of the global-map artifacts of a noise-free-circle lap with fusion
-# sensor noise and the planner off, as the per-node graph of earlier versions
-# wrote them
+# sensor noise and the planner off. The dead-reckoned map is as the per-node
+# graph of earlier versions wrote it; the graph and the estimated map are as
+# the single final solve writes them.
 GOLDEN_DIGESTS = {
-    "graph.json": "bc78bbee436115e89e436eb15da1ac12489216b0366ea6a9b1feef3f58c53dcb",
-    "map_estimated.json": "dd8289228e62bd39d020d1eacadf1b5485ffed6646cf301d0dc0f6cd0ca06136",
+    "graph.json": "3f22fb97724b1912df33be66c40b073c1f6e3a93751bf0697d83ed2ab7bb5aa9",
+    "map_estimated.json": "0a2d2ba8b239d7f0b577540e467c7e2455305165f06e6d7a5c69149eac9ac788",
     "map_dead_reckoned.json": "c6d8f861a275025841fff837a1ec33b0bb7128c972650474c79c80632dd3f2bf",
 }
 
@@ -454,7 +449,7 @@ class TestConfigValidation:
 
 class TestGoldenBytes:
     def test_noisy_lap_writes_the_recorded_graph_and_maps(self, tmp_path):
-        # covers association, loop closure, the periodic and final solves and both exports
+        # covers association, loop closure, the final solve and both exports
         config = dataclasses.replace(load_config("noise-free-circle"), plan_enabled=False)
         config.profiles = {**config.profiles, "fusion": resolve_profile("builtin:fusion")}
         run_pipeline(config, tmp_path)
