@@ -105,7 +105,7 @@ def _spec_from_args(args) -> TrackSpec:
     base.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return TrackSpec.from_dict(base)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad track spec: {exc}") from exc
 
 

@@ -190,7 +190,7 @@ class RunConfig:
         if data.get("track_spec") is not None:
             try:
                 data["track_spec"] = TrackSpec.from_dict(data["track_spec"])
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad track_spec: {exc}") from exc
         profiles = {}
         for mode, value in (data.get("profiles") or {}).items():

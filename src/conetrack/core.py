@@ -1,7 +1,9 @@
-"""Shared geometric and probabilistic value types for the mapping pipeline.
+"""Shared geometry and probability for the mapping pipeline.
 
-Everything here is immutable and side-effect free so downstream stages can
-hand these objects across threads (and into frozen snapshots) without copying.
+Planar poses and velocities, the SPD projection of covariance stacks, the
+all-pairs Bhattacharyya distance, one source's observation batch, and the
+range checks applied to outside input. Values are immutable (frozen
+dataclasses, read-only arrays), so a snapshot can share them without copying.
 """
 
 from __future__ import annotations
@@ -163,73 +165,26 @@ class ConeClass(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ColorDistribution:
-    """Categorical distribution over {blue, yellow, unknown}."""
-
-    p_blue: float
-    p_yellow: float
-    p_unknown: float
-
-    def __post_init__(self) -> None:
-        total = self.p_blue + self.p_yellow + self.p_unknown
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"color probabilities must sum to 1, got {total}")
-        for p in (self.p_blue, self.p_yellow, self.p_unknown):
-            if p < -1e-12 or p > 1.0 + 1e-12:
-                raise ValueError(f"color probability out of [0, 1]: {p}")
-
-    @classmethod
-    def from_evidence(cls, evidence: np.ndarray) -> "ColorDistribution":
-        """Normalize non-negative per-class evidence into a distribution."""
-        ev = np.asarray(evidence, dtype=float)
-        if ev.shape != (3,) or np.any(ev < 0):
-            raise ValueError("evidence must be 3 non-negative accumulators")
-        total = float(ev.sum())
-        if total <= 0:
-            raise ValueError("evidence sum must be positive")
-        return cls(ev[0] / total, ev[1] / total, ev[2] / total)
-
-    @staticmethod
-    def certain(cone_class: ConeClass) -> "ColorDistribution":
-        return ColorDistribution(
-            1.0 if cone_class is ConeClass.BLUE else 0.0,
-            1.0 if cone_class is ConeClass.YELLOW else 0.0,
-            1.0 if cone_class is ConeClass.UNKNOWN else 0.0,
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_blue, self.p_yellow, self.p_unknown])
-
-    def argmax_class(self) -> ConeClass:
-        idx = int(np.argmax(self.as_array()))
-        return (ConeClass.BLUE, ConeClass.YELLOW, ConeClass.UNKNOWN)[idx]
-
-
 # Where the closed-form smallest eigenvalue clears the floor by this much
 # (relative to the matrix's entries), eigh's would too; the two differ by a
 # few units in the last place of the largest entry.
 _SPD_MARGIN = 1e-12
 
 
-def _clear_of_floor(a, b, d, floor: float, hypot):
+def _clear_of_floor(a, b, d, floor: float):
     """Closed-form smallest eigenvalue of [[a, b], [b, d]] clears ``floor`` by the margin (False on NaN)."""
-    return 0.5 * (a + d) - hypot(0.5 * (a - d), b) >= floor + _SPD_MARGIN * (abs(a) + abs(b) + abs(d))
+    return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b) >= floor + _SPD_MARGIN * (abs(a) + abs(b) + abs(d))
 
 
 def project_spd(cov: np.ndarray, floor: float = COV_EIGENVALUE_FLOOR) -> np.ndarray:
-    """Project a 2x2 matrix, or a stack (..., 2, 2), onto the SPD cone: symmetrize, floor eigenvalues.
+    """Project a stack of 2x2 matrices (..., 2, 2) onto the SPD cone: symmetrize, floor eigenvalues.
 
     Only a matrix whose closed-form smallest eigenvalue is below the floor or
     within a rounding margin of it goes to ``eigh``; every other matrix is
     returned symmetrized, which is what the eigh test gives it too.
     """
-    if cov.ndim == 2:  # numpy on 0-d values costs more than eigh itself
-        sym = 0.5 * (cov + cov.T)
-        (a, b), (_, d) = sym.tolist()
-        return sym if _clear_of_floor(a, b, d, floor, math.hypot) else _floor_eigenvalues(sym, floor)
     sym = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    clear = _clear_of_floor(sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1], floor, np.hypot)
+    clear = _clear_of_floor(sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1], floor)
     if not clear.all():
         near = ~clear
         sym[near] = [_floor_eigenvalues(m, floor) for m in sym[near]]
@@ -244,68 +199,13 @@ def _floor_eigenvalues(sym: np.ndarray, floor: float) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
-def _check_spd(cov: np.ndarray, name: str) -> None:
-    if abs(cov[0, 1] - cov[1, 0]) > 1e-9:
-        raise ValueError(f"{name} covariance is not symmetric")
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if cov[0, 0] <= 0 or det <= 0:
-        raise ValueError(f"{name} covariance is not positive definite")
-
-
-@dataclass(frozen=True, eq=False)
-class Gaussian2:
-    """2D Gaussian over positions: mean in meters, SPD covariance in m^2.
-
-    The covariance is symmetrized and eigenvalue-floored on construction, and
-    both arrays are made read-only so shared references stay consistent. A
-    NaN or infinite entry raises ``ValueError``.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float).reshape(2)
-        cov = np.array(self.cov, dtype=float).reshape(2, 2)
-        if not all(map(math.isfinite, mean.tolist() + cov.ravel().tolist())):
-            raise ValueError(f"Gaussian2 needs a finite mean and covariance, got {mean.tolist()} and {cov.tolist()}")
-        cov = project_spd(cov)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @classmethod
-    def isotropic(cls, mean, sigma: float) -> "Gaussian2":
-        var = sigma * sigma
-        return cls(mean, np.array([[var, 0.0], [0.0, var]]))
-
-
-def bhattacharyya_distance(a: Gaussian2, b: Gaussian2) -> float:
-    """Bhattacharyya distance between two 2D Gaussians.
-
-    Combines Mahalanobis-style mean separation under the averaged covariance
-    with a covariance-mismatch term; zero iff the distributions are identical.
-    """
-    _check_spd(a.cov, "first")
-    _check_spd(b.cov, "second")
-    avg = 0.5 * (a.cov + b.cov)
-    det_avg = avg[0, 0] * avg[1, 1] - avg[0, 1] * avg[1, 0]
-    det_a = a.cov[0, 0] * a.cov[1, 1] - a.cov[0, 1] * a.cov[1, 0]
-    det_b = b.cov[0, 0] * b.cov[1, 1] - b.cov[0, 1] * b.cov[1, 0]
-    d = a.mean - b.mean
-    # inv(avg) @ d via the 2x2 adjugate
-    solved = np.array([avg[1, 1] * d[0] - avg[0, 1] * d[1], -avg[1, 0] * d[0] + avg[0, 0] * d[1]]) / det_avg
-    maha = float(d @ solved)
-    return 0.125 * maha + 0.5 * math.log(det_avg / math.sqrt(det_a * det_b))
-
-
 def bhattacharyya_distance_matrix(
     means_a: np.ndarray, covs_a: np.ndarray, means_b: np.ndarray, covs_b: np.ndarray
 ) -> np.ndarray:
     """All-pairs Bhattacharyya distances, (len(a), len(b)).
 
-    Vectorized for the data-association hot path; agrees with the scalar form.
+    Vectorized for the data-association hot path; the tests pin it to the
+    scalar two-Gaussian form.
     """
     n, m = len(means_a), len(means_b)
     avg = 0.5 * (covs_a[:, None, :, :] + covs_b[None, :, :, :])  # (n, m, 2, 2)
@@ -349,30 +249,3 @@ class ObservationBatch:
 
     def __len__(self) -> int:
         return len(self.means)
-
-
-@dataclass(frozen=True, eq=False)
-class ConeEstimate:
-    """One local-map cone, for callers that build a map cone by cone.
-
-    The local map itself holds its cones as arrays (``local_map.ConeTable``).
-    ``color_evidence`` accumulates per-class observation mass; the cone's
-    color distribution is its normalization. ``existence`` is the
-    negative-observation certainty score.
-    """
-
-    id: int
-    position: Gaussian2
-    color_evidence: np.ndarray
-    existence: float
-    last_seen: float
-
-    def __post_init__(self) -> None:
-        ev = np.array(self.color_evidence, dtype=float).reshape(3)
-        values = ev.tolist()
-        if not (min(values) >= 0 and 0 < sum(values) < math.inf):
-            raise ValueError("color evidence must be finite and non-negative with positive sum")
-        ev.setflags(write=False)
-        object.__setattr__(self, "color_evidence", ev)
-        if not 0.0 <= self.existence <= 1.0:
-            raise ValueError(f"existence must be in [0, 1], got {self.existence}")

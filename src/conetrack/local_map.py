@@ -17,14 +17,13 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    ConeEstimate,
-    Gaussian2,
     ObservationBatch,
     Pose2,
     SensorSource,
@@ -32,6 +31,7 @@ from .core import (
     bhattacharyya_distance_matrix,
     check_range,
     integrate_velocity,
+    is_finite_number,
     project_spd,
     rotate_covariance,
     transform_point,
@@ -69,6 +69,7 @@ _CONFIG_RANGES = (
     ("existence_decay", 0.0, 1.0, True),
     ("prune_threshold", 0.0, 1.0, True),
     ("initial_existence", 0.0, 1.0, True),
+    ("eviction_timeout_s", 0.0, math.inf, False),
     ("staleness_timeout_s", 0.0, math.inf, True),
 )
 
@@ -111,8 +112,6 @@ class LocalMapConfig:
     def __post_init__(self) -> None:
         for name, low, high, low_ok in _CONFIG_RANGES:
             check_range(f"local map {name}", getattr(self, name), low, high, low_ok)
-        if self.eviction_timeout_s is not None:
-            check_range("local map eviction_timeout_s", self.eviction_timeout_s, 0.0, math.inf, False)
         rates = self.process_noise_rate
         if not (isinstance(rates, (tuple, list)) and len(rates) == 2):
             raise ValueError(f"local map process_noise_rate must be two rates, got {rates!r}")
@@ -182,17 +181,8 @@ class ConeTable:
             column.setflags(write=False)
 
     @classmethod
-    def from_estimates(cls, cones: Iterable[ConeEstimate] = ()) -> "ConeTable":
-        """Pack cone estimates, built one at a time at the API edge, into a table sorted by id."""
-        cones = sorted(cones, key=lambda c: c.id)
-        return cls(
-            np.array([c.id for c in cones], np.int64),
-            np.array([c.position.mean for c in cones], float).reshape(-1, 2),
-            np.array([c.position.cov for c in cones], float).reshape(-1, 2, 2),
-            np.array([c.color_evidence for c in cones], float).reshape(-1, 3),
-            np.array([c.existence for c in cones], float),
-            np.array([c.last_seen for c in cones], float),
-        )
+    def empty(cls) -> "ConeTable":
+        return cls(np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros((0, 2, 2)), np.zeros((0, 3)), np.zeros(0), np.zeros(0))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -209,7 +199,7 @@ class LocalMapState:
     """Filter state; treat as immutable and use the module operations."""
 
     ego: Pose2 = field(default_factory=Pose2.identity)
-    cones: ConeTable = field(default_factory=ConeTable.from_estimates)
+    cones: ConeTable = field(default_factory=ConeTable.empty)
     time: float = 0.0
     mode: MapMode = MapMode.FUSION
     next_cone_id: int = 0
@@ -423,10 +413,9 @@ def ingest_frame(
     observed_ids = frozenset(cones.ids[observed].tolist())
 
     cones = apply_negative_observations(cones, matched, unseen_in_fov(cones, ego, observed, config), config)
-    if config.eviction_timeout_s is not None:
-        fresh = now - cones.last_seen <= config.eviction_timeout_s
-        if not fresh.all():
-            cones = cones.take(fresh)
+    fresh = now - cones.last_seen <= config.eviction_timeout_s
+    if not fresh.all():
+        cones = cones.take(fresh)
     state = LocalMapState(ego, cones, now, active_mode, next_id, last_source_time)
     return state, LocalMapSnapshot(now, ego, cones, observed_ids, active_mode)
 
@@ -435,20 +424,68 @@ def ingest_frame(
 # Snapshot log serialization (newline-delimited JSON)
 
 
+# a snapshot log cone row's keys, in ConeTable column order (x_m and y_m form the means)
+_CONE_KEYS = ("id", "x_m", "y_m", "cov_m2", "color_evidence", "existence", "last_seen_s")
+
+
+def _column(name: str, values: tuple, shape: tuple, integer: bool = False) -> np.ndarray:
+    """One cone field of every row, as an int64 or float array of ``shape``.
+
+    Rows of another shape, or values that are not numbers (integers, for
+    ``integer``), raise ``ValueError`` naming the field.
+    """
+    if not values:
+        return np.zeros(shape, np.int64 if integer else float)
+    try:
+        column = np.array(values)
+    except ValueError as exc:  # ragged rows
+        raise ValueError(f"cone field {name} has rows of different shapes") from exc
+    if column.shape != shape or column.dtype.kind not in ("i" if integer else "iuf"):
+        what = "an integer" if integer else f"a {'x'.join(map(str, shape[1:]))} list of numbers" if shape[1:] else "a number"
+        raise ValueError(f"cone field {name} must be {what} in every row")
+    return column if integer else column.astype(float)
+
+
 def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
-    """One snapshot log row; its cones are checked one at a time, as :class:`ConeEstimate` views."""
-    cones = ConeTable.from_estimates(
-        ConeEstimate(
-            id=c["id"],
-            position=Gaussian2(np.array([c["x_m"], c["y_m"]]), np.array(c["cov_m2"])),
-            color_evidence=np.array(c["color_evidence"]),
-            existence=c["existence"],
-            last_seen=c["last_seen_s"],
-        )
-        for c in data["cones"]
-    )
-    ego = Pose2(data["ego"]["x_m"], data["ego"]["y_m"], data["ego"]["theta_rad"])
-    return LocalMapSnapshot(data["timestamp_s"], ego, cones, frozenset(data["observed_ids"]), MapMode(data["mode"]))
+    """One snapshot log record, read column by column into a :class:`ConeTable` sorted by id.
+
+    A malformed record raises ``ValueError``: a missing key, a value of the
+    wrong type or shape, a non-integer id, a non-finite number, color
+    evidence that is negative or lacks a finite positive sum, existence
+    outside [0, 1], an unknown mode, or observed ids that are not a list of
+    integers.
+    """
+    try:
+        rows, ego, timestamp, observed = (data[key] for key in ("cones", "ego", "timestamp_s", "observed_ids"))
+        ego = [ego[key] for key in ("x_m", "y_m", "theta_rad")]
+        mode = MapMode(data["mode"])
+        fields = list(zip(*map(itemgetter(*_CONE_KEYS), rows))) or [()] * len(_CONE_KEYS)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed snapshot record: {exc!r}") from exc
+    if not isinstance(rows, list):
+        raise ValueError(f"snapshot cones must be a list, got {rows!r}")
+    ids, x, y, covs, evidence, existence, last_seen = fields
+    n = len(rows)
+    ids = _column("id", ids, (n,), integer=True)
+    means = np.column_stack([_column("x_m", x, (n,)), _column("y_m", y, (n,))])
+    covs = _column("cov_m2", covs, (n, 2, 2))
+    evidence = _column("color_evidence", evidence, (n, 3))
+    existence = _column("existence", existence, (n,))
+    last_seen = _column("last_seen_s", last_seen, (n,))
+    if not (np.isfinite(means).all() and np.isfinite(covs).all() and np.isfinite(last_seen).all()):
+        raise ValueError("cone x_m, y_m, cov_m2 and last_seen_s must be finite")
+    with np.errstate(over="ignore"):
+        total = evidence.sum(axis=1)
+    if not ((evidence >= 0).all() and ((total > 0) & np.isfinite(total)).all()):
+        raise ValueError("cone color_evidence must be non-negative with a finite, positive sum")
+    if not ((existence >= 0) & (existence <= 1)).all():
+        raise ValueError("cone existence must be in [0, 1]")
+    if not all(map(is_finite_number, [*ego, timestamp])):
+        raise ValueError(f"snapshot ego and timestamp_s must be finite numbers, got {ego} and {timestamp!r}")
+    if not (isinstance(observed, list) and all(isinstance(i, int) and not isinstance(i, bool) for i in observed)):
+        raise ValueError(f"snapshot observed_ids must be a list of integers, got {observed!r}")
+    cones = ConeTable(ids, means, project_spd(covs), evidence, existence, last_seen).take(np.argsort(ids, kind="stable"))
+    return LocalMapSnapshot(timestamp, Pose2(*ego), cones, frozenset(observed), mode)
 
 
 # One snapshot log line, keys in sorted order, with json's separators. ``%r``
@@ -517,7 +554,7 @@ def read_snapshot_log(path: Path | str, strict: bool = False) -> list[LocalMapSn
     for number, line in lines:
         try:
             snapshots.append(snapshot_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except ValueError as exc:  # malformed JSON or a malformed record
             if strict:
                 raise
             if number != lines[-1][0]:

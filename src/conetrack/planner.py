@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .core import Pose2, normalize_angle
+from .core import Pose2, check_range, normalize_angle
 
 LIKELIHOOD_FLOOR = 1e-6
 
@@ -122,7 +122,6 @@ class SearchLimits:
     max_length_m: float = 15.0
     desired_edge_count: int = 15
     beam_width: int | None = 300  # None: exhaustive enumeration
-    require_forward_start: bool = True
     # middle paths never double back; expansions turning harder than this
     # are treated as dead ends
     max_step_turn_rad: float = math.pi / 2
@@ -501,7 +500,7 @@ def enumerate_paths(
         if tables.neighbor[slot] >= 0:
             midpoint = np.array([tables.mid_x[slot], tables.mid_y[slot]])
             first_moves.append((float((midpoint - ego.position) @ heading) > 0.0, k))
-    if limits.require_forward_start and any(ahead for ahead, _ in first_moves):
+    if any(ahead for ahead, _ in first_moves):  # leave the start triangle forward where the ego can
         first_moves = [m for m in first_moves if m[0]]
 
     frontier = [extend(root, k) for _, k in first_moves]
@@ -542,11 +541,31 @@ def select_path(candidates: Sequence[CandidatePath]) -> CandidatePath | None:
     return best
 
 
+# (field, lowest, highest, whether the lowest value itself is allowed)
+_LIMIT_RANGES = (
+    ("max_length_m", 0.0, math.inf, False),
+    ("max_step_turn_rad", 0.0, math.pi, False),
+    ("max_step_length_m", 0.0, math.inf, False),
+)
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     limits: SearchLimits = SearchLimits()
     prior: PriorConfig = PriorConfig.defaults()
     likelihood_floor: float = LIKELIHOOD_FLOOR
+
+    def __post_init__(self) -> None:
+        for name, low, high, low_ok in _LIMIT_RANGES:
+            check_range(f"planner {name}", getattr(self.limits, name), low, high, low_ok)
+        for name in ("max_edges", "desired_edge_count", "beam_width"):
+            value = getattr(self.limits, name)
+            if name == "beam_width" and value is None:  # exhaustive enumeration
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"planner {name} must be an integer >= 1, got {value!r}")
+        check_range("planner prior_weight", self.prior.prior_weight, 0.0, math.inf, True)
+        check_range("planner likelihood_floor", self.likelihood_floor, 0.0, 1.0, False)
 
     @classmethod
     def with_limits(cls, **limit_overrides) -> "PlannerConfig":

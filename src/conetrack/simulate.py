@@ -194,13 +194,29 @@ class CenterlineGeometry:
         return float(self.cum_s[i] + t[i] * self._seg_len[i])
 
 
+# (field, lowest, highest, whether the lowest value itself is allowed); the
+# rule limits on width, spacing and radius are checked by ``validate_spec``
+_SPEC_RANGES = (
+    ("length_m", 0.0, math.inf, False),
+    ("radius_m", 0.0, math.inf, False),
+    ("track_width_m", 0.0, math.inf, True),
+    ("cone_spacing_m", 0.0, math.inf, True),
+    ("min_radius_m", 0.0, math.inf, False),
+    ("radial_variation", 0.0, math.inf, True),
+    ("hairpin_depth", 0.0, math.inf, True),
+    ("centerline_resolution_m", 0.0, math.inf, False),
+)
+
+
 @dataclass(frozen=True)
 class TrackSpec:
     """Parameters for the track generator.
 
     ``kind`` selects a plain circle or a randomized closed loop built from a
     periodic radial spline whose bumps create tight, near-minimum-radius
-    turns (the "hairpin" segments).
+    turns (the "hairpin" segments). A field that is not a finite number in
+    its range, or a count that is not a non-negative integer, raises
+    ``ValueError`` naming it.
     """
 
     kind: str = "loop"  # "loop" | "circle"
@@ -214,6 +230,14 @@ class TrackSpec:
     radial_variation: float = 0.22
     hairpin_depth: float = 0.45
     centerline_resolution_m: float = 0.5
+
+    def __post_init__(self) -> None:
+        for name, low, high, low_ok in _SPEC_RANGES:
+            check_range(f"track spec {name}", getattr(self, name), low, high, low_ok)
+        for name in ("hairpin_count", "control_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"track spec {name} must be an integer >= 0, got {value!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrackSpec":

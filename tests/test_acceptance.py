@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
+from cone_reference import RefCone, RefGaussian, cone_table
 from conetrack.config import load_config, resolve_profile
-from conetrack.core import ConeEstimate, Gaussian2, Pose2, Velocity2
+from conetrack.core import Pose2, Velocity2
 from conetrack.evaluate import align_exact_correspondences, icp_align
 from conetrack.global_map import (
     observation_jacobians,
@@ -153,14 +154,14 @@ class TestAC3FalsePositiveRejection:
             from conetrack.core import transform_point
 
             phantom_pos = transform_point(forked.ego, np.array([ahead, lateral]))
-            phantom = ConeEstimate(
+            phantom = RefCone(
                 id=10_000_000,
-                position=Gaussian2.isotropic(phantom_pos, 0.05),
+                position=RefGaussian.isotropic(phantom_pos, 0.05),
                 color_evidence=np.array([0.0, 0.0, 1.0]) + 1e-12,
                 existence=1.0,
                 last_seen=frames[frame_idx][0],
             )
-            injected = ConeTable.from_estimates([phantom])
+            injected = cone_table([phantom])
             columns = [f.name for f in dataclasses.fields(ConeTable)]
             cones = ConeTable(*(np.concatenate([getattr(forked.cones, c), getattr(injected, c)]) for c in columns))
             forked = dataclasses.replace(forked, cones=cones)
@@ -267,21 +268,15 @@ class TestAC6PosteriorExactness:
                 length_m=float(rng.uniform(2, 18)),
             )
             n_cones = int(rng.integers(3, 10))
-            cones = [
-                ConeEstimate(
-                    id=k,
-                    position=Gaussian2.isotropic(rng.uniform(-10, 10, 2), 0.1),
-                    color_evidence=rng.dirichlet([1, 1, 1]) + 1e-9,
-                    existence=0.9,
-                    last_seen=0.0,
-                )
-                for k in range(n_cones)
-            ]
+            evidence = []
+            for _ in range(n_cones):
+                rng.uniform(-10, 10, 2)  # the cone's position: drawn to keep the seeded stream, never read
+                evidence.append(rng.dirichlet([1, 1, 1]) + 1e-9)
             sides = rng.integers(0, 3, size=n_cones)  # 0 left, 1 right, 2 unassigned
             left = frozenset(int(i) for i in np.flatnonzero(sides == 0))
             right = frozenset(int(i) for i in np.flatnonzero(sides == 1))
             lp = log_prior(features, prior_config)
-            ll = log_likelihood(np.array([c.color_evidence for c in cones]), left, right)
+            ll = log_likelihood(np.array(evidence), left, right)
             posterior = lp + ll
             if abs(posterior - (lp + ll)) > 1e-12:
                 exact = False
@@ -323,16 +318,16 @@ class TestAC6PosteriorExactness:
                 for y, col in ((2.0, (0.9, 0.05, 0.05)), (-2.0, (0.05, 0.9, 0.05))):
                     pos = np.array([x, y]) + rng.normal(scale=0.3, size=2)
                     cones.append(
-                        ConeEstimate(
+                        RefCone(
                             id=cid,
-                            position=Gaussian2.isotropic(pos, 0.1),
+                            position=RefGaussian.isotropic(pos, 0.1),
                             color_evidence=np.array(col) * rng.uniform(1, 20),
                             existence=0.9,
                             last_seen=0.0,
                         )
                     )
                     cid += 1
-            snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), ConeTable.from_estimates(cones), frozenset(range(cid)), MapMode.FUSION)
+            snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), cone_table(cones), frozenset(range(cid)), MapMode.FUSION)
             result = plan_snapshot(snap, config)
             if not result.candidates:
                 continue
@@ -461,16 +456,10 @@ class TestAC9FilterConsistency:
         for _ in range(n):
             truth = rng.uniform(-5, 5, size=2)
             first = truth + rng.normal(scale=sigma, size=2)
-            cone = ConeEstimate(
-                id=0,
-                position=Gaussian2.isotropic(first, sigma),
-                color_evidence=np.array([1.0, 0.0, 0.0]) + 1e-12,
-                existence=0.9,
-                last_seen=0.0,
-            )
+            cone = RefGaussian.isotropic(first, sigma)
             z = truth + rng.normal(scale=sigma, size=2)
-            obs = Gaussian2.isotropic(z, sigma)
-            means, covs = update_position(cone.position.mean[None], cone.position.cov[None], obs.mean[None], obs.cov[None])
+            obs = RefGaussian.isotropic(z, sigma)
+            means, covs = update_position(cone.mean[None], cone.cov[None], obs.mean[None], obs.cov[None])
             err = means[0] - truth
             nees.append(float(err @ np.linalg.solve(covs[0], err)))
         mean_nees = float(np.mean(nees))

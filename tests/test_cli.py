@@ -33,6 +33,16 @@ class TestGenerate:
         assert "error" in capsys.readouterr().err.lower()
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--length-m", "nan"], "length_m"), (["--hairpins", "-3"], "hairpin_count"), (["--radius-m", "inf"], "radius_m")],
+    )
+    def test_bad_spec_flag_exits_2_naming_the_field(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "t.json"
+        assert main(["generate", *flags, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spec_file_plus_overrides(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "circle", "radius_m": 25.0}))
@@ -229,6 +239,7 @@ BAD_INPUTS = [
     ["replay", "--snapshots", "{missing}"],
     ["replay", "--snapshots", "{garbage}", "--track", "{missing}"],
     ["replay", "--snapshots", "{midlog}"],
+    ["replay", "--snapshots", "{badrecordlog}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{missing}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{garbage}"],
     ["generate", "--spec", "{missing}"],
@@ -258,13 +269,31 @@ BAD_INPUTS = [
     ["run", "--config", "{infspeed}"],
     ["run", "--config", "{neglateral}"],
     ["run", "--config", "{nanrate}"],
+    ["run", "--config", "{nanlength}"],
+    ["run", "--config", "{infradius}"],
+    ["run", "--config", "{nanmaxlength}"],
+    ["run", "--config", "{zerobeam}"],
+    ["run", "--config", "{floatedges}"],
+    ["run", "--config", "{nanprior}"],
 ]
+
+# one valid snapshot log record: no cones, the ego at the origin
+EMPTY_RECORD = '{"cones": [], "ego": {"theta_rad": 0.0, "x_m": 0.0, "y_m": 0.0}, "mode": "fusion", "observed_ids": [], "timestamp_s": %s}\n'
+
 
 # placeholder -> (file content, None for no file; text the error must contain)
 BAD_FILES = {
     "missing": (None, ""),
     "garbage": ("not json {", ""),
     "midlog": ('{"kind": "snapshot_log", "schema_version": 1}\n{"cones": []}\n{"cones": []}\n', "line 2"),
+    # five records, the second with a cone row that is not an object
+    "badrecordlog": (
+        '{"kind": "snapshot_log", "schema_version": 1}\n'
+        + EMPTY_RECORD % 0.0
+        + (EMPTY_RECORD % 0.1).replace('"cones": []', '"cones": [7]')
+        + "".join(EMPTY_RECORD % t for t in (0.2, 0.3, 0.4)),
+        "line 3",
+    ),
     "fieldless": ('{"cones": []}', "'centerline_m'"),
     "stringmap": ('[{"x_m": "a", "y_m": 1}]', "map record 0"),
     "scalarmap": ('[{"x_m": 0.0, "y_m": 1.0}, 7]', "map record 1"),
@@ -301,6 +330,12 @@ BAD_FILES = {
     "infspeed": ('{"max_speed_mps": Infinity}', "max_speed_mps"),
     "neglateral": ('{"lateral_accel_mps2": -6.0}', "lateral_accel_mps2"),
     "nanrate": ('{"frame_rate_hz": NaN}', "frame_rate_hz"),
+    "nanlength": ('{"track_spec": {"length_m": NaN}}', "length_m"),
+    "infradius": ('{"track_spec": {"kind": "circle", "radius_m": Infinity}}', "radius_m"),
+    "nanmaxlength": ('{"planner_limit_overrides": {"max_length_m": NaN}}', "max_length_m"),
+    "zerobeam": ('{"planner_limit_overrides": {"beam_width": 0}}', "beam_width"),
+    "floatedges": ('{"planner_limit_overrides": {"max_edges": 2.5}}', "max_edges"),
+    "nanprior": ('{"prior_weight": NaN}', "prior_weight"),
 }
 
 

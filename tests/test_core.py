@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cone_reference import RefGaussian, color_class, ref_bhattacharyya_distance
 from conetrack.core import (
     COV_EIGENVALUE_FLOOR,
-    ColorDistribution,
     ConeClass,
-    Gaussian2,
+    ObservationBatch,
     Pose2,
+    SensorSource,
     Velocity2,
-    bhattacharyya_distance,
     bhattacharyya_distance_matrix,
     compose,
     integrate_velocity,
@@ -21,6 +21,8 @@ from conetrack.core import (
     project_spd,
     relative_pose,
 )
+from conetrack.global_map import _color_probabilities
+from conetrack.local_map import snapshot_from_dict
 
 
 def random_pose(rng):
@@ -118,41 +120,54 @@ class TestVelocityIntegration:
         assert errs[2] / errs[4] > 8.0
 
 
+def one_cone_record(mean=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0)), evidence=(1.0, 0.0, 0.0)):
+    """A snapshot log record holding one cone."""
+    cone = {"id": 0, "x_m": mean[0], "y_m": mean[1], "cov_m2": [list(row) for row in cov],
+            "color_evidence": list(evidence), "existence": 0.5, "last_seen_s": 0.0}
+    return {"cones": [cone], "ego": {"x_m": 0.0, "y_m": 0.0, "theta_rad": 0.0}, "mode": "fusion",
+            "observed_ids": [0], "timestamp_s": 0.0}
+
+
 class TestColorDistribution:
+    """Colour evidence and the distribution it normalizes to."""
+
     def test_validates_sum(self):
-        with pytest.raises(ValueError):
-            ColorDistribution(0.5, 0.5, 0.5)
+        for evidence in ((0.0, 0.0, 0.0), (-0.5, 0.5, 0.5)):
+            with pytest.raises(ValueError, match="color_evidence"):
+                snapshot_from_dict(one_cone_record(evidence=evidence))
 
     def test_from_evidence_normalizes_and_is_idempotent(self):
-        d = ColorDistribution.from_evidence(np.array([2.0, 1.0, 1.0]))
-        assert d.as_array() == pytest.approx([0.5, 0.25, 0.25])
-        again = ColorDistribution.from_evidence(d.as_array())
-        assert again.as_array() == pytest.approx(d.as_array(), abs=1e-15)
+        d = _color_probabilities([np.array([2.0, 1.0, 1.0])])
+        assert d == pytest.approx([0.5, 0.25, 0.25])
+        again = _color_probabilities([d])
+        assert again == pytest.approx(d, abs=1e-15)
 
     def test_argmax_class(self):
-        assert ColorDistribution(0.7, 0.2, 0.1).argmax_class() is ConeClass.BLUE
-        assert ColorDistribution(0.1, 0.8, 0.1).argmax_class() is ConeClass.YELLOW
+        assert color_class(_color_probabilities([np.array([0.7, 0.2, 0.1])])) is ConeClass.BLUE
+        assert color_class(_color_probabilities([np.array([0.1, 0.8, 0.1])])) is ConeClass.YELLOW
 
 
 class TestGaussian:
+    """Position Gaussians as the pipeline holds them: covariance stacks, and the log rows they are read from."""
+
     def test_spd_projection_floors_eigenvalues(self):
-        g = Gaussian2(np.zeros(2), np.array([[1e-15, 0], [0, 1.0]]))
-        vals = np.linalg.eigvalsh(g.cov)
+        (cov,) = project_spd(np.array([[[1e-15, 0], [0, 1.0]]]))
+        vals = np.linalg.eigvalsh(cov)
         assert vals.min() >= 1e-9 * (1 - 1e-12)
 
     def test_symmetrizes(self):
-        g = Gaussian2(np.zeros(2), np.array([[1.0, 0.3], [0.1, 1.0]]))
-        assert g.cov[0, 1] == pytest.approx(g.cov[1, 0])
-        assert g.cov[0, 1] == pytest.approx(0.2)
+        (cov,) = project_spd(np.array([[[1.0, 0.3], [0.1, 1.0]]]))
+        assert cov[0, 1] == pytest.approx(cov[1, 0])
+        assert cov[0, 1] == pytest.approx(0.2)
 
     def test_arrays_read_only(self):
-        g = Gaussian2.isotropic([1, 2], 0.5)
+        batch = ObservationBatch(SensorSource.FUSION, 0.0, np.zeros((1, 2)), np.eye(2)[None], np.ones((1, 3)) / 3)
         with pytest.raises(ValueError):
-            g.mean[0] = 9.0
+            batch.means[0, 0] = 9.0
 
     def test_project_spd_keeps_good_matrices(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert np.allclose(project_spd(cov), cov)
+        assert np.allclose(project_spd(np.stack([cov, 3.0 * cov])), [cov, 3.0 * cov])
 
     @pytest.mark.parametrize(
         "mean, cov",
@@ -166,7 +181,7 @@ class TestGaussian:
     )
     def test_rejects_non_finite(self, mean, cov):
         with pytest.raises(ValueError, match="finite"):
-            Gaussian2(np.array(mean), np.array(cov))
+            snapshot_from_dict(one_cone_record(mean, cov))
 
 
 def eigh_projection(cov, floor=COV_EIGENVALUE_FLOOR):
@@ -201,28 +216,33 @@ class TestProjectSpdProperties:
     @settings(max_examples=400, deadline=None)
     @given(symmetric)
     def test_closed_form_decision_agrees_with_eigh(self, cov):
-        # the projection equals the eigh-always one bit for bit, one matrix or a stack
+        # the projection equals the eigh-always one bit for bit, for any stack shape
         expected = eigh_projection(cov)
-        assert np.array_equal(project_spd(cov), expected)
+        assert np.array_equal(project_spd(cov[None])[0], expected)
         assert np.array_equal(project_spd(np.stack([cov, cov.T]))[1], expected)
         stack = np.stack([np.stack([cov, cov.T])] * 3, axis=1).transpose(1, 0, 2, 3)  # (3, 2, 2, 2), not C-contiguous
         assert all(np.array_equal(m, expected) for m in project_spd(stack).reshape(-1, 2, 2))
 
 
+def distance(a, b):
+    """The matrix form for one pair of Gaussians."""
+    return float(bhattacharyya_distance_matrix(a.mean[None], a.cov[None], b.mean[None], b.cov[None])[0, 0])
+
+
 class TestBhattacharyya:
     def test_identical_is_zero(self):
-        g = Gaussian2(np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
-        assert bhattacharyya_distance(g, g) == pytest.approx(0.0, abs=1e-12)
+        g = RefGaussian(np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+        assert distance(g, g) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_mean_separation(self):
-        a = Gaussian2.isotropic([0, 0], 1.0)
-        b = Gaussian2.isotropic([1, 0], 1.0)
-        assert bhattacharyya_distance(a, b) == pytest.approx(0.125, abs=1e-12)
+        a = RefGaussian.isotropic([0, 0], 1.0)
+        b = RefGaussian.isotropic([1, 0], 1.0)
+        assert distance(a, b) == pytest.approx(0.125, abs=1e-12)
 
     def test_covariance_mismatch_term(self):
-        a = Gaussian2.isotropic([3, -1], 1.0)
-        b = Gaussian2(np.array([3.0, -1.0]), 4.0 * np.eye(2))
-        assert bhattacharyya_distance(a, b) == pytest.approx(math.log(2.5 / 2.0), abs=1e-12)
+        a = RefGaussian.isotropic([3, -1], 1.0)
+        b = RefGaussian(np.array([3.0, -1.0]), 4.0 * np.eye(2))
+        assert distance(a, b) == pytest.approx(math.log(2.5 / 2.0), abs=1e-12)
 
     def test_symmetric_and_zero_iff_identical(self):
         rng = np.random.default_rng(11)
@@ -232,10 +252,10 @@ class TestBhattacharyya:
             for _ in range(2):
                 m = rng.normal(size=(2, 2))
                 covs.append(m @ m.T + 0.1 * np.eye(2))
-            a = Gaussian2(means[0], covs[0])
-            b = Gaussian2(means[1], covs[1])
-            dab = bhattacharyya_distance(a, b)
-            dba = bhattacharyya_distance(b, a)
+            a = RefGaussian(means[0], covs[0])
+            b = RefGaussian(means[1], covs[1])
+            dab = distance(a, b)
+            dba = distance(b, a)
             assert dab == pytest.approx(dba, abs=1e-12)
             assert dab > 0.0
 
@@ -244,10 +264,10 @@ class TestBhattacharyya:
         gas, gbs = [], []
         for _ in range(5):
             m = rng.normal(size=(2, 2))
-            gas.append(Gaussian2(rng.normal(size=2), m @ m.T + 0.2 * np.eye(2)))
+            gas.append(RefGaussian(rng.normal(size=2), m @ m.T + 0.2 * np.eye(2)))
         for _ in range(7):
             m = rng.normal(size=(2, 2))
-            gbs.append(Gaussian2(rng.normal(size=2), m @ m.T + 0.2 * np.eye(2)))
+            gbs.append(RefGaussian(rng.normal(size=2), m @ m.T + 0.2 * np.eye(2)))
         mat = bhattacharyya_distance_matrix(
             np.array([g.mean for g in gas]),
             np.array([g.cov for g in gas]),
@@ -256,7 +276,7 @@ class TestBhattacharyya:
         )
         for i, a in enumerate(gas):
             for j, b in enumerate(gbs):
-                assert mat[i, j] == pytest.approx(bhattacharyya_distance(a, b), abs=1e-10)
+                assert mat[i, j] == pytest.approx(ref_bhattacharyya_distance(a, b), abs=1e-10)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -273,17 +293,10 @@ class TestBhattacharyya:
         for x, y, l1, l2, theta in specs:
             c, s = math.cos(theta), math.sin(theta)
             rot = np.array([[c, -s], [s, c]])
-            gaussians.append(Gaussian2(np.array([x, y]), rot @ np.diag([l1, l2]) @ rot.T))
+            gaussians.append(RefGaussian(np.array([x, y]), rot @ np.diag([l1, l2]) @ rot.T))
         means = np.array([g.mean for g in gaussians])
         covs = np.array([g.cov for g in gaussians])
         mat = bhattacharyya_distance_matrix(means, covs, means[::-1], covs[::-1])
         for i, a in enumerate(gaussians):
             for j, b in enumerate(gaussians[::-1]):
-                assert mat[i, j] == pytest.approx(bhattacharyya_distance(a, b), rel=1e-9, abs=1e-9)
-
-    def test_rejects_non_spd(self):
-        good = Gaussian2.isotropic([0, 0], 1.0)
-        bad = Gaussian2.isotropic([0, 0], 1.0)
-        object.__setattr__(bad, "cov", np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(ValueError):
-            bhattacharyya_distance(good, bad)
+                assert mat[i, j] == pytest.approx(ref_bhattacharyya_distance(a, b), rel=1e-9, abs=1e-9)

@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cone_reference import RefCone, RefGaussian, color_class, color_probabilities, cone_table
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import (
-    ColorDistribution,
     ConeClass,
-    ConeEstimate,
-    Gaussian2,
     Pose2,
     body_frame_point,
     compose,
@@ -36,7 +34,6 @@ from conetrack.global_map import (
     save_graph,
 )
 from conetrack.local_map import (
-    ConeTable,
     LocalMapConfig,
     LocalMapSnapshot,
     LocalMapState,
@@ -60,10 +57,10 @@ CONFIG = GlobalMapConfig()
 
 def make_snapshot(timestamp, ego, cone_specs, observed=None):
     """cone_specs: list of (id, local_xy)."""
-    cones = ConeTable.from_estimates(
-        ConeEstimate(
+    cones = cone_table(
+        RefCone(
             id=cid,
-            position=Gaussian2.isotropic(np.array(xy, dtype=float), 0.1),
+            position=RefGaussian.isotropic(np.array(xy, dtype=float), 0.1),
             color_evidence=np.array([1.0, 0.0, 0.0]) + 1e-12,
             existence=0.9,
             last_seen=timestamp,
@@ -134,8 +131,8 @@ def associate_by_scalar_loop(graph, world_point, radius, live_ids, cone_class):
         total = np.zeros(3)
         for ev in graph.color_evidence[i].values():
             total += ev
-        color = ColorDistribution.from_evidence(total) if total.sum() > 0 else ColorDistribution(0.0, 0.0, 1.0)
-        if color.argmax_class() is not cone_class:
+        color = color_probabilities(total) if total.sum() > 0 else np.array([0.0, 0.0, 1.0])
+        if color_class(color) is not cone_class:
             continue
         d = math.hypot(position[0] - world_point[0], position[1] - world_point[1])
         if d <= best_d:

@@ -9,16 +9,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cone_reference import (
+    RefCone,
+    RefGaussian,
+    color_class,
+    color_probabilities,
+    cone_table,
+    ref_bhattacharyya_distance,
+    ref_snapshot_from_dict,
+)
 from conetrack.core import (
-    ColorDistribution,
     ConeClass,
-    ConeEstimate,
-    Gaussian2,
     ObservationBatch,
     Pose2,
     SensorSource,
     Velocity2,
-    bhattacharyya_distance,
     bhattacharyya_distance_matrix,
     integrate_velocity,
     rotate_covariance,
@@ -59,9 +64,9 @@ CONFIG = LocalMapConfig()
 
 
 def make_cone(cid=0, mean=(0.0, 0.0), sigma=0.3, evidence=(1.0, 0.0, 0.0), existence=0.5, last_seen=0.0):
-    return ConeEstimate(
+    return RefCone(
         id=cid,
-        position=Gaussian2.isotropic(np.array(mean, dtype=float), sigma),
+        position=RefGaussian.isotropic(np.array(mean, dtype=float), sigma),
         color_evidence=np.array(evidence) + 1e-12,
         existence=existence,
         last_seen=last_seen,
@@ -70,7 +75,7 @@ def make_cone(cid=0, mean=(0.0, 0.0), sigma=0.3, evidence=(1.0, 0.0, 0.0), exist
 
 def make_obs(mean, sigma=0.1, color=(1.0, 0.0, 0.0), t=0.0, source=SensorSource.FUSION):
     """One detection, as a one-row batch."""
-    position = Gaussian2.isotropic(np.array(mean, dtype=float), sigma)
+    position = RefGaussian.isotropic(np.array(mean, dtype=float), sigma)
     return ObservationBatch(source, t, position.mean[None], position.cov[None], np.array([color], dtype=float))
 
 
@@ -95,11 +100,11 @@ def empty_batch(source):
 
 def position_of(obs):
     """The one detection of a one-row batch as a Gaussian."""
-    return Gaussian2(obs.means[0], obs.covs[0])
+    return RefGaussian(obs.means[0], obs.covs[0])
 
 
 def map_of(*cones):
-    return LocalMapState(cones=ConeTable.from_estimates(cones))
+    return LocalMapState(cones=cone_table(cones))
 
 
 def obs_arrays(observations):
@@ -154,10 +159,6 @@ def kalman(cone, obs):
     """One Kalman update through the array API: the updated mean and covariance."""
     means, covs = update_position(cone.position.mean[None], cone.position.cov[None], obs.means, obs.covs)
     return means[0], covs[0]
-
-
-def color_of(evidence):
-    return ColorDistribution.from_evidence(evidence)
 
 
 class TestPredict:
@@ -220,7 +221,7 @@ class TestAssociate:
             z = np.array([2.0, 0.0]) + rng.normal(scale=0.6, size=2)
             obs = make_obs(z, sigma=0.2)
             result = associate(state.cones, *obs_arrays([obs]), CONFIG)
-            dists = {cid: bhattacharyya_distance(position_of(obs), c.position) for cid, c in cones.items()}
+            dists = {cid: ref_bhattacharyya_distance(position_of(obs), c.position) for cid, c in cones.items()}
             best = min(dists, key=lambda cid: (dists[cid], cid))
             if dists[best] <= CONFIG.gate_distance:
                 assert id_pairs(state.cones, result) == ((0, best),)
@@ -299,18 +300,18 @@ class TestColorUpdate:
     def test_first_observation_sets_color(self):
         evidence = np.array([[1e-12, 1e-12, 1e-12]])
         out = update_color(evidence, np.array([[1.0, 0.0, 0.0]]))
-        assert color_of(out[0]).as_array() == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
+        assert color_probabilities(out[0]) == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
 
     def test_normalized_sum(self):
         cone = make_cone(evidence=(1.0, 0.0, 0.0))
         out = update_color(cone.color_evidence[None], np.array([[0.0, 1.0, 0.0]]))
-        assert color_of(out[0]).as_array() == pytest.approx([0.5, 0.5, 0.0], abs=1e-9)
+        assert color_probabilities(out[0]) == pytest.approx([0.5, 0.5, 0.0], abs=1e-9)
 
     def test_uniform_evidence_never_flips_argmax(self):
         evidence = make_cone(evidence=(0.6, 0.3, 0.1)).color_evidence[None]
         for _ in range(50):
             evidence = update_color(evidence, np.array([[1 / 3, 1 / 3, 1 / 3]]))
-            assert color_of(evidence[0]).argmax_class() is ConeClass.BLUE
+            assert color_class(color_probabilities(evidence[0])) is ConeClass.BLUE
 
 
 class TestExistence:
@@ -512,7 +513,7 @@ class TestIngest:
         for _ in range(100):
             ev = rng.dirichlet([1, 1, 1])
             evidence = update_color(evidence, ev[None], weight=rng.uniform(0.1, 2.0))
-            arr = color_of(evidence[0]).as_array()
+            arr = color_probabilities(evidence[0])
             assert arr.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(arr >= 0)
 
@@ -585,6 +586,13 @@ class TestSnapshotLog:
             with pytest.raises(ValueError, match="line 3"):
                 read_snapshot_log(path)
 
+    @staticmethod
+    def two_cone_record():
+        cones = cone_table([make_cone(3), make_cone(1, (1.0, 0.0))])
+        row = snapshot_to_dict(LocalMapSnapshot(0.0, Pose2.identity(), cones, frozenset({1}), MapMode.FUSION))
+        assert snapshot_to_dict(snapshot_from_dict(row)) == row
+        return row
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -593,19 +601,39 @@ class TestSnapshotLog:
             ("color_evidence", [-1.0, 1.0, 1.0]),
             ("color_evidence", [math.nan, 1.0, 1.0]),
             ("existence", 1.5),
+            ("id", 2.5),
+            ("last_seen_s", None),
+            ("y_m", "1.0"),
+            ("cov_m2", [[1.0, 0.0], [0.0]]),
+            ("color_evidence", [1.0, 0.0]),
         ],
     )
     def test_malformed_cone_row_rejected(self, field, value):
-        cones = ConeTable.from_estimates([make_cone(3), make_cone(1, (1.0, 0.0))])
-        row = snapshot_to_dict(LocalMapSnapshot(0.0, Pose2.identity(), cones, frozenset({1}), MapMode.FUSION))
-        assert snapshot_to_dict(snapshot_from_dict(row)) == row
+        row = self.two_cone_record()
         row["cones"][0][field] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             snapshot_from_dict(row)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda row: [1, 2],
+            lambda row: dict(row, cones=[7]),
+            lambda row: dict(row, cones={}),
+            lambda row: dict(row, ego=None),
+            lambda row: dict(row, timestamp_s="x"),
+            lambda row: dict(row, mode="warp"),
+            lambda row: dict(row, observed_ids=[1.5]),
+            lambda row: {key: value for key, value in row.items() if key != "cones"},
+        ],
+        ids=["list", "scalar-cone-row", "cones-object", "null-ego", "string-timestamp", "unknown-mode", "float-observed-id", "no-cones"],
+    )
+    def test_malformed_record_rejected(self, change):
+        with pytest.raises(ValueError):
+            snapshot_from_dict(change(self.two_cone_record()))
+
     def test_cone_rows_out_of_id_order_load_sorted(self):
-        cones = ConeTable.from_estimates([make_cone(3), make_cone(1, (1.0, 0.0))])
-        row = snapshot_to_dict(LocalMapSnapshot(0.0, Pose2.identity(), cones, frozenset({1}), MapMode.FUSION))
+        row = self.two_cone_record()
         swapped = dict(row, cones=row["cones"][::-1])
         assert snapshot_to_dict(snapshot_from_dict(swapped)) == row
 
@@ -684,6 +712,97 @@ class TestSnapshotLogWriterMatchesJson:
     @given(snapshot=snapshots())
     def test_random_cone_tables(self, tmp_path, snapshot):
         assert written_lines(tmp_path / "snap.ndjson", [snapshot]) == [json_line(snapshot)]
+
+
+# (builtin config, failure schedule) of the recorded 90 m laps, planner off
+RECORDED_LAPS = {
+    "noisy": ("fsg-like-5ms", []),
+    "degraded": ("modes-5ms", [{"time_s": 3.0, "fail": ["fusion"]}]),
+}
+
+
+@pytest.fixture(scope="module")
+def lap_logs(tmp_path_factory):
+    """The snapshots.ndjson of each recorded lap."""
+    logs = {}
+    for name, (config_name, schedule) in RECORDED_LAPS.items():
+        base = load_config(config_name)
+        spec = dataclasses.replace(base.track_spec, length_m=90.0)
+        out = tmp_path_factory.mktemp(name)
+        run_pipeline(dataclasses.replace(base, track_spec=spec, mode_schedule=schedule, plan_enabled=False), out)
+        logs[name] = out / "snapshots.ndjson"
+    return logs
+
+
+def assert_same_snapshot(got, expected):
+    """Every column of the cone table bit for bit (dtype, shape and bytes), and the record's other fields."""
+    for name in ("ids", "means", "covs", "color_evidence", "existence", "last_seen"):
+        a, b = getattr(got.cones, name), getattr(expected.cones, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (got.timestamp, got.ego, got.observed_ids, got.mode) == (expected.timestamp, expected.ego, expected.observed_ids, expected.mode)
+
+
+class TestReaderMatchesPerConeReference:
+    @pytest.mark.parametrize("lap", RECORDED_LAPS)
+    def test_recorded_lap_log_bit_identical(self, lap_logs, lap):
+        lines = lap_logs[lap].read_text(encoding="utf-8").splitlines()[1:]
+        snapshots = read_snapshot_log(lap_logs[lap], strict=True)
+        assert len(snapshots) == len(lines) > 100
+        for snapshot, line in zip(snapshots, lines):
+            assert_same_snapshot(snapshot, ref_snapshot_from_dict(json.loads(line)))
+        assert {s.mode for s in snapshots} == ({MapMode.FUSION, MapMode.DEGRADED} if lap == "degraded" else {MapMode.FUSION})
+
+
+# what a damaged log can hold in place of a cone field
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.booleans(), st.floats(), st.integers()), max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 1.5, 2.5, -(2**70), 2**70, 1e308, -1e308]),
+    st.floats(),
+    st.integers(),
+)
+
+
+class TestReaderProperties:
+    @pytest.fixture(scope="class")
+    def short_log(self, lap_logs, tmp_path_factory):
+        """The header and the first eight records of the noisy lap's log, its text and its strict read."""
+        path = tmp_path_factory.mktemp("short") / "snapshots.ndjson"
+        path.write_text("".join(lap_logs["noisy"].read_text(encoding="utf-8").splitlines(keepends=True)[:9]), encoding="utf-8")
+        return path, path.read_text(encoding="utf-8"), read_snapshot_log(path, strict=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncated_log_reads_a_prefix(self, short_log, data):
+        path, text, full = short_log
+        header_end = text.index("\n") + 1
+        cut = data.draw(st.integers(header_end, len(text)))
+        truncated = path.with_name("truncated.ndjson")
+        truncated.write_text(text[:cut], encoding="utf-8")
+        snapshots = read_snapshot_log(truncated)
+        # the records whose text, up to its closing brace, survived the cut
+        ends = [i for i, char in enumerate(text) if char == "\n"][1:]
+        assert len(snapshots) == sum(end <= cut for end in ends)
+        for got, expected in zip(snapshots, full):
+            assert_same_snapshot(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_damaged_cone_field_reads_or_raises_value_error(self, short_log, data):
+        path, text, _ = short_log
+        lines = text.splitlines(keepends=True)[:4]  # the header and three records
+        record = json.loads(lines[2])
+        row = data.draw(st.integers(0, len(record["cones"]) - 1))
+        record["cones"][row][data.draw(st.sampled_from(sorted(record["cones"][row])))] = data.draw(json_values)
+        lines[2] = json.dumps(record) + "\n"
+        damaged = path.with_name("damaged.ndjson")
+        damaged.write_text("".join(lines), encoding="utf-8")
+        try:
+            assert len(read_snapshot_log(damaged)) == 3
+        except ValueError as exc:
+            assert "line 3" in str(exc)
 
 
 class TestEdgeCases:
@@ -767,13 +886,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=name):
             LocalMapConfig(**{name: value})
 
-    def test_eviction_can_be_switched_off(self):
-        assert LocalMapConfig(eviction_timeout_s=None).eviction_timeout_s is None
-
 
 class TestGoldenBytes:
     # sha256 of snapshots.ndjson for the lap below, recorded with the
-    # per-cone (dict of ConeEstimate) filter the array filter replaced
+    # per-cone (dict of cone records) filter the array filter replaced
     SNAPSHOTS_SHA256 = "1e7e7455bf6fb878584e6a7ff948eba9dc9d4ab9be735c5d18a739edcd31d066"
 
     def test_degraded_lap_writes_the_recorded_snapshot_log(self, tmp_path):
@@ -791,7 +907,7 @@ class TestGoldenBytes:
 
 
 # ---------------------------------------------------------------------------
-# Per-cone reference: the dict-of-ConeEstimate filter the array filter
+# Per-cone reference: the dict-of-RefCone filter the array filter
 # replaced, kept here to pin the array filter to it bit for bit
 
 
@@ -824,7 +940,7 @@ def ref_predict(state, vel, dt, config):
         mean_var = 0.5 * (cov[0, 0] + cov[1, 1])
         if mean_var > config.covariance_ceiling:
             cov = cov * (config.covariance_ceiling / mean_var)
-        cones[cid] = replace(cone, position=Gaussian2(cone.position.mean, cov))
+        cones[cid] = replace(cone, position=RefGaussian(cone.position.mean, cov))
     return replace(state, ego=ego, cones=cones, time=state.time + dt)
 
 
@@ -832,18 +948,18 @@ def ref_predict(state, vel, dt, config):
 class RefObservation:
     """One detection of the per-cone reference: a Gaussian and a color distribution."""
 
-    position: Gaussian2
+    position: RefGaussian
     color: np.ndarray
 
 
 def ref_observations(batch):
-    """A batch's rows, one :class:`RefObservation` (one ``Gaussian2``) each."""
-    return [RefObservation(Gaussian2(m, c), color) for m, c, color in zip(batch.means, batch.covs, batch.colors)]
+    """A batch's rows, one :class:`RefObservation` (one ``RefGaussian``) each."""
+    return [RefObservation(RefGaussian(m, c), color) for m, c, color in zip(batch.means, batch.covs, batch.colors)]
 
 
 def ref_observation_to_local(ego, obs):
     mean = transform_point(ego, obs.position.mean)
-    return replace(obs, position=Gaussian2(mean, rotate_covariance(ego.theta, obs.position.cov)))
+    return replace(obs, position=RefGaussian(mean, rotate_covariance(ego.theta, obs.position.cov)))
 
 
 def ref_in_frustum(ego, point, config, shrink):
@@ -887,7 +1003,7 @@ def ref_update_position(cone, obs):
     gain = sigma @ inv
     mean = cone.position.mean + gain @ (obs.position.mean - cone.position.mean)
     cov = (np.eye(2) - gain) @ sigma
-    return replace(cone, position=Gaussian2(mean, cov))
+    return replace(cone, position=RefGaussian(mean, cov))
 
 
 def ref_mode(state, now, config):
@@ -932,7 +1048,7 @@ def ref_ingest(state, batches, vel, dt, config):
         next_id = state.next_cone_id
         for obs_idx in new:
             o = local[obs_idx]
-            cones[next_id] = ConeEstimate(next_id, o.position, weight * o.color + 1e-12, config.initial_existence, now)
+            cones[next_id] = RefCone(next_id, o.position, weight * o.color + 1e-12, config.initial_existence, now)
             observed.add(next_id)
             next_id += 1
         state = replace(state, cones=cones, next_cone_id=next_id)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conetrack.core import ColorDistribution, ConeEstimate, Gaussian2, Pose2
-from conetrack.local_map import ConeTable, LocalMapConfig, LocalMapSnapshot, LocalMapState, MapMode, ingest_frame
+from cone_reference import RefCone, RefGaussian, color_probabilities, cone_table
+from conetrack.core import Pose2
+from conetrack.local_map import LocalMapConfig, LocalMapSnapshot, LocalMapState, MapMode, ingest_frame
 from conetrack.planner import (
     CandidatePath,
     DegenerateSnapshotError,
@@ -41,9 +42,9 @@ from conetrack.simulate import (
 
 
 def make_cone(cid, xy, color=(0.98, 0.01, 0.01)):
-    return ConeEstimate(
+    return RefCone(
         id=cid,
-        position=Gaussian2.isotropic(np.array(xy, dtype=float), 0.1),
+        position=RefGaussian.isotropic(np.array(xy, dtype=float), 0.1),
         color_evidence=np.array(color) * 10 + 1e-12,
         existence=0.9,
         last_seen=0.0,
@@ -51,8 +52,8 @@ def make_cone(cid, xy, color=(0.98, 0.01, 0.01)):
 
 
 def evidence(cones):
-    """The (n, 3) color evidence of cone estimates, in id order."""
-    return ConeTable.from_estimates(cones).color_evidence
+    """The (n, 3) color evidence of cone records, in id order."""
+    return cone_table(cones).color_evidence
 
 
 BLUE = (0.98, 0.01, 0.01)
@@ -71,7 +72,7 @@ def corridor_snapshot(n_stations=8, spacing=2.5, width=4.0, stagger=0.0, jitter=
             pos = np.array([xx, y]) + rng.normal(scale=jitter, size=2)
             cones.append(make_cone(cid, pos, color))
             cid += 1
-    return LocalMapSnapshot(0.0, Pose2(0.0, 0.0, 0.0), ConeTable.from_estimates(cones), frozenset(range(cid)), MapMode.FUSION)
+    return LocalMapSnapshot(0.0, Pose2(0.0, 0.0, 0.0), cone_table(cones), frozenset(range(cid)), MapMode.FUSION)
 
 
 class TestTriangulate:
@@ -131,7 +132,7 @@ class TestEnumerate:
             cones.append(make_cone(cid, tuple(base + up - [0, 2.0]), YELLOW)); cid += 1
             cones.append(make_cone(cid, tuple(base - up + [0, 2.0]), BLUE)); cid += 1
             cones.append(make_cone(cid, tuple(base - up - [0, 2.0]), YELLOW)); cid += 1
-        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), ConeTable.from_estimates(cones), frozenset(range(cid)), MapMode.FUSION)
+        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), cone_table(cones), frozenset(range(cid)), MapMode.FUSION)
         positions = snap.cones.means
         tri = triangulate(positions)
         config = PlannerConfig.with_limits(max_edges=50, max_length_m=100.0)
@@ -155,7 +156,7 @@ class TestEnumerate:
 
     def test_too_few_cones_yields_empty_result(self):
         cones = (make_cone(0, (1, 1)), make_cone(1, (2, 1)))
-        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), ConeTable.from_estimates(cones), frozenset({0, 1}), MapMode.FUSION)
+        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), cone_table(cones), frozenset({0, 1}), MapMode.FUSION)
         result = plan_snapshot(snap)
         assert result.selected is None
         assert result.candidates == ()
@@ -302,7 +303,7 @@ class TestSelection:
             x = 2.5 * k
             cones.append(make_cone(cid, (x, 2.0), BLUE)); cid += 1
             cones.append(make_cone(cid, (x, -2.0), YELLOW)); cid += 1
-        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), ConeTable.from_estimates(cones), frozenset(range(cid)), MapMode.FUSION)
+        snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), cone_table(cones), frozenset(range(cid)), MapMode.FUSION)
         result = plan_snapshot(snap)
         sel = result.selected
         positions = snap.cones.means
@@ -350,13 +351,13 @@ def reference_log_likelihood(color_evidence, left_cones, right_cones, floor=1e-6
     """Per-cone loop the planner's log-term table must reproduce bit for bit."""
     total = 0.0
     for idx, evidence in enumerate(color_evidence):
-        color = ColorDistribution.from_evidence(evidence)
+        p_blue, p_yellow, p_unknown = color_probabilities(evidence).tolist()
         if idx in left_cones:
-            p = max(color.p_blue, color.p_unknown)
+            p = max(p_blue, p_unknown)
         elif idx in right_cones:
-            p = max(color.p_yellow, color.p_unknown)
+            p = max(p_yellow, p_unknown)
         else:
-            p = max(color.p_blue, color.p_yellow, color.p_unknown)
+            p = max(p_blue, p_yellow, p_unknown)
         total += math.log(max(p, floor))
     return total
 
@@ -438,7 +439,7 @@ class TestNoiseFreeContainment:
                     visible.append(make_cone(len(visible), tuple(cone.position), color))
             if len(visible) < 3:
                 continue
-            snap = LocalMapSnapshot(0.0, ego, ConeTable.from_estimates(visible), frozenset(c.id for c in visible), MapMode.FUSION)
+            snap = LocalMapSnapshot(0.0, ego, cone_table(visible), frozenset(c.id for c in visible), MapMode.FUSION)
             result = plan_snapshot(snap, config)
             if result.selected is None:
                 continue

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conetrack.core import ColorDistribution, ConeClass, Gaussian2, Pose2, SensorSource, Velocity2, integrate_velocity
+from cone_reference import RefGaussian, color_class
+from conetrack.core import ConeClass, Pose2, SensorSource, Velocity2, integrate_velocity
 from conetrack.simulate import (
     CenterlineGeometry,
     InfeasibleTrackError,
@@ -222,7 +223,7 @@ class TestFrameSimulation:
         n, correct = 20_000, 0
         for _ in range(n):
             (color,) = observe_cones(track, pose, profile, rng, 0.0).colors
-            correct += ColorDistribution(*color).argmax_class() is ConeClass.YELLOW
+            correct += color_class(color) is ConeClass.YELLOW
         assert correct / n == pytest.approx(0.85, abs=0.02)
 
     def test_false_positive_rate(self):
@@ -296,8 +297,8 @@ class TestScenario:
 
 
 # ---------------------------------------------------------------------------
-# Per-detection reference: the observe_cones that built one Gaussian2 and one
-# ColorDistribution per detection, kept here to pin the batch to it bit for bit
+# Per-detection reference: the observe_cones that built one Gaussian and one
+# colour distribution per detection, kept here to pin the batch to it bit for bit
 
 REF_CLASS_INDEX = {"blue": 0, "yellow": 1, "orange": 2, "unknown": 2}
 
@@ -308,12 +309,12 @@ def ref_peaked_distribution(class_idx, confidence):
     for idx in class_idx:
         probs = [rest, rest, rest]
         probs[int(idx)] = confidence
-        out.append(ColorDistribution(*probs))
+        out.append(np.array(probs))
     return out
 
 
 def ref_observe_cones(track, true_pose, profile, rng, timestamp):
-    """Returns the detections as (Gaussian2, ColorDistribution) pairs, the false-positive count and the confused count."""
+    """Returns the detections as (RefGaussian, probabilities) pairs, the false-positive count and the confused count."""
     positions = track.cone_positions()
     rel = positions - true_pose.position
     c, s = math.cos(true_pose.theta), math.sin(true_pose.theta)
@@ -342,7 +343,7 @@ def ref_observe_cones(track, true_pose, profile, rng, timestamp):
         colors = ref_peaked_distribution(sampled, profile.color_confidence)
         for k in range(len(detected)):
             cov = (sigma[k] ** 2) * np.eye(2)
-            obs.append((Gaussian2(noisy[k], cov), colors[k]))
+            obs.append((RefGaussian(noisy[k], cov), colors[k]))
 
     n_fp = int(rng.poisson(profile.false_positives_per_frame))
     if n_fp:
@@ -354,7 +355,7 @@ def ref_observe_cones(track, true_pose, profile, rng, timestamp):
         fp_colors = ref_peaked_distribution(fp_class, profile.color_confidence)
         for k in range(n_fp):
             cov = (fp_sigma[k] ** 2) * np.eye(2)
-            obs.append((Gaussian2(fp_body[k], cov), fp_colors[k]))
+            obs.append((RefGaussian(fp_body[k], cov), fp_colors[k]))
     return obs, n_fp, confused
 
 
@@ -376,7 +377,7 @@ class TestBatchMatchesPerDetectionReference:
             assert (batch.source, batch.timestamp) == (SensorSource(mode), timestamp)
             assert np.array_equal(batch.means, np.array([g.mean for g, _ in ref]).reshape(-1, 2))
             assert np.array_equal(batch.covs, np.array([g.cov for g, _ in ref]).reshape(-1, 2, 2))
-            assert np.array_equal(batch.colors, np.array([c.as_array() for _, c in ref]).reshape(-1, 3))
+            assert np.array_equal(batch.colors, np.array([c for _, c in ref]).reshape(-1, 3))
             assert not any(column.flags.writeable for column in (batch.means, batch.covs, batch.colors))
             false_positives += n_fp
             confused += n_confused
