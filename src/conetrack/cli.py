@@ -80,6 +80,13 @@ def _read_json(path):
     return json.loads(Path(path).read_text())
 
 
+def _read_spec(path) -> dict:
+    spec = _read_json(path)
+    if not isinstance(spec, dict):
+        raise ValueError(f"a track spec must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
 def _read_planner_log(path) -> list[dict]:
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -93,7 +100,7 @@ def _read_planner_log(path) -> list[dict]:
 
 
 def _spec_from_args(args) -> TrackSpec:
-    base = read_input(_read_json, args.spec) if args.spec else {}
+    base = read_input(_read_spec, args.spec) if args.spec else {}
     overrides = {
         "kind": args.kind,
         "length_m": args.length_m,

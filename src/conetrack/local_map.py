@@ -450,8 +450,9 @@ def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
     """One snapshot log record, read column by column into a :class:`ConeTable` sorted by id.
 
     A malformed record raises ``ValueError``: a missing key, a value of the
-    wrong type or shape, a non-integer id, a non-finite number, color
-    evidence that is negative or lacks a finite positive sum, existence
+    wrong type or shape, a non-integer id, a non-finite number, a
+    covariance whose projection onto the SPD cone overflows, color evidence
+    that is negative or lacks a finite positive sum, existence
     outside [0, 1], an unknown mode, or observed ids that are not a list of
     integers.
     """
@@ -484,7 +485,12 @@ def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
         raise ValueError(f"snapshot ego and timestamp_s must be finite numbers, got {ego} and {timestamp!r}")
     if not (isinstance(observed, list) and all(isinstance(i, int) and not isinstance(i, bool) for i in observed)):
         raise ValueError(f"snapshot observed_ids must be a list of integers, got {observed!r}")
-    cones = ConeTable(ids, means, project_spd(covs), evidence, existence, last_seen).take(np.argsort(ids, kind="stable"))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            covs = project_spd(covs)
+    except FloatingPointError as exc:  # finite entries near the largest float
+        raise ValueError(f"cone cov_m2 overflows when projected onto the SPD cone: {exc}") from exc
+    cones = ConeTable(ids, means, covs, evidence, existence, last_seen).take(np.argsort(ids, kind="stable"))
     return LocalMapSnapshot(timestamp, Pose2(*ego), cones, frozenset(observed), mode)
 
 

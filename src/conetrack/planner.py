@@ -21,7 +21,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
@@ -69,9 +69,8 @@ def triangulate(positions: np.ndarray) -> Triangulation:
     return Triangulation(pts, tri.simplices.copy(), tri.neighbors.copy())
 
 
-@dataclass(frozen=True)
-class PathFeatures:
-    """Geometric features of a candidate path."""
+class PathFeatures(NamedTuple):
+    """Geometric features of a candidate path, in the order the prior's terms weigh them."""
 
     max_heading_change_rad: float  # sharpest bend between consecutive segments
     left_spacing_std_m: float  # std of consecutive left-cone gaps
@@ -79,18 +78,6 @@ class PathFeatures:
     width_std_m: float  # std of crossed-edge lengths
     crossed_edges_capped: float  # edge count, saturated at the desired number
     length_m: float  # waypoint polyline length
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.max_heading_change_rad,
-                self.left_spacing_std_m,
-                self.right_spacing_std_m,
-                self.width_std_m,
-                self.crossed_edges_capped,
-                self.length_m,
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -171,63 +158,44 @@ class PriorConfig:
             raise ValueError("exactly one term per feature required")
 
 
-def _population_std(values: Sequence[float]) -> float:
-    if len(values) < 1:
-        return 0.0
-    arr = np.asarray(values, dtype=float)
-    n = len(arr)
-    # the arithmetic of np.mean (one reduce, one division) without its overhead
-    return math.sqrt(np.add.reduce((arr - np.add.reduce(arr) / n) ** 2) / n)
+def _np_sum(values: Sequence[float]) -> float:
+    """Sum of a non-empty float sequence, added in the order numpy's float64 ``add.reduce`` adds it.
 
-
-def compute_features(
-    waypoints: np.ndarray,
-    crossed_edges: Sequence[tuple[int, int]],
-    points: np.ndarray,
-    left_sequence: Sequence[int],
-    right_sequence: Sequence[int],
-    limits: SearchLimits,
-) -> PathFeatures:
-    """Evaluate the six scoring features on a path's geometry.
-
-    Sides with fewer than two cones contribute a zero spacing deviation so
-    sparse far-field candidates are not discarded outright.
+    Under 8 values a left fold; up to 128, eight running sums over every
+    eighth value, combined pairwise, then the remainder; above that, the two
+    halves split at a multiple of 8. numpy adds the result to an output that
+    starts at +0.0, so the sum is never -0.0. Plain floats, bit for bit what
+    numpy gives, without a numpy call per sum.
     """
-    wp = np.asarray(waypoints, dtype=float)
-    if len(wp) >= 2:
-        seg = np.diff(wp, axis=0)
-        length = float(np.hypot(seg[:, 0], seg[:, 1]).sum())
-        headings = np.arctan2(seg[:, 1], seg[:, 0])
-        turns = [abs(normalize_angle(b - a)) for a, b in zip(headings, headings[1:])]
-        max_turn = max(turns) if turns else 0.0
-    else:
-        length = 0.0
-        max_turn = 0.0
-
-    def side_std(sequence: Sequence[int]) -> float:
-        if len(sequence) < 2:
-            return 0.0
-        gaps = [
-            float(np.hypot(*(points[b] - points[a])))
-            for a, b in zip(sequence, sequence[1:])
-        ]
-        return _population_std(gaps)
-
-    widths = [float(np.hypot(*(points[b] - points[a]))) for a, b in crossed_edges]
-    return PathFeatures(
-        max_heading_change_rad=max_turn,
-        left_spacing_std_m=side_std(left_sequence),
-        right_spacing_std_m=side_std(right_sequence),
-        width_std_m=_population_std(widths) if widths else 0.0,
-        crossed_edges_capped=float(min(len(crossed_edges), limits.desired_edge_count)),
-        length_m=length,
-    )
+    n = len(values)
+    if n < 8:
+        return functools.reduce(operator.add, values, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, m, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+            r0, r1, r2, r3, r4, r5, r6, r7 = r0 + a0, r1 + a1, r2 + a2, r3 + a3, r4 + a4, r5 + a5, r6 + a6, r7 + a7
+        return functools.reduce(operator.add, values[m:], 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))))
+    half = n // 2
+    half -= half % 8
+    return _np_sum(values[:half]) + _np_sum(values[half:])
 
 
-def log_prior(features: PathFeatures, config: PriorConfig) -> float:
-    """Log of the validity prior: negative weighted squared feature deviations."""
+def _population_std(values: Sequence[float]) -> float:
+    """Population standard deviation of a non-empty sequence, as ``np.sqrt(np.mean((a - a.mean()) ** 2))`` gives it."""
+    n = len(values)
+    mean = _np_sum(values) / n
+    return math.sqrt(_np_sum([(x - mean) * (x - mean) for x in values]) / n)
+
+
+def log_prior(features: Sequence[float], config: PriorConfig) -> float:
+    """Log of the validity prior: negative weighted squared feature deviations.
+
+    ``features`` is a :class:`PathFeatures` or the same six floats in its order.
+    """
     cost = 0.0
-    for value, term in zip(features.as_array(), config.terms):
+    for value, term in zip(features, config.terms):
         cost += term.weight * (value - term.setpoint) ** 2 / term.scale
     return -config.prior_weight * cost
 
@@ -285,9 +253,10 @@ class _SearchTables:
     Step ``3 * slot + k`` moves from the midpoint of edge ``slot`` to that of
     edge ``k`` of the same triangle: ``step_x``, ``step_y``, ``step_len`` and
     ``step_heading``. ``dist[a][b]`` is the distance from cone ``a`` to cone
-    ``b``. Every value is what the numpy expressions of
-    :func:`compute_features` give, element for element. The lists are flat
-    so that building them allocates few objects.
+    ``b``. Distances and headings come from ``np.hypot`` and ``np.arctan2``,
+    which define the path features; ``math.hypot`` differs from ``np.hypot``
+    in the last bit on some inputs. The lists are flat so that building them
+    allocates few objects.
     """
 
     neighbor: list[int]
@@ -331,11 +300,11 @@ class _PartialPath:
     """A path as the search grows it, with the state one extension updates in O(1).
 
     The state is the per-segment lengths, the last step and its heading, the
-    running maximum turn, the crossed-edge widths and each side's cone
-    sequence with its spacing deviation. Length and deviations are reduced
-    afresh from their per-element lists, never kept as running sums, so the
-    features are exactly those :func:`compute_features` gives the path. The
-    defaults describe the root: no edge crossed yet.
+    crossed-edge widths, each side's cone sequence and the six feature values,
+    among them the running maximum turn and each side's spacing deviation.
+    Length and deviations are reduced afresh from their per-element lists,
+    never kept as running sums, so the features are exactly those of the
+    path's own geometry. The defaults describe the root: no edge crossed yet.
     """
 
     triangle: int
@@ -348,13 +317,10 @@ class _PartialPath:
     step: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (dx, dy, length) into the last waypoint
     seg_lengths: list[float] = field(default_factory=list)  # waypoint-to-waypoint segment lengths
     heading: float | None = None  # heading of the last segment
-    max_turn: float = 0.0
     widths: list[float] = field(default_factory=list)  # crossed-edge lengths
     left: tuple[int, ...] = ()  # left cones in first-crossing order
     right: tuple[int, ...] = ()
-    left_std: float = 0.0
-    right_std: float = 0.0
-    features: PathFeatures | None = None
+    features: tuple[float, ...] = (0.0,) * 6  # the PathFeatures values, in order
     log_prior: float = 0.0
     log_likelihood: float = 0.0
     log_posterior: float = 0.0
@@ -367,7 +333,7 @@ class _PartialPath:
             frozenset(self.right),
             self.left,
             self.right,
-            self.features,
+            PathFeatures._make(self.features),
             self.log_prior,
             self.log_likelihood,
             self.log_posterior,
@@ -394,9 +360,13 @@ def enumerate_paths(
     consistent corridor extensions always score upward through the
     edge-count and length terms, so growth stops exactly where continuing
     would mean crossing evidence that contradicts the path, instead of baking
-    a bad tail into every candidate.
+    a bad tail into every candidate. Scores are plain-float arithmetic that
+    sums in numpy's order (:func:`_np_sum`), so they equal the numpy
+    expressions of the features bit for bit.
     """
     limits = config.limits
+    prior = config.prior
+    desired = float(limits.desired_edge_count)
     terms = _cone_log_terms(color_evidence, config.likelihood_floor)
     tables = _SearchTables.build(tri)
     points = tri.points.tolist()
@@ -408,16 +378,14 @@ def enumerate_paths(
     heading_xy = tuple(heading.tolist())
     ego_x, ego_y = ego.position.tolist()
 
-    def side_std(sequence: tuple[int, ...], before: tuple[int, ...], std_before: float) -> float:
-        if sequence == before:
-            return std_before
+    def spacing_std(sequence: tuple[int, ...]) -> float:
         if len(sequence) < 2:
             return 0.0
         return _population_std([dist[a][b] for a, b in zip(sequence, sequence[1:])])
 
     def extend(partial: _PartialPath, k: int) -> _PartialPath:
         slot = 3 * partial.triangle + k
-        edge = (tables.lo[slot], tables.hi[slot])
+        edge = lo, hi = tables.lo[slot], tables.hi[slot]
         mid_x, mid_y = tables.mid_x[slot], tables.mid_y[slot]
         if partial.waypoints:
             move = 3 * partial.slot + k
@@ -425,7 +393,7 @@ def enumerate_paths(
             seg_heading = tables.step_heading[move]
             length = partial.length + seg_len
             seg_lengths = partial.seg_lengths + [seg_len]
-            max_turn = partial.max_turn
+            max_turn = partial.features[0]
             if partial.heading is not None:
                 max_turn = max(max_turn, abs(normalize_angle(seg_heading - partial.heading)))
         else:  # the first waypoint: its step runs from the ego and adds no segment
@@ -433,25 +401,37 @@ def enumerate_paths(
             seg_len = float(np.hypot(dx, dy))
             length, seg_lengths, seg_heading, max_turn = 0.0, [], None, 0.0
         d_x, d_y = heading_xy if seg_len < 1e-12 else (dx, dy)
+        # a new cone joins the end of its side; a known cone whose net vote
+        # changes sign reorders both sides, which are then rebuilt. A side
+        # left untouched keeps its tuple, and with it its spacing deviation
         net_votes = dict(partial.net_votes)
+        left, right, flipped = partial.left, partial.right, False
         for idx in edge:
-            off_x, off_y = points[idx][0] - mid_x, points[idx][1] - mid_y
-            net_votes[idx] = net_votes.get(idx, 0) + (1 if d_x * off_y - d_y * off_x > 0 else -1)
+            vote = 1 if d_x * (points[idx][1] - mid_y) - d_y * (points[idx][0] - mid_x) > 0 else -1
+            before = net_votes.get(idx)
+            if before is None:
+                net_votes[idx] = vote
+                if vote > 0:
+                    left += (idx,)
+                else:
+                    right += (idx,)
+            else:
+                net_votes[idx] = before + vote
+                flipped |= (before >= 0) != (before + vote >= 0)
+        if flipped:
+            left = tuple(idx for idx, net in net_votes.items() if net >= 0)
+            right = tuple(idx for idx, net in net_votes.items() if net < 0)
         crossed = partial.crossed + [edge]
-        widths = partial.widths + [dist[edge[0]][edge[1]]]
-        left = tuple(idx for idx, net in net_votes.items() if net >= 0)
-        right = tuple(idx for idx, net in net_votes.items() if net < 0)
-        left_std = side_std(left, partial.left, partial.left_std)
-        right_std = side_std(right, partial.right, partial.right_std)
-        features = PathFeatures(
-            max_heading_change_rad=max_turn,
-            left_spacing_std_m=left_std,
-            right_spacing_std_m=right_std,
-            width_std_m=_population_std(widths),
-            crossed_edges_capped=float(min(len(crossed), limits.desired_edge_count)),
-            length_m=float(np.add.reduce(seg_lengths)) if seg_lengths else 0.0,
+        widths = partial.widths + [dist[lo][hi]]
+        features = (
+            max_turn,
+            partial.features[1] if left is partial.left else spacing_std(left),
+            partial.features[2] if right is partial.right else spacing_std(right),
+            _population_std(widths),
+            min(float(len(crossed)), desired),
+            _np_sum(seg_lengths) if seg_lengths else 0.0,
         )
-        lp = log_prior(features, config.prior)
+        lp = log_prior(features, prior)
         ll = _summed_log_terms(terms, left, right)
         nb = tables.neighbor[slot]
         return _PartialPath(
@@ -465,12 +445,9 @@ def enumerate_paths(
             step=(dx, dy, seg_len),
             seg_lengths=seg_lengths,
             heading=seg_heading,
-            max_turn=max_turn,
             widths=widths,
             left=left,
             right=right,
-            left_std=left_std,
-            right_std=right_std,
             features=features,
             log_prior=lp,
             log_likelihood=ll,

@@ -244,6 +244,7 @@ BAD_INPUTS = [
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{garbage}"],
     ["generate", "--spec", "{missing}"],
     ["generate", "--spec", "{garbage}"],
+    ["generate", "--spec", "{notobject}"],
     ["eval", "--track", "{fieldless}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{badtime}"],
     ["run", "--config", "{badseed}"],

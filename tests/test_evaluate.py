@@ -105,6 +105,34 @@ class TestIcp:
         assert all(b <= a + 1e-12 for a, b in zip(rmses, rmses[1:]))
 
 
+class TestIcpProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 6),
+        radius=st.floats(2.0, 30.0),
+        jitter=st.lists(st.tuples(st.floats(-0.1, 0.1), st.floats(1.0, 1.1)), min_size=6, max_size=6),
+        center=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+        theta=st.floats(-0.3, 0.3),
+        shift=st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)),
+    )
+    def test_recovers_rigid_transform_of_spread_points(self, n, radius, jitter, center, theta, shift):
+        # a jittered ring: neighbours stay at least 0.86 radius apart, and
+        # after the centroid start the rotation moves no point more than 0.36
+        # radius, so every point's nearest match is its own image
+        pts = np.array(
+            [
+                [center[0] + radius * r * math.cos(2 * math.pi * k / n + d), center[1] + radius * r * math.sin(2 * math.pi * k / n + d)]
+                for k, (d, r) in enumerate(jitter[:n])
+            ]
+        )
+        t = shift[0] * np.array([math.cos(shift[1]), math.sin(shift[1])])
+        result = icp_align(pts, rigid(pts, theta, t), init="centroid", config=IcpConfig(reject_radius_m=radius))
+        assert len(result.correspondences) == n
+        assert abs(result.rotation - theta) <= 1e-6
+        assert np.abs(result.translation - t).max() <= 1e-6
+        assert result.rmse <= 1e-6
+
+
 class TestMapRmse:
     def test_perfect_map(self):
         pts = np.random.default_rng(0).uniform(-5, 5, (20, 2))

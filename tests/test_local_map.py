@@ -606,6 +606,8 @@ class TestSnapshotLog:
             ("y_m", "1.0"),
             ("cov_m2", [[1.0, 0.0], [0.0]]),
             ("color_evidence", [1.0, 0.0]),
+            ("cov_m2", [[1e308, 0.0], [0.0, 1e308]]),
+            ("cov_m2", [[9e307, 0.0], [0.0, 9e307]]),
         ],
     )
     def test_malformed_cone_row_rejected(self, field, value):
@@ -759,6 +761,11 @@ json_values = st.one_of(
     st.booleans(),
     st.text(max_size=4),
     st.lists(st.one_of(st.none(), st.booleans(), st.floats(), st.integers()), max_size=4),
+    st.lists(
+        st.lists(st.one_of(st.floats(), st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan, 0.0])), min_size=2, max_size=2),
+        min_size=2,
+        max_size=2,
+    ),
     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 1.5, 2.5, -(2**70), 2**70, 1e308, -1e308]),
     st.floats(),
     st.integers(),

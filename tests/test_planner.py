@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone_reference import RefCone, RefGaussian, color_probabilities, cone_table
+from planner_reference import compute_features, reference_log_prior, reference_population_std
 from conetrack.core import Pose2
 from conetrack.local_map import LocalMapConfig, LocalMapSnapshot, LocalMapState, MapMode, ingest_frame
 from conetrack.planner import (
@@ -20,8 +21,8 @@ from conetrack.planner import (
     PlannerConfig,
     PriorConfig,
     SearchLimits,
+    _np_sum,
     _population_std,
-    compute_features,
     enumerate_paths,
     log_likelihood,
     log_prior,
@@ -195,14 +196,6 @@ class TestFeatures:
         assert f.crossed_edges_capped == 15.0
 
 
-def reference_population_std(values):
-    """The np.mean form the planner's standard deviation must reproduce bit for bit."""
-    if len(values) < 1:
-        return 0.0
-    arr = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.mean((arr - arr.mean()) ** 2)))
-
-
 class TestPopulationStd:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -214,6 +207,31 @@ class TestPopulationStd:
     )
     def test_equals_np_mean_form(self, values):
         assert _population_std(values) == reference_population_std(values)
+
+
+def same_float(a, b):
+    """Equal bit for bit up to the NaN payload: both NaN, or equal with the same sign of zero."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+SUM_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-307, 1e-307),  # subnormals and their neighbours
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+)
+
+
+class TestNpSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SUM_VALUES, min_size=1, max_size=300))
+    def test_equals_np_add_reduce(self, values):
+        assert same_float(_np_sum(values), float(np.add.reduce(np.array(values, dtype=float))))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 300])
+    def test_all_negative_zeros_sum_to_positive_zero(self, n):
+        assert same_float(_np_sum([-0.0] * n), float(np.add.reduce(np.full(n, -0.0))))
 
 
 class TestPrior:
@@ -395,7 +413,7 @@ class TestScoreOnce:
                 assert cand.features == compute_features(
                     cand.waypoints, cand.crossed_edges, positions, cand.left_sequence, cand.right_sequence, config.limits
                 )
-                assert cand.log_prior == log_prior(cand.features, config.prior)
+                assert cand.log_prior == log_prior(cand.features, config.prior) == reference_log_prior(cand.features, config.prior)
         assert planned >= 25
 
 
