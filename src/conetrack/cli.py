@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, RunFailure, load_config, read_input, resolve_profile
+from .core import is_finite_number
 from .evaluate import build_report, load_trajectory, planning_stats, save_report
 from .global_map import load_map
 from .local_map import read_snapshot_log
@@ -87,16 +88,28 @@ def _read_spec(path) -> dict:
     return spec
 
 
+def _check_planner_record(record, number: int) -> dict:
+    """A planner log record, or ``ValueError`` naming its line: an object with a finite ego and time and finite waypoints."""
+    if not isinstance(record, dict):
+        raise ValueError(f"planner log record on line {number} is not a JSON object")
+    ego = record.get("ego")
+    if not (isinstance(ego, dict) and all(is_finite_number(ego.get(k)) for k in ("x_m", "y_m", "theta_rad"))):
+        raise ValueError(f"planner log record on line {number} needs an ego with finite x_m, y_m and theta_rad")
+    if not is_finite_number(record.get("timestamp_s")):
+        raise ValueError(f"planner log record on line {number} needs a finite timestamp_s")
+    waypoints = record.get("waypoints_m") or []
+    pairs = isinstance(waypoints, list) and all(isinstance(p, list) and len(p) == 2 for p in waypoints)
+    if not (pairs and all(is_finite_number(v) for p in waypoints for v in p)):
+        raise ValueError(f"planner log record on line {number}: waypoints_m must be a list of finite [x, y] pairs")
+    return record
+
+
 def _read_planner_log(path) -> list[dict]:
-    records = []
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        if header.get("kind") != "planner_log":
-            raise ConfigError("not a planner log")
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
+        if not (isinstance(header, dict) and header.get("kind") == "planner_log"):
+            raise ValueError(f"line 1 is not a planner log header: {header!r}")
+        return [_check_planner_record(json.loads(line), number) for number, line in enumerate(fh, start=2) if line.strip()]
 
 
 def _spec_from_args(args) -> TrackSpec:

@@ -82,24 +82,10 @@ def _rigid_fit(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarray]:
     return theta, t
 
 
-def align_exact_correspondences(estimated: np.ndarray, truth: np.ndarray) -> AlignmentResult:
-    """Closed-form alignment when row i of both sets is the same physical cone."""
-    est = np.asarray(estimated, dtype=float)
-    tru = np.asarray(truth, dtype=float)
-    if est.shape != tru.shape or len(est) == 0:
-        raise ValueError("exact-correspondence sets must be non-empty and equal-sized")
-    theta, trans = _rigid_fit(est, tru)
-    c, s = math.cos(theta), math.sin(theta)
-    moved = est @ np.array([[c, -s], [s, c]]).T + trans
-    rmse = float(np.sqrt(np.mean(np.sum((moved - tru) ** 2, axis=1))))
-    pairs = tuple((k, k) for k in range(len(est)))
-    return AlignmentResult(theta, trans, pairs, rmse, 0, 0)
-
-
 def icp_align(
     estimated: np.ndarray,
     truth: np.ndarray,
-    init: Pose2 | tuple[float, np.ndarray] | str = Pose2.identity(),
+    init: Pose2 = Pose2.identity(),
     config: IcpConfig = IcpConfig(),
 ) -> AlignmentResult:
     """Iterative closest point with one-to-one matching and outlier rejection.
@@ -109,8 +95,7 @@ def icp_align(
     the RMSE stops improving. The recorded RMSE series is non-increasing: a
     step that would worsen it terminates the iteration at the previous state.
 
-    ``init`` seeds the transform: a pose, a ``(rotation, translation)`` pair,
-    or ``"centroid"`` for a translation-only coarse start.
+    ``init`` seeds the transform, mapping estimated points onto truth.
     """
     est = np.asarray(estimated, dtype=float)
     tru = np.asarray(truth, dtype=float)
@@ -119,14 +104,7 @@ def icp_align(
     if np.ptp(tru, axis=0).max() < 1e-9 or np.ptp(est, axis=0).max() < 1e-9:
         raise DegenerateGeometryError("all points coincident")
 
-    if isinstance(init, str):
-        if init != "centroid":
-            raise ValueError(f"unknown init mode {init!r}")
-        theta, trans = 0.0, tru.mean(axis=0) - est.mean(axis=0)
-    elif isinstance(init, Pose2):
-        theta, trans = init.theta, init.position
-    else:
-        theta, trans = float(init[0]), np.asarray(init[1], dtype=float)
+    theta, trans = init.theta, init.position
 
     best: AlignmentResult | None = None
     for _ in range(config.max_iterations):
@@ -326,25 +304,34 @@ def planning_stats(
     return PlanningStats(lengths, exits, total)
 
 
+_TRAJECTORY_COLUMNS = ("timestamp_s", "true_x_m", "true_y_m", "true_theta_rad", "ego_x_m", "ego_y_m", "ego_theta_rad")
+
+
 def save_trajectory(path: Path | str, rows: Sequence[tuple[float, Pose2, Pose2]]) -> None:
     """Evaluation-only ground truth: (timestamp, true pose, local ego) rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["timestamp_s", "true_x_m", "true_y_m", "true_theta_rad", "ego_x_m", "ego_y_m", "ego_theta_rad"]
-        )
+        writer.writerow(_TRAJECTORY_COLUMNS)
         for t, true_pose, ego in rows:
             writer.writerow([t, true_pose.x, true_pose.y, true_pose.theta, ego.x, ego.y, ego.theta])
 
 
 def load_trajectory(path: Path | str) -> dict[float, tuple[Pose2, Pose2]]:
+    """Read a trajectory CSV; a missing column or a value that is not a finite number raises ``ValueError`` naming its line."""
     out: dict[float, tuple[Pose2, Pose2]] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[float(row["timestamp_s"])] = (
-                Pose2(float(row["true_x_m"]), float(row["true_y_m"]), float(row["true_theta_rad"])),
-                Pose2(float(row["ego_x_m"]), float(row["ego_y_m"]), float(row["ego_theta_rad"])),
-            )
+        reader = csv.DictReader(fh)
+        missing = [name for name in _TRAJECTORY_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"trajectory header on line 1 lacks columns {missing}")
+        for row in reader:
+            try:
+                t, *pose = (float(row[name]) for name in _TRAJECTORY_COLUMNS)
+            except (TypeError, ValueError) as exc:  # a short row reads None, a word fails float()
+                raise ValueError(f"trajectory row on line {reader.line_num} is not {len(_TRAJECTORY_COLUMNS)} numbers") from exc
+            if not all(map(math.isfinite, [t, *pose])):
+                raise ValueError(f"trajectory row on line {reader.line_num} holds a non-finite value")
+            out[t] = (Pose2(*pose[:3]), Pose2(*pose[3:]))
     return out
 
 
@@ -352,13 +339,16 @@ def load_trajectory(path: Path | str) -> dict[float, tuple[Pose2, Pose2]]:
 # Timing and reports
 
 
-def timing_percentiles(samples_ms: Sequence[float], percentiles=(50, 90, 99)) -> dict[str, float | None]:
+TIMING_PERCENTILES = (50, 90, 99)
+
+
+def timing_percentiles(samples_ms: Sequence[float]) -> dict[str, float | None]:
     """Nearest-rank percentiles of a timing series (milliseconds); None for an empty series."""
     if not samples_ms:
-        return {f"p{p}_ms": None for p in percentiles} | {"mean_ms": None, "count": 0}
+        return {f"p{p}_ms": None for p in TIMING_PERCENTILES} | {"mean_ms": None, "count": 0}
     ordered = sorted(samples_ms)
     out = {}
-    for p in percentiles:
+    for p in TIMING_PERCENTILES:
         rank = max(int(math.ceil(p / 100.0 * len(ordered))) - 1, 0)
         out[f"p{p}_ms"] = float(ordered[rank])
     out["mean_ms"] = float(np.mean(ordered))

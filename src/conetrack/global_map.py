@@ -306,33 +306,13 @@ def _associate_landmark(
 # Residuals and Jacobians
 
 
-def odometry_residual(pose_i: np.ndarray, pose_j: np.ndarray, meas: np.ndarray) -> np.ndarray:
-    """Residual of one odometry edge: measured increment vs estimated increment.
+def _odometry_batch(pi: np.ndarray, pj: np.ndarray, z: np.ndarray, jac: bool):
+    """Residuals of odometry edges, one row each: measured increment vs estimated increment.
 
     The pose difference is mapped to a (dx, dy, dtheta) vector with the angle
-    normalized, the conventional pose-graph parameterization.
+    normalized, the conventional pose-graph parameterization. With ``jac``,
+    also the Jacobians with respect to pose i and pose j.
     """
-    r, (_, _) = _odometry_batch(pose_i[None, :], pose_j[None, :], meas[None, :], jac=False)
-    return r[0]
-
-
-def odometry_jacobians(pose_i: np.ndarray, pose_j: np.ndarray, meas: np.ndarray):
-    _, (ji, jj) = _odometry_batch(pose_i[None, :], pose_j[None, :], meas[None, :], jac=True)
-    return ji[0], jj[0]
-
-
-def observation_residual(pose: np.ndarray, landmark: np.ndarray, meas: np.ndarray) -> np.ndarray:
-    """Residual of one observation edge: body-frame measurement minus prediction."""
-    r, _ = _observation_batch(pose[None, :], landmark[None, :], meas[None, :], jac=False)
-    return r[0]
-
-
-def observation_jacobians(pose: np.ndarray, landmark: np.ndarray, meas: np.ndarray):
-    _, (jp, jl) = _observation_batch(pose[None, :], landmark[None, :], meas[None, :], jac=True)
-    return jp[0], jl[0]
-
-
-def _odometry_batch(pi: np.ndarray, pj: np.ndarray, z: np.ndarray, jac: bool):
     ci, si = np.cos(pi[:, 2]), np.sin(pi[:, 2])
     cz, sz = np.cos(z[:, 2]), np.sin(z[:, 2])
     dx = pj[:, 0] - pi[:, 0]
@@ -370,6 +350,10 @@ def _odometry_batch(pi: np.ndarray, pj: np.ndarray, z: np.ndarray, jac: bool):
 
 
 def _observation_batch(pose: np.ndarray, lm: np.ndarray, z: np.ndarray, jac: bool):
+    """Residuals of observation edges, one row each: body-frame measurement minus prediction.
+
+    With ``jac``, also the Jacobians with respect to the pose and the landmark.
+    """
     c, s = np.cos(pose[:, 2]), np.sin(pose[:, 2])
     dx = lm[:, 0] - pose[:, 0]
     dy = lm[:, 1] - pose[:, 1]
@@ -651,39 +635,6 @@ def graph_to_dict(graph: Graph) -> dict:
     }
 
 
-def graph_from_dict(data: dict) -> Graph:
-    if data.get("schema_version") != GRAPH_SCHEMA_VERSION:
-        raise ValueError(f"unsupported graph schema: {data.get('schema_version')}")
-    g = Graph()
-    g.optimized = data["optimized"]
-    g.last_timestamp = data["last_timestamp_s"]
-    odometry = data["odometry_edges"]
-    if [(e["from"], e["to"]) for e in odometry] != [(k, k + 1) for k in range(len(data["poses"]) - 1)]:
-        raise ValueError("odometry edges must chain each pose to the next")
-    for k, p in enumerate(data["poses"]):
-        pose = Pose2(p["x_m"], p["y_m"], p["theta_rad"])
-        if k == 0:
-            g.add_pose(pose)
-        else:
-            g.add_pose(pose, Pose2(*odometry[k - 1]["relative"]), np.array(odometry[k - 1]["information"]))
-    for l in data["landmarks"]:
-        lm = g.add_landmark(np.array([l["x_m"], l["y_m"]]))
-        for local_id, ev in l["color_evidence"].items():
-            g.update_color(lm, int(local_id), np.array(ev))
-    edges = data["observation_edges"]
-    g.add_observations(
-        [e["pose"] for e in edges],
-        [e["landmark"] for e in edges],
-        [e["measurement_m"] for e in edges],
-        [e["information"] for e in edges],
-    )
-    g.local_links = {int(k): v for k, v in data["local_links"].items()}
-    return g
-
-
 def save_graph(graph: Graph, path: Path | str) -> None:
     Path(path).write_text(json.dumps(graph_to_dict(graph), sort_keys=True))
 
-
-def load_graph(path: Path | str) -> Graph:
-    return graph_from_dict(json.loads(Path(path).read_text()))

@@ -528,24 +528,18 @@ class SnapshotLogWriter:
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self) -> "SnapshotLogWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 class SchemaMismatchError(ValueError):
     """Log header version differs from what this build writes."""
 
 
-def read_snapshot_log(path: Path | str, strict: bool = False) -> list[LocalMapSnapshot]:
-    """Read a snapshot log; a malformed last record is tolerated unless ``strict``.
+def read_snapshot_log(path: Path | str) -> list[LocalMapSnapshot]:
+    """Read a snapshot log; a malformed last record is read as a truncated tail and dropped.
 
     Only the last non-empty line can be a truncated tail: a malformed record
     followed by another line raises ``ValueError`` naming its line. Raises
-    :class:`SchemaMismatchError` when the header announces another schema
-    version.
+    :class:`SchemaMismatchError` when the header is not an object announcing
+    this schema version.
     """
     snapshots: list[LocalMapSnapshot] = []
     with open(path, encoding="utf-8") as fh:
@@ -554,15 +548,17 @@ def read_snapshot_log(path: Path | str, strict: bool = False) -> list[LocalMapSn
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise SchemaMismatchError("snapshot log missing schema header") from exc
-        if header.get("kind") != "snapshot_log" or header.get("schema_version") != SNAPSHOT_SCHEMA_VERSION:
-            raise SchemaMismatchError(f"unsupported snapshot log header: {header}")
+        if not (
+            isinstance(header, dict)
+            and header.get("kind") == "snapshot_log"
+            and header.get("schema_version") == SNAPSHOT_SCHEMA_VERSION
+        ):
+            raise SchemaMismatchError(f"unsupported snapshot log header on line 1: {header!r}")
         lines = [(number, line) for number, line in enumerate(fh, start=2) if line.strip()]
     for number, line in lines:
         try:
             snapshots.append(snapshot_from_dict(json.loads(line)))
         except ValueError as exc:  # malformed JSON or a malformed record
-            if strict:
-                raise
             if number != lines[-1][0]:
                 raise ValueError(f"malformed snapshot record on line {number}, before the last line: {exc!r}") from exc
     return snapshots

@@ -226,7 +226,7 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     geom = CenterlineGeometry(track.centerline)
 
     speed_profile = curvature_limited_speed_profile(track, config.max_speed_mps, config.lateral_accel_mps2)
-    run = SimRun(track, speed_profile, config.frame_rate_hz, config.seed)
+    run = SimRun(track, speed_profile, config.frame_rate_hz)
     local_cfg = config.local_map_config()
     force = None if config.force_mode is None else MapMode(config.force_mode)
 

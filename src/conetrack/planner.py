@@ -47,13 +47,6 @@ class Triangulation:
     simplices: np.ndarray  # (m, 3) vertex indices
     neighbors: np.ndarray  # (m, 3)
 
-    def edges(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for tri in self.simplices:
-            for a, b in ((0, 1), (1, 2), (0, 2)):
-                out.add(tuple(sorted((int(tri[a]), int(tri[b])))))
-        return out
-
 
 def triangulate(positions: np.ndarray) -> Triangulation:
     """Delaunay triangulation of cone positions."""
@@ -229,16 +222,6 @@ def _summed_log_terms(
     # one cone at a time in index order from 0.0, never a pairwise or
     # compensated sum: every logged score depends on this exact order
     return functools.reduce(operator.add, values, 0.0)
-
-
-def log_likelihood(
-    color_evidence: np.ndarray,
-    left_cones: frozenset[int],
-    right_cones: frozenset[int],
-    floor: float = LIKELIHOOD_FLOOR,
-) -> float:
-    """Color agreement of every snapshot cone, one (n, 3) evidence row each, with its role under this path."""
-    return _summed_log_terms(_cone_log_terms(color_evidence, floor), left_cones, right_cones)
 
 
 @dataclass(frozen=True)

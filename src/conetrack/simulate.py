@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -52,18 +52,15 @@ class TrackCone:
             raise ValueError(f"unknown cone color {self.color!r}")
 
 
-@dataclass(frozen=True)
-class TrackLimits:
-    """Rule-like bounds the generator and validator enforce (configurable)."""
-
-    min_width_m: float = 3.0
-    max_width_m: float = 5.0
-    # same-side spacing is measured as arc distance along the centerline
-    # between consecutive cone projections
-    max_same_side_spacing_m: float = 5.0
-    # evenly redistributing floor(L / spacing) stations can stretch gaps
-    # slightly past nominal; the validator allows this much slack
-    spacing_slack_m: float = 0.5
+# Rule-like bounds the generator and validator enforce
+MIN_WIDTH_M = 3.0
+MAX_WIDTH_M = 5.0
+# same-side spacing is measured as arc distance along the centerline between
+# consecutive cone projections
+MAX_SAME_SIDE_SPACING_M = 5.0
+# evenly redistributing floor(L / spacing) stations can stretch gaps slightly
+# past nominal; the validator allows this much slack
+SPACING_SLACK_M = 0.5
 
 
 @dataclass(frozen=True)
@@ -244,13 +241,11 @@ class TrackSpec:
         return cls(**data)
 
 
-def validate_spec(spec: TrackSpec, limits: TrackLimits = TrackLimits()) -> None:
-    if not limits.min_width_m <= spec.track_width_m <= limits.max_width_m:
-        raise InfeasibleTrackError(
-            f"track width {spec.track_width_m} m outside [{limits.min_width_m}, {limits.max_width_m}]"
-        )
-    if spec.cone_spacing_m <= 0 or spec.cone_spacing_m > limits.max_same_side_spacing_m:
-        raise InfeasibleTrackError(f"cone spacing {spec.cone_spacing_m} m outside (0, {limits.max_same_side_spacing_m}]")
+def validate_spec(spec: TrackSpec) -> None:
+    if not MIN_WIDTH_M <= spec.track_width_m <= MAX_WIDTH_M:
+        raise InfeasibleTrackError(f"track width {spec.track_width_m} m outside [{MIN_WIDTH_M}, {MAX_WIDTH_M}]")
+    if spec.cone_spacing_m <= 0 or spec.cone_spacing_m > MAX_SAME_SIDE_SPACING_M:
+        raise InfeasibleTrackError(f"cone spacing {spec.cone_spacing_m} m outside (0, {MAX_SAME_SIDE_SPACING_M}]")
     if spec.min_radius_m < spec.track_width_m:
         raise InfeasibleTrackError(
             f"minimum radius {spec.min_radius_m} m too small for width {spec.track_width_m} m"
@@ -263,7 +258,7 @@ def validate_spec(spec: TrackSpec, limits: TrackLimits = TrackLimits()) -> None:
         raise InfeasibleTrackError("loop generator needs at least 6 control points")
 
 
-def validate_track(track: TrackDefinition, limits: TrackLimits = TrackLimits()) -> None:
+def validate_track(track: TrackDefinition) -> None:
     """Check side assignment, spacing, and width against the rule limits."""
     geom = CenterlineGeometry(track.centerline)
     sides: dict[str, list[tuple[float, np.ndarray]]] = {"left": [], "right": []}
@@ -276,7 +271,7 @@ def validate_track(track: TrackDefinition, limits: TrackLimits = TrackLimits()) 
         cross = tangent[0] * off[1] - tangent[1] * off[0]
         side = "left" if cross > 0 else "right"
         lateral = abs(cross)
-        half_min, half_max = limits.min_width_m / 2, limits.max_width_m / 2
+        half_min, half_max = MIN_WIDTH_M / 2, MAX_WIDTH_M / 2
         if not half_min - 0.3 <= lateral <= half_max + 0.3:
             raise TrackValidationError(
                 f"cone at {cone.position} sits {lateral:.2f} m off the centerline"
@@ -287,7 +282,7 @@ def validate_track(track: TrackDefinition, limits: TrackLimits = TrackLimits()) 
             raise TrackValidationError(f"yellow cone at {cone.position} is on the left side")
         if cone.color != "orange":
             sides[side].append((s, cone.position))
-    max_gap = limits.max_same_side_spacing_m + limits.spacing_slack_m
+    max_gap = MAX_SAME_SIDE_SPACING_M + SPACING_SLACK_M
     for side, entries in sides.items():
         entries.sort(key=lambda e: e[0])
         arcs = np.array([e[0] for e in entries])
@@ -362,11 +357,9 @@ def _circle_centerline(spec: TrackSpec) -> np.ndarray:
     return np.column_stack([spec.radius_m * np.cos(phi), spec.radius_m * np.sin(phi)])
 
 
-def generate_track(
-    spec: TrackSpec, seed: int, limits: TrackLimits = TrackLimits()
-) -> TrackDefinition:
+def generate_track(spec: TrackSpec, seed: int) -> TrackDefinition:
     """Build a closed rule-conforming track; deterministic for a given seed."""
-    validate_spec(spec, limits)
+    validate_spec(spec)
     centerline = _circle_centerline(spec) if spec.kind == "circle" else _loop_centerline(spec, seed)
     geom = CenterlineGeometry(centerline)
     length = geom.length
@@ -394,7 +387,7 @@ def generate_track(
     cones.append(TrackCone(p - half_w * normal, "orange"))
 
     track = TrackDefinition(tuple(cones), centerline, length)
-    validate_track(track, limits)
+    validate_track(track)
     return track
 
 
@@ -496,10 +489,6 @@ def _step_lookup(bins: Sequence[tuple[float, float]], ranges: np.ndarray) -> np.
     return values[idx]
 
 
-def save_profile(profile: SensorProfile, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
-
-
 def load_profile(path: Path | str) -> SensorProfile:
     return SensorProfile.from_dict(json.loads(Path(path).read_text()))
 
@@ -551,12 +540,11 @@ def default_profile(mode: str) -> SensorProfile:
 
 @dataclass(frozen=True)
 class SimRun:
-    """One simulated lap: a track, a speed profile, a frame rate, and a seed."""
+    """One simulated lap: a track, a speed profile and a frame rate."""
 
     track: TrackDefinition
     speed_profile: tuple[tuple[float, float], ...]  # (arc_length_m, speed_mps) breakpoints
     frame_rate_hz: float = 10.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         profile = tuple((float(s), float(v)) for s, v in self.speed_profile)
@@ -567,10 +555,6 @@ class SimRun:
         if self.frame_rate_hz <= 0:
             raise ValueError("frame rate must be positive")
         object.__setattr__(self, "speed_profile", profile)
-
-    @classmethod
-    def constant_speed(cls, track: TrackDefinition, speed_mps: float, frame_rate_hz: float = 10.0, seed: int = 0) -> "SimRun":
-        return cls(track, ((0.0, speed_mps),), frame_rate_hz, seed)
 
     def speed_at(self, s: float) -> float:
         arcs = np.array([a for a, _ in self.speed_profile])

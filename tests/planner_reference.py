@@ -1,18 +1,26 @@
-"""Numpy references for the planner's scores.
+"""References for the planner's scores.
 
 The search in ``planner.enumerate_paths`` computes each path's features and
 log prior in plain floats, adding in numpy's summation order. The functions
 here are the numpy expressions those features and that prior are defined by,
 evaluated on a path's geometry from scratch. Tests pin the search to them bit
-for bit.
+for bit. :func:`log_likelihood` scores one path's cone roles from scratch,
+with the two steps the search splits across a snapshot.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from conetrack.core import normalize_angle
-from conetrack.planner import PathFeatures, PriorConfig, SearchLimits
+from conetrack.planner import (
+    LIKELIHOOD_FLOOR,
+    PathFeatures,
+    PriorConfig,
+    SearchLimits,
+    _cone_log_terms,
+    _summed_log_terms,
+)
 
 
 def reference_population_std(values: Sequence[float]) -> float:
@@ -87,3 +95,10 @@ def reference_log_prior(features: PathFeatures, config: PriorConfig) -> float:
     for value, term in zip(features_array(features), config.terms):
         cost += term.weight * (value - term.setpoint) ** 2 / term.scale
     return float(-config.prior_weight * cost)
+
+
+def log_likelihood(
+    color_evidence: np.ndarray, left_cones: Iterable[int], right_cones: Iterable[int], floor: float = LIKELIHOOD_FLOOR
+) -> float:
+    """Color agreement of every snapshot cone, one (n, 3) evidence row each, with its role under this path."""
+    return _summed_log_terms(_cone_log_terms(color_evidence, floor), left_cones, right_cones)

@@ -13,23 +13,18 @@ import numpy as np
 import pytest
 
 from cone_reference import RefCone, RefGaussian, cone_table
+from map_reference import align_exact_correspondences, one_edge
+from planner_reference import log_likelihood
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import Pose2, Velocity2
-from conetrack.evaluate import align_exact_correspondences, icp_align
-from conetrack.global_map import (
-    observation_jacobians,
-    observation_residual,
-    odometry_jacobians,
-    odometry_residual,
-    optimize,
-)
+from conetrack.evaluate import icp_align
+from conetrack.global_map import _observation_batch, _odometry_batch, optimize
 from conetrack.local_map import ConeTable, LocalMapConfig, LocalMapState, ingest_frame, update_position
 from conetrack.pipeline import run_pipeline
 from conetrack.planner import (
     PathFeatures,
     PriorConfig,
     SearchLimits,
-    log_likelihood,
     log_prior,
     plan_snapshot,
     select_path,
@@ -132,7 +127,7 @@ class TestAC3FalsePositiveRejection:
             dataclasses.replace(load_config("modes-5ms").track_spec, length_m=180.0), seed=3
         )
         profile = noise_free_profile()
-        run = SimRun.constant_speed(track, 5.0, frame_rate)
+        run = SimRun(track, ((0.0, 5.0),), frame_rate)
         rng = np.random.default_rng(0)
         frames = []
         state = LocalMapState()
@@ -362,18 +357,18 @@ class TestAC7SolverCorrectness:
             pi = rng.uniform(-8, 8, 3)
             pj = rng.uniform(-8, 8, 3)
             z = rng.uniform(-2, 2, 3)
-            ji, jj = odometry_jacobians(pi, pj, z)
-            fd_i = self._fd(lambda x: odometry_residual(x, pj, z), pi)
-            fd_j = self._fd(lambda x: odometry_residual(pi, x, z), pj)
+            ji, jj = one_edge(_odometry_batch, pi, pj, z, jac=True)
+            fd_i = self._fd(lambda x: one_edge(_odometry_batch, x, pj, z), pi)
+            fd_j = self._fd(lambda x: one_edge(_odometry_batch, pi, x, z), pj)
             scale = max(1.0, np.abs(ji).max(), np.abs(jj).max())
             worst = max(worst, np.abs(ji - fd_i).max() / scale, np.abs(jj - fd_j).max() / scale)
 
             pose = rng.uniform(-8, 8, 3)
             lm = rng.uniform(-8, 8, 2)
             zz = rng.uniform(-4, 4, 2)
-            jp, jl = observation_jacobians(pose, lm, zz)
-            fd_p = self._fd(lambda x: observation_residual(x, lm, zz), pose)
-            fd_l = self._fd(lambda x: observation_residual(pose, x, zz), lm)
+            jp, jl = one_edge(_observation_batch, pose, lm, zz, jac=True)
+            fd_p = self._fd(lambda x: one_edge(_observation_batch, x, lm, zz), pose)
+            fd_l = self._fd(lambda x: one_edge(_observation_batch, pose, x, zz), lm)
             scale = max(1.0, np.abs(jp).max())
             worst = max(worst, np.abs(jp - fd_p).max() / scale, np.abs(jl - fd_l).max() / scale)
 
@@ -439,7 +434,8 @@ class TestAC8GeometryOracles:
             t = rng.uniform(-3, 3, 2)
             c, s = math.cos(theta), math.sin(theta)
             moved = pts @ np.array([[c, -s], [s, c]]).T + t
-            icp = icp_align(pts, moved, init="centroid", config=IcpConfig(reject_radius_m=6.0, max_iterations=100))
+            centroid_start = Pose2(*(moved.mean(0) - pts.mean(0)), 0.0)
+            icp = icp_align(pts, moved, init=centroid_start, config=IcpConfig(reject_radius_m=6.0, max_iterations=100))
             worst = max(worst, abs(icp.rotation - theta), float(np.abs(icp.translation - t).max()), icp.rmse)
         ok = worst < 1e-6
         announce("AC-8 (ICP transform recovery)", ok, f"worst recovery error {worst:.2e} < 1e-6")

@@ -235,11 +235,21 @@ BAD_INPUTS = [
     ["eval", "--track", "{track}", "--map", "{objectmap}"],
     ["eval", "--track", "{track}", "--planner-log", "{missing}"],
     ["eval", "--track", "{track}", "--planner-log", "{garbage}"],
+    ["eval", "--track", "{track}", "--planner-log", "{listheaderplans}"],
+    ["eval", "--track", "{track}", "--planner-log", "{listrecordplans}"],
+    ["eval", "--track", "{track}", "--planner-log", "{egolessplans}"],
+    ["eval", "--track", "{track}", "--planner-log", "{wordwaypointplans}"],
+    ["eval", "--track", "{track}", "--planner-log", "{nanwaypointplans}"],
+    ["eval", "--track", "{track}", "--planner-log", "{nanegoplans}"],
     ["eval", "--track", "{track}", "--trajectory", "{missing}"],
+    ["eval", "--track", "{track}", "--trajectory", "{columnlesstrajectory}"],
+    ["eval", "--track", "{track}", "--trajectory", "{shortrowtrajectory}"],
+    ["eval", "--track", "{track}", "--trajectory", "{nantrajectory}"],
     ["replay", "--snapshots", "{missing}"],
     ["replay", "--snapshots", "{garbage}", "--track", "{missing}"],
     ["replay", "--snapshots", "{midlog}"],
     ["replay", "--snapshots", "{badrecordlog}"],
+    ["replay", "--snapshots", "{listheaderlog}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{missing}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{garbage}"],
     ["generate", "--spec", "{missing}"],
@@ -256,8 +266,8 @@ BAD_INPUTS = [
     ["run", "--config", "{negnoise}"],
     ["run", "--config", "{baddecay}"],
     ["run", "--config", "{infeviction}"],
-    ["run", "--config", "{negevery}"],
-    ["run", "--config", "{floatevery}"],
+    ["run", "--config", "{negiterations}"],
+    ["run", "--config", "{floatiterations}"],
     ["run", "--config", "{degradednolidar}"],
     ["run", "--config", "{nofusion}"],
     ["run", "--config", "{nansigma}"],
@@ -282,6 +292,11 @@ BAD_INPUTS = [
 EMPTY_RECORD = '{"cones": [], "ego": {"theta_rad": 0.0, "x_m": 0.0, "y_m": 0.0}, "mode": "fusion", "observed_ids": [], "timestamp_s": %s}\n'
 
 
+PLANNER_HEADER = '{"kind": "planner_log", "schema_version": 1}\n'
+# one planner log record with a one-waypoint path, its ego and waypoint spliced in
+PLAN_RECORD = '{"ego": {"theta_rad": 0.0, "x_m": %s, "y_m": 0.0}, "n_candidates": 1, "timestamp_s": 0.1, "waypoints_m": [%s]}\n'
+TRAJECTORY_HEADER = "timestamp_s,true_x_m,true_y_m,true_theta_rad,ego_x_m,ego_y_m,ego_theta_rad\n"
+
 # placeholder -> (file content, None for no file; text the error must contain)
 BAD_FILES = {
     "missing": (None, ""),
@@ -295,6 +310,16 @@ BAD_FILES = {
         + "".join(EMPTY_RECORD % t for t in (0.2, 0.3, 0.4)),
         "line 3",
     ),
+    "listheaderlog": ('[1]\n' + EMPTY_RECORD % 0.0, "line 1"),
+    "listheaderplans": ("[1]\n" + PLAN_RECORD % (0.0, "[1.0, 0.0]"), "line 1"),
+    "listrecordplans": (PLANNER_HEADER + PLAN_RECORD % (0.0, "[1.0, 0.0]") + "[7]\n", "line 3"),
+    "egolessplans": (PLANNER_HEADER + '{"timestamp_s": 0.1, "waypoints_m": [[1.0, 0.0]]}\n', "line 2"),
+    "wordwaypointplans": (PLANNER_HEADER + PLAN_RECORD % (0.0, '[1, "a"]'), "line 2"),
+    "nanwaypointplans": (PLANNER_HEADER + PLAN_RECORD % (0.0, "[NaN, 0.0]"), "line 2"),
+    "nanegoplans": (PLANNER_HEADER + PLAN_RECORD % ("NaN", "[1.0, 0.0]"), "line 2"),
+    "columnlesstrajectory": ("timestamp_s,true_x_m\n0.0,1.0\n", "line 1"),
+    "shortrowtrajectory": (TRAJECTORY_HEADER + "0.0,0,0,0,0,0,0\n0.1,1.0,2.0\n", "line 3"),
+    "nantrajectory": (TRAJECTORY_HEADER + "0.0,nan,0,0,0,0,0\n", "line 2"),
     "fieldless": ('{"cones": []}', "'centerline_m'"),
     "stringmap": ('[{"x_m": "a", "y_m": 1}]', "map record 0"),
     "scalarmap": ('[{"x_m": 0.0, "y_m": 1.0}, 7]', "map record 1"),
@@ -311,8 +336,8 @@ BAD_FILES = {
     "negnoise": ('{"local_map_overrides": {"process_noise_rate": [-0.1, 0.02]}}', "process_noise_rate"),
     "baddecay": ('{"local_map_overrides": {"existence_decay": 2.0}}', "existence_decay"),
     "infeviction": ('{"local_map_overrides": {"eviction_timeout_s": Infinity}}', "eviction_timeout_s"),
-    "negevery": ('{"global_map_overrides": {"optimize_every": -1}}', "optimize_every"),
-    "floatevery": ('{"global_map_overrides": {"optimize_every": 2.5}}', "optimize_every"),
+    "negiterations": ('{"global_map_overrides": {"max_iterations": -1}}', "max_iterations"),
+    "floatiterations": ('{"global_map_overrides": {"max_iterations": 2.5}}', "max_iterations"),
     "degradednolidar": (
         '{"profiles": {"fusion": "builtin:fusion"}, "force_mode": "degraded"}',
         "['camera_only', 'lidar_only']",

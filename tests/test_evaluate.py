@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from map_reference import align_exact_correspondences
 from conetrack.core import Pose2
 from conetrack.evaluate import (
     AlignmentResult,
     DegenerateGeometryError,
     IcpConfig,
     TrackCorridor,
-    align_exact_correspondences,
     build_report,
     first_exit_distance,
     icp_align,
@@ -61,7 +61,7 @@ class TestIcp:
         exact = align_exact_correspondences(est, truth)
         assert exact.rotation == pytest.approx(theta, abs=1e-9)
         assert exact.translation == pytest.approx(t, abs=1e-9)
-        result = icp_align(est, truth, init="centroid")
+        result = icp_align(est, truth, init=Pose2(*(truth.mean(0) - est.mean(0)), 0.0))
         assert result.rotation == pytest.approx(theta, abs=1e-6)
         assert result.translation == pytest.approx(t, abs=1e-6)
         assert result.rmse < 1e-9
@@ -126,7 +126,8 @@ class TestIcpProperties:
             ]
         )
         t = shift[0] * np.array([math.cos(shift[1]), math.sin(shift[1])])
-        result = icp_align(pts, rigid(pts, theta, t), init="centroid", config=IcpConfig(reject_radius_m=radius))
+        truth = rigid(pts, theta, t)
+        result = icp_align(pts, truth, init=Pose2(*(truth.mean(0) - pts.mean(0)), 0.0), config=IcpConfig(reject_radius_m=radius))
         assert len(result.correspondences) == n
         assert abs(result.rotation - theta) <= 1e-6
         assert np.abs(result.translation - t).max() <= 1e-6
@@ -162,7 +163,7 @@ class TestMapRmse:
         est = truth + rng.normal(scale=0.1, size=(30, 2))
         base = icp_align(est, truth).rmse
         moved = icp_align(rigid(est, 0.7, [5, -3]), rigid(truth, 0.7, [5, -3]),
-                          init=(0.0, np.zeros(2))).rmse
+                          init=Pose2.identity()).rmse
         assert moved == pytest.approx(base, abs=1e-6)
 
 

@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cone_reference import RefCone, RefGaussian, color_class, color_probabilities, cone_table
+from map_reference import one_edge
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import (
     ConeClass,
@@ -17,19 +20,16 @@ from conetrack.core import (
     transform_point,
 )
 from conetrack.global_map import (
+    GRAPH_SCHEMA_VERSION,
     Graph,
     GlobalMapConfig,
     GraphStructureError,
     _associate_landmark,
+    _observation_batch,
+    _odometry_batch,
     add_snapshot,
     export_map,
-    graph_from_dict,
     graph_to_dict,
-    load_graph,
-    observation_jacobians,
-    observation_residual,
-    odometry_jacobians,
-    odometry_residual,
     optimize,
     save_graph,
 )
@@ -171,14 +171,14 @@ class TestResidualsAndJacobians:
         a = Pose2(1.0, 2.0, 0.4)
         d = Pose2(0.8, -0.1, 0.2)
         b = compose(a, d)
-        r = odometry_residual(a.as_array(), b.as_array(), d.as_array())
+        r = one_edge(_odometry_batch, a.as_array(), b.as_array(), d.as_array())
         assert r == pytest.approx([0, 0, 0], abs=1e-12)
 
     def test_observation_residual_zero_for_consistent_geometry(self):
         pose = Pose2(2.0, -1.0, 1.1)
         lm = np.array([5.0, 1.0])
         z = body_frame_point(pose, lm)
-        r = observation_residual(pose.as_array(), lm, z)
+        r = one_edge(_observation_batch, pose.as_array(), lm, z)
         assert r == pytest.approx([0, 0], abs=1e-12)
 
     @staticmethod
@@ -197,9 +197,9 @@ class TestResidualsAndJacobians:
             pi = rng.uniform(-5, 5, 3)
             pj = rng.uniform(-5, 5, 3)
             z = rng.uniform(-1, 1, 3)
-            ji, jj = odometry_jacobians(pi, pj, z)
-            fd_i = self._fd_jacobian(lambda x: odometry_residual(x, pj, z), pi)
-            fd_j = self._fd_jacobian(lambda x: odometry_residual(pi, x, z), pj)
+            ji, jj = one_edge(_odometry_batch, pi, pj, z, jac=True)
+            fd_i = self._fd_jacobian(lambda x: one_edge(_odometry_batch, x, pj, z), pi)
+            fd_j = self._fd_jacobian(lambda x: one_edge(_odometry_batch, pi, x, z), pj)
             scale = max(1.0, np.abs(ji).max(), np.abs(jj).max())
             assert np.abs(ji - fd_i).max() / scale < 1e-6
             assert np.abs(jj - fd_j).max() / scale < 1e-6
@@ -210,9 +210,9 @@ class TestResidualsAndJacobians:
             pose = rng.uniform(-5, 5, 3)
             lm = rng.uniform(-5, 5, 2)
             z = rng.uniform(-3, 3, 2)
-            jp, jl = observation_jacobians(pose, lm, z)
-            fd_p = self._fd_jacobian(lambda x: observation_residual(x, lm, z), pose)
-            fd_l = self._fd_jacobian(lambda x: observation_residual(pose, x, z), lm)
+            jp, jl = one_edge(_observation_batch, pose, lm, z, jac=True)
+            fd_p = self._fd_jacobian(lambda x: one_edge(_observation_batch, x, lm, z), pose)
+            fd_l = self._fd_jacobian(lambda x: one_edge(_observation_batch, pose, x, z), lm)
             scale = max(1.0, np.abs(jp).max())
             assert np.abs(jp - fd_p).max() / scale < 1e-6
             assert np.abs(jl - fd_l).max() / scale < 1e-6
@@ -222,7 +222,7 @@ def build_noise_free_graph(radius=20.0, speed=5.0, frame_rate=5.0):
     track = generate_track(TrackSpec(kind="circle", radius_m=radius), seed=1)
     profile = noise_free_profile()
     cfg = LocalMapConfig.for_profile(profile, frame_rate)
-    run = SimRun.constant_speed(track, speed, frame_rate)
+    run = SimRun(track, ((0.0, speed),), frame_rate)
     rng = np.random.default_rng(0)
     state = LocalMapState()
     graph = Graph()
@@ -325,8 +325,8 @@ class TestNoisyImprovement:
         profile = SensorProfile(mode="fusion", false_positives_per_frame=0.0)
         frame_rate = 10.0
         cfg_local = LocalMapConfig.for_profile(profile, frame_rate)
-        run = SimRun.constant_speed(track, 8.0, frame_rate, seed=11)
-        rng = np.random.default_rng(run.seed)
+        run = SimRun(track, ((0.0, 8.0),), frame_rate)
+        rng = np.random.default_rng(11)
         state = LocalMapState()
         graph = Graph()
         prev_ego = None
@@ -367,6 +367,41 @@ class TestMergeEstimates:
         assert np.array_equal(graph.poses[:, :2], result.poses[:, :2])
         assert graph.poses[:, 2].tolist() == [normalize_angle(theta) for theta in result.poses[:, 2].tolist()]
         assert graph.optimized
+
+
+def graph_from_dict(data: dict) -> Graph:
+    """Rebuild a graph from a ``graph.json`` dump through the graph's own append steps."""
+    if data.get("schema_version") != GRAPH_SCHEMA_VERSION:
+        raise ValueError(f"unsupported graph schema: {data.get('schema_version')}")
+    g = Graph()
+    g.optimized = data["optimized"]
+    g.last_timestamp = data["last_timestamp_s"]
+    odometry = data["odometry_edges"]
+    if [(e["from"], e["to"]) for e in odometry] != [(k, k + 1) for k in range(len(data["poses"]) - 1)]:
+        raise ValueError("odometry edges must chain each pose to the next")
+    for k, p in enumerate(data["poses"]):
+        pose = Pose2(p["x_m"], p["y_m"], p["theta_rad"])
+        if k == 0:
+            g.add_pose(pose)
+        else:
+            g.add_pose(pose, Pose2(*odometry[k - 1]["relative"]), np.array(odometry[k - 1]["information"]))
+    for l in data["landmarks"]:
+        lm = g.add_landmark(np.array([l["x_m"], l["y_m"]]))
+        for local_id, ev in l["color_evidence"].items():
+            g.update_color(lm, int(local_id), np.array(ev))
+    edges = data["observation_edges"]
+    g.add_observations(
+        [e["pose"] for e in edges],
+        [e["landmark"] for e in edges],
+        [e["measurement_m"] for e in edges],
+        [e["information"] for e in edges],
+    )
+    g.local_links = {int(k): v for k, v in data["local_links"].items()}
+    return g
+
+
+def load_graph(path) -> Graph:
+    return graph_from_dict(json.loads(Path(path).read_text()))
 
 
 class TestSerialization:
