@@ -17,6 +17,7 @@ from .evaluate import build_report, load_trajectory, planning_stats, save_report
 from .global_map import load_map
 from .local_map import read_snapshot_log
 from .pipeline import map_alignment, replay_snapshots, run_pipeline
+from .planner import PLANNER_LOG_SCHEMA_VERSION
 from .simulate import (
     CenterlineGeometry,
     InfeasibleTrackError,
@@ -107,8 +108,12 @@ def _check_planner_record(record, number: int) -> dict:
 def _read_planner_log(path) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        if not (isinstance(header, dict) and header.get("kind") == "planner_log"):
-            raise ValueError(f"line 1 is not a planner log header: {header!r}")
+        if not (
+            isinstance(header, dict)
+            and header.get("kind") == "planner_log"
+            and header.get("schema_version") == PLANNER_LOG_SCHEMA_VERSION
+        ):
+            raise ValueError(f"line 1 is not a planner log header of version {PLANNER_LOG_SCHEMA_VERSION}: {header!r}")
         return [_check_planner_record(json.loads(line), number) for number, line in enumerate(fh, start=2) if line.strip()]
 
 

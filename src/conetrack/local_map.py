@@ -13,11 +13,11 @@ arrays, so an emitted snapshot shares the state's arrays and never changes.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,7 @@ from .core import (
     transform_point,
 )
 
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 
 class MapMode(Enum):
@@ -421,60 +421,69 @@ def ingest_frame(
 
 
 # ---------------------------------------------------------------------------
-# Snapshot log serialization (newline-delimited JSON)
+# Snapshot log serialization: newline-delimited JSON, each ConeTable column
+# as the base64 of its little-endian bytes
 
 
-# a snapshot log cone row's keys, in ConeTable column order (x_m and y_m form the means)
-_CONE_KEYS = ("id", "x_m", "y_m", "cov_m2", "color_evidence", "existence", "last_seen_s")
+# (log name, ConeTable attribute, little-endian dtype, row shape) of each column
+_COLUMNS = (
+    ("id", "ids", "<i8", ()),
+    ("means_m", "means", "<f8", (2,)),
+    ("cov_m2", "covs", "<f8", (2, 2)),
+    ("color_evidence", "color_evidence", "<f8", (3,)),
+    ("existence", "existence", "<f8", ()),
+    ("last_seen_s", "last_seen", "<f8", ()),
+)
+_HEADER = {
+    "kind": "snapshot_log",
+    "schema_version": SNAPSHOT_SCHEMA_VERSION,
+    "columns": {name: {"dtype": dtype, "shape": list(shape)} for name, _, dtype, shape in _COLUMNS},
+}
 
 
-def _column(name: str, values: tuple, shape: tuple, integer: bool = False) -> np.ndarray:
-    """One cone field of every row, as an int64 or float array of ``shape``.
+def _decode_column(cones: dict, name: str, dtype: str, shape: tuple, count: int) -> np.ndarray:
+    """One column of a record's ``count`` cones, as a native array of shape ``(count, *shape)``.
 
-    Rows of another shape, or values that are not numbers (integers, for
-    ``integer``), raise ``ValueError`` naming the field.
+    A column that is not a base64 string, or whose bytes do not hold
+    ``count`` rows, raises ``ValueError`` naming it.
     """
-    if not values:
-        return np.zeros(shape, np.int64 if integer else float)
+    text = cones[name]
+    if not isinstance(text, str):
+        raise ValueError(f"cone column {name} must be a base64 string, got {type(text).__name__}")
     try:
-        column = np.array(values)
-    except ValueError as exc:  # ragged rows
-        raise ValueError(f"cone field {name} has rows of different shapes") from exc
-    if column.shape != shape or column.dtype.kind not in ("i" if integer else "iuf"):
-        what = "an integer" if integer else f"a {'x'.join(map(str, shape[1:]))} list of numbers" if shape[1:] else "a number"
-        raise ValueError(f"cone field {name} must be {what} in every row")
-    return column if integer else column.astype(float)
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"cone column {name} is not valid base64: {exc}") from exc
+    expected = count * math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != expected:
+        raise ValueError(f"cone column {name} holds {len(raw)} bytes, not the {expected} of {count} cones")
+    return np.frombuffer(raw, dtype).astype(dtype[1:], copy=False).reshape(count, *shape)
 
 
 def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
-    """One snapshot log record, read column by column into a :class:`ConeTable` sorted by id.
+    """One snapshot log record, its columns decoded into a :class:`ConeTable` sorted by id.
 
     A malformed record raises ``ValueError``: a missing key, a value of the
-    wrong type or shape, a non-integer id, a non-finite number, a
-    covariance whose projection onto the SPD cone overflows, color evidence
-    that is negative or lacks a finite positive sum, existence
-    outside [0, 1], an unknown mode, or observed ids that are not a list of
-    integers.
+    wrong type, a column that is not base64 or does not hold ``count`` rows,
+    a repeated id, a non-finite number, a covariance whose projection onto
+    the SPD cone overflows, color evidence that is negative or lacks a finite
+    positive sum, existence outside [0, 1], an unknown mode, or observed ids
+    that are not a list of integers naming cones of the record.
     """
     try:
-        rows, ego, timestamp, observed = (data[key] for key in ("cones", "ego", "timestamp_s", "observed_ids"))
+        cones, ego, timestamp, observed = (data[key] for key in ("cones", "ego", "timestamp_s", "observed_ids"))
         ego = [ego[key] for key in ("x_m", "y_m", "theta_rad")]
         mode = MapMode(data["mode"])
-        fields = list(zip(*map(itemgetter(*_CONE_KEYS), rows))) or [()] * len(_CONE_KEYS)
+        count = cones["count"]
+        if not (isinstance(count, int) and not isinstance(count, bool) and count >= 0):
+            raise ValueError(f"cone count must be a non-negative integer, got {count!r}")
+        ids, means, covs, evidence, existence, last_seen = (
+            _decode_column(cones, name, dtype, shape, count) for name, _, dtype, shape in _COLUMNS
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed snapshot record: {exc!r}") from exc
-    if not isinstance(rows, list):
-        raise ValueError(f"snapshot cones must be a list, got {rows!r}")
-    ids, x, y, covs, evidence, existence, last_seen = fields
-    n = len(rows)
-    ids = _column("id", ids, (n,), integer=True)
-    means = np.column_stack([_column("x_m", x, (n,)), _column("y_m", y, (n,))])
-    covs = _column("cov_m2", covs, (n, 2, 2))
-    evidence = _column("color_evidence", evidence, (n, 3))
-    existence = _column("existence", existence, (n,))
-    last_seen = _column("last_seen_s", last_seen, (n,))
     if not (np.isfinite(means).all() and np.isfinite(covs).all() and np.isfinite(last_seen).all()):
-        raise ValueError("cone x_m, y_m, cov_m2 and last_seen_s must be finite")
+        raise ValueError("cone means_m, cov_m2 and last_seen_s must be finite")
     with np.errstate(over="ignore"):
         total = evidence.sum(axis=1)
     if not ((evidence >= 0).all() and ((total > 0) & np.isfinite(total)).all()):
@@ -485,80 +494,95 @@ def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
         raise ValueError(f"snapshot ego and timestamp_s must be finite numbers, got {ego} and {timestamp!r}")
     if not (isinstance(observed, list) and all(isinstance(i, int) and not isinstance(i, bool) for i in observed)):
         raise ValueError(f"snapshot observed_ids must be a list of integers, got {observed!r}")
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if len(repeated):
+        raise ValueError(f"cone id repeats in the record: {sorted(set(repeated.tolist()))}")
+    stray = set(observed).difference(sorted_ids.tolist())
+    if stray:
+        raise ValueError(f"snapshot observed_ids name cones not in the record: {sorted(stray)}")
     try:
         with np.errstate(over="raise", invalid="raise"):
             covs = project_spd(covs)
     except FloatingPointError as exc:  # finite entries near the largest float
         raise ValueError(f"cone cov_m2 overflows when projected onto the SPD cone: {exc}") from exc
-    cones = ConeTable(ids, means, covs, evidence, existence, last_seen).take(np.argsort(ids, kind="stable"))
+    cones = ConeTable(ids, means, covs, evidence, existence, last_seen).take(order)
     return LocalMapSnapshot(timestamp, Pose2(*ego), cones, frozenset(observed), mode)
 
 
-# One snapshot log line, keys in sorted order, with json's separators. ``%r``
-# of a finite Python float is the text json writes for it, and ``%d`` of an
-# id held as a float is its integer text (ids stay below 2**53).
-_CONE_ROW = (
-    '{"color_evidence": [%r, %r, %r], "cov_m2": [[%r, %r], [%r, %r]], '
-    '"existence": %r, "id": %d, "last_seen_s": %r, "x_m": %r, "y_m": %r}'
-)
-_SNAPSHOT_LINE = (
-    '{"cones": [%s], "ego": {"theta_rad": %r, "x_m": %r, "y_m": %r}, '
-    '"mode": "%s", "observed_ids": [%s], "timestamp_s": %r}\n'
+def _encode_column(column: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(column.astype(dtype, copy=False).tobytes()).decode("ascii")
+
+
+# One snapshot log line: the bytes of ``json.dumps(record, sort_keys=True)``,
+# formatted without json's per-character scan of the column text. Base64 text
+# needs no escaping, and ``%r`` of a finite Python float is the text json
+# writes for it.
+_RECORD_LINE = (
+    '{"cones": {"color_evidence": "%(color_evidence)s", "count": %(count)d, "cov_m2": "%(cov_m2)s", '
+    '"existence": "%(existence)s", "id": "%(id)s", "last_seen_s": "%(last_seen_s)s", "means_m": "%(means_m)s"}, '
+    '"ego": {"theta_rad": %(theta_rad)r, "x_m": %(x_m)r, "y_m": %(y_m)r}, "mode": "%(mode)s", '
+    '"observed_ids": [%(observed_ids)s], "timestamp_s": %(timestamp_s)r}\n'
 )
 
 
 class SnapshotLogWriter:
-    """Writes one snapshot per line, with a schema header line."""
+    """Writes one snapshot per line, after a header line naming the schema and the column layout."""
 
     def __init__(self, path: Path | str):
         self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(json.dumps({"schema_version": SNAPSHOT_SCHEMA_VERSION, "kind": "snapshot_log"}, sort_keys=True) + "\n")
+        self._fh.write(json.dumps(_HEADER, sort_keys=True) + "\n")
 
     def write(self, snapshot: LocalMapSnapshot) -> None:
-        """Format the snapshot's finite arrays straight into its JSON line."""
         cones, ego = snapshot.cones, snapshot.ego
-        n = len(cones)
-        columns = (cones.color_evidence, cones.covs.reshape(n, 4), cones.existence, cones.ids, cones.last_seen, cones.means)
-        rows = ", ".join([_CONE_ROW] * n) % tuple(np.column_stack(columns).ravel().tolist())
-        observed = ", ".join(map(str, sorted(snapshot.observed_ids)))
+        fields = {name: _encode_column(getattr(cones, attr), dtype) for name, attr, dtype, _ in _COLUMNS}
         # the filter's ego and time can be numpy floats, whose %r is not json's text
-        fields = (rows, float(ego.theta), float(ego.x), float(ego.y), snapshot.mode.value, observed, float(snapshot.timestamp))
-        self._fh.write(_SNAPSHOT_LINE % fields)
+        fields.update(
+            count=len(cones),
+            theta_rad=float(ego.theta),
+            x_m=float(ego.x),
+            y_m=float(ego.y),
+            mode=snapshot.mode.value,
+            observed_ids=", ".join(map(str, sorted(snapshot.observed_ids))),
+            timestamp_s=float(snapshot.timestamp),
+        )
+        self._fh.write(_RECORD_LINE % fields)
 
     def close(self) -> None:
         self._fh.close()
 
 
 class SchemaMismatchError(ValueError):
-    """Log header version differs from what this build writes."""
+    """Log header differs from what this build writes."""
 
 
 def read_snapshot_log(path: Path | str) -> list[LocalMapSnapshot]:
     """Read a snapshot log; a malformed last record is read as a truncated tail and dropped.
 
     Only the last non-empty line can be a truncated tail: a malformed record
-    followed by another line raises ``ValueError`` naming its line. Raises
-    :class:`SchemaMismatchError` when the header is not an object announcing
-    this schema version.
+    followed by another line raises ``ValueError`` naming its line. A record
+    is malformed when it is not UTF-8 JSON, fails :func:`snapshot_from_dict`,
+    or is not later than the record before it. Raises
+    :class:`SchemaMismatchError` when the header is not this schema's.
     """
     snapshots: list[LocalMapSnapshot] = []
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
+    with open(path, "rb") as fh:
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise SchemaMismatchError("snapshot log missing schema header") from exc
-        if not (
-            isinstance(header, dict)
-            and header.get("kind") == "snapshot_log"
-            and header.get("schema_version") == SNAPSHOT_SCHEMA_VERSION
-        ):
+        if header != _HEADER:
             raise SchemaMismatchError(f"unsupported snapshot log header on line 1: {header!r}")
         lines = [(number, line) for number, line in enumerate(fh, start=2) if line.strip()]
     for number, line in lines:
         try:
-            snapshots.append(snapshot_from_dict(json.loads(line)))
-        except ValueError as exc:  # malformed JSON or a malformed record
+            snapshot = snapshot_from_dict(json.loads(line.decode("utf-8")))
+            if snapshots and not snapshot.timestamp > snapshots[-1].timestamp:
+                previous = snapshots[-1].timestamp
+                raise ValueError(f"timestamp_s {snapshot.timestamp!r} is not after the previous record's {previous!r}")
+            snapshots.append(snapshot)
+        except ValueError as exc:  # malformed UTF-8, JSON or record
             if number != lines[-1][0]:
                 raise ValueError(f"malformed snapshot record on line {number}, before the last line: {exc!r}") from exc
     return snapshots

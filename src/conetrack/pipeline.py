@@ -30,7 +30,7 @@ from .evaluate import (
 )
 from .global_map import Graph, add_snapshot, export_map, optimize, save_graph, save_map
 from .local_map import LocalMapSnapshot, LocalMapState, MapMode, SnapshotLogWriter, ingest_frame
-from .planner import PlanResult, plan_record, plan_snapshot
+from .planner import PLANNER_LOG_SCHEMA_VERSION, PlanResult, plan_record, plan_snapshot
 from .simulate import (
     CenterlineGeometry,
     ScenarioDriver,
@@ -145,7 +145,8 @@ class _SnapshotEngine:
         self.steps = 0
         self._prev_ego: Pose2 | None = None
         self._planner_fh = open(out_dir / "planner_log.ndjson", "w", encoding="utf-8")
-        self._planner_fh.write(json.dumps({"schema_version": 1, "kind": "planner_log"}, sort_keys=True) + "\n")
+        header = {"schema_version": PLANNER_LOG_SCHEMA_VERSION, "kind": "planner_log"}
+        self._planner_fh.write(json.dumps(header, sort_keys=True) + "\n")
 
     def step(self, snapshot: LocalMapSnapshot) -> PlanResult | None:
         """Plan on and map one snapshot; returns the plan, or None when planning is off."""

@@ -29,6 +29,8 @@ from scipy.spatial import Delaunay, QhullError
 from .core import Pose2, check_range, normalize_angle
 
 LIKELIHOOD_FLOOR = 1e-6
+# version in the planner_log.ndjson header; its records are plan_record's
+PLANNER_LOG_SCHEMA_VERSION = 1
 
 
 class DegenerateSnapshotError(ValueError):

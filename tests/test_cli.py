@@ -241,6 +241,7 @@ BAD_INPUTS = [
     ["eval", "--track", "{track}", "--planner-log", "{wordwaypointplans}"],
     ["eval", "--track", "{track}", "--planner-log", "{nanwaypointplans}"],
     ["eval", "--track", "{track}", "--planner-log", "{nanegoplans}"],
+    ["eval", "--track", "{track}", "--planner-log", "{schemaplans}"],
     ["eval", "--track", "{track}", "--trajectory", "{missing}"],
     ["eval", "--track", "{track}", "--trajectory", "{columnlesstrajectory}"],
     ["eval", "--track", "{track}", "--trajectory", "{shortrowtrajectory}"],
@@ -250,6 +251,8 @@ BAD_INPUTS = [
     ["replay", "--snapshots", "{midlog}"],
     ["replay", "--snapshots", "{badrecordlog}"],
     ["replay", "--snapshots", "{listheaderlog}"],
+    ["replay", "--snapshots", "{backwardslog}"],
+    ["replay", "--snapshots", "{schema1log}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{missing}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{garbage}"],
     ["generate", "--spec", "{missing}"],
@@ -288,8 +291,27 @@ BAD_INPUTS = [
     ["run", "--config", "{nanprior}"],
 ]
 
+SNAPSHOT_HEADER = json.dumps({
+    "kind": "snapshot_log",
+    "schema_version": 2,
+    "columns": {
+        name: {"dtype": dtype, "shape": shape}
+        for name, dtype, shape in (
+            ("id", "<i8", []),
+            ("means_m", "<f8", [2]),
+            ("cov_m2", "<f8", [2, 2]),
+            ("color_evidence", "<f8", [3]),
+            ("existence", "<f8", []),
+            ("last_seen_s", "<f8", []),
+        )
+    },
+}) + "\n"
+EMPTY_CONES = '{"color_evidence": "", "count": 0, "cov_m2": "", "existence": "", "id": "", "last_seen_s": "", "means_m": ""}'
 # one valid snapshot log record: no cones, the ego at the origin
-EMPTY_RECORD = '{"cones": [], "ego": {"theta_rad": 0.0, "x_m": 0.0, "y_m": 0.0}, "mode": "fusion", "observed_ids": [], "timestamp_s": %s}\n'
+EMPTY_RECORD = (
+    '{"cones": %s, "ego": {"theta_rad": 0.0, "x_m": 0.0, "y_m": 0.0}, "mode": "fusion", "observed_ids": [], "timestamp_s": %%s}\n'
+    % EMPTY_CONES
+)
 
 
 PLANNER_HEADER = '{"kind": "planner_log", "schema_version": 1}\n'
@@ -301,16 +323,21 @@ TRAJECTORY_HEADER = "timestamp_s,true_x_m,true_y_m,true_theta_rad,ego_x_m,ego_y_
 BAD_FILES = {
     "missing": (None, ""),
     "garbage": ("not json {", ""),
-    "midlog": ('{"kind": "snapshot_log", "schema_version": 1}\n{"cones": []}\n{"cones": []}\n', "line 2"),
-    # five records, the second with a cone row that is not an object
+    "midlog": (SNAPSHOT_HEADER + '{"cones": []}\n{"cones": []}\n', "line 2"),
+    # five records, the second with cones that are not an object
     "badrecordlog": (
-        '{"kind": "snapshot_log", "schema_version": 1}\n'
+        SNAPSHOT_HEADER
         + EMPTY_RECORD % 0.0
-        + (EMPTY_RECORD % 0.1).replace('"cones": []', '"cones": [7]')
+        + (EMPTY_RECORD % 0.1).replace(EMPTY_CONES, "[7]")
         + "".join(EMPTY_RECORD % t for t in (0.2, 0.3, 0.4)),
         "line 3",
     ),
     "listheaderlog": ('[1]\n' + EMPTY_RECORD % 0.0, "line 1"),
+    # the third record goes back in time
+    "backwardslog": (SNAPSHOT_HEADER + "".join(EMPTY_RECORD % t for t in (0.0, 0.2, 0.1, 0.3)), "line 4"),
+    # a schema-1 log: cones as objects of float text
+    "schema1log": ('{"kind": "snapshot_log", "schema_version": 1}\n' + EMPTY_RECORD.replace(EMPTY_CONES, "[]") % 0.0, "line 1"),
+    "schemaplans": ('{"kind": "planner_log", "schema_version": 99}\n' + PLAN_RECORD % (0.0, "[1.0, 0.0]"), "line 1"),
     "listheaderplans": ("[1]\n" + PLAN_RECORD % (0.0, "[1.0, 0.0]"), "line 1"),
     "listrecordplans": (PLANNER_HEADER + PLAN_RECORD % (0.0, "[1.0, 0.0]") + "[7]\n", "line 3"),
     "egolessplans": (PLANNER_HEADER + '{"timestamp_s": 0.1, "waypoints_m": [[1.0, 0.0]]}\n', "line 2"),

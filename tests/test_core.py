@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -121,10 +122,14 @@ class TestVelocityIntegration:
 
 
 def one_cone_record(mean=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0)), evidence=(1.0, 0.0, 0.0)):
-    """A snapshot log record holding one cone."""
-    cone = {"id": 0, "x_m": mean[0], "y_m": mean[1], "cov_m2": [list(row) for row in cov],
-            "color_evidence": list(evidence), "existence": 0.5, "last_seen_s": 0.0}
-    return {"cones": [cone], "ego": {"x_m": 0.0, "y_m": 0.0, "theta_rad": 0.0}, "mode": "fusion",
+    """A snapshot log record holding one cone, each column the base64 of its little-endian bytes."""
+
+    def column(values, dtype="<f8"):
+        return base64.b64encode(np.array(values, dtype).tobytes()).decode("ascii")
+
+    cones = {"count": 1, "id": column([0], "<i8"), "means_m": column(mean), "cov_m2": column(cov),
+             "color_evidence": column(evidence), "existence": column([0.5]), "last_seen_s": column([0.0])}
+    return {"cones": cones, "ego": {"x_m": 0.0, "y_m": 0.0, "theta_rad": 0.0}, "mode": "fusion",
             "observed_ids": [0], "timestamp_s": 0.0}
 
 
