@@ -31,9 +31,9 @@ from .core import (
     normalize_angle,
     transform_point,
 )
-from .local_map import LocalMapSnapshot
+from .local_map import LocalMapSnapshot, _encode_column
 
-GRAPH_SCHEMA_VERSION = 1
+GRAPH_SCHEMA_VERSION = 2
 
 # one row per edge; odometry row k links pose k to pose k + 1
 ODOMETRY_EDGE = np.dtype([("relative", float, (3,)), ("information", float, (3, 3))])
@@ -133,7 +133,8 @@ class Graph:
     (``ODOMETRY_EDGE`` rows) the motion from pose k to k + 1 in row k;
     ``observation_edges`` (``OBSERVATION_EDGE`` rows) body-frame landmark
     measurements. ``color_evidence[i]`` is landmark i's ``{local cone id:
-    evidence}`` in link order, its dominant class cached beside it.
+    (blue, yellow, unknown) evidence}`` in link order, its dominant class
+    cached beside it.
     :func:`optimize` reads the arrays; :meth:`merge_estimates` writes a solve back.
     """
 
@@ -179,11 +180,11 @@ class Graph:
         self.color_evidence.append({})
         return len(self.landmarks) - 1
 
-    def update_color(self, landmark: int, local_id: int, evidence: np.ndarray) -> None:
-        """Set local cone ``local_id``'s color evidence for ``landmark`` and refresh its class."""
+    def update_color(self, landmark: int, local_id: int, evidence) -> None:
+        """Set local cone ``local_id``'s color evidence (three floats) for ``landmark`` and refresh its class."""
         merged = self.color_evidence[landmark]
-        merged[local_id] = np.array(evidence)  # a row view would keep its whole snapshot block alive
-        self._classes.rows[landmark] = np.argmax(_color_probabilities(merged.values()))
+        merged[local_id] = tuple(map(float, evidence))
+        self._classes.rows[landmark] = _dominant_class(merged.values())
 
     def add_observations(self, pose, landmark, measurement, information) -> None:
         """Append observation edges: pose rows, landmark rows, (k, 2) measurements, (k, 2, 2) information."""
@@ -212,6 +213,30 @@ def _color_probabilities(evidence) -> np.ndarray:
         total += ev
     total_sum = float(total.sum())
     return total / total_sum if total_sum > 0 else np.array([0.0, 0.0, 1.0])
+
+
+def _dominant_class(evidence) -> int:
+    """``np.argmax(_color_probabilities(evidence))`` in plain floats, bit for bit.
+
+    The same additions and divisions in numpy's order (a three-value sum is a
+    left fold from +0.0); like ``np.argmax``, the first NaN or else the first
+    largest probability wins.
+    """
+    blue = yellow = unknown = 0.0
+    for b, y, u in evidence:
+        blue += b
+        yellow += y
+        unknown += u
+    total = 0.0 + blue + yellow + unknown
+    if not total > 0:
+        return 2
+    best, best_p = 0, blue / total
+    for k, p in ((1, yellow / total), (2, unknown / total)):
+        if best_p != best_p:
+            break
+        if p > best_p or p != p:
+            best, best_p = k, p
+    return best
 
 
 def _row_pose(row: np.ndarray) -> Pose2:
@@ -253,7 +278,7 @@ def add_snapshot(
     rows = [k for k, cid in enumerate(ids) if cid in snapshot.observed_ids]
     means = cones.means[rows]
     measurements = body_frame_point(ego, means)
-    evidence = cones.color_evidence[rows]
+    evidence = cones.color_evidence[rows].tolist()
     floor = config.observation_sigma_floor_m**2
     variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
     landmarks, kept = [], []
@@ -264,7 +289,7 @@ def add_snapshot(
         lm = graph.local_links.get(cid)
         if lm is None:
             world_guess = transform_point(pose, measurements[j])
-            cone_class = _CLASSES[np.argmax(_color_probabilities([evidence[j]]))]
+            cone_class = _CLASSES[_dominant_class([evidence[j]])]
             lm = _associate_landmark(graph, world_guess, config.association_radius_m, live_ids, cone_class)
             if lm is None:
                 lm = graph.add_landmark(world_guess)
@@ -468,6 +493,16 @@ def _assemble(poses, lms, odometry: np.ndarray, observations: np.ndarray, sqrt_o
     return residuals, jacobian
 
 
+def _factor(damped: sp.csc_matrix):
+    """Sparse LU of the damped normal matrix in SuperLU's symmetric mode.
+
+    The matrix is symmetric positive definite: a minimum-degree ordering of
+    its pattern with pivots kept on the diagonal (a sparse Cholesky in LU
+    form) fills in far less than a column ordering with partial pivoting.
+    """
+    return splu(damped, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def _apply_step(poses: np.ndarray, lms: np.ndarray, delta: np.ndarray):
     new_poses = poses.copy()
     n_pose_vars = 3 * (len(poses) - 1)
@@ -519,7 +554,7 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
             for _ in range(config.max_lambda_steps):
                 damped = hess + sp.diags(lam * diag)
                 try:
-                    delta = splu(damped).solve(-grad)
+                    delta = _factor(damped).solve(-grad)
                 except RuntimeError:
                     lam *= config.lambda_up
                     continue
@@ -552,24 +587,41 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
     return OptimizeResult(poses, lms, cost, iterations, converged, message)
 
 
+def residual_summary(graph: Graph) -> dict:
+    """Post-solve map health from the graph's estimates: the largest
+    observation residual in metres, the count of residuals over 0.5 m (a
+    suspect association) and the sorted landmark ids those edges touch."""
+    edges = graph.observation_edges
+    residuals, _ = _observation_batch(
+        graph.poses[edges["pose"]], graph.landmarks[edges["landmark"]], edges["measurement"], jac=False
+    )
+    lengths = np.hypot(residuals[:, 0], residuals[:, 1])
+    over = lengths > 0.5
+    return {
+        "max_residual_m": float(lengths.max(initial=0.0)),
+        "residuals_over_0_5m": int(over.sum()),
+        "residual_landmarks_over_0_5m": sorted(set(edges["landmark"][over].tolist())),
+    }
+
+
 def export_map(graph: Graph, min_edges: int = 1) -> list[dict]:
     """Landmark positions and merged colors as JSON-ready records.
 
     ``min_edges`` drops landmarks observed fewer times than stated.
     """
     edge_counts = np.bincount(graph.observation_edges["landmark"], minlength=len(graph.landmarks))
+    classes = graph._classes.rows.tolist()
     out = []
     for i, (x, y) in enumerate(graph.landmarks.tolist()):
         if edge_counts[i] < min_edges:
             continue
-        probabilities = _color_probabilities(graph.color_evidence[i].values())
-        p_blue, p_yellow, p_unknown = probabilities.tolist()
+        p_blue, p_yellow, p_unknown = _color_probabilities(graph.color_evidence[i].values()).tolist()
         out.append(
             {
                 "id": i,
                 "x_m": x,
                 "y_m": y,
-                "color": _CLASSES[np.argmax(probabilities)].value,
+                "color": _CLASSES[classes[i]].value,
                 "p_blue": p_blue,
                 "p_yellow": p_yellow,
                 "p_unknown": p_unknown,
@@ -593,48 +645,37 @@ def load_map(path: Path | str) -> list[dict]:
     return records
 
 
-def graph_to_dict(graph: Graph) -> dict:
-    links: list[list[int]] = [[] for _ in graph.color_evidence]
-    for local_id, lm in graph.local_links.items():
-        links[lm].append(local_id)
+def save_graph(graph: Graph, path: Path | str) -> None:
+    """Write ``graph.json`` (schema 2): a header naming each array column's
+    dtype and shape, and each column as the base64 of its little-endian bytes.
+
+    Colour evidence is one row per (landmark, local cone id) in landmark
+    order, each landmark's in link order; local links are sorted by local id.
+    """
+    evidence = [(lm, local_id, ev) for lm, merged in enumerate(graph.color_evidence) for local_id, ev in merged.items()]
+    links = sorted(graph.local_links.items())
     odometry, observations = graph.odometry_edges, graph.observation_edges
-    return {
+    columns = {
+        "poses": (graph.poses, "<f8"),
+        "landmarks": (graph.landmarks, "<f8"),
+        "odometry_relative": (odometry["relative"], "<f8"),
+        "odometry_information": (odometry["information"], "<f8"),
+        "observation_pose": (observations["pose"], "<i8"),
+        "observation_landmark": (observations["landmark"], "<i8"),
+        "observation_measurement_m": (observations["measurement"], "<f8"),
+        "observation_information": (observations["information"], "<f8"),
+        "color_evidence_landmark": (np.array([row[0] for row in evidence], np.int64), "<i8"),
+        "color_evidence_local_id": (np.array([row[1] for row in evidence], np.int64), "<i8"),
+        "color_evidence": (np.array([row[2] for row in evidence], float).reshape(-1, 3), "<f8"),
+        "local_link_id": (np.array([local_id for local_id, _ in links], np.int64), "<i8"),
+        "local_link_landmark": (np.array([lm for _, lm in links], np.int64), "<i8"),
+    }
+    document = {
+        "kind": "pose_landmark_graph",
         "schema_version": GRAPH_SCHEMA_VERSION,
         "optimized": graph.optimized,
         "last_timestamp_s": graph.last_timestamp,
-        "poses": [
-            {"id": k, "x_m": x, "y_m": y, "theta_rad": theta}
-            for k, (x, y, theta) in enumerate(graph.poses.tolist())
-        ],
-        "landmarks": [
-            {
-                "id": i,
-                "x_m": x,
-                "y_m": y,
-                "color_evidence": {str(k): [float(v) for v in ev] for k, ev in sorted(evidence.items())},
-                "local_id_links": sorted(links[i]),
-            }
-            for i, ((x, y), evidence) in enumerate(zip(graph.landmarks.tolist(), graph.color_evidence))
-        ],
-        "odometry_edges": [
-            {"from": k, "to": k + 1, "relative": relative, "information": information}
-            for k, (relative, information) in enumerate(
-                zip(odometry["relative"].tolist(), odometry["information"].tolist())
-            )
-        ],
-        "observation_edges": [
-            {"pose": pose, "landmark": lm, "measurement_m": measurement, "information": information}
-            for pose, lm, measurement, information in zip(
-                observations["pose"].tolist(),
-                observations["landmark"].tolist(),
-                observations["measurement"].tolist(),
-                observations["information"].tolist(),
-            )
-        ],
-        "local_links": {str(k): v for k, v in sorted(graph.local_links.items())},
+        "columns": {name: {"dtype": dtype, "shape": list(column.shape)} for name, (column, dtype) in columns.items()},
+        "data": {name: _encode_column(column, dtype) for name, (column, dtype) in columns.items()},
     }
-
-
-def save_graph(graph: Graph, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(graph_to_dict(graph), sort_keys=True))
-
+    Path(path).write_text(json.dumps(document))

@@ -28,7 +28,7 @@ from .evaluate import (
     save_trajectory,
     timing_percentiles,
 )
-from .global_map import Graph, add_snapshot, export_map, optimize, save_graph, save_map
+from .global_map import Graph, add_snapshot, export_map, optimize, residual_summary, save_graph, save_map
 from .local_map import LocalMapSnapshot, LocalMapState, MapMode, SnapshotLogWriter, ingest_frame
 from .planner import PLANNER_LOG_SCHEMA_VERSION, PlanResult, plan_record, plan_snapshot
 from .simulate import (
@@ -132,7 +132,7 @@ class _SnapshotEngine:
     Plans on each snapshot and logs the plan to ``planner_log.ndjson``, and
     adds the snapshot to the one graph. :meth:`finish` exports the graph as
     the dead-reckoned map, solves it once, and writes the estimated map and
-    the graph.
+    the graph. Each step is timed as a stage of ``timings`` (milliseconds).
     """
 
     def __init__(self, config: RunConfig, out_dir: Path):
@@ -141,7 +141,13 @@ class _SnapshotEngine:
         self.global_cfg = config.global_map_config()
         self.graph = Graph()
         self.planner_records: list[dict] = []
-        self.timings: dict[str, list[float]] = {"planner": [], "global_map": [], "final_solve": []}
+        self.timings: dict[str, list[float]] = {
+            "planner": [],
+            "global_map": [],
+            "final_solve": [],
+            "export": [],
+            "map_write": [],
+        }
         self.steps = 0
         self._prev_ego: Pose2 | None = None
         self._planner_fh = open(out_dir / "planner_log.ndjson", "w", encoding="utf-8")
@@ -170,22 +176,41 @@ class _SnapshotEngine:
     def close(self) -> None:
         self._planner_fh.close()
 
-    def finish(self, out_dir: Path) -> tuple[list[dict], list[dict], float | None]:
-        """Export, solve (timed as ``final_solve``), export; returns the estimated map, the dead-reckoned map and the final cost."""
+    def finish(self, out_dir: Path) -> tuple[list[dict], list[dict], dict]:
+        """Export, solve, export, and write both maps and the graph.
+
+        The two exports are timed as ``export``, the solve as ``final_solve``
+        and the writes as ``map_write``. Returns the estimated map, the
+        dead-reckoned map and the solve's health: ``final_cost``,
+        ``iterations``, ``converged`` and ``message`` (None for a graph
+        without poses), and the :func:`residual_summary` of the solved graph.
+        """
         min_edges = self.global_cfg.export_min_edges
+        t0 = time.perf_counter()
         dead_reckoned = export_map(self.graph, min_edges=min_edges)
-        final_cost = None
+        self.timings["export"].append((time.perf_counter() - t0) * 1e3)
+        health: dict = dict.fromkeys(("final_cost", "iterations", "converged", "message"))
         if len(self.graph.poses):
             t0 = time.perf_counter()
             result = optimize(self.graph, self.global_cfg)
             self.graph.merge_estimates(result)
             self.timings["final_solve"].append((time.perf_counter() - t0) * 1e3)
-            final_cost = result.final_cost
+            health.update(
+                final_cost=result.final_cost,
+                iterations=result.iterations,
+                converged=result.converged,
+                message=result.message,
+            )
+        health.update(residual_summary(self.graph))
+        t0 = time.perf_counter()
         estimated = export_map(self.graph, min_edges=min_edges)
+        self.timings["export"].append((time.perf_counter() - t0) * 1e3)
+        t0 = time.perf_counter()
         save_map(estimated, out_dir / "map_estimated.json")
         save_map(dead_reckoned, out_dir / "map_dead_reckoned.json")
         save_graph(self.graph, out_dir / "graph.json")
-        return estimated, dead_reckoned, final_cost
+        self.timings["map_write"].append((time.perf_counter() - t0) * 1e3)
+        return estimated, dead_reckoned, health
 
 
 def map_alignment(records: list[dict], track: TrackDefinition, start_pose: Pose2) -> dict:
@@ -216,17 +241,23 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     """
     from .simulate import save_track
 
+    t_start = time.perf_counter()
     if config.track_file:  # a bad track file stops the run before any artifact is written
         track = read_input(load_track, config.track_file)
     else:
         track = generate_track(config.track_spec, config.seed)
+    track_ms = (time.perf_counter() - t_start) * 1e3
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_resolved(config, out_dir / "config_resolved.json")
     save_track(track, out_dir / "track.json")
+    write_ms = [(time.perf_counter() - t0) * 1e3]
+    t0 = time.perf_counter()
     geom = CenterlineGeometry(track.centerline)
 
     speed_profile = curvature_limited_speed_profile(track, config.max_speed_mps, config.lateral_accel_mps2)
+    track_ms += (time.perf_counter() - t0) * 1e3
     run = SimRun(track, speed_profile, config.frame_rate_hz)
     local_cfg = config.local_map_config()
     force = None if config.force_mode is None else MapMode(config.force_mode)
@@ -234,7 +265,13 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     rng = np.random.default_rng(config.seed)
     liveness = _PipelineLiveness(config)
     state = LocalMapState()
-    timings: dict[str, list[float]] = {"sense": [], "local_map": []}
+    timings: dict[str, list[float]] = {
+        "track_generation": [track_ms],
+        "sense": [],
+        "local_map": [],
+        "snapshot_write": [],
+        "artifact_write": write_ms,
+    }
     trajectory_rows: list[tuple[float, Pose2, Pose2]] = []
     steering = _ClosedLoopSteering()
     velocity_profile = config.profiles["fusion"]  # ego-motion source, independent of cone pipelines
@@ -266,7 +303,9 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
             t0 = time.perf_counter()
             state, snapshot = ingest_frame(state, batches, vel_reading, frame_dt, local_cfg, mode=force)
             timings["local_map"].append((time.perf_counter() - t0) * 1e3)
+            t0 = time.perf_counter()
             snapshot_writer.write(snapshot)
+            timings["snapshot_write"].append((time.perf_counter() - t0) * 1e3)
             trajectory_rows.append((snapshot.timestamp, true_pose, snapshot.ego))
 
             plan = engine.step(snapshot)
@@ -279,15 +318,19 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
         snapshot_writer.close()
         engine.close()
 
-    estimated, dead_reckoned, final_cost = engine.finish(out_dir)
+    estimated, dead_reckoned, health = engine.finish(out_dir)
     timings.update(engine.timings)
+    t0 = time.perf_counter()
     save_trajectory(out_dir / "trajectory.csv", trajectory_rows)
     _write_planner_timing(out_dir / "planner_timing.csv", timings["planner"])
+    timings["artifact_write"].append((time.perf_counter() - t0) * 1e3)
 
-    map_metrics: dict = {"landmarks": len(estimated), "final_cost": final_cost}
+    map_metrics: dict = {"landmarks": len(estimated), **health}
     if estimated:
+        t0 = time.perf_counter()
         map_metrics.update(map_alignment(estimated, track, start_pose))
         map_metrics["rmse_dead_reckoned_m"] = map_alignment(dead_reckoned, track, start_pose)["rmse_m"]
+        timings["map_alignment"] = [(time.perf_counter() - t0) * 1e3]
 
     stats = None
     if engine.planner_records:
@@ -295,6 +338,7 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
         t0 = time.perf_counter()
         stats = planning_stats(engine.planner_records, track, trajectory)
         timings["planning_stats"] = [(time.perf_counter() - t0) * 1e3]
+    wall_s = time.perf_counter() - t_start
     report = build_report(
         map_metrics,
         stats,
@@ -308,6 +352,8 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
             "failure": str(failure) if failure else None,
         },
     )
+    report["timing"]["wall_s"] = wall_s
+    report["timing"]["unaccounted_s"] = wall_s - sum(map(sum, timings.values())) / 1e3
     save_report(report, out_dir / "report.json", out_dir / "report_hist.csv")
 
     if failure is not None:

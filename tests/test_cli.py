@@ -120,6 +120,29 @@ class TestRun:
         assert read_json(run_dir / "report.json")["timing"]["planning_stats"]["count"] == 1
         assert "planning_stats" not in read_json(noisy_run[1] / "report.json")["timing"]
 
+    def test_report_stages_sum_to_no_more_than_wall_time(self, run_dir, noisy_run):
+        for out in (run_dir, noisy_run[1]):
+            timing = read_json(out / "report.json")["timing"]
+            stages = {name: t for name, t in timing.items() if isinstance(t, dict)}
+            for name in ("track_generation", "snapshot_write", "export", "map_write", "artifact_write"):
+                assert stages[name]["count"] >= 1, name
+            assert stages["export"]["count"] == 2
+            total_s = sum(t["mean_ms"] * t["count"] for t in stages.values() if t["count"]) / 1e3
+            assert 0.0 < total_s <= timing["wall_s"]
+            assert timing["unaccounted_s"] == pytest.approx(timing["wall_s"] - total_s, abs=1e-9)
+
+    def test_report_map_health(self, run_dir, noisy_run):
+        noisy = read_json(noisy_run[1] / "report.json")["map"]
+        assert noisy["converged"] is True and noisy["iterations"] >= 1
+        assert noisy["message"] == "relative cost decrease below tolerance"
+        assert 0.0 < noisy["max_residual_m"] < 0.5
+        noise_free = read_json(run_dir / "report.json")["map"]
+        assert noise_free["converged"] is True and noise_free["iterations"] == 0
+        assert noise_free["message"] == "already at a zero-residual configuration"
+        assert noise_free["residuals_over_0_5m"] == 0
+        assert noise_free["residual_landmarks_over_0_5m"] == []
+        assert noise_free["max_residual_m"] < 1e-6
+
     @pytest.mark.parametrize("content", [None, "not json {", '{"cones": []}'], ids=["missing", "garbage", "fieldless"])
     def test_bad_track_file_exits_2_before_any_artifact(self, tmp_path, capsys, content):
         track = tmp_path / "track.json"

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import json
@@ -6,9 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from cone_reference import RefCone, RefGaussian, color_class, color_probabilities, cone_table
-from map_reference import one_edge
+from map_reference import colamd_optimize, one_edge
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import (
     ConeClass,
@@ -24,13 +29,18 @@ from conetrack.global_map import (
     Graph,
     GlobalMapConfig,
     GraphStructureError,
+    _assemble,
     _associate_landmark,
+    _color_probabilities,
+    _dominant_class,
+    _factor,
     _observation_batch,
     _odometry_batch,
+    _whiten,
     add_snapshot,
     export_map,
-    graph_to_dict,
     optimize,
+    residual_summary,
     save_graph,
 )
 from conetrack.local_map import (
@@ -39,6 +49,7 @@ from conetrack.local_map import (
     LocalMapState,
     MapMode,
     ingest_frame,
+    read_snapshot_log,
 )
 from conetrack.pipeline import run_pipeline
 from conetrack.simulate import (
@@ -369,34 +380,113 @@ class TestMergeEstimates:
         assert graph.optimized
 
 
+def graph_to_dict(graph: Graph) -> dict:
+    """The graph as a schema-1 ``graph.json`` document: an object per pose,
+    landmark and edge, every number as JSON text. The tests compare graphs
+    in this form."""
+    links: list[list[int]] = [[] for _ in graph.color_evidence]
+    for local_id, lm in graph.local_links.items():
+        links[lm].append(local_id)
+    odometry, observations = graph.odometry_edges, graph.observation_edges
+    return {
+        "schema_version": 1,
+        "optimized": graph.optimized,
+        "last_timestamp_s": graph.last_timestamp,
+        "poses": [
+            {"id": k, "x_m": x, "y_m": y, "theta_rad": theta}
+            for k, (x, y, theta) in enumerate(graph.poses.tolist())
+        ],
+        "landmarks": [
+            {
+                "id": i,
+                "x_m": x,
+                "y_m": y,
+                "color_evidence": {str(k): [float(v) for v in ev] for k, ev in sorted(evidence.items())},
+                "local_id_links": sorted(links[i]),
+            }
+            for i, ((x, y), evidence) in enumerate(zip(graph.landmarks.tolist(), graph.color_evidence))
+        ],
+        "odometry_edges": [
+            {"from": k, "to": k + 1, "relative": relative, "information": information}
+            for k, (relative, information) in enumerate(
+                zip(odometry["relative"].tolist(), odometry["information"].tolist())
+            )
+        ],
+        "observation_edges": [
+            {"pose": pose, "landmark": lm, "measurement_m": measurement, "information": information}
+            for pose, lm, measurement, information in zip(
+                observations["pose"].tolist(),
+                observations["landmark"].tolist(),
+                observations["measurement"].tolist(),
+                observations["information"].tolist(),
+            )
+        ],
+        "local_links": {str(k): v for k, v in sorted(graph.local_links.items())},
+    }
+
+
+# (dtype, row shape) of each schema-2 graph.json column
+GRAPH_COLUMNS = {
+    "poses": ("<f8", (3,)),
+    "landmarks": ("<f8", (2,)),
+    "odometry_relative": ("<f8", (3,)),
+    "odometry_information": ("<f8", (3, 3)),
+    "observation_pose": ("<i8", ()),
+    "observation_landmark": ("<i8", ()),
+    "observation_measurement_m": ("<f8", (2,)),
+    "observation_information": ("<f8", (2, 2)),
+    "color_evidence_landmark": ("<i8", ()),
+    "color_evidence_local_id": ("<i8", ()),
+    "color_evidence": ("<f8", (3,)),
+    "local_link_id": ("<i8", ()),
+    "local_link_landmark": ("<i8", ()),
+}
+
+
 def graph_from_dict(data: dict) -> Graph:
-    """Rebuild a graph from a ``graph.json`` dump through the graph's own append steps."""
-    if data.get("schema_version") != GRAPH_SCHEMA_VERSION:
+    """Rebuild a graph from a schema-2 ``graph.json`` document through the graph's own append steps.
+
+    Another schema, a column whose header is not this schema's, or a column
+    whose bytes do not fill its header's shape raises ``ValueError``.
+    """
+    if data.get("kind") != "pose_landmark_graph" or data.get("schema_version") != GRAPH_SCHEMA_VERSION:
         raise ValueError(f"unsupported graph schema: {data.get('schema_version')}")
+    columns = {}
+    for name, (dtype, row_shape) in GRAPH_COLUMNS.items():
+        header = data["columns"][name]
+        shape = tuple(header["shape"])
+        if header["dtype"] != dtype or shape[1:] != row_shape:
+            raise ValueError(f"graph column {name} must be {dtype} rows of shape {row_shape}, got {header}")
+        raw = base64.b64decode(data["data"][name], validate=True)
+        if len(raw) != math.prod(shape) * 8:
+            raise ValueError(f"graph column {name} holds {len(raw)} bytes, not the {math.prod(shape) * 8} of {shape}")
+        columns[name] = np.frombuffer(raw, dtype).reshape(shape)
+    poses, relative, information = (columns[k] for k in ("poses", "odometry_relative", "odometry_information"))
+    if len(relative) != max(len(poses) - 1, 0):
+        raise ValueError("odometry edges must chain each pose to the next")
     g = Graph()
     g.optimized = data["optimized"]
     g.last_timestamp = data["last_timestamp_s"]
-    odometry = data["odometry_edges"]
-    if [(e["from"], e["to"]) for e in odometry] != [(k, k + 1) for k in range(len(data["poses"]) - 1)]:
-        raise ValueError("odometry edges must chain each pose to the next")
-    for k, p in enumerate(data["poses"]):
-        pose = Pose2(p["x_m"], p["y_m"], p["theta_rad"])
+    for k, row in enumerate(poses.tolist()):
         if k == 0:
-            g.add_pose(pose)
+            g.add_pose(Pose2(*row))
         else:
-            g.add_pose(pose, Pose2(*odometry[k - 1]["relative"]), np.array(odometry[k - 1]["information"]))
-    for l in data["landmarks"]:
-        lm = g.add_landmark(np.array([l["x_m"], l["y_m"]]))
-        for local_id, ev in l["color_evidence"].items():
-            g.update_color(lm, int(local_id), np.array(ev))
-    edges = data["observation_edges"]
+            g.add_pose(Pose2(*row), Pose2(*relative[k - 1]), information[k - 1])
+    for position in columns["landmarks"]:
+        g.add_landmark(position)
+    for lm, local_id, ev in zip(
+        columns["color_evidence_landmark"].tolist(),
+        columns["color_evidence_local_id"].tolist(),
+        columns["color_evidence"],
+    ):
+        g.update_color(lm, local_id, ev)
     g.add_observations(
-        [e["pose"] for e in edges],
-        [e["landmark"] for e in edges],
-        [e["measurement_m"] for e in edges],
-        [e["information"] for e in edges],
+        columns["observation_pose"],
+        columns["observation_landmark"],
+        columns["observation_measurement_m"],
+        columns["observation_information"],
     )
-    g.local_links = {int(k): v for k, v in data["local_links"].items()}
+    g.local_links = dict(zip(columns["local_link_id"].tolist(), columns["local_link_landmark"].tolist()))
     return g
 
 
@@ -411,6 +501,22 @@ class TestSerialization:
         save_graph(graph, path)
         loaded = load_graph(path)
         assert graph_to_dict(loaded) == graph_to_dict(graph)
+        save_graph(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_schema_1_document_rejected(self):
+        _, graph, _ = build_noise_free_graph(frame_rate=2.0)
+        with pytest.raises(ValueError, match="schema"):
+            graph_from_dict(graph_to_dict(graph))
+
+    def test_column_with_wrong_byte_length_rejected(self, tmp_path):
+        _, graph, _ = build_noise_free_graph(frame_rate=2.0)
+        save_graph(graph, tmp_path / "graph.json")
+        data = json.loads((tmp_path / "graph.json").read_text())
+        short = base64.b64decode(data["data"]["observation_measurement_m"])[:-8]
+        data["data"]["observation_measurement_m"] = base64.b64encode(short).decode("ascii")
+        with pytest.raises(ValueError, match="observation_measurement_m holds"):
+            graph_from_dict(data)
 
     def test_export_empty_graph(self):
         graph = Graph()
@@ -444,11 +550,12 @@ class TestSerialization:
 
 # sha256 of the global-map artifacts of a noise-free-circle lap with fusion
 # sensor noise and the planner off. The dead-reckoned map is as the per-node
-# graph of earlier versions wrote it; the graph and the estimated map are as
-# the single final solve writes them.
+# graph of earlier versions wrote it; the estimated map is as the single
+# final solve writes it with the symmetric factorization, and the graph is
+# its schema-2 dump.
 GOLDEN_DIGESTS = {
-    "graph.json": "3f22fb97724b1912df33be66c40b073c1f6e3a93751bf0697d83ed2ab7bb5aa9",
-    "map_estimated.json": "0a2d2ba8b239d7f0b577540e467c7e2455305165f06e6d7a5c69149eac9ac788",
+    "graph.json": "dffce115cb7a0d3b91334189f254945b56d4da3f5cb7d457aa20ba00ad95c8d9",
+    "map_estimated.json": "9db5041ee2d6355325973bf8d0e672473fcd09d20975ac86e629410e90b20e79",
     "map_dead_reckoned.json": "c6d8f861a275025841fff837a1ec33b0bb7128c972650474c79c80632dd3f2bf",
 }
 
@@ -479,11 +586,170 @@ class TestConfigValidation:
             GlobalMapConfig(**{name: value})
 
 
+@pytest.fixture(scope="module")
+def golden_lap(tmp_path_factory):
+    """The golden-bytes lap: its output directory, and its graph before the
+    solve, rebuilt from its snapshot log as replay rebuilds it."""
+    config = dataclasses.replace(load_config("noise-free-circle"), plan_enabled=False)
+    config.profiles = {**config.profiles, "fusion": resolve_profile("builtin:fusion")}
+    out = tmp_path_factory.mktemp("golden")
+    run_pipeline(config, out)
+    graph = Graph()
+    prev_ego = None
+    for snap in read_snapshot_log(out / "snapshots.ndjson"):
+        odom = Pose2.identity() if prev_ego is None else relative_pose(prev_ego, snap.ego)
+        add_snapshot(graph, snap, odom, config.global_map_config())
+        prev_ego = snap.ego
+    return out, graph
+
+
 class TestGoldenBytes:
-    def test_noisy_lap_writes_the_recorded_graph_and_maps(self, tmp_path):
+    def test_noisy_lap_writes_the_recorded_graph_and_maps(self, golden_lap):
         # covers association, loop closure, the final solve and both exports
-        config = dataclasses.replace(load_config("noise-free-circle"), plan_enabled=False)
-        config.profiles = {**config.profiles, "fusion": resolve_profile("builtin:fusion")}
-        run_pipeline(config, tmp_path)
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+        out, _ = golden_lap
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
         assert digests == GOLDEN_DIGESTS
+
+
+def noisy_loop_graph():
+    """The noise-free circle graph with Gaussian noise on every edge: the
+    lap's last poses observe its first landmarks again."""
+    _, graph, _ = build_noise_free_graph()
+    rng = np.random.default_rng(12)
+    graph.observation_edges["measurement"] += rng.normal(scale=0.1, size=graph.observation_edges["measurement"].shape)
+    graph.odometry_edges["relative"] += rng.normal(scale=0.02, size=graph.odometry_edges["relative"].shape)
+    return graph
+
+
+class TestSymmetricFactorization:
+    @pytest.mark.parametrize("source", ["golden_lap", "noisy_loop"])
+    def test_solve_matches_the_colamd_reference(self, golden_lap, source):
+        graph = golden_lap[1] if source == "golden_lap" else noisy_loop_graph()
+        if source == "noisy_loop":  # a loop: some landmark is seen by the first and the last pose
+            edges = graph.observation_edges
+            assert set(edges["landmark"][edges["pose"] == 0]) & set(edges["landmark"][edges["pose"] == len(graph.poses) - 1])
+        result, reference = optimize(graph, CONFIG), colamd_optimize(graph, CONFIG)
+        assert (result.iterations, result.converged, result.message) == (
+            reference.iterations,
+            reference.converged,
+            reference.message,
+        )
+        heading = result.poses[:, 2] - reference.poses[:, 2]
+        assert np.abs(np.arctan2(np.sin(heading), np.cos(heading))).max() <= 1e-9
+        assert np.abs(result.poses[:, :2] - reference.poses[:, :2]).max() <= 1e-9
+        assert np.abs(result.landmarks - reference.landmarks).max() <= 1e-9
+        assert result.final_cost == pytest.approx(reference.final_cost, rel=1e-12, abs=0.0)
+
+    def test_factor_fills_in_far_less_than_the_colamd_lu(self, golden_lap):
+        # 42,096 against 79,872 nonzeros (0.527) on this lap; 0.445 on the
+        # 3,937-unknown system of a 500 m lap
+        graph = golden_lap[1]
+        odometry, observations = graph.odometry_edges, graph.observation_edges
+        _, jacobian = _assemble(
+            graph.poses,
+            graph.landmarks,
+            odometry,
+            observations,
+            _whiten(odometry["information"]),
+            _whiten(observations["information"]),
+            jac=True,
+        )
+        hess = (jacobian.T @ jacobian).tocsc()
+        damped = hess + sp.diags(CONFIG.initial_lambda * np.maximum(hess.diagonal(), 1e-9))
+        factor, reference = _factor(damped), splu(damped)
+        assert factor.L.nnz + factor.U.nnz <= 0.55 * (reference.L.nnz + reference.U.nnz)
+
+
+@st.composite
+def small_noisy_graphs(draw):
+    """A few poses on a curve, each observing every landmark, with noisy edges and a perturbed start."""
+    n_poses = draw(st.integers(2, 5))
+    n_landmarks = draw(st.integers(1, 4))
+    noise = draw(st.sampled_from([0.0, 0.01, 0.3, 2.0]))
+    perturbation = draw(st.sampled_from([0.0, 0.05, 0.5, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = [Pose2(1.5 * k, 0.2 * k * k, 0.3 * k) for k in range(n_poses)]
+    landmarks = rng.uniform([-3.0, -4.0], [8.0, 6.0], size=(n_landmarks, 2))
+    graph = Graph()
+    for k, pose in enumerate(truth):
+        if k == 0:
+            graph.add_pose(pose)
+        else:
+            moved = relative_pose(truth[k - 1], pose).as_array() + rng.normal(scale=noise, size=3)
+            start = pose.as_array() + rng.normal(scale=perturbation, size=3)
+            graph.add_pose(Pose2(*start), Pose2(*moved), np.diag([100.0, 100.0, 400.0]))
+    for position in landmarks:
+        graph.add_landmark(position + rng.normal(scale=perturbation, size=2))
+    for k, pose in enumerate(truth):
+        measured = body_frame_point(pose, landmarks) + rng.normal(scale=noise, size=(n_landmarks, 2))
+        graph.add_observations([k] * n_landmarks, range(n_landmarks), measured, [np.eye(2) * 25.0] * n_landmarks)
+    return graph
+
+
+class TestAcceptedSteps:
+    @given(small_noisy_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_steps_never_increase_the_cost(self, graph):
+        odometry, observations = graph.odometry_edges, graph.observation_edges
+        residuals, _ = _assemble(
+            graph.poses,
+            graph.landmarks,
+            odometry,
+            observations,
+            _whiten(odometry["information"]),
+            _whiten(observations["information"]),
+            jac=False,
+        )
+        # a budget of k iterations stops the same solve after its k-th step
+        costs = [float(residuals @ residuals)]
+        costs += [optimize(graph, GlobalMapConfig(max_iterations=k)).final_cost for k in range(1, 7)]
+        assert all(after <= before for before, after in zip(costs, costs[1:]))
+
+
+evidence_value = st.one_of(
+    st.floats(0.0, 1e308),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 2.0, 1e308, 1.7976931348623157e308]),
+)
+evidence_array = st.one_of(
+    st.lists(evidence_value, min_size=3, max_size=3),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=3, max_size=3),  # exact ties
+    st.tuples(evidence_value, evidence_value).map(lambda vw: [vw[0], vw[0], vw[1]]),
+    st.tuples(evidence_value, evidence_value).map(lambda vw: [vw[1], vw[0], vw[0]]),
+    # neighbouring floats, which one division can round to a tie
+    st.tuples(evidence_value, evidence_value).map(lambda vw: [vw[0], math.nextafter(vw[0], math.inf), vw[1]]),
+    st.tuples(evidence_value, evidence_value).map(lambda vw: [vw[1], math.nextafter(vw[0], math.inf), vw[0]]),
+)
+
+
+class TestDominantClass:
+    @given(st.lists(evidence_array, min_size=0, max_size=3))
+    # neighbouring floats that tie after one order of summing the total and not after another
+    @example([[0.8830091396589759, 0.883009139658976, 0.6129994004887422]])
+    @example([[0.8122417130881999, 0.8122417130882, 0.608586805324466]])
+    @settings(max_examples=400, deadline=None)
+    def test_plain_floats_equal_numpy_argmax(self, evidence):
+        with np.errstate(over="ignore", invalid="ignore"):  # sums of huge evidence overflow to inf
+            expected = int(np.argmax(_color_probabilities([np.array(ev) for ev in evidence])))
+        assert _dominant_class(evidence) == expected
+
+
+class TestResidualSummary:
+    def test_solved_noise_free_graph_has_no_large_residual(self):
+        _, graph, _ = build_noise_free_graph()
+        graph.merge_estimates(optimize(graph, CONFIG))
+        summary = residual_summary(graph)
+        assert summary["residuals_over_0_5m"] == 0
+        assert summary["residual_landmarks_over_0_5m"] == []
+        assert summary["max_residual_m"] < 1e-6
+
+    def test_corrupted_measurement_names_its_landmark(self):
+        _, graph, _ = build_noise_free_graph()
+        edges = graph.observation_edges
+        # an edge of the most observed landmark, so the other edges hold that landmark in place
+        edge = int(np.flatnonzero(edges["landmark"] == np.argmax(np.bincount(edges["landmark"])))[0])
+        edges["measurement"][edge] += [1.5, -1.0]
+        graph.merge_estimates(optimize(graph, CONFIG))
+        summary = residual_summary(graph)
+        assert summary["residual_landmarks_over_0_5m"] == [int(edges["landmark"][edge])]
+        assert summary["residuals_over_0_5m"] == 1
+        assert summary["max_residual_m"] > 1.0
