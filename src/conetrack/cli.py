@@ -136,6 +136,8 @@ def _spec_from_args(args) -> TrackSpec:
 
 def _cmd_generate(args) -> int:
     spec = _spec_from_args(args)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
     try:
         track = generate_track(spec, args.seed)
     except (InfeasibleTrackError, TrackValidationError) as exc:

@@ -80,8 +80,8 @@ class RunConfig:
         for mode, profile in self.profiles.items():
             if profile.mode != mode:
                 raise ConfigError(f"the {mode} profile has mode {profile.mode!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.mode_schedule, list):
             raise ConfigError(f"mode schedule must be a list of events, got {self.mode_schedule!r}")
         for event in self.mode_schedule:

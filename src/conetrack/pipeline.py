@@ -179,22 +179,22 @@ class _SnapshotEngine:
     def finish(self, out_dir: Path) -> tuple[list[dict], list[dict], dict]:
         """Export, solve, export, and write both maps and the graph.
 
-        The two exports are timed as ``export``, the solve as ``final_solve``
-        and the writes as ``map_write``. Returns the estimated map, the
-        dead-reckoned map and the solve's health: ``final_cost``,
-        ``iterations``, ``converged`` and ``message`` (None for a graph
-        without poses), and the :func:`residual_summary` of the solved graph.
+        The two exports are timed as ``export``, the solve and its residual
+        summary as ``final_solve`` and the writes as ``map_write``. Returns
+        the estimated map, the dead-reckoned map and the solve's health:
+        ``final_cost``, ``iterations``, ``converged`` and ``message`` (None
+        for a graph without poses), and the :func:`residual_summary` of the
+        solved graph.
         """
         min_edges = self.global_cfg.export_min_edges
         t0 = time.perf_counter()
         dead_reckoned = export_map(self.graph, min_edges=min_edges)
         self.timings["export"].append((time.perf_counter() - t0) * 1e3)
         health: dict = dict.fromkeys(("final_cost", "iterations", "converged", "message"))
+        t0 = time.perf_counter()
         if len(self.graph.poses):
-            t0 = time.perf_counter()
             result = optimize(self.graph, self.global_cfg)
             self.graph.merge_estimates(result)
-            self.timings["final_solve"].append((time.perf_counter() - t0) * 1e3)
             health.update(
                 final_cost=result.final_cost,
                 iterations=result.iterations,
@@ -202,6 +202,7 @@ class _SnapshotEngine:
                 message=result.message,
             )
         health.update(residual_summary(self.graph))
+        self.timings["final_solve"].append((time.perf_counter() - t0) * 1e3)
         t0 = time.perf_counter()
         estimated = export_map(self.graph, min_edges=min_edges)
         self.timings["export"].append((time.perf_counter() - t0) * 1e3)
@@ -267,6 +268,7 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     state = LocalMapState()
     timings: dict[str, list[float]] = {
         "track_generation": [track_ms],
+        "ground_truth": [],
         "sense": [],
         "local_map": [],
         "snapshot_write": [],
@@ -289,7 +291,13 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     snapshot_writer = SnapshotLogWriter(out_dir / "snapshots.ndjson")
     engine = _SnapshotEngine(config, out_dir)
     try:
-        for timestamp, frame_dt, true_pose, true_vel in true_frames:
+        while True:
+            t0 = time.perf_counter()
+            frame = next(true_frames, None)
+            timings["ground_truth"].append((time.perf_counter() - t0) * 1e3)
+            if frame is None:
+                break
+            timestamp, frame_dt, true_pose, true_vel = frame
             liveness.advance(timestamp)
 
             t0 = time.perf_counter()

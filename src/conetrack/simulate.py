@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .core import (
     COV_EIGENVALUE_FLOOR,
@@ -293,6 +293,72 @@ def validate_track(track: TrackDefinition) -> None:
             )
 
 
+def _periodic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the periodic cubic spline through ``(x, y)``, where ``y[-1] == y[0]``.
+
+    Row ``3 - k`` of the ``(4, len(x) - 1)`` result multiplies ``(t - x[i])**k``
+    on interval ``i``. This is scipy 1.17's ``CubicSpline(x, y,
+    bc_type="periodic")`` for seven or more knots, operation for operation, so
+    the coefficients equal its ``c`` bit for bit: the cyclic tridiagonal system
+    is condensed to two banded solves, then the knot slopes become Hermite
+    coefficients.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # the (n-1) x (n-1) cyclic system for the slopes at x[:-1], banded
+    # without its last row and column, whose entries are kept apart
+    band = np.zeros((3, n - 1))
+    band[1, 1:] = 2 * (dx[:-1] + dx[1:])
+    band[0, 2:] = dx[:-2]
+    band[-1, :-1] = dx[1:]
+    band[1, 0] = 2 * (dx[-1] + dx[0])
+    band[0, 1] = dx[-1]
+    rhs = np.empty(n - 1)
+    rhs[1:] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    rhs[0] = 3 * (dx[0] * slope[-1] + dx[-1] * slope[0])
+    rhs[-1] = 3 * (dx[-1] * slope[-2] + dx[-2] * slope[-1])
+    condensed = band[:, :-1]
+    b1 = rhs[:-1]
+    b2 = np.zeros_like(b1)
+    b2[0] = -dx[0]
+    b2[-1] = -dx[-3]
+    m = len(b1)
+    s1 = solve_banded((1, 1), condensed, b1.reshape(m, -1), check_finite=False).reshape(m)
+    s2 = solve_banded((1, 1), condensed, b2.reshape(m, -1), check_finite=False).reshape(m)
+    # the slope at x[-2], from the row and column left out of the condensed system
+    s_last = (rhs[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / (
+        2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
+    )
+    s = np.empty(n)
+    s[:-2] = s1 + s_last * s2
+    s[-2] = s_last
+    s[-1] = s[0]
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _periodic_spline_derivatives(
+    x: np.ndarray, coeffs: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, first and second derivative of a :func:`_periodic_spline` at ``at``.
+
+    Bit for bit scipy's ``PPoly`` with periodic extrapolation: ``at`` is
+    wrapped into ``[x[0], x[-1]]``, and each order is an ascending-power sum
+    from 0.0 whose terms are ``(c * s**k) * prefactor``, the powers built by
+    repeated multiplication (not Horner's form).
+    """
+    at = x[0] + (at - x[0]) % (x[-1] - x[0])
+    i = np.minimum(np.searchsorted(x, at, side="right") - 1, len(x) - 2)
+    s = at - x[i]
+    c3, c2, c1, c0 = coeffs[:, i]  # c_k multiplies s**k
+    s2 = s * s
+    r = 0.0 + c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
+    dr = 0.0 + c1 + (c2 * s) * 2.0 + (c3 * s2) * 3.0
+    ddr = 0.0 + c2 * 2.0 + (c3 * s) * 6.0
+    return r, dr, ddr
+
+
 def _loop_centerline(spec: TrackSpec, seed: int) -> np.ndarray:
     """Closed centerline from a periodic radial spline, scaled to length."""
     rng = np.random.default_rng(seed)
@@ -302,6 +368,8 @@ def _loop_centerline(spec: TrackSpec, seed: int) -> np.ndarray:
     depth = spec.hairpin_depth
 
     angles = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    phi = np.concatenate([angles, [2 * math.pi]])
+    dense_phi = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
     raw = rng.uniform(-1.0, 1.0, size=n)
     hairpin_idx = rng.choice(n, size=min(spec.hairpin_count, n // 3), replace=False) if spec.hairpin_count else np.array([], dtype=int)
 
@@ -310,12 +378,8 @@ def _loop_centerline(spec: TrackSpec, seed: int) -> np.ndarray:
         # narrow radial bumps create out-and-back turns near the minimum radius
         radii = radii.copy()
         radii[hairpin_idx] *= 1.0 + depth
-        phi = np.concatenate([angles, [2 * math.pi]])
         r = np.concatenate([radii, [radii[0]]])
-        spline = CubicSpline(phi, r, bc_type="periodic")
-
-        dense_phi = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
-        rr = spline(dense_phi)
+        rr, dr, ddr = _periodic_spline_derivatives(phi, _periodic_spline(phi, r), dense_phi)
         if np.any(rr <= spec.track_width_m):
             variation *= 0.8
             depth *= 0.85
@@ -326,8 +390,8 @@ def _loop_centerline(spec: TrackSpec, seed: int) -> np.ndarray:
         scale = spec.length_m / length
         rr_scaled = rr * scale
         # curvature of a polar curve; scaling by c scales radii of curvature by c
-        dr = spline(dense_phi, 1) * scale
-        ddr = spline(dense_phi, 2) * scale
+        dr = dr * scale
+        ddr = ddr * scale
         denom = (rr_scaled**2 + dr**2) ** 1.5
         kappa = np.abs(rr_scaled**2 + 2 * dr**2 - rr_scaled * ddr) / denom
         if kappa.max() > 1.0 / spec.min_radius_m:
@@ -555,11 +619,11 @@ class SimRun:
         if self.frame_rate_hz <= 0:
             raise ValueError("frame rate must be positive")
         object.__setattr__(self, "speed_profile", profile)
+        object.__setattr__(self, "_arcs", np.array([a for a, _ in profile]))
+        object.__setattr__(self, "_speeds", np.array([v for _, v in profile]))
 
     def speed_at(self, s: float) -> float:
-        arcs = np.array([a for a, _ in self.speed_profile])
-        speeds = np.array([v for _, v in self.speed_profile])
-        return float(np.interp(s, arcs, speeds))
+        return float(np.interp(s, self._arcs, self._speeds))
 
 
 def curvature_limited_speed_profile(

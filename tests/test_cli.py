@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import conetrack
 from conetrack.cli import main
 from conetrack.config import dump_resolved, load_config
 from conetrack.simulate import TrackSpec, generate_track, save_track
@@ -48,6 +52,19 @@ class TestGenerate:
         spec.write_text(json.dumps({"kind": "circle", "radius_m": 25.0}))
         out = tmp_path / "t.json"
         assert main(["generate", "--spec", str(spec), "--spacing-m", "4", "--out", str(out)]) == 0
+
+
+def test_startup_imports_neither_scipy_interpolate_nor_optimize():
+    """A run's start-up imports only the scipy subpackages it calls; interpolate and optimize cost a quarter second."""
+    code = (
+        "import sys, conetrack.pipeline, conetrack.cli\n"
+        "conetrack.config.load_config('fsg-like-5ms')\n"
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(conetrack.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestRun:
@@ -122,11 +139,14 @@ class TestRun:
 
     def test_report_stages_sum_to_no_more_than_wall_time(self, run_dir, noisy_run):
         for out in (run_dir, noisy_run[1]):
-            timing = read_json(out / "report.json")["timing"]
+            report = read_json(out / "report.json")
+            timing = report["timing"]
             stages = {name: t for name, t in timing.items() if isinstance(t, dict)}
-            for name in ("track_generation", "snapshot_write", "export", "map_write", "artifact_write"):
+            for name in ("track_generation", "snapshot_write", "export", "map_write", "artifact_write", "final_solve"):
                 assert stages[name]["count"] >= 1, name
             assert stages["export"]["count"] == 2
+            # one step of the ground-truth driver per frame, and the last one that ends the lap
+            assert stages["ground_truth"]["count"] == report["run"]["frames"] + 1
             total_s = sum(t["mean_ms"] * t["count"] for t in stages.values() if t["count"]) / 1e3
             assert 0.0 < total_s <= timing["wall_s"]
             assert timing["unaccounted_s"] == pytest.approx(timing["wall_s"] - total_s, abs=1e-9)
@@ -284,6 +304,9 @@ BAD_INPUTS = [
     ["eval", "--track", "{fieldless}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{badtime}"],
     ["run", "--config", "{badseed}"],
+    ["run", "--config", "{negseed}"],
+    ["run", "--config", "fsg-like-5ms", "--seed", "-1"],
+    ["generate", "--seed", "-1"],
     ["run", "--config", "{notobject}"],
     ["run", "--config", "{badlimit}"],
     ["run", "--config", "{badlocal}"],
@@ -378,6 +401,7 @@ BAD_FILES = {
     "objectmap": ('{"x_m": 0.0, "y_m": 1.0}', "JSON list"),
     "badtime": ('[{"time_s": "abc", "fail": ["fusion"]}]', "time_s"),
     "badseed": ('{"seed": "x"}', "seed"),
+    "negseed": ('{"seed": -5}', "seed"),
     "notobject": ("[1, 2]", "JSON object"),
     "badlimit": ('{"planner_limit_overrides": {"beam": 5}}', "'beam'"),
     "badlocal": ('{"local_map_overrides": {"no_such_gate": 1.0}}', "'no_such_gate'"),
@@ -422,10 +446,14 @@ def test_missing_or_malformed_input_file_exits_2(tmp_path, capsys, argv):
         if content is not None:
             paths[name].write_text(content)
     save_track(generate_track(TrackSpec(kind="circle", radius_m=20.0), 0), paths["track"])
-    bad = [a.strip("{}") for a in argv if a.strip("{}") in BAD_FILES][-1]
+    bad = [a.strip("{}") for a in argv if a.strip("{}") in BAD_FILES]
     assert main([a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and str(paths[bad]) in err and BAD_FILES[bad][1] in err
+    assert "config error" in err
+    if bad:
+        assert str(paths[bad[-1]]) in err and BAD_FILES[bad[-1]][1] in err
+    else:  # a bad flag value: the message names the last flag's field
+        assert [a for a in argv if a.startswith("--")][-1][2:] in err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from cone_reference import RefGaussian, color_class
 from conetrack.core import ConeClass, Pose2, SensorSource, Velocity2, integrate_velocity
@@ -14,6 +17,8 @@ from conetrack.simulate import (
     SimRun,
     TrackDefinition,
     TrackSpec,
+    _periodic_spline,
+    _periodic_spline_derivatives,
     curvature_limited_speed_profile,
     default_profile,
     generate_track,
@@ -88,6 +93,35 @@ class TestTrackGeneration:
         assert np.allclose(loaded.cone_positions(), track.cone_positions())
         data = json.loads(path.read_text())
         assert "total_length_m" in data and "cones" in data
+
+
+@st.composite
+def radial_control_points(draw) -> np.ndarray:
+    """Loop-generator radii: 6-40 control points around a 1-1000 m scale, with variation and hairpin bumps."""
+    n = draw(st.integers(6, 40))
+    scale = draw(st.floats(1.0, 1000.0))
+    variation = draw(st.floats(0.0, 0.5))
+    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    hairpins = draw(st.lists(st.integers(0, n - 1), max_size=n // 3, unique=True))
+    radii = scale * (1.0 + variation * raw)
+    radii[hairpins] *= 1.0 + draw(st.floats(0.0, 1.0))
+    return radii
+
+
+class TestPeriodicSpline:
+    """The loop generator's radius spline is scipy's periodic ``CubicSpline``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(radial_control_points())
+    def test_matches_scipy_bit_for_bit(self, radii):
+        phi = np.concatenate([np.linspace(0.0, 2 * math.pi, len(radii), endpoint=False), [2 * math.pi]])
+        r = np.concatenate([radii, [radii[0]]])
+        dense_phi = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+        reference = CubicSpline(phi, r, bc_type="periodic")
+        coeffs = _periodic_spline(phi, r)
+        assert np.array_equal(coeffs, reference.c)
+        for order, values in enumerate(_periodic_spline_derivatives(phi, coeffs, dense_phi)):
+            assert np.array_equal(values, reference(dense_phi, order)), order
 
 
 class TestSensorProfile:
