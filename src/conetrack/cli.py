@@ -194,6 +194,11 @@ def _cmd_eval(args) -> int:
     records = read_input(load_map, args.map) if args.map else None
     planner_records = read_input(_read_planner_log, args.planner_log) if args.planner_log else None
     trajectory = read_input(load_trajectory, args.trajectory) if args.trajectory else None
+    if trajectory is not None and planner_records:
+        # a record the trajectory does not cover would be judged in another frame
+        missing = next((r["timestamp_s"] for r in planner_records if r["timestamp_s"] not in trajectory), None)
+        if missing is not None:
+            raise ConfigError(f"{args.trajectory} has no row for planner log timestamp_s {missing!r}")
     map_metrics = None
     if records:
         map_metrics = map_alignment(records, track, CenterlineGeometry(track.centerline).pose_at(0.0))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Pose2, compose, invert, transform_point
+from .core import Pose2, compose, invert
 from .simulate import CenterlineGeometry, TrackDefinition
 
 HISTOGRAM_BIN_COUNT = 16  # 1 m bins, 0..15 m, matching the planning horizon
@@ -222,40 +222,63 @@ def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     return np.logical_xor.reduce(crosses & (x < x_at), axis=1)
 
 
-def first_exit_distance(
-    ego_xy: np.ndarray, waypoints: np.ndarray, corridor: TrackCorridor
-) -> float | None:
-    """Arc distance from the car at which the path first leaves the corridor.
+# Rows (segments or points) per broadcast against the boundary rings: a chunk's
+# temporaries are a few (rows x ring edges) float arrays, about 0.12 MB each
+# on a 230-cone track, however long the planner log.
+EXIT_TEST_CHUNK = 64
 
-    Walks the polyline (car -> waypoints) testing each vertex and each segment
-    against the boundary rings, so crossings between waypoints are caught. All
-    segments meet all boundary edges in one broadcast; a segment leaves at the
-    smallest parameter of the edges it crosses (closed intervals, near-parallel
-    pairs rejected).
+
+def first_exit_distances(
+    points: np.ndarray, offsets: Sequence[int], corridor: TrackCorridor
+) -> list[float | None]:
+    """Arc distance from the car at which each path first leaves the corridor.
+
+    ``points[offsets[i]:offsets[i + 1]]`` is path ``i``'s chain: the car,
+    then its waypoints; a chain without waypoints has no exit (None). Each
+    vertex and each segment is tested against the boundary rings, so
+    crossings between waypoints are caught. A segment leaves at the smallest
+    parameter of the edges it crosses (closed intervals, near-parallel pairs
+    rejected). Segments meet all ring edges, and points the crossing-matrix
+    containment test, in broadcasts over :data:`EXIT_TEST_CHUNK` rows at a
+    time; each chain is then walked in order, adding its segment lengths
+    from 0.0, up to the first segment that crosses a ring or ends outside.
     """
-    if len(waypoints) == 0:
-        return None
-    chain = np.vstack([np.asarray(ego_xy, dtype=float)[None, :], waypoints])
-    inside = corridor.contains(chain)
-    d = np.diff(chain, axis=0)[:, None, :]  # (segments, 1, 2)
-    q1 = corridor.edge_start
-    e = corridor.edge_end - q1  # (edges, 2)
-    w = q1 - chain[:-1, None, :]  # (segments, edges, 2)
-    denom = d[..., 0] * e[:, 1] - d[..., 1] * e[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # near-parallel pairs are masked below
-        t = (w[..., 0] * e[:, 1] - w[..., 1] * e[:, 0]) / denom
-        u = (w[..., 0] * d[..., 1] - w[..., 1] * d[..., 0]) / denom
-    crossed = ~(np.abs(denom) < 1e-15) & (0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0)
-    first_t = np.where(crossed, t, np.inf).min(axis=1)
-    seg_lens = np.hypot(d[:, 0, 0], d[:, 0, 1])
-    arc = 0.0
-    for k, seg_len in enumerate(seg_lens.tolist()):
-        if crossed[k].any():
-            return arc + float(first_t[k]) * seg_len
-        if not inside[k + 1]:
-            return arc + seg_len
-        arc += seg_len
-    return None
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    starts = points[:-1]
+    seg = points[1:] - starts  # every consecutive pair; those joining two chains are never read
+    seg_lens = np.hypot(seg[:, 0], seg[:, 1]).tolist()
+    first_t = np.empty(len(seg))
+    inside = np.empty(len(points), dtype=bool)
+    q1x, q1y = corridor.edge_start[:, 0], corridor.edge_start[:, 1]
+    ex, ey = corridor.edge_end[:, 0] - q1x, corridor.edge_end[:, 1] - q1y
+    for lo in range(0, len(seg), EXIT_TEST_CHUNK):
+        rows = slice(lo, lo + EXIT_TEST_CHUNK)
+        dx, dy = seg[rows, :1], seg[rows, 1:]  # (segments, 1)
+        wx, wy = q1x - starts[rows, :1], q1y - starts[rows, 1:]  # (segments, edges): ring vertex minus segment start
+        denom = dx * ey - dy * ex
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # near-parallel pairs are masked below
+            t = (wx * ey - wy * ex) / denom
+            u = (wx * dy - wy * dx) / denom
+        crossed = ~(np.abs(denom) < 1e-15) & (0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0)
+        first_t[rows] = np.where(crossed, t, np.inf).min(axis=1)  # a crossed t lies in [0, 1]
+    for lo in range(0, len(points), EXIT_TEST_CHUNK):
+        rows = slice(lo, lo + EXIT_TEST_CHUNK)
+        inside[rows] = corridor.contains(points[rows])
+    first_t, inside = first_t.tolist(), inside.tolist()
+    exits: list[float | None] = []
+    for start, end in zip(offsets, offsets[1:]):
+        arc, exit_d = 0.0, None
+        for k in range(start, end - 1):
+            seg_len = seg_lens[k]
+            if first_t[k] != math.inf:
+                exit_d = arc + first_t[k] * seg_len
+                break
+            if not inside[k + 1]:
+                exit_d = arc + seg_len
+                break
+            arc += seg_len
+        exits.append(exit_d)
+    return exits
 
 
 def planning_stats(
@@ -268,37 +291,51 @@ def planning_stats(
     Planner records live in the dead-reckoned local frame. ``trajectory``
     maps timestamps to (true pose, local ego pose) so each path can be placed
     on the true track through the car's ground-truth pose, matching how paths
-    are judged against a surveyed map; without it, the local frame is assumed
-    anchored at the track's start pose.
+    are judged against a surveyed map; without it, or for a timestamp it
+    lacks, the local frame is assumed anchored at the track's start pose.
+
+    Every path's chain (its ego, then its waypoints) is moved to the world in
+    one elementwise pass, with each record's ``c``, ``s`` and the expressions
+    of :func:`conetrack.core.transform_point`, and
+    :func:`first_exit_distances` tests all of them at once.
     """
     corridor = track_corridor(track)
-    geom = CenterlineGeometry(track.centerline)
-    start_pose = geom.pose_at(0.0)
-    lengths = np.zeros(HISTOGRAM_BIN_COUNT)
-    exits = np.zeros(HISTOGRAM_BIN_COUNT)
-    total = 0
+    start_pose = CenterlineGeometry(track.centerline).pose_at(0.0)
+    chains: list[list[float]] = []
+    offsets = [0]
+    poses: list[tuple[float, float, float, float]] = []  # (x, y, cos, sin) of each chain's local-to-world pose
     for record in records:
-        waypoints = np.array(record.get("waypoints_m") or [])
-        if waypoints.size == 0:
+        waypoints = record.get("waypoints_m") or []
+        if not waypoints:
             continue
-        total += 1
-        seg = np.diff(waypoints, axis=0)
-        length = float(np.hypot(seg[:, 0], seg[:, 1]).sum()) if len(waypoints) > 1 else 0.0
-        bin_idx = min(int(length), HISTOGRAM_BIN_COUNT - 1)
-        lengths[bin_idx] += 1
-        ego_local = Pose2(record["ego"]["x_m"], record["ego"]["y_m"], record["ego"]["theta_rad"])
+        ego = record["ego"]
         entry = trajectory.get(record["timestamp_s"]) if trajectory else None
         if entry is not None:
             true_pose, ego_at_frame = entry
             to_world = compose(true_pose, invert(ego_at_frame))
         else:
             to_world = start_pose
-        wp_world = transform_point(to_world, waypoints)
-        ego_world = transform_point(to_world, ego_local.position)
-        exit_d = first_exit_distance(ego_world, wp_world, corridor)
-        if exit_d is not None:
-            exits[min(int(exit_d), HISTOGRAM_BIN_COUNT - 1)] += 1
+        chains.append([ego["x_m"], ego["y_m"]])
+        chains.extend(waypoints)
+        offsets.append(len(chains))
+        poses.append((to_world.x, to_world.y, math.cos(to_world.theta), math.sin(to_world.theta)))
+    total = len(poses)
+    lengths = np.zeros(HISTOGRAM_BIN_COUNT)
+    exits = np.zeros(HISTOGRAM_BIN_COUNT)
     if total:
+        local = np.array(chains, dtype=float)
+        x, y = local[:, 0], local[:, 1]
+        pose_x, pose_y, c, s = np.repeat(np.array(poses), np.diff(offsets), axis=0).T
+        world = np.stack([pose_x + c * x - s * y, pose_y + s * x + c * y], axis=-1)
+        seg = local[1:] - local[:-1]
+        seg_lens = np.hypot(seg[:, 0], seg[:, 1])
+        for start, end in zip(offsets, offsets[1:]):
+            # the path's own segments, from its first waypoint on
+            length = float(seg_lens[start + 1 : end - 1].sum()) if end - start > 2 else 0.0
+            lengths[min(int(length), HISTOGRAM_BIN_COUNT - 1)] += 1
+        for exit_d in first_exit_distances(world, offsets, corridor):
+            if exit_d is not None:
+                exits[min(int(exit_d), HISTOGRAM_BIN_COUNT - 1)] += 1
         lengths /= total
         exits /= total
     return PlanningStats(lengths, exits, total)

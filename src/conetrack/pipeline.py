@@ -132,7 +132,9 @@ class _SnapshotEngine:
     Plans on each snapshot and logs the plan to ``planner_log.ndjson``, and
     adds the snapshot to the one graph. :meth:`finish` exports the graph as
     the dead-reckoned map, solves it once, and writes the estimated map and
-    the graph. Each step is timed as a stage of ``timings`` (milliseconds).
+    the graph. Each step is timed as a stage of ``timings`` (milliseconds):
+    the plan as ``planner``, its log record, dump and write as
+    ``planner_log``, the graph addition as ``global_map``.
     """
 
     def __init__(self, config: RunConfig, out_dir: Path):
@@ -143,6 +145,7 @@ class _SnapshotEngine:
         self.planner_records: list[dict] = []
         self.timings: dict[str, list[float]] = {
             "planner": [],
+            "planner_log": [],
             "global_map": [],
             "final_solve": [],
             "export": [],
@@ -161,9 +164,11 @@ class _SnapshotEngine:
             t0 = time.perf_counter()
             result = plan_snapshot(snapshot, self.planner_cfg)
             self.timings["planner"].append((time.perf_counter() - t0) * 1e3)
+            t0 = time.perf_counter()
             record = plan_record(result, snapshot, self.config.verbose_candidates)
             self.planner_records.append(record)
             self._planner_fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self.timings["planner_log"].append((time.perf_counter() - t0) * 1e3)
 
         t0 = time.perf_counter()
         odom = Pose2.identity() if self._prev_ego is None else relative_pose(self._prev_ego, snapshot.ego)

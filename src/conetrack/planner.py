@@ -21,7 +21,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
@@ -75,27 +75,73 @@ class PathFeatures(NamedTuple):
     length_m: float  # waypoint polyline length
 
 
-@dataclass(frozen=True)
 class CandidatePath:
-    waypoints: np.ndarray  # (k, 2) crossed-edge midpoints, in path order
+    """A middle path the search emitted: its geometry, cone sides, features and scores.
+
+    Construction stores the search's tuples as they are and checks one
+    waypoint per crossed edge and disjoint sides. ``waypoints`` (a read-only
+    (k, 2) array of crossed-edge midpoints, in path order), ``left_cones``,
+    ``right_cones`` and ``features`` are built on first read and cached, so a
+    candidate that is only counted costs no array or set. Instances are
+    read-only.
+    """
+
     crossed_edges: tuple[tuple[int, int], ...]  # cone index pairs
-    left_cones: frozenset[int]
-    right_cones: frozenset[int]
     left_sequence: tuple[int, ...]  # left cones in first-crossing order
     right_sequence: tuple[int, ...]
-    features: PathFeatures
     log_prior: float
     log_likelihood: float
     log_posterior: float
 
-    def __post_init__(self) -> None:
-        wp = np.asarray(self.waypoints, dtype=float).reshape(-1, 2)
-        wp.setflags(write=False)
-        object.__setattr__(self, "waypoints", wp)
-        if len(wp) != len(self.crossed_edges):
+    def __init__(
+        self,
+        waypoints: Sequence[tuple[float, float]],
+        crossed_edges: tuple[tuple[int, int], ...],
+        left_sequence: tuple[int, ...],
+        right_sequence: tuple[int, ...],
+        features: Sequence[float],  # the six PathFeatures values, in order
+        log_prior: float,
+        log_likelihood: float,
+        log_posterior: float,
+    ) -> None:
+        if len(waypoints) != len(crossed_edges):
             raise ValueError("one waypoint per crossed edge required")
-        if self.left_cones & self.right_cones:
+        if not set(left_sequence).isdisjoint(right_sequence):
             raise ValueError("left and right cone sets must be disjoint")
+        vars(self).update(  # past __setattr__, which refuses every assignment
+            _waypoint_pairs=waypoints,
+            crossed_edges=crossed_edges,
+            left_sequence=left_sequence,
+            right_sequence=right_sequence,
+            _feature_values=features,
+            log_prior=log_prior,
+            log_likelihood=log_likelihood,
+            log_posterior=log_posterior,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"CandidatePath is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CandidatePath is read-only: cannot delete {name!r}")
+
+    @functools.cached_property
+    def waypoints(self) -> np.ndarray:
+        wp = np.array(self._waypoint_pairs, dtype=float).reshape(-1, 2)
+        wp.setflags(write=False)
+        return wp
+
+    @functools.cached_property
+    def left_cones(self) -> frozenset[int]:
+        return frozenset(self.left_sequence)
+
+    @functools.cached_property
+    def right_cones(self) -> frozenset[int]:
+        return frozenset(self.right_sequence)
+
+    @functools.cached_property
+    def features(self) -> PathFeatures:
+        return PathFeatures._make(self._feature_values)
 
 
 @dataclass(frozen=True)
@@ -180,6 +226,9 @@ def _np_sum(values: Sequence[float]) -> float:
 def _population_std(values: Sequence[float]) -> float:
     """Population standard deviation of a non-empty sequence, as ``np.sqrt(np.mean((a - a.mean()) ** 2))`` gives it."""
     n = len(values)
+    if n < 8:  # the left fold _np_sum gives, without its call
+        mean = functools.reduce(operator.add, values, 0.0) / n
+        return math.sqrt(functools.reduce(operator.add, [(x - mean) * (x - mean) for x in values], 0.0) / n)
     mean = _np_sum(values) / n
     return math.sqrt(_np_sum([(x - mean) * (x - mean) for x in values]) / n)
 
@@ -200,30 +249,15 @@ def _cone_log_terms(color_evidence: np.ndarray, floor: float) -> tuple[list[floa
 
     ``color_evidence`` is (n, 3) per-class evidence; a cone's color is its
     row divided by the row's sum, added left to right as ``ndarray.sum`` adds
-    three values.
+    three values. Each floored maximum is an exact ``np.maximum``; the logs
+    are ``math.log``, whose last bit numpy's vectorized log does not promise.
     """
     ev = color_evidence
-    probabilities = ev / (ev[:, 0] + ev[:, 1] + ev[:, 2])[:, None]
-    left, right, other = [], [], []
-    for blue, yellow, unknown in probabilities.tolist():
-        left.append(math.log(max(blue, unknown, floor)))
-        right.append(math.log(max(yellow, unknown, floor)))
-        other.append(math.log(max(blue, yellow, unknown, floor)))
-    return left, right, other
-
-
-def _summed_log_terms(
-    terms: tuple[list[float], list[float], list[float]], left_cones: Iterable[int], right_cones: Iterable[int]
-) -> float:
-    left, right, other = terms
-    values = list(other)
-    for idx in right_cones:
-        values[idx] = right[idx]
-    for idx in left_cones:  # a cone in both sets counts as left
-        values[idx] = left[idx]
-    # one cone at a time in index order from 0.0, never a pairwise or
-    # compensated sum: every logged score depends on this exact order
-    return functools.reduce(operator.add, values, 0.0)
+    blue, yellow, unknown = (ev / (ev[:, 0] + ev[:, 1] + ev[:, 2])[:, None]).T
+    left = np.maximum(np.maximum(blue, unknown), floor)
+    right = np.maximum(np.maximum(yellow, unknown), floor)
+    other = np.maximum(np.maximum(blue, yellow), np.maximum(unknown, floor))
+    return tuple(list(map(math.log, side.tolist())) for side in (left, right, other))
 
 
 @dataclass(frozen=True)
@@ -237,11 +271,11 @@ class _SearchTables:
     (meaningless on the hull).
     Step ``3 * slot + k`` moves from the midpoint of edge ``slot`` to that of
     edge ``k`` of the same triangle: ``step_x``, ``step_y``, ``step_len`` and
-    ``step_heading``. ``dist[a][b]`` is the distance from cone ``a`` to cone
-    ``b``. Distances and headings come from ``np.hypot`` and ``np.arctan2``,
-    which define the path features; ``math.hypot`` differs from ``np.hypot``
-    in the last bit on some inputs. The lists are flat so that building them
-    allocates few objects.
+    ``step_heading``. ``width`` is the slot's edge length, the distance
+    from cone ``lo`` to cone ``hi``. Distances and headings come from
+    ``np.hypot`` and ``np.arctan2``, which define the path features;
+    ``math.hypot`` differs from ``np.hypot`` in the last bit on some inputs.
+    The lists are flat so that building them allocates few objects.
     """
 
     neighbor: list[int]
@@ -254,7 +288,7 @@ class _SearchTables:
     step_y: list[float]
     step_len: list[float]
     step_heading: list[float]
-    dist: list[list[float]]
+    width: list[float]
 
     @classmethod
     def build(cls, tri: Triangulation) -> "_SearchTables":
@@ -276,7 +310,7 @@ class _SearchTables:
             step_y=step[..., 1].ravel().tolist(),
             step_len=np.hypot(step[..., 0], step[..., 1]).ravel().tolist(),
             step_heading=np.arctan2(step[..., 1], step[..., 0]).ravel().tolist(),
-            dist=np.hypot(pts[None, :, 0] - pts[:, None, 0], pts[None, :, 1] - pts[:, None, 1]).tolist(),
+            width=np.hypot(pts[hi, 0] - pts[lo, 0], pts[hi, 1] - pts[lo, 1]).ravel().tolist(),
         )
 
 
@@ -285,26 +319,32 @@ class _PartialPath:
     """A path as the search grows it, with the state one extension updates in O(1).
 
     The state is the per-segment lengths, the last step and its heading, the
-    crossed-edge widths, each side's cone sequence and the six feature values,
-    among them the running maximum turn and each side's spacing deviation.
-    Length and deviations are reduced afresh from their per-element lists,
-    never kept as running sums, so the features are exactly those of the
-    path's own geometry. The defaults describe the root: no edge crossed yet.
+    crossed-edge widths, each side's cone sequence and its gaps (the distances
+    between consecutive cones) and the six feature values, among them the
+    running maximum turn and each side's spacing deviation.
+    Deviations are reduced afresh from their per-element lists, never kept as
+    running sums, so the features are exactly those of the path's own
+    geometry. The running length is the left fold of the segment lengths from
+    0.0, which is their numpy sum while there are fewer than 8. The crossed
+    edges and waypoints are tuples a candidate keeps as they are. The
+    defaults describe the root: no edge crossed yet.
     """
 
     triangle: int
     slot: int  # the edge slot the path entered the triangle by; -1 at the root
     visited: set[int]
-    crossed: list[tuple[int, int]] = field(default_factory=list)
-    waypoints: list[tuple[float, float]] = field(default_factory=list)
+    crossed: tuple[tuple[int, int], ...] = ()
+    waypoints: tuple[tuple[float, float], ...] = ()
     net_votes: dict[int, int] = field(default_factory=dict)  # left minus right votes, in first-crossing order
-    length: float = 0.0  # running length, for the search's length cap only
+    length: float = 0.0
     step: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (dx, dy, length) into the last waypoint
     seg_lengths: list[float] = field(default_factory=list)  # waypoint-to-waypoint segment lengths
     heading: float | None = None  # heading of the last segment
     widths: list[float] = field(default_factory=list)  # crossed-edge lengths
     left: tuple[int, ...] = ()  # left cones in first-crossing order
     right: tuple[int, ...] = ()
+    left_gaps: list[float] = field(default_factory=list)  # distances between consecutive left cones
+    right_gaps: list[float] = field(default_factory=list)
     features: tuple[float, ...] = (0.0,) * 6  # the PathFeatures values, in order
     log_prior: float = 0.0
     log_likelihood: float = 0.0
@@ -312,13 +352,11 @@ class _PartialPath:
 
     def candidate(self) -> CandidatePath:
         return CandidatePath(
-            np.array(self.waypoints),
-            tuple(self.crossed),
-            frozenset(self.left),
-            frozenset(self.right),
+            self.waypoints,
+            self.crossed,
             self.left,
             self.right,
-            PathFeatures._make(self.features),
+            self.features,
             self.log_prior,
             self.log_likelihood,
             self.log_posterior,
@@ -347,58 +385,88 @@ def enumerate_paths(
     would mean crossing evidence that contradicts the path, instead of baking
     a bad tail into every candidate. Scores are plain-float arithmetic that
     sums in numpy's order (:func:`_np_sum`), so they equal the numpy
-    expressions of the features bit for bit.
+    expressions of the features bit for bit. The log prior is
+    :func:`log_prior` written out in the extension, with the same left fold
+    from 0.0; the tables and the prior's terms are read from locals, hoisted
+    once per snapshot.
     """
     limits = config.limits
-    prior = config.prior
+    max_edges, max_length = limits.max_edges, limits.max_length_m
+    max_step_length, max_step_turn = limits.max_step_length_m, limits.max_step_turn_rad
     desired = float(limits.desired_edge_count)
-    terms = _cone_log_terms(color_evidence, config.likelihood_floor)
+    prior_weight = config.prior.prior_weight
+    prior_terms = [(term.weight, term.setpoint, term.scale) for term in config.prior.terms]
+    left_terms, right_terms, other_terms = _cone_log_terms(color_evidence, config.likelihood_floor)
     tables = _SearchTables.build(tri)
-    points = tri.points.tolist()
-    dist = tables.dist
+    neighbor, twin, edge_lo, edge_hi = tables.neighbor, tables.twin, tables.lo, tables.hi
+    mid_xs, mid_ys = tables.mid_x, tables.mid_y
+    step_xs, step_ys, step_lens, step_headings = tables.step_x, tables.step_y, tables.step_len, tables.step_heading
+    edge_width = tables.width
+    cone_xs, cone_ys = tri.points[:, 0].tolist(), tri.points[:, 1].tolist()
+    # cone-to-cone distance by sorted pair, seeded with every triangulation
+    # edge: consecutive cones of a side nearly always share one, and a pair
+    # that does not is computed once, with the same np.hypot. Swapping a pair
+    # negates both differences, which leaves np.hypot's result unchanged
+    pair_distance = dict(zip(zip(edge_lo, edge_hi), edge_width))
     heading = np.array([math.cos(ego.theta), math.sin(ego.theta)])
     centroids = tri.points[tri.simplices].mean(axis=1)
     probe = ego.position + heading
     start = int(np.argmin(np.hypot(centroids[:, 0] - probe[0], centroids[:, 1] - probe[1])))
     heading_xy = tuple(heading.tolist())
     ego_x, ego_y = ego.position.tolist()
+    add = operator.add
+    fold = functools.reduce
 
-    def spacing_std(sequence: tuple[int, ...]) -> float:
-        if len(sequence) < 2:
-            return 0.0
-        return _population_std([dist[a][b] for a, b in zip(sequence, sequence[1:])])
+    def cone_distance(a: int, b: int) -> float:
+        pair = (a, b) if a < b else (b, a)
+        d = pair_distance.get(pair)
+        if d is None:
+            lo, hi = pair
+            d = pair_distance[pair] = float(np.hypot(cone_xs[hi] - cone_xs[lo], cone_ys[hi] - cone_ys[lo]))
+        return d
+
+    def gaps(sequence: tuple[int, ...]) -> list[float]:
+        return [cone_distance(a, b) for a, b in zip(sequence, sequence[1:])]
 
     def extend(partial: _PartialPath, k: int) -> _PartialPath:
         slot = 3 * partial.triangle + k
-        edge = lo, hi = tables.lo[slot], tables.hi[slot]
-        mid_x, mid_y = tables.mid_x[slot], tables.mid_y[slot]
+        lo, hi = edge_lo[slot], edge_hi[slot]
+        mid_x, mid_y = mid_xs[slot], mid_ys[slot]
         if partial.waypoints:
             move = 3 * partial.slot + k
-            dx, dy, seg_len = tables.step_x[move], tables.step_y[move], tables.step_len[move]
-            seg_heading = tables.step_heading[move]
+            dx, dy, seg_len = step_xs[move], step_ys[move], step_lens[move]
+            seg_heading = step_headings[move]
             length = partial.length + seg_len
             seg_lengths = partial.seg_lengths + [seg_len]
             max_turn = partial.features[0]
             if partial.heading is not None:
-                max_turn = max(max_turn, abs(normalize_angle(seg_heading - partial.heading)))
+                turn = abs(normalize_angle(seg_heading - partial.heading))
+                if turn > max_turn:
+                    max_turn = turn
         else:  # the first waypoint: its step runs from the ego and adds no segment
             dx, dy = mid_x - ego_x, mid_y - ego_y
             seg_len = float(np.hypot(dx, dy))
             length, seg_lengths, seg_heading, max_turn = 0.0, [], None, 0.0
         d_x, d_y = heading_xy if seg_len < 1e-12 else (dx, dy)
-        # a new cone joins the end of its side; a known cone whose net vote
-        # changes sign reorders both sides, which are then rebuilt. A side
-        # left untouched keeps its tuple, and with it its spacing deviation
-        net_votes = dict(partial.net_votes)
+        # a new cone joins the end of its side, adding one gap; a known cone
+        # whose net vote changes sign reorders both sides, which are then
+        # rebuilt with their gaps. A side left untouched keeps its tuple, and
+        # with it its spacing deviation
+        net_votes = partial.net_votes.copy()
         left, right, flipped = partial.left, partial.right, False
-        for idx in edge:
-            vote = 1 if d_x * (points[idx][1] - mid_y) - d_y * (points[idx][0] - mid_x) > 0 else -1
+        left_gaps, right_gaps = partial.left_gaps, partial.right_gaps
+        for idx in (lo, hi):
+            vote = 1 if d_x * (cone_ys[idx] - mid_y) - d_y * (cone_xs[idx] - mid_x) > 0 else -1
             before = net_votes.get(idx)
             if before is None:
                 net_votes[idx] = vote
                 if vote > 0:
+                    if left:
+                        left_gaps = left_gaps + [cone_distance(left[-1], idx)]
                     left += (idx,)
                 else:
+                    if right:
+                        right_gaps = right_gaps + [cone_distance(right[-1], idx)]
                     right += (idx,)
             else:
                 net_votes[idx] = before + vote
@@ -406,61 +474,59 @@ def enumerate_paths(
         if flipped:
             left = tuple(idx for idx, net in net_votes.items() if net >= 0)
             right = tuple(idx for idx, net in net_votes.items() if net < 0)
-        crossed = partial.crossed + [edge]
-        widths = partial.widths + [dist[lo][hi]]
+            left_gaps, right_gaps = gaps(left), gaps(right)
+        widths = partial.widths + [edge_width[slot]]
+        crossed = len(partial.crossed) + 1.0
         features = (
             max_turn,
-            partial.features[1] if left is partial.left else spacing_std(left),
-            partial.features[2] if right is partial.right else spacing_std(right),
+            partial.features[1] if left is partial.left else (_population_std(left_gaps) if left_gaps else 0.0),
+            partial.features[2] if right is partial.right else (_population_std(right_gaps) if right_gaps else 0.0),
             _population_std(widths),
-            min(float(len(crossed)), desired),
-            _np_sum(seg_lengths) if seg_lengths else 0.0,
+            desired if desired < crossed else crossed,
+            length if len(seg_lengths) < 8 else _np_sum(seg_lengths),
         )
-        lp = log_prior(features, prior)
-        ll = _summed_log_terms(terms, left, right)
-        nb = tables.neighbor[slot]
+        cost = 0.0
+        for value, (weight, setpoint, scale) in zip(features, prior_terms):
+            cost += weight * (value - setpoint) ** 2 / scale
+        lp = -prior_weight * cost
+        # every cone's log term, a cone in both sets counting as left, added
+        # one cone at a time in index order from 0.0, never a pairwise or
+        # compensated sum: every logged score depends on this exact order
+        values = other_terms.copy()
+        for idx in right:
+            values[idx] = right_terms[idx]
+        for idx in left:
+            values[idx] = left_terms[idx]
+        ll = fold(add, values, 0.0)
+        nb = neighbor[slot]
         return _PartialPath(
-            triangle=nb,
-            slot=tables.twin[slot],
-            visited=partial.visited | {nb},
-            crossed=crossed,
-            waypoints=partial.waypoints + [(mid_x, mid_y)],
-            net_votes=net_votes,
-            length=length,
-            step=(dx, dy, seg_len),
-            seg_lengths=seg_lengths,
-            heading=seg_heading,
-            widths=widths,
-            left=left,
-            right=right,
-            features=features,
-            log_prior=lp,
-            log_likelihood=ll,
-            log_posterior=lp + ll,
+            nb,
+            twin[slot],
+            partial.visited | {nb},
+            partial.crossed + ((lo, hi),),
+            partial.waypoints + ((mid_x, mid_y),),
+            net_votes,
+            length,
+            (dx, dy, seg_len),
+            seg_lengths,
+            seg_heading,
+            widths,
+            left,
+            right,
+            left_gaps,
+            right_gaps,
+            features,
+            lp,
+            ll,
+            lp + ll,
         )
-
-    def can_extend(partial: _PartialPath, k: int) -> bool:
-        """An unvisited neighbor, reached without too long a step or too sharp a turn."""
-        slot = 3 * partial.triangle + k
-        nb = tables.neighbor[slot]
-        if nb < 0 or nb in partial.visited or slot == partial.slot:
-            return False
-        move = 3 * partial.slot + k
-        new_x, new_y, new_len = tables.step_x[move], tables.step_y[move], tables.step_len[move]
-        if new_len > limits.max_step_length_m:
-            return False
-        prev_x, prev_y, prev_len = partial.step
-        if new_len < 1e-12 or prev_len < 1e-12:
-            return True
-        turn = math.atan2(prev_x * new_y - prev_y * new_x, prev_x * new_x + prev_y * new_y)
-        return abs(turn) <= limits.max_step_turn_rad
 
     root = _PartialPath(triangle=start, slot=-1, visited={start})
     first_moves = []
     for k in range(3):
         slot = 3 * start + k
-        if tables.neighbor[slot] >= 0:
-            midpoint = np.array([tables.mid_x[slot], tables.mid_y[slot]])
+        if neighbor[slot] >= 0:
+            midpoint = np.array([mid_xs[slot], mid_ys[slot]])
             first_moves.append((float((midpoint - ego.position) @ heading) > 0.0, k))
     if any(ahead for ahead, _ in first_moves):  # leave the start triangle forward where the ego can
         first_moves = [m for m in first_moves if m[0]]
@@ -470,15 +536,36 @@ def enumerate_paths(
     while frontier:
         next_frontier: list[_PartialPath] = []
         for partial in frontier:
-            if len(partial.crossed) >= limits.max_edges or partial.length >= limits.max_length_m:
+            if len(partial.crossed) >= max_edges or partial.length >= max_length:
                 candidates.append(partial.candidate())
                 continue
-            children = [extend(partial, k) for k in range(3) if can_extend(partial, k)]
-            children = [c for c in children if c.log_posterior >= partial.log_posterior - 1e-9]
-            if not children:
+            # grow into each unvisited neighbor reached without too long a
+            # step or too sharp a turn; a child that lowers the posterior is
+            # a dead end
+            base, entry, visited = 3 * partial.triangle, partial.slot, partial.visited
+            prev_x, prev_y, prev_len = partial.step
+            floor = partial.log_posterior - 1e-9
+            grown = False
+            for k in range(3):
+                slot = base + k
+                nb = neighbor[slot]
+                if nb < 0 or nb in visited or slot == entry:
+                    continue
+                move = 3 * entry + k
+                new_len = step_lens[move]
+                if new_len > max_step_length:
+                    continue
+                if not (new_len < 1e-12 or prev_len < 1e-12):
+                    new_x, new_y = step_xs[move], step_ys[move]
+                    turn = math.atan2(prev_x * new_y - prev_y * new_x, prev_x * new_x + prev_y * new_y)
+                    if not abs(turn) <= max_step_turn:
+                        continue
+                child = extend(partial, k)
+                if child.log_posterior >= floor:
+                    next_frontier.append(child)
+                    grown = True
+            if not grown:
                 candidates.append(partial.candidate())
-                continue
-            next_frontier.extend(children)
         if limits.beam_width is not None and len(next_frontier) > limits.beam_width:
             next_frontier.sort(key=lambda p: (-p.log_posterior, p.crossed))
             next_frontier = next_frontier[: limits.beam_width]
@@ -491,12 +578,8 @@ def select_path(candidates: Sequence[CandidatePath]) -> CandidatePath | None:
     best = None
     best_key = None
     for idx, cand in enumerate(candidates):
-        key = (
-            -cand.log_posterior,
-            -cand.features.length_m,
-            cand.features.max_heading_change_rad,
-            idx,
-        )
+        values = cand._feature_values  # the features' floats, without building them
+        key = (-cand.log_posterior, -values[5], values[0], idx)
         if best_key is None or key < best_key:
             best_key = key
             best = cand

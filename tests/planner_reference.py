@@ -5,9 +5,11 @@ log prior in plain floats, adding in numpy's summation order. The functions
 here are the numpy expressions those features and that prior are defined by,
 evaluated on a path's geometry from scratch. Tests pin the search to them bit
 for bit. :func:`log_likelihood` scores one path's cone roles from scratch,
-with the two steps the search splits across a snapshot.
+from the per-cone log terms the search computes once per snapshot.
 """
 
+import functools
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +21,6 @@ from conetrack.planner import (
     PriorConfig,
     SearchLimits,
     _cone_log_terms,
-    _summed_log_terms,
 )
 
 
@@ -101,4 +102,10 @@ def log_likelihood(
     color_evidence: np.ndarray, left_cones: Iterable[int], right_cones: Iterable[int], floor: float = LIKELIHOOD_FLOOR
 ) -> float:
     """Color agreement of every snapshot cone, one (n, 3) evidence row each, with its role under this path."""
-    return _summed_log_terms(_cone_log_terms(color_evidence, floor), left_cones, right_cones)
+    left, right, other = _cone_log_terms(color_evidence, floor)
+    values = list(other)
+    for idx in right_cones:
+        values[idx] = right[idx]
+    for idx in left_cones:  # a cone in both sets counts as left
+        values[idx] = left[idx]
+    return functools.reduce(operator.add, values, 0.0)  # one cone at a time, in index order

@@ -145,6 +145,9 @@ class TestRun:
             for name in ("track_generation", "snapshot_write", "export", "map_write", "artifact_write", "final_solve"):
                 assert stages[name]["count"] >= 1, name
             assert stages["export"]["count"] == 2
+            # one planner log sample per planned snapshot: every frame, or none with planning off
+            planned = report["run"]["frames"] if out == run_dir else 0
+            assert stages["planner"]["count"] == stages["planner_log"]["count"] == planned
             # one step of the ground-truth driver per frame, and the last one that ends the lap
             assert stages["ground_truth"]["count"] == report["run"]["frames"] + 1
             total_s = sum(t["mean_ms"] * t["count"] for t in stages.values() if t["count"]) / 1e3
@@ -482,6 +485,22 @@ class TestEval:
         assert report["map"]["rmse_m"] < 1e-9
         assert report["planning"]["total_paths"] > 0
         assert report_path.with_suffix(".csv").exists()
+
+    def test_trajectory_missing_a_planner_timestamp_exits_2(self, tmp_path, capsys, run_dir):
+        # a record the trajectory lacks would be judged at the start pose, in another frame
+        trajectory = tmp_path / "short.csv"
+        rows = (run_dir / "trajectory.csv").read_text().splitlines(keepends=True)
+        trajectory.write_text("".join(rows[:6]))  # the header and the first five frames
+        log = (run_dir / "planner_log.ndjson").read_text().splitlines()
+        first_missing = json.loads(log[6])["timestamp_s"]
+        out = tmp_path / "eval" / "report.json"
+        argv = ["eval", "--track", str(run_dir / "track.json"), "--planner-log", str(run_dir / "planner_log.ndjson")]
+        assert main([*argv, "--trajectory", str(trajectory), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(trajectory) in err and repr(first_missing) in err
+        assert not out.exists()
+        # without a trajectory every record keeps the start-pose gauge
+        assert main([*argv, "--out", str(out)]) == 0
 
 
 class TestReproducibility:

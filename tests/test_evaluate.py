@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from map_reference import align_exact_correspondences
-from conetrack.core import Pose2
+from conetrack.config import load_config
+from conetrack.core import Pose2, body_frame_point, compose, invert, transform_point
 from conetrack.evaluate import (
+    EXIT_TEST_CHUNK,
+    HISTOGRAM_BIN_COUNT,
     AlignmentResult,
     DegenerateGeometryError,
     IcpConfig,
     TrackCorridor,
     build_report,
-    first_exit_distance,
+    first_exit_distances,
     icp_align,
     map_rmse,
     planning_stats,
@@ -24,7 +28,13 @@ from conetrack.evaluate import (
     timing_percentiles,
     track_corridor,
 )
-from conetrack.simulate import TrackSpec, generate_track
+from conetrack.simulate import CenterlineGeometry, TrackSpec, generate_track
+
+
+def first_exit_distance(ego_xy, waypoints, corridor):
+    """The batched exit test on one path: the car, then its waypoints."""
+    chain = np.vstack([np.asarray(ego_xy, dtype=float)[None, :], np.asarray(waypoints, dtype=float).reshape(-1, 2)])
+    return first_exit_distances(chain, [0, len(chain)], corridor)[0]
 
 
 def rigid(points, theta, translation):
@@ -360,6 +370,170 @@ class TestBroadcastEqualsScalarReference:
             exit_distance = first_exit_distance(ego, waypoints, corridor)
             assert exit_distance == reference_first_exit_distance(ego, waypoints, corridor)
         assert exit_distance is None
+
+
+@st.composite
+def exit_paths(draw, corridor):
+    """A car (anywhere, on a ring vertex or far outside) and 0-12 waypoints.
+
+    Waypoints are free points, ring vertices, edge midpoints, repeats, or a
+    step nearly parallel to a ring edge, whose |denom| against that edge is
+    about 1e-15, on either side of the rejection threshold.
+    """
+    rings = [ring for ring in (corridor.outer, corridor.inner) if ring is not None]
+    vertices = [tuple(v) for ring in rings for v in ring]
+    edges = [(a, b) for ring in rings for a, b in zip(ring, np.roll(ring, -1, axis=0))]
+    edge_midpoints = [tuple((a + b) / 2) for a, b in edges]
+    chain = [draw(st.one_of(point, st.sampled_from(vertices), st.just((40.0, -40.0))))]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["free", "vertex", "edge", "repeat", "parallel"]))
+        a, b = draw(st.sampled_from(edges))
+        e = b - a
+        if kind == "vertex":
+            chain.append(draw(st.sampled_from(vertices)))
+        elif kind == "edge":
+            chain.append(draw(st.sampled_from(edge_midpoints)))
+        elif kind == "repeat":
+            chain.append(chain[-1])
+        elif kind == "parallel" and e @ e > 1e-6:  # a ring edge of some length
+            # d = scale * e + mu * perp(e) has d x e = -mu |e|^2 = denom
+            denom = draw(st.sampled_from([0.0, 4e-16, -9e-16, 1e-15, -1e-15, 1.1e-15, -3e-15]))
+            step = draw(st.sampled_from([0.5, 1.0, 2.0])) * e - denom / (e @ e) * np.array([-e[1], e[0]])
+            chain.append(tuple(np.asarray(chain[-1], dtype=float) + step))
+        else:
+            chain.append(draw(point))
+    return np.array(chain[0], dtype=float), np.array(chain[1:], dtype=float).reshape(-1, 2)
+
+
+def chains_of(paths):
+    """The batched exit test's input: every path's chain (car, then waypoints), stacked, and the chain offsets."""
+    chains = [np.vstack([ego[None, :], waypoints]) for ego, waypoints in paths]
+    return np.vstack(chains), np.cumsum([0] + [len(c) for c in chains]).tolist()
+
+
+class TestBatchedExitEqualsScalarReference:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_path_of_a_set(self, data):
+        corridor = data.draw(corridors())
+        paths = data.draw(st.lists(exit_paths(corridor), min_size=1, max_size=40))
+        points, offsets = chains_of(paths)
+        expected = [reference_first_exit_distance(ego, waypoints, corridor) for ego, waypoints in paths]
+        assert first_exit_distances(points, offsets, corridor) == expected
+
+    def test_chunks_that_end_inside_a_path(self):
+        rng = np.random.default_rng(12)
+        angles = np.linspace(0.0, 2 * math.pi, 9, endpoint=False)
+        outer = 6.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+        corridor = TrackCorridor(outer=outer, inner=outer[::-1] * 0.5)
+        paths = [(rng.uniform(-8, 8, 2), rng.uniform(-8, 8, (int(rng.integers(0, 25)), 2))) for _ in range(40)]
+        points, offsets = chains_of(paths)
+        # a chunk boundary falls between two segments of one path
+        boundaries = range(EXIT_TEST_CHUNK, len(points), EXIT_TEST_CHUNK)
+        assert any(start < m < end - 1 for m in boundaries for start, end in zip(offsets, offsets[1:]))
+        expected = [reference_first_exit_distance(ego, waypoints, corridor) for ego, waypoints in paths]
+        assert first_exit_distances(points, offsets, corridor) == expected
+        assert any(d is None for d in expected) and any(d is not None for d in expected)
+
+
+def reference_planning_stats(records, track, trajectory=None):
+    """One record at a time, through the scalar exit reference: the loop planning_stats must reproduce exactly."""
+    corridor = track_corridor(track)
+    start_pose = CenterlineGeometry(track.centerline).pose_at(0.0)
+    lengths = np.zeros(HISTOGRAM_BIN_COUNT)
+    exits = np.zeros(HISTOGRAM_BIN_COUNT)
+    total = 0
+    for record in records:
+        waypoints = np.array(record.get("waypoints_m") or [])
+        if waypoints.size == 0:
+            continue
+        total += 1
+        seg = np.diff(waypoints, axis=0)
+        length = float(np.hypot(seg[:, 0], seg[:, 1]).sum()) if len(waypoints) > 1 else 0.0
+        lengths[min(int(length), HISTOGRAM_BIN_COUNT - 1)] += 1
+        ego_local = Pose2(record["ego"]["x_m"], record["ego"]["y_m"], record["ego"]["theta_rad"])
+        entry = trajectory.get(record["timestamp_s"]) if trajectory else None
+        to_world = compose(entry[0], invert(entry[1])) if entry is not None else start_pose
+        exit_d = reference_first_exit_distance(
+            transform_point(to_world, ego_local.position), transform_point(to_world, waypoints), corridor
+        )
+        if exit_d is not None:
+            exits[min(int(exit_d), HISTOGRAM_BIN_COUNT - 1)] += 1
+    if total:
+        lengths /= total
+        exits /= total
+    return lengths, exits, total
+
+
+@pytest.fixture(scope="module")
+def circle_track():
+    return generate_track(TrackSpec(kind="circle", radius_m=20.0), seed=1)
+
+
+class TestPlanningStatsEqualsPerRecordReference:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_records=st.integers(1, 40), covered=st.floats(0.0, 1.0))
+    def test_histograms(self, circle_track, seed, n_records, covered):
+        # paths wander from near the start pose, some leaving the circle's
+        # corridor; a trajectory places a share of them at poses around the track
+        rng = np.random.default_rng(seed)
+        geom = CenterlineGeometry(circle_track.centerline)
+        records, trajectory = [], {}
+        for k in range(n_records):
+            ego = rng.normal(scale=[3.0, 1.0, 0.2])
+            heading = ego[2] + np.cumsum(rng.normal(scale=0.15, size=int(rng.integers(0, 16))))
+            steps = rng.uniform(0.5, 1.5, size=len(heading))[:, None] * np.column_stack([np.cos(heading), np.sin(heading)])
+            waypoints = ego[:2] + np.cumsum(steps, axis=0)
+            timestamp = 0.1 * k
+            records.append(
+                {
+                    "timestamp_s": timestamp,
+                    "ego": {"x_m": float(ego[0]), "y_m": float(ego[1]), "theta_rad": float(ego[2])},
+                    "waypoints_m": waypoints.tolist(),
+                }
+            )
+            if rng.uniform() < covered:
+                trajectory[timestamp] = (geom.pose_at(rng.uniform(0.0, geom.length)), Pose2(*ego))
+        for gauge in (None, trajectory):
+            stats = planning_stats(records, circle_track, gauge)
+            lengths, exits, total = reference_planning_stats(records, circle_track, gauge)
+            assert stats.total_paths == total
+            assert np.array_equal(stats.path_length_fractions, lengths)
+            assert np.array_equal(stats.out_of_track_fractions, exits)
+
+
+class TestPlanningStatsMemory:
+    # an unchunked broadcast of one such log's ~6,500 chain points against
+    # the ring edges holds over 12 MB in each (points x edges) temporary
+    PEAK_BOUND_BYTES = 4_000_000
+
+    def test_peak_over_a_500_record_log(self):
+        config = load_config("fsg-like-5ms")
+        track = generate_track(config.track_spec, config.seed)
+        geom = CenterlineGeometry(track.centerline)
+        start = geom.pose_at(0.0)
+        records = []
+        for k in range(500):
+            pose = geom.pose_at(k * geom.length / 500)
+            # 12 waypoints 15 m straight ahead: the path leaves the track on bends
+            ahead = pose.position + np.outer(1.25 * np.arange(1, 13), [math.cos(pose.theta), math.sin(pose.theta)])
+            ego = body_frame_point(start, pose.position)
+            records.append(
+                {
+                    "timestamp_s": 0.1 * k,
+                    "ego": {"x_m": float(ego[0]), "y_m": float(ego[1]), "theta_rad": pose.theta - start.theta},
+                    "waypoints_m": body_frame_point(start, ahead).tolist(),
+                }
+            )
+        tracemalloc.start()
+        try:
+            stats = planning_stats(records, track)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.total_paths == 500
+        assert 0.0 < stats.out_of_track_fractions.sum() < 1.0
+        assert peak < self.PEAK_BOUND_BYTES, f"planning_stats peaked at {peak / 1e6:.2f} MB"
 
 
 class TestPlanningStats:

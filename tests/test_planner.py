@@ -21,6 +21,7 @@ from conetrack.planner import (
     PlannerConfig,
     PriorConfig,
     SearchLimits,
+    _cone_log_terms,
     _np_sum,
     _population_std,
     enumerate_paths,
@@ -288,6 +289,27 @@ class TestLikelihood:
         cones = [make_cone(0, (9, 9), (0.2, 0.5, 0.3))]
         assert log_likelihood(evidence(cones), frozenset(), frozenset()) == pytest.approx(math.log(0.5))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.one_of(st.sampled_from([0.0, 1e-9, 0.5, 2.0]), st.floats(0.0, 10.0))] * 3).filter(
+                lambda row: sum(row) > 0.0
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        floor=st.sampled_from([1e-6, 0.2, 1.0]),
+    )
+    def test_log_terms_equal_a_per_cone_loop(self, rows, floor):
+        evidence = np.array(rows)
+        probabilities = evidence / (evidence[:, 0] + evidence[:, 1] + evidence[:, 2])[:, None]
+        expected = ([], [], [])
+        for blue, yellow, unknown in probabilities.tolist():
+            expected[0].append(math.log(max(blue, unknown, floor)))
+            expected[1].append(math.log(max(yellow, unknown, floor)))
+            expected[2].append(math.log(max(blue, yellow, unknown, floor)))
+        assert _cone_log_terms(evidence, floor) == expected
+
     def test_every_cone_contributes(self):
         snap = corridor_snapshot(n_stations=5)
         result = plan_snapshot(snap)
@@ -417,6 +439,44 @@ class TestScoreOnce:
         assert planned >= 25
 
 
+class TestLightCandidates:
+    def test_fields_built_on_read_equal_the_search_geometry(self):
+        config = PlannerConfig()
+        checked = 0
+        for snap in noisy_run_snapshots(60):
+            positions = snap.cones.means
+            for cand in plan_snapshot(snap, config).candidates:
+                lo, hi = np.array(cand.crossed_edges).T
+                midpoints = 0.5 * (positions[lo] + positions[hi])
+                waypoints = cand.waypoints
+                assert waypoints.dtype == np.float64 and waypoints.shape == midpoints.shape
+                assert np.array_equal(waypoints, midpoints)
+                assert not waypoints.flags.writeable
+                assert cand.waypoints is waypoints  # built once
+                assert cand.left_cones == frozenset(cand.left_sequence)
+                assert cand.right_cones == frozenset(cand.right_sequence)
+                assert cand.left_cones | cand.right_cones == set(np.array(cand.crossed_edges).ravel().tolist())
+                assert cand.features == compute_features(
+                    midpoints, cand.crossed_edges, positions, cand.left_sequence, cand.right_sequence, config.limits
+                )
+                assert type(cand.features) is PathFeatures
+                checked += 1
+        assert checked >= 250
+
+    def test_construction_keeps_its_checks(self):
+        features = (0.0,) * 6
+        with pytest.raises(ValueError, match="one waypoint per crossed edge"):
+            CandidatePath(((0.5, 0.0),), ((0, 1), (1, 2)), (0,), (1, 2), features, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="disjoint"):
+            CandidatePath(((0.5, 0.0),), ((0, 1),), (0, 1), (1,), features, 0.0, 0.0, 0.0)
+        cand = CandidatePath(((0.5, 0.0),), ((0, 1),), (0,), (1,), features, -1.0, -2.0, -3.0)
+        with pytest.raises(AttributeError):
+            cand.log_posterior = 0.0
+        with pytest.raises(AttributeError):
+            cand.waypoints = np.zeros((1, 2))
+        assert cand.waypoints.tolist() == [[0.5, 0.0]]
+
+
 class TestGoldenBytes:
     # sha256 of the plan records below, recorded while the search scored
     # every path with compute_features from scratch; with verbose candidates
@@ -436,7 +496,7 @@ class TestNoiseFreeContainment:
         # cone spacing near the feature set's operating point (~1 m of path
         # per crossed edge); sparse 5 m spacing leaves the edge-count term on
         # a gradient steep enough to override color evidence
-        from conetrack.evaluate import first_exit_distance, track_corridor
+        from conetrack.evaluate import first_exit_distances, track_corridor
         from conetrack.simulate import CenterlineGeometry, TrackSpec, generate_track
 
         track = generate_track(TrackSpec(length_m=210.0, hairpin_count=1, cone_spacing_m=2.2), seed=7)
@@ -462,7 +522,8 @@ class TestNoiseFreeContainment:
             if result.selected is None:
                 continue
             planned += 1
-            exit_d = first_exit_distance(ego.position, result.selected.waypoints, corridor)
+            chain = np.vstack([ego.position, result.selected.waypoints])
+            (exit_d,) = first_exit_distances(chain, [0, len(chain)], corridor)
             assert exit_d is None, f"path left the corridor at {exit_d:.2f} m (s={s:.1f})"
         assert planned >= 20
 
