@@ -145,7 +145,7 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_track(track, out)
-    print(f"wrote {out} ({len(track.cones)} cones, {track.total_length:.1f} m)")
+    print(f"wrote {out} ({len(track.positions)} cones, {track.total_length:.1f} m)")
     return EXIT_OK
 
 

@@ -157,12 +157,8 @@ def integrate_velocity(pose: Pose2, vel: Velocity2, dt: float) -> Pose2:
     )
 
 
-class ConeClass(Enum):
-    """Color classes carried by detection probability distributions."""
-
-    BLUE = "blue"
-    YELLOW = "yellow"
-    UNKNOWN = "unknown"
+# names of the colour classes 0-2, the columns of colour evidence
+CLASS_NAMES = ("blue", "yellow", "unknown")
 
 
 # Where the closed-form smallest eigenvalue clears the floor by this much

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Pose2, compose, invert
-from .simulate import CenterlineGeometry, TrackDefinition
+from .simulate import CenterlineGeometry, TrackDefinition, boundary_order
 
 HISTOGRAM_BIN_COUNT = 16  # 1 m bins, 0..15 m, matching the planning horizon
 
@@ -192,17 +192,8 @@ class TrackCorridor:
 
 def track_corridor(track: TrackDefinition) -> TrackCorridor:
     """Corridor polygon(s) from the boundary cones, ordered along the track."""
-    geom = CenterlineGeometry(track.centerline)
-    left, right = [], []
-    for cone in track.cones:
-        if cone.color == "orange":
-            continue
-        s = geom.nearest_arc_length(cone.position)
-        (left if cone.color == "blue" else right).append((s, cone.position))
-    left.sort(key=lambda e: e[0])
-    right.sort(key=lambda e: e[0])
-    left_ring = np.array([p for _, p in left])
-    right_ring = np.array([p for _, p in right])
+    _, (left, right) = boundary_order(track, CenterlineGeometry(track.centerline))
+    left_ring, right_ring = track.positions[left], track.positions[right]
     if abs(_shoelace_area(left_ring)) >= abs(_shoelace_area(right_ring)):
         return TrackCorridor(outer=left_ring, inner=right_ring)
     return TrackCorridor(outer=right_ring, inner=left_ring)

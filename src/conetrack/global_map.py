@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .core import (
-    ConeClass,
+    CLASS_NAMES,
     Pose2,
     body_frame_point,
     check_range,
@@ -40,8 +40,6 @@ ODOMETRY_EDGE = np.dtype([("relative", float, (3,)), ("information", float, (3, 
 OBSERVATION_EDGE = np.dtype(
     [("pose", np.intp), ("landmark", np.intp), ("measurement", float, (2,)), ("information", float, (2, 2))]
 )
-# landmark class codes, in colour evidence order
-_CLASSES = (ConeClass.BLUE, ConeClass.YELLOW, ConeClass.UNKNOWN)
 
 
 class GraphStructureError(ValueError):
@@ -176,7 +174,7 @@ class Graph:
     def add_landmark(self, position: np.ndarray) -> int:
         """Append a landmark without color evidence; returns its row."""
         self._landmarks.append([position])
-        self._classes.append([_CLASSES.index(ConeClass.UNKNOWN)])
+        self._classes.append([2])  # unknown until colour evidence arrives
         self.color_evidence.append({})
         return len(self.landmarks) - 1
 
@@ -289,7 +287,7 @@ def add_snapshot(
         lm = graph.local_links.get(cid)
         if lm is None:
             world_guess = transform_point(pose, measurements[j])
-            cone_class = _CLASSES[_dominant_class([evidence[j]])]
+            cone_class = _dominant_class([evidence[j]])
             lm = _associate_landmark(graph, world_guess, config.association_radius_m, live_ids, cone_class)
             if lm is None:
                 lm = graph.add_landmark(world_guess)
@@ -304,7 +302,7 @@ def add_snapshot(
 
 
 def _associate_landmark(
-    graph: Graph, world_point: np.ndarray, radius: float, live_ids: set[int], cone_class: ConeClass
+    graph: Graph, world_point: np.ndarray, radius: float, live_ids: set[int], cone_class: int
 ) -> int | None:
     """Nearest compatible landmark within the merge radius, if any; the highest id wins a tie.
 
@@ -314,7 +312,7 @@ def _associate_landmark(
     """
     offset = graph.landmarks - world_point
     # a landmark outside the box around the point is outside the radius too
-    candidate = (graph._classes.rows == _CLASSES.index(cone_class)) & (np.abs(offset) <= radius).all(axis=1)
+    candidate = (graph._classes.rows == cone_class) & (np.abs(offset) <= radius).all(axis=1)
     candidate[[graph.local_links[c] for c in live_ids if c in graph.local_links]] = False
     best = None
     best_d = radius
@@ -621,7 +619,7 @@ def export_map(graph: Graph, min_edges: int = 1) -> list[dict]:
                 "id": i,
                 "x_m": x,
                 "y_m": y,
-                "color": _CLASSES[classes[i]].value,
+                "color": CLASS_NAMES[classes[i]],
                 "p_blue": p_blue,
                 "p_yellow": p_yellow,
                 "p_unknown": p_unknown,

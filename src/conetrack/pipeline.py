@@ -227,7 +227,7 @@ def map_alignment(records: list[dict], track: TrackDefinition, start_pose: Pose2
     """
     pts = np.array([[r["x_m"], r["y_m"]] for r in records])
     world = np.array([start_pose.rotation() @ p + start_pose.position for p in pts])
-    alignment = icp_align(world, track.cone_positions(), init=Pose2.identity())
+    alignment = icp_align(world, track.positions, init=Pose2.identity())
     return {
         "rmse_m": map_rmse(alignment),
         "matched": len(alignment.correspondences),
@@ -413,11 +413,7 @@ def replay_snapshots(
         t0 = time.perf_counter()
         stats = planning_stats(engine.planner_records, track)
         timings["planning_stats"] = [(time.perf_counter() - t0) * 1e3]
-        report["planning"] = {
-            "path_length_fractions": [float(v) for v in stats.path_length_fractions],
-            "out_of_track_fractions": [float(v) for v in stats.out_of_track_fractions],
-            "total_paths": stats.total_paths,
-        }
+        report["planning"] = build_report(None, stats)["planning"]
     report["timing"] = {stage: timing_percentiles(samples) for stage, samples in timings.items()}
     (out_dir / "replay_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     return report

@@ -29,6 +29,10 @@ from .core import (
 )
 
 TRACK_SCHEMA_VERSION = 1
+# the names of the track's colour codes, used only where track.json is written
+# and read; codes 0-2 are also the observation classes blue, yellow and
+# unknown, so an orange cone reads as unknown
+TRACK_COLORS = ("blue", "yellow", "orange")
 
 
 class InfeasibleTrackError(ValueError):
@@ -37,19 +41,6 @@ class InfeasibleTrackError(ValueError):
 
 class TrackValidationError(ValueError):
     """Raised when a generated or loaded track violates the rule limits."""
-
-
-@dataclass(frozen=True)
-class TrackCone:
-    position: np.ndarray  # world frame, meters
-    color: str  # "blue" | "yellow" | "orange"
-
-    def __post_init__(self) -> None:
-        pos = np.array(self.position, dtype=float).reshape(2)
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
-        if self.color not in ("blue", "yellow", "orange"):
-            raise ValueError(f"unknown cone color {self.color!r}")
 
 
 # Rule-like bounds the generator and validator enforce
@@ -65,34 +56,36 @@ SPACING_SLACK_M = 0.5
 
 @dataclass(frozen=True)
 class TrackDefinition:
-    """Ground-truth track: cones, centerline polyline, and loop length."""
+    """Ground-truth track: cone positions and colour codes, centerline polyline, and loop length.
 
-    cones: tuple[TrackCone, ...]
+    ``positions`` is a read-only (n, 2) array of world positions in metres and
+    ``colors`` a read-only (n,) array of codes into :data:`TRACK_COLORS`, one
+    row per cone.
+    """
+
+    positions: np.ndarray
+    colors: np.ndarray
     centerline: np.ndarray  # (K, 2), closed loop, last point != first
     total_length: float
 
     def __post_init__(self) -> None:
-        line = np.array(self.centerline, dtype=float)
-        line.setflags(write=False)
-        object.__setattr__(self, "centerline", line)
-        object.__setattr__(self, "cones", tuple(self.cones))
-        positions = np.array([c.position for c in self.cones], dtype=float).reshape(-1, 2)
-        positions.setflags(write=False)
-        object.__setattr__(self, "_positions", positions)
-
-    def cone_positions(self) -> np.ndarray:
-        """(n, 2) world positions, one row per cone; read-only, computed once."""
-        return self._positions
+        for name, value in (
+            ("positions", np.array(self.positions, dtype=float).reshape(-1, 2)),
+            ("colors", np.array(self.colors, dtype=np.intp).reshape(-1)),
+            ("centerline", np.array(self.centerline, dtype=float)),
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {
             "schema_version": TRACK_SCHEMA_VERSION,
             "total_length_m": self.total_length,
             "cones": [
-                {"x_m": float(c.position[0]), "y_m": float(c.position[1]), "color": c.color}
-                for c in self.cones
+                {"x_m": x, "y_m": y, "color": TRACK_COLORS[code]}
+                for (x, y), code in zip(self.positions.tolist(), self.colors.tolist())
             ],
-            "centerline_m": [[float(x), float(y)] for x, y in self.centerline],
+            "centerline_m": self.centerline.tolist(),
         }
 
     @classmethod
@@ -105,14 +98,14 @@ class TrackDefinition:
                 raise TrackValidationError(f"track field {key!r} is missing")
         if not isinstance(data["cones"], list):
             raise TrackValidationError("track field 'cones' needs a list of cones")
-        cones = []
+        positions, colors = [], []
         for k, c in enumerate(data["cones"]):
             if not isinstance(c, dict) or not (is_finite_number(c.get("x_m")) and is_finite_number(c.get("y_m"))):
                 raise TrackValidationError(f"track field 'cones' item {k} needs numeric x_m and y_m: {c!r}")
-            try:
-                cones.append(TrackCone(np.array([c["x_m"], c["y_m"]], dtype=float), c.get("color")))
-            except ValueError as exc:
-                raise TrackValidationError(f"track field 'cones' item {k}: {exc}") from exc
+            if c.get("color") not in TRACK_COLORS:
+                raise TrackValidationError(f"track field 'cones' item {k}: unknown cone color {c.get('color')!r}")
+            positions.append((c["x_m"], c["y_m"]))
+            colors.append(TRACK_COLORS.index(c["color"]))
         line = data["centerline_m"]
         if not (
             isinstance(line, list) and len(line) >= 3
@@ -122,7 +115,7 @@ class TrackDefinition:
         length = data["total_length_m"]
         if not (is_finite_number(length) and length > 0):
             raise TrackValidationError(f"track field 'total_length_m' needs a positive number, got {length!r}")
-        return cls(tuple(cones), np.array(line, dtype=float), float(length))
+        return cls(positions, colors, line, float(length))
 
 
 def save_track(track: TrackDefinition, path: Path | str) -> None:
@@ -130,7 +123,10 @@ def save_track(track: TrackDefinition, path: Path | str) -> None:
 
 
 def load_track(path: Path | str) -> TrackDefinition:
-    return TrackDefinition.from_dict(json.loads(Path(path).read_text()))
+    """Read a track file; one that breaks the rule limits raises :class:`TrackValidationError`."""
+    track = TrackDefinition.from_dict(json.loads(Path(path).read_text()))
+    validate_track(track)
+    return track
 
 
 class CenterlineGeometry:
@@ -258,35 +254,44 @@ def validate_spec(spec: TrackSpec) -> None:
         raise InfeasibleTrackError("loop generator needs at least 6 control points")
 
 
+def boundary_order(
+    track: TrackDefinition, geom: CenterlineGeometry
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Each cone's arc length along ``geom``, and the blue (left) and yellow (right) rows in arc order.
+
+    ``nearest_arc_length`` runs once per cone. The sort is stable, so cones at
+    the same arc length keep their row order.
+    """
+    arcs = np.array([geom.nearest_arc_length(p) for p in track.positions])
+    sides = (np.flatnonzero(track.colors == code) for code in (0, 1))
+    return arcs, tuple(rows[np.argsort(arcs[rows], kind="stable")] for rows in sides)
+
+
 def validate_track(track: TrackDefinition) -> None:
-    """Check side assignment, spacing, and width against the rule limits."""
-    geom = CenterlineGeometry(track.centerline)
-    sides: dict[str, list[tuple[float, np.ndarray]]] = {"left": [], "right": []}
-    for cone in track.cones:
-        s = geom.nearest_arc_length(cone.position)
-        p = geom.point_at(s)
+    """Check the centerline, side assignment, width and spacing against the rule limits."""
+    try:
+        geom = CenterlineGeometry(track.centerline)
+    except ValueError as exc:
+        raise TrackValidationError(str(exc)) from exc
+    arcs, sides = boundary_order(track, geom)
+    half_min, half_max = MIN_WIDTH_M / 2, MAX_WIDTH_M / 2
+    for position, s, code in zip(track.positions, arcs.tolist(), track.colors.tolist()):
         heading = geom.heading_at(s)
-        tangent = np.array([math.cos(heading), math.sin(heading)])
-        off = cone.position - p
-        cross = tangent[0] * off[1] - tangent[1] * off[0]
-        side = "left" if cross > 0 else "right"
+        off = position - geom.point_at(s)
+        cross = math.cos(heading) * off[1] - math.sin(heading) * off[0]
         lateral = abs(cross)
-        half_min, half_max = MIN_WIDTH_M / 2, MAX_WIDTH_M / 2
         if not half_min - 0.3 <= lateral <= half_max + 0.3:
-            raise TrackValidationError(
-                f"cone at {cone.position} sits {lateral:.2f} m off the centerline"
-            )
-        if cone.color == "blue" and side != "left":
-            raise TrackValidationError(f"blue cone at {cone.position} is on the right side")
-        if cone.color == "yellow" and side != "right":
-            raise TrackValidationError(f"yellow cone at {cone.position} is on the left side")
-        if cone.color != "orange":
-            sides[side].append((s, cone.position))
+            raise TrackValidationError(f"cone at {position} sits {lateral:.2f} m off the centerline")
+        # blue (code 0) belongs on the left, where cross > 0; yellow (1) on the right
+        if code < 2 and (cross > 0) != (code == 0):
+            side = "right" if code == 0 else "left"
+            raise TrackValidationError(f"{TRACK_COLORS[code]} cone at {position} is on the {side} side")
     max_gap = MAX_SAME_SIDE_SPACING_M + SPACING_SLACK_M
-    for side, entries in sides.items():
-        entries.sort(key=lambda e: e[0])
-        arcs = np.array([e[0] for e in entries])
-        gaps = np.diff(np.concatenate([arcs, [arcs[0] + geom.length]]))
+    for side, rows in zip(("left", "right"), sides):
+        if not len(rows):
+            raise TrackValidationError(f"{side} side has no cones")
+        side_arcs = arcs[rows]
+        gaps = np.diff(np.concatenate([side_arcs, [side_arcs[0] + geom.length]]))
         if gaps.max() > max_gap + 1e-9:
             raise TrackValidationError(
                 f"{side} side has a {gaps.max():.2f} m gap (limit {max_gap:.2f} m)"
@@ -434,23 +439,16 @@ def generate_track(spec: TrackSpec, seed: int) -> TrackDefinition:
     station_gap = length / n_stations
     half_w = spec.track_width_m / 2
 
-    cones: list[TrackCone] = []
-    for j in range(n_stations):
-        s = j * station_gap
+    # a blue (left) and a yellow (right) cone per station, then the start
+    # line's two orange markers halfway into the first gap
+    rows = []
+    for s in [j * station_gap for j in range(n_stations)] + [station_gap / 2]:
         p = geom.point_at(s)
         heading = geom.heading_at(s)
         normal = np.array([-math.sin(heading), math.cos(heading)])
-        cones.append(TrackCone(p + half_w * normal, "blue"))
-        cones.append(TrackCone(p - half_w * normal, "yellow"))
-    # start line markers halfway into the first gap, one per side
-    s0 = station_gap / 2
-    p = geom.point_at(s0)
-    heading = geom.heading_at(s0)
-    normal = np.array([-math.sin(heading), math.cos(heading)])
-    cones.append(TrackCone(p + half_w * normal, "orange"))
-    cones.append(TrackCone(p - half_w * normal, "orange"))
+        rows += (p + half_w * normal, p - half_w * normal)
 
-    track = TrackDefinition(tuple(cones), centerline, length)
+    track = TrackDefinition(rows, [0, 1] * n_stations + [2, 2], centerline, length)
     validate_track(track)
     return track
 
@@ -641,14 +639,11 @@ def curvature_limited_speed_profile(
     return tuple(out)
 
 
-_CLASS_INDEX = {"blue": 0, "yellow": 1, "orange": 2, "unknown": 2}
-
-
 def observe_cones(
     track: TrackDefinition, true_pose: Pose2, profile: SensorProfile, rng: np.random.Generator, timestamp: float
 ) -> ObservationBatch:
     """Sample one frame of cone detections in the car frame: detections, then false positives."""
-    rel = track.cone_positions() - true_pose.position
+    rel = track.positions - true_pose.position
     c, s = math.cos(true_pose.theta), math.sin(true_pose.theta)
     x, y = c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1]
     ranges = np.hypot(x, y)
@@ -661,7 +656,7 @@ def observe_cones(
     noise = rng.normal(size=(len(detected), 2)) * sigma[:, None]
     correct = rng.random(len(detected)) < profile.color_accuracy(r)
     alt_pick = rng.integers(0, 2, size=len(detected))
-    true_idx = np.array([_CLASS_INDEX[track.cones[i].color] for i in detected], dtype=np.intp)
+    true_idx = track.colors[detected]
     # a confused detection takes the lower (pick 0) or higher (pick 1) of the two other classes
     classes = np.where(correct, true_idx, alt_pick + (alt_pick >= true_idx))
     means = np.column_stack([x[detected], y[detected]]) + noise

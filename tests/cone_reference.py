@@ -1,18 +1,28 @@
 """Per-cone references for the tests, and the one helper tests build cone tables with.
 
-The pipeline holds cones only as ``local_map.ConeTable`` arrays. The types
-here are the per-cone forms those arrays replaced: a Gaussian with its checks,
-a cone record, the scalar Bhattacharyya distance and the per-cone
-snapshot-log reader. Tests pin the array code to them bit for bit.
+The pipeline holds cones only as ``local_map.ConeTable`` arrays and colour
+classes as integer codes. The types here are the per-cone forms those replaced:
+a Gaussian with its checks, a cone record, the colour class enum, the scalar
+Bhattacharyya distance and the per-cone snapshot-log reader. Tests pin the array code to them bit for bit.
 """
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from conetrack.core import ConeClass, Pose2, project_spd
+from conetrack.core import Pose2, project_spd
 from conetrack.local_map import ConeTable, LocalMapSnapshot, MapMode
+
+
+class ConeClass(Enum):
+    """Colour classes as a per-class enum, the form the integer class codes replaced."""
+
+    BLUE = "blue"
+    YELLOW = "yellow"
+    UNKNOWN = "unknown"
+
 
 CLASSES = (ConeClass.BLUE, ConeClass.YELLOW, ConeClass.UNKNOWN)
 

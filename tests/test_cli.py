@@ -17,6 +17,28 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
+def broken_track(edit) -> str:
+    """The text of a valid circle track file after ``edit`` changes its JSON document in place."""
+    data = generate_track(TrackSpec(kind="circle", radius_m=20.0), 0).to_dict()
+    edit(data)
+    return json.dumps(data)
+
+
+# track files that parse but break the rule limits:
+# placeholder -> (file content, text the error must contain)
+BROKEN_TRACKS = {
+    "yellowlesstrack": (
+        broken_track(lambda d: d.update(cones=[c for c in d["cones"] if c["color"] != "yellow"])),
+        "right side has no cones",
+    ),
+    "conelesstrack": (broken_track(lambda d: d.update(cones=[])), "left side has no cones"),
+    "repeatedpointtrack": (
+        broken_track(lambda d: d["centerline_m"].insert(1, d["centerline_m"][1])),
+        "centerline has repeated points",
+    ),
+}
+
+
 class TestGenerate:
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -166,7 +188,11 @@ class TestRun:
         assert noise_free["residual_landmarks_over_0_5m"] == []
         assert noise_free["max_residual_m"] < 1e-6
 
-    @pytest.mark.parametrize("content", [None, "not json {", '{"cones": []}'], ids=["missing", "garbage", "fieldless"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json {", '{"cones": []}', *(text for text, _ in BROKEN_TRACKS.values())],
+        ids=["missing", "garbage", "fieldless", *BROKEN_TRACKS],
+    )
     def test_bad_track_file_exits_2_before_any_artifact(self, tmp_path, capsys, content):
         track = tmp_path / "track.json"
         if content is not None:
@@ -218,6 +244,16 @@ class TestReplay:
         assert (out / "planner_log.ndjson").read_bytes() == (run_dir / "planner_log.ndjson").read_bytes()
         assert (out / "map_estimated.json").read_bytes() == (run_dir / "map_estimated.json").read_bytes()
         assert read_json(out / "replay_report.json")["timing"]["planning_stats"]["count"] == 1
+
+    def test_replay_and_eval_give_one_planning_summary(self, tmp_path, run_dir):
+        track = str(run_dir / "track.json")
+        replay = ["replay", "--snapshots", str(run_dir / "snapshots.ndjson"), "--config", "noise-free-circle"]
+        assert main([*replay, "--track", track, "--out", str(tmp_path / "replay")]) == 0
+        log = str(run_dir / "planner_log.ndjson")
+        assert main(["eval", "--track", track, "--planner-log", log, "--out", str(tmp_path / "eval.json")]) == 0
+        planning = read_json(tmp_path / "replay" / "replay_report.json")["planning"]
+        assert planning == read_json(tmp_path / "eval.json")["planning"]
+        assert {"bin_edges_m", "out_of_track_within_5m_fraction"} <= set(planning)
 
     def test_noisy_replay_reproduces_maps_and_counts_snapshots(self, tmp_path, noisy_run, capsys):
         config, run = noisy_run
@@ -305,6 +341,8 @@ BAD_INPUTS = [
     ["generate", "--spec", "{garbage}"],
     ["generate", "--spec", "{notobject}"],
     ["eval", "--track", "{fieldless}"],
+    *(["eval", "--track", f"{{{name}}}"] for name in BROKEN_TRACKS),
+    *(["replay", "--snapshots", "{garbage}", "--track", f"{{{name}}}"] for name in BROKEN_TRACKS),
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{badtime}"],
     ["run", "--config", "{badseed}"],
     ["run", "--config", "{negseed}"],
@@ -439,6 +477,7 @@ BAD_FILES = {
     "zerobeam": ('{"planner_limit_overrides": {"beam_width": 0}}', "beam_width"),
     "floatedges": ('{"planner_limit_overrides": {"max_edges": 2.5}}', "max_edges"),
     "nanprior": ('{"prior_weight": NaN}', "prior_weight"),
+    **BROKEN_TRACKS,
 }
 
 

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_reference import RefGaussian, color_class, ref_bhattacharyya_distance
+from cone_reference import ConeClass, RefGaussian, color_class, ref_bhattacharyya_distance
 from conetrack.core import (
     COV_EIGENVALUE_FLOOR,
-    ConeClass,
     ObservationBatch,
     Pose2,
     SensorSource,

@@ -12,11 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from cone_reference import RefCone, RefGaussian, color_class, color_probabilities, cone_table
+from cone_reference import CLASSES, RefCone, RefGaussian, color_class, color_probabilities, cone_table
 from map_reference import colamd_optimize, one_edge
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import (
-    ConeClass,
     Pose2,
     body_frame_point,
     compose,
@@ -131,7 +130,7 @@ class TestGraphConstruction:
 
 
 def associate_by_scalar_loop(graph, world_point, radius, live_ids, cone_class):
-    """Reference for _associate_landmark: the per-landmark loop it replaced."""
+    """Reference for _associate_landmark: the per-landmark loop it replaced; ``cone_class`` is the class code 0-2."""
     links = {}
     for local_id, lm in graph.local_links.items():
         links.setdefault(lm, set()).add(local_id)
@@ -143,7 +142,7 @@ def associate_by_scalar_loop(graph, world_point, radius, live_ids, cone_class):
         for ev in graph.color_evidence[i].values():
             total += ev
         color = color_probabilities(total) if total.sum() > 0 else np.array([0.0, 0.0, 1.0])
-        if color_class(color) is not cone_class:
+        if color_class(color) is not CLASSES[cone_class]:
             continue
         d = math.hypot(position[0] - world_point[0], position[1] - world_point[1])
         if d <= best_d:
@@ -155,7 +154,6 @@ def associate_by_scalar_loop(graph, world_point, radius, live_ids, cone_class):
 class TestAssociation:
     def test_numpy_pass_equals_scalar_loop(self):
         rng = np.random.default_rng(21)
-        classes = (ConeClass.BLUE, ConeClass.YELLOW, ConeClass.UNKNOWN)
         matched = tied = 0
         for _ in range(300):
             graph = Graph()
@@ -169,7 +167,7 @@ class TestAssociation:
                     next_id += 1
             live = {int(i) for i in rng.integers(0, next_id + 5, size=rng.integers(0, 6))}
             point = 0.5 * rng.integers(-4, 5, size=2) + rng.choice([0.0, 0.3], size=2)
-            cone_class = classes[rng.integers(0, 3)]
+            cone_class = int(rng.integers(0, 3))
             expected, ties = associate_by_scalar_loop(graph, point, 1.5, live, cone_class)
             assert _associate_landmark(graph, point, 1.5, live, cone_class) == expected
             matched += expected is not None
@@ -258,12 +256,12 @@ class TestOptimize:
 
     def test_noise_free_landmark_count_matches_truth(self):
         track, graph, _ = build_noise_free_graph()
-        assert len(graph.landmarks) == len(track.cones)
+        assert len(graph.landmarks) == len(track.positions)
 
     def test_noise_free_map_matches_truth_up_to_gauge(self):
         track, graph, start_pose = build_noise_free_graph()
         result = optimize(graph, CONFIG)
-        truth = track.cone_positions()
+        truth = track.positions
         for lm in result.landmarks:
             world = transform_point(start_pose, lm)
             assert np.hypot(*(truth - world).T).min() < 1e-6
@@ -353,7 +351,7 @@ class TestNoisyImprovement:
         dead_reckoned = export_map(graph)
         graph.merge_estimates(optimize(graph, CONFIG))
         optimized = export_map(graph)
-        truth = track.cone_positions()
+        truth = track.positions
 
         def rmse(records):
             pts = np.array([[r["x_m"], r["y_m"]] for r in records])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cone_reference import (
     RefCone,
+    ConeClass,
     RefGaussian,
     color_class,
     color_probabilities,
@@ -20,7 +21,6 @@ from cone_reference import (
     ref_snapshot_from_dict,
 )
 from conetrack.core import (
-    ConeClass,
     ObservationBatch,
     Pose2,
     SensorSource,
@@ -379,7 +379,7 @@ class TestIngest:
     def test_noise_free_positions_exact(self):
         track = generate_track(TrackSpec(kind="circle", radius_m=20.0), seed=1)
         state, snapshots, start_pose = run_noise_free_lap(track, mode=MapMode.FUSION)
-        truth = track.cone_positions()
+        truth = track.positions
         snap = snapshots[len(snapshots) // 2]
         assert snap.cones, "expected cones in the local map"
         for mean in snap.cones.means:
@@ -415,7 +415,7 @@ class TestIngest:
                 obs = joined(obs, phantom)
             state, snap = ingest_frame(state, [obs], vel, dt, cfg)
             if math.isclose(timestamp, inject_at):
-                truth = track.cone_positions()
+                truth = track.positions
                 for cid, mean in zip(snap.cones.ids.tolist(), snap.cones.means):
                     if np.hypot(*(truth - mean).T).min() > 0.5:
                         fp_id = cid

@@ -497,7 +497,7 @@ class TestNoiseFreeContainment:
         # per crossed edge); sparse 5 m spacing leaves the edge-count term on
         # a gradient steep enough to override color evidence
         from conetrack.evaluate import first_exit_distances, track_corridor
-        from conetrack.simulate import CenterlineGeometry, TrackSpec, generate_track
+        from conetrack.simulate import TRACK_COLORS, CenterlineGeometry, TrackSpec, generate_track
 
         track = generate_track(TrackSpec(length_m=210.0, hairpin_count=1, cone_spacing_m=2.2), seed=7)
         corridor = track_corridor(track)
@@ -507,14 +507,14 @@ class TestNoiseFreeContainment:
         for s in np.linspace(0, geom.length, 25, endpoint=False):
             ego = geom.pose_at(s)
             visible = []
-            for idx, cone in enumerate(track.cones):
-                d = cone.position - ego.position
+            for position, code in zip(track.positions, track.colors.tolist()):
+                d = position - ego.position
                 r = math.hypot(*d)
                 bearing = math.atan2(d[1], d[0]) - ego.theta
                 bearing = math.atan2(math.sin(bearing), math.cos(bearing))
                 if r <= 20.0 and abs(bearing) <= 1.6:
-                    color = {"blue": (1.0, 0.0, 0.0), "yellow": (0.0, 1.0, 0.0), "orange": (0.0, 0.0, 1.0)}[cone.color]
-                    visible.append(make_cone(len(visible), tuple(cone.position), color))
+                    color = {"blue": (1.0, 0.0, 0.0), "yellow": (0.0, 1.0, 0.0), "orange": (0.0, 0.0, 1.0)}[TRACK_COLORS[code]]
+                    visible.append(make_cone(len(visible), tuple(position), color))
             if len(visible) < 3:
                 continue
             snap = LocalMapSnapshot(0.0, ego, cone_table(visible), frozenset(c.id for c in visible), MapMode.FUSION)

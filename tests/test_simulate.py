@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from cone_reference import RefGaussian, color_class
-from conetrack.core import ConeClass, Pose2, SensorSource, Velocity2, integrate_velocity
+from cone_reference import ConeClass, RefGaussian, color_class
+from conetrack.config import load_config
+from conetrack.core import Pose2, SensorSource, Velocity2, integrate_velocity
 from conetrack.simulate import (
+    TRACK_COLORS,
     CenterlineGeometry,
     InfeasibleTrackError,
     ScenarioDriver,
@@ -17,6 +21,7 @@ from conetrack.simulate import (
     SimRun,
     TrackDefinition,
     TrackSpec,
+    TrackValidationError,
     _periodic_spline,
     _periodic_spline_derivatives,
     curvature_limited_speed_profile,
@@ -33,15 +38,18 @@ from conetrack.simulate import (
 CIRCLE_SPEC = TrackSpec(kind="circle", radius_m=30.0, cone_spacing_m=5.0)
 
 
+def one_color_track(points, color, centerline, length):
+    """A track whose cones at ``points`` all have the colour named ``color``."""
+    return TrackDefinition(points, [TRACK_COLORS.index(color)] * len(points), centerline, length)
+
+
 class TestTrackGeneration:
     def test_circle_cone_count(self):
         track = generate_track(CIRCLE_SPEC, seed=1)
         expected_per_side = math.floor(2 * math.pi * 30.0 / 5.0)
-        blue = [c for c in track.cones if c.color == "blue"]
-        yellow = [c for c in track.cones if c.color == "yellow"]
-        assert len(blue) == len(yellow) == expected_per_side
-        orange = [c for c in track.cones if c.color == "orange"]
-        assert len(orange) == 2
+        names = [TRACK_COLORS[code] for code in track.colors.tolist()]
+        assert names.count("blue") == names.count("yellow") == expected_per_side
+        assert names.count("orange") == 2
 
     def test_deterministic_per_seed(self):
         spec = TrackSpec(length_m=250.0)
@@ -72,27 +80,65 @@ class TestTrackGeneration:
 
     def test_validator_catches_wrong_side(self):
         track = generate_track(CIRCLE_SPEC, seed=1)
-        cones = list(track.cones)
-        bad = cones[0]
+        positions = np.array(track.positions)
+        assert TRACK_COLORS[track.colors[0]] == "blue"
         # move a blue cone onto the right boundary
         geom = CenterlineGeometry(track.centerline)
-        s = geom.nearest_arc_length(bad.position)
-        p = geom.point_at(s)
-        flipped = type(bad)(2 * p - bad.position, "blue")
-        cones[0] = flipped
-        broken = TrackDefinition(tuple(cones), track.centerline, track.total_length)
+        s = geom.nearest_arc_length(positions[0])
+        positions[0] = 2 * geom.point_at(s) - positions[0]
+        broken = TrackDefinition(positions, track.colors, track.centerline, track.total_length)
         with pytest.raises(Exception):
             validate_track(broken)
 
+    def test_validator_names_an_empty_side_or_a_repeated_centerline_point(self):
+        track = generate_track(CIRCLE_SPEC, seed=1)
+        no_yellow = track.colors != TRACK_COLORS.index("yellow")
+        line = track.centerline
+        broken = {
+            "right side has no cones": (track.positions[no_yellow], track.colors[no_yellow], line),
+            "left side has no cones": (np.empty((0, 2)), [], line),
+            "centerline has repeated points": (track.positions, track.colors, np.insert(line, 1, line[1], axis=0)),
+        }
+        for message, (positions, colors, centerline) in broken.items():
+            with pytest.raises(TrackValidationError, match=message):
+                validate_track(TrackDefinition(positions, colors, centerline, track.total_length))
+
     def test_json_roundtrip(self, tmp_path):
         track = generate_track(TrackSpec(length_m=220.0), seed=9)
-        path = tmp_path / "track.json"
+        path, again = tmp_path / "track.json", tmp_path / "again.json"
         save_track(track, path)
         loaded = load_track(path)
-        assert loaded.total_length == pytest.approx(track.total_length)
-        assert np.allclose(loaded.cone_positions(), track.cone_positions())
+        save_track(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert loaded.total_length == track.total_length
+        assert np.array_equal(loaded.positions, track.positions)
+        assert np.array_equal(loaded.colors, track.colors)
+        for arrays in ((track.positions, track.colors), (loaded.positions, loaded.colors)):
+            assert not any(a.flags.writeable for a in arrays)
         data = json.loads(path.read_text())
         assert "total_length_m" in data and "cones" in data
+
+
+class TestGoldenBytes:
+    """``save_track`` of each builtin config's track, and of a 500 m loop, keeps its bytes."""
+
+    DIGESTS = {
+        "fsg-like-5ms": "3da60b16be0279a101b119c74768db5fea70a33c6feaecd1fe5ad3c3a985f7a5",
+        "fsg-like-12ms": "3da60b16be0279a101b119c74768db5fea70a33c6feaecd1fe5ad3c3a985f7a5",
+        "modes-5ms": "2715e1b5da95521b9d5c0ff8eeb9f3d253211507602742ef98e2c90c01be3c5a",
+        "noise-free-circle": "84e96cded7c6ab8d04bee9f844a692372215fcea0c4ba297194110ec6281671f",
+        "planning-15m": "f948b0c186503a4cb45878b9de2ad6f3d2e4f7be1c67d6f1b04a202251e38273",
+        # fsg-like-5ms's spec and seed, stretched to 500 m
+        "fsg-like-5ms-500m": "d170c1690956ace78fc8734b4c19cc67a63b36cc6e3f6aefa695c750501ca0dc",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_track_file_digest(self, name, tmp_path):
+        config = load_config(name.removesuffix("-500m"))
+        spec = dataclasses.replace(config.track_spec, length_m=500.0) if name.endswith("-500m") else config.track_spec
+        path = tmp_path / "track.json"
+        save_track(generate_track(spec, config.seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[name]
 
 
 @st.composite
@@ -179,7 +225,7 @@ class TestFrameSimulation:
         rng = np.random.default_rng(0)
         obs = observe_cones(track, pose, profile, rng, 0.0)
         assert len(obs), "cones expected in the frustum at the start line"
-        positions = track.cone_positions()
+        positions = track.positions
         for mean in obs.means:
             world = pose.rotation() @ mean + pose.position
             dists = np.hypot(*(positions - world).T)
@@ -195,10 +241,8 @@ class TestFrameSimulation:
 
     def test_recall_monte_carlo(self):
         # one cone at 10 m dead ahead, recall 0.9 configured
-        track = TrackDefinition(
-            (type(generate_track(CIRCLE_SPEC, 1).cones[0])(np.array([10.0, 0.0]), "blue"),),
-            np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0], [15.0, 0.0]]),
-            20.0,
+        track = one_color_track(
+            np.array([[10.0, 0.0]]), "blue", np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0], [15.0, 0.0]]), 20.0
         )
         profile = SensorProfile(
             mode="fusion",
@@ -213,11 +257,8 @@ class TestFrameSimulation:
         assert hits / 10_000 == pytest.approx(0.9, abs=0.01)
 
     def test_position_noise_calibrated_per_bin(self):
-        cones = []
-        cone_cls = type(generate_track(CIRCLE_SPEC, 1).cones[0])
-        for r in (3.0, 8.0, 13.0):
-            cones.append(cone_cls(np.array([r, 0.0]), "blue"))
-        track = TrackDefinition(tuple(cones), np.array([[0.0, 0.0], [7.0, 0.0], [14.0, 0.0]]), 21.0)
+        points = np.array([[r, 0.0] for r in (3.0, 8.0, 13.0)])
+        track = one_color_track(points, "blue", np.array([[0.0, 0.0], [7.0, 0.0], [14.0, 0.0]]), 21.0)
         profile = SensorProfile(
             mode="fusion",
             sigma_base_m=0.05,
@@ -240,12 +281,7 @@ class TestFrameSimulation:
             assert measured[1] == pytest.approx(expected, rel=0.05)
 
     def test_color_accuracy_calibrated(self):
-        cone_cls = type(generate_track(CIRCLE_SPEC, 1).cones[0])
-        track = TrackDefinition(
-            (cone_cls(np.array([9.0, 0.0]), "yellow"),),
-            np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]),
-            15.0,
-        )
+        track = one_color_track(np.array([[9.0, 0.0]]), "yellow", np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]), 15.0)
         profile = SensorProfile(
             mode="fusion",
             color_accuracy_bins=((15.0, 0.85),),
@@ -261,12 +297,7 @@ class TestFrameSimulation:
         assert correct / n == pytest.approx(0.85, abs=0.02)
 
     def test_false_positive_rate(self):
-        cone_cls = type(generate_track(CIRCLE_SPEC, 1).cones[0])
-        track = TrackDefinition(
-            (cone_cls(np.array([100.0, 0.0]), "blue"),),
-            np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]),
-            15.0,
-        )
+        track = one_color_track(np.array([[100.0, 0.0]]), "blue", np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]), 15.0)
         profile = SensorProfile(mode="fusion", false_positives_per_frame=0.5)
         rng = np.random.default_rng(5)
         pose = Pose2(0, 0, 0)
@@ -349,7 +380,7 @@ def ref_peaked_distribution(class_idx, confidence):
 
 def ref_observe_cones(track, true_pose, profile, rng, timestamp):
     """Returns the detections as (RefGaussian, probabilities) pairs, the false-positive count and the confused count."""
-    positions = track.cone_positions()
+    positions = track.positions
     rel = positions - true_pose.position
     c, s = math.cos(true_pose.theta), math.sin(true_pose.theta)
     body = np.column_stack([c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1]])
@@ -368,7 +399,7 @@ def ref_observe_cones(track, true_pose, profile, rng, timestamp):
         accuracy = profile.color_accuracy(r)
         correct = rng.random(len(detected)) < accuracy
         alt_pick = rng.integers(0, 2, size=len(detected))
-        true_idx = np.array([REF_CLASS_INDEX[track.cones[i].color] for i in detected])
+        true_idx = np.array([REF_CLASS_INDEX[TRACK_COLORS[track.colors[i]]] for i in detected])
         sampled = true_idx.copy()
         for k in np.flatnonzero(~correct):
             others = [j for j in range(3) if j != true_idx[k]]
