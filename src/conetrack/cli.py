@@ -15,7 +15,7 @@ from .config import ConfigError, RunConfig, RunFailure, load_config, read_input,
 from .core import is_finite_number
 from .evaluate import build_report, load_trajectory, planning_stats, save_report
 from .global_map import load_map
-from .local_map import read_snapshot_log
+from .local_map import MapMode, read_snapshot_log
 from .pipeline import map_alignment, replay_snapshots, run_pipeline
 from .planner import PLANNER_LOG_SCHEMA_VERSION
 from .simulate import (
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile", help="override the fusion sensor profile (a fusion-mode profile file, builtin:fusion or noise_free:fusion)"
     )
     run.add_argument("--mode-schedule", help="JSON file with timed pipeline failure events")
-    run.add_argument("--force-mode", choices=("fusion", "lidar_only", "camera_only", "degraded"))
+    run.add_argument("--force-mode", choices=[mode.value for mode in MapMode])
     run.add_argument("--closed-loop", action="store_true", help="steer the ego by pure pursuit of the planned path")
     run.add_argument("--verbose-candidates", action="store_true", help="log every candidate's scores")
     run.add_argument("--no-plan", action="store_true", help="skip the planner (mapping only)")

@@ -16,23 +16,23 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core import check_range, is_finite_number
+from .core import SensorSource, check_range, is_finite_number
 from .global_map import GlobalMapConfig
-from .local_map import LocalMapConfig
+from .local_map import MODE_SOURCES, LocalMapConfig, MapMode, mode_of
 from .planner import PlannerConfig
 from .simulate import SensorProfile, TrackSpec, default_profile, load_profile, noise_free_profile
 
-SOURCE_MODES = ("fusion", "lidar_only", "camera_only")
+SOURCE_MODES = tuple(source.value for source in SensorSource)
+
+
+def mode_pipelines(mode: MapMode | None) -> list[str]:
+    """The pipelines whose cones reach the local map in ``mode``, in association order (none for None)."""
+    return [source.value for source, _ in MODE_SOURCES[mode]] if mode else []
 
 
 def emitting_sources(alive: set[str]) -> list[str]:
-    """The live pipelines whose cones reach the local map.
-
-    While early fusion runs, the single-sensor pipelines stay silent.
-    """
-    if "fusion" in alive:
-        return ["fusion"]
-    return [m for m in ("lidar_only", "camera_only") if m in alive]
+    """The live pipelines whose cones reach the local map: those of the mode they select."""
+    return mode_pipelines(mode_of({SensorSource(name) for name in alive}))
 
 
 class ConfigError(ValueError):
@@ -53,7 +53,7 @@ class RunConfig:
     lateral_accel_mps2: float = 6.0
     frame_rate_hz: float = 10.0
     seed: int = 0
-    force_mode: str | None = None  # fusion | lidar_only | camera_only | degraded
+    force_mode: str | None = None  # a MapMode value
     mode_schedule: list[dict] = field(default_factory=list)
     plan_enabled: bool = True
     verbose_candidates: bool = False
@@ -70,7 +70,7 @@ class RunConfig:
             self.track_spec = TrackSpec()
         if not self.profiles:
             self.profiles = {m: default_profile(m) for m in SOURCE_MODES}
-        if self.force_mode not in (None, "fusion", "lidar_only", "camera_only", "degraded"):
+        if self.force_mode not in (None, *(mode.value for mode in MapMode)):
             raise ConfigError(f"unknown force_mode {self.force_mode!r}")
         for name in ("frame_rate_hz", "max_speed_mps", "lateral_accel_mps2", "closed_loop_speed_mps", "divergence_margin_m"):
             try:
@@ -106,38 +106,38 @@ class RunConfig:
     # -- pipelines ----------------------------------------------------------
 
     def initial_pipelines(self) -> set[str]:
-        """Perception pipelines up when the run starts, per ``force_mode``."""
-        if self.force_mode is None:
-            return set(SOURCE_MODES)
-        if self.force_mode == "degraded":
-            return {"lidar_only", "camera_only"}
-        return {self.force_mode}
+        """Perception pipelines up when the run starts: all of them, or those of ``force_mode``."""
+        return set(mode_pipelines(MapMode(self.force_mode)) if self.force_mode else SOURCE_MODES)
+
+    def source_timeline(self) -> list[tuple[float, list[str]]]:
+        """The emitting pipelines over the failure schedule, as ``(time_s, pipelines)`` entries.
+
+        The first entry starts at ``-inf``; then each time the schedule names
+        gets one entry, after all of its events. A frame at time ``t`` reads
+        the last entry that starts at or before ``t``.
+        """
+        alive = self.initial_pipelines()
+        timeline = [(-math.inf, emitting_sources(alive))]
+        events = sorted(self.mode_schedule, key=lambda e: e["time_s"])
+        for time_s, step in itertools.groupby(events, key=lambda e: e["time_s"]):
+            for event in step:
+                alive = (alive - set(event.get("fail", []))) | set(event.get("restore", []))
+            timeline.append((time_s, emitting_sources(alive)))
+        return timeline
 
     def reachable_modes(self) -> set[str]:
         """Every mode whose profile a run can read.
 
-        Fusion always supplies ego motion, and a pipeline that emits at the
-        start or after any step of the failure schedule observes cones (the
-        primary mode is among those at the start).
+        Fusion always supplies ego motion, and a pipeline that emits at any
+        point of :meth:`source_timeline` observes cones.
         """
-        alive = self.initial_pipelines()
-        needed = {"fusion"} | set(emitting_sources(alive))
-        events = sorted(self.mode_schedule, key=lambda e: e["time_s"])
-        for _, step in itertools.groupby(events, key=lambda e: e["time_s"]):
-            for event in step:
-                alive = (alive - set(event.get("fail", []))) | set(event.get("restore", []))
-            needed |= set(emitting_sources(alive))
-        return needed
+        return {"fusion"}.union(*(pipelines for _, pipelines in self.source_timeline()))
 
     # -- derived module configs -------------------------------------------
 
     def primary_mode(self) -> str:
-        """The mode whose profile sets the local map's gates."""
-        if self.force_mode in (None, "fusion"):
-            return "fusion"
-        if self.force_mode == "degraded":
-            return "lidar_only"
-        return self.force_mode
+        """The mode whose profile sets the local map's gates: the first pipeline of ``force_mode``, or fusion."""
+        return mode_pipelines(MapMode(self.force_mode or "fusion"))[0]
 
     def local_map_config(self) -> LocalMapConfig:
         return LocalMapConfig.for_profile(

@@ -216,6 +216,26 @@ def bhattacharyya_distance_matrix(
     return (0.125 * maha + mismatch).reshape(n, m)
 
 
+def greedy_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    """Greedy one-to-one matching of the rows and columns of ``dist``, by ascending distance.
+
+    Pairs farther than ``gate`` are never made. Ties go to the lower row,
+    then the lower column. Returns the (row, column) pairs in ascending order.
+    """
+    rows, cols = np.nonzero(dist <= gate)  # row-major, so a stable sort breaks ties by row, then column
+    order = np.argsort(dist[rows, cols], kind="stable")
+    used_rows: set[int] = set()
+    used_cols: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    for r, c in zip(rows[order].tolist(), cols[order].tolist()):
+        if r in used_rows or c in used_cols:
+            continue
+        used_rows.add(r)
+        used_cols.add(c)
+        pairs.append((r, c))
+    return sorted(pairs)
+
+
 class SensorSource(Enum):
     """Which perception pipeline produced an observation."""
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Pose2, compose, invert
+from .core import Pose2, compose, greedy_pairs, invert
 from .simulate import CenterlineGeometry, TrackDefinition, boundary_order
 
 HISTOGRAM_BIN_COUNT = 16  # 1 m bins, 0..15 m, matching the planning horizon
@@ -44,25 +44,6 @@ class AlignmentResult:
     rmse: float
     unmatched_estimated: int
     unmatched_truth: int
-
-
-def _greedy_one_to_one(est: np.ndarray, truth: np.ndarray, reject_radius: float):
-    """Ascending-distance greedy matching; each point used at most once."""
-    d = np.hypot(est[:, None, 0] - truth[None, :, 0], est[:, None, 1] - truth[None, :, 1])
-    ei, ti = np.nonzero(d <= reject_radius)
-    order = np.argsort(d[ei, ti], kind="stable")
-    used_e: set[int] = set()
-    used_t: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for k in order:
-        e, t = int(ei[k]), int(ti[k])
-        if e in used_e or t in used_t:
-            continue
-        used_e.add(e)
-        used_t.add(t)
-        pairs.append((e, t))
-    pairs.sort()
-    return pairs
 
 
 def _rigid_fit(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarray]:
@@ -111,7 +92,8 @@ def icp_align(
         c, s = math.cos(theta), math.sin(theta)
         rot = np.array([[c, -s], [s, c]])
         moved = est @ rot.T + trans
-        pairs = _greedy_one_to_one(moved, tru, config.reject_radius_m)
+        dist = np.hypot(moved[:, None, 0] - tru[None, :, 0], moved[:, None, 1] - tru[None, :, 1])
+        pairs = greedy_pairs(dist, config.reject_radius_m)
         if not pairs:
             break
         e_idx = np.array([p[0] for p in pairs])

@@ -30,6 +30,7 @@ from .core import (
     Velocity2,
     bhattacharyya_distance_matrix,
     check_range,
+    greedy_pairs,
     integrate_velocity,
     is_finite_number,
     project_spd,
@@ -49,14 +50,23 @@ class MapMode(Enum):
     DEGRADED = "degraded"  # fusion down, both single-sensor pipelines up
 
 
-# which observation sources feed the map in each mode; when fusion runs, the
-# single-sensor pipelines are redundant and must not be fused in again
-_MODE_SOURCES = {
-    MapMode.FUSION: (SensorSource.FUSION,),
-    MapMode.LIDAR_ONLY: (SensorSource.LIDAR_ONLY,),
-    MapMode.CAMERA_ONLY: (SensorSource.CAMERA_ONLY,),
-    MapMode.DEGRADED: (SensorSource.LIDAR_ONLY, SensorSource.CAMERA_ONLY),
+# The (source, colour evidence weight) pairs that feed the map in each mode,
+# in association order. The modes are listed in order of preference: the
+# first whose sources are all live is the one they select. When fusion runs,
+# the single-sensor pipelines are redundant and must not be fused in again;
+# in degraded mode the lidar's colour guess counts for less than the camera's.
+MODE_SOURCES = {
+    MapMode.FUSION: ((SensorSource.FUSION, 1.0),),
+    MapMode.DEGRADED: ((SensorSource.LIDAR_ONLY, 0.3), (SensorSource.CAMERA_ONLY, 1.0)),
+    MapMode.LIDAR_ONLY: ((SensorSource.LIDAR_ONLY, 1.0),),
+    MapMode.CAMERA_ONLY: ((SensorSource.CAMERA_ONLY, 1.0),),
 }
+
+
+def mode_of(live: set[SensorSource]) -> MapMode | None:
+    """The mode a set of live sources selects (see :data:`MODE_SOURCES`), or None when none is live."""
+    return next((mode for mode, pairs in MODE_SOURCES.items() if all(s in live for s, _ in pairs)), None)
+
 
 # (field, lowest, highest, whether the lowest value itself is allowed)
 _CONFIG_RANGES = (
@@ -106,8 +116,6 @@ class LocalMapConfig:
     # information instead of the filter absorbing the drift locally.
     eviction_timeout_s: float = 8.0
     staleness_timeout_s: float = 0.35
-    # per-(mode, source) color evidence scaling; unlisted pairs weigh 1.0
-    color_weights: tuple[tuple[str, str, float], ...] = ((MapMode.DEGRADED.value, SensorSource.LIDAR_ONLY.value, 0.3),)
 
     def __post_init__(self) -> None:
         for name, low, high, low_ok in _CONFIG_RANGES:
@@ -117,16 +125,6 @@ class LocalMapConfig:
             raise ValueError(f"local map process_noise_rate must be two rates, got {rates!r}")
         for rate in rates:
             check_range("local map process_noise_rate", rate, 0.0, math.inf, True)
-        for entry in self.color_weights:
-            if not (isinstance(entry, (tuple, list)) and len(entry) == 3):
-                raise ValueError(f"local map color_weights entries must be (mode, source, weight), got {entry!r}")
-            check_range("local map color_weights", entry[2], 0.0, math.inf, True)
-
-    def color_weight(self, mode: MapMode, source: SensorSource) -> float:
-        for mode_v, source_v, w in self.color_weights:
-            if mode_v == mode.value and source_v == source.value:
-                return w
-        return 1.0
 
     @classmethod
     def for_frame_rate(
@@ -278,19 +276,10 @@ def associate(cones: ConeTable, means: np.ndarray, covs: np.ndarray, config: Loc
     if not len(means) or not len(cones):
         return AssociationResult((), tuple(range(len(means))))
     dist = bhattacharyya_distance_matrix(means, covs, cones.means, cones.covs)
-    oi, ci = np.nonzero(dist <= config.gate_distance)
-    order = np.lexsort((oi, ci, dist[oi, ci]))  # rows ascend with cone id
-    used_obs: set[int] = set()
-    used_rows: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for o, c in zip(oi[order].tolist(), ci[order].tolist()):
-        if o in used_obs or c in used_rows:
-            continue
-        used_obs.add(o)
-        used_rows.add(c)
-        pairs.append((o, c))
-    new = tuple(i for i in range(len(means)) if i not in used_obs)
-    return AssociationResult(tuple(sorted(pairs)), new)
+    # cone rows first, so ties go to the lower row (rows ascend with cone id)
+    pairs = sorted((o, c) for c, o in greedy_pairs(dist.T, config.gate_distance))
+    matched = {o for o, _ in pairs}
+    return AssociationResult(tuple(pairs), tuple(i for i in range(len(means)) if i not in matched))
 
 
 def update_position(
@@ -336,23 +325,6 @@ def apply_negative_observations(
     return table if keep.all() else table.take(keep)
 
 
-def _resolve_mode(last_source_time: dict[SensorSource, float], mode: MapMode, now: float, config: LocalMapConfig) -> MapMode:
-    def fresh(source: SensorSource) -> bool:
-        last = last_source_time.get(source)
-        return last is not None and now - last <= config.staleness_timeout_s
-
-    if fresh(SensorSource.FUSION):
-        return MapMode.FUSION
-    lidar, camera = fresh(SensorSource.LIDAR_ONLY), fresh(SensorSource.CAMERA_ONLY)
-    if lidar and camera:
-        return MapMode.DEGRADED
-    if lidar:
-        return MapMode.LIDAR_ONLY
-    if camera:
-        return MapMode.CAMERA_ONLY
-    return mode
-
-
 def ingest_frame(
     state: LocalMapState,
     batches: Sequence[ObservationBatch],
@@ -367,8 +339,9 @@ def ingest_frame(
     observation pass -> prune -> eviction -> snapshot. ``batches`` holds at
     most one batch per source; a delivered batch, even an empty one, marks
     its pipeline as alive. Each source associates against the map the
-    previous source left. ``mode`` forces the operating mode; otherwise it is
-    derived from per-source message staleness.
+    previous source left. ``mode`` forces the operating mode; otherwise
+    :func:`mode_of` picks it from the sources whose last batch is no older
+    than the staleness timeout, and with none of them live the mode holds.
     """
     by_source = {batch.source: batch for batch in batches}
     if len(by_source) != len(batches):
@@ -379,16 +352,16 @@ def ingest_frame(
     last_source_time = dict(state.last_source_time)
     for source in by_source:
         last_source_time[source] = now
-    active_mode = mode if mode is not None else _resolve_mode(last_source_time, state.mode, now, config)
+    live = {source for source, last in last_source_time.items() if now - last <= config.staleness_timeout_s}
+    active_mode = mode or mode_of(live) or state.mode
 
     cones, next_id = state.cones, state.next_cone_id
     matched = np.zeros(len(cones), bool)
-    for source in _MODE_SOURCES[active_mode]:
+    for source, weight in MODE_SOURCES[active_mode]:
         batch = by_source.get(source)
         if batch is None or not len(batch):
             continue
         means, covs = observations_to_local(ego, batch.means, batch.covs)
-        weight = config.color_weight(active_mode, source)
         assoc = associate(cones, means, covs, config)
         obs = [o for o, _ in assoc.pairs]
         rows = [c for _, c in assoc.pairs]

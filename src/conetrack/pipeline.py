@@ -8,8 +8,8 @@ frame. Writes all run artifacts into a directory and returns a summary.
 
 from __future__ import annotations
 
+import bisect
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,8 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import RunConfig, RunFailure, dump_resolved, emitting_sources, read_input
-from .core import Pose2, Velocity2, integrate_velocity, relative_pose
+from .config import RunConfig, RunFailure, dump_resolved, read_input
+from .core import Pose2, Velocity2, body_frame_point, integrate_velocity, relative_pose
 from .evaluate import (
     build_report,
     icp_align,
@@ -55,22 +55,6 @@ class RunResult:
     report: dict
 
 
-class _PipelineLiveness:
-    """Tracks which perception pipelines are up, per the failure schedule."""
-
-    def __init__(self, config: RunConfig):
-        self.alive = config.initial_pipelines()
-        self._events = sorted(config.mode_schedule, key=lambda e: e["time_s"])
-        self._next = 0
-
-    def advance(self, now: float) -> None:
-        while self._next < len(self._events) and self._events[self._next]["time_s"] <= now:
-            event = self._events[self._next]
-            self.alive -= set(event.get("fail", []))
-            self.alive |= set(event.get("restore", []))
-            self._next += 1
-
-
 class _ClosedLoopSteering:
     """Closed-loop driver: pure pursuit of the latest selected path (local frame)."""
 
@@ -88,9 +72,7 @@ class _ClosedLoopSteering:
     def yaw_rate(self, speed: float) -> float:
         if self._waypoints is None:
             return 0.0
-        c, s = math.cos(self._local_ego.theta), math.sin(self._local_ego.theta)
-        rel = self._waypoints - self._local_ego.position
-        body = np.column_stack([c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1]])
+        body = body_frame_point(self._local_ego, self._waypoints)
         dist = np.hypot(body[:, 0], body[:, 1])
         ahead = np.flatnonzero((dist >= self.lookahead) & (body[:, 0] > 0))
         idx = int(ahead[0]) if len(ahead) else int(np.argmax(dist))
@@ -269,7 +251,8 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     force = None if config.force_mode is None else MapMode(config.force_mode)
 
     rng = np.random.default_rng(config.seed)
-    liveness = _PipelineLiveness(config)
+    timeline = config.source_timeline()
+    timeline_starts = [time_s for time_s, _ in timeline]
     state = LocalMapState()
     timings: dict[str, list[float]] = {
         "track_generation": [track_ms],
@@ -303,13 +286,10 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
             if frame is None:
                 break
             timestamp, frame_dt, true_pose, true_vel = frame
-            liveness.advance(timestamp)
+            _, sources = timeline[bisect.bisect_right(timeline_starts, timestamp) - 1]
 
             t0 = time.perf_counter()
-            batches = [
-                observe_cones(track, true_pose, config.profiles[source], rng, timestamp)
-                for source in emitting_sources(liveness.alive)
-            ]
+            batches = [observe_cones(track, true_pose, config.profiles[source], rng, timestamp) for source in sources]
             vel_reading = noisy_velocity(true_vel, velocity_profile, rng)
             timings["sense"].append((time.perf_counter() - t0) * 1e3)
 
@@ -415,5 +395,5 @@ def replay_snapshots(
         timings["planning_stats"] = [(time.perf_counter() - t0) * 1e3]
         report["planning"] = build_report(None, stats)["planning"]
     report["timing"] = {stage: timing_percentiles(samples) for stage, samples in timings.items()}
-    (out_dir / "replay_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    save_report(report, out_dir / "replay_report.json")
     return report

@@ -268,11 +268,15 @@ def boundary_order(
 
 
 def validate_track(track: TrackDefinition) -> None:
-    """Check the centerline, side assignment, width and spacing against the rule limits."""
+    """Check the centerline and its length, side assignment, width and spacing against the rule limits."""
     try:
         geom = CenterlineGeometry(track.centerline)
     except ValueError as exc:
         raise TrackValidationError(str(exc)) from exc
+    if not math.isclose(track.total_length, geom.length, rel_tol=1e-9):
+        raise TrackValidationError(
+            f"track field 'total_length_m' is {track.total_length!r}, not the centerline's length {geom.length!r}"
+        )
     arcs, sides = boundary_order(track, geom)
     half_min, half_max = MIN_WIDTH_M / 2, MAX_WIDTH_M / 2
     for position, s, code in zip(track.positions, arcs.tolist(), track.colors.tolist()):

@@ -36,6 +36,7 @@ BROKEN_TRACKS = {
         broken_track(lambda d: d["centerline_m"].insert(1, d["centerline_m"][1])),
         "centerline has repeated points",
     ),
+    "wronglengthtrack": (broken_track(lambda d: d.update(total_length_m=1.0)), "total_length_m"),
 }
 
 
@@ -351,6 +352,7 @@ BAD_INPUTS = [
     ["run", "--config", "{notobject}"],
     ["run", "--config", "{badlimit}"],
     ["run", "--config", "{badlocal}"],
+    ["run", "--config", "{colorweights}"],
     ["run", "--config", "{badglobal}"],
     ["run", "--config", "{nangate}"],
     ["run", "--config", "{negnoise}"],
@@ -446,6 +448,8 @@ BAD_FILES = {
     "notobject": ("[1, 2]", "JSON object"),
     "badlimit": ('{"planner_limit_overrides": {"beam": 5}}', "'beam'"),
     "badlocal": ('{"local_map_overrides": {"no_such_gate": 1.0}}', "'no_such_gate'"),
+    # the colour weights are fixed by the local map's mode table, not configured
+    "colorweights": ('{"local_map_overrides": {"color_weights": [["degraded", "lidar_only", 0.3]]}}', "'color_weights'"),
     "badglobal": ('{"global_map_overrides": {"no_such_gate": 1.0}}', "'no_such_gate'"),
     "nangate": ('{"local_map_overrides": {"gate_distance": NaN}}', "gate_distance"),
     "negnoise": ('{"local_map_overrides": {"process_noise_rate": [-0.1, 0.02]}}', "process_noise_rate"),

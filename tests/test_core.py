@@ -15,6 +15,7 @@ from conetrack.core import (
     Velocity2,
     bhattacharyya_distance_matrix,
     compose,
+    greedy_pairs,
     integrate_velocity,
     invert,
     normalize_angle,
@@ -304,3 +305,30 @@ class TestBhattacharyya:
         for i, a in enumerate(gaussians):
             for j, b in enumerate(gaussians[::-1]):
                 assert mat[i, j] == pytest.approx(ref_bhattacharyya_distance(a, b), rel=1e-9, abs=1e-9)
+
+
+def ref_greedy_pairs(dist, gate):
+    """Pairs in ascending (distance, row, column) order, each row and column used once."""
+    candidates = sorted((d, r, c) for (r, c), d in np.ndenumerate(dist) if d <= gate)
+    used_rows, used_cols, pairs = set(), set(), []
+    for _, r, c in candidates:
+        if r not in used_rows and c not in used_cols:
+            used_rows.add(r)
+            used_cols.add(c)
+            pairs.append((r, c))
+    return sorted(pairs)
+
+
+class TestGreedyPairs:
+    def test_ties_go_to_the_lower_row_then_the_lower_column(self):
+        dist = np.array([[1.0, 1.0], [1.0, 0.5]])
+        assert greedy_pairs(dist, 2.0) == [(0, 0), (1, 1)]
+        assert greedy_pairs(np.ones((2, 2)), 2.0) == [(0, 0), (1, 1)]
+        assert greedy_pairs(np.array([[3.0, 1.0]]), 2.0) == [(0, 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_matches_the_sorted_reference(self, rows, cols, seed):
+        # small integer distances, so ties are common
+        dist = np.random.default_rng(seed).integers(0, 4, size=(rows, cols)).astype(float)
+        assert greedy_pairs(dist, 2.0) == ref_greedy_pairs(dist, 2.0)

@@ -997,7 +997,9 @@ class TestReaderProperties:
         try:
             snapshots = read_snapshot_log(damaged)
         except ValueError as exc:
-            assert "line 3" in str(exc)
+            # a newline in place of the first byte leaves line 3 blank and moves the record to line 4
+            line = 4 if record.startswith(b"\n") else 3
+            assert f"line {line}" in str(exc)
         else:
             # a middle record that now reads may have moved past the last one's
             # time, which drops the last line as a malformed tail
@@ -1079,7 +1081,6 @@ class TestConfigValidation:
             ("initial_existence", -0.1),
             ("eviction_timeout_s", math.inf),
             ("staleness_timeout_s", -1.0),
-            ("color_weights", (("degraded", "lidar_only", math.nan),)),
         ],
     )
     def test_bad_field_rejected_by_name(self, name, value):
@@ -1137,6 +1138,8 @@ REF_MODE_SOURCES = {
     MapMode.CAMERA_ONLY: (SensorSource.CAMERA_ONLY,),
     MapMode.DEGRADED: (SensorSource.LIDAR_ONLY, SensorSource.CAMERA_ONLY),
 }
+# colour evidence weight of a (mode, source) pair; every other pair weighs 1.0
+REF_COLOR_WEIGHTS = {(MapMode.DEGRADED, SensorSource.LIDAR_ONLY): 0.3}
 
 
 def ref_predict(state, vel, dt, config):
@@ -1248,7 +1251,7 @@ def ref_ingest(state, batches, vel, dt, config):
             continue
         pairs, new = ref_associate(state, local, config)
         cones = dict(state.cones)
-        weight = config.color_weight(mode, source)
+        weight = REF_COLOR_WEIGHTS.get((mode, source), 1.0)
         for obs_idx, cid in pairs:
             cone = ref_update_position(cones[cid], local[obs_idx])
             evidence = cone.color_evidence + weight * local[obs_idx].color
