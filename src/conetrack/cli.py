@@ -129,7 +129,7 @@ def _spec_from_args(args) -> TrackSpec:
     }
     base.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        return TrackSpec.from_dict(base)
+        return TrackSpec(**base)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad track spec: {exc}") from exc
 
@@ -224,10 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (InfeasibleTrackError, TrackValidationError) as exc:
+    except (ConfigError, InfeasibleTrackError, TrackValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except RunFailure as exc:

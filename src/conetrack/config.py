@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core import SensorSource, check_range, is_finite_number
+from .core import Bound, SensorSource, check_bounds, is_finite_number
 from .global_map import GlobalMapConfig
 from .local_map import MODE_SOURCES, LocalMapConfig, MapMode, mode_of
-from .planner import PlannerConfig
+from .planner import PlannerConfig, SearchLimits
 from .simulate import SensorProfile, TrackSpec, default_profile, load_profile, noise_free_profile
 
 SOURCE_MODES = tuple(source.value for source in SensorSource)
@@ -33,6 +33,16 @@ def mode_pipelines(mode: MapMode | None) -> list[str]:
 def emitting_sources(alive: set[str]) -> list[str]:
     """The live pipelines whose cones reach the local map: those of the mode they select."""
     return mode_pipelines(mode_of({SensorSource(name) for name in alive}))
+
+
+_RUN_BOUNDS = {
+    "max_speed_mps": Bound(0.0, low_ok=False),
+    "lateral_accel_mps2": Bound(0.0, low_ok=False),
+    "frame_rate_hz": Bound(0.0, low_ok=False),
+    "seed": Bound(0, integer=True),
+    "closed_loop_speed_mps": Bound(0.0, low_ok=False),
+    "divergence_margin_m": Bound(0.0, low_ok=False),
+}
 
 
 class ConfigError(ValueError):
@@ -72,16 +82,13 @@ class RunConfig:
             self.profiles = {m: default_profile(m) for m in SOURCE_MODES}
         if self.force_mode not in (None, *(mode.value for mode in MapMode)):
             raise ConfigError(f"unknown force_mode {self.force_mode!r}")
-        for name in ("frame_rate_hz", "max_speed_mps", "lateral_accel_mps2", "closed_loop_speed_mps", "divergence_margin_m"):
-            try:
-                check_range(name, getattr(self, name), 0.0, math.inf, False)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        try:
+            check_bounds("run", self, _RUN_BOUNDS)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for mode, profile in self.profiles.items():
             if profile.mode != mode:
                 raise ConfigError(f"the {mode} profile has mode {profile.mode!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.mode_schedule, list):
             raise ConfigError(f"mode schedule must be a list of events, got {self.mode_schedule!r}")
         for event in self.mode_schedule:
@@ -148,36 +155,8 @@ class RunConfig:
         return GlobalMapConfig(**self.global_map_overrides)
 
     def planner_config(self) -> PlannerConfig:
-        config = PlannerConfig.with_limits(**self.planner_limit_overrides)
-        if self.prior_weight is not None:
-            prior = dataclasses.replace(config.prior, prior_weight=self.prior_weight)
-            config = dataclasses.replace(config, prior=prior)
-        return config
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "track_spec": dataclasses.asdict(self.track_spec) if self.track_spec else None,
-            "track_file": self.track_file,
-            "profiles": {mode: p.to_dict() for mode, p in self.profiles.items()},
-            "max_speed_mps": self.max_speed_mps,
-            "lateral_accel_mps2": self.lateral_accel_mps2,
-            "frame_rate_hz": self.frame_rate_hz,
-            "seed": self.seed,
-            "force_mode": self.force_mode,
-            "mode_schedule": self.mode_schedule,
-            "plan_enabled": self.plan_enabled,
-            "verbose_candidates": self.verbose_candidates,
-            "closed_loop": self.closed_loop,
-            "closed_loop_speed_mps": self.closed_loop_speed_mps,
-            "divergence_margin_m": self.divergence_margin_m,
-            "local_map_overrides": self.local_map_overrides,
-            "global_map_overrides": self.global_map_overrides,
-            "planner_limit_overrides": self.planner_limit_overrides,
-            "prior_weight": self.prior_weight,
-        }
+        limits = SearchLimits(**self.planner_limit_overrides)
+        return PlannerConfig(limits) if self.prior_weight is None else PlannerConfig(limits, self.prior_weight)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -189,7 +168,7 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if data.get("track_spec") is not None:
             try:
-                data["track_spec"] = TrackSpec.from_dict(data["track_spec"])
+                data["track_spec"] = TrackSpec(**data["track_spec"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad track_spec: {exc}") from exc
         profiles = {}
@@ -197,7 +176,7 @@ class RunConfig:
             if mode not in SOURCE_MODES:
                 raise ConfigError(f"unknown profile mode {mode!r}")
             try:
-                profiles[mode] = resolve_profile(value) if isinstance(value, str) else SensorProfile.from_dict(value)
+                profiles[mode] = resolve_profile(value) if isinstance(value, str) else SensorProfile(**value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad profile for {mode}: {exc}") from exc
         data["profiles"] = profiles
@@ -247,12 +226,7 @@ def load_config(ref: str | Path) -> RunConfig:
     """Load a run config from a file path or a builtin scenario name."""
     path = Path(ref)
     if path.exists():
-        try:
-            return RunConfig.from_dict(json.loads(path.read_text()))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return read_input(lambda p: RunConfig.from_dict(json.loads(p.read_text(encoding="utf-8"))), path)
     builtin = builtin_config_names()
     name = str(ref)
     if name in builtin:
@@ -270,4 +244,4 @@ def builtin_config_names() -> set[str]:
 
 
 def dump_resolved(config: RunConfig, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True))

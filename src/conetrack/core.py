@@ -2,8 +2,9 @@
 
 Planar poses and velocities, the SPD projection of covariance stacks, the
 all-pairs Bhattacharyya distance, one source's observation batch, and the
-range checks applied to outside input. Values are immutable (frozen
-dataclasses, read-only arrays), so a snapshot can share them without copying.
+range checks applied to outside input, among them every config's fields.
+Values are immutable (frozen dataclasses, read-only arrays), so a snapshot
+can share them without copying.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,38 @@ def check_range(name: str, value, low: float, high: float, low_ok: bool) -> None
     if not (is_finite_number(value) and (value >= low if low_ok else value > low) and value <= high):
         interval = f"{'[' if low_ok else '('}{low}, {high}]"
         raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
+class Bound(NamedTuple):
+    """The values a config field takes.
+
+    A finite number in ``[low, high]`` (``(low, high]`` unless ``low_ok``);
+    with ``integer``, an integer of at least ``low`` (a bool is not one);
+    with ``count``, a list or tuple of that many finite numbers in the
+    interval.
+    """
+
+    low: float
+    high: float = math.inf
+    low_ok: bool = True
+    integer: bool = False
+    count: int | None = None
+
+
+def check_bounds(label: str, obj, bounds: dict[str, Bound]) -> None:
+    """Raise ``ValueError`` naming ``label`` and the field unless each field of ``obj`` in ``bounds`` is within it."""
+    for name, bound in bounds.items():
+        value = getattr(obj, name)
+        if bound.integer:
+            if isinstance(value, bool) or not isinstance(value, int) or value < bound.low:
+                raise ValueError(f"{label} {name} must be an integer >= {bound.low}, got {value!r}")
+        elif bound.count is not None:
+            if not (isinstance(value, (tuple, list)) and len(value) == bound.count):
+                raise ValueError(f"{label} {name} must be {bound.count} numbers, got {value!r}")
+            for item in value:
+                check_range(f"{label} {name}", item, bound.low, bound.high, bound.low_ok)
+        else:
+            check_range(f"{label} {name}", value, bound.low, bound.high, bound.low_ok)
 
 
 def normalize_angle(theta: float) -> float:

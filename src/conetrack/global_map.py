@@ -23,9 +23,10 @@ from scipy.sparse.linalg import splu
 
 from .core import (
     CLASS_NAMES,
+    Bound,
     Pose2,
     body_frame_point,
-    check_range,
+    check_bounds,
     compose,
     is_finite_number,
     normalize_angle,
@@ -46,17 +47,20 @@ class GraphStructureError(ValueError):
     """Graph is structurally under-determined beyond the gauge freedom."""
 
 
-# (field, lowest, highest, whether the lowest value itself is allowed)
-_CONFIG_RANGES = (
-    ("proximity_radius_m", 0.0, math.inf, False),
-    ("association_radius_m", 0.0, math.inf, False),
-    ("observation_sigma_floor_m", 0.0, math.inf, True),
-    ("relative_tolerance", 0.0, math.inf, True),
-    ("absolute_cost_floor", 0.0, math.inf, True),
-    ("initial_lambda", 0.0, math.inf, False),
-    ("lambda_up", 1.0, math.inf, False),
-    ("lambda_down", 0.0, 1.0, False),
-)
+_CONFIG_BOUNDS = {
+    "proximity_radius_m": Bound(0.0, low_ok=False),
+    "association_radius_m": Bound(0.0, low_ok=False),
+    "odometry_sigma_rates": Bound(0.0, low_ok=False, count=3),
+    "observation_sigma_floor_m": Bound(0.0),
+    "max_iterations": Bound(1, integer=True),
+    "relative_tolerance": Bound(0.0),
+    "absolute_cost_floor": Bound(0.0),
+    "initial_lambda": Bound(0.0, low_ok=False),
+    "lambda_up": Bound(1.0, low_ok=False),
+    "lambda_down": Bound(0.0, 1.0, low_ok=False),
+    "max_lambda_steps": Bound(1, integer=True),
+    "export_min_edges": Bound(0, integer=True),
+}
 
 
 @dataclass(frozen=True)
@@ -79,19 +83,9 @@ class GlobalMapConfig:
     export_min_edges: int = 1
 
     def __post_init__(self) -> None:
-        for name, low, high, low_ok in _CONFIG_RANGES:
-            check_range(f"global map {name}", getattr(self, name), low, high, low_ok)
+        check_bounds("global map", self, _CONFIG_BOUNDS)
         if self.lambda_down == 1.0:  # a damping that never relaxes
             raise ValueError("global map lambda_down must be below 1.0, got 1.0")
-        rates = self.odometry_sigma_rates
-        if not (isinstance(rates, (tuple, list)) and len(rates) == 3):
-            raise ValueError(f"global map odometry_sigma_rates must be three rates, got {rates!r}")
-        for rate in rates:
-            check_range("global map odometry_sigma_rates", rate, 0.0, math.inf, False)
-        for name, low in (("max_iterations", 1), ("max_lambda_steps", 1), ("export_min_edges", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"global map {name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass

@@ -24,12 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    Bound,
     ObservationBatch,
     Pose2,
     SensorSource,
     Velocity2,
     bhattacharyya_distance_matrix,
-    check_range,
+    check_bounds,
     greedy_pairs,
     integrate_velocity,
     is_finite_number,
@@ -68,20 +69,20 @@ def mode_of(live: set[SensorSource]) -> MapMode | None:
     return next((mode for mode, pairs in MODE_SOURCES.items() if all(s in live for s, _ in pairs)), None)
 
 
-# (field, lowest, highest, whether the lowest value itself is allowed)
-_CONFIG_RANGES = (
-    ("gate_distance", 0.0, math.inf, False),
-    ("covariance_ceiling", 0.0, math.inf, False),
-    ("max_range_m", 0.0, math.inf, False),
-    ("fov_half_angle_rad", 0.0, math.pi, False),
-    ("negative_frustum_shrink", 0.0, 1.0, False),
-    ("existence_gain", 0.0, 1.0, True),
-    ("existence_decay", 0.0, 1.0, True),
-    ("prune_threshold", 0.0, 1.0, True),
-    ("initial_existence", 0.0, 1.0, True),
-    ("eviction_timeout_s", 0.0, math.inf, False),
-    ("staleness_timeout_s", 0.0, math.inf, True),
-)
+_CONFIG_BOUNDS = {
+    "gate_distance": Bound(0.0, low_ok=False),
+    "process_noise_rate": Bound(0.0, count=2),
+    "covariance_ceiling": Bound(0.0, low_ok=False),
+    "max_range_m": Bound(0.0, low_ok=False),
+    "fov_half_angle_rad": Bound(0.0, math.pi, low_ok=False),
+    "negative_frustum_shrink": Bound(0.0, 1.0, low_ok=False),
+    "existence_gain": Bound(0.0, 1.0),
+    "existence_decay": Bound(0.0, 1.0),
+    "prune_threshold": Bound(0.0, 1.0),
+    "initial_existence": Bound(0.0, 1.0),
+    "eviction_timeout_s": Bound(0.0, low_ok=False),
+    "staleness_timeout_s": Bound(0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -118,19 +119,11 @@ class LocalMapConfig:
     staleness_timeout_s: float = 0.35
 
     def __post_init__(self) -> None:
-        for name, low, high, low_ok in _CONFIG_RANGES:
-            check_range(f"local map {name}", getattr(self, name), low, high, low_ok)
-        rates = self.process_noise_rate
-        if not (isinstance(rates, (tuple, list)) and len(rates) == 2):
-            raise ValueError(f"local map process_noise_rate must be two rates, got {rates!r}")
-        for rate in rates:
-            check_range("local map process_noise_rate", rate, 0.0, math.inf, True)
+        check_bounds("local map", self, _CONFIG_BOUNDS)
 
     @classmethod
-    def for_frame_rate(
-        cls, frame_rate_hz: float, max_range_m: float = 15.0, fov_half_angle_rad: float = 1.1, **overrides
-    ) -> "LocalMapConfig":
-        base = cls(max_range_m=max_range_m, fov_half_angle_rad=fov_half_angle_rad, **overrides)
+    def for_frame_rate(cls, frame_rate_hz: float, **overrides) -> "LocalMapConfig":
+        base = cls(**overrides)
         # misses strictly inside 0.5 s must take a certain cone below the
         # prune threshold: decay^n < threshold with n = frames in (0, 0.5 s)
         n = max(int(math.ceil(0.5 * frame_rate_hz)) - 1, 1)

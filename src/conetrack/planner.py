@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .core import Pose2, check_range, normalize_angle
+from .core import Bound, Pose2, check_bounds, check_range, normalize_angle
 
 LIKELIHOOD_FLOOR = 1e-6
 # version in the planner_log.ndjson header; its records are plan_record's
@@ -158,45 +158,24 @@ class SearchLimits:
     max_step_length_m: float = 6.0
 
 
-@dataclass(frozen=True)
-class FeatureTerm:
-    weight: float
-    setpoint: float
-    scale: float
+def prior_terms(limits: SearchLimits) -> tuple[tuple[float, float, float], ...]:
+    """The validity prior's ``(weight, setpoint, scale)`` per feature, in :class:`PathFeatures` order.
 
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("feature scale must be positive")
-        if self.weight < 0:
-            raise ValueError("feature weight must be non-negative")
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    """Validity prior: exp(-prior_weight * sum of weighted feature deviations)."""
-
-    prior_weight: float = 29.0
-    terms: tuple[FeatureTerm, ...] = ()
-
-    @classmethod
-    def defaults(cls, limits: SearchLimits = SearchLimits()) -> "PriorConfig":
-        # feature weights follow the published operating point; setpoints and
-        # scales are uncalibrated defaults chosen for dimensional comparability
-        return cls(
-            prior_weight=29.0,
-            terms=(
-                FeatureTerm(0.1, 0.0, math.pi**2),
-                FeatureTerm(0.1, 0.0, 1.0),
-                FeatureTerm(0.1, 0.0, 1.0),
-                FeatureTerm(0.1, 0.0, 1.0),
-                FeatureTerm(0.1, float(limits.desired_edge_count), 1.0),
-                FeatureTerm(0.5, limits.max_length_m, limits.max_length_m**2),
-            ),
-        )
-
-    def __post_init__(self) -> None:
-        if self.terms and len(self.terms) != 6:
-            raise ValueError("exactly one term per feature required")
+    A path's log prior is ``-prior_weight`` times the sum of
+    ``weight * (value - setpoint) ** 2 / scale`` over its features. The
+    weights follow the published operating point; the setpoints and scales
+    are uncalibrated defaults chosen for dimensional comparability. The edge
+    count aims at the search's ``desired_edge_count``, and the length at its
+    ``max_length_m``, on the scale of that length squared.
+    """
+    return (
+        (0.1, 0.0, math.pi**2),
+        (0.1, 0.0, 1.0),
+        (0.1, 0.0, 1.0),
+        (0.1, 0.0, 1.0),
+        (0.1, float(limits.desired_edge_count), 1.0),
+        (0.5, limits.max_length_m, limits.max_length_m**2),
+    )
 
 
 def _np_sum(values: Sequence[float]) -> float:
@@ -231,17 +210,6 @@ def _population_std(values: Sequence[float]) -> float:
         return math.sqrt(functools.reduce(operator.add, [(x - mean) * (x - mean) for x in values], 0.0) / n)
     mean = _np_sum(values) / n
     return math.sqrt(_np_sum([(x - mean) * (x - mean) for x in values]) / n)
-
-
-def log_prior(features: Sequence[float], config: PriorConfig) -> float:
-    """Log of the validity prior: negative weighted squared feature deviations.
-
-    ``features`` is a :class:`PathFeatures` or the same six floats in its order.
-    """
-    cost = 0.0
-    for value, term in zip(features, config.terms):
-        cost += term.weight * (value - term.setpoint) ** 2 / term.scale
-    return -config.prior_weight * cost
 
 
 def _cone_log_terms(color_evidence: np.ndarray, floor: float) -> tuple[list[float], list[float], list[float]]:
@@ -385,18 +353,17 @@ def enumerate_paths(
     would mean crossing evidence that contradicts the path, instead of baking
     a bad tail into every candidate. Scores are plain-float arithmetic that
     sums in numpy's order (:func:`_np_sum`), so they equal the numpy
-    expressions of the features bit for bit. The log prior is
-    :func:`log_prior` written out in the extension, with the same left fold
-    from 0.0; the tables and the prior's terms are read from locals, hoisted
-    once per snapshot.
+    expressions of the features bit for bit. The log prior sums the
+    :func:`prior_terms` in a left fold from 0.0; the tables and the prior's
+    terms are read from locals, hoisted once per snapshot.
     """
     limits = config.limits
     max_edges, max_length = limits.max_edges, limits.max_length_m
     max_step_length, max_step_turn = limits.max_step_length_m, limits.max_step_turn_rad
     desired = float(limits.desired_edge_count)
-    prior_weight = config.prior.prior_weight
-    prior_terms = [(term.weight, term.setpoint, term.scale) for term in config.prior.terms]
-    left_terms, right_terms, other_terms = _cone_log_terms(color_evidence, config.likelihood_floor)
+    prior_weight = config.prior_weight
+    terms = prior_terms(limits)
+    left_terms, right_terms, other_terms = _cone_log_terms(color_evidence, LIKELIHOOD_FLOOR)
     tables = _SearchTables.build(tri)
     neighbor, twin, edge_lo, edge_hi = tables.neighbor, tables.twin, tables.lo, tables.hi
     mid_xs, mid_ys = tables.mid_x, tables.mid_y
@@ -486,7 +453,7 @@ def enumerate_paths(
             length if len(seg_lengths) < 8 else _np_sum(seg_lengths),
         )
         cost = 0.0
-        for value, (weight, setpoint, scale) in zip(features, prior_terms):
+        for value, (weight, setpoint, scale) in zip(features, terms):
             cost += weight * (value - setpoint) ** 2 / scale
         lp = -prior_weight * cost
         # every cone's log term, a cone in both sets counting as left, added
@@ -586,36 +553,29 @@ def select_path(candidates: Sequence[CandidatePath]) -> CandidatePath | None:
     return best
 
 
-# (field, lowest, highest, whether the lowest value itself is allowed)
-_LIMIT_RANGES = (
-    ("max_length_m", 0.0, math.inf, False),
-    ("max_step_turn_rad", 0.0, math.pi, False),
-    ("max_step_length_m", 0.0, math.inf, False),
-)
+_LIMIT_BOUNDS = {
+    "max_edges": Bound(1, integer=True),
+    "max_length_m": Bound(0.0, low_ok=False),
+    "desired_edge_count": Bound(1, integer=True),
+    "beam_width": Bound(1, integer=True),
+    "max_step_turn_rad": Bound(0.0, math.pi, low_ok=False),
+    "max_step_length_m": Bound(0.0, low_ok=False),
+}
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
+    """The search's limits and the weight of the validity prior, whose terms :func:`prior_terms` derives from them."""
+
     limits: SearchLimits = SearchLimits()
-    prior: PriorConfig = PriorConfig.defaults()
-    likelihood_floor: float = LIKELIHOOD_FLOOR
+    prior_weight: float = 29.0
 
     def __post_init__(self) -> None:
-        for name, low, high, low_ok in _LIMIT_RANGES:
-            check_range(f"planner {name}", getattr(self.limits, name), low, high, low_ok)
-        for name in ("max_edges", "desired_edge_count", "beam_width"):
-            value = getattr(self.limits, name)
-            if name == "beam_width" and value is None:  # exhaustive enumeration
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"planner {name} must be an integer >= 1, got {value!r}")
-        check_range("planner prior_weight", self.prior.prior_weight, 0.0, math.inf, True)
-        check_range("planner likelihood_floor", self.likelihood_floor, 0.0, 1.0, False)
-
-    @classmethod
-    def with_limits(cls, **limit_overrides) -> "PlannerConfig":
-        limits = SearchLimits(**limit_overrides)
-        return cls(limits=limits, prior=PriorConfig.defaults(limits))
+        bounds = _LIMIT_BOUNDS
+        if self.limits.beam_width is None:  # exhaustive enumeration
+            bounds = {name: bound for name, bound in bounds.items() if name != "beam_width"}
+        check_bounds("planner", self.limits, bounds)
+        check_range("planner prior_weight", self.prior_weight, 0.0, math.inf, True)
 
 
 @dataclass(frozen=True)

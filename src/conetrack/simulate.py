@@ -19,10 +19,13 @@ from scipy.linalg import solve_banded
 
 from .core import (
     COV_EIGENVALUE_FLOOR,
+    Bound,
     ObservationBatch,
     Pose2,
     SensorSource,
     Velocity2,
+    body_frame_point,
+    check_bounds,
     check_range,
     is_finite_number,
     normalize_angle,
@@ -150,8 +153,7 @@ class CenterlineGeometry:
         i = int(np.searchsorted(self.cum_s, s, side="right") - 1)
         i = min(i, len(self._seg) - 1)
         t = (s - self.cum_s[i]) / self._seg_len[i]
-        base = self.points[i] if i < len(self.points) else self.points[0]
-        return base + t * self._seg[i]
+        return self.points[i] + t * self._seg[i]
 
     def heading_at(self, s: float) -> float:
         s = s % self.length
@@ -187,18 +189,19 @@ class CenterlineGeometry:
         return float(self.cum_s[i] + t[i] * self._seg_len[i])
 
 
-# (field, lowest, highest, whether the lowest value itself is allowed); the
-# rule limits on width, spacing and radius are checked by ``validate_spec``
-_SPEC_RANGES = (
-    ("length_m", 0.0, math.inf, False),
-    ("radius_m", 0.0, math.inf, False),
-    ("track_width_m", 0.0, math.inf, True),
-    ("cone_spacing_m", 0.0, math.inf, True),
-    ("min_radius_m", 0.0, math.inf, False),
-    ("radial_variation", 0.0, math.inf, True),
-    ("hairpin_depth", 0.0, math.inf, True),
-    ("centerline_resolution_m", 0.0, math.inf, False),
-)
+# the rule limits on width, spacing and radius are checked by ``validate_spec``
+_SPEC_BOUNDS = {
+    "length_m": Bound(0.0, low_ok=False),
+    "radius_m": Bound(0.0, low_ok=False),
+    "track_width_m": Bound(0.0),
+    "cone_spacing_m": Bound(0.0),
+    "min_radius_m": Bound(0.0, low_ok=False),
+    "hairpin_count": Bound(0, integer=True),
+    "control_points": Bound(0, integer=True),
+    "radial_variation": Bound(0.0),
+    "hairpin_depth": Bound(0.0),
+    "centerline_resolution_m": Bound(0.0, low_ok=False),
+}
 
 
 @dataclass(frozen=True)
@@ -225,16 +228,7 @@ class TrackSpec:
     centerline_resolution_m: float = 0.5
 
     def __post_init__(self) -> None:
-        for name, low, high, low_ok in _SPEC_RANGES:
-            check_range(f"track spec {name}", getattr(self, name), low, high, low_ok)
-        for name in ("hairpin_count", "control_points"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"track spec {name} must be an integer >= 0, got {value!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrackSpec":
-        return cls(**data)
+        check_bounds("track spec", self, _SPEC_BOUNDS)
 
 
 def validate_spec(spec: TrackSpec) -> None:
@@ -461,6 +455,19 @@ def generate_track(spec: TrackSpec, seed: int) -> TrackDefinition:
 # Sensor profiles
 
 
+# the range bins keep their own check, in ``SensorProfile.__post_init__``
+_PROFILE_BOUNDS = {
+    "max_range_m": Bound(0.0, low_ok=False),
+    "fov_half_angle_rad": Bound(0.0, math.pi, low_ok=False),
+    "sigma_base_m": Bound(0.0),
+    "sigma_range_coeff_m_per_m2": Bound(0.0),
+    "false_positives_per_frame": Bound(0.0),
+    "color_confidence": Bound(1 / 3, 1.0),
+    "velocity_sigma": Bound(0.0, count=3),
+    "velocity_sigma_per_speed": Bound(0.0, count=3),
+}
+
+
 @dataclass(frozen=True)
 class SensorProfile:
     """Noise and detection model for one perception pipeline.
@@ -492,18 +499,9 @@ class SensorProfile:
         """Reject a field out of range, naming it; the all-zero noise of a noise-free profile is valid."""
         if self.mode not in {source.value for source in SensorSource}:
             raise ValueError(f"sensor profile mode must be fusion, lidar_only or camera_only, got {self.mode!r}")
-        check_range("sensor profile max_range_m", self.max_range_m, 0.0, math.inf, False)
-        check_range("sensor profile fov_half_angle_rad", self.fov_half_angle_rad, 0.0, math.pi, False)
-        for name in ("sigma_base_m", "sigma_range_coeff_m_per_m2", "false_positives_per_frame"):
-            check_range(f"sensor profile {name}", getattr(self, name), 0.0, math.inf, True)
-        check_range("sensor profile color_confidence", self.color_confidence, 1 / 3, 1.0, True)
+        check_bounds("sensor profile", self, _PROFILE_BOUNDS)
         for name in ("velocity_sigma", "velocity_sigma_per_speed"):
-            sigmas = tuple(getattr(self, name))
-            if len(sigmas) != 3:
-                raise ValueError(f"sensor profile {name} must be three sigmas, got {sigmas!r}")
-            for sigma in sigmas:
-                check_range(f"sensor profile {name}", sigma, 0.0, math.inf, True)
-            object.__setattr__(self, name, sigmas)
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("color_accuracy_bins", "recall_bins"):
             bins = tuple(tuple(b) for b in getattr(self, name))
             if not bins or any(len(b) != 2 for b in bins):
@@ -528,25 +526,6 @@ class SensorProfile:
     def recall(self, ranges: np.ndarray) -> np.ndarray:
         return _step_lookup(self.recall_bins, ranges)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "max_range_m": self.max_range_m,
-            "fov_half_angle_rad": self.fov_half_angle_rad,
-            "sigma_base_m": self.sigma_base_m,
-            "sigma_range_coeff_m_per_m2": self.sigma_range_coeff_m_per_m2,
-            "color_accuracy_bins": [list(b) for b in self.color_accuracy_bins],
-            "recall_bins": [list(b) for b in self.recall_bins],
-            "false_positives_per_frame": self.false_positives_per_frame,
-            "color_confidence": self.color_confidence,
-            "velocity_sigma": list(self.velocity_sigma),
-            "velocity_sigma_per_speed": list(self.velocity_sigma_per_speed),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SensorProfile":
-        return cls(**data)
-
 
 def _step_lookup(bins: Sequence[tuple[float, float]], ranges: np.ndarray) -> np.ndarray:
     edges = np.array([e for e, _ in bins])
@@ -556,7 +535,7 @@ def _step_lookup(bins: Sequence[tuple[float, float]], ranges: np.ndarray) -> np.
 
 
 def load_profile(path: Path | str) -> SensorProfile:
-    return SensorProfile.from_dict(json.loads(Path(path).read_text()))
+    return SensorProfile(**json.loads(Path(path).read_text()))
 
 
 def noise_free_profile(mode: str = "fusion", max_range_m: float = 15.0) -> SensorProfile:
@@ -647,9 +626,7 @@ def observe_cones(
     track: TrackDefinition, true_pose: Pose2, profile: SensorProfile, rng: np.random.Generator, timestamp: float
 ) -> ObservationBatch:
     """Sample one frame of cone detections in the car frame: detections, then false positives."""
-    rel = track.positions - true_pose.position
-    c, s = math.cos(true_pose.theta), math.sin(true_pose.theta)
-    x, y = c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1]
+    x, y = body_frame_point(true_pose, track.positions).T
     ranges = np.hypot(x, y)
     in_range = np.flatnonzero(ranges <= profile.max_range_m)
     idx = in_range[np.abs(np.arctan2(y[in_range], x[in_range])) <= profile.fov_half_angle_rad]

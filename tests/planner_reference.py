@@ -18,7 +18,6 @@ from conetrack.core import normalize_angle
 from conetrack.planner import (
     LIKELIHOOD_FLOOR,
     PathFeatures,
-    PriorConfig,
     SearchLimits,
     _cone_log_terms,
 )
@@ -90,12 +89,18 @@ def features_array(features: PathFeatures) -> np.ndarray:
     )
 
 
-def reference_log_prior(features: PathFeatures, config: PriorConfig) -> float:
-    """Log prior in numpy float64 scalars, one feature of :func:`features_array` at a time."""
+def reference_log_prior(
+    features: PathFeatures, terms: Sequence[tuple[float, float, float]], prior_weight: float
+) -> float:
+    """Log prior in numpy float64 scalars, one feature of :func:`features_array` at a time.
+
+    ``terms`` holds one ``(weight, setpoint, scale)`` per feature, as
+    ``planner.prior_terms`` gives them.
+    """
     cost = 0.0
-    for value, term in zip(features_array(features), config.terms):
-        cost += term.weight * (value - term.setpoint) ** 2 / term.scale
-    return float(-config.prior_weight * cost)
+    for value, (weight, setpoint, scale) in zip(features_array(features), terms):
+        cost += weight * (value - setpoint) ** 2 / scale
+    return float(-prior_weight * cost)
 
 
 def log_likelihood(

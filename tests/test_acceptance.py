@@ -14,7 +14,7 @@ import pytest
 
 from cone_reference import RefCone, RefGaussian, cone_table
 from map_reference import align_exact_correspondences, one_edge
-from planner_reference import log_likelihood
+from planner_reference import log_likelihood, reference_log_prior
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import Pose2, Velocity2
 from conetrack.evaluate import icp_align
@@ -23,10 +23,9 @@ from conetrack.local_map import ConeTable, LocalMapConfig, LocalMapState, ingest
 from conetrack.pipeline import run_pipeline
 from conetrack.planner import (
     PathFeatures,
-    PriorConfig,
     SearchLimits,
-    log_prior,
     plan_snapshot,
+    prior_terms,
     select_path,
     triangulate,
 )
@@ -247,7 +246,7 @@ class TestAC5PlanningHistograms:
 class TestAC6PosteriorExactness:
     def test_ac6_decomposition_and_argmax_oracle(self):
         rng = np.random.default_rng(606)
-        prior_config = PriorConfig.defaults()
+        terms = prior_terms(SearchLimits())
         checked = 0
         mismatches = 0
         pool: list = []
@@ -270,7 +269,7 @@ class TestAC6PosteriorExactness:
             sides = rng.integers(0, 3, size=n_cones)  # 0 left, 1 right, 2 unassigned
             left = frozenset(int(i) for i in np.flatnonzero(sides == 0))
             right = frozenset(int(i) for i in np.flatnonzero(sides == 1))
-            lp = log_prior(features, prior_config)
+            lp = reference_log_prior(features, terms, 29.0)
             ll = log_likelihood(np.array(evidence), left, right)
             posterior = lp + ll
             if abs(posterior - (lp + ll)) > 1e-12:
@@ -301,7 +300,7 @@ class TestAC6PosteriorExactness:
         from conetrack.planner import PlannerConfig
 
         rng = np.random.default_rng(607)
-        config = PlannerConfig(limits=SearchLimits(beam_width=None), prior=PriorConfig.defaults())
+        config = PlannerConfig(SearchLimits(beam_width=None))
         cases = 0
         agreements = 0
         while cases < 60:
@@ -329,7 +328,7 @@ class TestAC6PosteriorExactness:
             cases += 1
             best_idx, best_key = None, None
             for idx, cand in enumerate(result.candidates):
-                lp = log_prior(cand.features, config.prior)
+                lp = reference_log_prior(cand.features, prior_terms(config.limits), config.prior_weight)
                 ll = log_likelihood(snap.cones.color_evidence, cand.left_cones, cand.right_cones)
                 key = (-(lp + ll), -cand.features.length_m, cand.features.max_heading_change_rad, idx)
                 if best_key is None or key < best_key:

@@ -115,6 +115,20 @@ class TestRun:
         assert main(["run", "--config", "no-such-thing", "--out", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    @pytest.mark.parametrize("kind", ["directory", "latin1"])
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, command, kind):
+        config = tmp_path / "config.json"
+        if kind == "directory":
+            config.mkdir()
+        else:  # an accented name in Latin-1, which is not UTF-8
+            config.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        argv = {"run": ["run"], "replay": ["replay", "--snapshots", str(tmp_path / "snapshots.ndjson")]}[command]
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(config) in err
+        assert not (tmp_path / "out").exists()
+
     def test_closed_loop_follows_planned_path(self, tmp_path):
         out = tmp_path / "cl"
         assert main(["run", "--config", "noise-free-circle", "--out", str(out), "--closed-loop"]) == 0

@@ -1,9 +1,19 @@
+import dataclasses
+import functools
+import hashlib
 import itertools
 import math
+import re
 
 import pytest
 
-from conetrack.config import SOURCE_MODES, RunConfig, emitting_sources
+from conetrack.config import _RUN_BOUNDS, SOURCE_MODES, RunConfig, dump_resolved, emitting_sources, load_config
+from conetrack.global_map import _CONFIG_BOUNDS as GLOBAL_MAP_BOUNDS
+from conetrack.global_map import GlobalMapConfig
+from conetrack.local_map import _CONFIG_BOUNDS as LOCAL_MAP_BOUNDS
+from conetrack.local_map import LocalMapConfig
+from conetrack.planner import _LIMIT_BOUNDS, PlannerConfig, SearchLimits
+from conetrack.simulate import _PROFILE_BOUNDS, _SPEC_BOUNDS, SensorProfile, TrackSpec
 
 PIPELINES = ("fusion", "lidar_only", "camera_only")
 
@@ -88,3 +98,97 @@ class TestSourceTimeline:
 
     def test_without_a_schedule_one_entry(self):
         assert RunConfig().source_timeline() == [(-math.inf, ["fusion"])]
+
+
+# class name -> (class, its bounds table, a build with keyword fields that runs the check)
+BOUND_TABLES = {
+    "LocalMapConfig": (LocalMapConfig, LOCAL_MAP_BOUNDS, LocalMapConfig),
+    "GlobalMapConfig": (GlobalMapConfig, GLOBAL_MAP_BOUNDS, GlobalMapConfig),
+    "SearchLimits": (SearchLimits, _LIMIT_BOUNDS, lambda **fields: PlannerConfig(SearchLimits(**fields))),
+    "TrackSpec": (TrackSpec, _SPEC_BOUNDS, TrackSpec),
+    "SensorProfile": (SensorProfile, _PROFILE_BOUNDS, functools.partial(SensorProfile, "fusion")),
+    "RunConfig": (RunConfig, _RUN_BOUNDS, RunConfig),
+}
+# numeric fields checked beside their class's table instead of in it
+EXEMPT = {
+    ("SensorProfile", "color_accuracy_bins"),  # (range edge, value) bins with ordered edges
+    ("SensorProfile", "recall_bins"),
+    ("RunConfig", "prior_weight"),  # None, or the PlannerConfig prior_weight it sets
+}
+# fields whose None is allowed beside the table's bound
+NONE_ALLOWED = {("SearchLimits", "beam_width"), ("RunConfig", "prior_weight")}
+
+
+def out_of_bounds(bound):
+    """Values that break ``bound``: for a number NaN and one past each end, for an
+    integer a bool, a fraction and one below the lowest, for n numbers each of
+    those in the first place and a list one too short and one too long."""
+    if bound.integer:
+        return [True, 2.5, bound.low - 1]
+    below = bound.low - 1.0 if bound.low_ok else bound.low
+    beyond = [math.nan, below, bound.high + 1.0 if math.isfinite(bound.high) else math.inf]
+    if bound.count is None:
+        return beyond
+    inside = (bound.low + bound.high) / 2 if math.isfinite(bound.high) else bound.low + 1.0
+    rest = (inside,) * (bound.count - 1)
+    return [rest, rest + (inside, inside), *((value,) + rest for value in beyond)]
+
+
+BOUND_CASES = [
+    pytest.param(label, name, value, id=f"{label}-{name}-{value!r}")
+    for label, (_, bounds, _) in BOUND_TABLES.items()
+    for name, bound in bounds.items()
+    for value in out_of_bounds(bound)
+]
+
+
+class TestBoundsTables:
+    @pytest.mark.parametrize("label, name, value", BOUND_CASES)
+    def test_out_of_bounds_value_raises_naming_the_field(self, label, name, value):
+        _, _, build = BOUND_TABLES[label]
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            build(**{name: value})
+
+    @pytest.mark.parametrize("label", BOUND_TABLES)
+    def test_every_numeric_field_is_bounded(self, label):
+        # a knob added without bounds fails here: each int or float field,
+        # plain, optional or in a tuple, is in the table or named in EXEMPT
+        cls, bounds, build = BOUND_TABLES[label]
+        numeric = {f.name for f in dataclasses.fields(cls) if re.search(r"\b(int|float)\b", f.type)}
+        exempt = {name for owner, name in EXEMPT if owner == label}
+        assert numeric - exempt == set(bounds)
+        for owner, name in NONE_ALLOWED:
+            if owner == label:
+                build(**{name: None})
+
+
+# sha256 of config_resolved.json, recorded before it was written from dataclasses.asdict
+RESOLVED_DIGESTS = {
+    "fsg-like-12ms": "32b12843381ff79aca37168d41e7a0e282ac69315d79369a034805d1c667b591",
+    "fsg-like-5ms": "84fd460b39cc5ef8793119a1b92ca8c7074ef93bd9eb95fdb2131a7edb0809c8",
+    "modes-5ms": "08f610ab695cbcad15d90b448e5e8363de89a4c954778ea586798d40d68061fe",
+    "noise-free-circle": "7161f97e1887b2fded6a5875486fadd38cbdef3d0f18e4e83540cd6e83825d71",
+    "planning-15m": "4091dafd0e605d1055c39c77202a8f003a07d321c75b340c03b88ea9836e9fc1",
+    "overridden": "b082911500efc56d8bfd737f24407f458353bedc9421440b15a8bc5d50105a74",
+}
+# a config that sets a schedule, the prior weight and every module's overrides
+OVERRIDDEN = {
+    "name": "overridden",
+    "track_spec": {"kind": "circle", "radius_m": 25.0, "cone_spacing_m": 3.0},
+    "profiles": {"fusion": "noise_free:fusion", "lidar_only": "builtin:lidar_only", "camera_only": "builtin:camera_only"},
+    "seed": 7,
+    "mode_schedule": [{"time_s": 4.0, "fail": ["fusion"]}, {"time_s": 9.5, "restore": ["fusion"]}],
+    "prior_weight": 58.0,
+    "planner_limit_overrides": {"max_length_m": 20.0, "desired_edge_count": 12, "beam_width": None},
+    "local_map_overrides": {"gate_distance": 2.5, "process_noise_rate": [0.03, 0.01]},
+    "global_map_overrides": {"odometry_sigma_rates": [0.1, 0.1, 0.02], "max_iterations": 50, "lambda_down": 0.5},
+}
+
+
+class TestResolvedConfigBytes:
+    @pytest.mark.parametrize("name", sorted(RESOLVED_DIGESTS))
+    def test_config_resolved_digest(self, name, tmp_path):
+        resolved = RunConfig.from_dict(OVERRIDDEN) if name == "overridden" else load_config(name)
+        path = tmp_path / "config_resolved.json"
+        dump_resolved(resolved, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == RESOLVED_DIGESTS[name]

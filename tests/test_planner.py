@@ -16,18 +16,16 @@ from conetrack.local_map import LocalMapConfig, LocalMapSnapshot, LocalMapState,
 from conetrack.planner import (
     CandidatePath,
     DegenerateSnapshotError,
-    FeatureTerm,
     PathFeatures,
     PlannerConfig,
-    PriorConfig,
     SearchLimits,
     _cone_log_terms,
     _np_sum,
     _population_std,
     enumerate_paths,
-    log_prior,
     plan_record,
     plan_snapshot,
+    prior_terms,
     select_path,
     triangulate,
 )
@@ -116,7 +114,7 @@ class TestEnumerate:
         snap = corridor_snapshot(n_stations=6, stagger=1.25)
         positions = snap.cones.means
         tri = triangulate(positions)
-        config = PlannerConfig.with_limits(max_edges=50, max_length_m=100.0)
+        config = PlannerConfig(SearchLimits(max_edges=50, max_length_m=100.0))
         paths = enumerate_paths(tri, snap.ego, snap.cones.color_evidence, config)
         assert len(paths) == 1
 
@@ -137,13 +135,13 @@ class TestEnumerate:
         snap = LocalMapSnapshot(0.0, Pose2(0, 0, 0), cone_table(cones), frozenset(range(cid)), MapMode.FUSION)
         positions = snap.cones.means
         tri = triangulate(positions)
-        config = PlannerConfig.with_limits(max_edges=50, max_length_m=100.0)
+        config = PlannerConfig(SearchLimits(max_edges=50, max_length_m=100.0))
         paths = enumerate_paths(tri, snap.ego, snap.cones.color_evidence, config)
         assert len(paths) >= 2
 
     def test_straight_corridor_waypoints_on_centerline(self):
         snap = corridor_snapshot(n_stations=8, spacing=2.5, width=4.0)
-        config = PlannerConfig.with_limits(max_length_m=15.0)
+        config = PlannerConfig(SearchLimits(max_length_m=15.0))
         result = plan_snapshot(snap, config)
         assert result.selected is not None
         assert np.abs(result.selected.waypoints[:, 1]).max() < 1e-6
@@ -238,34 +236,34 @@ class TestNpSum:
 class TestPrior:
     def test_zero_cost_gives_unit_prior(self):
         features = PathFeatures(0.0, 0.0, 0.0, 0.0, 15.0, 15.0)
-        assert log_prior(features, PriorConfig.defaults()) == pytest.approx(0.0)
+        assert reference_log_prior(features, prior_terms(SearchLimits()), 29.0) == pytest.approx(0.0)
 
     def test_single_term_hand_computed(self):
-        config = PriorConfig(
-            prior_weight=29.0,
-            terms=(
-                FeatureTerm(0.1, 0.0, 1.0),
-                FeatureTerm(0.0, 0.0, 1.0),
-                FeatureTerm(0.0, 0.0, 1.0),
-                FeatureTerm(0.0, 0.0, 1.0),
-                FeatureTerm(0.0, 0.0, 1.0),
-                FeatureTerm(0.0, 0.0, 1.0),
-            ),
-        )
+        terms = ((0.1, 0.0, 1.0),) + ((0.0, 0.0, 1.0),) * 5
         features = PathFeatures(2.0, 0, 0, 0, 0, 0)
-        assert log_prior(features, config) == pytest.approx(-11.6)
+        assert reference_log_prior(features, terms, 29.0) == pytest.approx(-11.6)
 
     def test_default_weights(self):
-        config = PriorConfig.defaults()
-        assert config.prior_weight == 29.0
-        assert [t.weight for t in config.terms] == [0.1, 0.1, 0.1, 0.1, 0.1, 0.5]
+        assert PlannerConfig().prior_weight == 29.0
+        assert [weight for weight, _, _ in prior_terms(SearchLimits())] == [0.1, 0.1, 0.1, 0.1, 0.1, 0.5]
 
     def test_monotone_penalty(self):
-        config = PriorConfig.defaults()
+        terms = prior_terms(SearchLimits())
         base = PathFeatures(0.1, 0.2, 0.1, 0.3, 10.0, 12.0)
-        lp = log_prior(base, config)
+        lp = reference_log_prior(base, terms, 29.0)
         worse = PathFeatures(0.5, 0.2, 0.1, 0.3, 10.0, 12.0)
-        assert log_prior(worse, config) < lp
+        assert reference_log_prior(worse, terms, 29.0) < lp
+
+    def test_setpoints_follow_the_search_limits(self):
+        # the edge-count and length terms aim at the limits the search runs
+        # under, so a longer length cap moves the length setpoint with it
+        config = PlannerConfig(SearchLimits(max_length_m=20.0, desired_edge_count=12))
+        terms = ((0.1, 0.0, math.pi**2),) + ((0.1, 0.0, 1.0),) * 3 + ((0.1, 12.0, 1.0), (0.5, 20.0, 400.0))
+        assert prior_terms(config.limits) == terms
+        result = plan_snapshot(corridor_snapshot(n_stations=10, jitter=0.25, seed=4), config)
+        assert result.candidates
+        for cand in result.candidates:
+            assert cand.log_prior == reference_log_prior(cand.features, terms, 29.0)
 
 
 class TestLikelihood:
@@ -352,9 +350,7 @@ class TestSelection:
 
     def test_argmax_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(60)
-        config = PlannerConfig(
-            limits=SearchLimits(beam_width=None), prior=PriorConfig.defaults()
-        )
+        config = PlannerConfig(SearchLimits(beam_width=None))
         for trial in range(30):
             snap = corridor_snapshot(
                 n_stations=int(rng.integers(4, 9)),
@@ -366,7 +362,7 @@ class TestSelection:
                 continue
             best_idx, best_key = None, None
             for idx, cand in enumerate(result.candidates):
-                lp = log_prior(cand.features, config.prior)
+                lp = reference_log_prior(cand.features, prior_terms(config.limits), config.prior_weight)
                 ll = log_likelihood(snap.cones.color_evidence, cand.left_cones, cand.right_cones)
                 key = (-(lp + ll), -cand.features.length_m, cand.features.max_heading_change_rad, idx)
                 if best_key is None or key < best_key:
@@ -435,7 +431,7 @@ class TestScoreOnce:
                 assert cand.features == compute_features(
                     cand.waypoints, cand.crossed_edges, positions, cand.left_sequence, cand.right_sequence, config.limits
                 )
-                assert cand.log_prior == log_prior(cand.features, config.prior) == reference_log_prior(cand.features, config.prior)
+                assert cand.log_prior == reference_log_prior(cand.features, prior_terms(config.limits), config.prior_weight)
         assert planned >= 25
 
 
@@ -502,7 +498,7 @@ class TestNoiseFreeContainment:
         track = generate_track(TrackSpec(length_m=210.0, hairpin_count=1, cone_spacing_m=2.2), seed=7)
         corridor = track_corridor(track)
         geom = CenterlineGeometry(track.centerline)
-        config = PlannerConfig.with_limits(max_length_m=15.0)
+        config = PlannerConfig(SearchLimits(max_length_m=15.0))
         planned = 0
         for s in np.linspace(0, geom.length, 25, endpoint=False):
             ego = geom.pose_at(s)

@@ -213,7 +213,7 @@ class TestSensorProfile:
 
         p = default_profile("camera_only")
         path = tmp_path / "prof.json"
-        path.write_text(json.dumps(p.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(p)))
         assert load_profile(path) == p
 
 
@@ -430,7 +430,7 @@ class TestBatchMatchesPerDetectionReference:
     def test_seeded_lap_bit_identical(self, mode, make_profile):
         profile = make_profile(mode)
         if make_profile is noise_free_profile:  # confusion and false positives on top of exact positions
-            profile = SensorProfile(**{**profile.to_dict(), "color_accuracy_bins": [[15.0, 0.8]], "false_positives_per_frame": 0.3})
+            profile = SensorProfile(**{**dataclasses.asdict(profile), "color_accuracy_bins": [[15.0, 0.8]], "false_positives_per_frame": 0.3})
         track = generate_track(TrackSpec(length_m=200.0), seed=11)
         run = SimRun(track, ((0.0, 5.0),))
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
