@@ -12,21 +12,12 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, RunFailure, load_config, read_input, resolve_profile
-from .core import is_finite_number
-from .evaluate import build_report, load_trajectory, planning_stats, save_report
+from .evaluate import DegenerateGeometryError, build_report, load_trajectory, planning_stats, save_report
 from .global_map import load_map
 from .local_map import MapMode, read_snapshot_log
 from .pipeline import map_alignment, replay_snapshots, run_pipeline
-from .planner import PLANNER_LOG_SCHEMA_VERSION
-from .simulate import (
-    CenterlineGeometry,
-    InfeasibleTrackError,
-    TrackSpec,
-    TrackValidationError,
-    generate_track,
-    load_track,
-    save_track,
-)
+from .planner import read_planner_log
+from .simulate import InfeasibleTrackError, TrackSpec, TrackValidationError, generate_track, load_track, save_track
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -87,34 +78,6 @@ def _read_spec(path) -> dict:
     if not isinstance(spec, dict):
         raise ValueError(f"a track spec must be a JSON object, got {type(spec).__name__}")
     return spec
-
-
-def _check_planner_record(record, number: int) -> dict:
-    """A planner log record, or ``ValueError`` naming its line: an object with a finite ego and time and finite waypoints."""
-    if not isinstance(record, dict):
-        raise ValueError(f"planner log record on line {number} is not a JSON object")
-    ego = record.get("ego")
-    if not (isinstance(ego, dict) and all(is_finite_number(ego.get(k)) for k in ("x_m", "y_m", "theta_rad"))):
-        raise ValueError(f"planner log record on line {number} needs an ego with finite x_m, y_m and theta_rad")
-    if not is_finite_number(record.get("timestamp_s")):
-        raise ValueError(f"planner log record on line {number} needs a finite timestamp_s")
-    waypoints = record.get("waypoints_m") or []
-    pairs = isinstance(waypoints, list) and all(isinstance(p, list) and len(p) == 2 for p in waypoints)
-    if not (pairs and all(is_finite_number(v) for p in waypoints for v in p)):
-        raise ValueError(f"planner log record on line {number}: waypoints_m must be a list of finite [x, y] pairs")
-    return record
-
-
-def _read_planner_log(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if not (
-            isinstance(header, dict)
-            and header.get("kind") == "planner_log"
-            and header.get("schema_version") == PLANNER_LOG_SCHEMA_VERSION
-        ):
-            raise ValueError(f"line 1 is not a planner log header of version {PLANNER_LOG_SCHEMA_VERSION}: {header!r}")
-        return [_check_planner_record(json.loads(line), number) for number, line in enumerate(fh, start=2) if line.strip()]
 
 
 def _spec_from_args(args) -> TrackSpec:
@@ -192,7 +155,7 @@ def _cmd_replay(args) -> int:
 def _cmd_eval(args) -> int:
     track = read_input(load_track, args.track)
     records = read_input(load_map, args.map) if args.map else None
-    planner_records = read_input(_read_planner_log, args.planner_log) if args.planner_log else None
+    planner_records = read_input(read_planner_log, args.planner_log) if args.planner_log else None
     trajectory = read_input(load_trajectory, args.trajectory) if args.trajectory else None
     if trajectory is not None and planner_records:
         # a record the trajectory does not cover would be judged in another frame
@@ -201,7 +164,10 @@ def _cmd_eval(args) -> int:
             raise ConfigError(f"{args.trajectory} has no row for planner log timestamp_s {missing!r}")
     map_metrics = None
     if records:
-        map_metrics = map_alignment(records, track, CenterlineGeometry(track.centerline).pose_at(0.0))
+        try:
+            map_metrics = map_alignment(records, track)
+        except DegenerateGeometryError as exc:
+            raise ConfigError(f"{args.map}: the map cannot be aligned to the track: {exc}") from exc
     elif records is not None:
         map_metrics = {"rmse_m": None, "landmarks": 0}
     stats = planning_stats(planner_records, track, trajectory) if planner_records is not None else None

@@ -82,6 +82,11 @@ class RunConfig:
             self.profiles = {m: default_profile(m) for m in SOURCE_MODES}
         if self.force_mode not in (None, *(mode.value for mode in MapMode)):
             raise ConfigError(f"unknown force_mode {self.force_mode!r}")
+        if not (self.track_file is None or isinstance(self.track_file, str)):
+            raise ConfigError(f"track_file must be a path string or null, got {self.track_file!r}")
+        for name in ("plan_enabled", "verbose_candidates", "closed_loop"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         try:
             check_bounds("run", self, _RUN_BOUNDS)
         except ValueError as exc:

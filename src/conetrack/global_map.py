@@ -32,7 +32,7 @@ from .core import (
     normalize_angle,
     transform_point,
 )
-from .local_map import LocalMapSnapshot, _encode_column
+from .local_map import LocalMapSnapshot, encode_column
 
 GRAPH_SCHEMA_VERSION = 2
 
@@ -668,6 +668,6 @@ def save_graph(graph: Graph, path: Path | str) -> None:
         "optimized": graph.optimized,
         "last_timestamp_s": graph.last_timestamp,
         "columns": {name: {"dtype": dtype, "shape": list(column.shape)} for name, (column, dtype) in columns.items()},
-        "data": {name: _encode_column(column, dtype) for name, (column, dtype) in columns.items()},
+        "data": {name: encode_column(column, dtype) for name, (column, dtype) in columns.items()},
     }
     Path(path).write_text(json.dumps(document))

@@ -477,7 +477,8 @@ def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
     return LocalMapSnapshot(timestamp, Pose2(*ego), cones, frozenset(observed), mode)
 
 
-def _encode_column(column: np.ndarray, dtype: str) -> str:
+def encode_column(column: np.ndarray, dtype: str) -> str:
+    """Base64 text of ``column``'s bytes as ``dtype``, the cell format of the snapshot log and graph.json."""
     return base64.b64encode(column.astype(dtype, copy=False).tobytes()).decode("ascii")
 
 
@@ -502,7 +503,7 @@ class SnapshotLogWriter:
 
     def write(self, snapshot: LocalMapSnapshot) -> None:
         cones, ego = snapshot.cones, snapshot.ego
-        fields = {name: _encode_column(getattr(cones, attr), dtype) for name, attr, dtype, _ in _COLUMNS}
+        fields = {name: encode_column(getattr(cones, attr), dtype) for name, attr, dtype, _ in _COLUMNS}
         # the filter's ego and time can be numpy floats, whose %r is not json's text
         fields.update(
             count=len(cones),

@@ -9,7 +9,7 @@ frame. Writes all run artifacts into a directory and returns a summary.
 from __future__ import annotations
 
 import bisect
-import json
+import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +30,7 @@ from .evaluate import (
 )
 from .global_map import Graph, add_snapshot, export_map, optimize, residual_summary, save_graph, save_map
 from .local_map import LocalMapSnapshot, LocalMapState, MapMode, SnapshotLogWriter, ingest_frame
-from .planner import PLANNER_LOG_SCHEMA_VERSION, PlanResult, plan_record, plan_snapshot
+from .planner import PlannerLogWriter, PlanResult, plan_record, plan_snapshot
 from .simulate import (
     CenterlineGeometry,
     ScenarioDriver,
@@ -53,6 +53,25 @@ class RunResult:
     rmse_m: float | None
     rmse_dead_reckoned_m: float | None
     report: dict
+
+
+class StageTimer:
+    """Wall-clock milliseconds of each pipeline stage, one list of samples per stage.
+
+    ``with timer.stage(name):`` appends one sample when its block completes;
+    a block that raises adds none. The stages the timer starts with are
+    listed before their first sample, so one that never runs has a count of 0.
+    """
+
+    def __init__(self, *stages: str):
+        self.samples: dict[str, list[float]] = {name: [] for name in stages}
+
+    @contextlib.contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        samples = self.samples.setdefault(name, [])
+        t0 = time.perf_counter()
+        yield
+        samples.append((time.perf_counter() - t0) * 1e3)
 
 
 class _ClosedLoopSteering:
@@ -111,57 +130,50 @@ class _ClosedLoopSteering:
 class _SnapshotEngine:
     """The per-snapshot half of the pipeline, shared by run and replay.
 
-    Plans on each snapshot and logs the plan to ``planner_log.ndjson``, and
+    Creates ``out_dir`` and writes ``config_resolved.json`` into it. Plans on
+    each snapshot and logs the plan to ``planner_log.ndjson``, and
     adds the snapshot to the one graph. :meth:`finish` exports the graph as
     the dead-reckoned map, solves it once, and writes the estimated map and
-    the graph. Each step is timed as a stage of ``timings`` (milliseconds):
-    the plan as ``planner``, its log record, dump and write as
-    ``planner_log``, the graph addition as ``global_map``.
+    the graph. Each step is timed as a stage of the run's ``timer``: the
+    plan as ``planner``, its log record and write as ``planner_log``, the
+    graph addition as ``global_map``. The timer must start with ``STAGES``.
     """
 
-    def __init__(self, config: RunConfig, out_dir: Path):
+    STAGES = ("planner", "planner_log", "global_map", "final_solve", "export", "map_write")
+
+    def __init__(self, config: RunConfig, out_dir: Path, timer: StageTimer):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        dump_resolved(config, out_dir / "config_resolved.json")
         self.config = config
         self.planner_cfg = config.planner_config()
         self.global_cfg = config.global_map_config()
         self.graph = Graph()
         self.planner_records: list[dict] = []
-        self.timings: dict[str, list[float]] = {
-            "planner": [],
-            "planner_log": [],
-            "global_map": [],
-            "final_solve": [],
-            "export": [],
-            "map_write": [],
-        }
+        self.timer = timer
         self.steps = 0
         self._prev_ego: Pose2 | None = None
-        self._planner_fh = open(out_dir / "planner_log.ndjson", "w", encoding="utf-8")
-        header = {"schema_version": PLANNER_LOG_SCHEMA_VERSION, "kind": "planner_log"}
-        self._planner_fh.write(json.dumps(header, sort_keys=True) + "\n")
+        self._planner_log = PlannerLogWriter(out_dir / "planner_log.ndjson")
 
     def step(self, snapshot: LocalMapSnapshot) -> PlanResult | None:
         """Plan on and map one snapshot; returns the plan, or None when planning is off."""
         result = None
         if self.config.plan_enabled:
-            t0 = time.perf_counter()
-            result = plan_snapshot(snapshot, self.planner_cfg)
-            self.timings["planner"].append((time.perf_counter() - t0) * 1e3)
-            t0 = time.perf_counter()
-            record = plan_record(result, snapshot, self.config.verbose_candidates)
-            self.planner_records.append(record)
-            self._planner_fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self.timings["planner_log"].append((time.perf_counter() - t0) * 1e3)
+            with self.timer.stage("planner"):
+                result = plan_snapshot(snapshot, self.planner_cfg)
+            with self.timer.stage("planner_log"):
+                record = plan_record(result, snapshot, self.config.verbose_candidates)
+                self.planner_records.append(record)
+                self._planner_log.write(record)
 
-        t0 = time.perf_counter()
-        odom = Pose2.identity() if self._prev_ego is None else relative_pose(self._prev_ego, snapshot.ego)
-        add_snapshot(self.graph, snapshot, odom, self.global_cfg)
-        self.timings["global_map"].append((time.perf_counter() - t0) * 1e3)
+        with self.timer.stage("global_map"):
+            odom = Pose2.identity() if self._prev_ego is None else relative_pose(self._prev_ego, snapshot.ego)
+            add_snapshot(self.graph, snapshot, odom, self.global_cfg)
         self._prev_ego = snapshot.ego
         self.steps += 1
         return result
 
     def close(self) -> None:
-        self._planner_fh.close()
+        self._planner_log.close()
 
     def finish(self, out_dir: Path) -> tuple[list[dict], list[dict], dict]:
         """Export, solve, export, and write both maps and the graph.
@@ -174,39 +186,36 @@ class _SnapshotEngine:
         solved graph.
         """
         min_edges = self.global_cfg.export_min_edges
-        t0 = time.perf_counter()
-        dead_reckoned = export_map(self.graph, min_edges=min_edges)
-        self.timings["export"].append((time.perf_counter() - t0) * 1e3)
+        with self.timer.stage("export"):
+            dead_reckoned = export_map(self.graph, min_edges=min_edges)
         health: dict = dict.fromkeys(("final_cost", "iterations", "converged", "message"))
-        t0 = time.perf_counter()
-        if len(self.graph.poses):
-            result = optimize(self.graph, self.global_cfg)
-            self.graph.merge_estimates(result)
-            health.update(
-                final_cost=result.final_cost,
-                iterations=result.iterations,
-                converged=result.converged,
-                message=result.message,
-            )
-        health.update(residual_summary(self.graph))
-        self.timings["final_solve"].append((time.perf_counter() - t0) * 1e3)
-        t0 = time.perf_counter()
-        estimated = export_map(self.graph, min_edges=min_edges)
-        self.timings["export"].append((time.perf_counter() - t0) * 1e3)
-        t0 = time.perf_counter()
-        save_map(estimated, out_dir / "map_estimated.json")
-        save_map(dead_reckoned, out_dir / "map_dead_reckoned.json")
-        save_graph(self.graph, out_dir / "graph.json")
-        self.timings["map_write"].append((time.perf_counter() - t0) * 1e3)
+        with self.timer.stage("final_solve"):
+            if len(self.graph.poses):
+                result = optimize(self.graph, self.global_cfg)
+                self.graph.merge_estimates(result)
+                health.update(
+                    final_cost=result.final_cost,
+                    iterations=result.iterations,
+                    converged=result.converged,
+                    message=result.message,
+                )
+            health.update(residual_summary(self.graph))
+        with self.timer.stage("export"):
+            estimated = export_map(self.graph, min_edges=min_edges)
+        with self.timer.stage("map_write"):
+            save_map(estimated, out_dir / "map_estimated.json")
+            save_map(dead_reckoned, out_dir / "map_dead_reckoned.json")
+            save_graph(self.graph, out_dir / "graph.json")
         return estimated, dead_reckoned, health
 
 
-def map_alignment(records: list[dict], track: TrackDefinition, start_pose: Pose2) -> dict:
+def map_alignment(records: list[dict], track: TrackDefinition) -> dict:
     """Align an exported map to the track's cones and return the map metrics.
 
-    Map coordinates are relative to the lap's start pose, which places them
-    in the world before ICP refines the fit.
+    Map coordinates are relative to the lap's start pose (the centerline's
+    pose at arc length 0), which places them in the world before ICP refines it.
     """
+    start_pose = CenterlineGeometry(track.centerline).pose_at(0.0)
     pts = np.array([[r["x_m"], r["y_m"]] for r in records])
     world = np.array([start_pose.rotation() @ p + start_pose.position for p in pts])
     alignment = icp_align(world, track.positions, init=Pose2.identity())
@@ -230,22 +239,19 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     from .simulate import save_track
 
     t_start = time.perf_counter()
-    if config.track_file:  # a bad track file stops the run before any artifact is written
-        track = read_input(load_track, config.track_file)
-    else:
-        track = generate_track(config.track_spec, config.seed)
-    track_ms = (time.perf_counter() - t_start) * 1e3
-    t0 = time.perf_counter()
+    run_stages = ("track_generation", "artifact_write", "ground_truth", "sense", "local_map", "snapshot_write")
+    timer = StageTimer(*run_stages, *_SnapshotEngine.STAGES)
+    with timer.stage("track_generation"):
+        if config.track_file:  # a bad track file stops the run before any artifact is written
+            track = read_input(load_track, config.track_file)
+        else:
+            track = generate_track(config.track_spec, config.seed)
+        geom = CenterlineGeometry(track.centerline)
+        speed_profile = curvature_limited_speed_profile(track, config.max_speed_mps, config.lateral_accel_mps2)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump_resolved(config, out_dir / "config_resolved.json")
-    save_track(track, out_dir / "track.json")
-    write_ms = [(time.perf_counter() - t0) * 1e3]
-    t0 = time.perf_counter()
-    geom = CenterlineGeometry(track.centerline)
-
-    speed_profile = curvature_limited_speed_profile(track, config.max_speed_mps, config.lateral_accel_mps2)
-    track_ms += (time.perf_counter() - t0) * 1e3
+    with timer.stage("artifact_write"):
+        engine = _SnapshotEngine(config, out_dir, timer)
+        save_track(track, out_dir / "track.json")
     run = SimRun(track, speed_profile, config.frame_rate_hz)
     local_cfg = config.local_map_config()
     force = None if config.force_mode is None else MapMode(config.force_mode)
@@ -254,18 +260,9 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     timeline = config.source_timeline()
     timeline_starts = [time_s for time_s, _ in timeline]
     state = LocalMapState()
-    timings: dict[str, list[float]] = {
-        "track_generation": [track_ms],
-        "ground_truth": [],
-        "sense": [],
-        "local_map": [],
-        "snapshot_write": [],
-        "artifact_write": write_ms,
-    }
     trajectory_rows: list[tuple[float, Pose2, Pose2]] = []
     steering = _ClosedLoopSteering()
     velocity_profile = config.profiles["fusion"]  # ego-motion source, independent of cone pipelines
-    start_pose = geom.pose_at(0.0)
     completed = False
     failure: RunFailure | None = None
 
@@ -277,28 +274,22 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
         true_frames = ScenarioDriver(run).frames()
 
     snapshot_writer = SnapshotLogWriter(out_dir / "snapshots.ndjson")
-    engine = _SnapshotEngine(config, out_dir)
     try:
         while True:
-            t0 = time.perf_counter()
-            frame = next(true_frames, None)
-            timings["ground_truth"].append((time.perf_counter() - t0) * 1e3)
+            with timer.stage("ground_truth"):
+                frame = next(true_frames, None)
             if frame is None:
                 break
             timestamp, frame_dt, true_pose, true_vel = frame
             _, sources = timeline[bisect.bisect_right(timeline_starts, timestamp) - 1]
 
-            t0 = time.perf_counter()
-            batches = [observe_cones(track, true_pose, config.profiles[source], rng, timestamp) for source in sources]
-            vel_reading = noisy_velocity(true_vel, velocity_profile, rng)
-            timings["sense"].append((time.perf_counter() - t0) * 1e3)
-
-            t0 = time.perf_counter()
-            state, snapshot = ingest_frame(state, batches, vel_reading, frame_dt, local_cfg, mode=force)
-            timings["local_map"].append((time.perf_counter() - t0) * 1e3)
-            t0 = time.perf_counter()
-            snapshot_writer.write(snapshot)
-            timings["snapshot_write"].append((time.perf_counter() - t0) * 1e3)
+            with timer.stage("sense"):
+                batches = [observe_cones(track, true_pose, config.profiles[source], rng, timestamp) for source in sources]
+                vel_reading = noisy_velocity(true_vel, velocity_profile, rng)
+            with timer.stage("local_map"):
+                state, snapshot = ingest_frame(state, batches, vel_reading, frame_dt, local_cfg, mode=force)
+            with timer.stage("snapshot_write"):
+                snapshot_writer.write(snapshot)
             trajectory_rows.append((snapshot.timestamp, true_pose, snapshot.ego))
 
             plan = engine.step(snapshot)
@@ -312,30 +303,26 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
         engine.close()
 
     estimated, dead_reckoned, health = engine.finish(out_dir)
-    timings.update(engine.timings)
-    t0 = time.perf_counter()
-    save_trajectory(out_dir / "trajectory.csv", trajectory_rows)
-    _write_planner_timing(out_dir / "planner_timing.csv", timings["planner"])
-    timings["artifact_write"].append((time.perf_counter() - t0) * 1e3)
+    with timer.stage("artifact_write"):
+        save_trajectory(out_dir / "trajectory.csv", trajectory_rows)
+        _write_planner_timing(out_dir / "planner_timing.csv", timer.samples["planner"])
 
     map_metrics: dict = {"landmarks": len(estimated), **health}
     if estimated:
-        t0 = time.perf_counter()
-        map_metrics.update(map_alignment(estimated, track, start_pose))
-        map_metrics["rmse_dead_reckoned_m"] = map_alignment(dead_reckoned, track, start_pose)["rmse_m"]
-        timings["map_alignment"] = [(time.perf_counter() - t0) * 1e3]
+        with timer.stage("map_alignment"):
+            map_metrics.update(map_alignment(estimated, track))
+            map_metrics["rmse_dead_reckoned_m"] = map_alignment(dead_reckoned, track)["rmse_m"]
 
     stats = None
     if engine.planner_records:
         trajectory = {t: (true, ego) for t, true, ego in trajectory_rows}
-        t0 = time.perf_counter()
-        stats = planning_stats(engine.planner_records, track, trajectory)
-        timings["planning_stats"] = [(time.perf_counter() - t0) * 1e3]
+        with timer.stage("planning_stats"):
+            stats = planning_stats(engine.planner_records, track, trajectory)
     wall_s = time.perf_counter() - t_start
     report = build_report(
         map_metrics,
         stats,
-        timings,
+        timer.samples,
         {
             "name": config.name,
             "seed": config.seed,
@@ -346,7 +333,7 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
         },
     )
     report["timing"]["wall_s"] = wall_s
-    report["timing"]["unaccounted_s"] = wall_s - sum(map(sum, timings.values())) / 1e3
+    report["timing"]["unaccounted_s"] = wall_s - sum(map(sum, timer.samples.values())) / 1e3
     save_report(report, out_dir / "report.json", out_dir / "report_hist.csv")
 
     if failure is not None:
@@ -377,9 +364,8 @@ def replay_snapshots(
     for byte.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump_resolved(config, out_dir / "config_resolved.json")
-    engine = _SnapshotEngine(config, out_dir)
+    timer = StageTimer(*_SnapshotEngine.STAGES)
+    engine = _SnapshotEngine(config, out_dir, timer)
     try:
         for snapshot in snapshots:
             engine.step(snapshot)
@@ -388,12 +374,10 @@ def replay_snapshots(
     estimated, _, _ = engine.finish(out_dir)
 
     report: dict = {"frames": engine.steps, "landmarks": len(estimated)}
-    timings = {"final_solve": engine.timings["final_solve"]}
     if track is not None and engine.planner_records:
-        t0 = time.perf_counter()
-        stats = planning_stats(engine.planner_records, track)
-        timings["planning_stats"] = [(time.perf_counter() - t0) * 1e3]
+        with timer.stage("planning_stats"):
+            stats = planning_stats(engine.planner_records, track)
         report["planning"] = build_report(None, stats)["planning"]
-    report["timing"] = {stage: timing_percentiles(samples) for stage, samples in timings.items()}
+    report["timing"] = {stage: timing_percentiles(samples) for stage, samples in timer.samples.items()}
     save_report(report, out_dir / "replay_report.json")
     return report

@@ -18,6 +18,7 @@ the emitted candidate carries.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -26,11 +27,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .core import Bound, Pose2, check_bounds, check_range, normalize_angle
+from .core import Bound, Pose2, check_bounds, check_range, is_finite_number, normalize_angle
 
 LIKELIHOOD_FLOOR = 1e-6
-# version in the planner_log.ndjson header; its records are plan_record's
-PLANNER_LOG_SCHEMA_VERSION = 1
+# the first line of planner_log.ndjson; each line after it is one plan_record
+PLANNER_LOG_HEADER = {"kind": "planner_log", "schema_version": 1}
 
 
 class DegenerateSnapshotError(ValueError):
@@ -629,3 +630,43 @@ def plan_record(result: PlanResult, snapshot, verbose_candidates: bool = False) 
             for c in result.candidates
         ]
     return record
+
+
+class PlannerLogWriter:
+    """Writes the planner log: the header line, then one :func:`plan_record` per line."""
+
+    def __init__(self, path):
+        self._fh = open(path, "w", encoding="utf-8")
+        self._fh.write(json.dumps(PLANNER_LOG_HEADER, sort_keys=True) + "\n")
+
+    def write(self, record: dict) -> None:
+        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def close(self) -> None:
+        self._fh.close()
+
+
+def _check_planner_record(record, number: int) -> dict:
+    """A planner log record, or ``ValueError`` naming its line: an object with a finite ego and time and finite waypoints."""
+    if not isinstance(record, dict):
+        raise ValueError(f"planner log record on line {number} is not a JSON object")
+    ego = record.get("ego")
+    if not (isinstance(ego, dict) and all(is_finite_number(ego.get(k)) for k in ("x_m", "y_m", "theta_rad"))):
+        raise ValueError(f"planner log record on line {number} needs an ego with finite x_m, y_m and theta_rad")
+    if not is_finite_number(record.get("timestamp_s")):
+        raise ValueError(f"planner log record on line {number} needs a finite timestamp_s")
+    waypoints = record.get("waypoints_m") or []
+    pairs = isinstance(waypoints, list) and all(isinstance(p, list) and len(p) == 2 for p in waypoints)
+    if not (pairs and all(is_finite_number(v) for p in waypoints for v in p)):
+        raise ValueError(f"planner log record on line {number}: waypoints_m must be a list of finite [x, y] pairs")
+    return record
+
+
+def read_planner_log(path) -> list[dict]:
+    """The records of a planner log; ``ValueError`` naming the line of a bad header or record."""
+    with open(path, encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+        if header != PLANNER_LOG_HEADER:
+            version = PLANNER_LOG_HEADER["schema_version"]
+            raise ValueError(f"line 1 is not a planner log header of version {version}: {header!r}")
+        return [_check_planner_record(json.loads(line), number) for number, line in enumerate(fh, start=2) if line.strip()]

@@ -146,6 +146,12 @@ class TestRun:
         assert report["run"]["completed_lap"] is False
         assert report["run"]["failure"]
         assert (out / "snapshots.ndjson").exists()
+        # the driver step that raised the failure adds no sample
+        timing = report["timing"]
+        assert timing["ground_truth"]["count"] == report["run"]["frames"] > 0
+        assert timing["planner"]["count"] == timing["planner_log"]["count"] == 0
+        total_s = sum(t["mean_ms"] * t["count"] for t in timing.values() if isinstance(t, dict) and t["count"]) / 1e3
+        assert 0.0 < total_s <= timing["wall_s"]
 
     def test_mode_schedule_degrades_and_completes(self, tmp_path):
         schedule = tmp_path / "sched.json"
@@ -258,7 +264,19 @@ class TestReplay:
         assert code == 0
         assert (out / "planner_log.ndjson").read_bytes() == (run_dir / "planner_log.ndjson").read_bytes()
         assert (out / "map_estimated.json").read_bytes() == (run_dir / "map_estimated.json").read_bytes()
-        assert read_json(out / "replay_report.json")["timing"]["planning_stats"]["count"] == 1
+        report = read_json(out / "replay_report.json")
+        counts = {stage: t["count"] for stage, t in report["timing"].items()}
+        frames = report["frames"]
+        assert frames > 0
+        assert counts == {
+            "planner": frames,
+            "planner_log": frames,
+            "global_map": frames,
+            "final_solve": 1,
+            "export": 2,
+            "map_write": 1,
+            "planning_stats": 1,
+        }
 
     def test_replay_and_eval_give_one_planning_summary(self, tmp_path, run_dir):
         track = str(run_dir / "track.json")
@@ -330,6 +348,8 @@ BAD_INPUTS = [
     ["eval", "--track", "{track}", "--map", "{ymissingmap}"],
     ["eval", "--track", "{track}", "--map", "{nanmap}"],
     ["eval", "--track", "{track}", "--map", "{objectmap}"],
+    ["eval", "--track", "{track}", "--map", "{onelandmarkmap}"],
+    ["eval", "--track", "{track}", "--map", "{farmap}"],
     ["eval", "--track", "{track}", "--planner-log", "{missing}"],
     ["eval", "--track", "{track}", "--planner-log", "{garbage}"],
     ["eval", "--track", "{track}", "--planner-log", "{listheaderplans}"],
@@ -339,6 +359,7 @@ BAD_INPUTS = [
     ["eval", "--track", "{track}", "--planner-log", "{nanwaypointplans}"],
     ["eval", "--track", "{track}", "--planner-log", "{nanegoplans}"],
     ["eval", "--track", "{track}", "--planner-log", "{schemaplans}"],
+    ["eval", "--track", "{track}", "--planner-log", "{extraheaderplans}"],
     ["eval", "--track", "{track}", "--trajectory", "{missing}"],
     ["eval", "--track", "{track}", "--trajectory", "{columnlesstrajectory}"],
     ["eval", "--track", "{track}", "--trajectory", "{shortrowtrajectory}"],
@@ -392,6 +413,10 @@ BAD_INPUTS = [
     ["run", "--config", "{zerobeam}"],
     ["run", "--config", "{floatedges}"],
     ["run", "--config", "{nanprior}"],
+    ["run", "--config", "{stringclosedloop}"],
+    ["run", "--config", "{stringplanenabled}"],
+    ["run", "--config", "{intverbose}"],
+    ["run", "--config", "{inttrackfile}"],
 ]
 
 SNAPSHOT_HEADER = json.dumps({
@@ -442,6 +467,11 @@ BAD_FILES = {
     "schema1log": ('{"kind": "snapshot_log", "schema_version": 1}\n' + EMPTY_RECORD.replace(EMPTY_CONES, "[]") % 0.0, "line 1"),
     "schemaplans": ('{"kind": "planner_log", "schema_version": 99}\n' + PLAN_RECORD % (0.0, "[1.0, 0.0]"), "line 1"),
     "listheaderplans": ("[1]\n" + PLAN_RECORD % (0.0, "[1.0, 0.0]"), "line 1"),
+    # the header must be exactly the one the writer writes
+    "extraheaderplans": (
+        '{"kind": "planner_log", "note": "x", "schema_version": 1}\n' + PLAN_RECORD % (0.0, "[1.0, 0.0]"),
+        "line 1",
+    ),
     "listrecordplans": (PLANNER_HEADER + PLAN_RECORD % (0.0, "[1.0, 0.0]") + "[7]\n", "line 3"),
     "egolessplans": (PLANNER_HEADER + '{"timestamp_s": 0.1, "waypoints_m": [[1.0, 0.0]]}\n', "line 2"),
     "wordwaypointplans": (PLANNER_HEADER + PLAN_RECORD % (0.0, '[1, "a"]'), "line 2"),
@@ -456,6 +486,12 @@ BAD_FILES = {
     "ymissingmap": ('[{"x_m": 0.0}]', "map record 0"),
     "nanmap": ('[{"x_m": NaN, "y_m": 1.0}]', "map record 0"),
     "objectmap": ('{"x_m": 0.0, "y_m": 1.0}', "JSON list"),
+    # maps ICP cannot align to the track: one landmark, and landmarks far from every cone
+    "onelandmarkmap": ('[{"x_m": 0.0, "y_m": 1.0}]', "all points coincident"),
+    "farmap": (
+        '[{"x_m": 500.0, "y_m": 500.0}, {"x_m": 510.0, "y_m": 505.0}]',
+        "no correspondences within the reject radius",
+    ),
     "badtime": ('[{"time_s": "abc", "fail": ["fusion"]}]', "time_s"),
     "badseed": ('{"seed": "x"}', "seed"),
     "negseed": ('{"seed": -5}', "seed"),
@@ -495,6 +531,10 @@ BAD_FILES = {
     "zerobeam": ('{"planner_limit_overrides": {"beam_width": 0}}', "beam_width"),
     "floatedges": ('{"planner_limit_overrides": {"max_edges": 2.5}}', "max_edges"),
     "nanprior": ('{"prior_weight": NaN}', "prior_weight"),
+    "stringclosedloop": ('{"closed_loop": "false"}', "closed_loop"),
+    "stringplanenabled": ('{"plan_enabled": "no"}', "plan_enabled"),
+    "intverbose": ('{"verbose_candidates": 1}', "verbose_candidates"),
+    "inttrackfile": ('{"track_file": 5}', "track_file"),
     **BROKEN_TRACKS,
 }
 

@@ -65,3 +65,18 @@ def unreferenced_definitions(package: Path = PACKAGE) -> list[str]:
 
 def test_every_definition_is_referenced_by_package_code():
     assert unreferenced_definitions() == []
+
+
+def private_imports(package: Path = PACKAGE) -> list[str]:
+    """``module:name`` of every underscore name one package module imports from another."""
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            internal = isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("conetrack"))
+            if internal:
+                found += [f"{path.stem}:{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports() == []

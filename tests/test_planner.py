@@ -18,6 +18,7 @@ from conetrack.planner import (
     DegenerateSnapshotError,
     PathFeatures,
     PlannerConfig,
+    PlannerLogWriter,
     SearchLimits,
     _cone_log_terms,
     _np_sum,
@@ -26,6 +27,7 @@ from conetrack.planner import (
     plan_record,
     plan_snapshot,
     prior_terms,
+    read_planner_log,
     select_path,
     triangulate,
 )
@@ -535,3 +537,16 @@ class TestPlanRecord:
         assert record["log_posterior"] == pytest.approx(
             record["log_prior"] + record["log_likelihood"]
         )
+
+    def test_planner_log_round_trip(self, tmp_path):
+        path = tmp_path / "planner_log.ndjson"
+        writer = PlannerLogWriter(path)
+        records = []
+        for snap in noisy_run_snapshots(30):
+            records.append(plan_record(plan_snapshot(snap), snap, verbose_candidates=True))
+            writer.write(records[-1])
+        writer.close()
+        header, *lines = path.read_bytes().splitlines(keepends=True)
+        assert header == b'{"kind": "planner_log", "schema_version": 1}\n'
+        assert len(lines) == len(records) and any(r["waypoints_m"] for r in records)
+        assert read_planner_log(path) == records
