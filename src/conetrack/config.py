@@ -45,6 +45,18 @@ _RUN_BOUNDS = {
 }
 
 
+# fields JSON can give any type, each with the type it must have
+_FIELD_TYPES = {
+    "name": (str, "a string"),
+    "plan_enabled": (bool, "true or false"),
+    "verbose_candidates": (bool, "true or false"),
+    "closed_loop": (bool, "true or false"),
+    "local_map_overrides": (dict, "an object"),
+    "global_map_overrides": (dict, "an object"),
+    "planner_limit_overrides": (dict, "an object"),
+}
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 2)."""
 
@@ -84,9 +96,9 @@ class RunConfig:
             raise ConfigError(f"unknown force_mode {self.force_mode!r}")
         if not (self.track_file is None or isinstance(self.track_file, str)):
             raise ConfigError(f"track_file must be a path string or null, got {self.track_file!r}")
-        for name in ("plan_enabled", "verbose_candidates", "closed_loop"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name, (kind, described) in _FIELD_TYPES.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be {described}, got {getattr(self, name)!r}")
         try:
             check_bounds("run", self, _RUN_BOUNDS)
         except ValueError as exc:
@@ -176,8 +188,11 @@ class RunConfig:
                 data["track_spec"] = TrackSpec(**data["track_spec"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad track_spec: {exc}") from exc
+        given = data.get("profiles") or {}
+        if not isinstance(given, dict):
+            raise ConfigError(f"profiles must be an object of mode: profile, got {given!r}")
         profiles = {}
-        for mode, value in (data.get("profiles") or {}).items():
+        for mode, value in given.items():
             if mode not in SOURCE_MODES:
                 raise ConfigError(f"unknown profile mode {mode!r}")
             try:

@@ -1,7 +1,7 @@
 """Globally consistent cone map via pose-landmark graph optimization.
 
-Snapshots from the local map append a pose (chained by an odometry edge
-integrated from the velocity estimate) plus body-frame observation edges to
+Snapshots from the local map append a pose (chained by an odometry edge, the
+motion between consecutive snapshot egos) plus body-frame observation edges to
 landmarks. New landmarks are created only for cones observed in the latest
 frame and close to the car; association first re-uses the local map's stable
 cone ids, then falls back to Euclidean matching against existing landmarks.
@@ -30,6 +30,7 @@ from .core import (
     compose,
     is_finite_number,
     normalize_angle,
+    relative_pose,
     transform_point,
 )
 from .local_map import LocalMapSnapshot, encode_column
@@ -126,7 +127,8 @@ class Graph:
     ``observation_edges`` (``OBSERVATION_EDGE`` rows) body-frame landmark
     measurements. ``color_evidence[i]`` is landmark i's ``{local cone id:
     (blue, yellow, unknown) evidence}`` in link order, its dominant class
-    cached beside it.
+    cached beside it. ``last_timestamp`` and ``last_ego`` are those of the
+    last snapshot added, from which the next one's odometry edge is taken.
     :func:`optimize` reads the arrays; :meth:`merge_estimates` writes a solve back.
     """
 
@@ -139,6 +141,7 @@ class Graph:
         self.color_evidence: list[dict[int, np.ndarray]] = []
         self.local_links: dict[int, int] = {}
         self.last_timestamp: float | None = None
+        self.last_ego: Pose2 | None = None
         self.optimized = False
 
     @property
@@ -198,21 +201,13 @@ class Graph:
         self.optimized = True
 
 
-def _color_probabilities(evidence) -> np.ndarray:
-    """(blue, yellow, unknown) probabilities of the sum of colour evidence arrays; no evidence reads as unknown."""
-    total = np.zeros(3)
-    for ev in evidence:
-        total += ev
-    total_sum = float(total.sum())
-    return total / total_sum if total_sum > 0 else np.array([0.0, 0.0, 1.0])
+def _color_probabilities(evidence) -> tuple[float, float, float]:
+    """(blue, yellow, unknown) probabilities of the sum of (blue, yellow,
+    unknown) evidence triples; no evidence reads as unknown.
 
-
-def _dominant_class(evidence) -> int:
-    """``np.argmax(_color_probabilities(evidence))`` in plain floats, bit for bit.
-
-    The same additions and divisions in numpy's order (a three-value sum is a
-    left fold from +0.0); like ``np.argmax``, the first NaN or else the first
-    largest probability wins.
+    Plain floats in numpy's order, so the values equal those of summing numpy
+    arrays into ``np.zeros(3)`` and dividing by ``.sum()``, bit for bit: each
+    class is a left fold from +0.0, and so is the three-value total.
     """
     blue = yellow = unknown = 0.0
     for b, y, u in evidence:
@@ -221,14 +216,18 @@ def _dominant_class(evidence) -> int:
         unknown += u
     total = 0.0 + blue + yellow + unknown
     if not total > 0:
-        return 2
-    best, best_p = 0, blue / total
-    for k, p in ((1, yellow / total), (2, unknown / total)):
-        if best_p != best_p:
-            break
-        if p > best_p or p != p:
-            best, best_p = k, p
-    return best
+        return 0.0, 0.0, 1.0
+    return blue / total, yellow / total, unknown / total
+
+
+def _dominant_class(evidence) -> int:
+    """The class code of the largest colour probability; as in ``np.argmax``,
+    the first NaN or else the first largest wins."""
+    probabilities = _color_probabilities(evidence)
+    for k, p in enumerate(probabilities):
+        if p != p:
+            return k
+    return probabilities.index(max(probabilities))
 
 
 def _row_pose(row: np.ndarray) -> Pose2:
@@ -239,28 +238,29 @@ def _row_pose(row: np.ndarray) -> Pose2:
     return pose
 
 
-def add_snapshot(
-    graph: Graph, snapshot: LocalMapSnapshot, odometry: Pose2, config: GlobalMapConfig = GlobalMapConfig()
-) -> Graph:
-    """Append one local-map snapshot to the graph (mutates and returns it)."""
+def add_snapshot(graph: Graph, snapshot: LocalMapSnapshot, config: GlobalMapConfig = GlobalMapConfig()) -> Graph:
+    """Append one local-map snapshot to the graph (mutates and returns it).
+
+    The first snapshot's pose is the identity; each later one is chained to
+    its predecessor by the odometry edge ``relative_pose(previous ego, ego)``.
+    """
     if graph.last_timestamp is not None and snapshot.timestamp <= graph.last_timestamp:
         raise ValueError(
             f"snapshot at {snapshot.timestamp} s arrived after {graph.last_timestamp} s"
         )
-    dt = 0.0 if graph.last_timestamp is None else snapshot.timestamp - graph.last_timestamp
-    graph.last_timestamp = snapshot.timestamp
-
-    if len(graph.poses):
-        pose = compose(_row_pose(graph.poses[-1]), odometry)
-        sx, sy, st = config.odometry_sigma_rates
-        dt_f = max(dt, 1e-3)
-        info = np.diag([1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)])
-        graph.add_pose(pose, odometry, info)
-    else:
+    ego = snapshot.ego
+    if graph.last_ego is None:
         pose = Pose2.identity()
         graph.add_pose(pose)
+    else:
+        odometry = relative_pose(graph.last_ego, ego)
+        pose = compose(_row_pose(graph.poses[-1]), odometry)
+        sx, sy, st = config.odometry_sigma_rates
+        dt_f = max(snapshot.timestamp - graph.last_timestamp, 1e-3)
+        info = np.diag([1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)])
+        graph.add_pose(pose, odometry, info)
+    graph.last_timestamp, graph.last_ego = snapshot.timestamp, ego
 
-    ego = snapshot.ego
     cones = snapshot.cones
     ids = cones.ids.tolist()
     # a landmark whose linked local cone is still alive in this snapshot is a
@@ -411,77 +411,50 @@ def _whiten(information: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(information).transpose(0, 2, 1)
 
 
+def _place(first_row: np.ndarray, first_col: np.ndarray, blocks: np.ndarray):
+    """Row, column and value of every entry of the (k, h, w) ``blocks``; block
+    e's top-left entry is at (first_row[e], first_col[e]). Blocks at negative
+    columns, those of the gauge pose, are dropped."""
+    free = first_col >= 0
+    first_row, first_col, blocks = first_row[free], first_col[free], blocks[free]
+    _, h, w = blocks.shape
+    rows = first_row[:, None] + np.repeat(np.arange(h), w)
+    cols = first_col[:, None] + np.tile(np.arange(w), h)
+    return rows.ravel(), cols.ravel(), blocks.ravel()
+
+
 def _assemble(poses, lms, odometry: np.ndarray, observations: np.ndarray, sqrt_odo, sqrt_obs, jac: bool):
     """Whitened residual vector and (optionally) sparse Jacobian.
 
     Variable layout: poses 1..n-1 as (x, y, theta) blocks, then landmarks as
-    (x, y) blocks. Pose 0 is the fixed gauge.
+    (x, y) blocks. Pose 0 is the fixed gauge: its blocks fall at negative
+    columns, which :func:`_place` drops.
     """
-    n_odo = len(odometry)
-    n_obs = len(observations)
     n_pose_vars = 3 * (len(poses) - 1)
-    n_vars = n_pose_vars + 2 * len(lms)
-    residuals = np.zeros(3 * n_odo + 2 * n_obs)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    if n_odo:
-        oi = np.arange(n_odo)
-        oj = oi + 1
-        res, (ji, jj) = _odometry_batch(poses[oi], poses[oj], odometry["relative"], jac)
-        wres = np.einsum("eab,eb->ea", sqrt_odo, res)
-        residuals[: 3 * n_odo] = wres.ravel()
+    oi = np.arange(len(odometry))
+    pidx, lidx = observations["pose"], observations["landmark"]
+    # per edge type: square-root information, residuals and Jacobians, and the first column of each Jacobian's node
+    edge_types = (
+        (sqrt_odo, _odometry_batch(poses[oi], poses[oi + 1], odometry["relative"], jac), (3 * (oi - 1), 3 * oi)),
+        (
+            sqrt_obs,
+            _observation_batch(poses[pidx], lms[lidx], observations["measurement"], jac),
+            (3 * (pidx - 1), n_pose_vars + 2 * lidx),
+        ),
+    )
+    residuals, entries, row = [], [], 0
+    for sqrt_info, (res, jacobians), first_cols in edge_types:
+        residuals.append(np.einsum("eab,eb->ea", sqrt_info, res).ravel())
         if jac:
-            wji = np.einsum("eab,ebc->eac", sqrt_odo, ji)
-            wjj = np.einsum("eab,ebc->eac", sqrt_odo, jj)
-            row_base = 3 * np.arange(n_odo)
-            for nodes, blocks in ((oi, wji), (oj, wjj)):
-                free = nodes > 0
-                if not free.any():
-                    continue
-                e_idx = np.flatnonzero(free)
-                col_base = 3 * (nodes[e_idx] - 1)
-                r = (row_base[e_idx, None, None] + np.arange(3)[None, :, None]).repeat(3, axis=2)
-                cmat = (col_base[:, None, None] + np.arange(3)[None, None, :]).repeat(3, axis=1)
-                rows.append(r.ravel())
-                cols.append(cmat.ravel())
-                vals.append(blocks[e_idx].ravel())
-
-    if n_obs:
-        pidx = observations["pose"]
-        lidx = observations["landmark"]
-        z = observations["measurement"]
-        res, (jp, jl) = _observation_batch(poses[pidx], lms[lidx], z, jac)
-        wres = np.einsum("eab,eb->ea", sqrt_obs, res)
-        residuals[3 * n_odo :] = wres.ravel()
-        if jac:
-            wjp = np.einsum("eab,ebc->eac", sqrt_obs, jp)
-            wjl = np.einsum("eab,ebc->eac", sqrt_obs, jl)
-            row_base = 3 * n_odo + 2 * np.arange(n_obs)
-            free = pidx > 0
-            if free.any():
-                e_idx = np.flatnonzero(free)
-                col_base = 3 * (pidx[e_idx] - 1)
-                r = (row_base[e_idx, None, None] + np.arange(2)[None, :, None]).repeat(3, axis=2)
-                cmat = (col_base[:, None, None] + np.arange(3)[None, None, :]).repeat(2, axis=1)
-                rows.append(r.ravel())
-                cols.append(cmat.ravel())
-                vals.append(wjp[e_idx].ravel())
-            col_base = n_pose_vars + 2 * lidx
-            r = (row_base[:, None, None] + np.arange(2)[None, :, None]).repeat(2, axis=2)
-            cmat = (col_base[:, None, None] + np.arange(2)[None, None, :]).repeat(2, axis=1)
-            rows.append(r.ravel())
-            cols.append(cmat.ravel())
-            vals.append(wjl.ravel())
-
+            first_rows = row + res.shape[1] * np.arange(len(res))
+            for first_col, block in zip(first_cols, jacobians):
+                entries.append(_place(first_rows, first_col, np.einsum("eab,ebc->eac", sqrt_info, block)))
+        row += res.size
+    residuals = np.concatenate(residuals)
     if not jac:
         return residuals, None
-    jacobian = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(residuals), n_vars),
-    ).tocsr()
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    jacobian = sp.coo_matrix((vals, (rows, cols)), shape=(len(residuals), n_pose_vars + 2 * len(lms))).tocsr()
     return residuals, jacobian
 
 
@@ -544,24 +517,20 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
             diag = np.maximum(hess.diagonal(), 1e-9)
             accepted = False
             for _ in range(config.max_lambda_steps):
-                damped = hess + sp.diags(lam * diag)
                 try:
-                    delta = _factor(damped).solve(-grad)
-                except RuntimeError:
-                    lam *= config.lambda_up
-                    continue
-                if not np.all(np.isfinite(delta)):
-                    lam *= config.lambda_up
-                    continue
-                cand_poses, cand_lms = _apply_step(poses, lms, delta)
-                cand_cost = total_cost(cand_poses, cand_lms)
-                if cand_cost < cost:
-                    poses, lms = cand_poses, cand_lms
-                    prev_cost, cost = cost, cand_cost
-                    lam = max(lam * config.lambda_down, 1e-12)
-                    accepted = True
-                    break
-                lam *= config.lambda_up
+                    delta = _factor(hess + sp.diags(lam * diag)).solve(-grad)
+                except RuntimeError:  # a singular damped system
+                    delta = None
+                if delta is not None and np.all(np.isfinite(delta)):
+                    cand_poses, cand_lms = _apply_step(poses, lms, delta)
+                    cand_cost = total_cost(cand_poses, cand_lms)
+                    if cand_cost < cost:
+                        poses, lms = cand_poses, cand_lms
+                        prev_cost, cost = cost, cand_cost
+                        lam = max(lam * config.lambda_down, 1e-12)
+                        accepted = True
+                        break
+                lam *= config.lambda_up  # the step failed or did not lower the cost
             iterations += 1
             if not accepted:
                 converged = True
@@ -607,7 +576,7 @@ def export_map(graph: Graph, min_edges: int = 1) -> list[dict]:
     for i, (x, y) in enumerate(graph.landmarks.tolist()):
         if edge_counts[i] < min_edges:
             continue
-        p_blue, p_yellow, p_unknown = _color_probabilities(graph.color_evidence[i].values()).tolist()
+        p_blue, p_yellow, p_unknown = _color_probabilities(graph.color_evidence[i].values())
         out.append(
             {
                 "id": i,

@@ -123,20 +123,29 @@ class LocalMapConfig:
 
     @classmethod
     def for_frame_rate(cls, frame_rate_hz: float, **overrides) -> "LocalMapConfig":
+        """The config with ``existence_decay`` capped for the frame rate; an
+        ``existence_decay`` override above the cap raises ``ValueError``."""
         base = cls(**overrides)
         # misses strictly inside 0.5 s must take a certain cone below the
         # prune threshold: decay^n < threshold with n = frames in (0, 0.5 s)
         n = max(int(math.ceil(0.5 * frame_rate_hz)) - 1, 1)
-        decay = min(base.existence_decay, (0.5 * base.prune_threshold) ** (1.0 / n))
-        return replace(base, existence_decay=decay)
+        cap = (0.5 * base.prune_threshold) ** (1.0 / n)
+        decay = overrides.get("existence_decay", 0.0)
+        if decay > cap:
+            raise ValueError(f"existence_decay {decay} is above {cap}, the cap at {frame_rate_hz} Hz")
+        return replace(base, existence_decay=min(base.existence_decay, cap))
 
     @classmethod
     def for_profile(cls, profile, frame_rate_hz: float, **overrides) -> "LocalMapConfig":
         """Derive frustum limits from a sensor profile.
 
         A drift-free velocity source (all sigmas zero) needs no covariance
-        growth; otherwise the hand-set default applies.
+        growth; otherwise the hand-set default applies. The range and field of
+        view are the profile's: an override of either raises ``ValueError``.
         """
+        for key in ("max_range_m", "fov_half_angle_rad"):
+            if key in overrides:
+                raise ValueError(f"{key} comes from the sensor profile; set the profile's {key} instead")
         if "process_noise_rate" not in overrides:
             drifts = tuple(profile.velocity_sigma) + tuple(profile.velocity_sigma_per_speed)
             if all(v == 0.0 for v in drifts):

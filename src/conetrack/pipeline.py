@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import RunConfig, RunFailure, dump_resolved, read_input
-from .core import Pose2, Velocity2, body_frame_point, integrate_velocity, relative_pose
+from .core import Pose2, Velocity2, body_frame_point, integrate_velocity
 from .evaluate import (
     build_report,
     icp_align,
@@ -151,7 +151,6 @@ class _SnapshotEngine:
         self.planner_records: list[dict] = []
         self.timer = timer
         self.steps = 0
-        self._prev_ego: Pose2 | None = None
         self._planner_log = PlannerLogWriter(out_dir / "planner_log.ndjson")
 
     def step(self, snapshot: LocalMapSnapshot) -> PlanResult | None:
@@ -166,9 +165,7 @@ class _SnapshotEngine:
                 self._planner_log.write(record)
 
         with self.timer.stage("global_map"):
-            odom = Pose2.identity() if self._prev_ego is None else relative_pose(self._prev_ego, snapshot.ego)
-            add_snapshot(self.graph, snapshot, odom, self.global_cfg)
-        self._prev_ego = snapshot.ego
+            add_snapshot(self.graph, snapshot, self.global_cfg)
         self.steps += 1
         return result
 

@@ -5,7 +5,8 @@ SuperLU's symmetric mode and ICP finds its own correspondences. The functions
 here are the forms tests check those against: one edge's residual or
 Jacobians, the damped Gauss-Newton solve with a general sparse LU (COLAMD
 column ordering, partial pivoting), and the closed-form alignment of two
-point sets whose rows pair up.
+point sets whose rows pair up. The map's colour probabilities are plain-float
+arithmetic; ``numpy_color_probabilities`` is the numpy form they equal.
 """
 
 import math
@@ -32,6 +33,15 @@ def one_edge(batch, *rows, jac=False):
     """
     residuals, jacobians = batch(*(row[None, :] for row in rows), jac=jac)
     return tuple(j[0] for j in jacobians) if jac else residuals[0]
+
+
+def numpy_color_probabilities(evidence) -> np.ndarray:
+    """(blue, yellow, unknown) probabilities of the sum of colour evidence arrays; no evidence reads as unknown."""
+    total = np.zeros(3)
+    for ev in evidence:
+        total += ev
+    total_sum = float(total.sum())
+    return total / total_sum if total_sum > 0 else np.array([0.0, 0.0, 1.0])
 
 
 def colamd_optimize(graph, config=GlobalMapConfig()) -> OptimizeResult:

@@ -417,6 +417,12 @@ BAD_INPUTS = [
     ["run", "--config", "{stringplanenabled}"],
     ["run", "--config", "{intverbose}"],
     ["run", "--config", "{inttrackfile}"],
+    ["run", "--config", "{listprofiles}"],
+    ["run", "--config", "{listname}"],
+    ["run", "--config", "{listlocal}"],
+    ["run", "--config", "{rangeoverride}"],
+    ["run", "--config", "{fovoverride}"],
+    ["run", "--config", "{decayovercap}"],
 ]
 
 SNAPSHOT_HEADER = json.dumps({
@@ -535,6 +541,14 @@ BAD_FILES = {
     "stringplanenabled": ('{"plan_enabled": "no"}', "plan_enabled"),
     "intverbose": ('{"verbose_candidates": 1}', "verbose_candidates"),
     "inttrackfile": ('{"track_file": 5}', "track_file"),
+    "listprofiles": ('{"profiles": [1]}', "profiles must be an object"),
+    "listname": ('{"name": [1]}', "name must be a string"),
+    "listlocal": ('{"local_map_overrides": [1]}', "local_map_overrides must be an object"),
+    # range and field of view are the sensor profile's
+    "rangeoverride": ('{"local_map_overrides": {"max_range_m": 10.0}}', "set the profile's max_range_m"),
+    "fovoverride": ('{"local_map_overrides": {"fov_half_angle_rad": 1.0}}', "set the profile's fov_half_angle_rad"),
+    # 10 Hz caps the decay at 0.05 ** (1 / 4), about 0.4729
+    "decayovercap": ('{"local_map_overrides": {"existence_decay": 0.9}}', "existence_decay 0.9 is above 0.4728"),
     **BROKEN_TRACKS,
 }
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from cone_reference import CLASSES, RefCone, RefGaussian, color_class, color_probabilities, cone_table
-from map_reference import colamd_optimize, one_edge
+from map_reference import colamd_optimize, numpy_color_probabilities, one_edge
+from conetrack import global_map
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import (
     Pose2,
@@ -25,6 +26,7 @@ from conetrack.core import (
 )
 from conetrack.global_map import (
     GRAPH_SCHEMA_VERSION,
+    OBSERVATION_EDGE,
     Graph,
     GlobalMapConfig,
     GraphStructureError,
@@ -88,7 +90,7 @@ class TestGraphConstruction:
             Pose2.identity(),
             [(0, (3.0, 1.0)), (1, (3.0, -1.0)), (2, (6.0, 1.2)), (3, (6.0, -0.8))],
         )
-        graph = add_snapshot(Graph(), snap, Pose2.identity(), CONFIG)
+        graph = add_snapshot(Graph(), snap, CONFIG)
         assert len(graph.poses) == 1
         assert len(graph.landmarks) == 4
         assert len(graph.odometry_edges) == 0
@@ -96,37 +98,47 @@ class TestGraphConstruction:
 
     def test_proximity_gate(self):
         snap = make_snapshot(0.0, Pose2.identity(), [(0, (14.0, 0.0)), (1, (3.0, 0.0))])
-        graph = add_snapshot(Graph(), snap, Pose2.identity(), CONFIG)
+        graph = add_snapshot(Graph(), snap, CONFIG)
         assert len(graph.landmarks) == 1
         assert np.allclose(graph.landmarks[0], [3.0, 0.0])
 
     def test_unobserved_cone_not_added(self):
         snap = make_snapshot(0.0, Pose2.identity(), [(0, (3.0, 0.0)), (1, (4.0, 1.0))], observed=[0])
-        graph = add_snapshot(Graph(), snap, Pose2.identity(), CONFIG)
+        graph = add_snapshot(Graph(), snap, CONFIG)
         assert len(graph.landmarks) == 1
 
     def test_local_link_reused_across_snapshots(self):
         graph = Graph()
         snap0 = make_snapshot(0.0, Pose2.identity(), [(0, (3.0, 0.0))])
-        add_snapshot(graph, snap0, Pose2.identity(), CONFIG)
+        add_snapshot(graph, snap0, CONFIG)
         snap1 = make_snapshot(0.1, Pose2(0.5, 0, 0), [(0, (3.02, 0.01))])
-        add_snapshot(graph, snap1, Pose2(0.5, 0, 0), CONFIG)
+        add_snapshot(graph, snap1, CONFIG)
         assert len(graph.landmarks) == 1
         assert len(graph.observation_edges) == 2
 
     def test_euclidean_reassociation_on_new_local_id(self):
         graph = Graph()
-        add_snapshot(graph, make_snapshot(0.0, Pose2.identity(), [(0, (3.0, 0.0))]), Pose2.identity(), CONFIG)
+        add_snapshot(graph, make_snapshot(0.0, Pose2.identity(), [(0, (3.0, 0.0))]), CONFIG)
         # same physical cone, new local id (e.g. pruned and re-created)
-        add_snapshot(graph, make_snapshot(0.1, Pose2.identity(), [(7, (3.1, 0.05))]), Pose2(0, 0, 0.0), CONFIG)
+        add_snapshot(graph, make_snapshot(0.1, Pose2.identity(), [(7, (3.1, 0.05))]), CONFIG)
         assert len(graph.landmarks) == 1
         assert graph.local_links == {0: 0, 7: 0}
 
     def test_out_of_order_snapshot_rejected(self):
         graph = Graph()
-        add_snapshot(graph, make_snapshot(1.0, Pose2.identity(), [(0, (3.0, 0.0))]), Pose2.identity(), CONFIG)
+        add_snapshot(graph, make_snapshot(1.0, Pose2.identity(), [(0, (3.0, 0.0))]), CONFIG)
         with pytest.raises(ValueError):
-            add_snapshot(graph, make_snapshot(0.5, Pose2.identity(), []), Pose2.identity(), CONFIG)
+            add_snapshot(graph, make_snapshot(0.5, Pose2.identity(), []), CONFIG)
+
+    def test_odometry_edges_are_the_motion_between_consecutive_egos(self, golden_lap):
+        # the first snapshot is pose 0 at the identity, wherever its ego is, and adds no odometry edge
+        graph = add_snapshot(Graph(), make_snapshot(0.0, Pose2(2.0, 1.0, 0.3), [(0, (3.0, 0.0))]), CONFIG)
+        assert graph.poses.tolist() == [[0.0, 0.0, 0.0]] and len(graph.odometry_edges) == 0
+        out, lap_graph = golden_lap
+        egos = [snap.ego for snap in read_snapshot_log(out / "snapshots.ndjson")]
+        expected = [relative_pose(before, after).as_array() for before, after in zip(egos, egos[1:])]
+        assert len(lap_graph.poses) == len(egos) > 2
+        assert lap_graph.odometry_edges["relative"].tobytes() == np.array(expected).tobytes()
 
 
 def associate_by_scalar_loop(graph, world_point, radius, live_ids, cone_class):
@@ -235,15 +247,12 @@ def build_noise_free_graph(radius=20.0, speed=5.0, frame_rate=5.0):
     rng = np.random.default_rng(0)
     state = LocalMapState()
     graph = Graph()
-    prev_ego = None
     start_pose = None
     for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
         start_pose = start_pose or pose
         obs = observe_cones(track, pose, profile, rng, timestamp)
         state, snap = ingest_frame(state, [obs], vel, dt, cfg)
-        odom = Pose2.identity() if prev_ego is None else relative_pose(prev_ego, snap.ego)
-        add_snapshot(graph, snap, odom, CONFIG)
-        prev_ego = snap.ego
+        add_snapshot(graph, snap, CONFIG)
     return track, graph, start_pose
 
 
@@ -338,16 +347,13 @@ class TestNoisyImprovement:
         rng = np.random.default_rng(11)
         state = LocalMapState()
         graph = Graph()
-        prev_ego = None
         start_pose = None
         for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
             start_pose = start_pose or pose
             obs = observe_cones(track, pose, profile, rng, timestamp)
             vel_noisy = noisy_velocity(vel, profile, rng)
             state, snap = ingest_frame(state, [obs], vel_noisy, dt, cfg_local)
-            odom = Pose2.identity() if prev_ego is None else relative_pose(prev_ego, snap.ego)
-            add_snapshot(graph, snap, odom, CONFIG)
-            prev_ego = snap.ego
+            add_snapshot(graph, snap, CONFIG)
         dead_reckoned = export_map(graph)
         graph.merge_estimates(optimize(graph, CONFIG))
         optimized = export_map(graph)
@@ -593,11 +599,8 @@ def golden_lap(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     run_pipeline(config, out)
     graph = Graph()
-    prev_ego = None
     for snap in read_snapshot_log(out / "snapshots.ndjson"):
-        odom = Pose2.identity() if prev_ego is None else relative_pose(prev_ego, snap.ego)
-        add_snapshot(graph, snap, odom, config.global_map_config())
-        prev_ego = snap.ego
+        add_snapshot(graph, snap, config.global_map_config())
     return out, graph
 
 
@@ -684,6 +687,94 @@ def small_noisy_graphs(draw):
     return graph
 
 
+def edge_by_edge_assembly(graph):
+    """The whitened residuals and Jacobian of ``graph``, assembled one edge at
+    a time from ``one_edge`` into a dense matrix with a column block for
+    every pose, then pose 0's three columns removed."""
+    poses, lms = graph.poses, graph.landmarks
+    landmark_col = 3 * len(poses)
+    edges = []  # (information, residual, [(first column, Jacobian)])
+    odometry, observations = graph.odometry_edges, graph.observation_edges
+    for k, (relative, information) in enumerate(zip(odometry["relative"], odometry["information"])):
+        rows = (poses[k], poses[k + 1], relative)
+        ji, jj = one_edge(_odometry_batch, *rows, jac=True)
+        edges.append((information, one_edge(_odometry_batch, *rows), [(3 * k, ji), (3 * k + 3, jj)]))
+    for pose, lm, measurement, information in zip(*(observations[name] for name in OBSERVATION_EDGE.names)):
+        rows = (poses[pose], lms[lm], measurement)
+        jp, jl = one_edge(_observation_batch, *rows, jac=True)
+        edges.append((information, one_edge(_observation_batch, *rows), [(3 * pose, jp), (landmark_col + 2 * lm, jl)]))
+    residuals, jacobian = [], np.zeros((sum(len(r) for _, r, _ in edges), landmark_col + 2 * len(lms)))
+    for information, residual, blocks in edges:
+        (root,) = _whiten(information[None])
+        for col, block in blocks:
+            jacobian[len(residuals) : len(residuals) + len(residual), col : col + block.shape[1]] = root @ block
+        residuals.extend(root @ residual)
+    return np.array(residuals), jacobian[:, 3:]
+
+
+class TestAssembly:
+    @staticmethod
+    def check(graph):
+        odometry, observations = graph.odometry_edges, graph.observation_edges
+        residuals, jacobian = _assemble(
+            graph.poses,
+            graph.landmarks,
+            odometry,
+            observations,
+            _whiten(odometry["information"]),
+            _whiten(observations["information"]),
+            jac=True,
+        )
+        expected_residuals, expected_jacobian = edge_by_edge_assembly(graph)
+        assert np.array_equal(residuals, expected_residuals)
+        assert jacobian.shape == expected_jacobian.shape
+        assert np.array_equal(jacobian.toarray(), expected_jacobian)
+
+    @given(small_noisy_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_jacobian_equals_the_edge_by_edge_one(self, graph):
+        self.check(graph)
+
+    def test_one_pose_without_odometry(self):
+        graph = Graph()
+        graph.add_pose(Pose2(1.0, 2.0, 0.5))
+        for k, position in enumerate(([3.0, 1.0], [-2.0, 4.0])):
+            graph.add_landmark(np.array(position))
+            graph.add_observations([0], [k], [[2.0 - k, 1.0 + k]], [np.diag([4.0, 9.0])])
+        self.check(graph)
+
+
+class TestRejectedSteps:
+    @pytest.mark.parametrize("failure", ["raises", "nan_step"])
+    def test_a_step_the_factor_cannot_give_stalls_the_damping(self, monkeypatch, failure):
+        graph = Graph()
+        graph.add_pose(Pose2(1.0, 2.0, 0.5))
+        graph.add_landmark(np.array([0.0, 0.0]))
+        graph.add_observations([0], [0], [[2.0, 1.0]], [np.eye(2)])
+        (residual,) = graph.observation_edges["measurement"] - body_frame_point(Pose2(1.0, 2.0, 0.5), graph.landmarks)
+        damped = []
+
+        class NanSolve:
+            @staticmethod
+            def solve(rhs):
+                return np.full_like(rhs, np.nan)
+
+        def failing_factor(matrix):
+            damped.append(matrix.diagonal())
+            if failure == "raises":
+                raise RuntimeError("Factor is exactly singular")
+            return NanSolve
+
+        monkeypatch.setattr(global_map, "_factor", failing_factor)
+        result = optimize(graph, CONFIG)
+        assert (result.iterations, result.converged, result.message) == (1, True, "damping stalled at a local minimum")
+        assert result.final_cost == float(residual @ residual)
+        assert np.array_equal(result.poses, graph.poses) and np.array_equal(result.landmarks, graph.landmarks)
+        # every rejected step raised the damping once
+        assert len(damped) == CONFIG.max_lambda_steps
+        assert all((after > before).all() for before, after in zip(damped, damped[1:]))
+
+
 class TestAcceptedSteps:
     @given(small_noisy_graphs())
     @settings(max_examples=60, deadline=None)
@@ -727,8 +818,10 @@ class TestDominantClass:
     @settings(max_examples=400, deadline=None)
     def test_plain_floats_equal_numpy_argmax(self, evidence):
         with np.errstate(over="ignore", invalid="ignore"):  # sums of huge evidence overflow to inf
-            expected = int(np.argmax(_color_probabilities([np.array(ev) for ev in evidence])))
-        assert _dominant_class(evidence) == expected
+            expected = numpy_color_probabilities([np.array(ev) for ev in evidence])
+        # all three probabilities bit for bit, the sign of a zero and the bits of a NaN included
+        assert np.array(_color_probabilities(evidence)).tobytes() == expected.tobytes()
+        assert _dominant_class(evidence) == int(np.argmax(expected))
 
 
 class TestResidualSummary:

@@ -1,4 +1,4 @@
-"""The package holds only code the package runs.
+"""The package holds only code the package runs, and only data it reads.
 
 A top-level function or class, or a method that is not a dunder, is live when
 code outside it references its name, as a ``Name`` or an ``Attribute``. Code
@@ -14,6 +14,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import conetrack
+from conetrack.config import builtin_config_names, load_config
 
 PACKAGE = Path(conetrack.__file__).resolve().parent
 
@@ -80,3 +81,11 @@ def private_imports(package: Path = PACKAGE) -> list[str]:
 
 def test_no_module_imports_a_private_name_of_another():
     assert private_imports() == []
+
+
+def test_every_shipped_config_file_is_a_builtin_scenario():
+    configs = PACKAGE / "configs"
+    shipped = sorted(path.relative_to(configs).as_posix() for path in configs.rglob("*") if path.is_file())
+    assert shipped == sorted(f"{name}.json" for name in builtin_config_names())
+    for name in builtin_config_names():
+        load_config(name)
