@@ -17,7 +17,7 @@ from .global_map import load_map
 from .local_map import MapMode, read_snapshot_log
 from .pipeline import map_alignment, replay_snapshots, run_pipeline
 from .planner import read_planner_log
-from .simulate import InfeasibleTrackError, TrackSpec, TrackValidationError, generate_track, load_track, save_track
+from .simulate import TRACK_KINDS, InfeasibleTrackError, TrackSpec, TrackValidationError, generate_track, load_track, save_track
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a ground-truth track file")
     gen.add_argument("--spec", help="track spec JSON file (inline flags override it)")
-    gen.add_argument("--kind", choices=("loop", "circle"))
+    gen.add_argument("--kind", choices=TRACK_KINDS)
     gen.add_argument("--length-m", type=float)
     gen.add_argument("--radius-m", type=float)
     gen.add_argument("--width-m", type=float)

@@ -184,21 +184,29 @@ def track_corridor(track: TrackDefinition) -> TrackCorridor:
 def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     """Even-odd (ray crossing) point-in-polygon test.
 
-    One points x edges matrix of ray crossings, reduced per point with XOR.
+    A points x edges matrix marks the edges whose y-span holds each point;
+    only those pairs compute where the edge meets the point's horizontal ray,
+    and a point is inside when an odd number of them lie to its right.
     """
     x, y = points[:, :1], points[:, 1:]
     x1, y1 = polygon[:, 0], polygon[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    crosses = (y1 > y) != (y2 > y)
+    p, e = np.nonzero((y1 > y) != (y2 > y))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x_at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    return np.logical_xor.reduce(crosses & (x < x_at), axis=1)
+        x_at = x1[e] + (y[p, 0] - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+    return np.bincount(p[x[p, 0] < x_at], minlength=len(points)) % 2 == 1
 
 
 # Rows (segments or points) per broadcast against the boundary rings: a chunk's
-# temporaries are a few (rows x ring edges) float arrays, about 0.12 MB each
-# on a 230-cone track, however long the planner log.
+# temporaries are a few (rows x ring edges) masks and the pairs they keep,
+# however long the planner log.
 EXIT_TEST_CHUNK = 64
+# A segment meets a ring edge only where their bounding boxes overlap, the
+# edge's grown by this margin: far above rounding, far below a cone gap. The
+# float crossing test can round a gap of a few ulps closed (a waypoint 1e-116 m
+# beside a ring vertex) and count a crossing exact arithmetic would not; the
+# margin keeps such pairs, so the exits are those of testing every edge.
+EXIT_BOX_MARGIN_M = 1e-3
 
 
 def first_exit_distances(
@@ -211,29 +219,37 @@ def first_exit_distances(
     vertex and each segment is tested against the boundary rings, so
     crossings between waypoints are caught. A segment leaves at the smallest
     parameter of the edges it crosses (closed intervals, near-parallel pairs
-    rejected). Segments meet all ring edges, and points the crossing-matrix
-    containment test, in broadcasts over :data:`EXIT_TEST_CHUNK` rows at a
+    rejected). A segment meets only the ring edges whose bounding box
+    overlaps its own (see :data:`EXIT_BOX_MARGIN_M`), and points meet the
+    ray-crossing containment test, over :data:`EXIT_TEST_CHUNK` rows at a
     time; each chain is then walked in order, adding its segment lengths
     from 0.0, up to the first segment that crosses a ring or ends outside.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    starts = points[:-1]
-    seg = points[1:] - starts  # every consecutive pair; those joining two chains are never read
+    starts, ends = points[:-1], points[1:]
+    seg = ends - starts  # every consecutive pair; those joining two chains are never read
     seg_lens = np.hypot(seg[:, 0], seg[:, 1]).tolist()
-    first_t = np.empty(len(seg))
+    seg_lo, seg_hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    edge_lo = np.minimum(corridor.edge_start, corridor.edge_end) - EXIT_BOX_MARGIN_M
+    edge_hi = np.maximum(corridor.edge_start, corridor.edge_end) + EXIT_BOX_MARGIN_M
+    first_t = np.full(len(seg), np.inf)
     inside = np.empty(len(points), dtype=bool)
     q1x, q1y = corridor.edge_start[:, 0], corridor.edge_start[:, 1]
     ex, ey = corridor.edge_end[:, 0] - q1x, corridor.edge_end[:, 1] - q1y
     for lo in range(0, len(seg), EXIT_TEST_CHUNK):
         rows = slice(lo, lo + EXIT_TEST_CHUNK)
-        dx, dy = seg[rows, :1], seg[rows, 1:]  # (segments, 1)
-        wx, wy = q1x - starts[rows, :1], q1y - starts[rows, 1:]  # (segments, edges): ring vertex minus segment start
-        denom = dx * ey - dy * ex
+        overlap = (seg_lo[rows, :1] <= edge_hi[:, 0]) & (edge_lo[:, 0] <= seg_hi[rows, :1])
+        overlap &= (seg_lo[rows, 1:] <= edge_hi[:, 1]) & (edge_lo[:, 1] <= seg_hi[rows, 1:])
+        s, e = np.nonzero(overlap)  # (segment, ring edge) pairs whose boxes overlap
+        s += lo
+        dx, dy = seg[s, 0], seg[s, 1]
+        wx, wy = q1x[e] - starts[s, 0], q1y[e] - starts[s, 1]  # ring vertex minus segment start
+        denom = dx * ey[e] - dy * ex[e]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # near-parallel pairs are masked below
-            t = (wx * ey - wy * ex) / denom
+            t = (wx * ey[e] - wy * ex[e]) / denom
             u = (wx * dy - wy * dx) / denom
         crossed = ~(np.abs(denom) < 1e-15) & (0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0)
-        first_t[rows] = np.where(crossed, t, np.inf).min(axis=1)  # a crossed t lies in [0, 1]
+        np.minimum.at(first_t, s[crossed], t[crossed])  # a crossed t lies in [0, 1]
     for lo in range(0, len(points), EXIT_TEST_CHUNK):
         rows = slice(lo, lo + EXIT_TEST_CHUNK)
         inside[rows] = corridor.contains(points[rows])

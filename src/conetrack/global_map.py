@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -411,51 +412,72 @@ def _whiten(information: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(information).transpose(0, 2, 1)
 
 
-def _place(first_row: np.ndarray, first_col: np.ndarray, blocks: np.ndarray):
-    """Row, column and value of every entry of the (k, h, w) ``blocks``; block
-    e's top-left entry is at (first_row[e], first_col[e]). Blocks at negative
-    columns, those of the gauge pose, are dropped."""
-    free = first_col >= 0
-    first_row, first_col, blocks = first_row[free], first_col[free], blocks[free]
-    _, h, w = blocks.shape
-    rows = first_row[:, None] + np.repeat(np.arange(h), w)
-    cols = first_col[:, None] + np.tile(np.arange(w), h)
-    return rows.ravel(), cols.ravel(), blocks.ravel()
+class _JacobianPattern(NamedTuple):
+    """The CSR pattern of a graph's Jacobian, fixed while its edges are.
+
+    Entry ``order[k]`` of the concatenated whitened blocks (see
+    :func:`_assemble`) is the Jacobian's ``k``-th stored value; ``indices``
+    and ``indptr`` are the CSR column indices and row pointers. All three
+    are int32.
+    """
+
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
 
 
-def _assemble(poses, lms, odometry: np.ndarray, observations: np.ndarray, sqrt_odo, sqrt_obs, jac: bool):
-    """Whitened residual vector and (optionally) sparse Jacobian.
+def _jacobian_pattern(n_poses: int, n_landmarks: int, odometry: np.ndarray, observations: np.ndarray) -> _JacobianPattern:
+    """The Jacobian pattern of a graph's edges.
 
     Variable layout: poses 1..n-1 as (x, y, theta) blocks, then landmarks as
-    (x, y) blocks. Pose 0 is the fixed gauge: its blocks fall at negative
-    columns, which :func:`_place` drops.
+    (x, y) blocks. Each edge's residual rows follow the last edge's, odometry
+    edges first; its two Jacobian blocks, raveled row-major, follow in the
+    order :func:`_assemble` concatenates them. Pose 0 is the fixed gauge: its
+    blocks fall at negative columns and are left out. The rest are ordered
+    by row, then column. No (row, column) pair repeats, so the matrix is the
+    one a COO-to-CSR conversion of the same entries gives, bit for bit.
     """
-    n_pose_vars = 3 * (len(poses) - 1)
+    n_pose_vars = 3 * (n_poses - 1)
     oi = np.arange(len(odometry))
     pidx, lidx = observations["pose"], observations["landmark"]
-    # per edge type: square-root information, residuals and Jacobians, and the first column of each Jacobian's node
-    edge_types = (
-        (sqrt_odo, _odometry_batch(poses[oi], poses[oi + 1], odometry["relative"], jac), (3 * (oi - 1), 3 * oi)),
-        (
-            sqrt_obs,
-            _observation_batch(poses[pidx], lms[lidx], observations["measurement"], jac),
-            (3 * (pidx - 1), n_pose_vars + 2 * lidx),
-        ),
+    obs_rows = 3 * len(odometry) + 2 * np.arange(len(observations))
+    blocks = (  # (first row, first column, height, width) of each block, per edge
+        (3 * oi, 3 * (oi - 1), 3, 3),
+        (3 * oi, 3 * oi, 3, 3),
+        (obs_rows, 3 * (pidx - 1), 2, 3),
+        (obs_rows, n_pose_vars + 2 * lidx, 2, 2),
     )
-    residuals, entries, row = [], [], 0
-    for sqrt_info, (res, jacobians), first_cols in edge_types:
+    rows = np.concatenate([(r[:, None] + np.repeat(np.arange(h), w)).ravel() for r, _, h, w in blocks])
+    cols = np.concatenate([(c[:, None] + np.tile(np.arange(w), h)).ravel() for _, c, h, w in blocks])
+    free = np.flatnonzero(cols >= 0)
+    order = free[np.lexsort((cols[free], rows[free]))]
+    n_rows = 3 * len(odometry) + 2 * len(observations)
+    indptr = np.zeros(n_rows + 1, np.int32)
+    np.cumsum(np.bincount(rows[order], minlength=n_rows), out=indptr[1:])
+    shape = (n_rows, n_pose_vars + 2 * n_landmarks)
+    return _JacobianPattern(order.astype(np.int32), cols[order].astype(np.int32), indptr, shape)
+
+
+def _assemble(poses, lms, odometry: np.ndarray, observations: np.ndarray, sqrt_odo, sqrt_obs, pattern=None):
+    """Whitened residual vector and, given the edges' :func:`_jacobian_pattern`, the sparse Jacobian."""
+    jac = pattern is not None
+    oi = np.arange(len(odometry))
+    pidx, lidx = observations["pose"], observations["landmark"]
+    edge_types = (
+        (sqrt_odo, _odometry_batch(poses[oi], poses[oi + 1], odometry["relative"], jac)),
+        (sqrt_obs, _observation_batch(poses[pidx], lms[lidx], observations["measurement"], jac)),
+    )
+    residuals, blocks = [], []
+    for sqrt_info, (res, jacobians) in edge_types:
         residuals.append(np.einsum("eab,eb->ea", sqrt_info, res).ravel())
         if jac:
-            first_rows = row + res.shape[1] * np.arange(len(res))
-            for first_col, block in zip(first_cols, jacobians):
-                entries.append(_place(first_rows, first_col, np.einsum("eab,ebc->eac", sqrt_info, block)))
-        row += res.size
+            blocks += [np.einsum("eab,ebc->eac", sqrt_info, block).ravel() for block in jacobians]
     residuals = np.concatenate(residuals)
     if not jac:
         return residuals, None
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    jacobian = sp.coo_matrix((vals, (rows, cols)), shape=(len(residuals), n_pose_vars + 2 * len(lms))).tocsr()
-    return residuals, jacobian
+    values = np.concatenate(blocks)[pattern.order]
+    return residuals, sp.csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 def _factor(damped: sp.csc_matrix):
@@ -496,7 +518,7 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
     poses, lms = graph.poses.copy(), graph.landmarks.copy()
 
     def total_cost(p, l):
-        res, _ = _assemble(p, l, odometry, observations, sqrt_odo, sqrt_obs, jac=False)
+        res, _ = _assemble(p, l, odometry, observations, sqrt_odo, sqrt_obs)
         return float(res @ res)
 
     cost = total_cost(poses, lms)
@@ -510,10 +532,14 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
         converged = True
         message = "already at a zero-residual configuration"
     else:
+        pattern = _jacobian_pattern(len(poses), len(lms), odometry, observations)
         for _ in range(config.max_iterations):
-            residuals, jacobian = _assemble(poses, lms, odometry, observations, sqrt_odo, sqrt_obs, jac=True)
+            residuals, jacobian = _assemble(poses, lms, odometry, observations, sqrt_odo, sqrt_obs, pattern)
             hess = (jacobian.T @ jacobian).tocsc()
             grad = jacobian.T @ residuals
+            # the Jacobian goes once the normal equations hold it, and they
+            # go before the next assembly: no two steps' matrices coexist
+            del residuals, jacobian
             diag = np.maximum(hess.diagonal(), 1e-9)
             accepted = False
             for _ in range(config.max_lambda_steps):
@@ -531,6 +557,7 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
                         accepted = True
                         break
                 lam *= config.lambda_up  # the step failed or did not lower the cost
+            del hess, diag
             iterations += 1
             if not accepted:
                 converged = True

@@ -18,6 +18,7 @@ the emitted candidate carries.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .core import Bound, Pose2, check_bounds, check_range, is_finite_number, normalize_angle
 
@@ -52,7 +52,14 @@ class Triangulation:
 
 
 def triangulate(positions: np.ndarray) -> Triangulation:
-    """Delaunay triangulation of cone positions."""
+    """Delaunay triangulation of cone positions.
+
+    ``scipy.spatial`` is imported on the first call, not with the module: a
+    run that never plans never loads it, nor the ``scipy.special`` and
+    ``scipy.constants`` it brings in.
+    """
+    from scipy.spatial import Delaunay, QhullError
+
     pts = np.asarray(positions, dtype=float)
     if len(pts) < 3:
         raise DegenerateSnapshotError(f"need at least 3 cones, got {len(pts)}")
@@ -203,11 +210,15 @@ def _np_sum(values: Sequence[float]) -> float:
     return _np_sum(values[:half]) + _np_sum(values[half:])
 
 
-def _population_std(values: Sequence[float]) -> float:
-    """Population standard deviation of a non-empty sequence, as ``np.sqrt(np.mean((a - a.mean()) ** 2))`` gives it."""
+def _population_std(values: Sequence[float], fold: float | None = None) -> float:
+    """Population standard deviation of a non-empty sequence, as ``np.sqrt(np.mean((a - a.mean()) ** 2))`` gives it.
+
+    ``fold`` is the values' left fold from 0.0 where the caller carries it;
+    under 8 values it is their numpy sum.
+    """
     n = len(values)
     if n < 8:  # the left fold _np_sum gives, without its call
-        mean = functools.reduce(operator.add, values, 0.0) / n
+        mean = (functools.reduce(operator.add, values, 0.0) if fold is None else fold) / n
         return math.sqrt(functools.reduce(operator.add, [(x - mean) * (x - mean) for x in values], 0.0) / n)
     mean = _np_sum(values) / n
     return math.sqrt(_np_sum([(x - mean) * (x - mean) for x in values]) / n)
@@ -289,19 +300,23 @@ class _PartialPath:
 
     The state is the per-segment lengths, the last step and its heading, the
     crossed-edge widths, each side's cone sequence and its gaps (the distances
-    between consecutive cones) and the six feature values, among them the
-    running maximum turn and each side's spacing deviation.
+    between consecutive cones), every cone's log term and the lowest cone
+    index that voted, and the six feature values, among them the running
+    maximum turn and each side's spacing deviation.
     Deviations are reduced afresh from their per-element lists, never kept as
     running sums, so the features are exactly those of the path's own
-    geometry. The running length is the left fold of the segment lengths from
-    0.0, which is their numpy sum while there are fewer than 8. The crossed
-    edges and waypoints are tuples a candidate keeps as they are. The
-    defaults describe the root: no edge crossed yet.
+    geometry. The running length and width sum are the left folds of the
+    segment lengths and widths from 0.0, which are their numpy sums while
+    there are fewer than 8. The crossed edges and waypoints are tuples a
+    candidate keeps as they are. The defaults describe the root: no edge
+    crossed yet.
     """
 
     triangle: int
     slot: int  # the edge slot the path entered the triangle by; -1 at the root
     visited: set[int]
+    log_terms: list[float]  # every cone's log term: its side's, or its most probable class's if it has not voted
+    low: int  # the lowest cone index that voted; len(log_terms) at the root
     crossed: tuple[tuple[int, int], ...] = ()
     waypoints: tuple[tuple[float, float], ...] = ()
     net_votes: dict[int, int] = field(default_factory=dict)  # left minus right votes, in first-crossing order
@@ -310,6 +325,7 @@ class _PartialPath:
     seg_lengths: list[float] = field(default_factory=list)  # waypoint-to-waypoint segment lengths
     heading: float | None = None  # heading of the last segment
     widths: list[float] = field(default_factory=list)  # crossed-edge lengths
+    width_sum: float = 0.0
     left: tuple[int, ...] = ()  # left cones in first-crossing order
     right: tuple[int, ...] = ()
     left_gaps: list[float] = field(default_factory=list)  # distances between consecutive left cones
@@ -356,7 +372,10 @@ def enumerate_paths(
     sums in numpy's order (:func:`_np_sum`), so they equal the numpy
     expressions of the features bit for bit. The log prior sums the
     :func:`prior_terms` in a left fold from 0.0; the tables and the prior's
-    terms are read from locals, hoisted once per snapshot.
+    terms are read from locals, hoisted once per snapshot. The log
+    likelihood is the left fold of every cone's log term from 0.0; below a
+    path's lowest voting cone those are the snapshot's ``other`` terms, whose
+    fold up to each index is computed once per snapshot.
     """
     limits = config.limits
     max_edges, max_length = limits.max_edges, limits.max_length_m
@@ -365,6 +384,7 @@ def enumerate_paths(
     prior_weight = config.prior_weight
     terms = prior_terms(limits)
     left_terms, right_terms, other_terms = _cone_log_terms(color_evidence, LIKELIHOOD_FLOOR)
+    other_prefix = list(itertools.accumulate(other_terms, initial=0.0))  # other_prefix[i]: the fold of other_terms[:i]
     tables = _SearchTables.build(tri)
     neighbor, twin, edge_lo, edge_hi = tables.neighbor, tables.twin, tables.lo, tables.hi
     mid_xs, mid_ys = tables.mid_x, tables.mid_y
@@ -416,26 +436,33 @@ def enumerate_paths(
             seg_len = float(np.hypot(dx, dy))
             length, seg_lengths, seg_heading, max_turn = 0.0, [], None, 0.0
         d_x, d_y = heading_xy if seg_len < 1e-12 else (dx, dy)
-        # a new cone joins the end of its side, adding one gap; a known cone
-        # whose net vote changes sign reorders both sides, which are then
-        # rebuilt with their gaps. A side left untouched keeps its tuple, and
-        # with it its spacing deviation
+        # a new cone joins the end of its side, adding one gap, and sets its
+        # log term; a known cone whose net vote changes sign reorders both
+        # sides, which are then rebuilt with their gaps and terms. A side left
+        # untouched keeps its tuple, and with it its spacing deviation
         net_votes = partial.net_votes.copy()
         left, right, flipped = partial.left, partial.right, False
         left_gaps, right_gaps = partial.left_gaps, partial.right_gaps
+        log_terms, low = partial.log_terms, partial.low
         for idx in (lo, hi):
             vote = 1 if d_x * (cone_ys[idx] - mid_y) - d_y * (cone_xs[idx] - mid_x) > 0 else -1
             before = net_votes.get(idx)
             if before is None:
                 net_votes[idx] = vote
+                if log_terms is partial.log_terms:
+                    log_terms = log_terms.copy()
+                if idx < low:
+                    low = idx
                 if vote > 0:
                     if left:
                         left_gaps = left_gaps + [cone_distance(left[-1], idx)]
                     left += (idx,)
+                    log_terms[idx] = left_terms[idx]
                 else:
                     if right:
                         right_gaps = right_gaps + [cone_distance(right[-1], idx)]
                     right += (idx,)
+                    log_terms[idx] = right_terms[idx]
             else:
                 net_votes[idx] = before + vote
                 flipped |= (before >= 0) != (before + vote >= 0)
@@ -443,13 +470,19 @@ def enumerate_paths(
             left = tuple(idx for idx, net in net_votes.items() if net >= 0)
             right = tuple(idx for idx, net in net_votes.items() if net < 0)
             left_gaps, right_gaps = gaps(left), gaps(right)
+            log_terms = other_terms.copy()
+            for idx in right:
+                log_terms[idx] = right_terms[idx]
+            for idx in left:
+                log_terms[idx] = left_terms[idx]
         widths = partial.widths + [edge_width[slot]]
+        width_sum = partial.width_sum + edge_width[slot]
         crossed = len(partial.crossed) + 1.0
         features = (
             max_turn,
             partial.features[1] if left is partial.left else (_population_std(left_gaps) if left_gaps else 0.0),
             partial.features[2] if right is partial.right else (_population_std(right_gaps) if right_gaps else 0.0),
-            _population_std(widths),
+            _population_std(widths, width_sum),
             desired if desired < crossed else crossed,
             length if len(seg_lengths) < 8 else _np_sum(seg_lengths),
         )
@@ -457,20 +490,20 @@ def enumerate_paths(
         for value, (weight, setpoint, scale) in zip(features, terms):
             cost += weight * (value - setpoint) ** 2 / scale
         lp = -prior_weight * cost
-        # every cone's log term, a cone in both sets counting as left, added
-        # one cone at a time in index order from 0.0, never a pairwise or
-        # compensated sum: every logged score depends on this exact order
-        values = other_terms.copy()
-        for idx in right:
-            values[idx] = right_terms[idx]
-        for idx in left:
-            values[idx] = left_terms[idx]
-        ll = fold(add, values, 0.0)
+        # every cone's log term added one cone at a time in index order from
+        # 0.0, never a pairwise or compensated sum: every logged score depends
+        # on this exact order. Unchanged terms keep the parent's sum
+        if log_terms is partial.log_terms:
+            ll = partial.log_likelihood
+        else:
+            ll = fold(add, log_terms[low:], other_prefix[low])
         nb = neighbor[slot]
         return _PartialPath(
             nb,
             twin[slot],
             partial.visited | {nb},
+            log_terms,
+            low,
             partial.crossed + ((lo, hi),),
             partial.waypoints + ((mid_x, mid_y),),
             net_votes,
@@ -479,6 +512,7 @@ def enumerate_paths(
             seg_lengths,
             seg_heading,
             widths,
+            width_sum,
             left,
             right,
             left_gaps,
@@ -489,7 +523,7 @@ def enumerate_paths(
             lp + ll,
         )
 
-    root = _PartialPath(triangle=start, slot=-1, visited={start})
+    root = _PartialPath(triangle=start, slot=-1, visited={start}, log_terms=other_terms, low=len(other_terms))
     first_moves = []
     for k in range(3):
         slot = 3 * start + k

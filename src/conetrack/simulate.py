@@ -189,6 +189,7 @@ class CenterlineGeometry:
         return float(self.cum_s[i] + t[i] * self._seg_len[i])
 
 
+TRACK_KINDS = ("loop", "circle")
 # the rule limits on width, spacing and radius are checked by ``validate_spec``
 _SPEC_BOUNDS = {
     "length_m": Bound(0.0, low_ok=False),
@@ -210,12 +211,12 @@ class TrackSpec:
 
     ``kind`` selects a plain circle or a randomized closed loop built from a
     periodic radial spline whose bumps create tight, near-minimum-radius
-    turns (the "hairpin" segments). A field that is not a finite number in
-    its range, or a count that is not a non-negative integer, raises
-    ``ValueError`` naming it.
+    turns (the "hairpin" segments). A ``kind`` outside :data:`TRACK_KINDS`,
+    a field that is not a finite number in its range, or a count that is not
+    a non-negative integer, raises ``ValueError`` naming it.
     """
 
-    kind: str = "loop"  # "loop" | "circle"
+    kind: str = "loop"  # one of TRACK_KINDS
     length_m: float = 250.0
     radius_m: float = 30.0  # circle kind only
     track_width_m: float = 4.0
@@ -228,6 +229,8 @@ class TrackSpec:
     centerline_resolution_m: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.kind not in TRACK_KINDS:
+            raise ValueError(f"track spec kind must be one of {TRACK_KINDS}, got {self.kind!r}")
         check_bounds("track spec", self, _SPEC_BOUNDS)
 
 
@@ -240,8 +243,6 @@ def validate_spec(spec: TrackSpec) -> None:
         raise InfeasibleTrackError(
             f"minimum radius {spec.min_radius_m} m too small for width {spec.track_width_m} m"
         )
-    if spec.kind not in ("loop", "circle"):
-        raise InfeasibleTrackError(f"unknown track kind {spec.kind!r}")
     if spec.kind == "circle" and spec.radius_m < spec.min_radius_m:
         raise InfeasibleTrackError("circle radius below minimum radius")
     if spec.kind == "loop" and spec.control_points < 6:

@@ -78,16 +78,28 @@ class TestGenerate:
 
 
 def test_startup_imports_neither_scipy_interpolate_nor_optimize():
-    """A run's start-up imports only the scipy subpackages it calls; interpolate and optimize cost a quarter second."""
+    """A run imports only the scipy subpackages it calls: interpolate and optimize
+    cost a quarter second, and spatial, the planner's triangulation, loads on
+    a run's first plan, so start-up and a planner-off run never load it."""
     code = (
-        "import sys, conetrack.pipeline, conetrack.cli\n"
-        "conetrack.config.load_config('fsg-like-5ms')\n"
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+        "import dataclasses, sys, tempfile\n"
+        "from pathlib import Path\n"
+        "import conetrack.pipeline, conetrack.cli\n"
+        "config = conetrack.config.load_config('noise-free-circle')\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.spatial') if m in sys.modules)\n"
+        "seen = [loaded()]\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    conetrack.pipeline.run_pipeline(dataclasses.replace(config, plan_enabled=False), Path(out) / 'off')\n"
+        "    seen.append(loaded())\n"
+        "    conetrack.pipeline.run_pipeline(config, Path(out) / 'on')\n"
+        "    seen.append(loaded())\n"
+        "print(seen)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(conetrack.__file__).resolve().parent.parent)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip().splitlines()[-1] == "[[], [], ['scipy.spatial']]"
 
 
 class TestRun:
@@ -409,6 +421,7 @@ BAD_INPUTS = [
     ["run", "--config", "{nanrate}"],
     ["run", "--config", "{nanlength}"],
     ["run", "--config", "{infradius}"],
+    ["run", "--config", "{intkind}"],
     ["run", "--config", "{nanmaxlength}"],
     ["run", "--config", "{zerobeam}"],
     ["run", "--config", "{floatedges}"],
@@ -533,6 +546,7 @@ BAD_FILES = {
     "nanrate": ('{"frame_rate_hz": NaN}', "frame_rate_hz"),
     "nanlength": ('{"track_spec": {"length_m": NaN}}', "length_m"),
     "infradius": ('{"track_spec": {"kind": "circle", "radius_m": Infinity}}', "radius_m"),
+    "intkind": ('{"track_spec": {"kind": 5}}', "bad track_spec: track spec kind must be one of"),
     "nanmaxlength": ('{"planner_limit_overrides": {"max_length_m": NaN}}', "max_length_m"),
     "zerobeam": ('{"planner_limit_overrides": {"beam_width": 0}}', "beam_width"),
     "floatedges": ('{"planner_limit_overrides": {"max_edges": 2.5}}', "max_edges"),

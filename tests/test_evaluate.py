@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from map_reference import align_exact_correspondences
+from map_reference import align_exact_correspondences, broadcast_first_exit_distances
+from conetrack import evaluate
 from conetrack.config import load_config
 from conetrack.core import Pose2, body_frame_point, compose, invert, transform_point
 from conetrack.evaluate import (
@@ -21,6 +22,7 @@ from conetrack.evaluate import (
     build_report,
     first_exit_distances,
     icp_align,
+    load_trajectory,
     map_rmse,
     planning_stats,
     points_in_polygon,
@@ -28,7 +30,9 @@ from conetrack.evaluate import (
     timing_percentiles,
     track_corridor,
 )
-from conetrack.simulate import CenterlineGeometry, TrackSpec, generate_track
+from conetrack.pipeline import run_pipeline
+from conetrack.planner import read_planner_log
+from conetrack.simulate import CenterlineGeometry, TrackSpec, generate_track, load_track
 
 
 def first_exit_distance(ego_xy, waypoints, corridor):
@@ -434,6 +438,68 @@ class TestBatchedExitEqualsScalarReference:
         expected = [reference_first_exit_distance(ego, waypoints, corridor) for ego, waypoints in paths]
         assert first_exit_distances(points, offsets, corridor) == expected
         assert any(d is None for d in expected) and any(d is not None for d in expected)
+
+
+# a hexagonal ring whose vertex (-6.5, 0) ends the edge from (-2.5, 4.5)
+HEXAGON = TrackCorridor(
+    outer=np.array([[5.0, 0.0], [2.5, 4.5], [-2.5, 4.5], [-6.5, 0.0], [-2.5, -4.5], [2.5, -4.5]]),
+    inner=np.array([[0.75, -1.35], [-0.75, -1.35], [-1.95, 0.0], [-0.75, 1.35], [0.75, 1.35], [1.5, 0.0]]),
+)
+BOX = TrackCorridor(outer=np.array([[0, -2], [20, -2], [20, 2], [0, 2]], dtype=float))
+
+
+@pytest.fixture(scope="module")
+def lap_plan_run(tmp_path_factory):
+    """The output of ``fsg-like-5ms`` as shipped: 500 planned snapshots on a 250 m loop."""
+    out = tmp_path_factory.mktemp("lap_plan")
+    run_pipeline(load_config("fsg-like-5ms"), out)
+    return out
+
+
+class TestNearEdgeExitEqualsBroadcastReference:
+    """Each segment meets only the ring edges near it; meeting all of them is the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_chains(self, data):
+        corridor = data.draw(corridors())
+        paths = data.draw(st.lists(exit_paths(corridor), min_size=1, max_size=40))
+        points, offsets = chains_of(paths)
+        assert first_exit_distances(points, offsets, corridor) == broadcast_first_exit_distances(points, offsets, corridor)
+
+    @pytest.mark.parametrize(
+        "corridor, chain",
+        [
+            (BOX, [(1.0, 0.0), (10.0, -2.0), (12.0, 0.0)]),  # touches the bottom edge and turns back in
+            (BOX, [(1.0, 0.0), (10.0, -2.0), (12.0, -3.0)]),  # touches it, then leaves
+            (BOX, [(18.0, 0.0), (22.0, -4.0)]),  # crosses the ring at its vertex (20, -2)
+            (BOX, [(1.0, -2.0), (15.0, -2.0)]),  # runs along the bottom edge
+            (BOX, [(1.0, -1.5), (15.0, -1.5), (15.0, -2.5)]),  # parallel to it, inside, then out
+            (BOX, [(-3.0, -2.0), (-1.0, -2.0), (0.0, -2.0)]),  # on the bottom edge's line, up to its vertex
+            # 4.5e-116 m below the vertex (-6.5, 0), so exactly it never meets
+            # the edge that ends there; its boxes are that far apart, and the
+            # float test rounds the gap away and counts a crossing at t = 0
+            (HEXAGON, [(-6.5, -4.49919858e-116), (-2.5, -4.5)]),
+        ],
+    )
+    def test_touching_vertex_and_parallel_segments(self, corridor, chain):
+        points, offsets = np.array(chain, dtype=float), [0, len(chain)]
+        assert first_exit_distances(points, offsets, corridor) == broadcast_first_exit_distances(points, offsets, corridor)
+
+    def test_lap_plan_log(self, lap_plan_run, monkeypatch):
+        seen = []
+
+        def compared(points, offsets, corridor):
+            exits = first_exit_distances(points, offsets, corridor)
+            seen.append((exits, broadcast_first_exit_distances(points, offsets, corridor)))
+            return exits
+
+        monkeypatch.setattr(evaluate, "first_exit_distances", compared)
+        out = lap_plan_run
+        planning_stats(read_planner_log(out / "planner_log.ndjson"), load_track(out / "track.json"), load_trajectory(out / "trajectory.csv"))
+        ((exits, expected),) = seen
+        assert len(exits) == 500 and exits == expected
+        assert any(d is None for d in exits) and any(d is not None for d in exits)
 
 
 def reference_planning_stats(records, track, trajectory=None):

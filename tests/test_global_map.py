@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from cone_reference import CLASSES, RefCone, RefGaussian, color_class, color_probabilities, cone_table
-from map_reference import colamd_optimize, numpy_color_probabilities, one_edge
+from map_reference import colamd_optimize, coo_assemble, numpy_color_probabilities, one_edge
 from conetrack import global_map
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import (
@@ -35,6 +35,7 @@ from conetrack.global_map import (
     _color_probabilities,
     _dominant_class,
     _factor,
+    _jacobian_pattern,
     _observation_batch,
     _odometry_batch,
     _whiten,
@@ -644,17 +645,7 @@ class TestSymmetricFactorization:
     def test_factor_fills_in_far_less_than_the_colamd_lu(self, golden_lap):
         # 42,096 against 79,872 nonzeros (0.527) on this lap; 0.445 on the
         # 3,937-unknown system of a 500 m lap
-        graph = golden_lap[1]
-        odometry, observations = graph.odometry_edges, graph.observation_edges
-        _, jacobian = _assemble(
-            graph.poses,
-            graph.landmarks,
-            odometry,
-            observations,
-            _whiten(odometry["information"]),
-            _whiten(observations["information"]),
-            jac=True,
-        )
+        _, jacobian = coo_assemble(*assembly_inputs(golden_lap[1]), jac=True)
         hess = (jacobian.T @ jacobian).tocsc()
         damped = hess + sp.diags(CONFIG.initial_lambda * np.maximum(hess.diagonal(), 1e-9))
         factor, reference = _factor(damped), splu(damped)
@@ -712,23 +703,60 @@ def edge_by_edge_assembly(graph):
     return np.array(residuals), jacobian[:, 3:]
 
 
+def assembly_inputs(graph):
+    """``_assemble``'s arguments for ``graph`` up to the Jacobian pattern:
+    the estimates, the edges and each edge type's square-root information."""
+    odometry, observations = graph.odometry_edges, graph.observation_edges
+    return (
+        graph.poses,
+        graph.landmarks,
+        odometry,
+        observations,
+        _whiten(odometry["information"]),
+        _whiten(observations["information"]),
+    )
+
+
+def pattern_assembly(graph):
+    """The whitened residuals and Jacobian ``optimize`` assembles, in its edges' cached pattern."""
+    pattern = _jacobian_pattern(len(graph.poses), len(graph.landmarks), graph.odometry_edges, graph.observation_edges)
+    return _assemble(*assembly_inputs(graph), pattern)
+
+
+def gauge_only_landmarks_graph():
+    """Three poses; landmarks 0 and 2 are seen only from pose 0, the gauge, so
+    every pose block of their edges is dropped."""
+    graph = Graph()
+    graph.add_pose(Pose2(0.0, 0.0, 0.0))
+    for k in (1, 2):
+        graph.add_pose(Pose2(1.0 * k, 0.1 * k, 0.05 * k), Pose2(1.0, 0.1, 0.05), np.diag([100.0, 100.0, 400.0]))
+    for position in ([4.0, 2.0], [5.0, -2.0], [6.0, 1.5]):
+        graph.add_landmark(np.array(position))
+    graph.add_observations([0, 0, 0], [0, 1, 2], [[4.1, 2.0], [5.0, -1.9], [6.0, 1.4]], [np.eye(2) * 25.0] * 3)
+    graph.add_observations([1, 2], [1, 1], [[4.0, -2.2], [3.1, -2.3]], [np.diag([16.0, 9.0])] * 2)
+    return graph
+
+
 class TestAssembly:
     @staticmethod
     def check(graph):
-        odometry, observations = graph.odometry_edges, graph.observation_edges
-        residuals, jacobian = _assemble(
-            graph.poses,
-            graph.landmarks,
-            odometry,
-            observations,
-            _whiten(odometry["information"]),
-            _whiten(observations["information"]),
-            jac=True,
-        )
+        residuals, jacobian = pattern_assembly(graph)
         expected_residuals, expected_jacobian = edge_by_edge_assembly(graph)
         assert np.array_equal(residuals, expected_residuals)
         assert jacobian.shape == expected_jacobian.shape
         assert np.array_equal(jacobian.toarray(), expected_jacobian)
+        TestAssembly.check_pattern(graph)
+
+    @staticmethod
+    def check_pattern(graph):
+        """The cached-pattern Jacobian is the COO reference's CSR matrix, bit for bit."""
+        residuals, jacobian = pattern_assembly(graph)
+        expected_residuals, expected = coo_assemble(*assembly_inputs(graph), jac=True)
+        assert residuals.tobytes() == expected_residuals.tobytes()
+        assert jacobian.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            mine, theirs = getattr(jacobian, name), getattr(expected, name)
+            assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes()), name
 
     @given(small_noisy_graphs())
     @settings(max_examples=40, deadline=None)
@@ -742,6 +770,18 @@ class TestAssembly:
             graph.add_landmark(np.array(position))
             graph.add_observations([0], [k], [[2.0 - k, 1.0 + k]], [np.diag([4.0, 9.0])])
         self.check(graph)
+
+    def test_landmarks_seen_only_from_the_gauge_pose(self):
+        self.check(gauge_only_landmarks_graph())
+
+    @pytest.mark.parametrize("source", ["golden_lap", "noisy_loop"])
+    def test_cached_pattern_equals_the_coo_reference(self, golden_lap, source):
+        self.check_pattern(golden_lap[1] if source == "golden_lap" else noisy_loop_graph())
+
+    def test_pattern_indices_are_int32(self, golden_lap):
+        graph = golden_lap[1]
+        pattern = _jacobian_pattern(len(graph.poses), len(graph.landmarks), graph.odometry_edges, graph.observation_edges)
+        assert [a.dtype for a in pattern[:3]] == [np.int32] * 3
 
 
 class TestRejectedSteps:
@@ -779,16 +819,7 @@ class TestAcceptedSteps:
     @given(small_noisy_graphs())
     @settings(max_examples=60, deadline=None)
     def test_accepted_steps_never_increase_the_cost(self, graph):
-        odometry, observations = graph.odometry_edges, graph.observation_edges
-        residuals, _ = _assemble(
-            graph.poses,
-            graph.landmarks,
-            odometry,
-            observations,
-            _whiten(odometry["information"]),
-            _whiten(observations["information"]),
-            jac=False,
-        )
+        residuals, _ = _assemble(*assembly_inputs(graph))
         # a budget of k iterations stops the same solve after its k-th step
         costs = [float(residuals @ residuals)]
         costs += [optimize(graph, GlobalMapConfig(max_iterations=k)).final_cost for k in range(1, 7)]

@@ -209,6 +209,14 @@ class TestPopulationStd:
     def test_equals_np_mean_form(self, values):
         assert _population_std(values) == reference_population_std(values)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=7))
+    def test_a_carried_running_sum_gives_the_same_deviation(self, values):
+        running = 0.0  # as the search carries a path's width sum, one crossed edge at a time
+        for value in values:
+            running += value
+        assert _population_std(values, running) == reference_population_std(values)
+
 
 def same_float(a, b):
     """Equal bit for bit up to the NaN payload: both NaN, or equal with the same sign of zero."""
