@@ -40,8 +40,6 @@ _RUN_BOUNDS = {
     "lateral_accel_mps2": Bound(0.0, low_ok=False),
     "frame_rate_hz": Bound(0.0, low_ok=False),
     "seed": Bound(0, integer=True),
-    "closed_loop_speed_mps": Bound(0.0, low_ok=False),
-    "divergence_margin_m": Bound(0.0, low_ok=False),
 }
 
 
@@ -80,8 +78,6 @@ class RunConfig:
     plan_enabled: bool = True
     verbose_candidates: bool = False
     closed_loop: bool = False
-    closed_loop_speed_mps: float = 5.0
-    divergence_margin_m: float = 3.0
     local_map_overrides: dict = field(default_factory=dict)
     global_map_overrides: dict = field(default_factory=dict)
     planner_limit_overrides: dict = field(default_factory=dict)

@@ -13,7 +13,7 @@ import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,16 +33,19 @@ from .local_map import LocalMapSnapshot, LocalMapState, MapMode, SnapshotLogWrit
 from .planner import PlannerLogWriter, PlanResult, plan_record, plan_snapshot
 from .simulate import (
     CenterlineGeometry,
-    ScenarioDriver,
-    SimRun,
     TrackDefinition,
+    centerline_poses,
     curvature_limited_speed_profile,
     discrete_frames,
     generate_track,
     load_track,
     noisy_velocity,
     observe_cones,
+    speed_lookup,
 )
+
+# a closed-loop run fails once the ego is this far off the centerline
+DIVERGENCE_MARGIN_M = 3.0
 
 
 @dataclass
@@ -102,13 +105,19 @@ class _ClosedLoopSteering:
         curvature = 2.0 * target[1] / d2
         return curvature * speed
 
-    def poses(self, geom: CenterlineGeometry, config: RunConfig, max_frames: int) -> Iterator[Pose2]:
-        """True poses steered by the latest plan until one lap of progress or ``max_frames``.
+    def poses(
+        self, geom: CenterlineGeometry, speed_profile: Sequence[tuple[float, float]], dt: float
+    ) -> Iterator[Pose2]:
+        """True poses steered by the latest plan until one lap of progress.
 
-        Each pose is stepped after the consumer has handled the previous one.
-        Raises :class:`RunFailure` when the ego leaves the track corridor.
+        Each step drives at the profile's speed at the car's projection on
+        the centerline. Each pose is stepped after the consumer has handled
+        the previous one. Stops after three laps' worth of frames at the
+        profile's lowest speed; raises :class:`RunFailure` once the ego is
+        more than ``DIVERGENCE_MARGIN_M`` off the centerline.
         """
-        dt = 1.0 / config.frame_rate_hz
+        speed_at = speed_lookup(speed_profile)
+        max_frames = int(3 * geom.length / (min(v for _, v in speed_profile) * dt)) + 10
         pose = geom.pose_at(0.0)
         last_s = 0.0
         k = 0
@@ -116,13 +125,13 @@ class _ClosedLoopSteering:
             yield pose
             s_here = geom.nearest_arc_length(pose.position)
             lateral = float(np.hypot(*(pose.position - geom.point_at(s_here))))
-            if lateral > config.divergence_margin_m:
+            if lateral > DIVERGENCE_MARGIN_M:
                 raise RunFailure(f"ego left the track corridor: {lateral:.2f} m off the centerline at {k * dt:.1f} s")
             delta_s = (s_here - last_s) % geom.length
             if delta_s < geom.length / 2:
                 self.progress += delta_s
             last_s = s_here
-            speed = config.closed_loop_speed_mps
+            speed = speed_at(s_here)
             pose = integrate_velocity(pose, Velocity2(speed, 0.0, self.yaw_rate(speed)), dt)
             k += 1
 
@@ -229,9 +238,10 @@ def map_alignment(records: list[dict], track: TrackDefinition) -> dict:
 def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     """Execute one scenario and write all artifacts under ``out_dir``.
 
-    Raises :class:`RunFailure` (after writing partial outputs) when the
-    closed-loop follower leaves the track corridor by more than the
-    configured margin.
+    Both drivers take the car's speed from the track's curvature-limited
+    speed profile. Raises :class:`RunFailure` (after writing partial
+    outputs) when the closed-loop follower gets more than
+    ``DIVERGENCE_MARGIN_M`` off the centerline.
     """
     from .simulate import save_track
 
@@ -249,7 +259,6 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     with timer.stage("artifact_write"):
         engine = _SnapshotEngine(config, out_dir, timer)
         save_track(track, out_dir / "track.json")
-    run = SimRun(track, speed_profile, config.frame_rate_hz)
     local_cfg = config.local_map_config()
     force = None if config.force_mode is None else MapMode(config.force_mode)
 
@@ -263,12 +272,9 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     completed = False
     failure: RunFailure | None = None
 
-    if config.closed_loop:
-        dt = 1.0 / config.frame_rate_hz
-        max_frames = int(3 * geom.length / (min(v for _, v in speed_profile) * dt)) + 10
-        true_frames = discrete_frames(steering.poses(geom, config, max_frames), dt)
-    else:
-        true_frames = ScenarioDriver(run).frames()
+    dt = 1.0 / config.frame_rate_hz
+    drive = steering.poses if config.closed_loop else centerline_poses
+    true_frames = discrete_frames(drive(geom, speed_profile, dt), dt)
 
     snapshot_writer = SnapshotLogWriter(out_dir / "snapshots.ndjson")
     try:

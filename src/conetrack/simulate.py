@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -584,41 +584,21 @@ def default_profile(mode: str) -> SensorProfile:
 # Scenario simulation
 
 
-@dataclass(frozen=True)
-class SimRun:
-    """One simulated lap: a track, a speed profile and a frame rate."""
-
-    track: TrackDefinition
-    speed_profile: tuple[tuple[float, float], ...]  # (arc_length_m, speed_mps) breakpoints
-    frame_rate_hz: float = 10.0
-
-    def __post_init__(self) -> None:
-        profile = tuple((float(s), float(v)) for s, v in self.speed_profile)
-        if not profile:
-            raise ValueError("speed profile must not be empty")
-        if any(v <= 0 for _, v in profile):
-            raise ValueError("speeds must be positive")
-        if self.frame_rate_hz <= 0:
-            raise ValueError("frame rate must be positive")
-        object.__setattr__(self, "speed_profile", profile)
-        object.__setattr__(self, "_arcs", np.array([a for a, _ in profile]))
-        object.__setattr__(self, "_speeds", np.array([v for _, v in profile]))
-
-    def speed_at(self, s: float) -> float:
-        return float(np.interp(s, self._arcs, self._speeds))
-
-
 def curvature_limited_speed_profile(
     track: TrackDefinition, max_speed_mps: float, lateral_accel_mps2: float = 6.0, step_m: float = 2.0
 ) -> tuple[tuple[float, float], ...]:
-    """Speed breakpoints capped by v^2 * |curvature| <= lateral acceleration."""
+    """Speed breakpoints capped by v^2 * |curvature| <= lateral acceleration.
+
+    Every speed is floored at 1 m/s, or at ``max_speed_mps`` when that is lower.
+    """
     geom = CenterlineGeometry(track.centerline)
+    floor = min(1.0, max_speed_mps)
     out = []
     s = 0.0
     while s < geom.length:
         kappa = abs(geom.curvature_at(s, window_m=4.0))
         v = max_speed_mps if kappa < 1e-6 else min(max_speed_mps, math.sqrt(lateral_accel_mps2 / kappa))
-        out.append((s, max(v, 1.0)))
+        out.append((s, max(v, floor)))
         s += step_m
     return tuple(out)
 
@@ -700,20 +680,19 @@ def discrete_frames(poses: Iterable[Pose2], dt: float) -> Iterator[tuple[float, 
         prev = pose
 
 
-class ScenarioDriver:
-    """Steps the true pose along the centerline one lap at the frame rate."""
+def speed_lookup(speed_profile: Sequence[tuple[float, float]]) -> Callable[[float], float]:
+    """The speed at an arc length: linear between ``(arc_length_m, speed_mps)`` breakpoints, flat past the ends."""
+    arcs = np.array([s for s, _ in speed_profile], dtype=float)
+    speeds = np.array([v for _, v in speed_profile], dtype=float)
+    return lambda s: float(np.interp(s, arcs, speeds))
 
-    def __init__(self, run: SimRun):
-        self.run = run
-        self.geom = CenterlineGeometry(run.track.centerline)
-        self.dt = 1.0 / run.frame_rate_hz
 
-    def frames(self) -> Iterator[tuple[float, float, Pose2, Velocity2]]:
-        """Yield (timestamp, dt, true_pose, true_velocity) until the lap closes (see :func:`discrete_frames`)."""
-        return discrete_frames(self._poses(), self.dt)
-
-    def _poses(self) -> Iterator[Pose2]:
-        s = 0.0
-        while s < self.geom.length:
-            yield self.geom.pose_at(s)
-            s += self.run.speed_at(s) * self.dt
+def centerline_poses(
+    geom: CenterlineGeometry, speed_profile: Sequence[tuple[float, float]], dt: float
+) -> Iterator[Pose2]:
+    """True poses on the centerline for one lap, each the profile's speed times ``dt`` past the last."""
+    speed_at = speed_lookup(speed_profile)
+    s = 0.0
+    while s < geom.length:
+        yield geom.pose_at(s)
+        s += speed_at(s) * dt

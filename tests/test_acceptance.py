@@ -29,7 +29,14 @@ from conetrack.planner import (
     select_path,
     triangulate,
 )
-from conetrack.simulate import ScenarioDriver, SimRun, generate_track, noise_free_profile, observe_cones
+from conetrack.simulate import (
+    CenterlineGeometry,
+    centerline_poses,
+    discrete_frames,
+    generate_track,
+    noise_free_profile,
+    observe_cones,
+)
 
 
 def announce(name: str, passed: bool, detail: str) -> None:
@@ -126,12 +133,12 @@ class TestAC3FalsePositiveRejection:
             dataclasses.replace(load_config("modes-5ms").track_spec, length_m=180.0), seed=3
         )
         profile = noise_free_profile()
-        run = SimRun(track, ((0.0, 5.0),), frame_rate)
+        poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 5.0),), 1.0 / frame_rate)
         rng = np.random.default_rng(0)
         frames = []
         state = LocalMapState()
         states = []
-        for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+        for timestamp, dt, pose, vel in discrete_frames(poses, 1.0 / frame_rate):
             obs = observe_cones(track, pose, profile, rng, timestamp)
             frames.append((timestamp, dt, obs, vel))
             states.append(state)

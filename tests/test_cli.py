@@ -1,5 +1,8 @@
+import csv
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +40,15 @@ BROKEN_TRACKS = {
         "centerline has repeated points",
     ),
     "wronglengthtrack": (broken_track(lambda d: d.update(total_length_m=1.0)), "total_length_m"),
+}
+
+
+# sha256 of noise-free-circle --closed-loop artifacts, recorded when the closed
+# loop drove a fixed 5 m/s instead of the (flat 5 m/s) speed profile
+CLOSED_LOOP_CIRCLE_DIGESTS = {
+    "snapshots.ndjson": "c00b8412934984c959f7cf78b3966976a6de138c79677fb6da5c28e716469139",
+    "planner_log.ndjson": "de18f5d9c2e095072330cfc0b97e6d9744636bdea83a5d64509ab4d80036d9a6",
+    "trajectory.csv": "e0316a5bc99fa3434660226982824512bfae3b84b0049128f799b6c7bbfd7b2a",
 }
 
 
@@ -147,6 +159,21 @@ class TestRun:
         report = read_json(out / "report.json")
         assert report["run"]["completed_lap"] is True
         assert report["map"]["rmse_m"] < 1e-6
+        # a flat 5 m/s profile drives the lap the fixed 5 m/s closed-loop speed drove
+        for name, digest in CLOSED_LOOP_CIRCLE_DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_closed_loop_drives_the_speed_profile(self, tmp_path):
+        out = tmp_path / "cl12"
+        assert main(["run", "--config", "fsg-like-12ms", "--out", str(out), "--closed-loop"]) == 0
+        assert read_json(out / "report.json")["run"]["completed_lap"] is True
+        with open(out / "trajectory.csv", newline="") as fh:
+            rows = [(float(row["true_x_m"]), float(row["true_y_m"])) for row in csv.DictReader(fh)]
+        steps = [math.dist(a, b) for a, b in zip(rows, rows[1:])]
+        dt = 1.0 / load_config("fsg-like-12ms").frame_rate_hz
+        # faster than 5 m/s on the straights, never faster than max_speed_mps (steps
+        # at a fixed 5 m/s differ from 5 m/s * dt in the 15th digit)
+        assert 5.0 * dt + 1e-6 < max(steps) <= 12.0 * dt + 1e-6
 
     def test_closed_loop_divergence_fails_with_partial_outputs(self, tmp_path, capsys):
         # no planner means no steering: the car drives straight off the track
@@ -427,6 +454,8 @@ BAD_INPUTS = [
     ["run", "--config", "{floatedges}"],
     ["run", "--config", "{nanprior}"],
     ["run", "--config", "{stringclosedloop}"],
+    ["run", "--config", "{closedloopspeed}"],
+    ["run", "--config", "{divergencemargin}"],
     ["run", "--config", "{stringplanenabled}"],
     ["run", "--config", "{intverbose}"],
     ["run", "--config", "{inttrackfile}"],
@@ -552,6 +581,9 @@ BAD_FILES = {
     "floatedges": ('{"planner_limit_overrides": {"max_edges": 2.5}}', "max_edges"),
     "nanprior": ('{"prior_weight": NaN}', "prior_weight"),
     "stringclosedloop": ('{"closed_loop": "false"}', "closed_loop"),
+    # the closed loop drives the speed profile and fails at a fixed 3 m margin
+    "closedloopspeed": ('{"closed_loop_speed_mps": 5.0}', "unknown config keys: ['closed_loop_speed_mps']"),
+    "divergencemargin": ('{"divergence_margin_m": 3.0}', "unknown config keys: ['divergence_margin_m']"),
     "stringplanenabled": ('{"plan_enabled": "no"}', "plan_enabled"),
     "intverbose": ('{"verbose_candidates": 1}', "verbose_candidates"),
     "inttrackfile": ('{"track_file": 5}', "track_file"),

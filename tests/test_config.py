@@ -162,14 +162,16 @@ class TestBoundsTables:
                 build(**{name: None})
 
 
-# sha256 of config_resolved.json, recorded before it was written from dataclasses.asdict
+# sha256 of config_resolved.json, recorded before it was written from dataclasses.asdict;
+# re-recorded when closed_loop_speed_mps and divergence_margin_m left RunConfig, each the
+# earlier file with those two keys deleted and dumped again
 RESOLVED_DIGESTS = {
-    "fsg-like-12ms": "32b12843381ff79aca37168d41e7a0e282ac69315d79369a034805d1c667b591",
-    "fsg-like-5ms": "84fd460b39cc5ef8793119a1b92ca8c7074ef93bd9eb95fdb2131a7edb0809c8",
-    "modes-5ms": "08f610ab695cbcad15d90b448e5e8363de89a4c954778ea586798d40d68061fe",
-    "noise-free-circle": "7161f97e1887b2fded6a5875486fadd38cbdef3d0f18e4e83540cd6e83825d71",
-    "planning-15m": "4091dafd0e605d1055c39c77202a8f003a07d321c75b340c03b88ea9836e9fc1",
-    "overridden": "b082911500efc56d8bfd737f24407f458353bedc9421440b15a8bc5d50105a74",
+    "fsg-like-12ms": "0959b7cfd1ebca42f9ae8cd9d55c01e3d4e98b1bf50a7606e5896ca27b968540",
+    "fsg-like-5ms": "f96b2ddc3d8b204a7df2e3c8f6b3c68e0cf6b0be82ea566482c32186675b4956",
+    "modes-5ms": "8c7b0a789254769e1bed678a47601380c5c240d1d16e4f689960c4e7486ca6b8",
+    "noise-free-circle": "1ea9ad3fe6dd7a7afc29c9de1cd279031255795036c90c64dab56b9e7e19669e",
+    "overridden": "dddf87680b0ba4ca878bc0c558406a810b1e0058448b10fb9272961112290e97",
+    "planning-15m": "74971e2a3a325ca1fadefffc1393fc01e6ab996acbb3adc081604a03088a7115",
 }
 # a config that sets a schedule, the prior weight and every module's overrides
 OVERRIDDEN = {

@@ -55,10 +55,11 @@ from conetrack.local_map import (
 )
 from conetrack.pipeline import run_pipeline
 from conetrack.simulate import (
-    ScenarioDriver,
+    CenterlineGeometry,
     SensorProfile,
-    SimRun,
     TrackSpec,
+    centerline_poses,
+    discrete_frames,
     generate_track,
     noise_free_profile,
     noisy_velocity,
@@ -244,12 +245,12 @@ def build_noise_free_graph(radius=20.0, speed=5.0, frame_rate=5.0):
     track = generate_track(TrackSpec(kind="circle", radius_m=radius), seed=1)
     profile = noise_free_profile()
     cfg = LocalMapConfig.for_profile(profile, frame_rate)
-    run = SimRun(track, ((0.0, speed),), frame_rate)
+    poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, speed),), 1.0 / frame_rate)
     rng = np.random.default_rng(0)
     state = LocalMapState()
     graph = Graph()
     start_pose = None
-    for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+    for timestamp, dt, pose, vel in discrete_frames(poses, 1.0 / frame_rate):
         start_pose = start_pose or pose
         obs = observe_cones(track, pose, profile, rng, timestamp)
         state, snap = ingest_frame(state, [obs], vel, dt, cfg)
@@ -344,12 +345,12 @@ class TestNoisyImprovement:
         profile = SensorProfile(mode="fusion", false_positives_per_frame=0.0)
         frame_rate = 10.0
         cfg_local = LocalMapConfig.for_profile(profile, frame_rate)
-        run = SimRun(track, ((0.0, 8.0),), frame_rate)
+        poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 8.0),), 1.0 / frame_rate)
         rng = np.random.default_rng(11)
         state = LocalMapState()
         graph = Graph()
         start_pose = None
-        for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+        for timestamp, dt, pose, vel in discrete_frames(poses, 1.0 / frame_rate):
             start_pose = start_pose or pose
             obs = observe_cones(track, pose, profile, rng, timestamp)
             vel_noisy = noisy_velocity(vel, profile, rng)

@@ -51,10 +51,11 @@ from conetrack.local_map import (
 )
 from conetrack.pipeline import run_pipeline
 from conetrack.simulate import (
-    ScenarioDriver,
-    SimRun,
+    CenterlineGeometry,
     TrackSpec,
+    centerline_poses,
     default_profile,
+    discrete_frames,
     generate_track,
     noise_free_profile,
     noisy_velocity,
@@ -362,12 +363,12 @@ class TestExistence:
 def run_noise_free_lap(track, speed=5.0, frame_rate=10.0, mode=None, profile=None):
     profile = profile or noise_free_profile()
     cfg = LocalMapConfig.for_profile(profile, frame_rate)
-    run = SimRun(track, ((0.0, speed),), frame_rate)
+    poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, speed),), 1.0 / frame_rate)
     rng = np.random.default_rng(0)
     state = LocalMapState()
     snapshots = []
     start_pose = None
-    for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+    for timestamp, dt, pose, vel in discrete_frames(poses, 1.0 / frame_rate):
         start_pose = start_pose or pose
         obs = observe_cones(track, pose, profile, rng, timestamp)
         state, snap = ingest_frame(state, [obs], vel, dt, cfg, mode=mode)
@@ -401,13 +402,13 @@ class TestIngest:
         profile = noise_free_profile()
         frame_rate = 10.0
         cfg = LocalMapConfig.for_frame_rate(frame_rate)
-        run = SimRun(track, ((0.0, 5.0),), frame_rate)
+        poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 5.0),), 1.0 / frame_rate)
         rng = np.random.default_rng(0)
         state = LocalMapState()
         fp_id = None
         fp_gone_at = None
         inject_at = 1.0
-        for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+        for timestamp, dt, pose, vel in discrete_frames(poses, 1.0 / frame_rate):
             obs = observe_cones(track, pose, profile, rng, timestamp)
             if math.isclose(timestamp, inject_at):
                 # phantom cone 6 m dead ahead, observed exactly once
@@ -432,12 +433,12 @@ class TestIngest:
         track = generate_track(TrackSpec(kind="circle", radius_m=20.0), seed=1)
         profile = noise_free_profile()
         cfg = LocalMapConfig.for_frame_rate(10.0)
-        run = SimRun(track, ((0.0, 5.0),), 10.0)
+        poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 5.0),), 0.1)
         rng = np.random.default_rng(0)
         state = LocalMapState()
         first_snap = None
         first_copy = None
-        for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+        for timestamp, dt, pose, vel in discrete_frames(poses, 0.1):
             obs = observe_cones(track, pose, profile, rng, timestamp)
             state, snap = ingest_frame(state, [obs], vel, dt, cfg)
             if first_snap is None:
@@ -453,10 +454,10 @@ class TestIngest:
 
         profile = SensorProfile(mode="fusion", false_positives_per_frame=0.0)
         cfg = LocalMapConfig.for_frame_rate(10.0)
-        run = SimRun(track, ((0.0, 5.0),), 10.0)
+        poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 5.0),), 0.1)
         rng = np.random.default_rng(3)
         state = LocalMapState()
-        for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+        for timestamp, dt, pose, vel in discrete_frames(poses, 0.1):
             obs = observe_cones(track, pose, profile, rng, timestamp)
             before = dict(zip(state.cones.ids.tolist(), np.trace(state.cones.covs, axis1=1, axis2=2)))
             predicted = predict(state, vel, dt, cfg)
@@ -790,10 +791,10 @@ def degraded_lap_snapshots(length_m=90.0, seed=455):
     track = generate_track(spec, seed=seed)
     profiles = {m: default_profile(m) for m in ("fusion", "lidar_only", "camera_only")}
     config = LocalMapConfig.for_profile(profiles["lidar_only"], 10.0)
-    run = SimRun(track, ((0.0, 5.0),), 10.0)
+    poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 5.0),), 0.1)
     rng = np.random.default_rng(seed)
     state, snapshots = LocalMapState(), []
-    for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+    for timestamp, dt, pose, vel in discrete_frames(poses, 0.1):
         alive = ["fusion"] if timestamp < 3.0 else ["lidar_only", "camera_only"]
         batches = [observe_cones(track, pose, profiles[m], rng, timestamp) for m in alive]
         state, snap = ingest_frame(state, batches, noisy_velocity(vel, profiles["fusion"], rng), dt, config)
@@ -1287,11 +1288,11 @@ class TestArrayFilterMatchesPerConeReference:
         track = generate_track(spec, seed=455)
         profiles = {m: default_profile(m) for m in ("fusion", "lidar_only", "camera_only")}
         config = LocalMapConfig.for_profile(profiles["lidar_only"], 10.0)
-        run = SimRun(track, ((0.0, 5.0),), 10.0)
+        poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 5.0),), 0.1)
         rng = np.random.default_rng(455)
         state, ref = LocalMapState(), RefState()
         modes = set()
-        for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
+        for timestamp, dt, pose, vel in discrete_frames(poses, 0.1):
             alive = ["fusion"] if timestamp < 3.0 else ["lidar_only", "camera_only"]
             obs = [observe_cones(track, pose, profiles[m], rng, timestamp) for m in alive]
             vel = noisy_velocity(vel, profiles["fusion"], rng)

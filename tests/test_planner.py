@@ -32,10 +32,11 @@ from conetrack.planner import (
     triangulate,
 )
 from conetrack.simulate import (
-    ScenarioDriver,
-    SimRun,
+    CenterlineGeometry,
     TrackSpec,
+    centerline_poses,
     default_profile,
+    discrete_frames,
     generate_track,
     noisy_velocity,
     observe_cones,
@@ -412,11 +413,11 @@ def noisy_run_snapshots(frames):
     """Local-map snapshots of the first ``frames`` frames of a seeded noisy fusion lap."""
     track = generate_track(TrackSpec(length_m=210.0), seed=4)
     profile = default_profile("fusion")
-    run = SimRun(track, ((0.0, 5.0),), frame_rate_hz=10.0)
-    config = LocalMapConfig.for_profile(profile, run.frame_rate_hz)
+    poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 5.0),), 0.1)
+    config = LocalMapConfig.for_profile(profile, 10.0)
     rng = np.random.default_rng(11)
     state, snaps = LocalMapState(), []
-    for timestamp, dt, pose, vel in islice(ScenarioDriver(run).frames(), frames):
+    for timestamp, dt, pose, vel in islice(discrete_frames(poses, 0.1), frames):
         obs = observe_cones(track, pose, profile, rng, timestamp)
         state, snap = ingest_frame(state, [obs], noisy_velocity(vel, profile, rng), dt, config)
         snaps.append(snap)

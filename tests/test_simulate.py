@@ -16,22 +16,23 @@ from conetrack.simulate import (
     TRACK_COLORS,
     CenterlineGeometry,
     InfeasibleTrackError,
-    ScenarioDriver,
     SensorProfile,
-    SimRun,
     TrackDefinition,
     TrackSpec,
     TrackValidationError,
     _periodic_spline,
     _periodic_spline_derivatives,
+    centerline_poses,
     curvature_limited_speed_profile,
     default_profile,
+    discrete_frames,
     generate_track,
     load_track,
     noise_free_profile,
     noisy_velocity,
     observe_cones,
     save_track,
+    speed_lookup,
     validate_track,
 )
 
@@ -306,11 +307,12 @@ class TestFrameSimulation:
 
 
 
-def sensor_stream(run, profile, seed=0):
-    """(timestamp, observations, noisy velocity) per frame of one driven lap, from an rng seeded with ``seed``."""
+def sensor_stream(track, speed_profile, profile, seed=0):
+    """(timestamp, observations, noisy velocity) per frame of one lap driven at 10 Hz, from an rng seeded with ``seed``."""
     rng = np.random.default_rng(seed)
-    for timestamp, dt, pose, vel in ScenarioDriver(run).frames():
-        obs = observe_cones(run.track, pose, profile, rng, timestamp)
+    poses = centerline_poses(CenterlineGeometry(track.centerline), speed_profile, 0.1)
+    for timestamp, dt, pose, vel in discrete_frames(poses, 0.1):
+        obs = observe_cones(track, pose, profile, rng, timestamp)
         yield timestamp, obs, noisy_velocity(vel, profile, rng)
 
 
@@ -318,14 +320,12 @@ class TestScenario:
     def test_frame_count(self):
         track = generate_track(TrackSpec(kind="circle", radius_m=213.0 / (2 * math.pi)), seed=1)
         assert track.total_length == pytest.approx(213.0, abs=0.5)
-        run = SimRun(track, ((0.0, 5.0),), frame_rate_hz=10.0)
-        frames = list(sensor_stream(run, noise_free_profile()))
+        frames = list(sensor_stream(track, ((0.0, 5.0),), noise_free_profile()))
         expected = track.total_length / (5.0 * 0.1)
         assert abs(len(frames) - expected) <= 1.0
 
     def test_stream_deterministic(self):
         track = generate_track(TrackSpec(length_m=210.0), seed=2)
-        run = SimRun(track, ((0.0, 8.0),))
         profile = default_profile("fusion")
 
         def digest(frames):
@@ -336,20 +336,14 @@ class TestScenario:
                     parts.append(tuple(mean) + tuple(color))
             return parts
 
-        assert digest(sensor_stream(run, profile, 99)) == digest(sensor_stream(run, profile, 99))
-
-    def test_zero_speed_profile_rejected(self):
-        track = generate_track(CIRCLE_SPEC, seed=1)
-        with pytest.raises(ValueError):
-            SimRun(track, (), 10.0)
-        with pytest.raises(ValueError):
-            SimRun(track, ((0.0, 0.0),), 10.0)
+        first, second = (digest(sensor_stream(track, ((0.0, 8.0),), profile, 99)) for _ in range(2))
+        assert first == second
 
     def test_discrete_velocities_dead_reckon_exactly(self):
         track = generate_track(TrackSpec(length_m=205.0), seed=4)
-        run = SimRun(track, ((0.0, 6.0),))
         pose = None
-        for timestamp, dt, true_pose, vel in ScenarioDriver(run).frames():
+        poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 6.0),), 0.1)
+        for timestamp, dt, true_pose, vel in discrete_frames(poses, 0.1):
             pose = true_pose if pose is None else integrate_velocity(pose, vel, dt)
             assert pose.as_array()[:2] == pytest.approx(true_pose.as_array()[:2], abs=1e-9)
 
@@ -359,6 +353,34 @@ class TestScenario:
         speeds = np.array([v for _, v in profile])
         assert speeds.max() == pytest.approx(12.0)
         assert speeds.min() < 9.0
+
+    def test_profile_never_exceeds_a_max_speed_below_the_floor(self):
+        track = generate_track(TrackSpec(length_m=250.0, hairpin_count=2), seed=6)
+        profile = curvature_limited_speed_profile(track, 0.5)
+        assert profile and all(0.0 < v <= 0.5 for _, v in profile)
+
+    def test_profile_floors_at_one_mps_below_a_higher_max_speed(self):
+        # a 0.05 m/s^2 lateral limit would cap every turn well under 1 m/s
+        track = generate_track(TrackSpec(length_m=250.0, hairpin_count=2), seed=6)
+        speeds = [v for _, v in curvature_limited_speed_profile(track, 12.0, lateral_accel_mps2=0.05)]
+        assert min(speeds) == 1.0
+        assert max(speeds) == pytest.approx(12.0)
+
+    def test_speed_lookup_interpolates_and_holds_the_ends(self):
+        speed_at = speed_lookup(((10.0, 2.0), (20.0, 6.0), (40.0, 4.0)))
+        assert [speed_at(s) for s in (0.0, 10.0, 15.0, 20.0, 30.0, 40.0, 99.0)] == pytest.approx(
+            [2.0, 2.0, 4.0, 6.0, 5.0, 4.0, 4.0]
+        )
+        assert isinstance(speed_at(15.0), float)
+
+    def test_centerline_poses_step_at_the_profile_speed(self):
+        track = generate_track(CIRCLE_SPEC, seed=1)
+        geom = CenterlineGeometry(track.centerline)
+        speed_profile = ((0.0, 2.0), (60.0, 12.0), (120.0, 4.0))
+        arcs = [geom.nearest_arc_length(pose.position) for pose in centerline_poses(geom, speed_profile, 0.1)]
+        expected = np.interp(arcs[:-1], [s for s, _ in speed_profile], [v for _, v in speed_profile]) * 0.1
+        assert np.diff(arcs) == pytest.approx(expected, abs=1e-9)
+        assert arcs[-1] < geom.length <= arcs[-1] + 4.0 * 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +454,10 @@ class TestBatchMatchesPerDetectionReference:
         if make_profile is noise_free_profile:  # confusion and false positives on top of exact positions
             profile = SensorProfile(**{**dataclasses.asdict(profile), "color_accuracy_bins": [[15.0, 0.8]], "false_positives_per_frame": 0.3})
         track = generate_track(TrackSpec(length_m=200.0), seed=11)
-        run = SimRun(track, ((0.0, 5.0),))
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         false_positives = confused = 0
-        for timestamp, _, pose, _ in ScenarioDriver(run).frames():
+        poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 5.0),), 0.1)
+        for timestamp, _, pose, _ in discrete_frames(poses, 0.1):
             batch = observe_cones(track, pose, profile, rng, timestamp)
             ref, n_fp, n_confused = ref_observe_cones(track, pose, profile, ref_rng, timestamp)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
