@@ -165,11 +165,25 @@ class TrackCorridor:
         object.__setattr__(self, "edge_end", np.vstack([np.roll(ring, -1, axis=0) for ring in rings]))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        """Even-odd (ray crossing) test: inside the outer ring and not inside the inner.
+
+        A points x edges matrix marks the edges whose y-span holds each point;
+        only those pairs compute where the edge meets the point's horizontal
+        ray, and a point is inside a ring when an odd number of that ring's
+        edges cross to its right.
+        """
         points = np.atleast_2d(points)
-        inside = points_in_polygon(points, self.outer)
-        if self.inner is not None:
-            inside &= ~points_in_polygon(points, self.inner)
-        return inside
+        x, y = points[:, :1], points[:, 1:]
+        x1, y1 = self.edge_start[:, 0], self.edge_start[:, 1]
+        x2, y2 = self.edge_end[:, 0], self.edge_end[:, 1]
+        p, e = np.nonzero((y1 > y) != (y2 > y))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_at = x1[e] + (y[p, 0] - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+        right = x[p, 0] < x_at
+        # one count per point for the outer ring's edges (the first len(outer)), then one for the inner's
+        slot = p[right] + len(points) * (e[right] >= len(self.outer))
+        outer, inner = np.bincount(slot, minlength=2 * len(points)).reshape(2, -1) % 2 == 1
+        return outer & ~inner
 
 
 def track_corridor(track: TrackDefinition) -> TrackCorridor:
@@ -179,22 +193,6 @@ def track_corridor(track: TrackDefinition) -> TrackCorridor:
     if abs(_shoelace_area(left_ring)) >= abs(_shoelace_area(right_ring)):
         return TrackCorridor(outer=left_ring, inner=right_ring)
     return TrackCorridor(outer=right_ring, inner=left_ring)
-
-
-def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
-    """Even-odd (ray crossing) point-in-polygon test.
-
-    A points x edges matrix marks the edges whose y-span holds each point;
-    only those pairs compute where the edge meets the point's horizontal ray,
-    and a point is inside when an odd number of them lie to its right.
-    """
-    x, y = points[:, :1], points[:, 1:]
-    x1, y1 = polygon[:, 0], polygon[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    p, e = np.nonzero((y1 > y) != (y2 > y))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x_at = x1[e] + (y[p, 0] - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
-    return np.bincount(p[x[p, 0] < x_at], minlength=len(points)) % 2 == 1
 
 
 # Rows (segments or points) per broadcast against the boundary rings: a chunk's
@@ -343,8 +341,10 @@ def save_trajectory(path: Path | str, rows: Sequence[tuple[float, Pose2, Pose2]]
 
 
 def load_trajectory(path: Path | str) -> dict[float, tuple[Pose2, Pose2]]:
-    """Read a trajectory CSV; a missing column or a value that is not a finite number raises ``ValueError`` naming its line."""
+    """Read a trajectory CSV; a missing column, a value that is not a finite number or a
+    repeated ``timestamp_s`` raises ``ValueError`` naming its line."""
     out: dict[float, tuple[Pose2, Pose2]] = {}
+    lines: dict[float, int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in _TRAJECTORY_COLUMNS if name not in (reader.fieldnames or ())]
@@ -357,6 +357,9 @@ def load_trajectory(path: Path | str) -> dict[float, tuple[Pose2, Pose2]]:
                 raise ValueError(f"trajectory row on line {reader.line_num} is not {len(_TRAJECTORY_COLUMNS)} numbers") from exc
             if not all(map(math.isfinite, [t, *pose])):
                 raise ValueError(f"trajectory row on line {reader.line_num} holds a non-finite value")
+            if t in lines:
+                raise ValueError(f"trajectory row on line {reader.line_num} repeats the timestamp_s {t!r} of line {lines[t]}")
+            lines[t] = reader.line_num
             out[t] = (Pose2(*pose[:3]), Pose2(*pose[3:]))
     return out
 

@@ -6,9 +6,10 @@ uncertainty is filtered with linear Kalman updates and grown with a process
 noise term on prediction, colors accumulate as normalized evidence sums, and
 an existence score driven by negative observations prunes false positives.
 
-The map is a :class:`ConeTable`, one row per cone in ascending id order, and
-every filter step is a vectorized pure function that returns new read-only
-arrays, so an emitted snapshot shares the state's arrays and never changes.
+The map is a :class:`ConeTable`, one row per cone in ascending id order.
+:func:`ingest_frame` steps it in one vectorized pass over its columns and
+builds one new read-only table per frame, so an emitted snapshot shares the
+state's arrays and never changes.
 """
 
 from __future__ import annotations
@@ -207,14 +208,6 @@ class LocalMapState:
 
 
 @dataclass(frozen=True)
-class AssociationResult:
-    """One-to-one matching of a batch of observations against the map."""
-
-    pairs: tuple[tuple[int, int], ...]  # (observation index, cone row), by observation index
-    new_observations: tuple[int, ...]  # unmatched observation indices
-
-
-@dataclass(frozen=True)
 class LocalMapSnapshot:
     """Frozen copy of the map at one frame time.
 
@@ -230,26 +223,18 @@ class LocalMapSnapshot:
     mode: MapMode
 
 
-def predict(state: LocalMapState, vel: Velocity2, dt: float, config: LocalMapConfig) -> LocalMapState:
-    """Dead-reckon the ego pose and grow every cone covariance by Q * dt.
+def _grow_covariances(covs: np.ndarray, dt: float, config: LocalMapConfig) -> np.ndarray:
+    """Cone covariances, (n, 2, 2), grown by Q * dt.
 
     Growth saturates at the configured ceiling (uniform shrink back onto it),
     so estimates stay associable after arbitrarily long out-of-view gaps.
     """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    if dt == 0:
-        return state
-    cones = state.cones
-    covs = cones.covs + np.diag(config.process_noise_rate) * dt
+    covs = covs + np.diag(config.process_noise_rate) * dt
     mean_var = 0.5 * (covs[:, 0, 0] + covs[:, 1, 1])
     over = mean_var > config.covariance_ceiling
     if over.any():
         covs[over] = covs[over] * (config.covariance_ceiling / mean_var[over])[:, None, None]
-    grown = ConeTable(cones.ids, cones.means, project_spd(covs), cones.color_evidence, cones.existence, cones.last_seen)
-    return LocalMapState(
-        integrate_velocity(state.ego, vel, dt), grown, state.time + dt, state.mode, state.next_cone_id, state.last_source_time
-    )
+    return project_spd(covs)
 
 
 def observations_to_local(ego: Pose2, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,21 +252,21 @@ def _in_frustum(ego: Pose2, means: np.ndarray, config: LocalMapConfig, shrink: f
     return np.array(inside, bool)
 
 
-def associate(cones: ConeTable, means: np.ndarray, covs: np.ndarray, config: LocalMapConfig) -> AssociationResult:
-    """Greedy one-to-one matching by ascending Bhattacharyya distance.
+def associate(
+    cone_means: np.ndarray, cone_covs: np.ndarray, means: np.ndarray, covs: np.ndarray, gate: float
+) -> list[tuple[int, int]]:
+    """Greedy one-to-one matching by ascending Bhattacharyya distance: (observation, cone row) pairs by observation.
 
-    Observations, (k, 2) means and (k, 2, 2) covariances, must already be
-    expressed in the local-map frame. Ties are broken by cone id, then by
-    observation index. Matches above the gate are rejected; leftover
-    observations are new.
+    The map's cones, (n, 2) means and (n, 2, 2) covariances in ascending id
+    order, meet observations, (k, 2) and (k, 2, 2), already expressed in the
+    local-map frame. Ties are broken by cone id, then by observation index.
+    Matches above ``gate`` are rejected; an observation in no pair is new.
     """
-    if not len(means) or not len(cones):
-        return AssociationResult((), tuple(range(len(means))))
-    dist = bhattacharyya_distance_matrix(means, covs, cones.means, cones.covs)
+    if not len(means) or not len(cone_means):
+        return []
+    dist = bhattacharyya_distance_matrix(means, covs, cone_means, cone_covs)
     # cone rows first, so ties go to the lower row (rows ascend with cone id)
-    pairs = sorted((o, c) for c, o in greedy_pairs(dist.T, config.gate_distance))
-    matched = {o for o, _ in pairs}
-    return AssociationResult(tuple(pairs), tuple(i for i in range(len(means)) if i not in matched))
+    return sorted((o, c) for c, o in greedy_pairs(dist.T, gate))
 
 
 def update_position(
@@ -303,30 +288,6 @@ def update_position(
     return updated, project_spd((np.eye(2) - gain) @ covs)
 
 
-def update_color(evidence: np.ndarray, colors: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """Accumulate color evidence, one row per cone; the reported color is its normalization."""
-    return evidence + weight * colors
-
-
-def unseen_in_fov(cones: ConeTable, ego: Pose2, observed: np.ndarray, config: LocalMapConfig) -> np.ndarray:
-    """Rows the sensors should have seen but did not: not ``observed``, inside the shrunk frustum."""
-    return ~observed & _in_frustum(ego, cones.means, config, config.negative_frustum_shrink)
-
-
-def apply_negative_observations(
-    cones: ConeTable, matched: np.ndarray, unseen: np.ndarray, config: LocalMapConfig
-) -> ConeTable:
-    """Existence bookkeeping: boost ``matched`` rows, decay ``unseen`` rows.
-
-    Unseen cones whose existence falls below the prune threshold are deleted.
-    """
-    e = cones.existence
-    existence = np.where(matched, e + config.existence_gain * (1.0 - e), np.where(unseen, e * config.existence_decay, e))
-    table = ConeTable(cones.ids, cones.means, cones.covs, cones.color_evidence, existence, cones.last_seen)
-    keep = ~unseen | (existence >= config.prune_threshold)
-    return table if keep.all() else table.take(keep)
-
-
 def ingest_frame(
     state: LocalMapState,
     batches: Sequence[ObservationBatch],
@@ -337,19 +298,30 @@ def ingest_frame(
 ) -> tuple[LocalMapState, LocalMapSnapshot]:
     """Run one full filter step and emit a frozen snapshot.
 
-    predict -> per-source association -> Kalman/color updates -> negative
-    observation pass -> prune -> eviction -> snapshot. ``batches`` holds at
-    most one batch per source; a delivered batch, even an empty one, marks
-    its pipeline as alive. Each source associates against the map the
-    previous source left. ``mode`` forces the operating mode; otherwise
-    :func:`mode_of` picks it from the sources whose last batch is no older
-    than the staleness timeout, and with none of them live the mode holds.
+    One pass over the map's columns: dead-reckon the ego and grow the
+    covariances (a zero ``dt`` leaves both as they are); per source,
+    association, Kalman and colour updates and new rows; then the existence
+    score, pruning and eviction as one keep mask, and the frame's one table.
+    ``batches`` holds at most one batch per source; a delivered batch, even
+    an empty one, marks its pipeline as alive. Each source associates
+    against the columns the previous source left. ``mode`` forces the
+    operating mode; otherwise :func:`mode_of` picks it from the sources whose
+    last batch is no older than the staleness timeout, and with none of them
+    live the mode holds.
     """
     by_source = {batch.source: batch for batch in batches}
     if len(by_source) != len(batches):
         raise ValueError(f"more than one observation batch per source: {[b.source.value for b in batches]}")
-    state = predict(state, vel, dt, config)
-    now, ego = state.time, state.ego
+    if dt < 0:
+        raise ValueError("dt must be non-negative")
+    cones = state.cones
+    ids, means, covs, evidence, existence, last_seen = (
+        cones.ids, cones.means, cones.covs, cones.color_evidence, cones.existence, cones.last_seen
+    )
+    ego, now = state.ego, state.time
+    if dt > 0:
+        ego, now = integrate_velocity(ego, vel, dt), now + dt
+        covs = _grow_covariances(covs, dt, config)
 
     last_source_time = dict(state.last_source_time)
     for source in by_source:
@@ -357,40 +329,46 @@ def ingest_frame(
     live = {source for source, last in last_source_time.items() if now - last <= config.staleness_timeout_s}
     active_mode = mode or mode_of(live) or state.mode
 
-    cones, next_id = state.cones, state.next_cone_id
-    matched = np.zeros(len(cones), bool)
+    next_id = state.next_cone_id
+    matched = np.zeros(len(ids), bool)
     for source, weight in MODE_SOURCES[active_mode]:
         batch = by_source.get(source)
         if batch is None or not len(batch):
             continue
-        means, covs = observations_to_local(ego, batch.means, batch.covs)
-        assoc = associate(cones, means, covs, config)
-        obs = [o for o, _ in assoc.pairs]
-        rows = [c for _, c in assoc.pairs]
-        new = list(assoc.new_observations)
-        # matched rows get the Kalman and color updates; new observations become rows at the end
-        table_means = np.concatenate([cones.means, means[new]])
-        table_covs = np.concatenate([cones.covs, covs[new]])
-        evidence = np.concatenate([cones.color_evidence, weight * batch.colors[new] + 1e-12])
-        last_seen = np.concatenate([cones.last_seen, np.full(len(new), now)])
-        table_means[rows], table_covs[rows] = update_position(cones.means[rows], cones.covs[rows], means[obs], covs[obs])
-        evidence[rows] = update_color(cones.color_evidence[rows], batch.colors[obs], weight)
+        obs_means, obs_covs = observations_to_local(ego, batch.means, batch.covs)
+        pairs = associate(means, covs, obs_means, obs_covs, config.gate_distance)
+        obs, rows = [o for o, _ in pairs], [c for _, c in pairs]
+        new = np.ones(len(obs_means), bool)
+        new[obs] = False
+        added = int(new.sum())
+        # matched rows get the Kalman and colour updates; new observations become rows at the end
+        means, covs = np.concatenate([means, obs_means[new]]), np.concatenate([covs, obs_covs[new]])
+        means[rows], covs[rows] = update_position(means[rows], covs[rows], obs_means[obs], obs_covs[obs])
+        evidence = np.concatenate([evidence, weight * batch.colors[new] + 1e-12])
+        evidence[rows] += weight * batch.colors[obs]
+        last_seen = np.concatenate([last_seen, np.full(added, now)])
         last_seen[rows] = now
-        ids = np.concatenate([cones.ids, np.arange(next_id, next_id + len(new))])
-        existence = np.concatenate([cones.existence, np.full(len(new), config.initial_existence)])
-        cones = ConeTable(ids, table_means, table_covs, evidence, existence, last_seen)
-        next_id += len(new)
-        matched = np.concatenate([matched, np.zeros(len(new), bool)])
+        ids = np.concatenate([ids, np.arange(next_id, next_id + added)])
+        existence = np.concatenate([existence, np.full(added, config.initial_existence)])
+        matched = np.concatenate([matched, np.zeros(added, bool)])
         matched[rows] = True
+        next_id += added
     observed = matched.copy()
-    observed[len(state.cones) :] = True  # the rows the frame created
+    observed[len(cones) :] = True  # the rows the frame created
     # an observed cone is neither pruned (it is not unseen) nor evicted (seen now)
-    observed_ids = frozenset(cones.ids[observed].tolist())
+    observed_ids = frozenset(ids[observed].tolist())
 
-    cones = apply_negative_observations(cones, matched, unseen_in_fov(cones, ego, observed, config), config)
-    fresh = now - cones.last_seen <= config.eviction_timeout_s
-    if not fresh.all():
-        cones = cones.take(fresh)
+    # existence: matched rows gain, unseen rows (inside the shrunk frustum but
+    # not observed) decay and go below the prune threshold; rows not seen for
+    # the eviction timeout go too
+    unseen = ~observed
+    unseen[unseen] = _in_frustum(ego, means[unseen], config, config.negative_frustum_shrink)
+    e = existence
+    existence = np.where(matched, e + config.existence_gain * (1.0 - e), np.where(unseen, e * config.existence_decay, e))
+    keep = (~unseen | (existence >= config.prune_threshold)) & (now - last_seen <= config.eviction_timeout_s)
+    cones = ConeTable(ids, means, covs, evidence, existence, last_seen)
+    if not keep.all():
+        cones = cones.take(keep)
     state = LocalMapState(ego, cones, now, active_mode, next_id, last_source_time)
     return state, LocalMapSnapshot(now, ego, cones, observed_ids, active_mode)
 

@@ -403,6 +403,7 @@ BAD_INPUTS = [
     ["eval", "--track", "{track}", "--trajectory", "{columnlesstrajectory}"],
     ["eval", "--track", "{track}", "--trajectory", "{shortrowtrajectory}"],
     ["eval", "--track", "{track}", "--trajectory", "{nantrajectory}"],
+    ["eval", "--track", "{track}", "--trajectory", "{repeatedtrajectory}"],
     ["replay", "--snapshots", "{missing}"],
     ["replay", "--snapshots", "{garbage}", "--track", "{missing}"],
     ["replay", "--snapshots", "{midlog}"],
@@ -528,6 +529,10 @@ BAD_FILES = {
     "columnlesstrajectory": ("timestamp_s,true_x_m\n0.0,1.0\n", "line 1"),
     "shortrowtrajectory": (TRAJECTORY_HEADER + "0.0,0,0,0,0,0,0\n0.1,1.0,2.0\n", "line 3"),
     "nantrajectory": (TRAJECTORY_HEADER + "0.0,nan,0,0,0,0,0\n", "line 2"),
+    "repeatedtrajectory": (
+        TRAJECTORY_HEADER + "0.0,0,0,0,0,0,0\n0.1,1.0,0,0,1.0,0,0\n0.1,999,0,0,1.0,0,0\n",
+        "line 4 repeats the timestamp_s 0.1 of line 3",
+    ),
     "fieldless": ('{"cones": []}', "'centerline_m'"),
     "stringmap": ('[{"x_m": "a", "y_m": 1}]', "map record 0"),
     "scalarmap": ('[{"x_m": 0.0, "y_m": 1.0}, 7]', "map record 1"),

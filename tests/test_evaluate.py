@@ -25,7 +25,6 @@ from conetrack.evaluate import (
     load_trajectory,
     map_rmse,
     planning_stats,
-    points_in_polygon,
     save_report,
     timing_percentiles,
     track_corridor,
@@ -182,7 +181,7 @@ class TestMapRmse:
 
 
 class TestCorridorGeometry:
-    def test_points_in_polygon_against_winding_oracle(self):
+    def test_single_ring_contains_against_winding_oracle(self):
         def winding_inside(point, polygon):
             angles = 0.0
             n = len(polygon)
@@ -199,7 +198,7 @@ class TestCorridorGeometry:
             [[0, 0], [10, 0], [10, 10], [6, 10], [6, 4], [4, 4], [4, 10], [0, 10]], dtype=float
         )
         points = rng.uniform(-2, 12, size=(500, 2))
-        mine = points_in_polygon(points, polygon)
+        mine = TrackCorridor(outer=polygon).contains(points)
         oracle = np.array([winding_inside(p, polygon) for p in points])
         assert np.array_equal(mine, oracle)
 
@@ -340,10 +339,21 @@ class TestBroadcastEqualsScalarReference:
 
     @settings(max_examples=60, deadline=None)
     @given(polygon=st.lists(point, min_size=1, max_size=12), points=st.lists(point, min_size=1, max_size=30))
-    def test_points_in_polygon(self, polygon, points):
+    def test_single_ring_contains(self, polygon, points):
         polygon, points = np.array(polygon, dtype=float), np.array(points, dtype=float)
         for probe in (points, np.vstack([points, polygon])):  # and every vertex itself
-            assert np.array_equal(points_in_polygon(probe, polygon), reference_points_in_polygon(probe, polygon))
+            assert np.array_equal(TrackCorridor(outer=polygon).contains(probe), reference_points_in_polygon(probe, polygon))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_contains_counts_each_ring_apart(self, data):
+        corridor = data.draw(corridors())
+        ego, waypoints = data.draw(paths_in(corridor))
+        probe = np.vstack([ego, waypoints, corridor.edge_start])  # and every vertex of both rings
+        expected = reference_points_in_polygon(probe, corridor.outer)
+        if corridor.inner is not None:
+            expected &= ~reference_points_in_polygon(probe, corridor.inner)
+        assert np.array_equal(corridor.contains(probe), expected)
 
     def test_empty_path_has_no_exit(self):
         corridor = TrackCorridor(outer=np.array([[0, -2], [20, -2], [20, 2], [0, 2]], dtype=float))

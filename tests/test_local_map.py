@@ -39,14 +39,11 @@ from conetrack.local_map import (
     MapMode,
     SchemaMismatchError,
     SnapshotLogWriter,
-    apply_negative_observations,
+    _grow_covariances,
     associate,
     ingest_frame,
-    predict,
     read_snapshot_log,
     snapshot_from_dict,
-    unseen_in_fov,
-    update_color,
     update_position,
 )
 from conetrack.pipeline import run_pipeline
@@ -106,7 +103,8 @@ def position_of(obs):
 
 
 def map_of(*cones):
-    return LocalMapState(cones=cone_table(cones))
+    """A map of the given cones, whose next new cone takes the id after the highest."""
+    return LocalMapState(cones=cone_table(cones), next_cone_id=max((c.id + 1 for c in cones), default=0))
 
 
 def obs_arrays(observations):
@@ -133,28 +131,31 @@ def snapshot_to_dict(snapshot: LocalMapSnapshot) -> dict:
     }
 
 
-def id_pairs(cones, result):
-    """``result.pairs`` with each cone row replaced by that cone's id."""
-    return tuple((o, int(cones.ids[c])) for o, c in result.pairs)
+def match(cones, observations):
+    """:func:`associate`'s (observation, cone row) pairs for one-row batches against ``cones``."""
+    return associate(cones.means, cones.covs, *obs_arrays(observations), CONFIG.gate_distance)
 
 
-def matched_rows(cones, result):
-    matched = np.zeros(len(cones), bool)
-    matched[[c for _, c in result.pairs]] = True
-    return matched
+def id_pairs(cones, pairs):
+    """``pairs`` with each cone row replaced by that cone's id."""
+    return tuple((o, int(cones.ids[c])) for o, c in pairs)
 
 
-def unmatched_in_fov(state, result, config=CONFIG):
-    """Ids of the cones inside the shrunk frustum that ``result`` did not match."""
-    matched = matched_rows(state.cones, result)
-    return tuple(state.cones.ids[unseen_in_fov(state.cones, state.ego, matched, config)].tolist())
+def new_observations(pairs, count):
+    """The indices of ``count`` observations that are in none of ``pairs``."""
+    return tuple(sorted(set(range(count)).difference(o for o, _ in pairs)))
 
 
-def negative_pass(state, result, config=CONFIG):
-    """The map after the existence pass for ``result``."""
-    matched = matched_rows(state.cones, result)
-    unseen = unseen_in_fov(state.cones, state.ego, matched, config)
-    return replace(state, cones=apply_negative_observations(state.cones, matched, unseen, config))
+def unseen_ids(before, after, config=CONFIG):
+    """Ids of ``before``'s cones that the frame to ``after`` counted unseen in the frustum: decayed, or pruned."""
+    existence = dict(zip(after.cones.ids.tolist(), after.cones.existence.tolist()))
+    decayed = zip(before.cones.ids.tolist(), (before.cones.existence * config.existence_decay).tolist())
+    return tuple(cid for cid, e in decayed if existence.get(cid, e) == e)
+
+
+def still_frame(state, observations=()):
+    """The state after one zero-``dt`` frame of the given one-row batches."""
+    return ingest_frame(state, per_source(*observations), Velocity2.zero(), 0.0, CONFIG)[0]
 
 
 def kalman(cone, obs):
@@ -164,37 +165,43 @@ def kalman(cone, obs):
 
 
 class TestPredict:
-    def test_zero_dt_is_identity(self):
+    def test_zero_dt_leaves_ego_time_and_cones_as_they_are(self):
         state = map_of(make_cone())
-        assert predict(state, Velocity2(1, 0, 0), 0.0, CONFIG) is state
+        out, _ = ingest_frame(state, [], Velocity2(1, 0, 0), 0.0, CONFIG)
+        assert (out.ego, out.time) == (state.ego, state.time)
+        for name in ("ids", "means", "covs", "color_evidence", "last_seen"):
+            assert np.array_equal(getattr(out.cones, name), getattr(state.cones, name)), name
+
+    def test_negative_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt must be non-negative"):
+            ingest_frame(map_of(make_cone()), [], Velocity2.zero(), -0.1, CONFIG)
 
     def test_covariance_grows_additively(self):
         cfg = replace(CONFIG, process_noise_rate=(0.01, 0.01))
         cone = make_cone(sigma=0.3)
         state = map_of(cone)
-        out = predict(state, Velocity2.zero(), 1.0, cfg)
+        out, _ = ingest_frame(state, [], Velocity2.zero(), 1.0, cfg)
         grown = out.cones.covs[0]
         assert np.allclose(grown, cone.position.cov + np.diag([0.01, 0.01]))
         assert np.allclose(out.cones.means[0], cone.position.mean)
 
     def test_covariance_growth_saturates_at_ceiling(self):
         cfg = replace(CONFIG, process_noise_rate=(0.05, 0.05), covariance_ceiling=0.25)
-        state = map_of(make_cone(sigma=0.45))
+        covs = map_of(make_cone(sigma=0.45)).cones.covs
         for _ in range(50):
-            state = predict(state, Velocity2.zero(), 1.0, cfg)
-        cov = state.cones.covs[0]
+            covs = _grow_covariances(covs, 1.0, cfg)
+        cov = covs[0]
         assert 0.5 * (cov[0, 0] + cov[1, 1]) <= 0.25 + 1e-9
 
     def test_two_half_steps_equal_one_full_step(self):
-        state = map_of(make_cone())
-        vel = Velocity2.zero()
-        once = predict(state, vel, 1.0, CONFIG)
-        twice = predict(predict(state, vel, 0.5, CONFIG), vel, 0.5, CONFIG)
-        assert np.allclose(once.cones.covs[0], twice.cones.covs[0], atol=1e-12)
+        covs = map_of(make_cone()).cones.covs
+        once = _grow_covariances(covs, 1.0, CONFIG)
+        twice = _grow_covariances(_grow_covariances(covs, 0.5, CONFIG), 0.5, CONFIG)
+        assert np.allclose(once[0], twice[0], atol=1e-12)
 
     def test_ego_advances(self):
         state = LocalMapState()
-        out = predict(state, Velocity2(2.0, 0.0, 0.0), 0.5, CONFIG)
+        out, _ = ingest_frame(state, [], Velocity2(2.0, 0.0, 0.0), 0.5, CONFIG)
         assert out.ego.as_array() == pytest.approx([1.0, 0.0, 0.0])
         assert out.time == pytest.approx(0.5)
 
@@ -202,15 +209,15 @@ class TestPredict:
 class TestAssociate:
     def test_empty_map_all_new(self):
         state = LocalMapState()
-        result = associate(state.cones, *obs_arrays([make_obs((1, 0)), make_obs((2, 0))]), CONFIG)
-        assert result.pairs == ()
-        assert result.new_observations == (0, 1)
+        pairs = match(state.cones, [make_obs((1, 0)), make_obs((2, 0))])
+        assert pairs == []
+        assert new_observations(pairs, 2) == (0, 1)
 
     def test_exact_hit_matches(self):
         state = map_of(make_cone(3, (4.0, 1.0), sigma=0.2))
-        result = associate(state.cones, *obs_arrays([make_obs((4.0, 1.0), sigma=0.2)]), CONFIG)
-        assert id_pairs(state.cones, result) == ((0, 3),)
-        assert unmatched_in_fov(state, result) == ()
+        obs = [make_obs((4.0, 1.0), sigma=0.2)]
+        assert id_pairs(state.cones, match(state.cones, obs)) == ((0, 3),)
+        assert unseen_ids(state, still_frame(state, obs)) == ()
 
     def test_matches_closer_of_two_cones_vs_bruteforce(self):
         rng = np.random.default_rng(21)
@@ -222,50 +229,50 @@ class TestAssociate:
         for _ in range(300):
             z = np.array([2.0, 0.0]) + rng.normal(scale=0.6, size=2)
             obs = make_obs(z, sigma=0.2)
-            result = associate(state.cones, *obs_arrays([obs]), CONFIG)
+            pairs = match(state.cones, [obs])
             dists = {cid: ref_bhattacharyya_distance(position_of(obs), c.position) for cid, c in cones.items()}
             best = min(dists, key=lambda cid: (dists[cid], cid))
             if dists[best] <= CONFIG.gate_distance:
-                assert id_pairs(state.cones, result) == ((0, best),)
+                assert id_pairs(state.cones, pairs) == ((0, best),)
             else:
-                assert result.new_observations == (0,)
+                assert new_observations(pairs, 1) == (0,)
 
     def test_one_to_one_greedy(self):
         state = map_of(make_cone(0, (5.0, 0.0), sigma=0.3))
         obs = [make_obs((5.0, 0.05), sigma=0.3), make_obs((5.0, -0.4), sigma=0.3)]
-        result = associate(state.cones, *obs_arrays(obs), CONFIG)
-        assert id_pairs(state.cones, result) == ((0, 0),)
-        assert result.new_observations == (1,)
+        pairs = match(state.cones, obs)
+        assert id_pairs(state.cones, pairs) == ((0, 0),)
+        assert new_observations(pairs, 2) == (1,)
 
     def test_gate_rejects_distant(self):
         state = map_of(make_cone(0, (5.0, 0.0), sigma=0.1))
-        result = associate(state.cones, *obs_arrays([make_obs((9.0, 0.0), sigma=0.1)]), CONFIG)
-        assert result.pairs == ()
-        assert result.new_observations == (0,)
-        assert unmatched_in_fov(state, result) == (0,)
+        obs = [make_obs((9.0, 0.0), sigma=0.1)]
+        pairs = match(state.cones, obs)
+        assert pairs == []
+        assert new_observations(pairs, 1) == (0,)
+        assert unseen_ids(state, still_frame(state, obs)) == (0,)
 
     def test_ties_go_to_the_lower_cone_id_then_the_lower_observation_index(self):
         # the observation sits exactly between cones 2 and 5
         state = map_of(make_cone(5, (-0.3, 0.0), sigma=0.3), make_cone(2, (0.3, 0.0), sigma=0.3))
-        result = associate(state.cones, *obs_arrays([make_obs((0.0, 0.0), sigma=0.3)]), CONFIG)
-        assert id_pairs(state.cones, result) == ((0, 2),)
+        assert id_pairs(state.cones, match(state.cones, [make_obs((0.0, 0.0), sigma=0.3)])) == ((0, 2),)
         twins = [make_obs((0.3, 0.0), sigma=0.3), make_obs((0.3, 0.0), sigma=0.3)]
         state = map_of(make_cone(7, (0.3, 0.0), sigma=0.3))
-        result = associate(state.cones, *obs_arrays(twins), CONFIG)
-        assert id_pairs(state.cones, result) == ((0, 7),) and result.new_observations == (1,)
+        pairs = match(state.cones, twins)
+        assert id_pairs(state.cones, pairs) == ((0, 7),) and new_observations(pairs, 2) == (1,)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(33)
         cones = {i: make_cone(i, tuple(rng.uniform(0, 10, 2)), sigma=0.3) for i in range(6)}
         state = map_of(*cones.values())
         obs = [make_obs(tuple(c.position.mean + rng.normal(scale=0.2, size=2)), sigma=0.2) for c in cones.values()]
-        base = associate(state.cones, *obs_arrays(obs), CONFIG)
+        base = match(state.cones, obs)
         perm = rng.permutation(len(obs))
         shuffled = [obs[i] for i in perm]
-        result = associate(state.cones, *obs_arrays(shuffled), CONFIG)
+        pairs = match(state.cones, shuffled)
         inverse = np.argsort(perm)
         remapped = sorted((int(inverse[i]), cid) for i, cid in id_pairs(state.cones, base))
-        assert sorted(id_pairs(state.cones, result)) == remapped
+        assert sorted(id_pairs(state.cones, pairs)) == remapped
 
 
 class TestKalmanUpdate:
@@ -300,20 +307,21 @@ class TestKalmanUpdate:
 
 class TestColorUpdate:
     def test_first_observation_sets_color(self):
-        evidence = np.array([[1e-12, 1e-12, 1e-12]])
-        out = update_color(evidence, np.array([[1.0, 0.0, 0.0]]))
-        assert color_probabilities(out[0]) == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
+        out = still_frame(LocalMapState(), [make_obs((5.0, 0.0), color=(1.0, 0.0, 0.0))])
+        assert color_probabilities(out.cones.color_evidence[0]) == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
 
     def test_normalized_sum(self):
-        cone = make_cone(evidence=(1.0, 0.0, 0.0))
-        out = update_color(cone.color_evidence[None], np.array([[0.0, 1.0, 0.0]]))
-        assert color_probabilities(out[0]) == pytest.approx([0.5, 0.5, 0.0], abs=1e-9)
+        state = map_of(make_cone(0, (5.0, 0.0), evidence=(1.0, 0.0, 0.0)))
+        out = still_frame(state, [make_obs((5.0, 0.0), color=(0.0, 1.0, 0.0))])
+        assert out.cones.ids.tolist() == [0]
+        assert color_probabilities(out.cones.color_evidence[0]) == pytest.approx([0.5, 0.5, 0.0], abs=1e-9)
 
     def test_uniform_evidence_never_flips_argmax(self):
-        evidence = make_cone(evidence=(0.6, 0.3, 0.1)).color_evidence[None]
+        state = map_of(make_cone(0, (5.0, 0.0), evidence=(0.6, 0.3, 0.1)))
         for _ in range(50):
-            evidence = update_color(evidence, np.array([[1 / 3, 1 / 3, 1 / 3]]))
-            assert color_class(color_probabilities(evidence[0])) is ConeClass.BLUE
+            state = still_frame(state, [make_obs((5.0, 0.0), color=(1 / 3, 1 / 3, 1 / 3))])
+            assert state.cones.ids.tolist() == [0]
+            assert color_class(color_probabilities(state.cones.color_evidence[0])) is ConeClass.BLUE
 
 
 class TestExistence:
@@ -321,9 +329,9 @@ class TestExistence:
         cone = make_cone(mean=(-20.0, 0.0), existence=0.7)  # behind the ego
         state = map_of(cone)
         for _ in range(100):
-            result = associate(state.cones, *obs_arrays([]), CONFIG)
-            assert unmatched_in_fov(state, result) == ()
-            state = negative_pass(state, result)
+            out = still_frame(state)
+            assert unseen_ids(state, out) == ()
+            state = out
         assert state.cones.existence[0] == pytest.approx(0.7)
 
     def test_certain_false_positive_rejected_within_half_second(self):
@@ -333,9 +341,9 @@ class TestExistence:
         state = map_of(cone)
         misses = 0
         while 0 in state.cones.ids:
-            result = associate(state.cones, *obs_arrays([]), cfg)
-            assert unmatched_in_fov(state, result, cfg) == (0,)
-            state = negative_pass(state, result, cfg)
+            out, _ = ingest_frame(state, [], Velocity2.zero(), 1.0 / frame_rate, cfg)
+            assert unseen_ids(state, out, cfg) == (0,)
+            state = out
             misses += 1
             assert misses <= 20
         assert misses / frame_rate < 0.5
@@ -460,8 +468,8 @@ class TestIngest:
         for timestamp, dt, pose, vel in discrete_frames(poses, 0.1):
             obs = observe_cones(track, pose, profile, rng, timestamp)
             before = dict(zip(state.cones.ids.tolist(), np.trace(state.cones.covs, axis1=1, axis2=2)))
-            predicted = predict(state, vel, dt, cfg)
-            grown = dict(zip(predicted.cones.ids.tolist(), np.trace(predicted.cones.covs, axis1=1, axis2=2)))
+            predicted = _grow_covariances(state.cones.covs, dt, cfg) if dt > 0 else state.cones.covs
+            grown = dict(zip(state.cones.ids.tolist(), np.trace(predicted, axis1=1, axis2=2)))
             for cid in before:
                 assert grown[cid] >= before[cid] - 1e-12
             state, snap = ingest_frame(state, [obs], vel, dt, cfg)
@@ -510,12 +518,15 @@ class TestIngest:
         assert len(snap.cones) == 1
 
     def test_color_stays_valid_distribution(self):
+        # degraded mode weighs the lidar's colour 0.3 and the camera's 1.0
         rng = np.random.default_rng(5)
-        evidence = make_cone().color_evidence[None]
+        state = map_of(make_cone(0, (5.0, 0.0)))
         for _ in range(100):
-            ev = rng.dirichlet([1, 1, 1])
-            evidence = update_color(evidence, ev[None], weight=rng.uniform(0.1, 2.0))
-            arr = color_probabilities(evidence[0])
+            sources = rng.permutation([SensorSource.LIDAR_ONLY, SensorSource.CAMERA_ONLY])[: rng.integers(1, 3)]
+            obs = [make_obs((5.0, 0.0), color=tuple(rng.dirichlet([1, 1, 1])), source=s) for s in sources]
+            state, _ = ingest_frame(state, per_source(*obs), Velocity2.zero(), 0.0, CONFIG, mode=MapMode.DEGRADED)
+            assert state.cones.ids.tolist() == [0]
+            arr = color_probabilities(state.cones.color_evidence[0])
             assert arr.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(arr >= 0)
 
@@ -785,19 +796,32 @@ class TestSnapshotLog:
                 read_snapshot_log(path)
 
 
-def degraded_lap_snapshots(length_m=90.0, seed=455):
-    """Snapshots of a seeded lap whose fusion pipeline fails at 3 s, so both single-sensor sources associate."""
+# the filter config of the seeded 10 Hz laps below
+LAP_CONFIG = LocalMapConfig.for_profile(default_profile("lidar_only"), 10.0)
+
+
+def fusion_fails_at_3_s(timestamp):
+    return ["fusion"] if timestamp < 3.0 else ["lidar_only", "camera_only"]
+
+
+def seeded_lap_frames(alive_at, length_m=90.0, seed=455):
+    """Each frame of a seeded 5 m/s ``modes-5ms`` lap as ``(batches, noisy velocity, dt)``;
+    ``alive_at(timestamp)`` names the pipelines that emit a batch in that frame."""
     spec = dataclasses.replace(load_config("modes-5ms").track_spec, length_m=length_m)
     track = generate_track(spec, seed=seed)
     profiles = {m: default_profile(m) for m in ("fusion", "lidar_only", "camera_only")}
-    config = LocalMapConfig.for_profile(profiles["lidar_only"], 10.0)
     poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 5.0),), 0.1)
     rng = np.random.default_rng(seed)
-    state, snapshots = LocalMapState(), []
     for timestamp, dt, pose, vel in discrete_frames(poses, 0.1):
-        alive = ["fusion"] if timestamp < 3.0 else ["lidar_only", "camera_only"]
-        batches = [observe_cones(track, pose, profiles[m], rng, timestamp) for m in alive]
-        state, snap = ingest_frame(state, batches, noisy_velocity(vel, profiles["fusion"], rng), dt, config)
+        batches = [observe_cones(track, pose, profiles[m], rng, timestamp) for m in alive_at(timestamp)]
+        yield batches, noisy_velocity(vel, profiles["fusion"], rng), dt
+
+
+def degraded_lap_snapshots():
+    """Snapshots of a seeded lap whose fusion pipeline fails at 3 s, so both single-sensor sources associate."""
+    state, snapshots = LocalMapState(), []
+    for batches, vel, dt in seeded_lap_frames(fusion_fails_at_3_s):
+        state, snap = ingest_frame(state, batches, vel, dt, LAP_CONFIG)
         snapshots.append(snap)
     return snapshots
 
@@ -1315,3 +1339,45 @@ class TestArrayFilterMatchesPerConeReference:
             modes.add(state.mode)
         assert modes == {MapMode.FUSION, MapMode.DEGRADED}
         assert state.next_cone_id > len(state.cones)  # cones were pruned or evicted on the way
+
+    @pytest.mark.parametrize(
+        "alive_at, modes",
+        [
+            (lambda t: ["lidar_only"], {MapMode.LIDAR_ONLY}),
+            (lambda t: ["camera_only"], {MapMode.CAMERA_ONLY}),
+            (lambda t: fusion_fails_at_3_s(t) if t < 6.0 else ["fusion"], {MapMode.FUSION, MapMode.DEGRADED}),
+        ],
+        ids=["lidar_only", "camera_only", "fusion_restored_at_6_s"],
+    )
+    def test_seeded_lap_of_other_sources_bit_identical(self, alive_at, modes):
+        state, ref, seen = LocalMapState(), RefState(), []
+        for batches, vel, dt in seeded_lap_frames(alive_at):
+            state, snap = ingest_frame(state, batches, vel, dt, LAP_CONFIG)
+            ref, ref_observed = ref_ingest(ref, batches, vel, dt, LAP_CONFIG)
+            expected = LocalMapSnapshot(ref.time, ref.ego, cone_table(ref.cones.values()), frozenset(ref_observed), ref.mode)
+            assert_same_snapshot(snap, expected)
+            assert state.next_cone_id == ref.next_cone_id and state.cones is snap.cones
+            seen.append(state.mode)
+        assert set(seen) == modes
+        if len(modes) > 1:  # fusion is back in charge after degraded frames
+            assert seen[-1] is MapMode.FUSION
+        assert state.next_cone_id > len(state.cones)  # cones were pruned or evicted on the way
+
+
+def test_one_frame_builds_at_most_two_cone_tables(monkeypatch):
+    """The frame's table, and one ``take`` when rows go: none per filter step."""
+    built = []
+    post_init = ConeTable.__post_init__
+
+    def counted(table):
+        built.append(table)
+        post_init(table)
+
+    monkeypatch.setattr(ConeTable, "__post_init__", counted)
+    state, counts = LocalMapState(), []
+    for batches, vel, dt in seeded_lap_frames(fusion_fails_at_3_s):
+        built.clear()
+        state, _ = ingest_frame(state, batches, vel, dt, LAP_CONFIG)
+        counts.append(len(built))
+    assert state.mode is MapMode.DEGRADED
+    assert max(counts) == 2 and min(counts) == 1
