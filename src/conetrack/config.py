@@ -20,7 +20,7 @@ from .core import Bound, SensorSource, check_bounds, is_finite_number
 from .global_map import GlobalMapConfig
 from .local_map import MODE_SOURCES, LocalMapConfig, MapMode, mode_of
 from .planner import PlannerConfig, SearchLimits
-from .simulate import SensorProfile, TrackSpec, default_profile, load_profile, noise_free_profile
+from .simulate import SensorProfile, TrackSpec, default_profile, load_profile, noise_free_profile, validate_spec
 
 SOURCE_MODES = tuple(source.value for source in SensorSource)
 
@@ -182,6 +182,7 @@ class RunConfig:
         if data.get("track_spec") is not None:
             try:
                 data["track_spec"] = TrackSpec(**data["track_spec"])
+                validate_spec(data["track_spec"])  # rejected here, so the error names the config file
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad track_spec: {exc}") from exc
         given = data.get("profiles") or {}

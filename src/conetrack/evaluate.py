@@ -287,7 +287,7 @@ def planning_stats(
     :func:`first_exit_distances` tests all of them at once.
     """
     corridor = track_corridor(track)
-    start_pose = CenterlineGeometry(track.centerline).pose_at(0.0)
+    start_pose = track.start_pose()
     chains: list[list[float]] = []
     offsets = [0]
     poses: list[tuple[float, float, float, float]] = []  # (x, y, cos, sin) of each chain's local-to-world pose

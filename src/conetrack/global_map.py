@@ -502,6 +502,16 @@ def _apply_step(poses: np.ndarray, lms: np.ndarray, delta: np.ndarray):
     return new_poses, new_lms
 
 
+def residual_cost(residuals: np.ndarray) -> float:
+    """The graph cost of whitened residuals: their squares summed by numpy's pairwise ``add.reduce``.
+
+    Not ``residuals @ residuals``: above 10,000 entries OpenBLAS splits that
+    dot product across threads, so its last bits would follow the thread
+    count, and the woken threads keep spinning after the call.
+    """
+    return float(np.add.reduce(residuals * residuals))
+
+
 def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> OptimizeResult:
     """Damped Gauss-Newton on the full graph; returns the solved estimates.
 
@@ -519,7 +529,7 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
 
     def total_cost(p, l):
         res, _ = _assemble(p, l, odometry, observations, sqrt_odo, sqrt_obs)
-        return float(res @ res)
+        return residual_cost(res)
 
     cost = total_cost(poses, lms)
     lam = config.initial_lambda

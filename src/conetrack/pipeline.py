@@ -221,7 +221,7 @@ def map_alignment(records: list[dict], track: TrackDefinition) -> dict:
     Map coordinates are relative to the lap's start pose (the centerline's
     pose at arc length 0), which places them in the world before ICP refines it.
     """
-    start_pose = CenterlineGeometry(track.centerline).pose_at(0.0)
+    start_pose = track.start_pose()
     pts = np.array([[r["x_m"], r["y_m"]] for r in records])
     world = np.array([start_pose.rotation() @ p + start_pose.position for p in pts])
     alignment = icp_align(world, track.positions, init=Pose2.identity())

@@ -83,73 +83,53 @@ class PathFeatures(NamedTuple):
     length_m: float  # waypoint polyline length
 
 
-class CandidatePath:
-    """A middle path the search emitted: its geometry, cone sides, features and scores.
-
-    Construction stores the search's tuples as they are and checks one
-    waypoint per crossed edge and disjoint sides. ``waypoints`` (a read-only
-    (k, 2) array of crossed-edge midpoints, in path order), ``left_cones``,
-    ``right_cones`` and ``features`` are built on first read and cached, so a
-    candidate that is only counted costs no array or set. Instances are
-    read-only.
-    """
-
+class _CandidateFields(NamedTuple):
+    waypoint_pairs: tuple[tuple[float, float], ...]  # crossed-edge midpoints, in path order
     crossed_edges: tuple[tuple[int, int], ...]  # cone index pairs
     left_sequence: tuple[int, ...]  # left cones in first-crossing order
     right_sequence: tuple[int, ...]
+    feature_values: tuple[float, ...]  # the six PathFeatures values, in order
     log_prior: float
     log_likelihood: float
     log_posterior: float
 
-    def __init__(
-        self,
-        waypoints: Sequence[tuple[float, float]],
-        crossed_edges: tuple[tuple[int, int], ...],
-        left_sequence: tuple[int, ...],
-        right_sequence: tuple[int, ...],
-        features: Sequence[float],  # the six PathFeatures values, in order
-        log_prior: float,
-        log_likelihood: float,
-        log_posterior: float,
-    ) -> None:
-        if len(waypoints) != len(crossed_edges):
+
+class CandidatePath(_CandidateFields):
+    """A middle path the search emitted: its geometry, cone sides, features and scores.
+
+    An immutable tuple of the search's tuples; construction checks one
+    waypoint per crossed edge and disjoint sides. ``waypoints`` (a read-only
+    (k, 2) array), ``left_cones``, ``right_cones`` and ``features`` are built
+    on each read, so a candidate that is only counted costs no array or set.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named_fields):
+        self = super().__new__(cls, *fields, **named_fields)
+        if len(self.waypoint_pairs) != len(self.crossed_edges):
             raise ValueError("one waypoint per crossed edge required")
-        if not set(left_sequence).isdisjoint(right_sequence):
+        if not set(self.left_sequence).isdisjoint(self.right_sequence):
             raise ValueError("left and right cone sets must be disjoint")
-        vars(self).update(  # past __setattr__, which refuses every assignment
-            _waypoint_pairs=waypoints,
-            crossed_edges=crossed_edges,
-            left_sequence=left_sequence,
-            right_sequence=right_sequence,
-            _feature_values=features,
-            log_prior=log_prior,
-            log_likelihood=log_likelihood,
-            log_posterior=log_posterior,
-        )
+        return self
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"CandidatePath is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"CandidatePath is read-only: cannot delete {name!r}")
-
-    @functools.cached_property
+    @property
     def waypoints(self) -> np.ndarray:
-        wp = np.array(self._waypoint_pairs, dtype=float).reshape(-1, 2)
+        wp = np.array(self.waypoint_pairs, dtype=float).reshape(-1, 2)
         wp.setflags(write=False)
         return wp
 
-    @functools.cached_property
+    @property
     def left_cones(self) -> frozenset[int]:
         return frozenset(self.left_sequence)
 
-    @functools.cached_property
+    @property
     def right_cones(self) -> frozenset[int]:
         return frozenset(self.right_sequence)
 
-    @functools.cached_property
+    @property
     def features(self) -> PathFeatures:
-        return PathFeatures._make(self._feature_values)
+        return PathFeatures._make(self.feature_values)
 
 
 @dataclass(frozen=True)
@@ -240,9 +220,8 @@ def _cone_log_terms(color_evidence: np.ndarray, floor: float) -> tuple[list[floa
     return tuple(list(map(math.log, side.tolist())) for side in (left, right, other))
 
 
-@dataclass(frozen=True)
-class _SearchTables:
-    """Per-snapshot geometry the search looks up instead of recomputing.
+def _search_tables(tri: Triangulation) -> tuple[list, ...]:
+    """Per-snapshot geometry the search looks up instead of recomputing, as eleven flat lists.
 
     Edge slot ``3 * t + k`` is the edge of triangle ``t`` facing its vertex
     ``k``, as in ``Triangulation.neighbors``. Per slot: ``neighbor`` (-1 on
@@ -255,43 +234,32 @@ class _SearchTables:
     from cone ``lo`` to cone ``hi``. Distances and headings come from
     ``np.hypot`` and ``np.arctan2``, which define the path features;
     ``math.hypot`` differs from ``np.hypot`` in the last bit on some inputs.
-    The lists are flat so that building them allocates few objects.
+    The lists are flat so that building them allocates few objects, and are
+    returned in the order named here.
     """
-
-    neighbor: list[int]
-    lo: list[int]
-    hi: list[int]
-    mid_x: list[float]
-    mid_y: list[float]
-    twin: list[int]
-    step_x: list[float]
-    step_y: list[float]
-    step_len: list[float]
-    step_heading: list[float]
-    width: list[float]
-
-    @classmethod
-    def build(cls, tri: Triangulation) -> "_SearchTables":
-        pts = tri.points
-        facing = tri.simplices[:, [[1, 2], [0, 2], [0, 1]]]  # (m, 3, 2): the edge facing each vertex
-        lo, hi = facing.min(axis=2), facing.max(axis=2)
-        mid = 0.5 * (pts[lo] + pts[hi])
-        step = mid[:, None, :, :] - mid[:, :, None, :]  # step[t, i, k] = mid[t, k] - mid[t, i]
-        nbs = tri.neighbors
-        twin = 3 * nbs + np.argmax(nbs[nbs] == np.arange(len(nbs))[:, None, None], axis=2)
-        return cls(
-            neighbor=nbs.ravel().tolist(),
-            lo=lo.ravel().tolist(),
-            hi=hi.ravel().tolist(),
-            mid_x=mid[..., 0].ravel().tolist(),
-            mid_y=mid[..., 1].ravel().tolist(),
-            twin=twin.ravel().tolist(),
-            step_x=step[..., 0].ravel().tolist(),
-            step_y=step[..., 1].ravel().tolist(),
-            step_len=np.hypot(step[..., 0], step[..., 1]).ravel().tolist(),
-            step_heading=np.arctan2(step[..., 1], step[..., 0]).ravel().tolist(),
-            width=np.hypot(pts[hi, 0] - pts[lo, 0], pts[hi, 1] - pts[lo, 1]).ravel().tolist(),
+    pts = tri.points
+    facing = tri.simplices[:, [[1, 2], [0, 2], [0, 1]]]  # (m, 3, 2): the edge facing each vertex
+    lo, hi = facing.min(axis=2), facing.max(axis=2)
+    mid = 0.5 * (pts[lo] + pts[hi])
+    step = mid[:, None, :, :] - mid[:, :, None, :]  # step[t, i, k] = mid[t, k] - mid[t, i]
+    nbs = tri.neighbors
+    twin = 3 * nbs + np.argmax(nbs[nbs] == np.arange(len(nbs))[:, None, None], axis=2)
+    return tuple(
+        table.ravel().tolist()
+        for table in (
+            nbs,
+            lo,
+            hi,
+            mid[..., 0],
+            mid[..., 1],
+            twin,
+            step[..., 0],
+            step[..., 1],
+            np.hypot(step[..., 0], step[..., 1]),
+            np.arctan2(step[..., 1], step[..., 0]),
+            np.hypot(pts[hi, 0] - pts[lo, 0], pts[hi, 1] - pts[lo, 1]),
         )
+    )
 
 
 @dataclass(slots=True)
@@ -385,11 +353,7 @@ def enumerate_paths(
     terms = prior_terms(limits)
     left_terms, right_terms, other_terms = _cone_log_terms(color_evidence, LIKELIHOOD_FLOOR)
     other_prefix = list(itertools.accumulate(other_terms, initial=0.0))  # other_prefix[i]: the fold of other_terms[:i]
-    tables = _SearchTables.build(tri)
-    neighbor, twin, edge_lo, edge_hi = tables.neighbor, tables.twin, tables.lo, tables.hi
-    mid_xs, mid_ys = tables.mid_x, tables.mid_y
-    step_xs, step_ys, step_lens, step_headings = tables.step_x, tables.step_y, tables.step_len, tables.step_heading
-    edge_width = tables.width
+    (neighbor, edge_lo, edge_hi, mid_xs, mid_ys, twin, step_xs, step_ys, step_lens, step_headings, edge_width) = _search_tables(tri)
     cone_xs, cone_ys = tri.points[:, 0].tolist(), tri.points[:, 1].tolist()
     # cone-to-cone distance by sorted pair, seeded with every triangulation
     # edge: consecutive cones of a side nearly always share one, and a pair
@@ -580,7 +544,7 @@ def select_path(candidates: Sequence[CandidatePath]) -> CandidatePath | None:
     best = None
     best_key = None
     for idx, cand in enumerate(candidates):
-        values = cand._feature_values  # the features' floats, without building them
+        values = cand.feature_values  # the features' floats, without building them
         key = (-cand.log_posterior, -values[5], values[0], idx)
         if best_key is None or key < best_key:
             best_key = key

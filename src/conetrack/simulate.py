@@ -52,6 +52,10 @@ MAX_WIDTH_M = 5.0
 # same-side spacing is measured as arc distance along the centerline between
 # consecutive cone projections
 MAX_SAME_SIDE_SPACING_M = 5.0
+# the most centerline samples, and the most cone stations, a spec may ask
+# for: a 5 km loop at the default 0.5 m resolution. Checking a track projects
+# every cone onto every centerline segment, so the cap bounds that time too
+MAX_TRACK_SAMPLES = 10_000
 # evenly redistributing floor(L / spacing) stations can stretch gaps slightly
 # past nominal; the validator allows this much slack
 SPACING_SLACK_M = 0.5
@@ -90,6 +94,10 @@ class TrackDefinition:
             ],
             "centerline_m": self.centerline.tolist(),
         }
+
+    def start_pose(self) -> Pose2:
+        """Where the lap starts, and the origin of its map frame: the centerline's pose at arc length 0."""
+        return CenterlineGeometry(self.centerline).pose_at(0.0)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrackDefinition":
@@ -247,6 +255,15 @@ def validate_spec(spec: TrackSpec) -> None:
         raise InfeasibleTrackError("circle radius below minimum radius")
     if spec.kind == "loop" and spec.control_points < 6:
         raise InfeasibleTrackError("loop generator needs at least 6 control points")
+    length_field = "radius_m" if spec.kind == "circle" else "length_m"
+    length = 2 * math.pi * spec.radius_m if spec.kind == "circle" else spec.length_m
+    for what, step_field in (("centerline samples", "centerline_resolution_m"), ("cone stations", "cone_spacing_m")):
+        count = length / getattr(spec, step_field)
+        if not count <= MAX_TRACK_SAMPLES:  # an infinite count fails too
+            raise InfeasibleTrackError(
+                f"track spec {length_field} {getattr(spec, length_field)} and {step_field} {getattr(spec, step_field)}"
+                f" ask for {count:.3g} {what}, over the cap of {MAX_TRACK_SAMPLES}"
+            )
 
 
 def boundary_order(

@@ -28,6 +28,7 @@ from conetrack.global_map import (
     _observation_batch,
     _odometry_batch,
     _whiten,
+    residual_cost,
 )
 
 
@@ -109,7 +110,7 @@ def colamd_optimize(graph, config=GlobalMapConfig()) -> OptimizeResult:
 
     def total_cost(p, l):
         res, _ = coo_assemble(p, l, odometry, observations, sqrt_odo, sqrt_obs, jac=False)
-        return float(res @ res)
+        return residual_cost(res)
 
     cost = total_cost(poses, lms)
     lam = config.initial_lambda

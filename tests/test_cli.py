@@ -74,7 +74,15 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "flags, field",
-        [(["--length-m", "nan"], "length_m"), (["--hairpins", "-3"], "hairpin_count"), (["--radius-m", "inf"], "radius_m")],
+        [
+            (["--length-m", "nan"], "length_m"),
+            (["--hairpins", "-3"], "hairpin_count"),
+            (["--radius-m", "inf"], "radius_m"),
+            # finite, but too many centerline samples or cone stations to build
+            (["--length-m", "1e308"], "length_m"),
+            (["--kind", "circle", "--radius-m", "1e300"], "radius_m"),
+            (["--spacing-m", "1e-300"], "cone_spacing_m"),
+        ],
     )
     def test_bad_spec_flag_exits_2_naming_the_field(self, tmp_path, capsys, flags, field):
         out = tmp_path / "t.json"
@@ -450,6 +458,9 @@ BAD_INPUTS = [
     ["run", "--config", "{nanlength}"],
     ["run", "--config", "{infradius}"],
     ["run", "--config", "{intkind}"],
+    ["run", "--config", "{hugeradius}"],
+    ["run", "--config", "{tinyresolution}"],
+    ["run", "--config", "{tinyspacing}"],
     ["run", "--config", "{nanmaxlength}"],
     ["run", "--config", "{zerobeam}"],
     ["run", "--config", "{floatedges}"],
@@ -581,6 +592,9 @@ BAD_FILES = {
     "nanlength": ('{"track_spec": {"length_m": NaN}}', "length_m"),
     "infradius": ('{"track_spec": {"kind": "circle", "radius_m": Infinity}}', "radius_m"),
     "intkind": ('{"track_spec": {"kind": 5}}', "bad track_spec: track spec kind must be one of"),
+    "hugeradius": ('{"track_spec": {"kind": "circle", "radius_m": 1e308}}', "radius_m"),
+    "tinyresolution": ('{"track_spec": {"centerline_resolution_m": 1e-300}}', "centerline_resolution_m"),
+    "tinyspacing": ('{"track_spec": {"cone_spacing_m": 1e-300}}', "cone_spacing_m"),
     "nanmaxlength": ('{"planner_limit_overrides": {"max_length_m": NaN}}', "max_length_m"),
     "zerobeam": ('{"planner_limit_overrides": {"beam_width": 0}}', "beam_width"),
     "floatedges": ('{"planner_limit_overrides": {"max_edges": 2.5}}', "max_edges"),

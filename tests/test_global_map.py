@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,7 @@ from conetrack.global_map import (
     add_snapshot,
     export_map,
     optimize,
+    residual_cost,
     residual_summary,
     save_graph,
 )
@@ -809,7 +813,7 @@ class TestRejectedSteps:
         monkeypatch.setattr(global_map, "_factor", failing_factor)
         result = optimize(graph, CONFIG)
         assert (result.iterations, result.converged, result.message) == (1, True, "damping stalled at a local minimum")
-        assert result.final_cost == float(residual @ residual)
+        assert result.final_cost == residual_cost(residual)
         assert np.array_equal(result.poses, graph.poses) and np.array_equal(result.landmarks, graph.landmarks)
         # every rejected step raised the damping once
         assert len(damped) == CONFIG.max_lambda_steps
@@ -822,9 +826,48 @@ class TestAcceptedSteps:
     def test_accepted_steps_never_increase_the_cost(self, graph):
         residuals, _ = _assemble(*assembly_inputs(graph))
         # a budget of k iterations stops the same solve after its k-th step
-        costs = [float(residuals @ residuals)]
+        costs = [residual_cost(residuals)]
         costs += [optimize(graph, GlobalMapConfig(max_iterations=k)).final_cost for k in range(1, 7)]
         assert all(after <= before for before, after in zip(costs, costs[1:]))
+
+
+def test_final_cost_is_independent_of_the_blas_thread_count():
+    """A graph of 13,197 residual rows solves to the same final cost bits with one
+    BLAS thread and with two: above 10,000 entries OpenBLAS splits a dot product
+    across threads, and a cost formed as ``res @ res`` read 0x1.9e72a64fc0cccp+10
+    with one thread and 0x1.9e72a64fc0ccdp+10 with two on this seed."""
+    code = (
+        "import numpy as np\n"
+        "from conetrack.core import Pose2, body_frame_point, relative_pose\n"
+        "from conetrack.global_map import Graph, optimize\n"
+        "rng = np.random.default_rng(0)\n"
+        "angles = np.linspace(0.0, 2 * np.pi, 1200, endpoint=False)\n"
+        "truth = [Pose2(30 * np.cos(a), 30 * np.sin(a), a + np.pi / 2) for a in angles]\n"
+        "ring = np.linspace(0.0, 2 * np.pi, 300, endpoint=False)\n"
+        "landmarks = np.concatenate([np.c_[r * np.cos(ring), r * np.sin(ring)] for r in (26.0, 34.0)])\n"
+        "graph = Graph()\n"
+        "graph.add_pose(truth[0])\n"
+        "for before, pose in zip(truth, truth[1:]):\n"
+        "    moved = relative_pose(before, pose).as_array() + rng.normal(scale=[0.02, 0.02, 0.005])\n"
+        "    start = pose.as_array() + rng.normal(scale=0.3, size=3)\n"
+        "    graph.add_pose(Pose2(*start), Pose2(*moved), np.diag([100.0, 100.0, 400.0]))\n"
+        "for position in landmarks:\n"
+        "    graph.add_landmark(position + rng.normal(scale=0.3, size=2))\n"
+        "for k, pose in enumerate(truth):\n"
+        "    seen = np.argsort(np.hypot(*(landmarks - pose.position).T))[:4]\n"
+        "    measured = body_frame_point(pose, landmarks[seen]) + rng.normal(scale=0.1, size=(4, 2))\n"
+        "    graph.add_observations([k] * 4, seen, measured, [np.eye(2) * 25.0] * 4)\n"
+        "print(3 * (len(graph.poses) - 1) + 2 * len(graph.observation_edges), optimize(graph).final_cost.hex())\n"
+    )
+    costs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(global_map.__file__).resolve().parent.parent), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        rows, cost = done.stdout.split()
+        assert int(rows) > 10_000
+        costs.append(cost)
+    assert costs[0] == costs[1]
 
 
 evidence_value = st.one_of(

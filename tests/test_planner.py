@@ -459,7 +459,6 @@ class TestLightCandidates:
                 assert waypoints.dtype == np.float64 and waypoints.shape == midpoints.shape
                 assert np.array_equal(waypoints, midpoints)
                 assert not waypoints.flags.writeable
-                assert cand.waypoints is waypoints  # built once
                 assert cand.left_cones == frozenset(cand.left_sequence)
                 assert cand.right_cones == frozenset(cand.right_sequence)
                 assert cand.left_cones | cand.right_cones == set(np.array(cand.crossed_edges).ravel().tolist())

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conetrack.core import Pose2, SensorSource, Velocity2, integrate_velocity
 from conetrack.simulate import (
     TRACK_COLORS,
     CenterlineGeometry,
+    MAX_TRACK_SAMPLES,
     InfeasibleTrackError,
     SensorProfile,
     TrackDefinition,
@@ -33,6 +35,7 @@ from conetrack.simulate import (
     observe_cones,
     save_track,
     speed_lookup,
+    validate_spec,
     validate_track,
 )
 
@@ -78,6 +81,17 @@ class TestTrackGeneration:
             generate_track(TrackSpec(track_width_m=0.0), seed=0)
         with pytest.raises(InfeasibleTrackError):
             generate_track(TrackSpec(min_radius_m=2.0, track_width_m=4.0), seed=0)
+
+    def test_sample_and_station_counts_capped(self):
+        # at the cap a spec passes; one sample or station over it is rejected naming both fields
+        validate_spec(TrackSpec(length_m=MAX_TRACK_SAMPLES * 0.5, cone_spacing_m=0.5))
+        for over, fields in (
+            (TrackSpec(length_m=(MAX_TRACK_SAMPLES + 1) * 0.5), "length_m 5000.5 and centerline_resolution_m 0.5"),
+            (TrackSpec(length_m=1000.0, cone_spacing_m=1000.0 / (MAX_TRACK_SAMPLES + 1)), "length_m 1000.0 and cone_spacing_m"),
+            (TrackSpec(kind="circle", radius_m=1e300), "radius_m 1e+300 and centerline_resolution_m 0.5"),
+        ):
+            with pytest.raises(InfeasibleTrackError, match=re.escape(fields)):
+                validate_spec(over)
 
     def test_validator_catches_wrong_side(self):
         track = generate_track(CIRCLE_SPEC, seed=1)
