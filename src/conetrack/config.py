@@ -32,7 +32,7 @@ def mode_pipelines(mode: MapMode | None) -> list[str]:
 
 def emitting_sources(alive: set[str]) -> list[str]:
     """The live pipelines whose cones reach the local map: those of the mode they select."""
-    return mode_pipelines(mode_of({SensorSource(name) for name in alive}))
+    return mode_pipelines(mode_of(frozenset(SensorSource(name) for name in alive)))
 
 
 _RUN_BOUNDS = {

@@ -1,8 +1,9 @@
 """Shared geometry and probability for the mapping pipeline.
 
 Planar poses and velocities, the SPD projection of covariance stacks, the
-all-pairs Bhattacharyya distance, one source's observation batch, and the
-range checks applied to outside input, among them every config's fields.
+pairwise Bhattacharyya distance, the greedy one-to-one matcher, one
+source's observation batch, and the range checks applied to outside input,
+among them every config's fields.
 Values are immutable (frozen dataclasses, read-only arrays), so a snapshot
 can share them without copying.
 """
@@ -155,7 +156,9 @@ def transform_point(pose: Pose2, point: np.ndarray) -> np.ndarray:
     c, s = math.cos(pose.theta), math.sin(pose.theta)
     p = np.asarray(point, dtype=float)
     x, y = p[..., 0], p[..., 1]
-    return np.stack([pose.x + c * x - s * y, pose.y + s * x + c * y], axis=-1)
+    out = np.empty(p.shape)
+    out[..., 0], out[..., 1] = pose.x + c * x - s * y, pose.y + s * x + c * y
+    return out
 
 
 def body_frame_point(pose: Pose2, point: np.ndarray) -> np.ndarray:
@@ -213,7 +216,7 @@ def project_spd(cov: np.ndarray, floor: float = COV_EIGENVALUE_FLOOR) -> np.ndar
     within a rounding margin of it goes to ``eigh``; every other matrix is
     returned symmetrized, which is what the eigh test gives it too.
     """
-    sym = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    sym = 0.5 * (cov + cov.swapaxes(-1, -2))
     clear = _clear_of_floor(sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1], floor)
     if not clear.all():
         near = ~clear
@@ -229,39 +232,39 @@ def _floor_eigenvalues(sym: np.ndarray, floor: float) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
-def bhattacharyya_distance_matrix(
+def bhattacharyya_distances(
     means_a: np.ndarray, covs_a: np.ndarray, means_b: np.ndarray, covs_b: np.ndarray
 ) -> np.ndarray:
-    """All-pairs Bhattacharyya distances, (len(a), len(b)).
+    """Bhattacharyya distances between the Gaussians of matching rows, (k,).
 
-    Vectorized for the data-association hot path; the tests pin it to the
-    scalar two-Gaussian form.
+    Row i of ``a``, (k, 2) means and (k, 2, 2) covariances, meets row i of
+    ``b``. Each distance is the elementwise two-Gaussian form, so a pair gets
+    the same bits whatever else is in the arrays; the tests pin it to the
+    scalar form.
     """
-    n, m = len(means_a), len(means_b)
-    avg = 0.5 * (covs_a[:, None, :, :] + covs_b[None, :, :, :])  # (n, m, 2, 2)
-    det_avg = avg[..., 0, 0] * avg[..., 1, 1] - avg[..., 0, 1] * avg[..., 1, 0]
+    avg = 0.5 * (covs_a + covs_b)
+    a00, a01, a10, a11 = avg[:, 0, 0], avg[:, 0, 1], avg[:, 1, 0], avg[:, 1, 1]
+    det_avg = a00 * a11 - a01 * a10
     det_a = covs_a[:, 0, 0] * covs_a[:, 1, 1] - covs_a[:, 0, 1] * covs_a[:, 1, 0]
     det_b = covs_b[:, 0, 0] * covs_b[:, 1, 1] - covs_b[:, 0, 1] * covs_b[:, 1, 0]
-    d = means_a[:, None, :] - means_b[None, :, :]  # (n, m, 2)
-    sx = avg[..., 1, 1] * d[..., 0] - avg[..., 0, 1] * d[..., 1]
-    sy = -avg[..., 1, 0] * d[..., 0] + avg[..., 0, 0] * d[..., 1]
-    maha = (d[..., 0] * sx + d[..., 1] * sy) / det_avg
-    mismatch = 0.5 * np.log(det_avg / np.sqrt(det_a[:, None] * det_b[None, :]))
-    return (0.125 * maha + mismatch).reshape(n, m)
+    dx, dy = (means_a - means_b).T
+    maha = (dx * (a11 * dx - a01 * dy) + dy * (a00 * dy - a10 * dx)) / det_avg  # d' adj(avg) d / det(avg)
+    return 0.125 * maha + 0.5 * np.log(det_avg / np.sqrt(det_a * det_b))
 
 
-def greedy_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
-    """Greedy one-to-one matching of the rows and columns of ``dist``, by ascending distance.
+def greedy_pairs(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray) -> list[tuple[int, int]]:
+    """Greedy one-to-one matching of candidate (row, column, distance) triples, by ascending distance.
 
-    Pairs farther than ``gate`` are never made. Ties go to the lower row,
-    then the lower column. Returns the (row, column) pairs in ascending order.
+    The candidates come in ascending (row, column) order, each pair at most
+    once, and every one of them may be made: the caller leaves out the pairs
+    beyond its gate. Ties go to the lower row, then the lower column. Returns
+    the (row, column) pairs in ascending order.
     """
-    rows, cols = np.nonzero(dist <= gate)  # row-major, so a stable sort breaks ties by row, then column
-    order = np.argsort(dist[rows, cols], kind="stable")
+    order = dist.argsort(kind="stable")  # a stable sort keeps the (row, column) order within a tie
     used_rows: set[int] = set()
     used_cols: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for r, c in zip(rows[order].tolist(), cols[order].tolist()):
+    for r, c in zip(rows.take(order).tolist(), cols.take(order).tolist()):
         if r in used_rows or c in used_cols:
             continue
         used_rows.add(r)

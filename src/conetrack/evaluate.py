@@ -93,7 +93,8 @@ def icp_align(
         rot = np.array([[c, -s], [s, c]])
         moved = est @ rot.T + trans
         dist = np.hypot(moved[:, None, 0] - tru[None, :, 0], moved[:, None, 1] - tru[None, :, 1])
-        pairs = greedy_pairs(dist, config.reject_radius_m)
+        rows, cols = np.nonzero(dist <= config.reject_radius_m)  # row-major: the order greedy_pairs takes
+        pairs = greedy_pairs(rows, cols, dist[rows, cols])
         if not pairs:
             break
         e_idx = np.array([p[0] for p in pairs])

@@ -15,6 +15,7 @@ state's arrays and never changes.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -30,7 +31,7 @@ from .core import (
     Pose2,
     SensorSource,
     Velocity2,
-    bhattacharyya_distance_matrix,
+    bhattacharyya_distances,
     check_bounds,
     greedy_pairs,
     integrate_velocity,
@@ -65,7 +66,8 @@ MODE_SOURCES = {
 }
 
 
-def mode_of(live: set[SensorSource]) -> MapMode | None:
+@functools.cache
+def mode_of(live: frozenset[SensorSource]) -> MapMode | None:
     """The mode a set of live sources selects (see :data:`MODE_SOURCES`), or None when none is live."""
     return next((mode for mode, pairs in MODE_SOURCES.items() if all(s in live for s, _ in pairs)), None)
 
@@ -224,22 +226,18 @@ class LocalMapSnapshot:
 
 
 def _grow_covariances(covs: np.ndarray, dt: float, config: LocalMapConfig) -> np.ndarray:
-    """Cone covariances, (n, 2, 2), grown by Q * dt.
+    """Cone covariances, (n, 2, 2), grown by Q * dt; the caller projects them onto the SPD cone.
 
     Growth saturates at the configured ceiling (uniform shrink back onto it),
     so estimates stay associable after arbitrarily long out-of-view gaps.
     """
-    covs = covs + np.diag(config.process_noise_rate) * dt
+    qx, qy = config.process_noise_rate
+    covs = covs + np.array(((qx * dt, 0.0), (0.0, qy * dt)))
     mean_var = 0.5 * (covs[:, 0, 0] + covs[:, 1, 1])
     over = mean_var > config.covariance_ceiling
     if over.any():
         covs[over] = covs[over] * (config.covariance_ceiling / mean_var[over])[:, None, None]
-    return project_spd(covs)
-
-
-def observations_to_local(ego: Pose2, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Re-express car-frame observations, (k, 2) means and (k, 2, 2) covariances, in the local-map frame."""
-    return transform_point(ego, means), project_spd(rotate_covariance(ego.theta, covs))
+    return covs
 
 
 def _in_frustum(ego: Pose2, means: np.ndarray, config: LocalMapConfig, shrink: float) -> np.ndarray:
@@ -252,21 +250,55 @@ def _in_frustum(ego: Pose2, means: np.ndarray, config: LocalMapConfig, shrink: f
     return np.array(inside, bool)
 
 
+# The gate box's squared half-width over the bound it must hold (see
+# _gate_half_width). A computed distance can round below the exact one: by a
+# relative 1e-6 or so when a covariance sits at the eigenvalue floor, where
+# the 2x2 determinants cancel. The margin keeps every pair whose computed
+# distance could pass the gate inside the box.
+_GATE_BOX_MARGIN = 1.125
+
+
+def _gate_half_width(cone_covs: np.ndarray, covs: np.ndarray, gate: float) -> float:
+    """Half-width of the square around a cone outside which no observation is within ``gate``.
+
+    With d the mean difference and S the average covariance, the Bhattacharyya
+    distance is at least |d|^2 / (8 tr S): its Mahalanobis term is
+    d' S^-1 d / 8 with S's largest eigenvalue at most tr S, and its
+    covariance-mismatch term is not negative (log det is concave). tr S is
+    at most half the largest cone trace plus half the largest observation
+    trace, so a pair within the gate has |d|^2 at most 4 gate times their sum.
+    """
+    largest = float((cone_covs[:, 0, 0] + cone_covs[:, 1, 1]).max() + (covs[:, 0, 0] + covs[:, 1, 1]).max())
+    return math.sqrt(4.0 * gate * largest * _GATE_BOX_MARGIN)
+
+
 def associate(
     cone_means: np.ndarray, cone_covs: np.ndarray, means: np.ndarray, covs: np.ndarray, gate: float
 ) -> list[tuple[int, int]]:
     """Greedy one-to-one matching by ascending Bhattacharyya distance: (observation, cone row) pairs by observation.
 
-    The map's cones, (n, 2) means and (n, 2, 2) covariances in ascending id
-    order, meet observations, (k, 2) and (k, 2, 2), already expressed in the
-    local-map frame. Ties are broken by cone id, then by observation index.
+    The map's cones, (n, 2) means and (n, 2, 2) SPD covariances in ascending
+    id order, meet observations, (k, 2) and (k, 2, 2), already expressed in
+    the local-map frame. Only the pairs inside the gate box
+    (:func:`_gate_half_width`) get a distance; no pair outside it can pass
+    the gate. Ties are broken by cone id, then by observation index.
     Matches above ``gate`` are rejected; an observation in no pair is new.
     """
     if not len(means) or not len(cone_means):
         return []
-    dist = bhattacharyya_distance_matrix(means, covs, cone_means, cone_covs)
-    # cone rows first, so ties go to the lower row (rows ascend with cone id)
-    return sorted((o, c) for c, o in greedy_pairs(dist.T, gate))
+    half_width = _gate_half_width(cone_covs, covs, gate)
+    dx, dy = cone_means[:, 0, None] - means[:, 0], cone_means[:, 1, None] - means[:, 1]
+    rows, obs = ((np.abs(dx) <= half_width) & (np.abs(dy) <= half_width)).nonzero()
+    # ``take`` gathers rows as fancy indexing does, at a fraction of its overhead on small arrays
+    dist = bhattacharyya_distances(means.take(obs, 0), covs.take(obs, 0), cone_means.take(rows, 0), cone_covs.take(rows, 0))
+    near = dist <= gate
+    # candidates in (cone row, observation) order, so ties go to the lower row (rows ascend with cone id)
+    return sorted((o, c) for c, o in greedy_pairs(rows[near], obs[near], dist[near]))
+
+
+# the identity observation model of update_position, and the signs of a 2x2 adjugate
+_EYE2 = np.eye(2)
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def update_position(
@@ -278,14 +310,15 @@ def update_position(
     one-matrix update, which gives each row the same bits.
     """
     innovation_cov = covs + obs_covs
-    s00, s01, s10, s11 = (innovation_cov[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    s00, s01, s10, s11 = innovation_cov[:, 0, 0], innovation_cov[:, 0, 1], innovation_cov[:, 1, 0], innovation_cov[:, 1, 1]
     det = s00 * s11 - s01 * s10
-    if not (np.all(det > 0) and np.all(np.isfinite(det))):
+    if not ((det > 0) & (det < math.inf)).all():
         raise ValueError("singular innovation covariance")
-    inv = np.stack([s11, -s01, -s10, s00], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
+    # the adjugate [[s11, -s01], [-s10, s00]] over the determinant: entries reversed and transposed, signs flipped
+    inv = innovation_cov[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJUGATE_SIGNS / det[:, None, None]
     gain = covs @ inv
     updated = means + (gain @ (obs_means - means)[:, :, None])[:, :, 0]
-    return updated, project_spd((np.eye(2) - gain) @ covs)
+    return updated, project_spd((_EYE2 - gain) @ covs)
 
 
 def ingest_frame(
@@ -299,15 +332,17 @@ def ingest_frame(
     """Run one full filter step and emit a frozen snapshot.
 
     One pass over the map's columns: dead-reckon the ego and grow the
-    covariances (a zero ``dt`` leaves both as they are); per source,
-    association, Kalman and colour updates and new rows; then the existence
-    score, pruning and eviction as one keep mask, and the frame's one table.
-    ``batches`` holds at most one batch per source; a delivered batch, even
-    an empty one, marks its pipeline as alive. Each source associates
-    against the columns the previous source left. ``mode`` forces the
-    operating mode; otherwise :func:`mode_of` picks it from the sources whose
-    last batch is no older than the staleness timeout, and with none of them
-    live the mode holds.
+    covariances (a zero ``dt`` leaves both as they are); move every source's
+    observations to the local-map frame in one transform and one projection;
+    per source, association, Kalman and colour updates and new rows, filled
+    in place into columns sized for every observation to be new; then the
+    existence score, pruning and eviction as one keep mask, and the frame's
+    one table. ``batches`` holds at most one batch per source; a delivered
+    batch, even an empty one, marks its pipeline as alive. Each source
+    associates against the columns the previous source left. ``mode``
+    forces the operating mode; otherwise :func:`mode_of` picks it from the
+    sources whose last batch is no older than the staleness timeout, and
+    with none of them live the mode holds.
     """
     by_source = {batch.source: batch for batch in batches}
     if len(by_source) != len(batches):
@@ -315,46 +350,63 @@ def ingest_frame(
     if dt < 0:
         raise ValueError("dt must be non-negative")
     cones = state.cones
-    ids, means, covs, evidence, existence, last_seen = (
-        cones.ids, cones.means, cones.covs, cones.color_evidence, cones.existence, cones.last_seen
-    )
     ego, now = state.ego, state.time
     if dt > 0:
         ego, now = integrate_velocity(ego, vel, dt), now + dt
-        covs = _grow_covariances(covs, dt, config)
 
     last_source_time = dict(state.last_source_time)
     for source in by_source:
         last_source_time[source] = now
-    live = {source for source, last in last_source_time.items() if now - last <= config.staleness_timeout_s}
+    live = frozenset(source for source, last in last_source_time.items() if now - last <= config.staleness_timeout_s)
     active_mode = mode or mode_of(live) or state.mode
 
-    next_id = state.next_cone_id
-    matched = np.zeros(len(ids), bool)
-    for source, weight in MODE_SOURCES[active_mode]:
-        batch = by_source.get(source)
-        if batch is None or not len(batch):
-            continue
-        obs_means, obs_covs = observations_to_local(ego, batch.means, batch.covs)
-        pairs = associate(means, covs, obs_means, obs_covs, config.gate_distance)
-        obs, rows = [o for o, _ in pairs], [c for _, c in pairs]
-        new = np.ones(len(obs_means), bool)
-        new[obs] = False
-        added = int(new.sum())
-        # matched rows get the Kalman and colour updates; new observations become rows at the end
-        means, covs = np.concatenate([means, obs_means[new]]), np.concatenate([covs, obs_covs[new]])
-        means[rows], covs[rows] = update_position(means[rows], covs[rows], obs_means[obs], obs_covs[obs])
-        evidence = np.concatenate([evidence, weight * batch.colors[new] + 1e-12])
-        evidence[rows] += weight * batch.colors[obs]
-        last_seen = np.concatenate([last_seen, np.full(added, now)])
-        last_seen[rows] = now
-        ids = np.concatenate([ids, np.arange(next_id, next_id + added)])
-        existence = np.concatenate([existence, np.full(added, config.initial_existence)])
-        matched = np.concatenate([matched, np.zeros(added, bool)])
-        matched[rows] = True
-        next_id += added
+    # The columns hold the map's n rows, then every observation the frame
+    # feeds in, moved to the local-map frame in one transform and one
+    # projection (with the grown covariances: it acts on each matrix alone).
+    # Each source writes its new rows after the rows filled so far, which is
+    # at or above its own observations' rows, and only once it has read them.
+    fed = [(by_source[source], weight) for source, weight in MODE_SOURCES[active_mode] if len(by_source.get(source, ()))]
+    n = len(cones)
+    means = np.concatenate([cones.means, *(batch.means for batch, _ in fed)])
+    means[n:] = transform_point(ego, means[n:])
+    rotated = rotate_covariance(ego.theta, np.concatenate([cones.covs[:0], *(batch.covs for batch, _ in fed)]))
+    if dt > 0:
+        covs = project_spd(np.concatenate([_grow_covariances(cones.covs, dt, config), rotated]))
+    else:  # a zero dt leaves the map's covariances as they are
+        covs = np.concatenate([cones.covs, project_spd(rotated)])
+    obs_means, obs_covs = means[n:], covs[n:]
+    evidence = np.concatenate([cones.color_evidence, np.empty((len(means) - n, 3))])
+    last_seen = np.concatenate([cones.last_seen, np.full(len(means) - n, now)])
+    matched = np.zeros(len(means), bool)
+
+    used = n  # rows filled
+    first = 0  # the source's first row in the observation arrays
+    for batch, weight in fed:
+        k = len(batch)
+        src_means, src_covs = obs_means[first : first + k], obs_covs[first : first + k]
+        first += k
+        pairs = associate(means[:used], covs[:used], src_means, src_covs, config.gate_distance)
+        obs, rows = np.array(pairs, np.intp).reshape(-1, 2).T
+        if pairs:  # matched rows get the Kalman and colour updates
+            means[rows], covs[rows] = update_position(
+                means.take(rows, 0), covs.take(rows, 0), src_means.take(obs, 0), src_covs.take(obs, 0)
+            )
+            evidence[rows] += weight * batch.colors.take(obs, 0)
+            last_seen[rows] = now
+            matched[rows] = True
+        if len(pairs) < k:  # new observations fill the next rows
+            new = np.ones(k, bool)
+            new[obs] = False
+            fresh = slice(used, used + k - len(pairs))
+            used = fresh.stop
+            means[fresh], covs[fresh] = src_means[new], src_covs[new]
+            evidence[fresh] = weight * batch.colors[new] + 1e-12
+    next_id = state.next_cone_id + used - n
+    ids = np.concatenate([cones.ids, np.arange(state.next_cone_id, next_id)])
+    means, covs, evidence, last_seen, matched = means[:used], covs[:used], evidence[:used], last_seen[:used], matched[:used]
+    existence = np.concatenate([cones.existence, np.full(used - n, config.initial_existence)])
     observed = matched.copy()
-    observed[len(cones) :] = True  # the rows the frame created
+    observed[n:] = True  # the rows the frame created
     # an observed cone is neither pruned (it is not unseen) nor evicted (seen now)
     observed_ids = frozenset(ids[observed].tolist())
 

@@ -32,6 +32,9 @@ from .core import Bound, Pose2, check_bounds, check_range, is_finite_number, nor
 LIKELIHOOD_FLOOR = 1e-6
 # the first line of planner_log.ndjson; each line after it is one plan_record
 PLANNER_LOG_HEADER = {"kind": "planner_log", "schema_version": 1}
+# The largest ego or waypoint coordinate a planner log may hold, in metres:
+# far beyond any track, and small enough that path lengths stay finite
+MAX_LOG_COORDINATE_M = 1e6
 
 
 class DegenerateSnapshotError(ValueError):
@@ -645,7 +648,8 @@ class PlannerLogWriter:
 
 
 def _check_planner_record(record, number: int) -> dict:
-    """A planner log record, or ``ValueError`` naming its line: an object with a finite ego and time and finite waypoints."""
+    """A planner log record, or ``ValueError`` naming its line: an object with a finite ego and time and finite
+    waypoints, whose ego and waypoint coordinates are within ``MAX_LOG_COORDINATE_M``."""
     if not isinstance(record, dict):
         raise ValueError(f"planner log record on line {number} is not a JSON object")
     ego = record.get("ego")
@@ -657,6 +661,12 @@ def _check_planner_record(record, number: int) -> dict:
     pairs = isinstance(waypoints, list) and all(isinstance(p, list) and len(p) == 2 for p in waypoints)
     if not (pairs and all(is_finite_number(v) for p in waypoints for v in p)):
         raise ValueError(f"planner log record on line {number}: waypoints_m must be a list of finite [x, y] pairs")
+    coordinates = [ego["x_m"], ego["y_m"], *(v for p in waypoints for v in p)]
+    if not all(abs(v) <= MAX_LOG_COORDINATE_M for v in coordinates):
+        raise ValueError(
+            f"planner log record on line {number}: ego and waypoint coordinates must be within "
+            f"{MAX_LOG_COORDINATE_M:g} m of the origin"
+        )
     return record
 
 

@@ -473,16 +473,24 @@ def generate_track(spec: TrackSpec, seed: int) -> TrackDefinition:
 # Sensor profiles
 
 
+# Upper limits of a profile's noise, far above every shipped profile (0.05
+# false positives a frame; velocity sigmas of at most 0.05 m/s and 0.004 m/s
+# per m/s). Beyond them a frame's Poisson draw or a noisy velocity reading
+# fails mid-run.
+MAX_FALSE_POSITIVES_PER_FRAME = 100.0
+# for vx, vy (m/s) and yaw rate (rad/s), and for their growth per m/s of speed
+MAX_VELOCITY_SIGMA = 100.0
+
 # the range bins keep their own check, in ``SensorProfile.__post_init__``
 _PROFILE_BOUNDS = {
     "max_range_m": Bound(0.0, low_ok=False),
     "fov_half_angle_rad": Bound(0.0, math.pi, low_ok=False),
     "sigma_base_m": Bound(0.0),
     "sigma_range_coeff_m_per_m2": Bound(0.0),
-    "false_positives_per_frame": Bound(0.0),
+    "false_positives_per_frame": Bound(0.0, MAX_FALSE_POSITIVES_PER_FRAME),
     "color_confidence": Bound(1 / 3, 1.0),
-    "velocity_sigma": Bound(0.0, count=3),
-    "velocity_sigma_per_speed": Bound(0.0, count=3),
+    "velocity_sigma": Bound(0.0, MAX_VELOCITY_SIGMA, count=3),
+    "velocity_sigma_per_speed": Bound(0.0, MAX_VELOCITY_SIGMA, count=3),
 }
 
 

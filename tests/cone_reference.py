@@ -4,6 +4,10 @@ The pipeline holds cones only as ``local_map.ConeTable`` arrays and colour
 classes as integer codes. The types here are the per-cone forms those replaced:
 a Gaussian with its checks, a cone record, the colour class enum, the scalar
 Bhattacharyya distance and the per-cone snapshot-log reader. Tests pin the array code to them bit for bit.
+
+Also here is the all-pairs association the gated ``local_map.associate``
+replaced: every (observation, cone) distance as one matrix, and the greedy
+matcher over a dense matrix.
 """
 
 import math
@@ -132,3 +136,49 @@ def ref_snapshot_from_dict(data: dict) -> LocalMapSnapshot:
     )
     ego = Pose2(data["ego"]["x_m"], data["ego"]["y_m"], data["ego"]["theta_rad"])
     return LocalMapSnapshot(data["timestamp_s"], ego, cones, frozenset(data["observed_ids"]), MapMode(data["mode"]))
+
+
+def bhattacharyya_distance_matrix(
+    means_a: np.ndarray, covs_a: np.ndarray, means_b: np.ndarray, covs_b: np.ndarray
+) -> np.ndarray:
+    """All-pairs Bhattacharyya distances, (len(a), len(b)), in one broadcast."""
+    n, m = len(means_a), len(means_b)
+    avg = 0.5 * (covs_a[:, None, :, :] + covs_b[None, :, :, :])  # (n, m, 2, 2)
+    det_avg = avg[..., 0, 0] * avg[..., 1, 1] - avg[..., 0, 1] * avg[..., 1, 0]
+    det_a = covs_a[:, 0, 0] * covs_a[:, 1, 1] - covs_a[:, 0, 1] * covs_a[:, 1, 0]
+    det_b = covs_b[:, 0, 0] * covs_b[:, 1, 1] - covs_b[:, 0, 1] * covs_b[:, 1, 0]
+    d = means_a[:, None, :] - means_b[None, :, :]  # (n, m, 2)
+    sx = avg[..., 1, 1] * d[..., 0] - avg[..., 0, 1] * d[..., 1]
+    sy = -avg[..., 1, 0] * d[..., 0] + avg[..., 0, 0] * d[..., 1]
+    maha = (d[..., 0] * sx + d[..., 1] * sy) / det_avg
+    mismatch = 0.5 * np.log(det_avg / np.sqrt(det_a[:, None] * det_b[None, :]))
+    return (0.125 * maha + mismatch).reshape(n, m)
+
+
+def dense_greedy_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    """Greedy one-to-one matching of the rows and columns of ``dist``, by ascending distance.
+
+    Pairs farther than ``gate`` are never made. Ties go to the lower row,
+    then the lower column. Returns the (row, column) pairs in ascending order.
+    """
+    rows, cols = np.nonzero(dist <= gate)  # row-major, so a stable sort breaks ties by row, then column
+    order = np.argsort(dist[rows, cols], kind="stable")
+    used_rows: set[int] = set()
+    used_cols: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    for r, c in zip(rows[order].tolist(), cols[order].tolist()):
+        if r in used_rows or c in used_cols:
+            continue
+        used_rows.add(r)
+        used_cols.add(c)
+        pairs.append((r, c))
+    return sorted(pairs)
+
+
+def all_pairs_associate(cone_means, cone_covs, means, covs, gate) -> list[tuple[int, int]]:
+    """``local_map.associate`` with every (observation, cone) distance: (observation, cone row) pairs by observation."""
+    if not len(means) or not len(cone_means):
+        return []
+    dist = bhattacharyya_distance_matrix(means, covs, cone_means, cone_covs)
+    # cone rows first, so ties go to the lower row (rows ascend with cone id)
+    return sorted((o, c) for c, o in dense_greedy_pairs(dist.T, gate))

@@ -407,6 +407,8 @@ BAD_INPUTS = [
     ["eval", "--track", "{track}", "--planner-log", "{nanegoplans}"],
     ["eval", "--track", "{track}", "--planner-log", "{schemaplans}"],
     ["eval", "--track", "{track}", "--planner-log", "{extraheaderplans}"],
+    ["eval", "--track", "{track}", "--planner-log", "{hugewaypointplans}"],
+    ["eval", "--track", "{track}", "--planner-log", "{hugeegoplans}"],
     ["eval", "--track", "{track}", "--trajectory", "{missing}"],
     ["eval", "--track", "{track}", "--trajectory", "{columnlesstrajectory}"],
     ["eval", "--track", "{track}", "--trajectory", "{shortrowtrajectory}"],
@@ -449,6 +451,9 @@ BAD_INPUTS = [
     ["run", "--config", "{negfalsepositives}"],
     ["run", "--config", "{negsigma}"],
     ["run", "--config", "noise-free-circle", "--profile", "{negsigmaprofile}"],
+    ["run", "--config", "noise-free-circle", "--profile", "{hugefalsepositivesprofile}"],
+    ["run", "--config", "noise-free-circle", "--profile", "{hugeyawsigmaprofile}"],
+    ["run", "--config", "{hugespeedsigma}"],
     ["run", "--config", "{mismatchedprofile}"],
     ["run", "--config", "{negradius}"],
     ["run", "--config", "{nanfloor}"],
@@ -537,6 +542,12 @@ BAD_FILES = {
     "wordwaypointplans": (PLANNER_HEADER + PLAN_RECORD % (0.0, '[1, "a"]'), "line 2"),
     "nanwaypointplans": (PLANNER_HEADER + PLAN_RECORD % (0.0, "[NaN, 0.0]"), "line 2"),
     "nanegoplans": (PLANNER_HEADER + PLAN_RECORD % ("NaN", "[1.0, 0.0]"), "line 2"),
+    # finite coordinates whose path length overflows: the second record's middle waypoint
+    "hugewaypointplans": (
+        PLANNER_HEADER + PLAN_RECORD % (0.0, "[1.0, 0.0]") + PLAN_RECORD % (0.0, "[1.0, 0.0], [1e308, 0.0], [2.0, 0.0]"),
+        "line 3: ego and waypoint coordinates must be within 1e+06 m",
+    ),
+    "hugeegoplans": (PLANNER_HEADER + PLAN_RECORD % ("-2e6", "[1.0, 0.0]"), "line 2: ego and waypoint coordinates"),
     "columnlesstrajectory": ("timestamp_s,true_x_m\n0.0,1.0\n", "line 1"),
     "shortrowtrajectory": (TRAJECTORY_HEADER + "0.0,0,0,0,0,0,0\n0.1,1.0,2.0\n", "line 3"),
     "nantrajectory": (TRAJECTORY_HEADER + "0.0,nan,0,0,0,0,0\n", "line 2"),
@@ -583,6 +594,13 @@ BAD_FILES = {
     ),
     "negsigma": ('{"profiles": {"fusion": {"mode": "fusion", "sigma_base_m": -0.05}}}', "sigma_base_m"),
     "negsigmaprofile": ('{"mode": "fusion", "sigma_base_m": -0.05}', "sigma_base_m"),
+    # a Poisson rate numpy cannot draw from, and a yaw-rate sigma whose noisy reading overflows
+    "hugefalsepositivesprofile": ('{"mode": "fusion", "false_positives_per_frame": 1e20}', "false_positives_per_frame"),
+    "hugeyawsigmaprofile": ('{"mode": "fusion", "velocity_sigma": [0.05, 0.03, 1e308]}', "velocity_sigma"),
+    "hugespeedsigma": (
+        '{"profiles": {"fusion": {"mode": "fusion", "velocity_sigma_per_speed": [1e307, 0.0, 0.0]}}}',
+        "velocity_sigma_per_speed",
+    ),
     "mismatchedprofile": ('{"profiles": {"fusion": "builtin:lidar_only"}}', "'lidar_only'"),
     "negradius": ('{"global_map_overrides": {"association_radius_m": -1.0}}', "association_radius_m"),
     "nanfloor": ('{"global_map_overrides": {"observation_sigma_floor_m": NaN}}', "observation_sigma_floor_m"),

@@ -6,14 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_reference import ConeClass, RefGaussian, color_class, ref_bhattacharyya_distance
+from cone_reference import (
+    ConeClass,
+    RefGaussian,
+    bhattacharyya_distance_matrix,
+    color_class,
+    dense_greedy_pairs,
+    ref_bhattacharyya_distance,
+)
 from conetrack.core import (
     COV_EIGENVALUE_FLOOR,
     ObservationBatch,
     Pose2,
     SensorSource,
     Velocity2,
-    bhattacharyya_distance_matrix,
+    bhattacharyya_distances,
     compose,
     greedy_pairs,
     integrate_velocity,
@@ -230,8 +237,15 @@ class TestProjectSpdProperties:
 
 
 def distance(a, b):
-    """The matrix form for one pair of Gaussians."""
-    return float(bhattacharyya_distance_matrix(a.mean[None], a.cov[None], b.mean[None], b.cov[None])[0, 0])
+    """The pairwise form for one pair of Gaussians."""
+    return float(bhattacharyya_distances(a.mean[None], a.cov[None], b.mean[None], b.cov[None])[0])
+
+
+def pairwise_matrix(means_a, covs_a, means_b, covs_b):
+    """Every (a, b) distance of the pairwise form, as the all-pairs matrix lays them out."""
+    n, m = len(means_a), len(means_b)
+    rows, cols = np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+    return bhattacharyya_distances(means_a[rows], covs_a[rows], means_b[cols], covs_b[cols]).reshape(n, m)
 
 
 class TestBhattacharyya:
@@ -273,12 +287,14 @@ class TestBhattacharyya:
         for _ in range(7):
             m = rng.normal(size=(2, 2))
             gbs.append(RefGaussian(rng.normal(size=2), m @ m.T + 0.2 * np.eye(2)))
-        mat = bhattacharyya_distance_matrix(
+        arrays = (
             np.array([g.mean for g in gas]),
             np.array([g.cov for g in gas]),
             np.array([g.mean for g in gbs]),
             np.array([g.cov for g in gbs]),
         )
+        mat = pairwise_matrix(*arrays)
+        assert np.array_equal(mat, bhattacharyya_distance_matrix(*arrays))  # bit for bit
         for i, a in enumerate(gas):
             for j, b in enumerate(gbs):
                 assert mat[i, j] == pytest.approx(ref_bhattacharyya_distance(a, b), abs=1e-10)
@@ -301,7 +317,8 @@ class TestBhattacharyya:
             gaussians.append(RefGaussian(np.array([x, y]), rot @ np.diag([l1, l2]) @ rot.T))
         means = np.array([g.mean for g in gaussians])
         covs = np.array([g.cov for g in gaussians])
-        mat = bhattacharyya_distance_matrix(means, covs, means[::-1], covs[::-1])
+        mat = pairwise_matrix(means, covs, means[::-1], covs[::-1])
+        assert np.array_equal(mat, bhattacharyya_distance_matrix(means, covs, means[::-1], covs[::-1]))
         for i, a in enumerate(gaussians):
             for j, b in enumerate(gaussians[::-1]):
                 assert mat[i, j] == pytest.approx(ref_bhattacharyya_distance(a, b), rel=1e-9, abs=1e-9)
@@ -319,16 +336,22 @@ def ref_greedy_pairs(dist, gate):
     return sorted(pairs)
 
 
+def gated_pairs(dist, gate):
+    """:func:`greedy_pairs` over the entries of ``dist`` within ``gate``, fed in row-major order."""
+    rows, cols = np.nonzero(dist <= gate)
+    return greedy_pairs(rows, cols, dist[rows, cols])
+
+
 class TestGreedyPairs:
     def test_ties_go_to_the_lower_row_then_the_lower_column(self):
         dist = np.array([[1.0, 1.0], [1.0, 0.5]])
-        assert greedy_pairs(dist, 2.0) == [(0, 0), (1, 1)]
-        assert greedy_pairs(np.ones((2, 2)), 2.0) == [(0, 0), (1, 1)]
-        assert greedy_pairs(np.array([[3.0, 1.0]]), 2.0) == [(0, 1)]
+        assert gated_pairs(dist, 2.0) == [(0, 0), (1, 1)]
+        assert gated_pairs(np.ones((2, 2)), 2.0) == [(0, 0), (1, 1)]
+        assert gated_pairs(np.array([[3.0, 1.0]]), 2.0) == [(0, 1)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
     def test_matches_the_sorted_reference(self, rows, cols, seed):
         # small integer distances, so ties are common
         dist = np.random.default_rng(seed).integers(0, 4, size=(rows, cols)).astype(float)
-        assert greedy_pairs(dist, 2.0) == ref_greedy_pairs(dist, 2.0)
+        assert gated_pairs(dist, 2.0) == ref_greedy_pairs(dist, 2.0) == dense_greedy_pairs(dist, 2.0)

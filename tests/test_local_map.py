@@ -14,6 +14,8 @@ from cone_reference import (
     RefCone,
     ConeClass,
     RefGaussian,
+    all_pairs_associate,
+    bhattacharyya_distance_matrix,
     color_class,
     color_probabilities,
     cone_table,
@@ -25,8 +27,8 @@ from conetrack.core import (
     Pose2,
     SensorSource,
     Velocity2,
-    bhattacharyya_distance_matrix,
     integrate_velocity,
+    project_spd,
     rotate_covariance,
     transform_point,
 )
@@ -39,6 +41,7 @@ from conetrack.local_map import (
     MapMode,
     SchemaMismatchError,
     SnapshotLogWriter,
+    _gate_half_width,
     _grow_covariances,
     associate,
     ingest_frame,
@@ -273,6 +276,145 @@ class TestAssociate:
         inverse = np.argsort(perm)
         remapped = sorted((int(inverse[i]), cid) for i, cid in id_pairs(state.cones, base))
         assert sorted(id_pairs(state.cones, pairs)) == remapped
+
+
+# the camera's position sigma at 15 m range (its profile: 0.08 m + 0.003 m/m^2 * r^2)
+CAMERA_15M_SIGMA = 0.08 + 0.003 * 15.0**2
+
+
+def spd_cov(eigenvalues, theta):
+    """The covariance with these eigenvalues, rotated by ``theta`` and projected as the filter projects."""
+    return project_spd(rotate_covariance(theta, np.diag(eigenvalues))[None])[0]
+
+
+@st.composite
+def association_tables(draw):
+    """``(cone_means, cone_covs, means, covs, gate)`` for :func:`associate`, either table possibly empty.
+
+    Cone covariances are drawn at the covariance ceiling (isotropic, or with
+    a mean variance on it) or below it; observation covariances are
+    isotropic, among them the camera's at 15 m range, rotated and projected
+    as ``ingest_frame`` does. Cones may repeat an earlier cone and
+    observations an earlier observation, so distances tie. An observation is
+    placed anywhere, near a cone, exactly on the edge of the gate box around
+    one (that cone moved onto the axis, so the offset is exact), or with a
+    cone's covariance along its long axis just inside the gate, where the
+    box's distance bound is nearly tight.
+    """
+    ceiling = CONFIG.covariance_ceiling
+    n, k = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    gate = draw(st.one_of(st.just(CONFIG.gate_distance), st.floats(0.05, 10.0)))
+    angle = st.floats(-math.pi, math.pi)
+    cone_means, cone_covs = [], []
+    for i in range(n):
+        if i and draw(st.integers(0, 4)) == 0:  # a twin of an earlier cone
+            j = draw(st.integers(0, i - 1))
+            cone_means.append(cone_means[j].copy())
+            cone_covs.append(cone_covs[j])
+            continue
+        cone_means.append(np.array([draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))]))
+        kind = draw(st.sampled_from(["ceiling", "on the ceiling", "below"]))
+        if kind == "ceiling":
+            cone_covs.append(ceiling * np.eye(2))
+        elif kind == "on the ceiling":  # mean variance at the ceiling, as growth leaves it
+            v = draw(st.floats(1e-4, ceiling))
+            cone_covs.append(spd_cov((v, 2.0 * ceiling - v), draw(angle)))
+        else:
+            cone_covs.append(spd_cov((draw(st.floats(1e-4, ceiling)), draw(st.floats(1e-4, ceiling))), draw(angle)))
+    sigmas = st.one_of(st.just(CAMERA_15M_SIGMA), st.just(0.05), st.floats(0.02, CAMERA_15M_SIGMA))
+    placements, covs = [], []
+    for i in range(k):
+        kinds = ["free"] + (["near", "edge", "gate"] if n else []) + (["twin"] if i else [])
+        kind = draw(st.sampled_from(kinds))
+        of = draw(st.integers(0, (i if kind == "twin" else n) - 1)) if kind != "free" else None
+        placements.append((kind, of))
+        if kind == "twin":
+            covs.append(covs[of])
+        elif kind == "gate":  # the cone's own covariance, where the distance bound is tightest
+            covs.append(cone_covs[of])
+        else:
+            covs.append(spd_cov((draw(sigmas) ** 2,) * 2, draw(angle)))
+    cone_covs = np.array(cone_covs).reshape(n, 2, 2)
+    covs = np.array(covs).reshape(k, 2, 2)
+    half_width = _gate_half_width(cone_covs, covs, gate) if n and k else 1.0
+    means = []
+    for kind, of in placements:
+        if kind == "twin":
+            means.append(means[of].copy())
+        elif kind == "free":
+            means.append(np.array([draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0))]))
+        elif kind == "near":
+            means.append(cone_means[of] + [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+        elif kind == "gate":  # along the covariance's long axis, at or just inside the gate
+            variances, axes = np.linalg.eigh(cone_covs[of])
+            reach = math.sqrt(8.0 * gate * variances[1]) * draw(st.floats(0.98, 1.0))
+            means.append(cone_means[of] + reach * axes[:, 1])
+        else:
+            axis, sign = draw(st.integers(0, 1)), draw(st.sampled_from([-1.0, 1.0]))
+            cone = cone_means[of]
+            cone[axis] = 0.0
+            mean = cone.copy()
+            mean[axis] = sign * half_width
+            mean[1 - axis] += draw(st.one_of(st.floats(-half_width, half_width), st.sampled_from([-half_width, half_width])))
+            means.append(mean)
+    return np.array(cone_means).reshape(n, 2), cone_covs, np.array(means).reshape(k, 2), covs, gate
+
+
+class TestGatedAssociationMatchesAllPairs:
+    """The gated :func:`associate` against the all-pairs one it replaced (``cone_reference``), pair for pair."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(association_tables())
+    def test_random_tables(self, case):
+        assert associate(*case) == all_pairs_associate(*case)
+
+    def test_pairs_on_the_box_edge_are_compared_and_rejected(self):
+        cone_covs, covs = CONFIG.covariance_ceiling * np.eye(2)[None], spd_cov((CAMERA_15M_SIGMA**2,) * 2, 0.3)[None]
+        half_width = _gate_half_width(cone_covs, covs, CONFIG.gate_distance)
+        cone_means = np.zeros((1, 2))
+        for offset in ([half_width, 0.0], [0.0, -half_width], [half_width, half_width], [-half_width, 0.5 * half_width]):
+            case = (cone_means, cone_covs, np.array([offset]), covs, CONFIG.gate_distance)
+            assert associate(*case) == all_pairs_associate(*case) == []
+        # just inside the box and within the gate, a match
+        case = (cone_means, cone_covs, np.array([[0.5, 0.0]]), covs, CONFIG.gate_distance)
+        assert associate(*case) == all_pairs_associate(*case) == [(0, 0)]
+
+    def test_a_pair_just_inside_the_gate_along_a_thin_covariance_matches(self):
+        # equal covariances of mean variance at the ceiling, nearly all of it on
+        # the y axis: along it the distance is almost exactly the box's bound
+        # |d|^2 / (8 tr S), and the box's edge is nearest
+        cov = spd_cov((1e-6, 2.0 * CONFIG.covariance_ceiling - 1e-6), 0.0)
+        reach = math.sqrt(8.0 * CONFIG.gate_distance * (2.0 * CONFIG.covariance_ceiling - 1e-6)) * 0.999
+        case = (np.zeros((1, 2)), cov[None], np.array([[0.0, reach]]), cov[None], CONFIG.gate_distance)
+        assert associate(*case) == all_pairs_associate(*case) == [(0, 0)]
+
+    def test_tied_distances_go_to_the_lower_row_then_observation(self):
+        cone_means = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        cone_covs = np.array([0.04 * np.eye(2)] * 3)
+        means, covs = np.array([[0.0, 0.1], [0.0, 0.1], [0.5, 0.0]]), np.array([0.04 * np.eye(2)] * 3)
+        case = (cone_means, cone_covs, means, covs, CONFIG.gate_distance)
+        assert associate(*case) == all_pairs_associate(*case) == [(0, 0), (1, 1), (2, 2)]
+
+    def test_empty_map_or_empty_batch(self):
+        some = (np.ones((2, 2)), np.array([0.1 * np.eye(2)] * 2))
+        none = (np.zeros((0, 2)), np.zeros((0, 2, 2)))
+        for case in ((*none, *some), (*some, *none), (*none, *none)):
+            assert associate(*case, CONFIG.gate_distance) == all_pairs_associate(*case, CONFIG.gate_distance) == []
+
+    def test_every_call_of_a_seeded_degraded_lap(self, monkeypatch):
+        import conetrack.local_map as local_map
+
+        calls = []
+
+        def checked(*args):
+            calls.append(all_pairs_associate(*args))
+            pairs = associate(*args)
+            assert pairs == calls[-1]
+            return pairs
+
+        monkeypatch.setattr(local_map, "associate", checked)
+        degraded_lap_snapshots()
+        assert len(calls) > 100 and sum(map(len, calls)) > 1000
 
 
 class TestKalmanUpdate:

@@ -1,0 +1,92 @@
+"""Microbenchmark of ``local_map.ingest_frame`` on frozen inputs.
+
+Runs one seeded lap shaped like the benchmark's ``lap-degraded`` workload
+(``modes-5ms``, fusion failing at 3 s, planner off) once, recording every
+``ingest_frame`` call's arguments, then replays those frames from an empty
+map ``--repeats`` times and prints the median and quartiles of one replay's
+wall time. The replay's snapshots are hashed, so two builds that print the
+same digest stepped every frame to the same bits.
+
+    PYTHONPATH=src python3 tools/bench_ingest.py --repeats 30
+
+``--length-m`` stretches the lap (500 gives a ``lap-map-500m``-sized lap
+of the same scenario). Not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import statistics
+import tempfile
+import time
+
+from conetrack import pipeline
+from conetrack.config import load_config
+from conetrack.local_map import LocalMapState, ingest_frame
+
+
+def record_frames(length_m: float | None, seed: int | None) -> list[tuple]:
+    """The ``(batches, vel, dt, config, mode)`` of every ``ingest_frame`` call of one lap."""
+    config = load_config("modes-5ms")
+    config = dataclasses.replace(config, mode_schedule=[{"time_s": 3.0, "fail": ["fusion"]}], plan_enabled=False)
+    if length_m is not None:
+        config = dataclasses.replace(config, track_spec=dataclasses.replace(config.track_spec, length_m=length_m))
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
+    frames = []
+
+    def recording(state, batches, vel, dt, local_config, mode=None):
+        frames.append((batches, vel, dt, local_config, mode))
+        return ingest_frame(state, batches, vel, dt, local_config, mode)
+
+    pipeline.ingest_frame = recording
+    try:
+        with tempfile.TemporaryDirectory() as out_dir:
+            pipeline.run_pipeline(config, out_dir)
+    finally:
+        pipeline.ingest_frame = ingest_frame
+    return frames
+
+
+def replay(frames) -> list:
+    state, snapshots = LocalMapState(), []
+    for batches, vel, dt, config, mode in frames:
+        state, snapshot = ingest_frame(state, batches, vel, dt, config, mode)
+        snapshots.append(snapshot)
+    return snapshots
+
+
+def digest(snapshots) -> str:
+    """sha256 over every snapshot's columns (bytes, dtype and shape), ego, time, mode and observed ids."""
+    h = hashlib.sha256()
+    for snap in snapshots:
+        cones = snap.cones
+        for column in (cones.ids, cones.means, cones.covs, cones.color_evidence, cones.existence, cones.last_seen):
+            h.update(f"{column.dtype}{column.shape}".encode())
+            h.update(column.tobytes())
+        ego = (snap.ego.x, snap.ego.y, snap.ego.theta, snap.timestamp)
+        h.update(repr((tuple(map(float, ego)), snap.mode.value, sorted(snap.observed_ids))).encode())
+    return h.hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=30, help="timed replays of the lap")
+    parser.add_argument("--length-m", type=float, default=None, help="track length (default: the scenario's)")
+    parser.add_argument("--seed", type=int, default=None, help="lap seed (default: the scenario's)")
+    args = parser.parse_args()
+    frames = record_frames(args.length_m, args.seed)
+    print(f"frames {len(frames)}  snapshot digest {digest(replay(frames))}")
+    times = []
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        replay(frames)
+        times.append(time.perf_counter() - start)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    print(f"ingest_frame replay: median {median * 1e3:.1f} ms  quartiles {q1 * 1e3:.1f} / {q3 * 1e3:.1f} ms  ({args.repeats} replays)")
+
+
+if __name__ == "__main__":
+    main()
