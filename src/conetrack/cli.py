@@ -133,7 +133,10 @@ def _cmd_run(args) -> int:
         )
     if args.profile:
         config = dataclasses.replace(config, profiles={**config.profiles, "fusion": resolve_profile(args.profile)})
-    result = run_pipeline(config, args.out)
+    try:
+        result = run_pipeline(config, args.out)
+    except ConfigError as exc:  # the lap's track file, or the frames it asks for
+        raise ConfigError(f"{args.config}: {exc}") from exc
     rmse = "n/a" if result.rmse_m is None else f"{result.rmse_m:.3f} m"
     print(f"run complete: {result.frames} frames, map RMSE {rmse}, artifacts in {result.out_dir}")
     return EXIT_OK if result.completed_lap else EXIT_RUN_FAILURE

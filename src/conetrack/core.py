@@ -198,6 +198,15 @@ def integrate_velocity(pose: Pose2, vel: Velocity2, dt: float) -> Pose2:
 CLASS_NAMES = ("blue", "yellow", "unknown")
 
 
+def color_probabilities(evidence: np.ndarray) -> np.ndarray:
+    """(k, 3) (blue, yellow, unknown) probabilities of (k, 3) colour evidence: each row over its sum, added
+    left to right; a row whose sum is not positive reads as unknown. A row's class code is its ``argmax``."""
+    total = (evidence[:, 0] + evidence[:, 1] + evidence[:, 2])[:, None]
+    unknown = np.zeros(evidence.shape)
+    unknown[:, 2] = 1.0
+    return np.divide(evidence, total, out=unknown, where=total > 0)
+
+
 # Where the closed-form smallest eigenvalue clears the floor by this much
 # (relative to the matrix's entries), eigh's would too; the two differ by a
 # few units in the last place of the largest entry.

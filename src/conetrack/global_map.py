@@ -12,8 +12,10 @@ Gauss-Newton iterations on sparse normal equations.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -28,6 +30,7 @@ from .core import (
     Pose2,
     body_frame_point,
     check_bounds,
+    color_probabilities,
     compose,
     is_finite_number,
     normalize_angle,
@@ -43,6 +46,8 @@ ODOMETRY_EDGE = np.dtype([("relative", float, (3,)), ("information", float, (3, 
 OBSERVATION_EDGE = np.dtype(
     [("pose", np.intp), ("landmark", np.intp), ("measurement", float, (2,)), ("information", float, (2, 2))]
 )
+# one row per local cone id linked to a landmark, with that id's colour evidence
+LINK = np.dtype([("local_id", np.int64), ("landmark", np.intp), ("evidence", float, (3,))])
 
 
 class GraphStructureError(ValueError):
@@ -126,21 +131,21 @@ class Graph:
     gauge; ``landmarks`` (m, 2) the landmark positions; ``odometry_edges``
     (``ODOMETRY_EDGE`` rows) the motion from pose k to k + 1 in row k;
     ``observation_edges`` (``OBSERVATION_EDGE`` rows) body-frame landmark
-    measurements. ``color_evidence[i]`` is landmark i's ``{local cone id:
-    (blue, yellow, unknown) evidence}`` in link order, its dominant class
-    cached beside it. ``last_timestamp`` and ``last_ego`` are those of the
-    last snapshot added, from which the next one's odometry edge is taken.
-    :func:`optimize` reads the arrays; :meth:`merge_estimates` writes a solve back.
+    measurements. ``links`` (``LINK`` rows, in link order) ties each local
+    cone id to one landmark and holds that id's latest (blue, yellow,
+    unknown) colour evidence; ``link_index`` maps a local id to its row.
+    ``last_timestamp`` and ``last_ego`` are those of the last snapshot added,
+    from which the next one's odometry edge is taken. :func:`optimize` reads
+    the arrays; :meth:`merge_estimates` writes a solve back.
     """
 
     def __init__(self) -> None:
         self._poses = _Rows(float, (3,))
         self._landmarks = _Rows(float, (2,))
-        self._classes = _Rows(np.int8)
+        self._links = _Rows(LINK)
         self._odometry = _Rows(ODOMETRY_EDGE)
         self._observations = _Rows(OBSERVATION_EDGE)
-        self.color_evidence: list[dict[int, np.ndarray]] = []
-        self.local_links: dict[int, int] = {}
+        self.link_index: dict[int, int] = {}
         self.last_timestamp: float | None = None
         self.last_ego: Pose2 | None = None
         self.optimized = False
@@ -152,6 +157,10 @@ class Graph:
     @property
     def landmarks(self) -> np.ndarray:
         return self._landmarks.rows
+
+    @property
+    def links(self) -> np.ndarray:
+        return self._links.rows
 
     @property
     def odometry_edges(self) -> np.ndarray:
@@ -169,18 +178,28 @@ class Graph:
         if odometry is not None:
             self._odometry.append(np.array([(odometry.as_array(), information)], ODOMETRY_EDGE))
 
-    def add_landmark(self, position: np.ndarray) -> int:
-        """Append a landmark without color evidence; returns its row."""
-        self._landmarks.append([position])
-        self._classes.append([2])  # unknown until colour evidence arrives
-        self.color_evidence.append({})
-        return len(self.landmarks) - 1
+    def add_landmarks(self, positions) -> np.ndarray:
+        """Append (k, 2) landmark positions; returns their rows."""
+        start = len(self.landmarks)
+        self._landmarks.append(np.reshape(positions, (-1, 2)))
+        return np.arange(start, len(self.landmarks))
 
-    def update_color(self, landmark: int, local_id: int, evidence) -> None:
-        """Set local cone ``local_id``'s color evidence (three floats) for ``landmark`` and refresh its class."""
-        merged = self.color_evidence[landmark]
-        merged[local_id] = tuple(map(float, evidence))
-        self._classes.rows[landmark] = _dominant_class(merged.values())
+    def add_links(self, local_ids, landmarks, evidence) -> None:
+        """Link distinct local cone ids, none linked yet, to landmark rows, with (k, 3) colour evidence."""
+        rows = np.zeros(len(local_ids), LINK)
+        rows["local_id"] = local_ids
+        rows["landmark"] = landmarks
+        rows["evidence"] = np.reshape(evidence, (-1, 3))
+        start = len(self.links)
+        self._links.append(rows)
+        self.link_index.update(zip(local_ids, range(start, start + len(local_ids))))
+
+    def colors(self) -> np.ndarray:
+        """(m, 3) colour probabilities of the landmarks: each one's links'
+        evidence added into zeros in link order, by ``np.add.at``."""
+        totals = np.zeros((len(self.landmarks), 3))
+        np.add.at(totals, self.links["landmark"], self.links["evidence"])
+        return color_probabilities(totals)
 
     def add_observations(self, pose, landmark, measurement, information) -> None:
         """Append observation edges: pose rows, landmark rows, (k, 2) measurements, (k, 2, 2) information."""
@@ -202,35 +221,6 @@ class Graph:
         self.optimized = True
 
 
-def _color_probabilities(evidence) -> tuple[float, float, float]:
-    """(blue, yellow, unknown) probabilities of the sum of (blue, yellow,
-    unknown) evidence triples; no evidence reads as unknown.
-
-    Plain floats in numpy's order, so the values equal those of summing numpy
-    arrays into ``np.zeros(3)`` and dividing by ``.sum()``, bit for bit: each
-    class is a left fold from +0.0, and so is the three-value total.
-    """
-    blue = yellow = unknown = 0.0
-    for b, y, u in evidence:
-        blue += b
-        yellow += y
-        unknown += u
-    total = 0.0 + blue + yellow + unknown
-    if not total > 0:
-        return 0.0, 0.0, 1.0
-    return blue / total, yellow / total, unknown / total
-
-
-def _dominant_class(evidence) -> int:
-    """The class code of the largest colour probability; as in ``np.argmax``,
-    the first NaN or else the first largest wins."""
-    probabilities = _color_probabilities(evidence)
-    for k, p in enumerate(probabilities):
-        if p != p:
-            return k
-    return probabilities.index(max(probabilities))
-
-
 def _row_pose(row: np.ndarray) -> Pose2:
     """The pose a row of ``Graph.poses`` holds; ``Pose2(*row)`` would normalize
     the heading a second time, which can change its last bit."""
@@ -244,11 +234,11 @@ def add_snapshot(graph: Graph, snapshot: LocalMapSnapshot, config: GlobalMapConf
 
     The first snapshot's pose is the identity; each later one is chained to
     its predecessor by the odometry edge ``relative_pose(previous ego, ego)``.
+    Each observed cone within the proximity radius becomes an observation
+    edge; a new local id is linked by :func:`_associate_landmarks` or to a new landmark.
     """
     if graph.last_timestamp is not None and snapshot.timestamp <= graph.last_timestamp:
-        raise ValueError(
-            f"snapshot at {snapshot.timestamp} s arrived after {graph.last_timestamp} s"
-        )
+        raise ValueError(f"snapshot at {snapshot.timestamp} s arrived after {graph.last_timestamp} s")
     ego = snapshot.ego
     if graph.last_ego is None:
         pose = Pose2.identity()
@@ -264,60 +254,58 @@ def add_snapshot(graph: Graph, snapshot: LocalMapSnapshot, config: GlobalMapConf
 
     cones = snapshot.cones
     ids = cones.ids.tolist()
-    # a landmark whose linked local cone is still alive in this snapshot is a
-    # different physical cone than any newly created local id: the local map's
-    # probabilistic association already separated them
-    live_ids = set(ids)
-    rows = [k for k, cid in enumerate(ids) if cid in snapshot.observed_ids]
-    means = cones.means[rows]
-    measurements = body_frame_point(ego, means)
-    evidence = cones.color_evidence[rows].tolist()
+    observed = [k for k, cid in enumerate(ids) if cid in snapshot.observed_ids]
+    offsets = (cones.means[observed] - ego.position).tolist()
+    # math.hypot, not np.hypot: the two can differ in the last bit
+    rows = [k for k, (dx, dy) in zip(observed, offsets) if not math.hypot(dx, dy) > config.proximity_radius_m]
+    measurements = body_frame_point(ego, cones.means[rows])
+    evidence = cones.color_evidence[rows]
+    link_rows = [graph.link_index.get(ids[k]) for k in rows]
+    old = [j for j, row in enumerate(link_rows) if row is not None]
+    new = [j for j, row in enumerate(link_rows) if row is None]
+    linked = [link_rows[j] for j in old]
+    graph.links["evidence"][linked] = evidence[old]
+    landmarks = np.empty(len(rows), np.intp)
+    landmarks[old] = graph.links["landmark"][linked]
+    if new:
+        world_guesses = transform_point(pose, measurements[new])
+        matched = _associate_landmarks(graph, world_guesses, evidence[new], ids, config.association_radius_m)
+        unmatched = matched < 0
+        matched[unmatched] = graph.add_landmarks(world_guesses[unmatched])
+        graph.add_links([ids[rows[j]] for j in new], matched, evidence[new])
+        landmarks[new] = matched
     floor = config.observation_sigma_floor_m**2
     variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
-    landmarks, kept = [], []
-    for j, (dx, dy) in enumerate((means - ego.position).tolist()):
-        if math.hypot(dx, dy) > config.proximity_radius_m:
-            continue
-        cid = ids[rows[j]]
-        lm = graph.local_links.get(cid)
-        if lm is None:
-            world_guess = transform_point(pose, measurements[j])
-            cone_class = _dominant_class([evidence[j]])
-            lm = _associate_landmark(graph, world_guess, config.association_radius_m, live_ids, cone_class)
-            if lm is None:
-                lm = graph.add_landmark(world_guess)
-            graph.local_links[cid] = lm
-        graph.update_color(lm, cid, evidence[j])
-        landmarks.append(lm)
-        kept.append(j)
-    graph.add_observations(
-        len(graph.poses) - 1, landmarks, measurements[kept], np.eye(2) / variances[kept].reshape(-1, 1, 1)
-    )
+    graph.add_observations(len(graph.poses) - 1, landmarks, measurements, np.eye(2) / variances.reshape(-1, 1, 1))
     return graph
 
 
-def _associate_landmark(
-    graph: Graph, world_point: np.ndarray, radius: float, live_ids: set[int], cone_class: int
-) -> int | None:
-    """Nearest compatible landmark within the merge radius, if any; the highest id wins a tie.
+def _associate_landmarks(graph: Graph, points: np.ndarray, evidence: np.ndarray, live_ids, radius: float) -> np.ndarray:
+    """The landmark each new cone, a row of ``points`` (k, 2) and of ``evidence`` (k, 3), re-associates with, or -1.
 
-    Compatibility: no link to a cone still alive in the current snapshot (the
-    local map already separated those), and the same dominant color class, so
-    a drifted revisit cannot collapse differently-colored neighbors.
+    In row order, each cone takes the nearest compatible landmark within the
+    merge radius; the highest id wins a tie. Compatible: not linked to a cone
+    in ``live_ids`` (the local map already separated those), not taken by an
+    earlier cone, and of the same dominant colour class, so a drifted revisit
+    cannot collapse differently-coloured neighbours.
     """
-    offset = graph.landmarks - world_point
-    # a landmark outside the box around the point is outside the radius too
-    candidate = (graph._classes.rows == cone_class) & (np.abs(offset) <= radius).all(axis=1)
-    candidate[[graph.local_links[c] for c in live_ids if c in graph.local_links]] = False
-    best = None
-    best_d = radius
-    for i in np.flatnonzero(candidate).tolist():
-        # math.hypot, not np.hypot: the two can differ in the last bit
-        d = math.hypot(offset[i, 0], offset[i, 1])
-        if d <= best_d:
-            best_d = d
-            best = i
-    return best
+    matched = np.full(len(points), -1, np.intp)
+    dx = graph.landmarks[:, 0] - points[:, :1]
+    dy = graph.landmarks[:, 1] - points[:, 1:]
+    # a landmark outside the box around a point is outside the radius too
+    inside = (np.abs(dx) <= radius) & (np.abs(dy) <= radius)
+    inside[:, graph.links["landmark"][[row for row in map(graph.link_index.get, live_ids) if row is not None]]] = False
+    if inside.any():  # the classes only for a batch whose boxes hold a landmark
+        inside &= graph.colors().argmax(axis=1) == color_probabilities(evidence).argmax(axis=1)[:, None]
+    cone, landmark = np.nonzero(inside)
+    taken: set[int] = set()
+    for i, pairs in itertools.groupby(zip(cone.tolist(), landmark.tolist()), key=operator.itemgetter(0)):
+        # the nearest, a tie to the highest id; math.hypot, not np.hypot: the two can differ in the last bit
+        d, best = min(((math.hypot(dx[i, lm], dy[i, lm]), -lm) for _, lm in pairs if lm not in taken), default=(math.inf, 0))
+        if d <= radius:
+            taken.add(-best)
+            matched[i] = -best
+    return matched
 
 
 # ---------------------------------------------------------------------------
@@ -532,57 +520,40 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
         return residual_cost(res)
 
     cost = total_cost(poses, lms)
+    if 3 * (len(poses) - 1) + 2 * len(lms) == 0 or cost < config.absolute_cost_floor:
+        return OptimizeResult(poses, lms, cost, 0, True, "already at a zero-residual configuration")
     lam = config.initial_lambda
-    iterations = 0
-    converged = False
-    message = "iteration budget exhausted"
-    n_vars = 3 * (len(poses) - 1) + 2 * len(lms)
-
-    if n_vars == 0 or cost < config.absolute_cost_floor:
-        converged = True
-        message = "already at a zero-residual configuration"
-    else:
-        pattern = _jacobian_pattern(len(poses), len(lms), odometry, observations)
-        for _ in range(config.max_iterations):
-            residuals, jacobian = _assemble(poses, lms, odometry, observations, sqrt_odo, sqrt_obs, pattern)
-            hess = (jacobian.T @ jacobian).tocsc()
-            grad = jacobian.T @ residuals
-            # the Jacobian goes once the normal equations hold it, and they
-            # go before the next assembly: no two steps' matrices coexist
-            del residuals, jacobian
-            diag = np.maximum(hess.diagonal(), 1e-9)
-            accepted = False
-            for _ in range(config.max_lambda_steps):
-                try:
-                    delta = _factor(hess + sp.diags(lam * diag)).solve(-grad)
-                except RuntimeError:  # a singular damped system
-                    delta = None
-                if delta is not None and np.all(np.isfinite(delta)):
-                    cand_poses, cand_lms = _apply_step(poses, lms, delta)
-                    cand_cost = total_cost(cand_poses, cand_lms)
-                    if cand_cost < cost:
-                        poses, lms = cand_poses, cand_lms
-                        prev_cost, cost = cost, cand_cost
-                        lam = max(lam * config.lambda_down, 1e-12)
-                        accepted = True
-                        break
-                lam *= config.lambda_up  # the step failed or did not lower the cost
-            del hess, diag
-            iterations += 1
-            if not accepted:
-                converged = True
-                message = "damping stalled at a local minimum"
-                break
-            if cost < config.absolute_cost_floor:
-                converged = True
-                message = "cost below absolute floor"
-                break
-            if (prev_cost - cost) / max(prev_cost, 1e-300) < config.relative_tolerance:
-                converged = True
-                message = "relative cost decrease below tolerance"
-                break
-
-    return OptimizeResult(poses, lms, cost, iterations, converged, message)
+    pattern = _jacobian_pattern(len(poses), len(lms), odometry, observations)
+    for iterations in range(1, config.max_iterations + 1):
+        residuals, jacobian = _assemble(poses, lms, odometry, observations, sqrt_odo, sqrt_obs, pattern)
+        hess = (jacobian.T @ jacobian).tocsc()
+        grad = jacobian.T @ residuals
+        # the Jacobian goes once the normal equations hold it, and they
+        # go before the next assembly: no two steps' matrices coexist
+        del residuals, jacobian
+        diag = np.maximum(hess.diagonal(), 1e-9)
+        prev_cost = cost
+        for _ in range(config.max_lambda_steps):
+            try:
+                delta = _factor(hess + sp.diags(lam * diag)).solve(-grad)
+            except RuntimeError:  # a singular damped system
+                delta = None
+            if delta is not None and np.all(np.isfinite(delta)):
+                cand_poses, cand_lms = _apply_step(poses, lms, delta)
+                cand_cost = total_cost(cand_poses, cand_lms)
+                if cand_cost < cost:
+                    poses, lms, cost = cand_poses, cand_lms, cand_cost
+                    lam = max(lam * config.lambda_down, 1e-12)
+                    break
+            lam *= config.lambda_up  # the step failed or did not lower the cost
+        else:
+            return OptimizeResult(poses, lms, cost, iterations, True, "damping stalled at a local minimum")
+        del hess, diag
+        if cost < config.absolute_cost_floor:
+            return OptimizeResult(poses, lms, cost, iterations, True, "cost below absolute floor")
+        if (prev_cost - cost) / max(prev_cost, 1e-300) < config.relative_tolerance:
+            return OptimizeResult(poses, lms, cost, iterations, True, "relative cost decrease below tolerance")
+    return OptimizeResult(poses, lms, cost, config.max_iterations, False, "iteration budget exhausted")
 
 
 def residual_summary(graph: Graph) -> dict:
@@ -607,25 +578,15 @@ def export_map(graph: Graph, min_edges: int = 1) -> list[dict]:
 
     ``min_edges`` drops landmarks observed fewer times than stated.
     """
-    edge_counts = np.bincount(graph.observation_edges["landmark"], minlength=len(graph.landmarks))
-    classes = graph._classes.rows.tolist()
-    out = []
-    for i, (x, y) in enumerate(graph.landmarks.tolist()):
-        if edge_counts[i] < min_edges:
-            continue
-        p_blue, p_yellow, p_unknown = _color_probabilities(graph.color_evidence[i].values())
-        out.append(
-            {
-                "id": i,
-                "x_m": x,
-                "y_m": y,
-                "color": CLASS_NAMES[classes[i]],
-                "p_blue": p_blue,
-                "p_yellow": p_yellow,
-                "p_unknown": p_unknown,
-            }
+    edge_counts = np.bincount(graph.observation_edges["landmark"], minlength=len(graph.landmarks)).tolist()
+    colors = graph.colors()
+    return [
+        {"id": i, "x_m": x, "y_m": y, "color": CLASS_NAMES[k], "p_blue": p_blue, "p_yellow": p_yellow, "p_unknown": p_unknown}
+        for i, ((x, y), (p_blue, p_yellow, p_unknown), k) in enumerate(
+            zip(graph.landmarks.tolist(), colors.tolist(), colors.argmax(axis=1).tolist())
         )
-    return out
+        if edge_counts[i] >= min_edges
+    ]
 
 
 def save_map(records: list[dict], path: Path | str) -> None:
@@ -647,11 +608,12 @@ def save_graph(graph: Graph, path: Path | str) -> None:
     """Write ``graph.json`` (schema 2): a header naming each array column's
     dtype and shape, and each column as the base64 of its little-endian bytes.
 
-    Colour evidence is one row per (landmark, local cone id) in landmark
-    order, each landmark's in link order; local links are sorted by local id.
+    Each link is a colour evidence row, in landmark order and then link
+    order, and a local link row, in local id order.
     """
-    evidence = [(lm, local_id, ev) for lm, merged in enumerate(graph.color_evidence) for local_id, ev in merged.items()]
-    links = sorted(graph.local_links.items())
+    links = graph.links
+    by_landmark = links[links["landmark"].argsort(kind="stable")]
+    by_local_id = links[links["local_id"].argsort(kind="stable")]
     odometry, observations = graph.odometry_edges, graph.observation_edges
     columns = {
         "poses": (graph.poses, "<f8"),
@@ -662,11 +624,11 @@ def save_graph(graph: Graph, path: Path | str) -> None:
         "observation_landmark": (observations["landmark"], "<i8"),
         "observation_measurement_m": (observations["measurement"], "<f8"),
         "observation_information": (observations["information"], "<f8"),
-        "color_evidence_landmark": (np.array([row[0] for row in evidence], np.int64), "<i8"),
-        "color_evidence_local_id": (np.array([row[1] for row in evidence], np.int64), "<i8"),
-        "color_evidence": (np.array([row[2] for row in evidence], float).reshape(-1, 3), "<f8"),
-        "local_link_id": (np.array([local_id for local_id, _ in links], np.int64), "<i8"),
-        "local_link_landmark": (np.array([lm for _, lm in links], np.int64), "<i8"),
+        "color_evidence_landmark": (by_landmark["landmark"], "<i8"),
+        "color_evidence_local_id": (by_landmark["local_id"], "<i8"),
+        "color_evidence": (by_landmark["evidence"], "<f8"),
+        "local_link_id": (by_local_id["local_id"], "<i8"),
+        "local_link_landmark": (by_local_id["landmark"], "<i8"),
     }
     document = {
         "kind": "pose_landmark_graph",

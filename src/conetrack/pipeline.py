@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import RunConfig, RunFailure, dump_resolved, read_input
+from .config import ConfigError, RunConfig, RunFailure, dump_resolved, read_input
 from .core import Pose2, Velocity2, body_frame_point, integrate_velocity
 from .evaluate import (
     build_report,
@@ -46,6 +47,9 @@ from .simulate import (
 
 # a closed-loop run fails once the ego is this far off the centerline
 DIVERGENCE_MARGIN_M = 3.0
+# the most frames a run may ask for: three closed-loop laps of a 5 km track
+# (the longest a spec may ask for) at the 1 m/s speed floor and 10 Hz take 150,000
+MAX_RUN_FRAMES = 200_000
 
 
 @dataclass
@@ -78,9 +82,10 @@ class StageTimer:
 
 
 class _ClosedLoopSteering:
-    """Closed-loop driver: pure pursuit of the latest selected path (local frame)."""
+    """Closed-loop driver: pure pursuit of the latest selected path (local frame), for at most ``max_frames`` frames."""
 
-    def __init__(self, lookahead_m: float = 4.0):
+    def __init__(self, max_frames: int, lookahead_m: float = 4.0):
+        self.max_frames = max_frames
         self.lookahead = lookahead_m
         self.progress = 0.0  # arc length driven along the centerline
         self._waypoints: np.ndarray | None = None
@@ -112,16 +117,15 @@ class _ClosedLoopSteering:
 
         Each step drives at the profile's speed at the car's projection on
         the centerline. Each pose is stepped after the consumer has handled
-        the previous one. Stops after three laps' worth of frames at the
-        profile's lowest speed; raises :class:`RunFailure` once the ego is
-        more than ``DIVERGENCE_MARGIN_M`` off the centerline.
+        the previous one. Stops after ``max_frames`` frames; raises
+        :class:`RunFailure` once the ego is more than ``DIVERGENCE_MARGIN_M``
+        off the centerline.
         """
         speed_at = speed_lookup(speed_profile)
-        max_frames = int(3 * geom.length / (min(v for _, v in speed_profile) * dt)) + 10
         pose = geom.pose_at(0.0)
         last_s = 0.0
         k = 0
-        while self.progress < geom.length and k < max_frames:
+        while self.progress < geom.length and k < self.max_frames:
             yield pose
             s_here = geom.nearest_arc_length(pose.position)
             lateral = float(np.hypot(*(pose.position - geom.point_at(s_here))))
@@ -239,9 +243,10 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     """Execute one scenario and write all artifacts under ``out_dir``.
 
     Both drivers take the car's speed from the track's curvature-limited
-    speed profile. Raises :class:`RunFailure` (after writing partial
-    outputs) when the closed-loop follower gets more than
-    ``DIVERGENCE_MARGIN_M`` off the centerline.
+    speed profile. Raises :class:`ConfigError` before writing any artifact
+    when the lap needs more than ``MAX_RUN_FRAMES`` frames, and
+    :class:`RunFailure` (after writing partial outputs) when the closed-loop
+    follower gets more than ``DIVERGENCE_MARGIN_M`` off the centerline.
     """
     from .simulate import save_track
 
@@ -255,6 +260,15 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
             track = generate_track(config.track_spec, config.seed)
         geom = CenterlineGeometry(track.centerline)
         speed_profile = curvature_limited_speed_profile(track, config.max_speed_mps, config.lateral_accel_mps2)
+        dt = 1.0 / config.frame_rate_hz
+        # a lap at the profile's lowest speed; a closed-loop run may take three
+        step_m = min(v for _, v in speed_profile) * dt
+        frames = (3 if config.closed_loop else 1) * geom.length / step_m if step_m > 0 else math.inf
+        if not frames <= MAX_RUN_FRAMES:
+            raise ConfigError(
+                f"max_speed_mps {config.max_speed_mps} and frame_rate_hz {config.frame_rate_hz} on a"
+                f" {geom.length:.6g} m lap ask for {frames:.3g} frames, over the cap of {MAX_RUN_FRAMES}"
+            )
     out_dir = Path(out_dir)
     with timer.stage("artifact_write"):
         engine = _SnapshotEngine(config, out_dir, timer)
@@ -267,12 +281,11 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     timeline_starts = [time_s for time_s, _ in timeline]
     state = LocalMapState()
     trajectory_rows: list[tuple[float, Pose2, Pose2]] = []
-    steering = _ClosedLoopSteering()
+    steering = _ClosedLoopSteering(int(frames) + 10)
     velocity_profile = config.profiles["fusion"]  # ego-motion source, independent of cone pipelines
     completed = False
     failure: RunFailure | None = None
 
-    dt = 1.0 / config.frame_rate_hz
     drive = steering.poses if config.closed_loop else centerline_poses
     true_frames = discrete_frames(drive(geom, speed_profile, dt), dt)
 

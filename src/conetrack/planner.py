@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Bound, Pose2, check_bounds, check_range, is_finite_number, normalize_angle
+from .core import Bound, Pose2, check_bounds, check_range, color_probabilities, is_finite_number, normalize_angle
 
 LIKELIHOOD_FLOOR = 1e-6
 # the first line of planner_log.ndjson; each line after it is one plan_record
@@ -210,13 +210,12 @@ def _population_std(values: Sequence[float], fold: float | None = None) -> float
 def _cone_log_terms(color_evidence: np.ndarray, floor: float) -> tuple[list[float], list[float], list[float]]:
     """Per-cone log color probability as a left cone, a right cone and neither.
 
-    ``color_evidence`` is (n, 3) per-class evidence; a cone's color is its
-    row divided by the row's sum, added left to right as ``ndarray.sum`` adds
-    three values. Each floored maximum is an exact ``np.maximum``; the logs
-    are ``math.log``, whose last bit numpy's vectorized log does not promise.
+    ``color_evidence`` is (n, 3) per-class evidence; a cone's color is
+    :func:`color_probabilities` of its row. Each floored maximum is an exact
+    ``np.maximum``; the logs are ``math.log``, whose last bit numpy's
+    vectorized log does not promise.
     """
-    ev = color_evidence
-    blue, yellow, unknown = (ev / (ev[:, 0] + ev[:, 1] + ev[:, 2])[:, None]).T
+    blue, yellow, unknown = color_probabilities(color_evidence).T
     left = np.maximum(np.maximum(blue, unknown), floor)
     right = np.maximum(np.maximum(yellow, unknown), floor)
     other = np.maximum(np.maximum(blue, yellow), np.maximum(unknown, floor))

@@ -8,9 +8,15 @@ a COO matrix and converted to CSR, the damped Gauss-Newton solve on that
 Jacobian with a general sparse LU (COLAMD column ordering, partial
 pivoting), and the closed-form alignment of two point sets whose rows pair
 up. The planner-log exit test meets each segment only with the ring edges
-near it; ``broadcast_first_exit_distances`` meets it with every edge. The
-map's colour probabilities are plain-float arithmetic;
-``numpy_color_probabilities`` is the numpy form they equal.
+near it; ``broadcast_first_exit_distances`` meets it with every edge.
+``numpy_color_probabilities`` is the colour of summed evidence arrays.
+
+The graph keeps its links to local cone ids in one table and associates a
+snapshot's new cones in one call. :class:`DictLinkGraph` and
+:func:`reference_add_snapshot` are the per-cone form it replaced: a dict of
+links, a ``{local id: evidence}`` dict per landmark with its class cached
+beside it, and one association per new cone, with the colour probabilities
+in plain-float arithmetic.
 """
 
 import math
@@ -19,14 +25,19 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from conetrack.core import Pose2, body_frame_point, compose, relative_pose, transform_point
 from conetrack.evaluate import EXIT_TEST_CHUNK, AlignmentResult, _rigid_fit
 from conetrack.global_map import (
+    LINK,
     GlobalMapConfig,
+    Graph,
     OptimizeResult,
     _apply_step,
     _check_structure,
     _observation_batch,
     _odometry_batch,
+    _row_pose,
+    _Rows,
     _whiten,
     residual_cost,
 )
@@ -203,3 +214,144 @@ def broadcast_first_exit_distances(points, offsets, corridor) -> list:
             arc += seg_lens[k]
         exits.append(exit_d)
     return exits
+
+
+class DictLinkGraph(Graph):
+    """A graph whose links are ``local_links`` ({local cone id: landmark})
+    and ``color_evidence[i]``, landmark i's ``{local cone id: (blue, yellow,
+    unknown) evidence}`` in link order, its dominant class cached in
+    ``classes``. Poses, landmarks and edges are the graph's own arrays; its
+    link table stays empty."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.classes = _Rows(np.int8)
+        self.color_evidence: list[dict[int, tuple]] = []
+        self.local_links: dict[int, int] = {}
+
+    def add_landmark(self, position: np.ndarray) -> int:
+        """Append a landmark without color evidence; returns its row."""
+        self.add_landmarks([position])
+        self.classes.append([2])  # unknown until colour evidence arrives
+        self.color_evidence.append({})
+        return len(self.landmarks) - 1
+
+    def update_color(self, landmark: int, local_id: int, evidence) -> None:
+        """Set local cone ``local_id``'s color evidence (three floats) for ``landmark`` and refresh its class."""
+        merged = self.color_evidence[landmark]
+        merged[local_id] = tuple(map(float, evidence))
+        self.classes.rows[landmark] = dominant_class(merged.values())
+
+    def link_table(self) -> np.ndarray:
+        """The links as ``Graph.links`` rows: one per local id, in link order."""
+        return np.array(
+            [(cid, lm, self.color_evidence[lm][cid]) for cid, lm in self.local_links.items()], LINK
+        )
+
+
+def plain_color_probabilities(evidence) -> tuple[float, float, float]:
+    """(blue, yellow, unknown) probabilities of the sum of (blue, yellow,
+    unknown) evidence triples; no evidence reads as unknown.
+
+    Plain floats in numpy's order, so the values equal those of summing numpy
+    arrays into ``np.zeros(3)`` and dividing by ``.sum()``, bit for bit: each
+    class is a left fold from +0.0, and so is the three-value total.
+    """
+    blue = yellow = unknown = 0.0
+    for b, y, u in evidence:
+        blue += b
+        yellow += y
+        unknown += u
+    total = 0.0 + blue + yellow + unknown
+    if not total > 0:
+        return 0.0, 0.0, 1.0
+    return blue / total, yellow / total, unknown / total
+
+
+def dominant_class(evidence) -> int:
+    """The class code of the largest colour probability; as in ``np.argmax``,
+    the first NaN or else the first largest wins."""
+    probabilities = plain_color_probabilities(evidence)
+    for k, p in enumerate(probabilities):
+        if p != p:
+            return k
+    return probabilities.index(max(probabilities))
+
+
+def reference_add_snapshot(graph: DictLinkGraph, snapshot, config: GlobalMapConfig = GlobalMapConfig()) -> DictLinkGraph:
+    """``global_map.add_snapshot`` one cone at a time: each observed cone
+    within the proximity radius reuses its local id's landmark, or is
+    associated alone and linked, and its evidence is set before the next."""
+    if graph.last_timestamp is not None and snapshot.timestamp <= graph.last_timestamp:
+        raise ValueError(
+            f"snapshot at {snapshot.timestamp} s arrived after {graph.last_timestamp} s"
+        )
+    ego = snapshot.ego
+    if graph.last_ego is None:
+        pose = Pose2.identity()
+        graph.add_pose(pose)
+    else:
+        odometry = relative_pose(graph.last_ego, ego)
+        pose = compose(_row_pose(graph.poses[-1]), odometry)
+        sx, sy, st = config.odometry_sigma_rates
+        dt_f = max(snapshot.timestamp - graph.last_timestamp, 1e-3)
+        info = np.diag([1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)])
+        graph.add_pose(pose, odometry, info)
+    graph.last_timestamp, graph.last_ego = snapshot.timestamp, ego
+
+    cones = snapshot.cones
+    ids = cones.ids.tolist()
+    # a landmark whose linked local cone is still alive in this snapshot is a
+    # different physical cone than any newly created local id: the local map's
+    # probabilistic association already separated them
+    live_ids = set(ids)
+    rows = [k for k, cid in enumerate(ids) if cid in snapshot.observed_ids]
+    means = cones.means[rows]
+    measurements = body_frame_point(ego, means)
+    evidence = cones.color_evidence[rows].tolist()
+    floor = config.observation_sigma_floor_m**2
+    variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
+    landmarks, kept = [], []
+    for j, (dx, dy) in enumerate((means - ego.position).tolist()):
+        if math.hypot(dx, dy) > config.proximity_radius_m:
+            continue
+        cid = ids[rows[j]]
+        lm = graph.local_links.get(cid)
+        if lm is None:
+            world_guess = transform_point(pose, measurements[j])
+            cone_class = dominant_class([evidence[j]])
+            lm = reference_associate_landmark(graph, world_guess, config.association_radius_m, live_ids, cone_class)
+            if lm is None:
+                lm = graph.add_landmark(world_guess)
+            graph.local_links[cid] = lm
+        graph.update_color(lm, cid, evidence[j])
+        landmarks.append(lm)
+        kept.append(j)
+    graph.add_observations(
+        len(graph.poses) - 1, landmarks, measurements[kept], np.eye(2) / variances[kept].reshape(-1, 1, 1)
+    )
+    return graph
+
+
+def reference_associate_landmark(
+    graph: DictLinkGraph, world_point: np.ndarray, radius: float, live_ids: set[int], cone_class: int
+) -> int | None:
+    """Nearest compatible landmark within the merge radius, if any; the highest id wins a tie.
+
+    Compatibility: no link to a cone still alive in the current snapshot (the
+    local map already separated those), and the same dominant color class, so
+    a drifted revisit cannot collapse differently-colored neighbors.
+    """
+    offset = graph.landmarks - world_point
+    # a landmark outside the box around the point is outside the radius too
+    candidate = (graph.classes.rows == cone_class) & (np.abs(offset) <= radius).all(axis=1)
+    candidate[[graph.local_links[c] for c in live_ids if c in graph.local_links]] = False
+    best = None
+    best_d = radius
+    for i in np.flatnonzero(candidate).tolist():
+        # math.hypot, not np.hypot: the two can differ in the last bit
+        d = math.hypot(offset[i, 0], offset[i, 1])
+        if d <= best_d:
+            best_d = d
+            best = i
+    return best

@@ -13,7 +13,8 @@ import pytest
 import conetrack
 from conetrack.cli import main
 from conetrack.config import dump_resolved, load_config
-from conetrack.simulate import TrackSpec, generate_track, save_track
+from conetrack.pipeline import MAX_RUN_FRAMES
+from conetrack.simulate import MAX_TRACK_SAMPLES, TrackSpec, generate_track, save_track
 
 
 def read_json(path):
@@ -272,6 +273,20 @@ class TestRun:
         assert "config error" in err and str(track) in err
         assert not (tmp_path / "out").exists()
 
+    def test_lap_from_a_track_file_counts_against_the_frame_budget(self, tmp_path, capsys):
+        track = tmp_path / "track.json"
+        save_track(generate_track(TrackSpec(kind="circle", radius_m=10.0), 0), track)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"track_file": str(track), "max_speed_mps": 0.001}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(config) in err and "max_speed_mps 0.001 and frame_rate_hz 10.0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_5_km_track_at_the_speed_floor_fits_the_closed_loop_frame_budget(self):
+        # the longest centerline a spec may ask for, three laps at 1 m/s and 10 Hz
+        assert 3 * (MAX_TRACK_SAMPLES * TrackSpec().centerline_resolution_m) / (1.0 * 0.1) <= MAX_RUN_FRAMES
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -460,6 +475,8 @@ BAD_INPUTS = [
     ["run", "--config", "{infspeed}"],
     ["run", "--config", "{neglateral}"],
     ["run", "--config", "{nanrate}"],
+    ["run", "--config", "{crawlspeed}"],
+    ["run", "--config", "{hugeframerate}"],
     ["run", "--config", "{nanlength}"],
     ["run", "--config", "{infradius}"],
     ["run", "--config", "{intkind}"],
@@ -607,6 +624,15 @@ BAD_FILES = {
     "infspeed": ('{"max_speed_mps": Infinity}', "max_speed_mps"),
     "neglateral": ('{"lateral_accel_mps2": -6.0}', "lateral_accel_mps2"),
     "nanrate": ('{"frame_rate_hz": NaN}', "frame_rate_hz"),
+    # laps that ask for more frames than a run may step, which used to run for hours
+    "crawlspeed": (
+        '{"track_spec": {"kind": "circle", "radius_m": 10.0}, "max_speed_mps": 0.001}',
+        "max_speed_mps 0.001 and frame_rate_hz 10.0 on a 62.8253 m lap ask for 6.28e+05 frames",
+    ),
+    "hugeframerate": (
+        '{"track_spec": {"kind": "circle", "radius_m": 10.0}, "frame_rate_hz": 1e9}',
+        "frame_rate_hz 1000000000.0 on a 62.8253 m lap",
+    ),
     "nanlength": ('{"track_spec": {"length_m": NaN}}', "length_m"),
     "infradius": ('{"track_spec": {"kind": "circle", "radius_m": Infinity}}', "radius_m"),
     "intkind": ('{"track_spec": {"kind": 5}}', "bad track_spec: track spec kind must be one of"),

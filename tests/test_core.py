@@ -21,6 +21,7 @@ from conetrack.core import (
     SensorSource,
     Velocity2,
     bhattacharyya_distances,
+    color_probabilities,
     compose,
     greedy_pairs,
     integrate_velocity,
@@ -29,7 +30,6 @@ from conetrack.core import (
     project_spd,
     relative_pose,
 )
-from conetrack.global_map import _color_probabilities
 from conetrack.local_map import snapshot_from_dict
 
 
@@ -149,14 +149,18 @@ class TestColorDistribution:
                 snapshot_from_dict(one_cone_record(evidence=evidence))
 
     def test_from_evidence_normalizes_and_is_idempotent(self):
-        d = _color_probabilities([np.array([2.0, 1.0, 1.0])])
+        (d,) = color_probabilities(np.array([[2.0, 1.0, 1.0]]))
         assert d == pytest.approx([0.5, 0.25, 0.25])
-        again = _color_probabilities([d])
+        (again,) = color_probabilities(np.array([d]))
         assert again == pytest.approx(d, abs=1e-15)
 
     def test_argmax_class(self):
-        assert color_class(_color_probabilities([np.array([0.7, 0.2, 0.1])])) is ConeClass.BLUE
-        assert color_class(_color_probabilities([np.array([0.1, 0.8, 0.1])])) is ConeClass.YELLOW
+        assert color_class(color_probabilities(np.array([[0.7, 0.2, 0.1]]))[0]) is ConeClass.BLUE
+        assert color_class(color_probabilities(np.array([[0.1, 0.8, 0.1]]))[0]) is ConeClass.YELLOW
+
+    def test_rows_without_positive_evidence_read_as_unknown(self):
+        evidence = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [math.nan, 1.0, 1.0], [-1.0, 0.5, 0.0], [3.0, 1.0, 0.0]])
+        assert color_probabilities(evidence).tolist() == [[0.0, 0.0, 1.0]] * 4 + [[0.75, 0.25, 0.0]]
 
 
 class TestGaussian:

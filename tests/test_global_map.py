@@ -16,10 +16,22 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from cone_reference import CLASSES, RefCone, RefGaussian, color_class, color_probabilities, cone_table
-from map_reference import colamd_optimize, coo_assemble, numpy_color_probabilities, one_edge
+from map_reference import (
+    DictLinkGraph,
+    colamd_optimize,
+    coo_assemble,
+    dominant_class,
+    numpy_color_probabilities,
+    one_edge,
+    plain_color_probabilities,
+    reference_add_snapshot,
+    reference_associate_landmark,
+)
+from test_local_map import LAP_CONFIG, fusion_fails_at_3_s, seeded_lap_frames
 from conetrack import global_map
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import (
+    CLASS_NAMES,
     Pose2,
     body_frame_point,
     compose,
@@ -34,9 +46,7 @@ from conetrack.global_map import (
     GlobalMapConfig,
     GraphStructureError,
     _assemble,
-    _associate_landmark,
-    _color_probabilities,
-    _dominant_class,
+    _associate_landmarks,
     _factor,
     _jacobian_pattern,
     _observation_batch,
@@ -128,7 +138,7 @@ class TestGraphConstruction:
         # same physical cone, new local id (e.g. pruned and re-created)
         add_snapshot(graph, make_snapshot(0.1, Pose2.identity(), [(7, (3.1, 0.05))]), CONFIG)
         assert len(graph.landmarks) == 1
-        assert graph.local_links == {0: 0, 7: 0}
+        assert local_links(graph) == {0: 0, 7: 0}
 
     def test_out_of_order_snapshot_rejected(self):
         graph = Graph()
@@ -147,17 +157,28 @@ class TestGraphConstruction:
         assert lap_graph.odometry_edges["relative"].tobytes() == np.array(expected).tobytes()
 
 
+def local_links(graph) -> dict[int, int]:
+    """{local cone id: landmark} of the graph's links."""
+    return dict(zip(graph.links["local_id"].tolist(), graph.links["landmark"].tolist()))
+
+
+def associate_one(graph, world_point, radius, live_ids, cone_class):
+    """``_associate_landmarks`` on one new cone whose evidence is all of class ``cone_class``: its landmark, or None."""
+    (lm,) = _associate_landmarks(graph, np.array([world_point]), np.eye(3)[[cone_class]], list(live_ids), radius).tolist()
+    return None if lm < 0 else lm
+
+
 def associate_by_scalar_loop(graph, world_point, radius, live_ids, cone_class):
-    """Reference for _associate_landmark: the per-landmark loop it replaced; ``cone_class`` is the class code 0-2."""
+    """Reference for one cone's association: the per-landmark loop; ``cone_class`` is the class code 0-2."""
     links = {}
-    for local_id, lm in graph.local_links.items():
+    for local_id, lm in local_links(graph).items():
         links.setdefault(lm, set()).add(local_id)
     best, best_d, ties = None, radius, 0
     for i, position in enumerate(graph.landmarks):
         if links.get(i, set()) & live_ids:
             continue
         total = np.zeros(3)
-        for ev in graph.color_evidence[i].values():
+        for ev in graph.links["evidence"][graph.links["landmark"] == i]:
             total += ev
         color = color_probabilities(total) if total.sum() > 0 else np.array([0.0, 0.0, 1.0])
         if color_class(color) is not CLASSES[cone_class]:
@@ -178,19 +199,127 @@ class TestAssociation:
             next_id = 0
             for _ in range(rng.integers(0, 25)):
                 # half-metre grid positions, so equal distances (ties) occur
-                lm = graph.add_landmark(0.5 * rng.integers(-4, 5, size=2).astype(float))
+                (lm,) = graph.add_landmarks([0.5 * rng.integers(-4, 5, size=2).astype(float)])
                 for _ in range(rng.integers(0, 3)):
-                    graph.update_color(lm, next_id, rng.integers(0, 3, size=3).astype(float))
-                    graph.local_links[next_id] = lm
+                    graph.add_links([next_id], [lm], [rng.integers(0, 3, size=3).astype(float)])
                     next_id += 1
             live = {int(i) for i in rng.integers(0, next_id + 5, size=rng.integers(0, 6))}
             point = 0.5 * rng.integers(-4, 5, size=2) + rng.choice([0.0, 0.3], size=2)
             cone_class = int(rng.integers(0, 3))
             expected, ties = associate_by_scalar_loop(graph, point, 1.5, live, cone_class)
-            assert _associate_landmark(graph, point, 1.5, live, cone_class) == expected
+            assert associate_one(graph, point, 1.5, live, cone_class) == expected
             matched += expected is not None
             tied += ties > 0
         assert matched > 50 and tied > 10
+
+
+def lap_snapshots(alive_at):
+    """Snapshots of a seeded local-map lap whose emitting pipelines ``alive_at(timestamp)`` names."""
+    state, snapshots = LocalMapState(), []
+    for batches, vel, dt in seeded_lap_frames(alive_at):
+        state, snap = ingest_frame(state, batches, vel, dt, LAP_CONFIG)
+        snapshots.append(snap)
+    return snapshots
+
+
+class TestLinkTableMatchesPerConeReference:
+    """``add_snapshot`` against the per-cone form it replaced, every column bit for bit."""
+
+    @staticmethod
+    def check(snapshots, config=CONFIG):
+        graph, reference = Graph(), DictLinkGraph()
+        for snap in snapshots:
+            add_snapshot(graph, snap, config)
+            reference_add_snapshot(reference, snap, config)
+        for name in ("poses", "landmarks", "odometry_edges", "observation_edges"):
+            mine, theirs = getattr(graph, name), getattr(reference, name)
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes()), name
+        assert (graph.links.shape, graph.links.tobytes()) == (reference.link_table().shape, reference.link_table().tobytes())
+        assert graph.link_index == {local_id: row for row, local_id in enumerate(reference.local_links)}
+        colors = graph.colors()
+        expected = np.array([plain_color_probabilities(ev.values()) for ev in reference.color_evidence]).reshape(-1, 3)
+        assert colors.tobytes() == expected.tobytes()
+        assert colors.argmax(axis=1).tolist() == reference.classes.rows.tolist()
+        # some new local id re-associated with a landmark an earlier id made
+        assert len(graph.links) > len(np.unique(graph.links["landmark"]))
+
+    def test_golden_lap(self, golden_lap):
+        out, _ = golden_lap
+        config = dataclasses.replace(load_config("noise-free-circle"), plan_enabled=False).global_map_config()
+        self.check(list(read_snapshot_log(out / "snapshots.ndjson")), config)
+
+    @pytest.mark.parametrize(
+        "alive_at",
+        [
+            fusion_fails_at_3_s,
+            lambda t: ["lidar_only"],
+            lambda t: ["camera_only"],
+            lambda t: fusion_fails_at_3_s(t) if t < 6.0 else ["fusion"],
+        ],
+        ids=["degraded", "lidar_only", "camera_only", "fusion_restored_at_6_s"],
+    )
+    def test_seeded_local_map_lap(self, alive_at):
+        self.check(lap_snapshots(alive_at))
+
+
+GRID = st.integers(-4, 4).map(lambda k: 0.5 * k)  # half-metre grid positions, so equal distances (ties) occur
+CLASS_EVIDENCE = st.tuples(*[st.sampled_from([0.0, 1.0, 2.0])] * 3)
+
+
+@st.composite
+def association_batches(draw):
+    """A graph's landmarks and links, the live ids, and a batch of new cones near the landmarks.
+
+    Returns ``(landmarks, links, live, cones)``: (x, y) per landmark; one
+    (landmark, evidence) per link, whose local id is its index; the live
+    local ids; one (x, y, evidence) per new cone.
+    """
+    landmarks = draw(st.lists(st.tuples(GRID, GRID), max_size=10))
+    links = draw(st.lists(st.tuples(st.integers(0, len(landmarks) - 1), CLASS_EVIDENCE), max_size=12)) if landmarks else []
+    live = draw(st.lists(st.integers(0, len(links) + 3), max_size=4, unique=True))
+    offset = st.sampled_from([0.0, 0.25, 0.3, -0.7])
+    cones = draw(
+        st.lists(st.tuples(GRID.flatmap(lambda x: offset.map(lambda d: x + d)), GRID, CLASS_EVIDENCE), min_size=1, max_size=6)
+    )
+    return landmarks, links, live, cones
+
+
+class TestBatchAssociation:
+    """One ``_associate_landmarks`` call on a snapshot's new cones links what one call per cone linked."""
+
+    @given(association_batches())
+    # two landmarks 0.5 m from the cone: the higher id wins the tie
+    @example(([(0.0, 0.0), (1.0, 0.0)], [], [], [(0.5, 0.0, (1.0, 0.0, 0.0))]))
+    # several new cones inside one gate; the second's best landmark is the first's, so it takes the next
+    @example(([(0.0, 0.0), (1.0, 0.0)], [(0, (1.0, 0.0, 0.0)), (1, (2.0, 0.0, 1.0))], [], [(0.25, 0.0, (1.0, 0.0, 0.0)), (0.0, 0.0, (2.0, 1.0, 0.0))]))
+    # the nearest landmark is linked to a live id; the other is of another colour
+    @example(([(0.0, 0.0), (0.5, 0.0)], [(0, (1.0, 0.0, 0.0)), (1, (0.0, 1.0, 0.0))], [0], [(0.0, 0.0, (1.0, 0.0, 0.0))]))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_one_association_per_cone(self, batch):
+        landmarks, links, live, cones = batch
+        graph, reference = Graph(), DictLinkGraph()
+        graph.add_landmarks(np.array(landmarks, float).reshape(-1, 2))
+        graph.add_links(range(len(links)), [lm for lm, _ in links], np.array([ev for _, ev in links], float).reshape(-1, 3))
+        for position in landmarks:
+            reference.add_landmark(np.array(position))
+        for local_id, (lm, ev) in enumerate(links):
+            reference.local_links[local_id] = lm
+            reference.update_color(lm, local_id, ev)
+        new_ids = list(range(100, 100 + len(cones)))
+        live_ids = set(live) | set(new_ids)
+        expected = []
+        for cid, (x, y, ev) in zip(new_ids, cones):
+            point = np.array([x, y])
+            lm = reference_associate_landmark(reference, point, CONFIG.association_radius_m, live_ids, dominant_class([ev]))
+            expected.append(-1 if lm is None else lm)
+            if lm is None:
+                lm = reference.add_landmark(point)
+            reference.local_links[cid] = lm
+            reference.update_color(lm, cid, ev)
+        points = np.array([(x, y) for x, y, _ in cones])
+        evidence = np.array([ev for _, _, ev in cones])
+        matched = _associate_landmarks(graph, points, evidence, [*live, *new_ids], CONFIG.association_radius_m)
+        assert matched.tolist() == expected
 
 
 class TestResidualsAndJacobians:
@@ -284,7 +413,7 @@ class TestOptimize:
     def test_single_pose_single_landmark_fully_determined(self):
         graph = Graph()
         graph.add_pose(Pose2(1.0, 2.0, 0.5))
-        graph.add_landmark(np.array([0.0, 0.0]))  # bad init
+        graph.add_landmarks([[0.0, 0.0]])  # bad init
         z = np.array([2.0, 1.0])
         graph.add_observations([0], [0], [z], [np.eye(2)])
         result = optimize(graph, CONFIG)
@@ -336,7 +465,7 @@ class TestOptimize:
     def test_structure_error_for_dangling_landmark(self):
         graph = Graph()
         graph.add_pose(Pose2.identity())
-        graph.add_landmark(np.array([1.0, 0.0]))
+        graph.add_landmarks([[1.0, 0.0]])
         with pytest.raises(GraphStructureError):
             optimize(graph, CONFIG)
 
@@ -394,9 +523,11 @@ def graph_to_dict(graph: Graph) -> dict:
     """The graph as a schema-1 ``graph.json`` document: an object per pose,
     landmark and edge, every number as JSON text. The tests compare graphs
     in this form."""
-    links: list[list[int]] = [[] for _ in graph.color_evidence]
-    for local_id, lm in graph.local_links.items():
+    links: list[list[int]] = [[] for _ in graph.landmarks]
+    evidence: list[dict[int, list[float]]] = [{} for _ in graph.landmarks]
+    for local_id, lm, ev in zip(*(graph.links[name].tolist() for name in ("local_id", "landmark", "evidence"))):
         links[lm].append(local_id)
+        evidence[lm][local_id] = ev
     odometry, observations = graph.odometry_edges, graph.observation_edges
     return {
         "schema_version": 1,
@@ -414,7 +545,7 @@ def graph_to_dict(graph: Graph) -> dict:
                 "color_evidence": {str(k): [float(v) for v in ev] for k, ev in sorted(evidence.items())},
                 "local_id_links": sorted(links[i]),
             }
-            for i, ((x, y), evidence) in enumerate(zip(graph.landmarks.tolist(), graph.color_evidence))
+            for i, ((x, y), evidence) in enumerate(zip(graph.landmarks.tolist(), evidence))
         ],
         "odometry_edges": [
             {"from": k, "to": k + 1, "relative": relative, "information": information}
@@ -431,7 +562,7 @@ def graph_to_dict(graph: Graph) -> dict:
                 observations["information"].tolist(),
             )
         ],
-        "local_links": {str(k): v for k, v in sorted(graph.local_links.items())},
+        "local_links": {str(k): v for k, v in sorted(local_links(graph).items())},
     }
 
 
@@ -482,21 +613,16 @@ def graph_from_dict(data: dict) -> Graph:
             g.add_pose(Pose2(*row))
         else:
             g.add_pose(Pose2(*row), Pose2(*relative[k - 1]), information[k - 1])
-    for position in columns["landmarks"]:
-        g.add_landmark(position)
-    for lm, local_id, ev in zip(
-        columns["color_evidence_landmark"].tolist(),
-        columns["color_evidence_local_id"].tolist(),
-        columns["color_evidence"],
-    ):
-        g.update_color(lm, local_id, ev)
+    g.add_landmarks(columns["landmarks"])
+    g.add_links(columns["color_evidence_local_id"], columns["color_evidence_landmark"], columns["color_evidence"])
     g.add_observations(
         columns["observation_pose"],
         columns["observation_landmark"],
         columns["observation_measurement_m"],
         columns["observation_information"],
     )
-    g.local_links = dict(zip(columns["local_link_id"].tolist(), columns["local_link_landmark"].tolist()))
+    if local_links(g) != dict(zip(columns["local_link_id"].tolist(), columns["local_link_landmark"].tolist())):
+        raise ValueError("the local links and the colour evidence rows must name the same links")
     return g
 
 
@@ -535,9 +661,8 @@ class TestSerialization:
 
     def test_export_color_merge(self):
         graph = Graph()
-        lm = graph.add_landmark(np.array([1.0, 2.0]))
-        graph.update_color(lm, 0, np.array([3.0, 1.0, 0.0]))
-        graph.update_color(lm, 5, np.array([2.0, 0.0, 1.0]))
+        (lm,) = graph.add_landmarks([[1.0, 2.0]])
+        graph.add_links([0, 5], [lm, lm], [[3.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
         graph.add_pose(Pose2.identity())
         graph.add_observations([0], [lm], [[1.0, 2.0]], [np.eye(2)])
         graph.optimized = True
@@ -549,8 +674,8 @@ class TestSerialization:
         graph = Graph()
         graph.add_pose(Pose2.identity())
         for k, n_edges in enumerate((5, 1)):
-            lm = graph.add_landmark(np.array([float(k), 0.0]))
-            graph.update_color(lm, k, np.array([1.0, 0.0, 0.0]))
+            (lm,) = graph.add_landmarks([[float(k), 0.0]])
+            graph.add_links([k], [lm], [[1.0, 0.0, 0.0]])
             for _ in range(n_edges):
                 graph.add_observations([0], [lm], [[float(k), 0.0]], [np.eye(2)])
         graph.optimized = True
@@ -676,7 +801,7 @@ def small_noisy_graphs(draw):
             start = pose.as_array() + rng.normal(scale=perturbation, size=3)
             graph.add_pose(Pose2(*start), Pose2(*moved), np.diag([100.0, 100.0, 400.0]))
     for position in landmarks:
-        graph.add_landmark(position + rng.normal(scale=perturbation, size=2))
+        graph.add_landmarks([position + rng.normal(scale=perturbation, size=2)])
     for k, pose in enumerate(truth):
         measured = body_frame_point(pose, landmarks) + rng.normal(scale=noise, size=(n_landmarks, 2))
         graph.add_observations([k] * n_landmarks, range(n_landmarks), measured, [np.eye(2) * 25.0] * n_landmarks)
@@ -735,8 +860,7 @@ def gauge_only_landmarks_graph():
     graph.add_pose(Pose2(0.0, 0.0, 0.0))
     for k in (1, 2):
         graph.add_pose(Pose2(1.0 * k, 0.1 * k, 0.05 * k), Pose2(1.0, 0.1, 0.05), np.diag([100.0, 100.0, 400.0]))
-    for position in ([4.0, 2.0], [5.0, -2.0], [6.0, 1.5]):
-        graph.add_landmark(np.array(position))
+    graph.add_landmarks([[4.0, 2.0], [5.0, -2.0], [6.0, 1.5]])
     graph.add_observations([0, 0, 0], [0, 1, 2], [[4.1, 2.0], [5.0, -1.9], [6.0, 1.4]], [np.eye(2) * 25.0] * 3)
     graph.add_observations([1, 2], [1, 1], [[4.0, -2.2], [3.1, -2.3]], [np.diag([16.0, 9.0])] * 2)
     return graph
@@ -772,7 +896,7 @@ class TestAssembly:
         graph = Graph()
         graph.add_pose(Pose2(1.0, 2.0, 0.5))
         for k, position in enumerate(([3.0, 1.0], [-2.0, 4.0])):
-            graph.add_landmark(np.array(position))
+            graph.add_landmarks([position])
             graph.add_observations([0], [k], [[2.0 - k, 1.0 + k]], [np.diag([4.0, 9.0])])
         self.check(graph)
 
@@ -794,7 +918,7 @@ class TestRejectedSteps:
     def test_a_step_the_factor_cannot_give_stalls_the_damping(self, monkeypatch, failure):
         graph = Graph()
         graph.add_pose(Pose2(1.0, 2.0, 0.5))
-        graph.add_landmark(np.array([0.0, 0.0]))
+        graph.add_landmarks([[0.0, 0.0]])
         graph.add_observations([0], [0], [[2.0, 1.0]], [np.eye(2)])
         (residual,) = graph.observation_edges["measurement"] - body_frame_point(Pose2(1.0, 2.0, 0.5), graph.landmarks)
         damped = []
@@ -852,7 +976,7 @@ def test_final_cost_is_independent_of_the_blas_thread_count():
         "    start = pose.as_array() + rng.normal(scale=0.3, size=3)\n"
         "    graph.add_pose(Pose2(*start), Pose2(*moved), np.diag([100.0, 100.0, 400.0]))\n"
         "for position in landmarks:\n"
-        "    graph.add_landmark(position + rng.normal(scale=0.3, size=2))\n"
+        "    graph.add_landmarks([position + rng.normal(scale=0.3, size=2)])\n"
         "for k, pose in enumerate(truth):\n"
         "    seen = np.argsort(np.hypot(*(landmarks - pose.position).T))[:4]\n"
         "    measured = body_frame_point(pose, landmarks[seen]) + rng.normal(scale=0.1, size=(4, 2))\n"
@@ -885,18 +1009,35 @@ evidence_array = st.one_of(
 )
 
 
+def exported_color(evidence) -> dict:
+    """The exported record of a landmark linked to one local id per evidence triple, in order."""
+    graph = Graph()
+    graph.add_landmarks([[0.0, 0.0]])
+    graph.add_links(range(len(evidence)), [0] * len(evidence), evidence)
+    (record,) = export_map(graph, min_edges=0)
+    return record
+
+
 class TestDominantClass:
     @given(st.lists(evidence_array, min_size=0, max_size=3))
     # neighbouring floats that tie after one order of summing the total and not after another
     @example([[0.8830091396589759, 0.883009139658976, 0.6129994004887422]])
     @example([[0.8122417130881999, 0.8122417130882, 0.608586805324466]])
+    # a NaN probability (infinite evidence over an infinite total), and signed zeros
+    @example([[1.7976931348623157e308, 1.7976931348623157e308, 0.0]])
+    @example([[-0.0, 1.0, -0.0], [-0.0, -0.0, 0.0]])
+    @example([[-0.0, -0.0, -0.0]])
     @settings(max_examples=400, deadline=None)
     def test_plain_floats_equal_numpy_argmax(self, evidence):
         with np.errstate(over="ignore", invalid="ignore"):  # sums of huge evidence overflow to inf
             expected = numpy_color_probabilities([np.array(ev) for ev in evidence])
+            record = exported_color(evidence)
         # all three probabilities bit for bit, the sign of a zero and the bits of a NaN included
-        assert np.array(_color_probabilities(evidence)).tobytes() == expected.tobytes()
-        assert _dominant_class(evidence) == int(np.argmax(expected))
+        assert np.array([record["p_blue"], record["p_yellow"], record["p_unknown"]]).tobytes() == expected.tobytes()
+        assert CLASS_NAMES.index(record["color"]) == int(np.argmax(expected))
+        # the per-cone form the link table replaced gives the same bits
+        assert np.array(plain_color_probabilities(evidence)).tobytes() == expected.tobytes()
+        assert dominant_class(evidence) == int(np.argmax(expected))
 
 
 class TestResidualSummary:

@@ -1,11 +1,14 @@
-"""Microbenchmark of ``local_map.ingest_frame`` on frozen inputs.
+"""Microbenchmarks of ``local_map.ingest_frame`` and ``global_map.add_snapshot`` on frozen inputs.
 
 Runs one seeded lap shaped like the benchmark's ``lap-degraded`` workload
 (``modes-5ms``, fusion failing at 3 s, planner off) once, recording every
 ``ingest_frame`` call's arguments, then replays those frames from an empty
 map ``--repeats`` times and prints the median and quartiles of one replay's
 wall time. The replay's snapshots are hashed, so two builds that print the
-same digest stepped every frame to the same bits.
+same digest stepped every frame to the same bits. Then it adds the replay's
+snapshots to an empty graph ``--repeats`` times, with the scenario's
+global-map config, and prints the same figures for ``add_snapshot`` and the
+sha256 of the graph's ``save_graph`` bytes.
 
     PYTHONPATH=src python3 tools/bench_ingest.py --repeats 30
 
@@ -21,9 +24,11 @@ import hashlib
 import statistics
 import tempfile
 import time
+from pathlib import Path
 
 from conetrack import pipeline
 from conetrack.config import load_config
+from conetrack.global_map import Graph, add_snapshot, save_graph
 from conetrack.local_map import LocalMapState, ingest_frame
 
 
@@ -58,6 +63,32 @@ def replay(frames) -> list:
     return snapshots
 
 
+def build_graph(snapshots, config) -> Graph:
+    graph = Graph()
+    for snapshot in snapshots:
+        add_snapshot(graph, snapshot, config)
+    return graph
+
+
+def graph_digest(graph: Graph) -> str:
+    """sha256 of the graph's ``graph.json`` bytes."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = Path(out_dir) / "graph.json"
+        save_graph(graph, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def timed(step, repeats: int) -> str:
+    """The median and quartiles of ``repeats`` timed calls of ``step``."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        step()
+        times.append(time.perf_counter() - start)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return f"median {median * 1e3:.1f} ms  quartiles {q1 * 1e3:.1f} / {q3 * 1e3:.1f} ms  ({repeats} replays)"
+
+
 def digest(snapshots) -> str:
     """sha256 over every snapshot's columns (bytes, dtype and shape), ego, time, mode and observed ids."""
     h = hashlib.sha256()
@@ -78,14 +109,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=None, help="lap seed (default: the scenario's)")
     args = parser.parse_args()
     frames = record_frames(args.length_m, args.seed)
-    print(f"frames {len(frames)}  snapshot digest {digest(replay(frames))}")
-    times = []
-    for _ in range(args.repeats):
-        start = time.perf_counter()
-        replay(frames)
-        times.append(time.perf_counter() - start)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    print(f"ingest_frame replay: median {median * 1e3:.1f} ms  quartiles {q1 * 1e3:.1f} / {q3 * 1e3:.1f} ms  ({args.repeats} replays)")
+    snapshots = replay(frames)
+    print(f"frames {len(frames)}  snapshot digest {digest(snapshots)}")
+    print(f"ingest_frame replay: {timed(lambda: replay(frames), args.repeats)}")
+    graph_config = load_config("modes-5ms").global_map_config()
+    print(f"graph digest {graph_digest(build_graph(snapshots, graph_config))}")
+    print(f"add_snapshot replay: {timed(lambda: build_graph(snapshots, graph_config), args.repeats)}")
 
 
 if __name__ == "__main__":
