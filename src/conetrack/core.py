@@ -43,7 +43,7 @@ class Bound(NamedTuple):
     """The values a config field takes.
 
     A finite number in ``[low, high]`` (``(low, high]`` unless ``low_ok``);
-    with ``integer``, an integer of at least ``low`` (a bool is not one);
+    with ``integer``, an integer in ``[low, high]`` (a bool is not one);
     with ``count``, a list or tuple of that many finite numbers in the
     interval.
     """
@@ -60,8 +60,9 @@ def check_bounds(label: str, obj, bounds: dict[str, Bound]) -> None:
     for name, bound in bounds.items():
         value = getattr(obj, name)
         if bound.integer:
-            if isinstance(value, bool) or not isinstance(value, int) or value < bound.low:
-                raise ValueError(f"{label} {name} must be an integer >= {bound.low}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or not bound.low <= value <= bound.high:
+                span = f">= {bound.low}" if bound.high == math.inf else f"in [{bound.low}, {bound.high}]"
+                raise ValueError(f"{label} {name} must be an integer {span}, got {value!r}")
         elif bound.count is not None:
             if not (isinstance(value, (tuple, list)) and len(value) == bound.count):
                 raise ValueError(f"{label} {name} must be {bound.count} numbers, got {value!r}")

@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,6 +35,13 @@ PLANNER_LOG_HEADER = {"kind": "planner_log", "schema_version": 1}
 # The largest ego or waypoint coordinate a planner log may hold, in metres:
 # far beyond any track, and small enough that path lengths stay finite
 MAX_LOG_COORDINATE_M = 1e6
+# The smallest length cap of the search, in metres: the prior's length term
+# divides by the cap squared, which must be a normal float. The largest is
+# MAX_LOG_COORDINATE_M, so that the term's square stays finite
+MIN_MAX_LENGTH_M = 1e-150
+# The largest desired edge count, far beyond any path through a snapshot:
+# the prior squares its distance from a path's count as a float
+MAX_DESIRED_EDGE_COUNT = 10**6
 
 
 class DegenerateSnapshotError(ValueError):
@@ -193,17 +200,29 @@ def _np_sum(values: Sequence[float]) -> float:
     return _np_sum(values[:half]) + _np_sum(values[half:])
 
 
-def _population_std(values: Sequence[float], fold: float | None = None) -> float:
-    """Population standard deviation of a non-empty sequence, as ``np.sqrt(np.mean((a - a.mean()) ** 2))`` gives it.
+def _np_sum_appended(total: float, values: Sequence[float]) -> float:
+    """:func:`_np_sum` of ``values``, given ``total``, that of all but its last value.
 
-    ``fold`` is the values' left fold from 0.0 where the caller carries it;
-    under 8 values it is their numpy sum.
+    Up to 128 values, numpy's sum only regroups where the count reaches a
+    multiple of 8; elsewhere it is the previous sum plus the new value.
     """
     n = len(values)
-    if n < 8:  # the left fold _np_sum gives, without its call
-        mean = (functools.reduce(operator.add, values, 0.0) if fold is None else fold) / n
-        return math.sqrt(functools.reduce(operator.add, [(x - mean) * (x - mean) for x in values], 0.0) / n)
-    mean = _np_sum(values) / n
+    return total + values[-1] if n & 7 and n <= 128 else _np_sum(values)
+
+
+def _population_std(values: Sequence[float], total: float | None = None) -> float:
+    """Population standard deviation of a non-empty sequence, as ``np.sqrt(np.mean((a - a.mean()) ** 2))`` gives it.
+
+    ``total`` is the values' numpy sum (:func:`_np_sum`) where the caller
+    carries it.
+    """
+    n = len(values)
+    mean = (_np_sum(values) if total is None else total) / n
+    if n < 8:  # the left fold _np_sum gives, without its call or a list
+        squares = 0.0
+        for x in values:
+            squares += (x - mean) * (x - mean)
+        return math.sqrt(squares / n)
     return math.sqrt(_np_sum([(x - mean) * (x - mean) for x in values]) / n)
 
 
@@ -223,27 +242,30 @@ def _cone_log_terms(color_evidence: np.ndarray, floor: float) -> tuple[list[floa
 
 
 def _search_tables(tri: Triangulation) -> tuple[list, ...]:
-    """Per-snapshot geometry the search looks up instead of recomputing, as eleven flat lists.
+    """Per-snapshot geometry the search looks up instead of recomputing, as nine flat lists.
 
     Edge slot ``3 * t + k`` is the edge of triangle ``t`` facing its vertex
     ``k``, as in ``Triangulation.neighbors``. Per slot: ``neighbor`` (-1 on
     the hull), the sorted cone pair ``lo``/``hi``, the midpoint
     ``mid_x``/``mid_y`` and ``twin``, the same edge's slot in the neighbor
-    (meaningless on the hull).
-    Step ``3 * slot + k`` moves from the midpoint of edge ``slot`` to that of
-    edge ``k`` of the same triangle: ``step_x``, ``step_y``, ``step_len`` and
-    ``step_heading``. ``width`` is the slot's edge length, the distance
-    from cone ``lo`` to cone ``hi``. Distances and headings come from
-    ``np.hypot`` and ``np.arctan2``, which define the path features;
-    ``math.hypot`` differs from ``np.hypot`` in the last bit on some inputs.
-    The lists are flat so that building them allocates few objects, and are
-    returned in the order named here.
+    (meaningless on the hull). Step ``3 * slot + k`` moves from the midpoint
+    of edge ``slot`` to that of edge ``k`` of the same triangle, by
+    ``mid_x[3 * t + k] - mid_x[slot]`` and the same in y, which the search
+    subtracts itself: the tables hold its ``step_len`` and ``step_heading``.
+    ``width`` is the slot's edge length, the distance from cone ``lo`` to
+    cone ``hi``. Distances and headings come from ``np.hypot`` and
+    ``np.arctan2``, which define the path features; ``math.hypot`` differs
+    from ``np.hypot`` in the last bit on some inputs. Every table is computed
+    on contiguous per-axis arrays, so each list is one ``tolist`` of a
+    C-ordered array; they are returned in the order named here.
     """
-    pts = tri.points
+    px, py = tri.points.T.copy()
     facing = tri.simplices[:, [[1, 2], [0, 2], [0, 1]]]  # (m, 3, 2): the edge facing each vertex
     lo, hi = facing.min(axis=2), facing.max(axis=2)
-    mid = 0.5 * (pts[lo] + pts[hi])
-    step = mid[:, None, :, :] - mid[:, :, None, :]  # step[t, i, k] = mid[t, k] - mid[t, i]
+    x_lo, x_hi, y_lo, y_hi = px[lo], px[hi], py[lo], py[hi]
+    mid_x, mid_y = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+    step_x = mid_x[:, None, :] - mid_x[:, :, None]  # step_x[t, i, k] = mid_x[t, k] - mid_x[t, i]
+    step_y = mid_y[:, None, :] - mid_y[:, :, None]
     nbs = tri.neighbors
     twin = 3 * nbs + np.argmax(nbs[nbs] == np.arange(len(nbs))[:, None, None], axis=2)
     return tuple(
@@ -252,70 +274,14 @@ def _search_tables(tri: Triangulation) -> tuple[list, ...]:
             nbs,
             lo,
             hi,
-            mid[..., 0],
-            mid[..., 1],
+            mid_x,
+            mid_y,
             twin,
-            step[..., 0],
-            step[..., 1],
-            np.hypot(step[..., 0], step[..., 1]),
-            np.arctan2(step[..., 1], step[..., 0]),
-            np.hypot(pts[hi, 0] - pts[lo, 0], pts[hi, 1] - pts[lo, 1]),
+            np.hypot(step_x, step_y),
+            np.arctan2(step_y, step_x),
+            np.hypot(x_hi - x_lo, y_hi - y_lo),
         )
     )
-
-
-@dataclass(slots=True)
-class _PartialPath:
-    """A path as the search grows it, with the state one extension updates in O(1).
-
-    The state is the per-segment lengths, the last step and its heading, the
-    crossed-edge widths, each side's cone sequence and its gaps (the distances
-    between consecutive cones), every cone's log term and the lowest cone
-    index that voted, and the six feature values, among them the running
-    maximum turn and each side's spacing deviation.
-    Deviations are reduced afresh from their per-element lists, never kept as
-    running sums, so the features are exactly those of the path's own
-    geometry. The running length and width sum are the left folds of the
-    segment lengths and widths from 0.0, which are their numpy sums while
-    there are fewer than 8. The crossed edges and waypoints are tuples a
-    candidate keeps as they are. The defaults describe the root: no edge
-    crossed yet.
-    """
-
-    triangle: int
-    slot: int  # the edge slot the path entered the triangle by; -1 at the root
-    visited: set[int]
-    log_terms: list[float]  # every cone's log term: its side's, or its most probable class's if it has not voted
-    low: int  # the lowest cone index that voted; len(log_terms) at the root
-    crossed: tuple[tuple[int, int], ...] = ()
-    waypoints: tuple[tuple[float, float], ...] = ()
-    net_votes: dict[int, int] = field(default_factory=dict)  # left minus right votes, in first-crossing order
-    length: float = 0.0
-    step: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (dx, dy, length) into the last waypoint
-    seg_lengths: list[float] = field(default_factory=list)  # waypoint-to-waypoint segment lengths
-    heading: float | None = None  # heading of the last segment
-    widths: list[float] = field(default_factory=list)  # crossed-edge lengths
-    width_sum: float = 0.0
-    left: tuple[int, ...] = ()  # left cones in first-crossing order
-    right: tuple[int, ...] = ()
-    left_gaps: list[float] = field(default_factory=list)  # distances between consecutive left cones
-    right_gaps: list[float] = field(default_factory=list)
-    features: tuple[float, ...] = (0.0,) * 6  # the PathFeatures values, in order
-    log_prior: float = 0.0
-    log_likelihood: float = 0.0
-    log_posterior: float = 0.0
-
-    def candidate(self) -> CandidatePath:
-        return CandidatePath(
-            self.waypoints,
-            self.crossed,
-            self.left,
-            self.right,
-            self.features,
-            self.log_prior,
-            self.log_likelihood,
-            self.log_posterior,
-        )
 
 
 def enumerate_paths(
@@ -338,30 +304,40 @@ def enumerate_paths(
     consistent corridor extensions always score upward through the
     edge-count and length terms, so growth stops exactly where continuing
     would mean crossing evidence that contradicts the path, instead of baking
-    a bad tail into every candidate. Scores are plain-float arithmetic that
-    sums in numpy's order (:func:`_np_sum`), so they equal the numpy
-    expressions of the features bit for bit. The log prior sums the
-    :func:`prior_terms` in a left fold from 0.0; the tables and the prior's
-    terms are read from locals, hoisted once per snapshot. The log
-    likelihood is the left fold of every cone's log term from 0.0; below a
-    path's lowest voting cone those are the snapshot's ``other`` terms, whose
-    fold up to each index is computed once per snapshot.
+    a bad tail into every candidate.
+
+    A path is one flat tuple of the state an extension updates in O(1) (see
+    ``extend``), whose last eight items are its candidate's fields; the
+    visited triangles are an int bitmask. Scores are plain-float arithmetic
+    that sums in numpy's order (:func:`_np_sum`), so they equal the numpy
+    expressions of the features bit for bit: the segment lengths, widths and
+    gaps carry their numpy sums (:func:`_np_sum_appended`), and deviations
+    are reduced afresh from their lists. The log prior adds the six
+    :func:`prior_terms` to 0.0 in order. The log likelihood is the left fold
+    of every cone's log term from 0.0; below a path's lowest voting cone
+    those are the snapshot's ``other`` terms, whose fold up to each index is
+    computed once per snapshot. The search builds only valid candidates (one
+    waypoint per crossed edge, disjoint sides), so it skips
+    ``CandidatePath``'s checks.
     """
     limits = config.limits
     max_edges, max_length = limits.max_edges, limits.max_length_m
     max_step_length, max_step_turn = limits.max_step_length_m, limits.max_step_turn_rad
     desired = float(limits.desired_edge_count)
     prior_weight = config.prior_weight
-    terms = prior_terms(limits)
+    (w0, s0, c0), (w1, s1, c1), (w2, s2, c2), (w3, s3, c3), (w4, s4, c4), (w5, s5, c5) = prior_terms(limits)
     left_terms, right_terms, other_terms = _cone_log_terms(color_evidence, LIKELIHOOD_FLOOR)
     other_prefix = list(itertools.accumulate(other_terms, initial=0.0))  # other_prefix[i]: the fold of other_terms[:i]
-    (neighbor, edge_lo, edge_hi, mid_xs, mid_ys, twin, step_xs, step_ys, step_lens, step_headings, edge_width) = _search_tables(tri)
+    (neighbor, edge_lo, edge_hi, mid_xs, mid_ys, twin, step_lens, step_headings, edge_width) = _search_tables(tri)
+    # visited-set bits by triangle; bit[-1] stands for the hull, which every path has visited
+    bit = [1 << t for t in range(len(tri.simplices) + 1)]
     cone_xs, cone_ys = tri.points[:, 0].tolist(), tri.points[:, 1].tolist()
+    edge_pair = list(zip(edge_lo, edge_hi))  # each slot's (lo, hi), the pair a path that crosses it keeps
     # cone-to-cone distance by sorted pair, seeded with every triangulation
     # edge: consecutive cones of a side nearly always share one, and a pair
     # that does not is computed once, with the same np.hypot. Swapping a pair
     # negates both differences, which leaves np.hypot's result unchanged
-    pair_distance = dict(zip(zip(edge_lo, edge_hi), edge_width))
+    pair_distance = dict(zip(edge_pair, edge_width))
     heading = np.array([math.cos(ego.theta), math.sin(ego.theta)])
     centroids = tri.points[tri.simplices].mean(axis=1)
     probe = ego.position + heading
@@ -370,6 +346,7 @@ def enumerate_paths(
     ego_x, ego_y = ego.position.tolist()
     add = operator.add
     fold = functools.reduce
+    new_candidate = tuple.__new__
 
     def cone_distance(a: int, b: int) -> float:
         pair = (a, b) if a < b else (b, a)
@@ -379,163 +356,167 @@ def enumerate_paths(
             d = pair_distance[pair] = float(np.hypot(cone_xs[hi] - cone_xs[lo], cone_ys[hi] - cone_ys[lo]))
         return d
 
-    def gaps(sequence: tuple[int, ...]) -> list[float]:
-        return [cone_distance(a, b) for a, b in zip(sequence, sequence[1:])]
+    def gaps(sequence: tuple[int, ...]) -> tuple[list[float], float]:
+        """The gaps between a side's consecutive cones, and their numpy sum."""
+        values = [cone_distance(a, b) for a, b in zip(sequence, sequence[1:])]
+        return values, _np_sum(values) if values else 0.0
 
-    def extend(partial: _PartialPath, k: int) -> _PartialPath:
-        slot = 3 * partial.triangle + k
-        lo, hi = edge_lo[slot], edge_hi[slot]
+    def extend(path: tuple, slot: int, move: int) -> tuple:
+        """The path grown across edge ``slot``, by step ``move`` (-1 from the ego to the first waypoint).
+
+        A path holds [0] its triangle, [1] the slot it entered by (-1 at the
+        root), [2] the visited bitmask, [3] its length, the left fold of its
+        segment lengths from 0.0 that the length cap tests, [4:7] its last
+        step's dx, dy and length, [7] that step's heading (None before the
+        second waypoint), [8] its segment lengths, [9:11] its crossed-edge
+        widths and their numpy sum, [11:15] the gaps between consecutive
+        left cones and between consecutive right cones, and their numpy
+        sums, [15] each cone's left minus right votes, in first-crossing
+        order, [16] every cone's log term (its side's, or its most probable
+        class's if it has not voted), [17] the lowest cone index that voted,
+        and then its candidate's fields: [18] waypoints, [19] crossed edges,
+        [20:22] left and right cones in first-crossing order, [22] features
+        and [23:26] the three scores.
+        """
+        (_, entry, visited, length, _, _, _, last_heading, seg_lengths, widths, width_sum, left_gaps, right_gaps,
+         left_gap_sum, right_gap_sum, net_votes, log_terms, low,
+         waypoints, crossed, left, right, features, _, ll, _) = path
+        pair = edge_pair[slot]
         mid_x, mid_y = mid_xs[slot], mid_ys[slot]
-        if partial.waypoints:
-            move = 3 * partial.slot + k
-            dx, dy, seg_len = step_xs[move], step_ys[move], step_lens[move]
+        max_turn, left_std, right_std, _, _, path_length = features
+        if move >= 0:
+            dx, dy, seg_len = mid_x - mid_xs[entry], mid_y - mid_ys[entry], step_lens[move]
             seg_heading = step_headings[move]
-            length = partial.length + seg_len
-            seg_lengths = partial.seg_lengths + [seg_len]
-            max_turn = partial.features[0]
-            if partial.heading is not None:
-                turn = abs(normalize_angle(seg_heading - partial.heading))
+            length += seg_len
+            seg_lengths = seg_lengths + [seg_len]
+            path_length = _np_sum_appended(path_length, seg_lengths)
+            if last_heading is not None:
+                turn = abs(normalize_angle(seg_heading - last_heading))
                 if turn > max_turn:
                     max_turn = turn
         else:  # the first waypoint: its step runs from the ego and adds no segment
             dx, dy = mid_x - ego_x, mid_y - ego_y
             seg_len = float(np.hypot(dx, dy))
-            length, seg_lengths, seg_heading, max_turn = 0.0, [], None, 0.0
+            seg_heading = None
         d_x, d_y = heading_xy if seg_len < 1e-12 else (dx, dy)
         # a new cone joins the end of its side, adding one gap, and sets its
         # log term; a known cone whose net vote changes sign reorders both
         # sides, which are then rebuilt with their gaps and terms. A side left
         # untouched keeps its tuple, and with it its spacing deviation
-        net_votes = partial.net_votes.copy()
-        left, right, flipped = partial.left, partial.right, False
-        left_gaps, right_gaps = partial.left_gaps, partial.right_gaps
-        log_terms, low = partial.log_terms, partial.low
-        for idx in (lo, hi):
+        net_votes = net_votes.copy()
+        new_left, new_right, terms, flipped = left, right, log_terms, False
+        for idx in pair:
             vote = 1 if d_x * (cone_ys[idx] - mid_y) - d_y * (cone_xs[idx] - mid_x) > 0 else -1
             before = net_votes.get(idx)
             if before is None:
                 net_votes[idx] = vote
-                if log_terms is partial.log_terms:
-                    log_terms = log_terms.copy()
+                if terms is log_terms:
+                    terms = log_terms.copy()
                 if idx < low:
                     low = idx
                 if vote > 0:
-                    if left:
-                        left_gaps = left_gaps + [cone_distance(left[-1], idx)]
-                    left += (idx,)
-                    log_terms[idx] = left_terms[idx]
+                    if new_left:
+                        left_gaps = left_gaps + [cone_distance(new_left[-1], idx)]
+                        left_gap_sum = _np_sum_appended(left_gap_sum, left_gaps)
+                    new_left += (idx,)
+                    terms[idx] = left_terms[idx]
                 else:
-                    if right:
-                        right_gaps = right_gaps + [cone_distance(right[-1], idx)]
-                    right += (idx,)
-                    log_terms[idx] = right_terms[idx]
+                    if new_right:
+                        right_gaps = right_gaps + [cone_distance(new_right[-1], idx)]
+                        right_gap_sum = _np_sum_appended(right_gap_sum, right_gaps)
+                    new_right += (idx,)
+                    terms[idx] = right_terms[idx]
             else:
                 net_votes[idx] = before + vote
                 flipped |= (before >= 0) != (before + vote >= 0)
         if flipped:
-            left = tuple(idx for idx, net in net_votes.items() if net >= 0)
-            right = tuple(idx for idx, net in net_votes.items() if net < 0)
-            left_gaps, right_gaps = gaps(left), gaps(right)
-            log_terms = other_terms.copy()
-            for idx in right:
-                log_terms[idx] = right_terms[idx]
-            for idx in left:
-                log_terms[idx] = left_terms[idx]
-        widths = partial.widths + [edge_width[slot]]
-        width_sum = partial.width_sum + edge_width[slot]
-        crossed = len(partial.crossed) + 1.0
-        features = (
-            max_turn,
-            partial.features[1] if left is partial.left else (_population_std(left_gaps) if left_gaps else 0.0),
-            partial.features[2] if right is partial.right else (_population_std(right_gaps) if right_gaps else 0.0),
-            _population_std(widths, width_sum),
-            desired if desired < crossed else crossed,
-            length if len(seg_lengths) < 8 else _np_sum(seg_lengths),
+            new_left = tuple(idx for idx, net in net_votes.items() if net >= 0)
+            new_right = tuple(idx for idx, net in net_votes.items() if net < 0)
+            left_gaps, left_gap_sum = gaps(new_left)
+            right_gaps, right_gap_sum = gaps(new_right)
+            terms = other_terms.copy()
+            for idx in new_right:
+                terms[idx] = right_terms[idx]
+            for idx in new_left:
+                terms[idx] = left_terms[idx]
+        if new_left is not left:
+            left_std = _population_std(left_gaps, left_gap_sum) if left_gaps else 0.0
+        if new_right is not right:
+            right_std = _population_std(right_gaps, right_gap_sum) if right_gaps else 0.0
+        widths = widths + [edge_width[slot]]
+        width_sum = _np_sum_appended(width_sum, widths)
+        width_std = _population_std(widths, width_sum)
+        count = len(crossed) + 1.0
+        count = desired if desired < count else count
+        cost = (
+            0.0
+            + w0 * (max_turn - s0) ** 2 / c0
+            + w1 * (left_std - s1) ** 2 / c1
+            + w2 * (right_std - s2) ** 2 / c2
+            + w3 * (width_std - s3) ** 2 / c3
+            + w4 * (count - s4) ** 2 / c4
+            + w5 * (path_length - s5) ** 2 / c5
         )
-        cost = 0.0
-        for value, (weight, setpoint, scale) in zip(features, terms):
-            cost += weight * (value - setpoint) ** 2 / scale
         lp = -prior_weight * cost
         # every cone's log term added one cone at a time in index order from
         # 0.0, never a pairwise or compensated sum: every logged score depends
         # on this exact order. Unchanged terms keep the parent's sum
-        if log_terms is partial.log_terms:
-            ll = partial.log_likelihood
-        else:
-            ll = fold(add, log_terms[low:], other_prefix[low])
+        if terms is not log_terms:
+            ll = fold(add, terms[low:], other_prefix[low])
         nb = neighbor[slot]
-        return _PartialPath(
-            nb,
-            twin[slot],
-            partial.visited | {nb},
-            log_terms,
-            low,
-            partial.crossed + ((lo, hi),),
-            partial.waypoints + ((mid_x, mid_y),),
-            net_votes,
-            length,
-            (dx, dy, seg_len),
-            seg_lengths,
-            seg_heading,
-            widths,
-            width_sum,
-            left,
-            right,
-            left_gaps,
-            right_gaps,
-            features,
-            lp,
-            ll,
-            lp + ll,
-        )
+        return (nb, twin[slot], visited | bit[nb], length, dx, dy, seg_len, seg_heading, seg_lengths, widths, width_sum,
+                left_gaps, right_gaps, left_gap_sum, right_gap_sum, net_votes, terms, low,
+                waypoints + ((mid_x, mid_y),), crossed + (pair,), new_left, new_right,
+                (max_turn, left_std, right_std, width_std, count, path_length), lp, ll, lp + ll)
 
-    root = _PartialPath(triangle=start, slot=-1, visited={start}, log_terms=other_terms, low=len(other_terms))
+    # no edge crossed yet; no cone has voted, so low is past the last one
+    root = (start, -1, bit[start] | bit[-1], 0.0, 0.0, 0.0, 0.0, None, [], [], 0.0, [], [], 0.0, 0.0, {}, other_terms)
+    root += (len(other_terms), (), (), (), (), (0.0,) * 6, 0.0, 0.0, 0.0)
     first_moves = []
     for k in range(3):
         slot = 3 * start + k
         if neighbor[slot] >= 0:
             midpoint = np.array([mid_xs[slot], mid_ys[slot]])
-            first_moves.append((float((midpoint - ego.position) @ heading) > 0.0, k))
+            first_moves.append((float((midpoint - ego.position) @ heading) > 0.0, slot))
     if any(ahead for ahead, _ in first_moves):  # leave the start triangle forward where the ego can
         first_moves = [m for m in first_moves if m[0]]
 
-    frontier = [extend(root, k) for _, k in first_moves]
+    frontier = [extend(root, slot, -1) for _, slot in first_moves]
     candidates: list[CandidatePath] = []
     while frontier:
-        next_frontier: list[_PartialPath] = []
-        for partial in frontier:
-            if len(partial.crossed) >= max_edges or partial.length >= max_length:
-                candidates.append(partial.candidate())
+        next_frontier: list[tuple] = []
+        for path in frontier:
+            triangle, entry, visited, length, prev_x, prev_y, prev_len = path[:7]
+            if len(path[19]) >= max_edges or length >= max_length:
+                candidates.append(new_candidate(CandidatePath, path[18:]))
                 continue
             # grow into each unvisited neighbor reached without too long a
             # step or too sharp a turn; a child that lowers the posterior is
-            # a dead end
-            base, entry, visited = 3 * partial.triangle, partial.slot, partial.visited
-            prev_x, prev_y, prev_len = partial.step
-            floor = partial.log_posterior - 1e-9
+            # a dead end. The hull and the triangle entered from are visited
+            floor = path[25] - 1e-9
             grown = False
+            base, move_base, entry_x, entry_y = 3 * triangle, 3 * entry, mid_xs[entry], mid_ys[entry]
             for k in range(3):
                 slot = base + k
-                nb = neighbor[slot]
-                if nb < 0 or nb in visited or slot == entry:
+                if visited & bit[neighbor[slot]]:
                     continue
-                move = 3 * entry + k
+                move = move_base + k
                 new_len = step_lens[move]
                 if new_len > max_step_length:
                     continue
                 if not (new_len < 1e-12 or prev_len < 1e-12):
-                    new_x, new_y = step_xs[move], step_ys[move]
+                    new_x, new_y = mid_xs[slot] - entry_x, mid_ys[slot] - entry_y
                     turn = math.atan2(prev_x * new_y - prev_y * new_x, prev_x * new_x + prev_y * new_y)
                     if not abs(turn) <= max_step_turn:
                         continue
-                child = extend(partial, k)
-                if child.log_posterior >= floor:
+                child = extend(path, slot, move)
+                if child[25] >= floor:
                     next_frontier.append(child)
                     grown = True
             if not grown:
-                candidates.append(partial.candidate())
+                candidates.append(new_candidate(CandidatePath, path[18:]))
         if limits.beam_width is not None and len(next_frontier) > limits.beam_width:
-            next_frontier.sort(key=lambda p: (-p.log_posterior, p.crossed))
+            next_frontier.sort(key=lambda p: (-p[25], p[19]))
             next_frontier = next_frontier[: limits.beam_width]
         frontier = next_frontier
     return candidates
@@ -556,8 +537,8 @@ def select_path(candidates: Sequence[CandidatePath]) -> CandidatePath | None:
 
 _LIMIT_BOUNDS = {
     "max_edges": Bound(1, integer=True),
-    "max_length_m": Bound(0.0, low_ok=False),
-    "desired_edge_count": Bound(1, integer=True),
+    "max_length_m": Bound(MIN_MAX_LENGTH_M, MAX_LOG_COORDINATE_M),
+    "desired_edge_count": Bound(1, MAX_DESIRED_EDGE_COUNT, integer=True),
     "beam_width": Bound(1, integer=True),
     "max_step_turn_rad": Bound(0.0, math.pi, low_ok=False),
     "max_step_length_m": Bound(0.0, low_ok=False),

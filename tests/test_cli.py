@@ -484,6 +484,9 @@ BAD_INPUTS = [
     ["run", "--config", "{tinyresolution}"],
     ["run", "--config", "{tinyspacing}"],
     ["run", "--config", "{nanmaxlength}"],
+    ["run", "--config", "{hugemaxlength}"],
+    ["run", "--config", "{tinymaxlength}"],
+    ["run", "--config", "{hugeedgecount}"],
     ["run", "--config", "{zerobeam}"],
     ["run", "--config", "{floatedges}"],
     ["run", "--config", "{nanprior}"],
@@ -640,6 +643,10 @@ BAD_FILES = {
     "tinyresolution": ('{"track_spec": {"centerline_resolution_m": 1e-300}}', "centerline_resolution_m"),
     "tinyspacing": ('{"track_spec": {"cone_spacing_m": 1e-300}}', "cone_spacing_m"),
     "nanmaxlength": ('{"planner_limit_overrides": {"max_length_m": NaN}}', "max_length_m"),
+    # limits whose prior term overflows, divides by zero or cannot be a float, which used to fail mid-run
+    "hugemaxlength": ('{"planner_limit_overrides": {"max_length_m": 1e200}}', "max_length_m"),
+    "tinymaxlength": ('{"planner_limit_overrides": {"max_length_m": 1e-300}}', "max_length_m"),
+    "hugeedgecount": ('{"planner_limit_overrides": {"desired_edge_count": 1%s}}' % ("0" * 400), "desired_edge_count"),
     "zerobeam": ('{"planner_limit_overrides": {"beam_width": 0}}', "beam_width"),
     "floatedges": ('{"planner_limit_overrides": {"max_edges": 2.5}}', "max_edges"),
     "nanprior": ('{"prior_weight": NaN}', "prior_weight"),

@@ -10,10 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone_reference import RefCone, RefGaussian, color_probabilities, cone_table
-from planner_reference import compute_features, log_likelihood, reference_log_prior, reference_population_std
+from planner_reference import (
+    compute_features,
+    log_likelihood,
+    reference_enumerate_paths,
+    reference_log_prior,
+    reference_population_std,
+)
 from conetrack.core import Pose2
 from conetrack.local_map import LocalMapConfig, LocalMapSnapshot, LocalMapState, MapMode, ingest_frame
 from conetrack.planner import (
+    MAX_DESIRED_EDGE_COUNT,
+    MAX_LOG_COORDINATE_M,
+    MIN_MAX_LENGTH_M,
     CandidatePath,
     DegenerateSnapshotError,
     PathFeatures,
@@ -22,6 +31,7 @@ from conetrack.planner import (
     SearchLimits,
     _cone_log_terms,
     _np_sum,
+    _np_sum_appended,
     _population_std,
     enumerate_paths,
     plan_record,
@@ -211,11 +221,11 @@ class TestPopulationStd:
         assert _population_std(values) == reference_population_std(values)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=7))
+    @given(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=30))
     def test_a_carried_running_sum_gives_the_same_deviation(self, values):
         running = 0.0  # as the search carries a path's width sum, one crossed edge at a time
-        for value in values:
-            running += value
+        for n in range(1, len(values) + 1):
+            running = _np_sum_appended(running, values[:n])
         assert _population_std(values, running) == reference_population_std(values)
 
 
@@ -238,6 +248,14 @@ class TestNpSum:
     @given(st.lists(SUM_VALUES, min_size=1, max_size=300))
     def test_equals_np_add_reduce(self, values):
         assert same_float(_np_sum(values), float(np.add.reduce(np.array(values, dtype=float))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SUM_VALUES, min_size=1, max_size=200))
+    def test_a_sum_carried_one_value_at_a_time_equals_the_sum(self, values):
+        total = 0.0
+        for n in range(1, len(values) + 1):
+            total = _np_sum_appended(total, values[:n])
+            assert same_float(total, _np_sum(values[:n]))
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 300])
     def test_all_negative_zeros_sum_to_positive_zero(self, n):
@@ -275,6 +293,34 @@ class TestPrior:
         assert result.candidates
         for cand in result.candidates:
             assert cand.log_prior == reference_log_prior(cand.features, terms, 29.0)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"max_length_m": MIN_MAX_LENGTH_M},
+            {"max_length_m": MAX_LOG_COORDINATE_M},
+            {"desired_edge_count": MAX_DESIRED_EDGE_COUNT},
+        ],
+        ids=["shortest", "longest", "most-edges"],
+    )
+    def test_limits_at_their_bounds_plan_finite_scores(self, limits):
+        snap = corridor_snapshot(n_stations=10, jitter=0.25, seed=4)
+        result = plan_snapshot(snap, PlannerConfig(SearchLimits(**limits)))
+        assert result.candidates
+        assert all(math.isfinite(c.log_posterior) for c in result.candidates)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"max_length_m": MIN_MAX_LENGTH_M / 2},
+            {"max_length_m": MAX_LOG_COORDINATE_M * 2},
+            {"desired_edge_count": MAX_DESIRED_EDGE_COUNT + 1},
+        ],
+        ids=["shorter", "longer", "more-edges"],
+    )
+    def test_limits_past_their_bounds_are_rejected(self, limits):
+        with pytest.raises(ValueError, match=next(iter(limits))):
+            PlannerConfig(SearchLimits(**limits))
 
 
 class TestLikelihood:
@@ -481,6 +527,92 @@ class TestLightCandidates:
         with pytest.raises(AttributeError):
             cand.waypoints = np.zeros((1, 2))
         assert cand.waypoints.tolist() == [[0.5, 0.0]]
+
+
+UNKNOWN = (0.34, 0.33, 0.33)
+UNIFORM = (1 / 3, 1 / 3, 1 / 3)
+
+
+@st.composite
+def cone_layouts(draw):
+    """A snapshot of 3 to 24 cones and an ego among them.
+
+    The cones lie on a coarse lattice, so many distances tie, or along a
+    line with small perpendicular offsets, so triangles are near-collinear
+    slivers. Colours are drawn per cone, or uniform for all of them, so
+    that mirror-image paths tie in posterior.
+    """
+    n = draw(st.integers(3, 24))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 3)), min_size=n, max_size=n, unique=True))
+        xy = [(1.5 * i, 1.5 * j) for i, j in cells]
+    else:
+        along = draw(st.lists(st.integers(-4, 40), min_size=n, max_size=n, unique=True))
+        offsets = draw(st.lists(st.floats(-1e-3, 1e-3), min_size=n, max_size=n))
+        xy = [(0.5 * a, 0.1 * a + off) for a, off in zip(along, offsets)]
+    if draw(st.booleans()):
+        colors = draw(st.lists(st.sampled_from([BLUE, YELLOW, UNKNOWN]), min_size=n, max_size=n))
+    else:  # every cone scores alike in every role, so mirror-image paths tie
+        colors = [UNIFORM] * n
+    ego = Pose2(draw(st.floats(-2.0, 8.0)), draw(st.floats(-3.0, 3.0)), draw(st.floats(-math.pi, math.pi)))
+    cones = [make_cone(cid, p, color) for cid, (p, color) in enumerate(zip(xy, colors))]
+    return LocalMapSnapshot(0.0, ego, cone_table(cones), frozenset(range(n)), MapMode.FUSION)
+
+
+def lattice_snapshot(nx, ny, ego):
+    """Cones of one uniform colour on an ``nx`` by ``ny`` grid, 1.5 m apart, centred on the x axis.
+
+    Delaunay splits each grid square by either diagonal, and translated
+    paths tie exactly in posterior, so a narrow beam cuts among ties.
+    """
+    xy = [(1.5 * i, 1.5 * j - 0.75 * (ny - 1)) for i in range(nx) for j in range(ny)]
+    cones = [make_cone(cid, p, UNIFORM) for cid, p in enumerate(xy)]
+    return LocalMapSnapshot(0.0, ego, cone_table(cones), frozenset(range(len(xy))), MapMode.FUSION)
+
+
+# exhaustive, the shipped beam, and beams narrow enough that the search cuts
+# its frontier, which pins the cut and its tie order
+BEAM_WIDTHS = [None, 300, 1, 2, 5]
+
+
+class TestSearchMatchesReference:
+    @staticmethod
+    def plan_both(snap, beam_width):
+        """The search's candidates, after checking each against the reference's, repr for repr; [] if degenerate."""
+        try:
+            tri = triangulate(snap.cones.means)
+        except DegenerateSnapshotError:
+            return []
+        config = PlannerConfig(SearchLimits(beam_width=beam_width))
+        found = enumerate_paths(tri, snap.ego, snap.cones.color_evidence, config)
+        expected = reference_enumerate_paths(tri, snap.ego, snap.cones.color_evidence, config)
+        assert [repr(c) for c in found] == [repr(c) for c in expected]
+        for cand in found:  # the checks CandidatePath's constructor runs, which the search skips
+            assert type(cand) is CandidatePath
+            assert len(cand.waypoint_pairs) == len(cand.crossed_edges)
+            assert set(cand.left_sequence).isdisjoint(cand.right_sequence)
+        return found
+
+    @pytest.mark.parametrize("beam_width", BEAM_WIDTHS)
+    def test_noisy_run(self, beam_width):
+        assert sum(bool(self.plan_both(snap, beam_width)) for snap in noisy_run_snapshots(60)) >= 25
+
+    @pytest.mark.parametrize("beam_width", BEAM_WIDTHS)
+    def test_corridors(self, beam_width):
+        layouts = [{}, {"stagger": 1.25}, {"n_stations": 12, "spacing": 1.5}, {"width": 3.0, "stagger": 0.6}]
+        layouts += [{"n_stations": 10, "jitter": 0.3, "seed": seed} for seed in range(4)]
+        assert all(self.plan_both(corridor_snapshot(**layout), beam_width) for layout in layouts)
+
+    @pytest.mark.parametrize("beam_width", BEAM_WIDTHS)
+    def test_lattices(self, beam_width):
+        egos = [Pose2(0.35, -1.4, 0.0), Pose2(1.6, -1.2, 0.0), Pose2(0.5, 0.0, 0.0), Pose2(2.0, 0.7, 0.3)]
+        for nx, ny in ((7, 3), (6, 3), (5, 2)):
+            assert all(self.plan_both(lattice_snapshot(nx, ny, ego), beam_width) for ego in egos)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cone_layouts(), st.sampled_from(BEAM_WIDTHS))
+    def test_random_layouts(self, snap, beam_width):
+        self.plan_both(snap, beam_width)
 
 
 class TestGoldenBytes:
