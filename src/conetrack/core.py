@@ -105,9 +105,6 @@ class Pose2:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c, -s], [s, c]])
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta], dtype=float)
-
     @staticmethod
     def identity() -> "Pose2":
         return Pose2(0.0, 0.0, 0.0)
@@ -167,7 +164,9 @@ def body_frame_point(pose: Pose2, point: np.ndarray) -> np.ndarray:
     c, s = math.cos(pose.theta), math.sin(pose.theta)
     p = np.asarray(point, dtype=float)
     dx, dy = p[..., 0] - pose.x, p[..., 1] - pose.y
-    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
+    out = np.empty(p.shape)
+    out[..., 0], out[..., 1] = c * dx + s * dy, -s * dx + c * dy
+    return out
 
 
 def rotate_covariance(theta: float, cov: np.ndarray) -> np.ndarray:

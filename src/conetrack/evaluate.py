@@ -63,6 +63,35 @@ def _rigid_fit(src: np.ndarray, dst: np.ndarray) -> tuple[float, np.ndarray]:
     return theta, t
 
 
+# A pair's x gap is at most its distance, so the truth points within the reject
+# radius of a point lie in its x window; the window is widened by this much,
+# relative to the coordinates, so that no rounding can leave one outside it
+ICP_WINDOW_SLACK = 1e-9
+
+
+def _candidate_pairs(
+    moved: np.ndarray, truth: np.ndarray, by_x: np.ndarray, sorted_x: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, column, distance) of every moved, truth pair at most ``radius`` apart, in row-major order.
+
+    ``by_x`` orders the truth points by x and ``sorted_x`` holds their x in
+    that order. Each moved point meets only the truth points in its x
+    window, found by ``searchsorted``; each distance is the ``np.hypot`` of
+    the all-pairs matrix, so the triples are that matrix's entries within
+    the radius, bit for bit.
+    """
+    mx = moved[:, 0]
+    reach = radius + ICP_WINDOW_SLACK * (radius + np.abs(mx))
+    lo = np.searchsorted(sorted_x, mx - reach, side="left")
+    counts = np.searchsorted(sorted_x, mx + reach, side="right") - lo
+    rows = np.repeat(np.arange(len(moved)), counts)
+    cols = by_x[np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    dist = np.hypot(moved[rows, 0] - truth[cols, 0], moved[rows, 1] - truth[cols, 1])
+    near = np.flatnonzero(dist <= radius)
+    order = near[np.lexsort((cols[near], rows[near]))]
+    return rows[order], cols[order], dist[order]
+
+
 def icp_align(
     estimated: np.ndarray,
     truth: np.ndarray,
@@ -72,7 +101,9 @@ def icp_align(
     """Iterative closest point with one-to-one matching and outlier rejection.
 
     Alternates greedy nearest-neighbor correspondence (pairs farther than the
-    reject radius are dropped) with the closed-form rigid fit, stopping when
+    reject radius are dropped; the candidates come from a sweep over the
+    truth points sorted by x, see :func:`_candidate_pairs`) with the
+    closed-form rigid fit, stopping when
     the RMSE stops improving. The recorded RMSE series is non-increasing: a
     step that would worsen it terminates the iteration at the previous state.
 
@@ -86,15 +117,16 @@ def icp_align(
         raise DegenerateGeometryError("all points coincident")
 
     theta, trans = init.theta, init.position
+    by_x = np.argsort(tru[:, 0], kind="stable")
+    sorted_x = tru[by_x, 0]
 
     best: AlignmentResult | None = None
     for _ in range(config.max_iterations):
         c, s = math.cos(theta), math.sin(theta)
         rot = np.array([[c, -s], [s, c]])
         moved = est @ rot.T + trans
-        dist = np.hypot(moved[:, None, 0] - tru[None, :, 0], moved[:, None, 1] - tru[None, :, 1])
-        rows, cols = np.nonzero(dist <= config.reject_radius_m)  # row-major: the order greedy_pairs takes
-        pairs = greedy_pairs(rows, cols, dist[rows, cols])
+        rows, cols, dist = _candidate_pairs(moved, tru, by_x, sorted_x, config.reject_radius_m)
+        pairs = greedy_pairs(rows, cols, dist)
         if not pairs:
             break
         e_idx = np.array([p[0] for p in pairs])

@@ -12,6 +12,7 @@ Gauss-Newton iterations on sparse normal equations.
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
 import math
@@ -114,14 +115,34 @@ class _Rows:
         self.rows = self._buffer[:0]
 
     def append(self, new) -> None:
+        self.grow(len(new))[...] = new
+
+    def grow(self, count: int) -> np.ndarray:
+        """Add ``count`` rows of zeros at the end; returns them, to be filled in place."""
         n = len(self.rows)
-        end = n + len(new)
+        end = n + count
         if end > len(self._buffer):
             grown = np.zeros((max(end, 2 * len(self._buffer)), *self._buffer.shape[1:]), self._buffer.dtype)
             grown[:n] = self.rows
             self._buffer = grown
-        self._buffer[n:end] = new
         self.rows = self._buffer[:end]
+        return self.rows[n:]
+
+
+class _QueuedRows:
+    """Pose and edge rows not yet in the graph's arrays, as flat ``array.array`` columns:
+    eight bytes a value and no Python object a row."""
+
+    def __init__(self) -> None:
+        self.poses = array.array("d")  # x, y, theta a pose
+        self.relative = array.array("d")  # x, y, theta an odometry edge
+        self.odometry_information = array.array("d")  # 9 an odometry edge
+        self.observation_pose = array.array("q")
+        self.landmark = array.array("q")
+        self.measurement = array.array("d")  # 2 an observation edge
+        self.isotropic = array.array("b")  # 1 where an edge's information came as a variance
+        self.variance = array.array("d")  # 1 an isotropic edge
+        self.information = array.array("d")  # 4 any other edge
 
 
 class Graph:
@@ -135,8 +156,14 @@ class Graph:
     cone id to one landmark and holds that id's latest (blue, yellow,
     unknown) colour evidence; ``link_index`` maps a local id to its row.
     ``last_timestamp`` and ``last_ego`` are those of the last snapshot added,
-    from which the next one's odometry edge is taken. :func:`optimize` reads
-    the arrays; :meth:`merge_estimates` writes a solve back.
+    from which the next one's odometry edge is taken, and ``last_pose`` is
+    the last pose added or merged, from which the next pose is chained.
+    :func:`optimize` reads the arrays; :meth:`merge_estimates` writes a solve
+    back.
+
+    :meth:`add_pose` and :meth:`add_observations` queue their rows as they
+    come; the pose and edge arrays take the queue in one block each when one
+    of them is next read.
     """
 
     def __init__(self) -> None:
@@ -145,13 +172,17 @@ class Graph:
         self._links = _Rows(LINK)
         self._odometry = _Rows(ODOMETRY_EDGE)
         self._observations = _Rows(OBSERVATION_EDGE)
+        self._queued = _QueuedRows()
         self.link_index: dict[int, int] = {}
+        self.pose_count = 0
+        self.last_pose: Pose2 | None = None
         self.last_timestamp: float | None = None
         self.last_ego: Pose2 | None = None
         self.optimized = False
 
     @property
     def poses(self) -> np.ndarray:
+        self._build_queued()
         return self._poses.rows
 
     @property
@@ -164,19 +195,25 @@ class Graph:
 
     @property
     def odometry_edges(self) -> np.ndarray:
+        self._build_queued()
         return self._odometry.rows
 
     @property
     def observation_edges(self) -> np.ndarray:
+        self._build_queued()
         return self._observations.rows
 
     def add_pose(self, pose: Pose2, odometry: Pose2 | None = None, information=None) -> None:
-        """Append a pose; each pose after the first comes with the odometry edge from its predecessor."""
-        if (odometry is None) != (len(self.poses) == 0):
+        """Queue a pose; each pose after the first comes with the odometry edge from its predecessor
+        and that edge's (3, 3) information matrix."""
+        if (odometry is None) != (self.last_pose is None):
             raise ValueError("every pose but the first is chained to its predecessor by one odometry edge")
-        self._poses.append([pose.as_array()])
+        self._queued.poses.extend((pose.x, pose.y, pose.theta))
         if odometry is not None:
-            self._odometry.append(np.array([(odometry.as_array(), information)], ODOMETRY_EDGE))
+            self._queued.relative.extend((odometry.x, odometry.y, odometry.theta))
+            self._queued.odometry_information.extend(itertools.chain.from_iterable(information))
+        self.pose_count += 1
+        self.last_pose = pose
 
     def add_landmarks(self, positions) -> np.ndarray:
         """Append (k, 2) landmark positions; returns their rows."""
@@ -202,13 +239,36 @@ class Graph:
         return color_probabilities(totals)
 
     def add_observations(self, pose, landmark, measurement, information) -> None:
-        """Append observation edges: pose rows, landmark rows, (k, 2) measurements, (k, 2, 2) information."""
-        edges = np.zeros(len(landmark), OBSERVATION_EDGE)
-        edges["pose"] = pose
-        edges["landmark"] = landmark
-        edges["measurement"] = np.reshape(measurement, (-1, 2))
-        edges["information"] = np.reshape(information, (-1, 2, 2))
-        self._observations.append(edges)
+        """Queue k observation edges: a pose row, or one per edge, landmark rows, (k, 2) measurements, and
+        either (k, 2, 2) information matrices or (k,) variances of isotropic measurements, each of whose
+        information is ``np.eye(2) / variance``."""
+        queued, count = self._queued, len(landmark)
+        queued.observation_pose.extend(itertools.repeat(pose, count) if np.ndim(pose) == 0 else pose)
+        queued.landmark.frombytes(np.asarray(landmark, np.int64).tobytes())
+        queued.measurement.frombytes(np.asarray(measurement, float).tobytes())
+        information = np.asarray(information, float)
+        isotropic = information.ndim == 1
+        (queued.variance if isotropic else queued.information).frombytes(information.tobytes())
+        queued.isotropic.frombytes(bytes([isotropic]) * count)
+
+    def _build_queued(self) -> None:
+        """Write the queued poses and edges into their arrays, one block per array, and empty the queue."""
+        queued = self._queued
+        if not (queued.poses or queued.observation_pose):
+            return
+        self._queued = _QueuedRows()
+        self._poses.append(np.frombuffer(queued.poses, float).reshape(-1, 3))
+        edges = self._odometry.grow(len(queued.relative) // 3)
+        edges["relative"] = np.frombuffer(queued.relative, float).reshape(-1, 3)
+        edges["information"] = np.frombuffer(queued.odometry_information, float).reshape(-1, 3, 3)
+        edges = self._observations.grow(len(queued.observation_pose))
+        edges["pose"] = np.frombuffer(queued.observation_pose, np.int64)
+        edges["landmark"] = np.frombuffer(queued.landmark, np.int64)
+        edges["measurement"] = np.frombuffer(queued.measurement, float).reshape(-1, 2)
+        isotropic = np.frombuffer(queued.isotropic, np.bool_)
+        # the information of every isotropic edge in one division
+        edges["information"][isotropic] = np.eye(2) / np.frombuffer(queued.variance, float).reshape(-1, 1, 1)
+        edges["information"][~isotropic] = np.frombuffer(queued.information, float).reshape(-1, 2, 2)
 
     def merge_estimates(self, result: OptimizeResult) -> None:
         """Commit a solve of this graph: its poses and landmarks overwrite the graph's.
@@ -218,6 +278,8 @@ class Graph:
         self.poses[:, :2] = result.poses[:, :2]
         self.poses[:, 2] = [normalize_angle(theta) for theta in result.poses[:, 2].tolist()]
         self.landmarks[:] = result.landmarks
+        if len(self.poses):
+            self.last_pose = _row_pose(self.poses[-1])
         self.optimized = True
 
 
@@ -245,10 +307,10 @@ def add_snapshot(graph: Graph, snapshot: LocalMapSnapshot, config: GlobalMapConf
         graph.add_pose(pose)
     else:
         odometry = relative_pose(graph.last_ego, ego)
-        pose = compose(_row_pose(graph.poses[-1]), odometry)
+        pose = compose(graph.last_pose, odometry)
         sx, sy, st = config.odometry_sigma_rates
         dt_f = max(snapshot.timestamp - graph.last_timestamp, 1e-3)
-        info = np.diag([1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)])
+        info = (1.0 / (sx * sx * dt_f), 0.0, 0.0), (0.0, 1.0 / (sy * sy * dt_f), 0.0), (0.0, 0.0, 1.0 / (st * st * dt_f))
         graph.add_pose(pose, odometry, info)
     graph.last_timestamp, graph.last_ego = snapshot.timestamp, ego
 
@@ -276,7 +338,7 @@ def add_snapshot(graph: Graph, snapshot: LocalMapSnapshot, config: GlobalMapConf
         landmarks[new] = matched
     floor = config.observation_sigma_floor_m**2
     variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
-    graph.add_observations(len(graph.poses) - 1, landmarks, measurements, np.eye(2) / variances.reshape(-1, 1, 1))
+    graph.add_observations(graph.pose_count - 1, landmarks, measurements, variances)
     return graph
 
 

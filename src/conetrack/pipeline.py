@@ -227,7 +227,8 @@ def map_alignment(records: list[dict], track: TrackDefinition) -> dict:
     """
     start_pose = track.start_pose()
     pts = np.array([[r["x_m"], r["y_m"]] for r in records])
-    world = np.array([start_pose.rotation() @ p + start_pose.position for p in pts])
+    # one stacked matmul gives each point the bits of its own rotation() @ p
+    world = np.matmul(start_pose.rotation(), pts[:, :, None])[:, :, 0] + start_pose.position
     alignment = icp_align(world, track.positions, init=Pose2.identity())
     return {
         "rmse_m": map_rmse(alignment),

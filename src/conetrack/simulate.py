@@ -8,6 +8,7 @@ pipelines so the mapping and planning stages can be exercised at desk scale.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .centerline import CenterlineGeometry
 from .core import (
     COV_EIGENVALUE_FLOOR,
     Bound,
@@ -24,7 +26,6 @@ from .core import (
     Pose2,
     SensorSource,
     Velocity2,
-    body_frame_point,
     check_bounds,
     check_range,
     is_finite_number,
@@ -53,8 +54,7 @@ MAX_WIDTH_M = 5.0
 # consecutive cone projections
 MAX_SAME_SIDE_SPACING_M = 5.0
 # the most centerline samples, and the most cone stations, a spec may ask
-# for: a 5 km loop at the default 0.5 m resolution. Checking a track projects
-# every cone onto every centerline segment, so the cap bounds that time too
+# for: a 5 km loop at the default 0.5 m resolution
 MAX_TRACK_SAMPLES = 10_000
 # evenly redistributing floor(L / spacing) stations can stretch gaps slightly
 # past nominal; the validator allows this much slack
@@ -94,6 +94,14 @@ class TrackDefinition:
             ],
             "centerline_m": self.centerline.tolist(),
         }
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cones' x and y, each a contiguous read-only column."""
+        columns = tuple(np.ascontiguousarray(self.positions[:, k]) for k in (0, 1))
+        for column in columns:
+            column.setflags(write=False)
+        return columns
 
     def start_pose(self) -> Pose2:
         """Where the lap starts, and the origin of its map frame: the centerline's pose at arc length 0."""
@@ -138,63 +146,6 @@ def load_track(path: Path | str) -> TrackDefinition:
     track = TrackDefinition.from_dict(json.loads(Path(path).read_text()))
     validate_track(track)
     return track
-
-
-class CenterlineGeometry:
-    """Arc-length lookup (point, tangent, heading, curvature) on a closed centerline."""
-
-    def __init__(self, centerline: np.ndarray):
-        pts = np.asarray(centerline, dtype=float)
-        closed = np.vstack([pts, pts[:1]])
-        seg = np.diff(closed, axis=0)
-        seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(seg_len <= 0):
-            raise ValueError("centerline has repeated points")
-        self.points = pts
-        self.cum_s = np.concatenate([[0.0], np.cumsum(seg_len)])
-        self.length = float(self.cum_s[-1])
-        self._seg = seg
-        self._seg_len = seg_len
-
-    def point_at(self, s: float) -> np.ndarray:
-        s = s % self.length
-        i = int(np.searchsorted(self.cum_s, s, side="right") - 1)
-        i = min(i, len(self._seg) - 1)
-        t = (s - self.cum_s[i]) / self._seg_len[i]
-        return self.points[i] + t * self._seg[i]
-
-    def heading_at(self, s: float) -> float:
-        s = s % self.length
-        i = int(np.searchsorted(self.cum_s, s, side="right") - 1)
-        i = min(i, len(self._seg) - 1)
-        return math.atan2(self._seg[i, 1], self._seg[i, 0])
-
-    def pose_at(self, s: float) -> Pose2:
-        p = self.point_at(s)
-        return Pose2(p[0], p[1], self.heading_at(s))
-
-    def curvature_at(self, s: float, window_m: float = 2.0) -> float:
-        # chord headings through interpolated points; immune to the
-        # segment quantization of heading_at
-        p0 = self.point_at(s - window_m / 2)
-        p1 = self.point_at(s)
-        p2 = self.point_at(s + window_m / 2)
-        h1 = math.atan2(p1[1] - p0[1], p1[0] - p0[0])
-        h2 = math.atan2(p2[1] - p1[1], p2[0] - p1[0])
-        span = 0.5 * (np.hypot(*(p1 - p0)) + np.hypot(*(p2 - p1)))
-        return normalize_angle(h2 - h1) / max(span, 1e-9)
-
-    def nearest_arc_length(self, point: np.ndarray) -> float:
-        """Arc length of the exact orthogonal projection onto the polyline."""
-        p = np.asarray(point, dtype=float)
-        rel = p - self.points
-        t = np.clip(
-            (rel[:, 0] * self._seg[:, 0] + rel[:, 1] * self._seg[:, 1]) / self._seg_len**2, 0.0, 1.0
-        )
-        foot = self.points + t[:, None] * self._seg
-        d2 = np.sum((p - foot) ** 2, axis=1)
-        i = int(np.argmin(d2))
-        return float(self.cum_s[i] + t[i] * self._seg_len[i])
 
 
 TRACK_KINDS = ("loop", "circle")
@@ -271,10 +222,10 @@ def boundary_order(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Each cone's arc length along ``geom``, and the blue (left) and yellow (right) rows in arc order.
 
-    ``nearest_arc_length`` runs once per cone. The sort is stable, so cones at
-    the same arc length keep their row order.
+    One ``nearest_arc_lengths`` call projects every cone. The sort is stable,
+    so cones at the same arc length keep their row order.
     """
-    arcs = np.array([geom.nearest_arc_length(p) for p in track.positions])
+    arcs = geom.nearest_arc_lengths(track.positions)
     sides = (np.flatnonzero(track.colors == code) for code in (0, 1))
     return arcs, tuple(rows[np.argsort(arcs[rows], kind="stable")] for rows in sides)
 
@@ -547,17 +498,23 @@ class SensorProfile:
         return self.sigma_base_m + self.sigma_range_coeff_m_per_m2 * np.square(ranges)
 
     def color_accuracy(self, ranges: np.ndarray) -> np.ndarray:
-        return _step_lookup(self.color_accuracy_bins, ranges)
+        return _step_lookup(*self._steps["color_accuracy_bins"], ranges)
 
     def recall(self, ranges: np.ndarray) -> np.ndarray:
-        return _step_lookup(self.recall_bins, ranges)
+        return _step_lookup(*self._steps["recall_bins"], ranges)
+
+    @functools.cached_property
+    def _steps(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """The (edges, values) arrays of each step function, built on first use."""
+        return {
+            name: (np.array([e for e, _ in bins]), np.array([v for _, v in bins]))
+            for name, bins in (("color_accuracy_bins", self.color_accuracy_bins), ("recall_bins", self.recall_bins))
+        }
 
 
-def _step_lookup(bins: Sequence[tuple[float, float]], ranges: np.ndarray) -> np.ndarray:
-    edges = np.array([e for e, _ in bins])
-    values = np.array([v for _, v in bins])
+def _step_lookup(edges: np.ndarray, values: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     idx = np.minimum(np.searchsorted(edges, ranges, side="left"), len(values) - 1)
-    return values[idx]
+    return values.take(idx)
 
 
 def load_profile(path: Path | str) -> SensorProfile:
@@ -632,21 +589,25 @@ def observe_cones(
     track: TrackDefinition, true_pose: Pose2, profile: SensorProfile, rng: np.random.Generator, timestamp: float
 ) -> ObservationBatch:
     """Sample one frame of cone detections in the car frame: detections, then false positives."""
-    x, y = body_frame_point(true_pose, track.positions).T
+    # body_frame_point's arithmetic, on the track's x and y columns
+    c, s = math.cos(true_pose.theta), math.sin(true_pose.theta)
+    xs, ys = track.columns
+    dx, dy = xs - true_pose.x, ys - true_pose.y
+    x, y = c * dx + s * dy, -s * dx + c * dy
     ranges = np.hypot(x, y)
     in_range = np.flatnonzero(ranges <= profile.max_range_m)
-    idx = in_range[np.abs(np.arctan2(y[in_range], x[in_range])) <= profile.fov_half_angle_rad]
-    detected = idx[rng.random(len(idx)) < profile.recall(ranges[idx])]
+    idx = in_range[np.abs(np.arctan2(y.take(in_range), x.take(in_range))) <= profile.fov_half_angle_rad]
+    detected = idx[rng.random(len(idx)) < profile.recall(ranges.take(idx))]
 
-    r = ranges[detected]
+    r = ranges.take(detected)
     sigma = profile.position_sigma(r)
     noise = rng.normal(size=(len(detected), 2)) * sigma[:, None]
     correct = rng.random(len(detected)) < profile.color_accuracy(r)
     alt_pick = rng.integers(0, 2, size=len(detected))
-    true_idx = track.colors[detected]
+    true_idx = track.colors.take(detected)
     # a confused detection takes the lower (pick 0) or higher (pick 1) of the two other classes
     classes = np.where(correct, true_idx, alt_pick + (alt_pick >= true_idx))
-    means = np.column_stack([x[detected], y[detected]]) + noise
+    means = np.column_stack([x.take(detected), y.take(detected)]) + noise
 
     n_fp = int(rng.poisson(profile.false_positives_per_frame))
     if n_fp:
@@ -694,11 +655,11 @@ def discrete_frames(poses: Iterable[Pose2], dt: float) -> Iterator[tuple[float, 
         if prev is None:
             yield 0.0, 0.0, pose, Velocity2.zero()
         else:
-            d = pose.position - prev.position
+            dx, dy = pose.x - prev.x, pose.y - prev.y
             c, s = math.cos(prev.theta), math.sin(prev.theta)
             vel = Velocity2(
-                (c * d[0] + s * d[1]) / dt,
-                (-s * d[0] + c * d[1]) / dt,
+                (c * dx + s * dy) / dt,
+                (-s * dx + c * dy) / dt,
                 normalize_angle(pose.theta - prev.theta) / dt,
             )
             yield k * dt, dt, pose, vel

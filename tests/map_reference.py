@@ -11,6 +11,15 @@ up. The planner-log exit test meets each segment only with the ring edges
 near it; ``broadcast_first_exit_distances`` meets it with every edge.
 ``numpy_color_probabilities`` is the colour of summed evidence arrays.
 
+ICP meets each point only with the truth points in its x window;
+:func:`all_pairs_candidates` is the all-pairs distance matrix it replaced.
+
+The graph queues its pose and edge rows and writes them into its arrays in
+one block when they are read; :class:`AppendedRowsGraph` and
+:func:`appending_add_snapshot` are the form that appended a snapshot's rows
+to the arrays as it came, chaining each pose from the last row of
+``poses``.
+
 The graph keeps its links to local cone ids in one table and associates a
 snapshot's new cones in one call. :class:`DictLinkGraph` and
 :func:`reference_add_snapshot` are the per-cone form it replaced: a dict of
@@ -29,6 +38,8 @@ from conetrack.core import Pose2, body_frame_point, compose, relative_pose, tran
 from conetrack.evaluate import EXIT_TEST_CHUNK, AlignmentResult, _rigid_fit
 from conetrack.global_map import (
     LINK,
+    OBSERVATION_EDGE,
+    ODOMETRY_EDGE,
     GlobalMapConfig,
     Graph,
     OptimizeResult,
@@ -39,8 +50,14 @@ from conetrack.global_map import (
     _row_pose,
     _Rows,
     _whiten,
+    _associate_landmarks,
     residual_cost,
 )
+
+
+def pose_array(pose: Pose2) -> np.ndarray:
+    """A pose as the (x, y, theta) float array a row of ``Graph.poses`` holds."""
+    return np.array([pose.x, pose.y, pose.theta], dtype=float)
 
 
 def one_edge(batch, *rows, jac=False):
@@ -355,3 +372,78 @@ def reference_associate_landmark(
             best_d = d
             best = i
     return best
+
+
+def all_pairs_candidates(moved: np.ndarray, truth: np.ndarray, radius: float):
+    """The (row, column, distance) of every moved, truth pair at most ``radius`` apart, in row-major order,
+    read from the full moved x truth ``np.hypot`` matrix."""
+    dist = np.hypot(moved[:, None, 0] - truth[None, :, 0], moved[:, None, 1] - truth[None, :, 1])
+    rows, cols = np.nonzero(dist <= radius)
+    return rows, cols, dist[rows, cols]
+
+
+class AppendedRowsGraph(Graph):
+    """A graph whose poses and edges go into its arrays as they are added: one ``_Rows.append`` per pose,
+    per odometry edge and per block of observation edges, each block built with ``np.zeros`` and field
+    writes. Its queue stays empty."""
+
+    def add_pose(self, pose: Pose2, odometry: Pose2 | None = None, information=None) -> None:
+        if (odometry is None) != (len(self.poses) == 0):
+            raise ValueError("every pose but the first is chained to its predecessor by one odometry edge")
+        self._poses.append([pose_array(pose)])
+        if odometry is not None:
+            self._odometry.append(np.array([(pose_array(odometry), information)], ODOMETRY_EDGE))
+
+    def add_observations(self, pose, landmark, measurement, information) -> None:
+        edges = np.zeros(len(landmark), OBSERVATION_EDGE)
+        edges["pose"] = pose
+        edges["landmark"] = landmark
+        edges["measurement"] = np.reshape(measurement, (-1, 2))
+        edges["information"] = np.reshape(information, (-1, 2, 2))
+        self._observations.append(edges)
+
+
+def appending_add_snapshot(graph: AppendedRowsGraph, snapshot, config: GlobalMapConfig = GlobalMapConfig()):
+    """``global_map.add_snapshot`` writing each snapshot's rows as it comes: the pose chained from
+    ``graph.poses[-1]``, the odometry information an ``np.diag`` and the observation information an
+    ``np.eye(2) / variance`` block."""
+    if graph.last_timestamp is not None and snapshot.timestamp <= graph.last_timestamp:
+        raise ValueError(f"snapshot at {snapshot.timestamp} s arrived after {graph.last_timestamp} s")
+    ego = snapshot.ego
+    if graph.last_ego is None:
+        pose = Pose2.identity()
+        graph.add_pose(pose)
+    else:
+        odometry = relative_pose(graph.last_ego, ego)
+        pose = compose(_row_pose(graph.poses[-1]), odometry)
+        sx, sy, st = config.odometry_sigma_rates
+        dt_f = max(snapshot.timestamp - graph.last_timestamp, 1e-3)
+        info = np.diag([1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)])
+        graph.add_pose(pose, odometry, info)
+    graph.last_timestamp, graph.last_ego = snapshot.timestamp, ego
+
+    cones = snapshot.cones
+    ids = cones.ids.tolist()
+    observed = [k for k, cid in enumerate(ids) if cid in snapshot.observed_ids]
+    offsets = (cones.means[observed] - ego.position).tolist()
+    rows = [k for k, (dx, dy) in zip(observed, offsets) if not math.hypot(dx, dy) > config.proximity_radius_m]
+    measurements = body_frame_point(ego, cones.means[rows])
+    evidence = cones.color_evidence[rows]
+    link_rows = [graph.link_index.get(ids[k]) for k in rows]
+    old = [j for j, row in enumerate(link_rows) if row is not None]
+    new = [j for j, row in enumerate(link_rows) if row is None]
+    linked = [link_rows[j] for j in old]
+    graph.links["evidence"][linked] = evidence[old]
+    landmarks = np.empty(len(rows), np.intp)
+    landmarks[old] = graph.links["landmark"][linked]
+    if new:
+        world_guesses = transform_point(pose, measurements[new])
+        matched = _associate_landmarks(graph, world_guesses, evidence[new], ids, config.association_radius_m)
+        unmatched = matched < 0
+        matched[unmatched] = graph.add_landmarks(world_guesses[unmatched])
+        graph.add_links([ids[rows[j]] for j in new], matched, evidence[new])
+        landmarks[new] = matched
+    floor = config.observation_sigma_floor_m**2
+    variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
+    graph.add_observations(len(graph.poses) - 1, landmarks, measurements, np.eye(2) / variances.reshape(-1, 1, 1))
+    return graph

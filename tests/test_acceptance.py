@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cone_reference import RefCone, RefGaussian, cone_table
-from map_reference import align_exact_correspondences, one_edge
+from map_reference import align_exact_correspondences, one_edge, pose_array
 from planner_reference import log_likelihood, reference_log_prior
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import Pose2, Velocity2
@@ -386,7 +386,7 @@ class TestAC7SolverCorrectness:
         for k in range(1, len(graph.poses)):
             noise = rng2.normal(scale=0.02, size=3)
             x, y, theta = graph.poses[k]
-            graph.poses[k] = Pose2(x + noise[0], y + noise[1], theta + 0.05 * noise[2]).as_array()
+            graph.poses[k] = pose_array(Pose2(x + noise[0], y + noise[1], theta + 0.05 * noise[2]))
         for i in range(len(graph.landmarks)):
             graph.landmarks[i] = graph.landmarks[i] + rng2.normal(scale=0.03, size=2)
         perturbed_cost = optimize(graph).final_cost

@@ -61,6 +61,13 @@ class TestGenerate:
         assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_longest_densest_track_keeps_its_bytes(self, tmp_path):
+        """A 5 km loop at 0.5 m cone spacing, the most cone stations a spec may ask for: checking it projects
+        20,000 cones onto 10,000 segments through the grid, and the file is the one the all-segments scan wrote."""
+        out = tmp_path / "t.json"
+        assert main(["generate", "--length-m", "5000", "--spacing-m", "0.5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == "09eb5d410868f289af64fd7f1789601ca09bf5bf3730fd0534e397ae6f93cc37"
+
     def test_length_within_rule_band(self, tmp_path):
         out = tmp_path / "t.json"
         assert main(["generate", "--length-m", "250", "--seed", "1", "--out", str(out)]) == 0

@@ -14,6 +14,7 @@ from cone_reference import (
     dense_greedy_pairs,
     ref_bhattacharyya_distance,
 )
+from map_reference import pose_array
 from conetrack.core import (
     COV_EIGENVALUE_FLOOR,
     ObservationBatch,
@@ -21,6 +22,7 @@ from conetrack.core import (
     SensorSource,
     Velocity2,
     bhattacharyya_distances,
+    body_frame_point,
     color_probabilities,
     compose,
     greedy_pairs,
@@ -48,7 +50,7 @@ class TestPose:
         p = Pose2(1.5, -2.0, 0.7)
         ident = Pose2.identity()
         for q in (compose(ident, p), compose(p, ident)):
-            assert q.as_array() == pytest.approx(p.as_array(), abs=1e-12)
+            assert pose_array(q) == pytest.approx(pose_array(p), abs=1e-12)
 
     def test_compose_quarter_turn(self):
         # (1, 0, pi/2) (+) (1, 0, 0) -> (1, 1, pi/2)
@@ -61,8 +63,8 @@ class TestPose:
         rng = np.random.default_rng(7)
         for _ in range(200):
             a, b, c = (random_pose(rng) for _ in range(3))
-            left = compose(compose(a, b), c).as_array()
-            right = compose(a, compose(b, c)).as_array()
+            left = pose_array(compose(compose(a, b), c))
+            right = pose_array(compose(a, compose(b, c)))
             assert np.allclose(left[:2], right[:2], atol=1e-10)
             assert abs(normalize_angle(left[2] - right[2])) < 1e-10
 
@@ -71,25 +73,44 @@ class TestPose:
         for _ in range(100):
             p = random_pose(rng)
             back = compose(p, invert(p))
-            assert back.as_array() == pytest.approx([0, 0, 0], abs=1e-10)
+            assert pose_array(back) == pytest.approx([0, 0, 0], abs=1e-10)
 
     def test_relative_pose_recovers_increment(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             a, d = random_pose(rng), random_pose(rng)
             b = compose(a, d)
-            assert relative_pose(a, b).as_array() == pytest.approx(d.as_array(), abs=1e-10)
+            assert pose_array(relative_pose(a, b)) == pytest.approx(pose_array(d), abs=1e-10)
+
+
+class TestBodyFramePoint:
+    @staticmethod
+    def stacked(pose, point):
+        """The body-frame points as one ``np.stack`` of the two rotated columns."""
+        c, s = math.cos(pose.theta), math.sin(pose.theta)
+        p = np.asarray(point, dtype=float)
+        dx, dy = p[..., 0] - pose.x, p[..., 1] - pose.y
+        return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
+
+    @pytest.mark.parametrize("shape", [(2,), (0, 2), (7, 2), (3, 4, 2)])
+    def test_equals_the_stacked_columns(self, shape):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            pose = random_pose(rng)
+            points = rng.normal(scale=rng.choice([1.0, 100.0, 1e4]), size=shape)
+            mine, theirs = body_frame_point(pose, points), self.stacked(pose, points)
+            assert (mine.shape, mine.tobytes()) == (theirs.shape, theirs.tobytes())
 
 
 class TestVelocityIntegration:
     def test_zero_velocity_keeps_pose(self):
         p = Pose2(3, 4, 1.0)
         q = integrate_velocity(p, Velocity2.zero(), 5.0)
-        assert q.as_array() == pytest.approx(p.as_array())
+        assert pose_array(q) == pytest.approx(pose_array(p))
 
     def test_straight_line(self):
         q = integrate_velocity(Pose2(0, 0, 0), Velocity2(1, 0, 0), 2.0)
-        assert q.as_array() == pytest.approx([2, 0, 0])
+        assert pose_array(q) == pytest.approx([2, 0, 0])
 
     def test_heading_rotates_body_velocity(self):
         q = integrate_velocity(Pose2(0, 0, math.pi / 2), Velocity2(1, 0, 0), 1.0)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from map_reference import align_exact_correspondences, broadcast_first_exit_distances
-from conetrack import evaluate
+from map_reference import align_exact_correspondences, all_pairs_candidates, broadcast_first_exit_distances
+from conetrack import evaluate, pipeline
 from conetrack.config import load_config
 from conetrack.core import Pose2, body_frame_point, compose, invert, transform_point
 from conetrack.evaluate import (
@@ -145,6 +145,93 @@ class TestIcpProperties:
         assert abs(result.rotation - theta) <= 1e-6
         assert np.abs(result.translation - t).max() <= 1e-6
         assert result.rmse <= 1e-6
+
+
+def swept_candidates(moved, truth, radius):
+    """``evaluate._candidate_pairs`` with the truth points sorted as ``icp_align`` sorts them."""
+    by_x = np.argsort(truth[:, 0], kind="stable")
+    return evaluate._candidate_pairs(moved, truth, by_x, truth[by_x, 0], radius)
+
+
+def ulp_ring(origin, radius):
+    """Points the radius from ``origin`` along each axis and a diagonal, and one ulp either side of each."""
+    out = []
+    for dx, dy in ((radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius), (radius * math.sqrt(0.5), radius * math.sqrt(0.5))):
+        x, y = origin[0] + dx, origin[1] + dy
+        for toward in (-np.inf, None, np.inf):
+            out.append([v if toward is None or d == 0.0 else np.nextafter(v, toward) for v, d in ((x, dx), (y, dy))])
+    return np.array(out)
+
+
+COORD = st.one_of(st.integers(-6, 6).map(float), st.floats(-20.0, 20.0, allow_subnormal=False))
+
+
+class TestIcpSweepMatchesAllPairs:
+    """The x-sorted sweep's candidate pairs against the all-pairs distance matrix, bit for bit."""
+
+    @staticmethod
+    def check(moved, truth, radius):
+        moved, truth = np.asarray(moved, float).reshape(-1, 2), np.asarray(truth, float).reshape(-1, 2)
+        rows, cols, dist = swept_candidates(moved, truth, radius)
+        ref_rows, ref_cols, ref_dist = all_pairs_candidates(moved, truth, radius)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+        assert dist.tobytes() == ref_dist.tobytes()
+        return len(rows)
+
+    @pytest.mark.parametrize("radius", [1.0, 0.3, 2.5])
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (1234.5678, -987.654321), (-3.0e5, 4.0e5)])
+    def test_pairs_at_the_radius_and_one_ulp_either_side(self, radius, origin):
+        truth = np.array([origin])
+        moved = ulp_ring(origin, radius)
+        found = self.check(moved, truth, radius)
+        assert 0 < found < len(moved)
+
+    def test_repeated_x_values(self):
+        truth = np.array([[1.0, y] for y in np.linspace(-2.0, 2.0, 9)] + [[1.0, 0.5], [1.0, 0.5], [2.0, 0.0]])
+        moved = np.array([[1.0, 0.0], [1.0, 0.5], [1.5, 0.25], [0.0, 0.0], [2.0, 0.9]])
+        assert self.check(moved, truth, 1.0) > 10
+
+    def test_empty_windows(self):
+        truth = np.array([[0.0, 0.0], [1.0, 0.0]])
+        assert self.check(np.array([[10.0, 0.0], [-5.0, 3.0]]), truth, 1.0) == 0
+        assert self.check(np.array([[0.5, 50.0]]), truth, 1.0) == 0  # inside the x window, far in y
+        assert self.check(np.array([[10.0, 0.0], [0.5, 0.5]]), truth, 1.0) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        moved=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=25),
+        truth=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=25),
+        radius=st.sampled_from([0.5, 1.0, 1.5, 4.0]),
+    )
+    def test_random_point_sets(self, moved, truth, radius):
+        self.check(moved, truth, radius)
+
+    def test_icp_align_equals_the_all_pairs_alignment(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        truth = spread_points(rng, 60, spacing=2.0)
+        est = rigid(truth, 0.05, [0.4, -0.3]) + rng.normal(scale=0.1, size=truth.shape)
+        est = np.vstack([est, rng.uniform(-30, 30, size=(5, 2))])
+        results = [icp_align(est, truth, config=IcpConfig(reject_radius_m=r)) for r in (0.5, 1.0, 3.0)]
+        monkeypatch.setattr(evaluate, "_candidate_pairs", lambda moved, tru, by_x, sorted_x, r: all_pairs_candidates(moved, tru, r))
+        for result, r in zip(results, (0.5, 1.0, 3.0)):
+            reference = icp_align(est, truth, config=IcpConfig(reject_radius_m=r))
+            assert (result.rotation, result.translation.tobytes(), result.correspondences, result.rmse) == (
+                reference.rotation, reference.translation.tobytes(), reference.correspondences, reference.rmse
+            )
+
+
+class TestMapAlignmentPlacesEachPointAsItsOwnRotation:
+    def test_batched_rotation_equals_the_per_point_product(self, monkeypatch):
+        track = generate_track(TrackSpec(length_m=250.0), seed=4)
+        rng = np.random.default_rng(4)
+        points = track.positions + rng.normal(scale=0.3, size=track.positions.shape)
+        records = [{"x_m": x, "y_m": y} for x, y in points.tolist()]
+        seen = []
+        monkeypatch.setattr(pipeline, "icp_align", lambda world, *args, **kwargs: seen.append(world) or icp_align(world, *args, **kwargs))
+        pipeline.map_alignment(records, track)
+        start = track.start_pose()
+        expected = np.array([start.rotation() @ p + start.position for p in points])
+        assert seen[0].tobytes() == expected.tobytes()
 
 
 class TestMapRmse:

@@ -17,13 +17,16 @@ from scipy.sparse.linalg import splu
 
 from cone_reference import CLASSES, RefCone, RefGaussian, color_class, color_probabilities, cone_table
 from map_reference import (
+    AppendedRowsGraph,
     DictLinkGraph,
+    appending_add_snapshot,
     colamd_optimize,
     coo_assemble,
     dominant_class,
     numpy_color_probabilities,
     one_edge,
     plain_color_probabilities,
+    pose_array,
     reference_add_snapshot,
     reference_associate_landmark,
 )
@@ -152,7 +155,7 @@ class TestGraphConstruction:
         assert graph.poses.tolist() == [[0.0, 0.0, 0.0]] and len(graph.odometry_edges) == 0
         out, lap_graph = golden_lap
         egos = [snap.ego for snap in read_snapshot_log(out / "snapshots.ndjson")]
-        expected = [relative_pose(before, after).as_array() for before, after in zip(egos, egos[1:])]
+        expected = [pose_array(relative_pose(before, after)) for before, after in zip(egos, egos[1:])]
         assert len(lap_graph.poses) == len(egos) > 2
         assert lap_graph.odometry_edges["relative"].tobytes() == np.array(expected).tobytes()
 
@@ -262,6 +265,86 @@ class TestLinkTableMatchesPerConeReference:
         self.check(lap_snapshots(alive_at))
 
 
+class TestQueuedRowsMatchAppendedRows:
+    """``add_snapshot``'s queued rows against the per-snapshot appends they replaced, every column bit for bit."""
+
+    COLUMNS = ("poses", "landmarks", "links", "odometry_edges", "observation_edges")
+
+    @classmethod
+    def assert_same(cls, graph, reference):
+        for name in cls.COLUMNS:
+            mine, theirs = getattr(graph, name), getattr(reference, name)
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes()), name
+        assert graph.link_index == reference.link_index
+        last = graph.poses[-1].tolist()
+        assert [graph.last_pose.x, graph.last_pose.y, graph.last_pose.theta] == last
+        assert graph.pose_count == len(reference.poses)
+
+    @classmethod
+    def check(cls, snapshots, config=CONFIG, read_every=None):
+        graph, reference = Graph(), AppendedRowsGraph()
+        for k, snap in enumerate(snapshots):
+            add_snapshot(graph, snap, config)
+            appending_add_snapshot(reference, snap, config)
+            if read_every and k % read_every == 0:  # the arrays built part way take the rest of the queue later
+                cls.assert_same(graph, reference)
+        cls.assert_same(graph, reference)
+        return graph, reference
+
+    def test_golden_lap(self, golden_lap):
+        out, _ = golden_lap
+        config = dataclasses.replace(load_config("noise-free-circle"), plan_enabled=False).global_map_config()
+        self.check(list(read_snapshot_log(out / "snapshots.ndjson")), config)
+
+    @pytest.mark.parametrize(
+        "alive_at",
+        [
+            fusion_fails_at_3_s,
+            lambda t: ["lidar_only"],
+            lambda t: ["camera_only"],
+            lambda t: fusion_fails_at_3_s(t) if t < 6.0 else ["fusion"],
+        ],
+        ids=["degraded", "lidar_only", "camera_only", "fusion_restored_at_6_s"],
+    )
+    def test_seeded_local_map_lap(self, alive_at):
+        self.check(lap_snapshots(alive_at))
+
+    def test_arrays_read_part_way_through(self):
+        self.check(lap_snapshots(fusion_fails_at_3_s), read_every=7)
+
+    def test_a_lap_continues_from_merged_estimates(self):
+        snapshots = lap_snapshots(fusion_fails_at_3_s)
+        graph, reference = self.check(snapshots[:40])
+        for g in (graph, reference):
+            g.merge_estimates(optimize(g, CONFIG))
+        for snap in snapshots[40:]:
+            add_snapshot(graph, snap, CONFIG)
+            appending_add_snapshot(reference, snap, CONFIG)
+        self.assert_same(graph, reference)
+
+    def test_matrices_and_variances_keep_their_order(self):
+        """Observation blocks given as (k, 2, 2) matrices and as (k,) variances land in call order."""
+        graph, reference = Graph(), AppendedRowsGraph()
+        blocks = [
+            ([0, 0], [[1.0, 2.0], [3.0, 4.0]], np.array([0.25, 4.0])),
+            ([0], [[5.0, 6.0]], [np.diag([16.0, 9.0])]),
+            (1, [[7.0, 8.0], [9.0, 1.5]], np.array([0.5, 2.0])),
+            ([], np.zeros((0, 2)), np.zeros(0)),
+            ([1, 0], [[0.5, 0.5], [2.5, 1.0]], [[[4.0, 1.0], [1.0, 9.0]]] * 2),
+        ]
+        for g in (graph, reference):
+            g.add_pose(Pose2.identity())
+            g.add_pose(Pose2(1.0, 0.5, 0.25), Pose2(1.0, 0.5, 0.25), np.diag([100.0, 100.0, 400.0]))
+            g.add_landmarks([[1.0, 2.0], [4.0, -1.0]])
+        for pose, measurements, information in blocks:
+            landmarks = [k % 2 for k in range(len(measurements))]
+            graph.add_observations(pose, landmarks, np.array(measurements, float).reshape(-1, 2), information)
+            if np.ndim(information) == 1:
+                information = np.eye(2) / np.reshape(information, (-1, 1, 1))
+            reference.add_observations(pose, landmarks, measurements, information)
+        self.assert_same(graph, reference)
+
+
 GRID = st.integers(-4, 4).map(lambda k: 0.5 * k)  # half-metre grid positions, so equal distances (ties) occur
 CLASS_EVIDENCE = st.tuples(*[st.sampled_from([0.0, 1.0, 2.0])] * 3)
 
@@ -327,14 +410,14 @@ class TestResidualsAndJacobians:
         a = Pose2(1.0, 2.0, 0.4)
         d = Pose2(0.8, -0.1, 0.2)
         b = compose(a, d)
-        r = one_edge(_odometry_batch, a.as_array(), b.as_array(), d.as_array())
+        r = one_edge(_odometry_batch, pose_array(a), pose_array(b), pose_array(d))
         assert r == pytest.approx([0, 0, 0], abs=1e-12)
 
     def test_observation_residual_zero_for_consistent_geometry(self):
         pose = Pose2(2.0, -1.0, 1.1)
         lm = np.array([5.0, 1.0])
         z = body_frame_point(pose, lm)
-        r = one_edge(_observation_batch, pose.as_array(), lm, z)
+        r = one_edge(_observation_batch, pose_array(pose), lm, z)
         assert r == pytest.approx([0, 0], abs=1e-12)
 
     @staticmethod
@@ -427,7 +510,7 @@ class TestOptimize:
         for k in range(1, len(graph.poses)):
             noise = rng.normal(scale=0.03, size=3)
             x, y, theta = graph.poses[k]
-            graph.poses[k] = Pose2(x + noise[0], y + noise[1], theta + noise[2] * 0.1).as_array()
+            graph.poses[k] = pose_array(Pose2(x + noise[0], y + noise[1], theta + noise[2] * 0.1))
         for i in range(len(graph.landmarks)):
             graph.landmarks[i] = graph.landmarks[i] + rng.normal(scale=0.05, size=2)
         result = optimize(graph, CONFIG)
@@ -454,7 +537,7 @@ class TestOptimize:
         # rigidly transform every free node's initial guess (the solve left the graph as it was)
         shift = Pose2(3.0, -2.0, 0.4)
         for k in range(1, len(graph.poses)):
-            graph.poses[k] = compose(shift, Pose2(*graph.poses[k])).as_array()
+            graph.poses[k] = pose_array(compose(shift, Pose2(*graph.poses[k])))
         for i in range(len(graph.landmarks)):
             graph.landmarks[i] = transform_point(shift, graph.landmarks[i])
         other = optimize(graph, CONFIG)
@@ -797,8 +880,8 @@ def small_noisy_graphs(draw):
         if k == 0:
             graph.add_pose(pose)
         else:
-            moved = relative_pose(truth[k - 1], pose).as_array() + rng.normal(scale=noise, size=3)
-            start = pose.as_array() + rng.normal(scale=perturbation, size=3)
+            moved = pose_array(relative_pose(truth[k - 1], pose)) + rng.normal(scale=noise, size=3)
+            start = pose_array(pose) + rng.normal(scale=perturbation, size=3)
             graph.add_pose(Pose2(*start), Pose2(*moved), np.diag([100.0, 100.0, 400.0]))
     for position in landmarks:
         graph.add_landmarks([position + rng.normal(scale=perturbation, size=2)])
@@ -964,6 +1047,7 @@ def test_final_cost_is_independent_of_the_blas_thread_count():
         "import numpy as np\n"
         "from conetrack.core import Pose2, body_frame_point, relative_pose\n"
         "from conetrack.global_map import Graph, optimize\n"
+        "pose_array = lambda pose: np.array([pose.x, pose.y, pose.theta])\n"
         "rng = np.random.default_rng(0)\n"
         "angles = np.linspace(0.0, 2 * np.pi, 1200, endpoint=False)\n"
         "truth = [Pose2(30 * np.cos(a), 30 * np.sin(a), a + np.pi / 2) for a in angles]\n"
@@ -972,8 +1056,8 @@ def test_final_cost_is_independent_of_the_blas_thread_count():
         "graph = Graph()\n"
         "graph.add_pose(truth[0])\n"
         "for before, pose in zip(truth, truth[1:]):\n"
-        "    moved = relative_pose(before, pose).as_array() + rng.normal(scale=[0.02, 0.02, 0.005])\n"
-        "    start = pose.as_array() + rng.normal(scale=0.3, size=3)\n"
+        "    moved = pose_array(relative_pose(before, pose)) + rng.normal(scale=[0.02, 0.02, 0.005])\n"
+        "    start = pose_array(pose) + rng.normal(scale=0.3, size=3)\n"
         "    graph.add_pose(Pose2(*start), Pose2(*moved), np.diag([100.0, 100.0, 400.0]))\n"
         "for position in landmarks:\n"
         "    graph.add_landmarks([position + rng.normal(scale=0.3, size=2)])\n"

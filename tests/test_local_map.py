@@ -22,6 +22,7 @@ from cone_reference import (
     ref_bhattacharyya_distance,
     ref_snapshot_from_dict,
 )
+from map_reference import pose_array
 from conetrack.core import (
     ObservationBatch,
     Pose2,
@@ -205,7 +206,7 @@ class TestPredict:
     def test_ego_advances(self):
         state = LocalMapState()
         out, _ = ingest_frame(state, [], Velocity2(2.0, 0.0, 0.0), 0.5, CONFIG)
-        assert out.ego.as_array() == pytest.approx([1.0, 0.0, 0.0])
+        assert pose_array(out.ego) == pytest.approx([1.0, 0.0, 0.0])
         assert out.time == pytest.approx(0.5)
 
 

@@ -6,11 +6,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from cone_reference import ConeClass, RefGaussian, color_class
+from map_reference import pose_array
+from simulate_reference import (
+    all_segments_nearest_arc_length,
+    reference_centerline_poses,
+    reference_discrete_frames,
+    reference_observe_cones,
+)
 from conetrack.config import load_config
 from conetrack.core import Pose2, SensorSource, Velocity2, integrate_velocity
 from conetrack.simulate import (
@@ -359,7 +366,7 @@ class TestScenario:
         poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 6.0),), 0.1)
         for timestamp, dt, true_pose, vel in discrete_frames(poses, 0.1):
             pose = true_pose if pose is None else integrate_velocity(pose, vel, dt)
-            assert pose.as_array()[:2] == pytest.approx(true_pose.as_array()[:2], abs=1e-9)
+            assert pose_array(pose)[:2] == pytest.approx(pose_array(true_pose)[:2], abs=1e-9)
 
     def test_curvature_limited_profile_slows_in_turns(self):
         track = generate_track(TrackSpec(length_m=250.0, hairpin_count=2), seed=6)
@@ -483,3 +490,175 @@ class TestBatchMatchesPerDetectionReference:
             false_positives += n_fp
             confused += n_confused
         assert false_positives > 0 and confused > 0
+
+
+BUILTINS = ("fsg-like-12ms", "fsg-like-5ms", "modes-5ms", "noise-free-circle", "planning-15m")
+
+
+def closed_loop(points) -> list[tuple[float, float]]:
+    """``points`` without consecutive repeats, the last not repeating the first."""
+    out = []
+    for p in points:
+        if not out or p != out[-1]:
+            out.append(p)
+    while len(out) > 1 and out[-1] == out[0]:
+        out.pop()
+    return out
+
+
+@st.composite
+def lattice_loops(draw):
+    """A closed polyline through integer points (crossing itself or doubling back as it may), scaled by a
+    power of two, and query points on its half-unit lattice: the arithmetic is exact, so equal distances
+    to two segments (ties) are common."""
+    scale = 2.0 ** draw(st.integers(-3, 4))
+    corners = closed_loop(draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=12)))
+    assume(len(corners) >= 3)
+    queries = draw(st.lists(st.tuples(st.integers(-16, 16), st.integers(-16, 16)), min_size=1, max_size=40))
+    line = scale * np.array(corners, float)
+    return line, np.vstack([line, 0.5 * scale * np.array(queries, float)])
+
+
+@st.composite
+def paperclip_loops(draw):
+    """Two long strands ``gap`` apart, joined at both ends, in many segments; query points between and
+    around the strands, on the vertices and on the midline, equidistant from both."""
+    gap = draw(st.sampled_from([1e-9, 1e-4, 0.01, 0.3, 1.0, 2.0, 5.0]))
+    length = draw(st.sampled_from([8.0, 40.0, 100.0]))
+    step = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    xs = np.arange(0.0, length + step / 2, step)
+    line = np.vstack([np.column_stack([xs, np.zeros_like(xs)]), np.column_stack([xs[::-1], np.full_like(xs, gap)])])
+    along = st.floats(-3.0, length + 3.0, allow_nan=False)
+    queries = draw(st.lists(st.tuples(along, st.floats(-3.0, gap + 3.0, allow_nan=False)), max_size=20))
+    midline = draw(st.lists(st.integers(0, 2 * len(xs)).map(lambda k: (0.5 * step * k, 0.5 * gap)), max_size=10))
+    return line, np.array([*queries, *midline, *line.tolist()], float).reshape(-1, 2)
+
+
+@st.composite
+def wandering_loops(draw):
+    """A random closed polyline with segments from 1 mm to 50 m, and query points near and far from it."""
+    steps = draw(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)), min_size=3, max_size=30))
+    line = np.cumsum(np.array(steps), axis=0)
+    assume(len(closed_loop([tuple(p) for p in line.tolist()])) == len(line))
+    assume(np.all(np.hypot(*np.diff(np.vstack([line, line[:1]]), axis=0).T) > 1e-3))
+    offsets = draw(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), max_size=20))
+    picks = draw(st.lists(st.integers(0, len(line) - 1), min_size=len(offsets), max_size=len(offsets)))
+    far = draw(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)), max_size=4))
+    near = line[picks] + np.array(offsets).reshape(-1, 2)
+    return line, np.vstack([line, near, np.array(far, float).reshape(-1, 2)])
+
+
+class TestGridProjectionMatchesAllSegments:
+    """``nearest_arc_lengths`` against the projection that scans every segment, bit for bit."""
+
+    @staticmethod
+    def check(centerline, points):
+        geom = CenterlineGeometry(centerline)
+        points = np.asarray(points, float).reshape(-1, 2)
+        expected = np.array([all_segments_nearest_arc_length(geom, p) for p in points])
+        assert geom.nearest_arc_lengths(points).tobytes() == expected.tobytes()
+        return geom, expected
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtin_tracks(self, name):
+        config = load_config(name)
+        track = generate_track(config.track_spec, config.seed)
+        line = track.centerline
+        near = line + np.random.default_rng(3).normal(scale=3.0, size=line.shape)
+        midpoints = 0.5 * (line + np.roll(line, -1, axis=0))
+        geom, expected = self.check(line, np.vstack([track.positions, line, midpoints, near]))
+        assert [geom.nearest_arc_length(p) for p in track.positions] == expected[: len(track.positions)].tolist()
+
+    def test_one_km_track_at_half_metre_spacing(self):
+        spec = dataclasses.replace(load_config("fsg-like-5ms").track_spec, length_m=1000.0, cone_spacing_m=0.5)
+        track = generate_track(spec, 808)
+        assert len(track.positions) == 4000  # 1,999 stations and the two start-line cones
+        self.check(track.centerline, track.positions)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_loops())
+    @example((np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]]), np.array([[2.0, 1.0], [4.0, 1.0], [2.0, 5.0]])))
+    def test_lattice_loops_and_ties(self, loop):
+        self.check(*loop)
+
+    @settings(max_examples=150, deadline=None)
+    @given(paperclip_loops())
+    def test_tracks_passing_close_to_themselves(self, loop):
+        self.check(*loop)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wandering_loops())
+    def test_wandering_loops_near_and_far(self, loop):
+        self.check(*loop)
+
+    def test_points_far_off_the_grid(self):
+        line = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 5.0], [0.0, 5.0]])
+        self.check(line, [[1e6, 1e6], [-1e7, 2.5], [5.0, -1e5]])
+        with np.errstate(over="ignore"):  # every squared distance overflows: the first segment, as argmin takes it
+            self.check(line, [[1e300, -1e300]])
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_a_point_that_is_not_finite_is_rejected(self, point):
+        with pytest.raises(ValueError, match="cannot project"):
+            CenterlineGeometry(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])).nearest_arc_lengths(np.array([point]))
+
+
+class TestFloatDriverMatchesSearchsorted:
+    """The ground-truth driver's float lookups give the poses and velocities of ``np.searchsorted`` and numpy rows."""
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_every_builtin_speed_profile(self, name):
+        config = load_config(name)
+        track = generate_track(config.track_spec, config.seed)
+        geom = CenterlineGeometry(track.centerline)
+        profile = curvature_limited_speed_profile(track, config.max_speed_mps, config.lateral_accel_mps2)
+        dt = 1.0 / config.frame_rate_hz
+        mine = list(discrete_frames(centerline_poses(geom, profile, dt), dt))
+        theirs = list(reference_discrete_frames(reference_centerline_poses(geom, profile, dt), dt))
+        assert len(mine) == len(theirs) > 100
+
+        def values(frame):
+            t, step, pose, vel = frame
+            return [float(v).hex() for v in (t, step, pose.x, pose.y, pose.theta, vel.vx, vel.vy, vel.yaw_rate)]
+
+        assert [values(frame) for frame in mine] == [values(frame) for frame in theirs]
+
+
+MANY_BINS = SensorProfile(
+    mode="camera_only",
+    max_range_m=16.0,
+    recall_bins=((2.0, 0.9), (4.0, 0.99), (6.0, 0.7), (9.0, 0.85), (12.0, 0.5), (14.0, 0.95)),
+    color_accuracy_bins=((3.0, 0.6), (5.0, 0.9), (8.0, 0.75), (11.0, 0.95), (13.0, 0.8)),
+    false_positives_per_frame=1.5,
+)
+
+
+class TestObserveConesMatchesRebuiltTables:
+    """``observe_cones`` against the form that rebuilt its step tables and stacked every cone's body-frame point."""
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            default_profile("fusion"),
+            default_profile("lidar_only"),
+            default_profile("camera_only"),
+            MANY_BINS,
+            dataclasses.replace(default_profile("lidar_only"), false_positives_per_frame=3.0, fov_half_angle_rad=math.pi),
+        ],
+        ids=["fusion", "lidar_only", "camera_only", "many_bins", "all_round_false_positives"],
+    )
+    def test_seeded_frames(self, profile):
+        track = generate_track(TrackSpec(length_m=200.0), seed=11)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        detections = 0
+        poses = centerline_poses(CenterlineGeometry(track.centerline), ((0.0, 6.0),), 0.1)
+        for timestamp, _, pose, _ in discrete_frames(poses, 0.1):
+            batch = observe_cones(track, pose, profile, rng, timestamp)
+            ref = reference_observe_cones(track, pose, profile, ref_rng, timestamp)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert (batch.source, batch.timestamp) == (ref.source, ref.timestamp)
+            for name in ("means", "covs", "colors"):
+                mine, theirs = getattr(batch, name), getattr(ref, name)
+                assert (mine.shape, mine.tobytes()) == (theirs.shape, theirs.tobytes()), name
+            detections += len(batch)
+        assert detections > 500

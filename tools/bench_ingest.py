@@ -1,19 +1,19 @@
 """Microbenchmarks of ``local_map.ingest_frame`` and ``global_map.add_snapshot`` on frozen inputs.
 
-Runs one seeded lap shaped like the benchmark's ``lap-degraded`` workload
-(``modes-5ms``, fusion failing at 3 s, planner off) once, recording every
-``ingest_frame`` call's arguments, then replays those frames from an empty
-map ``--repeats`` times and prints the median and quartiles of one replay's
-wall time. The replay's snapshots are hashed, so two builds that print the
-same digest stepped every frame to the same bits. Then it adds the replay's
-snapshots to an empty graph ``--repeats`` times, with the scenario's
-global-map config, and prints the same figures for ``add_snapshot`` and the
-sha256 of the graph's ``save_graph`` bytes.
+Runs one lap of a benchmark workload (``--workload``, its config as
+``perfbench/lap.py``'s ``workload_config`` resolves it) once, recording
+every ``ingest_frame`` call's arguments, then replays those frames from an
+empty map ``--repeats`` times and prints the median and quartiles of one
+replay's wall time. The replay's snapshots are hashed, so two builds that
+print the same digest stepped every frame to the same bits. Then it adds the
+replay's snapshots to an empty graph ``--repeats`` times, with the
+workload's global-map config, and prints the same figures for
+``add_snapshot`` and the sha256 of the graph's ``save_graph`` bytes.
 
-    PYTHONPATH=src python3 tools/bench_ingest.py --repeats 30
+    PYTHONPATH=src python3 tools/bench_ingest.py --workload lap-map-500m --repeats 30
 
-``--length-m`` stretches the lap (500 gives a ``lap-map-500m``-sized lap
-of the same scenario). Not part of the test suite.
+``--length-m`` stretches the workload's track and ``--seed`` changes its lap
+seed. Not part of the test suite.
 """
 
 from __future__ import annotations
@@ -22,24 +22,26 @@ import argparse
 import dataclasses
 import hashlib
 import statistics
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 from conetrack import pipeline
-from conetrack.config import load_config
 from conetrack.global_map import Graph, add_snapshot, save_graph
 from conetrack.local_map import LocalMapState, ingest_frame
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from lap import workload_config  # noqa: E402
 
-def record_frames(length_m: float | None, seed: int | None) -> list[tuple]:
-    """The ``(batches, vel, dt, config, mode)`` of every ``ingest_frame`` call of one lap."""
-    config = load_config("modes-5ms")
-    config = dataclasses.replace(config, mode_schedule=[{"time_s": 3.0, "fail": ["fusion"]}], plan_enabled=False)
+WORKLOADS = ("lap-plan", "lap-map-500m", "lap-degraded")
+
+
+def record_frames(workload: str, length_m: float | None, seed: int | None) -> tuple[list[tuple], object]:
+    """The ``(batches, vel, dt, config, mode)`` of every ``ingest_frame`` call of one lap, and the lap's config."""
+    config = workload_config(workload, seed)
     if length_m is not None:
         config = dataclasses.replace(config, track_spec=dataclasses.replace(config.track_spec, length_m=length_m))
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     frames = []
 
     def recording(state, batches, vel, dt, local_config, mode=None):
@@ -52,7 +54,7 @@ def record_frames(length_m: float | None, seed: int | None) -> list[tuple]:
             pipeline.run_pipeline(config, out_dir)
     finally:
         pipeline.ingest_frame = ingest_frame
-    return frames
+    return frames, config
 
 
 def replay(frames) -> list:
@@ -64,9 +66,11 @@ def replay(frames) -> list:
 
 
 def build_graph(snapshots, config) -> Graph:
+    """A graph of the snapshots, its pose and edge arrays built as a reader would build them."""
     graph = Graph()
     for snapshot in snapshots:
         add_snapshot(graph, snapshot, config)
+    graph.poses  # noqa: B018 (reading one array builds all queued rows)
     return graph
 
 
@@ -104,15 +108,16 @@ def digest(snapshots) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=WORKLOADS, default="lap-degraded", help="the benchmark workload to record")
     parser.add_argument("--repeats", type=int, default=30, help="timed replays of the lap")
-    parser.add_argument("--length-m", type=float, default=None, help="track length (default: the scenario's)")
-    parser.add_argument("--seed", type=int, default=None, help="lap seed (default: the scenario's)")
+    parser.add_argument("--length-m", type=float, default=None, help="track length (default: the workload's)")
+    parser.add_argument("--seed", type=int, default=None, help="lap seed (default: the workload's)")
     args = parser.parse_args()
-    frames = record_frames(args.length_m, args.seed)
+    frames, config = record_frames(args.workload, args.length_m, args.seed)
     snapshots = replay(frames)
     print(f"frames {len(frames)}  snapshot digest {digest(snapshots)}")
     print(f"ingest_frame replay: {timed(lambda: replay(frames), args.repeats)}")
-    graph_config = load_config("modes-5ms").global_map_config()
+    graph_config = config.global_map_config()
     print(f"graph digest {graph_digest(build_graph(snapshots, graph_config))}")
     print(f"add_snapshot replay: {timed(lambda: build_graph(snapshots, graph_config), args.repeats)}")
 

@@ -5,8 +5,11 @@ workload) once, recording every snapshot the pipeline plans, then plans
 those snapshots ``--repeats`` times. For each stage it prints the median and
 quartiles of one pass over the lap: ``triangulate``, ``_search_tables``,
 ``enumerate_paths`` (the search, its tables included) and the whole
-``plan_snapshot``. The verbose plan records of the lap are hashed, so two
-builds that print the same digest planned every snapshot to the same bits.
+``plan_snapshot``. Each call's result is dropped before the next call, as
+the pipeline drops a plan once it is logged, so the garbage collector sees
+the heap a lap gives it. The verbose plan records of the lap are hashed, so
+two builds that print the same digest planned every snapshot to the same
+bits.
 
     PYTHONPATH=src python3 tools/bench_plan.py --repeats 15
 
@@ -66,6 +69,12 @@ def timed(step, repeats: int) -> str:
     return f"median {median * 1e3:.1f} ms  quartiles {q1 * 1e3:.1f} / {q3 * 1e3:.1f} ms  ({repeats} passes)"
 
 
+def drop_each(step, items) -> None:
+    """Run ``step`` on each item, dropping each result before the next call."""
+    for item in items:
+        step(item)
+
+
 def digest(snapshots, config) -> str:
     """sha256 of the lap's verbose plan records, one ``json.dumps`` line each, as the planner log writes them."""
     h = hashlib.sha256()
@@ -89,10 +98,10 @@ def main() -> None:
             pass
     print(f"snapshots {len(snapshots)} ({len(planned)} triangulated)  plan digest {digest(snapshots, config)}")
     stages = {
-        "triangulate": lambda: [triangulate(s.cones.means) for s, _ in planned],
-        "_search_tables": lambda: [_search_tables(t) for _, t in planned],
-        "enumerate_paths": lambda: [enumerate_paths(t, s.ego, s.cones.color_evidence, config) for s, t in planned],
-        "plan_snapshot": lambda: [plan_snapshot(s, config) for s in snapshots],
+        "triangulate": lambda: drop_each(lambda item: triangulate(item[0].cones.means), planned),
+        "_search_tables": lambda: drop_each(lambda item: _search_tables(item[1]), planned),
+        "enumerate_paths": lambda: drop_each(lambda item: enumerate_paths(item[1], item[0].ego, item[0].cones.color_evidence, config), planned),
+        "plan_snapshot": lambda: drop_each(lambda snap: plan_snapshot(snap, config), snapshots),
     }
     for name, step in stages.items():
         print(f"{name + ':':17}{timed(step, args.repeats)}")
