@@ -23,6 +23,9 @@ TWO_PI = 2.0 * math.pi
 # after long chains of float round-off.
 COV_EIGENVALUE_FLOOR = 1e-9
 
+# The largest |coordinate| of an ego or waypoint in a log, m: far beyond any track, and path lengths stay finite
+MAX_LOG_COORDINATE_M = 1e6
+
 
 def is_finite_number(value) -> bool:
     """True for a finite int or float read from outside input (a bool is not a number)."""

@@ -42,11 +42,10 @@ from .local_map import LocalMapSnapshot, encode_column
 
 GRAPH_SCHEMA_VERSION = 2
 
-# one row per edge; odometry row k links pose k to pose k + 1
-ODOMETRY_EDGE = np.dtype([("relative", float, (3,)), ("information", float, (3, 3))])
-OBSERVATION_EDGE = np.dtype(
-    [("pose", np.intp), ("landmark", np.intp), ("measurement", float, (2,)), ("information", float, (2, 2))]
-)
+# one row per edge; odometry row k links pose k to pose k + 1. Every edge's information matrix is diagonal: an
+# odometry edge holds its diagonal, an observation edge, whose noise is isotropic, the one value on its diagonal
+ODOMETRY_EDGE = np.dtype([("relative", float, (3,)), ("information", float, (3,))])
+OBSERVATION_EDGE = np.dtype([("pose", np.intp), ("landmark", np.intp), ("measurement", float, (2,)), ("information", float)])
 # one row per local cone id linked to a landmark, with that id's colour evidence
 LINK = np.dtype([("local_id", np.int64), ("landmark", np.intp), ("evidence", float, (3,))])
 
@@ -55,11 +54,16 @@ class GraphStructureError(ValueError):
     """Graph is structurally under-determined beyond the gauge freedom."""
 
 
+# Noise sigma limits: over snapshot gaps of 1 ms to 2 * MAX_SNAPSHOT_TIME_S, an odometry edge's information,
+# 1 / (rate^2 gap), stays a finite positive float, and the square of the observation sigma floor stays finite
+MIN_SIGMA_RATE = 1e-9
+MAX_NOISE_SIGMA = 1e9
+
 _CONFIG_BOUNDS = {
     "proximity_radius_m": Bound(0.0, low_ok=False),
     "association_radius_m": Bound(0.0, low_ok=False),
-    "odometry_sigma_rates": Bound(0.0, low_ok=False, count=3),
-    "observation_sigma_floor_m": Bound(0.0),
+    "odometry_sigma_rates": Bound(MIN_SIGMA_RATE, MAX_NOISE_SIGMA, count=3),
+    "observation_sigma_floor_m": Bound(0.0, MAX_NOISE_SIGMA),
     "max_iterations": Bound(1, integer=True),
     "relative_tolerance": Bound(0.0),
     "absolute_cost_floor": Bound(0.0),
@@ -136,13 +140,11 @@ class _QueuedRows:
     def __init__(self) -> None:
         self.poses = array.array("d")  # x, y, theta a pose
         self.relative = array.array("d")  # x, y, theta an odometry edge
-        self.odometry_information = array.array("d")  # 9 an odometry edge
+        self.odometry_information = array.array("d")  # 3 an odometry edge: its information's diagonal
         self.observation_pose = array.array("q")
         self.landmark = array.array("q")
         self.measurement = array.array("d")  # 2 an observation edge
-        self.isotropic = array.array("b")  # 1 where an edge's information came as a variance
-        self.variance = array.array("d")  # 1 an isotropic edge
-        self.information = array.array("d")  # 4 any other edge
+        self.variance = array.array("d")  # 1 an observation edge
 
 
 class Graph:
@@ -205,13 +207,13 @@ class Graph:
 
     def add_pose(self, pose: Pose2, odometry: Pose2 | None = None, information=None) -> None:
         """Queue a pose; each pose after the first comes with the odometry edge from its predecessor
-        and that edge's (3, 3) information matrix."""
+        and the three values on the diagonal of that edge's information matrix."""
         if (odometry is None) != (self.last_pose is None):
             raise ValueError("every pose but the first is chained to its predecessor by one odometry edge")
         self._queued.poses.extend((pose.x, pose.y, pose.theta))
         if odometry is not None:
             self._queued.relative.extend((odometry.x, odometry.y, odometry.theta))
-            self._queued.odometry_information.extend(itertools.chain.from_iterable(information))
+            self._queued.odometry_information.extend(information)
         self.pose_count += 1
         self.last_pose = pose
 
@@ -238,18 +240,14 @@ class Graph:
         np.add.at(totals, self.links["landmark"], self.links["evidence"])
         return color_probabilities(totals)
 
-    def add_observations(self, pose, landmark, measurement, information) -> None:
-        """Queue k observation edges: a pose row, or one per edge, landmark rows, (k, 2) measurements, and
-        either (k, 2, 2) information matrices or (k,) variances of isotropic measurements, each of whose
-        information is ``np.eye(2) / variance``."""
+    def add_observations(self, pose, landmark, measurement, variances) -> None:
+        """Queue k observation edges: a pose row, or one per edge, landmark rows, (k, 2) measurements and
+        the (k,) variances of their isotropic noise, each edge's information being ``1.0 / variance``."""
         queued, count = self._queued, len(landmark)
         queued.observation_pose.extend(itertools.repeat(pose, count) if np.ndim(pose) == 0 else pose)
         queued.landmark.frombytes(np.asarray(landmark, np.int64).tobytes())
         queued.measurement.frombytes(np.asarray(measurement, float).tobytes())
-        information = np.asarray(information, float)
-        isotropic = information.ndim == 1
-        (queued.variance if isotropic else queued.information).frombytes(information.tobytes())
-        queued.isotropic.frombytes(bytes([isotropic]) * count)
+        queued.variance.frombytes(np.asarray(variances, float).tobytes())
 
     def _build_queued(self) -> None:
         """Write the queued poses and edges into their arrays, one block per array, and empty the queue."""
@@ -260,15 +258,12 @@ class Graph:
         self._poses.append(np.frombuffer(queued.poses, float).reshape(-1, 3))
         edges = self._odometry.grow(len(queued.relative) // 3)
         edges["relative"] = np.frombuffer(queued.relative, float).reshape(-1, 3)
-        edges["information"] = np.frombuffer(queued.odometry_information, float).reshape(-1, 3, 3)
+        edges["information"] = np.frombuffer(queued.odometry_information, float).reshape(-1, 3)
         edges = self._observations.grow(len(queued.observation_pose))
         edges["pose"] = np.frombuffer(queued.observation_pose, np.int64)
         edges["landmark"] = np.frombuffer(queued.landmark, np.int64)
         edges["measurement"] = np.frombuffer(queued.measurement, float).reshape(-1, 2)
-        isotropic = np.frombuffer(queued.isotropic, np.bool_)
-        # the information of every isotropic edge in one division
-        edges["information"][isotropic] = np.eye(2) / np.frombuffer(queued.variance, float).reshape(-1, 1, 1)
-        edges["information"][~isotropic] = np.frombuffer(queued.information, float).reshape(-1, 2, 2)
+        edges["information"] = 1.0 / np.frombuffer(queued.variance, float)
 
     def merge_estimates(self, result: OptimizeResult) -> None:
         """Commit a solve of this graph: its poses and landmarks overwrite the graph's.
@@ -308,10 +303,8 @@ def add_snapshot(graph: Graph, snapshot: LocalMapSnapshot, config: GlobalMapConf
     else:
         odometry = relative_pose(graph.last_ego, ego)
         pose = compose(graph.last_pose, odometry)
-        sx, sy, st = config.odometry_sigma_rates
         dt_f = max(snapshot.timestamp - graph.last_timestamp, 1e-3)
-        info = (1.0 / (sx * sx * dt_f), 0.0, 0.0), (0.0, 1.0 / (sy * sy * dt_f), 0.0), (0.0, 0.0, 1.0 / (st * st * dt_f))
-        graph.add_pose(pose, odometry, info)
+        graph.add_pose(pose, odometry, [1.0 / (sigma * sigma * dt_f) for sigma in config.odometry_sigma_rates])
     graph.last_timestamp, graph.last_ego = snapshot.timestamp, ego
 
     cones = snapshot.cones
@@ -457,21 +450,23 @@ def _check_structure(graph: Graph) -> None:
         raise GraphStructureError(f"landmarks without observation edges: {missing}")
 
 
-def _whiten(information: np.ndarray) -> np.ndarray:
-    # info = L L^T; whitened residual is L^T r
-    return np.linalg.cholesky(information).transpose(0, 2, 1)
+def _row_weights(odometry: np.ndarray, observations: np.ndarray) -> np.ndarray:
+    """Each residual row's weight, in :func:`_assemble`'s row order: the square root of its information, which
+    for a diagonal information matrix is its Cholesky factor's diagonal entry."""
+    return np.concatenate([np.sqrt(odometry["information"]).ravel(), np.repeat(np.sqrt(observations["information"]), 2)])
 
 
 class _JacobianPattern(NamedTuple):
     """The CSR pattern of a graph's Jacobian, fixed while its edges are.
 
-    Entry ``order[k]`` of the concatenated whitened blocks (see
-    :func:`_assemble`) is the Jacobian's ``k``-th stored value; ``indices``
-    and ``indptr`` are the CSR column indices and row pointers. All three
-    are int32.
+    Entry ``order[k]`` of the concatenated unwhitened blocks (see
+    :func:`_assemble`) is the Jacobian's ``k``-th stored value, which lies
+    in residual row ``rows[k]``; ``indices`` and ``indptr`` are the CSR
+    column indices and row pointers. All four are int32.
     """
 
     order: np.ndarray
+    rows: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple[int, int]
@@ -506,27 +501,21 @@ def _jacobian_pattern(n_poses: int, n_landmarks: int, odometry: np.ndarray, obse
     indptr = np.zeros(n_rows + 1, np.int32)
     np.cumsum(np.bincount(rows[order], minlength=n_rows), out=indptr[1:])
     shape = (n_rows, n_pose_vars + 2 * n_landmarks)
-    return _JacobianPattern(order.astype(np.int32), cols[order].astype(np.int32), indptr, shape)
+    value_rows = np.repeat(np.arange(n_rows, dtype=np.int32), np.diff(indptr))
+    return _JacobianPattern(order.astype(np.int32), value_rows, cols[order].astype(np.int32), indptr, shape)
 
 
-def _assemble(poses, lms, odometry: np.ndarray, observations: np.ndarray, sqrt_odo, sqrt_obs, pattern=None):
-    """Whitened residual vector and, given the edges' :func:`_jacobian_pattern`, the sparse Jacobian."""
+def _assemble(poses, lms, odometry: np.ndarray, observations: np.ndarray, weights: np.ndarray, pattern=None):
+    """Residual vector whitened by the :func:`_row_weights` and, given the edges'
+    :func:`_jacobian_pattern`, the sparse Jacobian whitened by the same weights."""
     jac = pattern is not None
-    oi = np.arange(len(odometry))
     pidx, lidx = observations["pose"], observations["landmark"]
-    edge_types = (
-        (sqrt_odo, _odometry_batch(poses[oi], poses[oi + 1], odometry["relative"], jac)),
-        (sqrt_obs, _observation_batch(poses[pidx], lms[lidx], observations["measurement"], jac)),
-    )
-    residuals, blocks = [], []
-    for sqrt_info, (res, jacobians) in edge_types:
-        residuals.append(np.einsum("eab,eb->ea", sqrt_info, res).ravel())
-        if jac:
-            blocks += [np.einsum("eab,ebc->eac", sqrt_info, block).ravel() for block in jacobians]
-    residuals = np.concatenate(residuals)
+    odo_res, odo_jac = _odometry_batch(poses[:-1], poses[1:], odometry["relative"], jac)  # edge k: pose k to k + 1
+    obs_res, obs_jac = _observation_batch(poses[pidx], lms[lidx], observations["measurement"], jac)
+    residuals = np.concatenate([odo_res.ravel(), obs_res.ravel()]) * weights
     if not jac:
         return residuals, None
-    values = np.concatenate(blocks)[pattern.order]
+    values = np.concatenate([block.ravel() for block in (*odo_jac, *obs_jac)])[pattern.order] * weights[pattern.rows]
     return residuals, sp.csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
@@ -573,12 +562,11 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
     """
     _check_structure(graph)
     odometry, observations = graph.odometry_edges, graph.observation_edges
-    sqrt_odo = _whiten(odometry["information"])
-    sqrt_obs = _whiten(observations["information"])
+    weights = _row_weights(odometry, observations)
     poses, lms = graph.poses.copy(), graph.landmarks.copy()
 
     def total_cost(p, l):
-        res, _ = _assemble(p, l, odometry, observations, sqrt_odo, sqrt_obs)
+        res, _ = _assemble(p, l, odometry, observations, weights)
         return residual_cost(res)
 
     cost = total_cost(poses, lms)
@@ -587,7 +575,7 @@ def optimize(graph: Graph, config: GlobalMapConfig = GlobalMapConfig()) -> Optim
     lam = config.initial_lambda
     pattern = _jacobian_pattern(len(poses), len(lms), odometry, observations)
     for iterations in range(1, config.max_iterations + 1):
-        residuals, jacobian = _assemble(poses, lms, odometry, observations, sqrt_odo, sqrt_obs, pattern)
+        residuals, jacobian = _assemble(poses, lms, odometry, observations, weights, pattern)
         hess = (jacobian.T @ jacobian).tocsc()
         grad = jacobian.T @ residuals
         # the Jacobian goes once the normal equations hold it, and they
@@ -671,7 +659,8 @@ def save_graph(graph: Graph, path: Path | str) -> None:
     dtype and shape, and each column as the base64 of its little-endian bytes.
 
     Each link is a colour evidence row, in landmark order and then link
-    order, and a local link row, in local id order.
+    order, and a local link row, in local id order. Each edge's information
+    is written as its full matrix, zero off the diagonal.
     """
     links = graph.links
     by_landmark = links[links["landmark"].argsort(kind="stable")]
@@ -681,11 +670,11 @@ def save_graph(graph: Graph, path: Path | str) -> None:
         "poses": (graph.poses, "<f8"),
         "landmarks": (graph.landmarks, "<f8"),
         "odometry_relative": (odometry["relative"], "<f8"),
-        "odometry_information": (odometry["information"], "<f8"),
+        "odometry_information": (odometry["information"][:, :, None] * np.eye(3), "<f8"),
         "observation_pose": (observations["pose"], "<i8"),
         "observation_landmark": (observations["landmark"], "<i8"),
         "observation_measurement_m": (observations["measurement"], "<f8"),
-        "observation_information": (observations["information"], "<f8"),
+        "observation_information": (observations["information"][:, None, None] * np.eye(2), "<f8"),
         "color_evidence_landmark": (by_landmark["landmark"], "<i8"),
         "color_evidence_local_id": (by_landmark["local_id"], "<i8"),
         "color_evidence": (by_landmark["evidence"], "<f8"),

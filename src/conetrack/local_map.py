@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    MAX_LOG_COORDINATE_M,
     Bound,
     ObservationBatch,
     Pose2,
@@ -42,6 +43,7 @@ from .core import (
 )
 
 SNAPSHOT_SCHEMA_VERSION = 2
+MAX_SNAPSHOT_TIME_S = 1e9  # the largest |timestamp_s| of a snapshot log, about 32 years
 
 
 class MapMode(Enum):
@@ -472,8 +474,9 @@ def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
     wrong type, a column that is not base64 or does not hold ``count`` rows,
     a repeated id, a non-finite number, a covariance whose projection onto
     the SPD cone overflows, color evidence that is negative or lacks a finite
-    positive sum, existence outside [0, 1], an unknown mode, or observed ids
-    that are not a list of integers naming cones of the record.
+    positive sum, existence outside [0, 1], an ego or time past ``MAX_LOG_COORDINATE_M``
+    or ``MAX_SNAPSHOT_TIME_S``, an unknown mode, or observed ids that are not
+    a list of integers naming cones of the record.
     """
     try:
         cones, ego, timestamp, observed = (data[key] for key in ("cones", "ego", "timestamp_s", "observed_ids"))
@@ -495,8 +498,12 @@ def snapshot_from_dict(data: dict) -> LocalMapSnapshot:
         raise ValueError("cone color_evidence must be non-negative with a finite, positive sum")
     if not ((existence >= 0) & (existence <= 1)).all():
         raise ValueError("cone existence must be in [0, 1]")
-    if not all(map(is_finite_number, [*ego, timestamp])):
-        raise ValueError(f"snapshot ego and timestamp_s must be finite numbers, got {ego} and {timestamp!r}")
+    finite = all(map(is_finite_number, [*ego, timestamp]))
+    if not (finite and max(map(abs, ego[:2])) <= MAX_LOG_COORDINATE_M and abs(timestamp) <= MAX_SNAPSHOT_TIME_S):
+        raise ValueError(
+            f"snapshot ego and timestamp_s must be finite numbers, with x_m and y_m within {MAX_LOG_COORDINATE_M:g} m"
+            f" of the origin and timestamp_s within {MAX_SNAPSHOT_TIME_S:g} s of zero, got {ego} and {timestamp!r}"
+        )
     if not (isinstance(observed, list) and all(isinstance(i, int) and not isinstance(i, bool) for i in observed)):
         raise ValueError(f"snapshot observed_ids must be a list of integers, got {observed!r}")
     order = np.argsort(ids, kind="stable")

@@ -30,7 +30,7 @@ from .evaluate import (
     timing_percentiles,
 )
 from .global_map import Graph, add_snapshot, export_map, optimize, residual_summary, save_graph, save_map
-from .local_map import LocalMapSnapshot, LocalMapState, MapMode, SnapshotLogWriter, ingest_frame
+from .local_map import MAX_SNAPSHOT_TIME_S, LocalMapSnapshot, LocalMapState, MapMode, SnapshotLogWriter, ingest_frame
 from .planner import PlannerLogWriter, PlanResult, plan_record, plan_snapshot
 from .simulate import (
     CenterlineGeometry,
@@ -50,6 +50,7 @@ DIVERGENCE_MARGIN_M = 3.0
 # the most frames a run may ask for: three closed-loop laps of a 5 km track
 # (the longest a spec may ask for) at the 1 m/s speed floor and 10 Hz take 150,000
 MAX_RUN_FRAMES = 200_000
+SPARE_CLOSED_LOOP_FRAMES = 10  # the closed-loop follower may step this many frames past the estimate
 
 
 @dataclass
@@ -245,7 +246,8 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
 
     Both drivers take the car's speed from the track's curvature-limited
     speed profile. Raises :class:`ConfigError` before writing any artifact
-    when the lap needs more than ``MAX_RUN_FRAMES`` frames, and
+    when the lap needs more than ``MAX_RUN_FRAMES`` frames or would step a
+    frame past ``MAX_SNAPSHOT_TIME_S``, and
     :class:`RunFailure` (after writing partial outputs) when the closed-loop
     follower gets more than ``DIVERGENCE_MARGIN_M`` off the centerline.
     """
@@ -265,10 +267,11 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
         # a lap at the profile's lowest speed; a closed-loop run may take three
         step_m = min(v for _, v in speed_profile) * dt
         frames = (3 if config.closed_loop else 1) * geom.length / step_m if step_m > 0 else math.inf
-        if not frames <= MAX_RUN_FRAMES:
+        if not (frames <= MAX_RUN_FRAMES and (frames + SPARE_CLOSED_LOOP_FRAMES) * dt <= MAX_SNAPSHOT_TIME_S):
             raise ConfigError(
                 f"max_speed_mps {config.max_speed_mps} and frame_rate_hz {config.frame_rate_hz} on a"
-                f" {geom.length:.6g} m lap ask for {frames:.3g} frames, over the cap of {MAX_RUN_FRAMES}"
+                f" {geom.length:.6g} m lap ask for {frames:.3g} frames of {dt:.3g} s, over the cap of"
+                f" {MAX_RUN_FRAMES} frames or, {SPARE_CLOSED_LOOP_FRAMES} spare frames included, of {MAX_SNAPSHOT_TIME_S:g} s"
             )
     out_dir = Path(out_dir)
     with timer.stage("artifact_write"):
@@ -282,7 +285,7 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
     timeline_starts = [time_s for time_s, _ in timeline]
     state = LocalMapState()
     trajectory_rows: list[tuple[float, Pose2, Pose2]] = []
-    steering = _ClosedLoopSteering(int(frames) + 10)
+    steering = _ClosedLoopSteering(int(frames) + SPARE_CLOSED_LOOP_FRAMES)
     velocity_profile = config.profiles["fusion"]  # ego-motion source, independent of cone pipelines
     completed = False
     failure: RunFailure | None = None

@@ -27,14 +27,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Bound, Pose2, check_bounds, check_range, color_probabilities, is_finite_number, normalize_angle
+from .core import MAX_LOG_COORDINATE_M, Bound, Pose2, check_bounds, check_range, color_probabilities, is_finite_number, normalize_angle
 
 LIKELIHOOD_FLOOR = 1e-6
 # the first line of planner_log.ndjson; each line after it is one plan_record
 PLANNER_LOG_HEADER = {"kind": "planner_log", "schema_version": 1}
-# The largest ego or waypoint coordinate a planner log may hold, in metres:
-# far beyond any track, and small enough that path lengths stay finite
-MAX_LOG_COORDINATE_M = 1e6
 # The smallest length cap of the search, in metres: the prior's length term
 # divides by the cap squared, which must be a normal float. The largest is
 # MAX_LOG_COORDINATE_M, so that the term's square stays finite

@@ -1,14 +1,17 @@
 """References for the global map and its evaluation.
 
-The solver evaluates its edges in batches, writes its Jacobian into one
-cached CSR pattern, factors its normal equations in SuperLU's symmetric mode
-and ICP finds its own correspondences. The functions here are the forms tests
-check those against: one edge's residual or Jacobians, the Jacobian built as
-a COO matrix and converted to CSR, the damped Gauss-Newton solve on that
-Jacobian with a general sparse LU (COLAMD column ordering, partial
-pivoting), and the closed-form alignment of two point sets whose rows pair
-up. The planner-log exit test meets each segment only with the ring edges
-near it; ``broadcast_first_exit_distances`` meets it with every edge.
+The solver evaluates its edges in batches, whitens them by one weight per
+residual row, writes its Jacobian into one cached CSR pattern, factors its
+normal equations in SuperLU's symmetric mode and ICP finds its own
+correspondences. The functions here are the forms tests check those against:
+one edge's residual or Jacobians, each edge whitened by the Cholesky factor
+of its full information matrix (:func:`cholesky_roots`,
+:func:`cholesky_assemble`), the Jacobian built as a COO matrix and converted
+to CSR, the damped Gauss-Newton solve on that Jacobian with a general sparse
+LU (COLAMD column ordering, partial pivoting), and the closed-form alignment
+of two point sets whose rows pair up. The planner-log exit test meets each
+segment only with the ring edges near it; ``broadcast_first_exit_distances``
+meets it with every edge.
 ``numpy_color_probabilities`` is the colour of summed evidence arrays.
 
 ICP meets each point only with the truth points in its x window;
@@ -49,7 +52,6 @@ from conetrack.global_map import (
     _odometry_batch,
     _row_pose,
     _Rows,
-    _whiten,
     _associate_landmarks,
     residual_cost,
 )
@@ -90,6 +92,49 @@ def _place(first_row: np.ndarray, first_col: np.ndarray, blocks: np.ndarray):
     return rows.ravel(), cols.ravel(), blocks.ravel()
 
 
+def information_matrices(odometry_information, observation_information):
+    """Each edge's full information matrix: ``np.diag`` of an odometry edge's
+    (3,) diagonal, and ``np.eye(2)`` times an observation edge's value."""
+    odometry_matrices = np.array([np.diag(diagonal) for diagonal in odometry_information]).reshape(-1, 3, 3)
+    return odometry_matrices, np.eye(2) * np.reshape(observation_information, (-1, 1, 1))
+
+
+def whiten(information: np.ndarray) -> np.ndarray:
+    """The transposed Cholesky factors of a stack of information matrices:
+    with info = L L^T, the whitened residual is L^T r."""
+    return np.linalg.cholesky(information).transpose(0, 2, 1)
+
+
+def cholesky_roots(odometry, observations):
+    """Each edge type's stack of square-root information matrices, by :func:`whiten`."""
+    matrices = information_matrices(odometry["information"], observations["information"])
+    return tuple(whiten(information) for information in matrices)
+
+
+def cholesky_assemble(poses, lms, odometry, observations, weights, pattern=None):
+    """``global_map._assemble`` whitening each edge by ``np.einsum`` products
+    with its :func:`cholesky_roots` block instead of the row ``weights``,
+    which it ignores."""
+    jac = pattern is not None
+    sqrt_odo, sqrt_obs = cholesky_roots(odometry, observations)
+    oi = np.arange(len(odometry))
+    pidx, lidx = observations["pose"], observations["landmark"]
+    edge_types = (
+        (sqrt_odo, _odometry_batch(poses[oi], poses[oi + 1], odometry["relative"], jac)),
+        (sqrt_obs, _observation_batch(poses[pidx], lms[lidx], observations["measurement"], jac)),
+    )
+    residuals, blocks = [], []
+    for sqrt_info, (res, jacobians) in edge_types:
+        residuals.append(np.einsum("eab,eb->ea", sqrt_info, res).ravel())
+        if jac:
+            blocks += [np.einsum("eab,ebc->eac", sqrt_info, block).ravel() for block in jacobians]
+    residuals = np.concatenate(residuals)
+    if not jac:
+        return residuals, None
+    values = np.concatenate(blocks)[pattern.order]
+    return residuals, sp.csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
 def coo_assemble(poses, lms, odometry, observations, sqrt_odo, sqrt_obs, jac: bool):
     """Whitened residual vector and (with ``jac``) the sparse Jacobian, built as
     a COO matrix from int64 rows and columns and converted to CSR.
@@ -128,12 +173,12 @@ def coo_assemble(poses, lms, odometry, observations, sqrt_odo, sqrt_obs, jac: bo
 
 def colamd_optimize(graph, config=GlobalMapConfig()) -> OptimizeResult:
     """Damped Gauss-Newton on the graph, each step's Jacobian from
-    :func:`coo_assemble` and its step solved by ``splu``'s default general LU;
-    the same iteration, damping and stopping rules as ``global_map.optimize``."""
+    :func:`coo_assemble`, whitened by the :func:`cholesky_roots`, and its step
+    solved by ``splu``'s default general LU; the same iteration, damping and
+    stopping rules as ``global_map.optimize``."""
     _check_structure(graph)
     odometry, observations = graph.odometry_edges, graph.observation_edges
-    sqrt_odo = _whiten(odometry["information"])
-    sqrt_obs = _whiten(observations["information"])
+    sqrt_odo, sqrt_obs = cholesky_roots(odometry, observations)
     poses, lms = graph.poses.copy(), graph.landmarks.copy()
 
     def total_cost(p, l):
@@ -312,8 +357,7 @@ def reference_add_snapshot(graph: DictLinkGraph, snapshot, config: GlobalMapConf
         pose = compose(_row_pose(graph.poses[-1]), odometry)
         sx, sy, st = config.odometry_sigma_rates
         dt_f = max(snapshot.timestamp - graph.last_timestamp, 1e-3)
-        info = np.diag([1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)])
-        graph.add_pose(pose, odometry, info)
+        graph.add_pose(pose, odometry, (1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)))
     graph.last_timestamp, graph.last_ego = snapshot.timestamp, ego
 
     cones = snapshot.cones
@@ -344,9 +388,7 @@ def reference_add_snapshot(graph: DictLinkGraph, snapshot, config: GlobalMapConf
         graph.update_color(lm, cid, evidence[j])
         landmarks.append(lm)
         kept.append(j)
-    graph.add_observations(
-        len(graph.poses) - 1, landmarks, measurements[kept], np.eye(2) / variances[kept].reshape(-1, 1, 1)
-    )
+    graph.add_observations(len(graph.poses) - 1, landmarks, measurements[kept], variances[kept])
     return graph
 
 
@@ -385,7 +427,7 @@ def all_pairs_candidates(moved: np.ndarray, truth: np.ndarray, radius: float):
 class AppendedRowsGraph(Graph):
     """A graph whose poses and edges go into its arrays as they are added: one ``_Rows.append`` per pose,
     per odometry edge and per block of observation edges, each block built with ``np.zeros`` and field
-    writes. Its queue stays empty."""
+    writes, each observation's information ``1.0 / variance`` as its block comes. Its queue stays empty."""
 
     def add_pose(self, pose: Pose2, odometry: Pose2 | None = None, information=None) -> None:
         if (odometry is None) != (len(self.poses) == 0):
@@ -394,19 +436,18 @@ class AppendedRowsGraph(Graph):
         if odometry is not None:
             self._odometry.append(np.array([(pose_array(odometry), information)], ODOMETRY_EDGE))
 
-    def add_observations(self, pose, landmark, measurement, information) -> None:
+    def add_observations(self, pose, landmark, measurement, variances) -> None:
         edges = np.zeros(len(landmark), OBSERVATION_EDGE)
         edges["pose"] = pose
         edges["landmark"] = landmark
         edges["measurement"] = np.reshape(measurement, (-1, 2))
-        edges["information"] = np.reshape(information, (-1, 2, 2))
+        edges["information"] = 1.0 / np.asarray(variances, float)
         self._observations.append(edges)
 
 
 def appending_add_snapshot(graph: AppendedRowsGraph, snapshot, config: GlobalMapConfig = GlobalMapConfig()):
-    """``global_map.add_snapshot`` writing each snapshot's rows as it comes: the pose chained from
-    ``graph.poses[-1]``, the odometry information an ``np.diag`` and the observation information an
-    ``np.eye(2) / variance`` block."""
+    """``global_map.add_snapshot`` writing each snapshot's rows as it comes, the pose chained from
+    ``graph.poses[-1]``."""
     if graph.last_timestamp is not None and snapshot.timestamp <= graph.last_timestamp:
         raise ValueError(f"snapshot at {snapshot.timestamp} s arrived after {graph.last_timestamp} s")
     ego = snapshot.ego
@@ -418,8 +459,7 @@ def appending_add_snapshot(graph: AppendedRowsGraph, snapshot, config: GlobalMap
         pose = compose(_row_pose(graph.poses[-1]), odometry)
         sx, sy, st = config.odometry_sigma_rates
         dt_f = max(snapshot.timestamp - graph.last_timestamp, 1e-3)
-        info = np.diag([1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)])
-        graph.add_pose(pose, odometry, info)
+        graph.add_pose(pose, odometry, (1.0 / (sx * sx * dt_f), 1.0 / (sy * sy * dt_f), 1.0 / (st * st * dt_f)))
     graph.last_timestamp, graph.last_ego = snapshot.timestamp, ego
 
     cones = snapshot.cones
@@ -445,5 +485,5 @@ def appending_add_snapshot(graph: AppendedRowsGraph, snapshot, config: GlobalMap
         landmarks[new] = matched
     floor = config.observation_sigma_floor_m**2
     variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
-    graph.add_observations(len(graph.poses) - 1, landmarks, measurements, np.eye(2) / variances.reshape(-1, 1, 1))
+    graph.add_observations(len(graph.poses) - 1, landmarks, measurements, variances)
     return graph

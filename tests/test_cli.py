@@ -406,6 +406,24 @@ class TestReplay:
         bad.write_text('{"schema_version": 99, "kind": "snapshot_log"}\n')
         assert main(["replay", "--snapshots", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_a_lap_inside_the_time_limit_replays(self, tmp_path):
+        """A lap whose frames could run to 9.4e8 s, 27.6 and 10 spare of 2.5e7 s, is run; its log replays to the same plans."""
+        config = tmp_path / "slow.json"
+        config.write_text(SLOW_LAP % (2e-7, 4e-8))
+        run_dir, out = tmp_path / "run", tmp_path / "replay"
+        assert main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
+        last = json.loads((run_dir / "snapshots.ndjson").read_text().splitlines()[-1])
+        assert last["timestamp_s"] == 27 * 2.5e7
+        argv = ["replay", "--snapshots", str(run_dir / "snapshots.ndjson"), "--config", str(config)]
+        assert main([*argv, "--track", str(run_dir / "track.json"), "--out", str(out)]) == 0
+        assert (out / "planner_log.ndjson").read_bytes() == (run_dir / "planner_log.ndjson").read_bytes()
+
+
+# a noise-free lap of a 138 m circle at a constant (max_speed_mps, frame_rate_hz)
+SLOW_LAP = (
+    '{"track_spec": {"kind": "circle", "radius_m": 22.0, "cone_spacing_m": 2.2, "track_width_m": 4.0},'
+    ' "profiles": {"fusion": "noise_free:fusion"}, "max_speed_mps": %r, "frame_rate_hz": %r}'
+)
 
 BAD_INPUTS = [
     ["eval", "--track", "{missing}"],
@@ -443,6 +461,8 @@ BAD_INPUTS = [
     ["replay", "--snapshots", "{listheaderlog}"],
     ["replay", "--snapshots", "{backwardslog}"],
     ["replay", "--snapshots", "{schema1log}"],
+    ["replay", "--snapshots", "{hugetimelog}"],
+    ["replay", "--snapshots", "{hugeegolog}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{missing}"],
     ["run", "--config", "noise-free-circle", "--mode-schedule", "{garbage}"],
     ["generate", "--spec", "{missing}"],
@@ -479,11 +499,16 @@ BAD_INPUTS = [
     ["run", "--config", "{mismatchedprofile}"],
     ["run", "--config", "{negradius}"],
     ["run", "--config", "{nanfloor}"],
+    ["run", "--config", "{tinyodometrysigma}"],
+    ["run", "--config", "{underflowodometrysigma}"],
+    ["run", "--config", "{hugeodometrysigma}"],
+    ["run", "--config", "{hugesigmafloor}"],
     ["run", "--config", "{infspeed}"],
     ["run", "--config", "{neglateral}"],
     ["run", "--config", "{nanrate}"],
     ["run", "--config", "{crawlspeed}"],
     ["run", "--config", "{hugeframerate}"],
+    ["run", "--config", "{pasttimelimit}"],
     ["run", "--config", "{nanlength}"],
     ["run", "--config", "{infradius}"],
     ["run", "--config", "{intkind}"],
@@ -555,6 +580,12 @@ BAD_FILES = {
     "listheaderlog": ('[1]\n' + EMPTY_RECORD % 0.0, "line 1"),
     # the third record goes back in time
     "backwardslog": (SNAPSHOT_HEADER + "".join(EMPTY_RECORD % t for t in (0.0, 0.2, 0.1, 0.3)), "line 4"),
+    # times whose gap overflows, and an ego far beyond any track, on a record before the last
+    "hugetimelog": (SNAPSHOT_HEADER + EMPTY_RECORD % -1e308 + EMPTY_RECORD % 1e308, "line 2"),
+    "hugeegolog": (
+        SNAPSHOT_HEADER + EMPTY_RECORD % 0.0 + (EMPTY_RECORD % 0.1).replace('"x_m": 0.0', '"x_m": 1e308') + EMPTY_RECORD % 0.2,
+        "line 3",
+    ),
     # a schema-1 log: cones as objects of float text
     "schema1log": ('{"kind": "snapshot_log", "schema_version": 1}\n' + EMPTY_RECORD.replace(EMPTY_CONES, "[]") % 0.0, "line 1"),
     "schemaplans": ('{"kind": "planner_log", "schema_version": 99}\n' + PLAN_RECORD % (0.0, "[1.0, 0.0]"), "line 1"),
@@ -631,6 +662,23 @@ BAD_FILES = {
     "mismatchedprofile": ('{"profiles": {"fusion": "builtin:lidar_only"}}', "'lidar_only'"),
     "negradius": ('{"global_map_overrides": {"association_radius_m": -1.0}}', "association_radius_m"),
     "nanfloor": ('{"global_map_overrides": {"observation_sigma_floor_m": NaN}}', "observation_sigma_floor_m"),
+    # noise whose information underflows, divides by zero or overflows, which used to fail mid-run
+    "tinyodometrysigma": (
+        '{"track_spec": {"kind": "circle", "radius_m": 10.0}, "global_map_overrides": {"odometry_sigma_rates": [1e-300, 0.08, 0.012]}}',
+        "odometry_sigma_rates",
+    ),
+    "underflowodometrysigma": (
+        '{"track_spec": {"kind": "circle", "radius_m": 10.0}, "global_map_overrides": {"odometry_sigma_rates": [1e-170, 0.08, 0.012]}}',
+        "odometry_sigma_rates",
+    ),
+    "hugeodometrysigma": (
+        '{"track_spec": {"kind": "circle", "radius_m": 10.0}, "global_map_overrides": {"odometry_sigma_rates": [1e200, 0.08, 0.012]}}',
+        "odometry_sigma_rates",
+    ),
+    "hugesigmafloor": (
+        '{"track_spec": {"kind": "circle", "radius_m": 10.0}, "global_map_overrides": {"observation_sigma_floor_m": 1e155}}',
+        "observation_sigma_floor_m",
+    ),
     "infspeed": ('{"max_speed_mps": Infinity}', "max_speed_mps"),
     "neglateral": ('{"lateral_accel_mps2": -6.0}', "lateral_accel_mps2"),
     "nanrate": ('{"frame_rate_hz": NaN}', "frame_rate_hz"),
@@ -643,6 +691,8 @@ BAD_FILES = {
         '{"track_spec": {"kind": "circle", "radius_m": 10.0}, "frame_rate_hz": 1e9}',
         "frame_rate_hz 1000000000.0 on a 62.8253 m lap",
     ),
+    # a lap whose frames, 27.6 and 10 spare of 3.3e7 s, could pass the snapshot log's time limit
+    "pasttimelimit": (SLOW_LAP % (1.5e-7, 3e-8), "ask for 27.6 frames of 3.33e+07 s, over the cap of 200000 frames or"),
     "nanlength": ('{"track_spec": {"length_m": NaN}}', "length_m"),
     "infradius": ('{"track_spec": {"kind": "circle", "radius_m": Infinity}}', "radius_m"),
     "intkind": ('{"track_spec": {"kind": 5}}', "bad track_spec: track spec kind must be one of"),

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,21 +21,26 @@ from map_reference import (
     AppendedRowsGraph,
     DictLinkGraph,
     appending_add_snapshot,
+    cholesky_assemble,
+    cholesky_roots,
     colamd_optimize,
     coo_assemble,
     dominant_class,
+    information_matrices,
     numpy_color_probabilities,
     one_edge,
     plain_color_probabilities,
     pose_array,
     reference_add_snapshot,
     reference_associate_landmark,
+    whiten,
 )
 from test_local_map import LAP_CONFIG, fusion_fails_at_3_s, seeded_lap_frames
 from conetrack import global_map
 from conetrack.config import load_config, resolve_profile
 from conetrack.core import (
     CLASS_NAMES,
+    COV_EIGENVALUE_FLOOR,
     Pose2,
     body_frame_point,
     compose,
@@ -44,7 +50,8 @@ from conetrack.core import (
 )
 from conetrack.global_map import (
     GRAPH_SCHEMA_VERSION,
-    OBSERVATION_EDGE,
+    MAX_NOISE_SIGMA,
+    MIN_SIGMA_RATE,
     Graph,
     GlobalMapConfig,
     GraphStructureError,
@@ -54,7 +61,7 @@ from conetrack.global_map import (
     _jacobian_pattern,
     _observation_batch,
     _odometry_batch,
-    _whiten,
+    _row_weights,
     add_snapshot,
     export_map,
     optimize,
@@ -63,6 +70,7 @@ from conetrack.global_map import (
     save_graph,
 )
 from conetrack.local_map import (
+    MAX_SNAPSHOT_TIME_S,
     LocalMapConfig,
     LocalMapSnapshot,
     LocalMapState,
@@ -322,26 +330,24 @@ class TestQueuedRowsMatchAppendedRows:
             appending_add_snapshot(reference, snap, CONFIG)
         self.assert_same(graph, reference)
 
-    def test_matrices_and_variances_keep_their_order(self):
-        """Observation blocks given as (k, 2, 2) matrices and as (k,) variances land in call order."""
+    def test_variance_blocks_keep_their_order(self):
+        """Observation blocks, each with one pose row or one per edge, and their (k,) variances land in call order."""
         graph, reference = Graph(), AppendedRowsGraph()
         blocks = [
             ([0, 0], [[1.0, 2.0], [3.0, 4.0]], np.array([0.25, 4.0])),
-            ([0], [[5.0, 6.0]], [np.diag([16.0, 9.0])]),
+            ([0], [[5.0, 6.0]], [0.3]),
             (1, [[7.0, 8.0], [9.0, 1.5]], np.array([0.5, 2.0])),
             ([], np.zeros((0, 2)), np.zeros(0)),
-            ([1, 0], [[0.5, 0.5], [2.5, 1.0]], [[[4.0, 1.0], [1.0, 9.0]]] * 2),
+            ([1, 0], [[0.5, 0.5], [2.5, 1.0]], [0.1, 7.0]),
         ]
         for g in (graph, reference):
             g.add_pose(Pose2.identity())
-            g.add_pose(Pose2(1.0, 0.5, 0.25), Pose2(1.0, 0.5, 0.25), np.diag([100.0, 100.0, 400.0]))
+            g.add_pose(Pose2(1.0, 0.5, 0.25), Pose2(1.0, 0.5, 0.25), (100.0, 100.0, 400.0))
             g.add_landmarks([[1.0, 2.0], [4.0, -1.0]])
-        for pose, measurements, information in blocks:
+        for pose, measurements, variances in blocks:
             landmarks = [k % 2 for k in range(len(measurements))]
-            graph.add_observations(pose, landmarks, np.array(measurements, float).reshape(-1, 2), information)
-            if np.ndim(information) == 1:
-                information = np.eye(2) / np.reshape(information, (-1, 1, 1))
-            reference.add_observations(pose, landmarks, measurements, information)
+            graph.add_observations(pose, landmarks, np.array(measurements, float).reshape(-1, 2), variances)
+            reference.add_observations(pose, landmarks, measurements, variances)
         self.assert_same(graph, reference)
 
 
@@ -498,7 +504,7 @@ class TestOptimize:
         graph.add_pose(Pose2(1.0, 2.0, 0.5))
         graph.add_landmarks([[0.0, 0.0]])  # bad init
         z = np.array([2.0, 1.0])
-        graph.add_observations([0], [0], [z], [np.eye(2)])
+        graph.add_observations([0], [0], [z], [1.0])
         result = optimize(graph, CONFIG)
         expected = transform_point(Pose2(1.0, 2.0, 0.5), z)
         assert result.landmarks[0] == pytest.approx(expected, abs=1e-8)
@@ -670,8 +676,10 @@ GRAPH_COLUMNS = {
 def graph_from_dict(data: dict) -> Graph:
     """Rebuild a graph from a schema-2 ``graph.json`` document through the graph's own append steps.
 
-    Another schema, a column whose header is not this schema's, or a column
-    whose bytes do not fill its header's shape raises ``ValueError``.
+    Another schema, a column whose header is not this schema's, a column
+    whose bytes do not fill its header's shape, or an information matrix
+    that is not diagonal, or for an observation isotropic, raises
+    ``ValueError``.
     """
     if data.get("kind") != "pose_landmark_graph" or data.get("schema_version") != GRAPH_SCHEMA_VERSION:
         raise ValueError(f"unsupported graph schema: {data.get('schema_version')}")
@@ -685,9 +693,14 @@ def graph_from_dict(data: dict) -> Graph:
         if len(raw) != math.prod(shape) * 8:
             raise ValueError(f"graph column {name} holds {len(raw)} bytes, not the {math.prod(shape) * 8} of {shape}")
         columns[name] = np.frombuffer(raw, dtype).reshape(shape)
-    poses, relative, information = (columns[k] for k in ("poses", "odometry_relative", "odometry_information"))
+    poses, relative = columns["poses"], columns["odometry_relative"]
     if len(relative) != max(len(poses) - 1, 0):
         raise ValueError("odometry edges must chain each pose to the next")
+    diagonals = np.diagonal(columns["odometry_information"], axis1=1, axis2=2)
+    isotropic = columns["observation_information"][:, 0, 0]
+    matrices = information_matrices(diagonals, isotropic)
+    if not all(np.array_equal(m, columns[k]) for m, k in zip(matrices, ("odometry_information", "observation_information"))):
+        raise ValueError("an odometry edge's information must be diagonal, an observation edge's a multiple of the identity")
     g = Graph()
     g.optimized = data["optimized"]
     g.last_timestamp = data["last_timestamp_s"]
@@ -695,14 +708,14 @@ def graph_from_dict(data: dict) -> Graph:
         if k == 0:
             g.add_pose(Pose2(*row))
         else:
-            g.add_pose(Pose2(*row), Pose2(*relative[k - 1]), information[k - 1])
+            g.add_pose(Pose2(*row), Pose2(*relative[k - 1]), diagonals[k - 1])
     g.add_landmarks(columns["landmarks"])
     g.add_links(columns["color_evidence_local_id"], columns["color_evidence_landmark"], columns["color_evidence"])
     g.add_observations(
         columns["observation_pose"],
         columns["observation_landmark"],
         columns["observation_measurement_m"],
-        columns["observation_information"],
+        1.0 / isotropic,  # the graph stores 1 / variance, which the round trip tests check gives back these bytes
     )
     if local_links(g) != dict(zip(columns["local_link_id"].tolist(), columns["local_link_landmark"].tolist())):
         raise ValueError("the local links and the colour evidence rows must name the same links")
@@ -747,7 +760,7 @@ class TestSerialization:
         (lm,) = graph.add_landmarks([[1.0, 2.0]])
         graph.add_links([0, 5], [lm, lm], [[3.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
         graph.add_pose(Pose2.identity())
-        graph.add_observations([0], [lm], [[1.0, 2.0]], [np.eye(2)])
+        graph.add_observations([0], [lm], [[1.0, 2.0]], [1.0])
         graph.optimized = True
         (record,) = export_map(graph)
         assert record["color"] == "blue"
@@ -760,7 +773,7 @@ class TestSerialization:
             (lm,) = graph.add_landmarks([[float(k), 0.0]])
             graph.add_links([k], [lm], [[1.0, 0.0, 0.0]])
             for _ in range(n_edges):
-                graph.add_observations([0], [lm], [[float(k), 0.0]], [np.eye(2)])
+                graph.add_observations([0], [lm], [[float(k), 0.0]], [1.0])
         graph.optimized = True
         records = export_map(graph, min_edges=3)
         assert [r["id"] for r in records] == [0]
@@ -787,6 +800,14 @@ class TestConfigValidation:
             ("odometry_sigma_rates", (0.08, 0.0, 0.012)),
             ("odometry_sigma_rates", (0.08, 0.08)),
             ("observation_sigma_floor_m", math.nan),
+            # rates whose square underflows to zero or whose information does, and a floor whose square overflows
+            ("odometry_sigma_rates", (1e-300, 0.08, 0.012)),
+            ("odometry_sigma_rates", (1e-170, 0.08, 0.012)),
+            ("odometry_sigma_rates", (MIN_SIGMA_RATE / 2, 0.08, 0.012)),
+            ("odometry_sigma_rates", (0.08, 1e200, 0.012)),
+            ("odometry_sigma_rates", (0.08, 0.08, MAX_NOISE_SIGMA * 2)),
+            ("observation_sigma_floor_m", 1e155),
+            ("observation_sigma_floor_m", MAX_NOISE_SIGMA * 2),
             ("max_iterations", 0),
             ("max_iterations", 2.5),
             ("relative_tolerance", -1e-8),
@@ -858,7 +879,7 @@ class TestSymmetricFactorization:
     def test_factor_fills_in_far_less_than_the_colamd_lu(self, golden_lap):
         # 42,096 against 79,872 nonzeros (0.527) on this lap; 0.445 on the
         # 3,937-unknown system of a 500 m lap
-        _, jacobian = coo_assemble(*assembly_inputs(golden_lap[1]), jac=True)
+        _, jacobian = coo_assemble(*reference_inputs(golden_lap[1]), jac=True)
         hess = (jacobian.T @ jacobian).tocsc()
         damped = hess + sp.diags(CONFIG.initial_lambda * np.maximum(hess.diagonal(), 1e-9))
         factor, reference = _factor(damped), splu(damped)
@@ -882,34 +903,38 @@ def small_noisy_graphs(draw):
         else:
             moved = pose_array(relative_pose(truth[k - 1], pose)) + rng.normal(scale=noise, size=3)
             start = pose_array(pose) + rng.normal(scale=perturbation, size=3)
-            graph.add_pose(Pose2(*start), Pose2(*moved), np.diag([100.0, 100.0, 400.0]))
+            graph.add_pose(Pose2(*start), Pose2(*moved), (100.0, 100.0, 400.0))
     for position in landmarks:
         graph.add_landmarks([position + rng.normal(scale=perturbation, size=2)])
     for k, pose in enumerate(truth):
         measured = body_frame_point(pose, landmarks) + rng.normal(scale=noise, size=(n_landmarks, 2))
-        graph.add_observations([k] * n_landmarks, range(n_landmarks), measured, [np.eye(2) * 25.0] * n_landmarks)
+        graph.add_observations([k] * n_landmarks, range(n_landmarks), measured, [0.04] * n_landmarks)
     return graph
 
 
 def edge_by_edge_assembly(graph):
     """The whitened residuals and Jacobian of ``graph``, assembled one edge at
     a time from ``one_edge`` into a dense matrix with a column block for
-    every pose, then pose 0's three columns removed."""
+    every pose, then pose 0's three columns removed. Each edge is whitened
+    by the Cholesky factor of its full information matrix."""
     poses, lms = graph.poses, graph.landmarks
     landmark_col = 3 * len(poses)
     edges = []  # (information, residual, [(first column, Jacobian)])
     odometry, observations = graph.odometry_edges, graph.observation_edges
-    for k, (relative, information) in enumerate(zip(odometry["relative"], odometry["information"])):
+    odometry_information, observation_information = information_matrices(odometry["information"], observations["information"])
+    for k, (relative, information) in enumerate(zip(odometry["relative"], odometry_information)):
         rows = (poses[k], poses[k + 1], relative)
         ji, jj = one_edge(_odometry_batch, *rows, jac=True)
         edges.append((information, one_edge(_odometry_batch, *rows), [(3 * k, ji), (3 * k + 3, jj)]))
-    for pose, lm, measurement, information in zip(*(observations[name] for name in OBSERVATION_EDGE.names)):
+    for pose, lm, measurement, information in zip(
+        observations["pose"], observations["landmark"], observations["measurement"], observation_information
+    ):
         rows = (poses[pose], lms[lm], measurement)
         jp, jl = one_edge(_observation_batch, *rows, jac=True)
         edges.append((information, one_edge(_observation_batch, *rows), [(3 * pose, jp), (landmark_col + 2 * lm, jl)]))
     residuals, jacobian = [], np.zeros((sum(len(r) for _, r, _ in edges), landmark_col + 2 * len(lms)))
     for information, residual, blocks in edges:
-        (root,) = _whiten(information[None])
+        (root,) = whiten(information[None])
         for col, block in blocks:
             jacobian[len(residuals) : len(residuals) + len(residual), col : col + block.shape[1]] = root @ block
         residuals.extend(root @ residual)
@@ -918,16 +943,16 @@ def edge_by_edge_assembly(graph):
 
 def assembly_inputs(graph):
     """``_assemble``'s arguments for ``graph`` up to the Jacobian pattern:
-    the estimates, the edges and each edge type's square-root information."""
+    the estimates, the edges and the residual rows' weights."""
     odometry, observations = graph.odometry_edges, graph.observation_edges
-    return (
-        graph.poses,
-        graph.landmarks,
-        odometry,
-        observations,
-        _whiten(odometry["information"]),
-        _whiten(observations["information"]),
-    )
+    return graph.poses, graph.landmarks, odometry, observations, _row_weights(odometry, observations)
+
+
+def reference_inputs(graph):
+    """``coo_assemble``'s arguments for ``graph`` up to ``jac``: the estimates,
+    the edges and each edge type's square-root information matrices."""
+    odometry, observations = graph.odometry_edges, graph.observation_edges
+    return (graph.poses, graph.landmarks, odometry, observations, *cholesky_roots(odometry, observations))
 
 
 def pattern_assembly(graph):
@@ -942,10 +967,10 @@ def gauge_only_landmarks_graph():
     graph = Graph()
     graph.add_pose(Pose2(0.0, 0.0, 0.0))
     for k in (1, 2):
-        graph.add_pose(Pose2(1.0 * k, 0.1 * k, 0.05 * k), Pose2(1.0, 0.1, 0.05), np.diag([100.0, 100.0, 400.0]))
+        graph.add_pose(Pose2(1.0 * k, 0.1 * k, 0.05 * k), Pose2(1.0, 0.1, 0.05), (100.0, 100.0, 400.0))
     graph.add_landmarks([[4.0, 2.0], [5.0, -2.0], [6.0, 1.5]])
-    graph.add_observations([0, 0, 0], [0, 1, 2], [[4.1, 2.0], [5.0, -1.9], [6.0, 1.4]], [np.eye(2) * 25.0] * 3)
-    graph.add_observations([1, 2], [1, 1], [[4.0, -2.2], [3.1, -2.3]], [np.diag([16.0, 9.0])] * 2)
+    graph.add_observations([0, 0, 0], [0, 1, 2], [[4.1, 2.0], [5.0, -1.9], [6.0, 1.4]], [0.04] * 3)
+    graph.add_observations([1, 2], [1, 1], [[4.0, -2.2], [3.1, -2.3]], [0.0625] * 2)
     return graph
 
 
@@ -961,14 +986,18 @@ class TestAssembly:
 
     @staticmethod
     def check_pattern(graph):
-        """The cached-pattern Jacobian is the COO reference's CSR matrix, bit for bit."""
+        """The cached-pattern Jacobian is the COO reference's CSR matrix: its
+        pattern bit for bit, its values and the residuals equal. The
+        reference whitens by Cholesky factors, whose zeros off the diagonal
+        can turn a zero's sign."""
         residuals, jacobian = pattern_assembly(graph)
-        expected_residuals, expected = coo_assemble(*assembly_inputs(graph), jac=True)
-        assert residuals.tobytes() == expected_residuals.tobytes()
+        expected_residuals, expected = coo_assemble(*reference_inputs(graph), jac=True)
+        assert np.array_equal(residuals, expected_residuals)
         assert jacobian.shape == expected.shape
-        for name in ("data", "indices", "indptr"):
+        for name in ("indices", "indptr"):
             mine, theirs = getattr(jacobian, name), getattr(expected, name)
             assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes()), name
+        assert jacobian.data.dtype == expected.data.dtype and np.array_equal(jacobian.data, expected.data)
 
     @given(small_noisy_graphs())
     @settings(max_examples=40, deadline=None)
@@ -980,7 +1009,7 @@ class TestAssembly:
         graph.add_pose(Pose2(1.0, 2.0, 0.5))
         for k, position in enumerate(([3.0, 1.0], [-2.0, 4.0])):
             graph.add_landmarks([position])
-            graph.add_observations([0], [k], [[2.0 - k, 1.0 + k]], [np.diag([4.0, 9.0])])
+            graph.add_observations([0], [k], [[2.0 - k, 1.0 + k]], [0.25])
         self.check(graph)
 
     def test_landmarks_seen_only_from_the_gauge_pose(self):
@@ -993,7 +1022,61 @@ class TestAssembly:
     def test_pattern_indices_are_int32(self, golden_lap):
         graph = golden_lap[1]
         pattern = _jacobian_pattern(len(graph.poses), len(graph.landmarks), graph.odometry_edges, graph.observation_edges)
-        assert [a.dtype for a in pattern[:3]] == [np.int32] * 3
+        assert [a.dtype for a in pattern[:4]] == [np.int32] * 4
+
+
+def log_uniform(low: float, high: float):
+    """Floats from ``low`` to ``high``, spread evenly over their exponents, the two ends among them."""
+    exponents = st.floats(math.log10(low), math.log10(high)).map(lambda e: min(max(10.0**e, low), high))
+    return st.one_of(st.sampled_from([low, high]), exponents)
+
+
+@st.composite
+def configured_information_graphs(draw):
+    """A small noisy graph whose edges carry the information ``add_snapshot``
+    gives for noise fields and snapshot gaps anywhere within their limits:
+    1 / (rate^2 gap) on an odometry edge's diagonal, and 1 / max(variance,
+    floor^2) on an observation edge, for variances from the covariance
+    eigenvalue floor to the largest floor's square."""
+    graph = draw(small_noisy_graphs())
+    n_odometry, n_observations = len(graph.odometry_edges), len(graph.observation_edges)
+    rates = draw(st.lists(st.tuples(*[log_uniform(MIN_SIGMA_RATE, MAX_NOISE_SIGMA)] * 3), min_size=n_odometry, max_size=n_odometry))
+    gaps = draw(st.lists(log_uniform(1e-3, 2 * MAX_SNAPSHOT_TIME_S), min_size=n_odometry, max_size=n_odometry))
+    floor = draw(st.one_of(st.just(0.0), log_uniform(1e-6, MAX_NOISE_SIGMA)))
+    variances = draw(
+        st.lists(log_uniform(COV_EIGENVALUE_FLOOR, MAX_NOISE_SIGMA**2), min_size=n_observations, max_size=n_observations)
+    )
+    graph.odometry_edges["information"] = [[1.0 / (s * s * gap) for s in edge] for edge, gap in zip(rates, gaps)]
+    graph.observation_edges["information"] = [1.0 / max(v, floor**2) for v in variances]
+    return graph
+
+
+class TestRowWeightsMatchCholesky:
+    """Whitening by one weight per residual row against whitening each edge by the Cholesky factor of its
+    full information matrix with ``np.einsum`` block products (``map_reference.cholesky_assemble``)."""
+
+    @given(configured_information_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_weights_residuals_jacobians_and_solves_are_equal(self, graph):
+        odometry, observations = graph.odometry_edges, graph.observation_edges
+        information = np.concatenate([odometry["information"].ravel(), observations["information"]])
+        assert np.isfinite(information).all() and (information > 0).all()
+        # each row's weight is the diagonal entry of its edge's Cholesky factor, bit for bit
+        odometry_roots, observation_roots = (np.diagonal(root, axis1=1, axis2=2) for root in cholesky_roots(odometry, observations))
+        roots = np.concatenate([odometry_roots.ravel(), observation_roots.ravel()])
+        assert _row_weights(odometry, observations).tobytes() == roots.tobytes()
+        pattern = _jacobian_pattern(len(graph.poses), len(graph.landmarks), odometry, observations)
+        residuals, jacobian = _assemble(*assembly_inputs(graph), pattern)
+        expected_residuals, expected_jacobian = cholesky_assemble(*assembly_inputs(graph), pattern)
+        # equal values; a zero's sign can differ where a Cholesky factor's zero multiplied a negative value
+        assert np.array_equal(residuals, expected_residuals)
+        assert np.array_equal(jacobian.data, expected_jacobian.data)
+        result = optimize(graph, CONFIG)
+        with mock.patch.object(global_map, "_assemble", cholesky_assemble):
+            reference = optimize(graph, CONFIG)
+        assert (result.iterations, result.converged, result.message) == (reference.iterations, reference.converged, reference.message)
+        assert result.final_cost == reference.final_cost
+        assert np.array_equal(result.poses, reference.poses) and np.array_equal(result.landmarks, reference.landmarks)
 
 
 class TestRejectedSteps:
@@ -1002,7 +1085,7 @@ class TestRejectedSteps:
         graph = Graph()
         graph.add_pose(Pose2(1.0, 2.0, 0.5))
         graph.add_landmarks([[0.0, 0.0]])
-        graph.add_observations([0], [0], [[2.0, 1.0]], [np.eye(2)])
+        graph.add_observations([0], [0], [[2.0, 1.0]], [1.0])
         (residual,) = graph.observation_edges["measurement"] - body_frame_point(Pose2(1.0, 2.0, 0.5), graph.landmarks)
         damped = []
 
@@ -1058,13 +1141,13 @@ def test_final_cost_is_independent_of_the_blas_thread_count():
         "for before, pose in zip(truth, truth[1:]):\n"
         "    moved = pose_array(relative_pose(before, pose)) + rng.normal(scale=[0.02, 0.02, 0.005])\n"
         "    start = pose_array(pose) + rng.normal(scale=0.3, size=3)\n"
-        "    graph.add_pose(Pose2(*start), Pose2(*moved), np.diag([100.0, 100.0, 400.0]))\n"
+        "    graph.add_pose(Pose2(*start), Pose2(*moved), (100.0, 100.0, 400.0))\n"
         "for position in landmarks:\n"
         "    graph.add_landmarks([position + rng.normal(scale=0.3, size=2)])\n"
         "for k, pose in enumerate(truth):\n"
         "    seen = np.argsort(np.hypot(*(landmarks - pose.position).T))[:4]\n"
         "    measured = body_frame_point(pose, landmarks[seen]) + rng.normal(scale=0.1, size=(4, 2))\n"
-        "    graph.add_observations([k] * 4, seen, measured, [np.eye(2) * 25.0] * 4)\n"
+        "    graph.add_observations([k] * 4, seen, measured, [0.04] * 4)\n"
         "print(3 * (len(graph.poses) - 1) + 2 * len(graph.observation_edges), optimize(graph).final_cost.hex())\n"
     )
     costs = []

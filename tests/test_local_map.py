@@ -24,6 +24,7 @@ from cone_reference import (
 )
 from map_reference import pose_array
 from conetrack.core import (
+    MAX_LOG_COORDINATE_M,
     ObservationBatch,
     Pose2,
     SensorSource,
@@ -35,6 +36,7 @@ from conetrack.core import (
 )
 from conetrack.config import load_config
 from conetrack.local_map import (
+    MAX_SNAPSHOT_TIME_S,
     ConeTable,
     LocalMapConfig,
     LocalMapSnapshot,
@@ -916,6 +918,29 @@ class TestSnapshotLog:
         with pytest.raises(ValueError):
             snapshot_from_dict(change(self.two_cone_record()))
 
+    @pytest.mark.parametrize(
+        "key, value, accepted",
+        [
+            ("timestamp_s", MAX_SNAPSHOT_TIME_S, True),
+            ("timestamp_s", -MAX_SNAPSHOT_TIME_S, True),
+            ("timestamp_s", math.nextafter(MAX_SNAPSHOT_TIME_S, math.inf), False),
+            ("timestamp_s", -1e308, False),
+            ("x_m", MAX_LOG_COORDINATE_M, True),
+            ("y_m", -MAX_LOG_COORDINATE_M, True),
+            ("x_m", math.nextafter(-MAX_LOG_COORDINATE_M, -math.inf), False),
+            ("y_m", 1e308, False),
+        ],
+    )
+    def test_time_and_ego_within_their_limits(self, key, value, accepted):
+        row = self.two_cone_record()
+        row = dict(row, timestamp_s=value) if key == "timestamp_s" else dict(row, ego=dict(row["ego"], **{key: value}))
+        if accepted:
+            snapshot = snapshot_from_dict(row)
+            assert value in (snapshot.timestamp, snapshot.ego.x, snapshot.ego.y)
+        else:
+            with pytest.raises(ValueError, match=key):
+                snapshot_from_dict(row)
+
     @pytest.mark.parametrize("observed", [[2], [1, 3, 4]])
     def test_observed_ids_must_name_cones_of_the_record(self, observed):
         with pytest.raises(ValueError, match="observed_ids"):
@@ -1018,8 +1043,11 @@ def snapshots(draw, valid=False):
         np.array(columns["existence"], float),
         np.array(columns["last_seen"], float),
     )
-    # the filter's ego and time are numpy floats, which json writes as plain floats
-    x, y, theta, timestamp = (np.float64(draw(finite_float)) for _ in range(4))
+    # the filter's ego and time are numpy floats, which json writes as plain floats;
+    # the reader bounds the ego's coordinates and the time
+    coordinate = st.floats(-MAX_LOG_COORDINATE_M, MAX_LOG_COORDINATE_M) if valid else finite_float
+    time_s = st.floats(-MAX_SNAPSHOT_TIME_S, MAX_SNAPSHOT_TIME_S) if valid else finite_float
+    x, y, timestamp = (np.float64(draw(strategy)) for strategy in (coordinate, coordinate, time_s))
     observed = draw(st.sets(st.sampled_from(ids))) if ids else set()
     ego = Pose2(x, y, draw(st.floats(-math.pi, math.pi)))
     return LocalMapSnapshot(timestamp, ego, cones, frozenset(observed), draw(st.sampled_from(list(MapMode))))

@@ -1,4 +1,4 @@
-"""Microbenchmarks of ``local_map.ingest_frame`` and ``global_map.add_snapshot`` on frozen inputs.
+"""Microbenchmarks of ``local_map.ingest_frame``, ``global_map.add_snapshot`` and the graph solve on frozen inputs.
 
 Runs one lap of a benchmark workload (``--workload``, its config as
 ``perfbench/lap.py``'s ``workload_config`` resolves it) once, recording
@@ -8,7 +8,11 @@ replay's wall time. The replay's snapshots are hashed, so two builds that
 print the same digest stepped every frame to the same bits. Then it adds the
 replay's snapshots to an empty graph ``--repeats`` times, with the
 workload's global-map config, and prints the same figures for
-``add_snapshot`` and the sha256 of the graph's ``save_graph`` bytes.
+``add_snapshot`` and the sha256 of the graph's ``save_graph`` bytes. Last it
+solves that graph ``--repeats`` times, each time a fresh build of it, and
+prints the same figures for ``optimize`` plus ``Graph.merge_estimates`` and
+the sha256 of the solved graph's ``save_graph`` bytes, so a change to the
+solve is checked bit for bit and timed outside the lap.
 
     PYTHONPATH=src python3 tools/bench_ingest.py --workload lap-map-500m --repeats 30
 
@@ -28,7 +32,7 @@ import time
 from pathlib import Path
 
 from conetrack import pipeline
-from conetrack.global_map import Graph, add_snapshot, save_graph
+from conetrack.global_map import Graph, add_snapshot, optimize, save_graph
 from conetrack.local_map import LocalMapState, ingest_frame
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -82,12 +86,20 @@ def graph_digest(graph: Graph) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def timed(step, repeats: int) -> str:
-    """The median and quartiles of ``repeats`` timed calls of ``step``."""
+def solve(graph: Graph, config) -> Graph:
+    """The graph with its solve merged in, as a run's final solve leaves it."""
+    graph.merge_estimates(optimize(graph, config))
+    return graph
+
+
+def timed(step, repeats: int, prepare=tuple) -> str:
+    """The median and quartiles of ``repeats`` timed calls of ``step``, each
+    on the arguments an untimed call of ``prepare`` returns."""
     times = []
     for _ in range(repeats):
+        args = prepare()
         start = time.perf_counter()
-        step()
+        step(*args)
         times.append(time.perf_counter() - start)
     q1, median, q3 = statistics.quantiles(times, n=4)
     return f"median {median * 1e3:.1f} ms  quartiles {q1 * 1e3:.1f} / {q3 * 1e3:.1f} ms  ({repeats} replays)"
@@ -120,6 +132,9 @@ def main() -> None:
     graph_config = config.global_map_config()
     print(f"graph digest {graph_digest(build_graph(snapshots, graph_config))}")
     print(f"add_snapshot replay: {timed(lambda: build_graph(snapshots, graph_config), args.repeats)}")
+    print(f"solved graph digest {graph_digest(solve(build_graph(snapshots, graph_config), graph_config))}")
+    fresh_graph = lambda: (build_graph(snapshots, graph_config),)  # noqa: E731
+    print(f"optimize + merge_estimates: {timed(lambda graph: solve(graph, graph_config), args.repeats, fresh_graph)}")
 
 
 if __name__ == "__main__":
