@@ -29,7 +29,6 @@ from .core import (
     CLASS_NAMES,
     Bound,
     Pose2,
-    body_frame_point,
     check_bounds,
     color_probabilities,
     compose,
@@ -241,13 +240,14 @@ class Graph:
         return color_probabilities(totals)
 
     def add_observations(self, pose, landmark, measurement, variances) -> None:
-        """Queue k observation edges: a pose row, or one per edge, landmark rows, (k, 2) measurements and
-        the (k,) variances of their isotropic noise, each edge's information being ``1.0 / variance``."""
+        """Queue k observation edges: a pose row, or one per edge, landmark rows, k (x, y) measurements and
+        the k variances of their isotropic noise, each edge's information being ``1.0 / variance``.
+        Sequences of Python numbers go into the queue's columns as they are, arrays one value at a time."""
         queued, count = self._queued, len(landmark)
         queued.observation_pose.extend(itertools.repeat(pose, count) if np.ndim(pose) == 0 else pose)
-        queued.landmark.frombytes(np.asarray(landmark, np.int64).tobytes())
-        queued.measurement.frombytes(np.asarray(measurement, float).tobytes())
-        queued.variance.frombytes(np.asarray(variances, float).tobytes())
+        queued.landmark.extend(landmark)
+        queued.measurement.extend(itertools.chain.from_iterable(measurement))
+        queued.variance.extend(variances)
 
     def _build_queued(self) -> None:
         """Write the queued poses and edges into their arrays, one block per array, and empty the queue."""
@@ -307,30 +307,40 @@ def add_snapshot(graph: Graph, snapshot: LocalMapSnapshot, config: GlobalMapConf
         graph.add_pose(pose, odometry, [1.0 / (sigma * sigma * dt_f) for sigma in config.odometry_sigma_rates])
     graph.last_timestamp, graph.last_ego = snapshot.timestamp, ego
 
-    cones = snapshot.cones
+    # each observed cone within the proximity radius: its body-frame measurement, in body_frame_point's
+    # expressions, and its variance, in plain floats; math.hypot, not np.hypot: the two can differ in the last bit
+    cones, observed_ids, radius = snapshot.cones, snapshot.observed_ids, config.proximity_radius_m
     ids = cones.ids.tolist()
-    observed = [k for k, cid in enumerate(ids) if cid in snapshot.observed_ids]
-    offsets = (cones.means[observed] - ego.position).tolist()
-    # math.hypot, not np.hypot: the two can differ in the last bit
-    rows = [k for k, (dx, dy) in zip(observed, offsets) if not math.hypot(dx, dy) > config.proximity_radius_m]
-    measurements = body_frame_point(ego, cones.means[rows])
-    evidence = cones.color_evidence[rows]
+    observed = [k for k, cid in enumerate(ids) if cid in observed_ids]
+    ego_x, ego_y = ego.x, ego.y
+    c, s = math.cos(ego.theta), math.sin(ego.theta)
+    rows, measurements = [], []
+    for k, (x, y) in zip(observed, cones.means.take(observed, 0).tolist()):
+        dx, dy = x - ego_x, y - ego_y
+        if not math.hypot(dx, dy) > radius:
+            rows.append(k)
+            measurements.append((c * dx + s * dy, -s * dx + c * dy))
+    floor = config.observation_sigma_floor_m**2
+    variances = [max((a + d) / 2.0, floor) for (a, _), (_, d) in cones.covs.take(rows, 0).tolist()]
+
+    evidence = cones.color_evidence.take(rows, 0)
     link_rows = [graph.link_index.get(ids[k]) for k in rows]
     old = [j for j, row in enumerate(link_rows) if row is not None]
     new = [j for j, row in enumerate(link_rows) if row is None]
-    linked = [link_rows[j] for j in old]
-    graph.links["evidence"][linked] = evidence[old]
-    landmarks = np.empty(len(rows), np.intp)
-    landmarks[old] = graph.links["landmark"][linked]
+    landmarks = [0] * len(rows)
+    if old:
+        linked = [link_rows[j] for j in old]
+        graph.links["evidence"][linked] = evidence.take(old, 0)
+        for j, landmark in zip(old, graph.links["landmark"].take(linked).tolist()):
+            landmarks[j] = landmark
     if new:
-        world_guesses = transform_point(pose, measurements[new])
-        matched = _associate_landmarks(graph, world_guesses, evidence[new], ids, config.association_radius_m)
+        world_guesses = transform_point(pose, np.array([measurements[j] for j in new]))
+        matched = _associate_landmarks(graph, world_guesses, evidence.take(new, 0), ids, config.association_radius_m)
         unmatched = matched < 0
         matched[unmatched] = graph.add_landmarks(world_guesses[unmatched])
-        graph.add_links([ids[rows[j]] for j in new], matched, evidence[new])
-        landmarks[new] = matched
-    floor = config.observation_sigma_floor_m**2
-    variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
+        graph.add_links([ids[rows[j]] for j in new], matched, evidence.take(new, 0))
+        for j, landmark in zip(new, matched.tolist()):
+            landmarks[j] = landmark
     graph.add_observations(graph.pose_count - 1, landmarks, measurements, variances)
     return graph
 
@@ -349,8 +359,10 @@ def _associate_landmarks(graph: Graph, points: np.ndarray, evidence: np.ndarray,
     dy = graph.landmarks[:, 1] - points[:, 1:]
     # a landmark outside the box around a point is outside the radius too
     inside = (np.abs(dx) <= radius) & (np.abs(dy) <= radius)
+    if not inside.any():  # no box holds a landmark
+        return matched
     inside[:, graph.links["landmark"][[row for row in map(graph.link_index.get, live_ids) if row is not None]]] = False
-    if inside.any():  # the classes only for a batch whose boxes hold a landmark
+    if inside.any():  # the classes only for a batch whose boxes still hold a landmark
         inside &= graph.colors().argmax(axis=1) == color_probabilities(evidence).argmax(axis=1)[:, None]
     cone, landmark = np.nonzero(inside)
     taken: set[int] = set()

@@ -242,16 +242,6 @@ def _grow_covariances(covs: np.ndarray, dt: float, config: LocalMapConfig) -> np
     return covs
 
 
-def _in_frustum(ego: Pose2, means: np.ndarray, config: LocalMapConfig, shrink: float) -> np.ndarray:
-    """Which rows of ``means`` lie in the sensor frustum scaled by ``shrink``."""
-    max_r, max_bearing = config.max_range_m * shrink, config.fov_half_angle_rad * shrink
-    inside = []
-    for dx, dy in (means - ego.position).tolist():
-        bearing = math.atan2(dy, dx) - ego.theta
-        inside.append(math.hypot(dx, dy) <= max_r and abs(math.atan2(math.sin(bearing), math.cos(bearing))) <= max_bearing)
-    return np.array(inside, bool)
-
-
 # The gate box's squared half-width over the bound it must hold (see
 # _gate_half_width). A computed distance can round below the exact one: by a
 # relative 1e-6 or so when a covariance sits at the eigenvalue floor, where
@@ -285,6 +275,8 @@ def associate(
     (:func:`_gate_half_width`) get a distance; no pair outside it can pass
     the gate. Ties are broken by cone id, then by observation index.
     Matches above ``gate`` are rejected; an observation in no pair is new.
+    Near pairs that share no cone and no observation are all taken, with no
+    greedy pass.
     """
     if not len(means) or not len(cone_means):
         return []
@@ -294,8 +286,13 @@ def associate(
     # ``take`` gathers rows as fancy indexing does, at a fraction of its overhead on small arrays
     dist = bhattacharyya_distances(means.take(obs, 0), covs.take(obs, 0), cone_means.take(rows, 0), cone_covs.take(rows, 0))
     near = dist <= gate
+    rows, obs = rows[near], obs[near]
+    near_rows, near_obs = rows.tolist(), obs.tolist()
+    if len(set(near_rows)) == len(near_rows) == len(set(near_obs)):
+        # no cone and no observation is in two pairs, so the greedy match takes every pair
+        return sorted(zip(near_obs, near_rows))
     # candidates in (cone row, observation) order, so ties go to the lower row (rows ascend with cone id)
-    return sorted((o, c) for c, o in greedy_pairs(rows[near], obs[near], dist[near]))
+    return sorted((o, c) for c, o in greedy_pairs(rows, obs, dist[near]))
 
 
 # the identity observation model of update_position, and the signs of a 2x2 adjugate
@@ -314,7 +311,7 @@ def update_position(
     innovation_cov = covs + obs_covs
     s00, s01, s10, s11 = innovation_cov[:, 0, 0], innovation_cov[:, 0, 1], innovation_cov[:, 1, 0], innovation_cov[:, 1, 1]
     det = s00 * s11 - s01 * s10
-    if not ((det > 0) & (det < math.inf)).all():
+    if not all(0.0 < d < math.inf for d in det.tolist()):
         raise ValueError("singular innovation covariance")
     # the adjugate [[s11, -s01], [-s10, s00]] over the determinant: entries reversed and transposed, signs flipped
     inv = innovation_cov[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJUGATE_SIGNS / det[:, None, None]
@@ -338,13 +335,13 @@ def ingest_frame(
     observations to the local-map frame in one transform and one projection;
     per source, association, Kalman and colour updates and new rows, filled
     in place into columns sized for every observation to be new; then the
-    existence score, pruning and eviction as one keep mask, and the frame's
-    one table. ``batches`` holds at most one batch per source; a delivered
-    batch, even an empty one, marks its pipeline as alive. Each source
-    associates against the columns the previous source left. ``mode``
-    forces the operating mode; otherwise :func:`mode_of` picks it from the
-    sources whose last batch is no older than the staleness timeout, and
-    with none of them live the mode holds.
+    existence score, pruning and eviction in one loop over the map's rows,
+    and the frame's one table. ``batches`` holds at most one batch per
+    source; a delivered batch, even an empty one, marks its pipeline as
+    alive. Each source associates against the columns the previous source
+    left. ``mode`` forces the operating mode; otherwise :func:`mode_of` picks
+    it from the sources whose last batch is no older than the staleness
+    timeout, and with none of them live the mode holds.
     """
     by_source = {batch.source: batch for batch in batches}
     if len(by_source) != len(batches):
@@ -362,69 +359,99 @@ def ingest_frame(
     live = frozenset(source for source, last in last_source_time.items() if now - last <= config.staleness_timeout_s)
     active_mode = mode or mode_of(live) or state.mode
 
-    # The columns hold the map's n rows, then every observation the frame
-    # feeds in, moved to the local-map frame in one transform and one
-    # projection (with the grown covariances: it acts on each matrix alone).
-    # Each source writes its new rows after the rows filled so far, which is
-    # at or above its own observations' rows, and only once it has read them.
     fed = [(by_source[source], weight) for source, weight in MODE_SOURCES[active_mode] if len(by_source.get(source, ()))]
-    n = len(cones)
-    means = np.concatenate([cones.means, *(batch.means for batch, _ in fed)])
-    means[n:] = transform_point(ego, means[n:])
-    rotated = rotate_covariance(ego.theta, np.concatenate([cones.covs[:0], *(batch.covs for batch, _ in fed)]))
-    if dt > 0:
-        covs = project_spd(np.concatenate([_grow_covariances(cones.covs, dt, config), rotated]))
-    else:  # a zero dt leaves the map's covariances as they are
-        covs = np.concatenate([cones.covs, project_spd(rotated)])
-    obs_means, obs_covs = means[n:], covs[n:]
-    evidence = np.concatenate([cones.color_evidence, np.empty((len(means) - n, 3))])
-    last_seen = np.concatenate([cones.last_seen, np.full(len(means) - n, now)])
-    matched = np.zeros(len(means), bool)
+    n = used = len(cones)  # the map's rows, and the rows filled
+    means, covs, evidence = cones.means, cones.covs, cones.color_evidence
+    if dt > 0:  # a zero dt leaves the map's covariances as they are
+        covs = _grow_covariances(covs, dt, config)
+    matched: set[int] = set()  # the rows a source matched
+    if fed:
+        # The columns hold the map's n rows, then every observation the frame
+        # feeds in, moved to the local-map frame in one transform and one
+        # projection (with the grown covariances: it acts on each matrix
+        # alone). Each source writes its new rows after the rows filled so
+        # far, which is at or above its own observations' rows, and only once
+        # it has read them.
+        means = np.concatenate([means, transform_point(ego, np.concatenate([batch.means for batch, _ in fed]))])
+        rotated = rotate_covariance(ego.theta, np.concatenate([batch.covs for batch, _ in fed]))
+        covs = project_spd(np.concatenate([covs, rotated])) if dt > 0 else np.concatenate([covs, project_spd(rotated)])
+        evidence = np.concatenate([evidence, np.empty((len(means) - n, 3))])
+        first = n  # the source's first row
+        for batch, weight in fed:
+            k = len(batch)
+            src = slice(first, first + k)
+            first = src.stop
+            src_means, src_covs = means[src], covs[src]
+            pairs = associate(means[:used], covs[:used], src_means, src_covs, config.gate_distance)
+            if pairs:  # matched rows get the Kalman and colour updates
+                obs, rows = (np.array(column, np.intp) for column in zip(*pairs))
+                means[rows], covs[rows] = update_position(
+                    means.take(rows, 0), covs.take(rows, 0), src_means.take(obs, 0), src_covs.take(obs, 0)
+                )
+                evidence[rows] += weight * batch.colors.take(obs, 0)
+                matched.update(rows.tolist())
+            if len(pairs) < k:  # new observations fill the next rows
+                new = np.ones(k, bool)
+                if pairs:
+                    new[obs] = False
+                fresh = slice(used, used + k - len(pairs))
+                used = fresh.stop
+                means[fresh], covs[fresh] = src_means[new], src_covs[new]
+                evidence[fresh] = weight * batch.colors[new] + 1e-12
+        means, covs, evidence = means[:used], covs[:used], evidence[:used]
+    elif dt > 0:
+        covs = project_spd(covs)
 
-    used = n  # rows filled
-    first = 0  # the source's first row in the observation arrays
-    for batch, weight in fed:
-        k = len(batch)
-        src_means, src_covs = obs_means[first : first + k], obs_covs[first : first + k]
-        first += k
-        pairs = associate(means[:used], covs[:used], src_means, src_covs, config.gate_distance)
-        obs, rows = np.array(pairs, np.intp).reshape(-1, 2).T
-        if pairs:  # matched rows get the Kalman and colour updates
-            means[rows], covs[rows] = update_position(
-                means.take(rows, 0), covs.take(rows, 0), src_means.take(obs, 0), src_covs.take(obs, 0)
-            )
-            evidence[rows] += weight * batch.colors.take(obs, 0)
-            last_seen[rows] = now
-            matched[rows] = True
-        if len(pairs) < k:  # new observations fill the next rows
-            new = np.ones(k, bool)
-            new[obs] = False
-            fresh = slice(used, used + k - len(pairs))
-            used = fresh.stop
-            means[fresh], covs[fresh] = src_means[new], src_covs[new]
-            evidence[fresh] = weight * batch.colors[new] + 1e-12
+    # existence: matched rows gain, unseen rows (inside the shrunk frustum
+    # but not observed) decay and go below the prune threshold; rows not seen
+    # for the eviction timeout go too. A new row is observed now, so neither
+    # pruned nor evicted; one a later source matched gains as well. The
+    # frustum test is the scalar ``math`` form.
+    initial, gain, decay = config.initial_existence, config.existence_gain, config.existence_decay
+    existence = cones.existence.tolist() + [initial] * (used - n)
+    last_seen = cones.last_seen.tolist() + [now] * (used - n)
+    ids = cones.ids.tolist()
+    observed_ids = set(range(state.next_cone_id, state.next_cone_id + used - n))
+    for k in matched:
+        existence[k] += gain * (1.0 - existence[k])
+        if k < n:
+            last_seen[k] = now
+            observed_ids.add(ids[k])
+    max_r = config.max_range_m * config.negative_frustum_shrink
+    max_bearing = config.fov_half_angle_rad * config.negative_frustum_shrink
+    prune, timeout = config.prune_threshold, config.eviction_timeout_s
+    ego_x, ego_y, ego_theta = ego.x, ego.y, ego.theta
+    hypot, atan2, sin, cos = math.hypot, math.atan2, math.sin, math.cos
+    drop = []
+    xs, ys = cones.means.T.tolist()
+    for k, x, y, seen in zip(range(n), xs, ys, last_seen):
+        if k in matched:
+            continue
+        dx, dy = x - ego_x, y - ego_y
+        if hypot(dx, dy) <= max_r:
+            bearing = atan2(dy, dx) - ego_theta
+            if abs(atan2(sin(bearing), cos(bearing))) <= max_bearing:
+                existence[k] *= decay
+                if not existence[k] >= prune:
+                    drop.append(k)
+                    continue
+        if not now - seen <= timeout:
+            drop.append(k)
     next_id = state.next_cone_id + used - n
-    ids = np.concatenate([cones.ids, np.arange(state.next_cone_id, next_id)])
-    means, covs, evidence, last_seen, matched = means[:used], covs[:used], evidence[:used], last_seen[:used], matched[:used]
-    existence = np.concatenate([cones.existence, np.full(used - n, config.initial_existence)])
-    observed = matched.copy()
-    observed[n:] = True  # the rows the frame created
-    # an observed cone is neither pruned (it is not unseen) nor evicted (seen now)
-    observed_ids = frozenset(ids[observed].tolist())
-
-    # existence: matched rows gain, unseen rows (inside the shrunk frustum but
-    # not observed) decay and go below the prune threshold; rows not seen for
-    # the eviction timeout go too
-    unseen = ~observed
-    unseen[unseen] = _in_frustum(ego, means[unseen], config, config.negative_frustum_shrink)
-    e = existence
-    existence = np.where(matched, e + config.existence_gain * (1.0 - e), np.where(unseen, e * config.existence_decay, e))
-    keep = (~unseen | (existence >= config.prune_threshold)) & (now - last_seen <= config.eviction_timeout_s)
-    cones = ConeTable(ids, means, covs, evidence, existence, last_seen)
-    if not keep.all():
+    cones = ConeTable(
+        np.concatenate([cones.ids, np.arange(state.next_cone_id, next_id)]) if used > n else cones.ids,
+        means,
+        covs,
+        evidence,
+        np.array(existence, float),
+        np.array(last_seen, float),
+    )
+    if drop:
+        keep = np.ones(used, bool)
+        keep[drop] = False
         cones = cones.take(keep)
     state = LocalMapState(ego, cones, now, active_mode, next_id, last_source_time)
-    return state, LocalMapSnapshot(now, ego, cones, observed_ids, active_mode)
+    return state, LocalMapSnapshot(now, ego, cones, frozenset(observed_ids), active_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ frame. Writes all run artifacts into a directory and returns a summary.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
 import time
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import ConfigError, RunConfig, RunFailure, dump_resolved, read_input
-from .core import Pose2, Velocity2, body_frame_point, integrate_velocity
+from .core import MAX_LOG_COORDINATE_M, Pose2, Velocity2, body_frame_point, integrate_velocity
 from .evaluate import (
     build_report,
     icp_align,
@@ -51,6 +50,9 @@ DIVERGENCE_MARGIN_M = 3.0
 # (the longest a spec may ask for) at the 1 m/s speed floor and 10 Hz take 150,000
 MAX_RUN_FRAMES = 200_000
 SPARE_CLOSED_LOOP_FRAMES = 10  # the closed-loop follower may step this many frames past the estimate
+# a lap is refused unless the dead-reckoned ego stays within the logs' coordinate limit while every
+# velocity reading's noise is within this many sigmas (a draw beyond 10 sigmas has odds of about 1e-23)
+DEAD_RECKONING_SIGMAS = 10.0
 
 
 @dataclass
@@ -61,6 +63,23 @@ class RunResult:
     rmse_m: float | None
     rmse_dead_reckoned_m: float | None
     report: dict
+
+
+class _Stage:
+    """One timed block of a :class:`StageTimer` stage: appends its wall-clock milliseconds to
+    ``samples`` when the block completes, and nothing when it raises."""
+
+    __slots__ = ("samples", "start")
+
+    def __init__(self, samples: list[float]):
+        self.samples = samples
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.samples.append((time.perf_counter() - self.start) * 1e3)
 
 
 class StageTimer:
@@ -74,12 +93,8 @@ class StageTimer:
     def __init__(self, *stages: str):
         self.samples: dict[str, list[float]] = {name: [] for name in stages}
 
-    @contextlib.contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        samples = self.samples.setdefault(name, [])
-        t0 = time.perf_counter()
-        yield
-        samples.append((time.perf_counter() - t0) * 1e3)
+    def stage(self, name: str) -> _Stage:
+        return _Stage(self.samples.setdefault(name, []))
 
 
 class _ClosedLoopSteering:
@@ -246,8 +261,9 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
 
     Both drivers take the car's speed from the track's curvature-limited
     speed profile. Raises :class:`ConfigError` before writing any artifact
-    when the lap needs more than ``MAX_RUN_FRAMES`` frames or would step a
-    frame past ``MAX_SNAPSHOT_TIME_S``, and
+    when the lap needs more than ``MAX_RUN_FRAMES`` frames, would step a
+    frame past ``MAX_SNAPSHOT_TIME_S`` or could dead-reckon the ego past
+    ``MAX_LOG_COORDINATE_M`` (see ``DEAD_RECKONING_SIGMAS``), and
     :class:`RunFailure` (after writing partial outputs) when the closed-loop
     follower gets more than ``DIVERGENCE_MARGIN_M`` off the centerline.
     """
@@ -272,6 +288,17 @@ def run_pipeline(config: RunConfig, out_dir: Path | str) -> RunResult:
                 f"max_speed_mps {config.max_speed_mps} and frame_rate_hz {config.frame_rate_hz} on a"
                 f" {geom.length:.6g} m lap ask for {frames:.3g} frames of {dt:.3g} s, over the cap of"
                 f" {MAX_RUN_FRAMES} frames or, {SPARE_CLOSED_LOOP_FRAMES} spare frames included, of {MAX_SNAPSHOT_TIME_S:g} s"
+            )
+        # each frame dead-reckons the ego by at most the top speed plus the x and y velocity noise, times the period
+        velocity = config.profiles["fusion"]
+        speed = config.max_speed_mps
+        sigma = sum(s0 + s1 * speed for s0, s1 in zip(velocity.velocity_sigma[:2], velocity.velocity_sigma_per_speed[:2]))
+        reach_m = (frames + SPARE_CLOSED_LOOP_FRAMES) * dt * (speed + DEAD_RECKONING_SIGMAS * sigma)
+        if not reach_m <= MAX_LOG_COORDINATE_M:
+            raise ConfigError(
+                f"max_speed_mps {config.max_speed_mps} and frame_rate_hz {config.frame_rate_hz} on a"
+                f" {geom.length:.6g} m lap could dead-reckon the ego {reach_m:.3g} m from the start with the velocity"
+                f" noise at {DEAD_RECKONING_SIGMAS:g} sigmas, past the logs' limit of {MAX_LOG_COORDINATE_M:g} m"
             )
     out_dir = Path(out_dir)
     with timer.stage("artifact_write"):

@@ -8,16 +8,47 @@ Bhattacharyya distance and the per-cone snapshot-log reader. Tests pin the array
 Also here is the all-pairs association the gated ``local_map.associate``
 replaced: every (observation, cone) distance as one matrix, and the greedy
 matcher over a dense matrix.
+
+``local_map.ingest_frame`` takes every near pair directly when no cone and
+no observation is in two of them, skips the transform and projection of a
+frame that feeds no observation, and scores existence, pruning and eviction
+in one loop over the map's rows in plain floats. :func:`array_ingest_frame`
+and :func:`greedy_associate` are the forms it replaced: every frame through
+the concatenations, the greedy match's sort and loop for every pair, and
+the existence and keep masks as numpy expressions with the frustum test of
+:func:`array_in_frustum`.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from conetrack.core import Pose2, project_spd
-from conetrack.local_map import ConeTable, LocalMapSnapshot, MapMode
+from conetrack.core import (
+    ObservationBatch,
+    Pose2,
+    Velocity2,
+    bhattacharyya_distances,
+    greedy_pairs,
+    integrate_velocity,
+    project_spd,
+    rotate_covariance,
+    transform_point,
+)
+from conetrack.local_map import (
+    MODE_SOURCES,
+    ConeTable,
+    LocalMapConfig,
+    LocalMapSnapshot,
+    LocalMapState,
+    MapMode,
+    _gate_half_width,
+    _grow_covariances,
+    mode_of,
+    update_position,
+)
 
 
 class ConeClass(Enum):
@@ -182,3 +213,109 @@ def all_pairs_associate(cone_means, cone_covs, means, covs, gate) -> list[tuple[
     dist = bhattacharyya_distance_matrix(means, covs, cone_means, cone_covs)
     # cone rows first, so ties go to the lower row (rows ascend with cone id)
     return sorted((o, c) for c, o in dense_greedy_pairs(dist.T, gate))
+
+
+def greedy_associate(
+    cone_means: np.ndarray, cone_covs: np.ndarray, means: np.ndarray, covs: np.ndarray, gate: float
+) -> list[tuple[int, int]]:
+    """``local_map.associate`` with every near pair through the greedy match, contended or not."""
+    if not len(means) or not len(cone_means):
+        return []
+    half_width = _gate_half_width(cone_covs, covs, gate)
+    dx, dy = cone_means[:, 0, None] - means[:, 0], cone_means[:, 1, None] - means[:, 1]
+    rows, obs = ((np.abs(dx) <= half_width) & (np.abs(dy) <= half_width)).nonzero()
+    dist = bhattacharyya_distances(means.take(obs, 0), covs.take(obs, 0), cone_means.take(rows, 0), cone_covs.take(rows, 0))
+    near = dist <= gate
+    return sorted((o, c) for c, o in greedy_pairs(rows[near], obs[near], dist[near]))
+
+
+def array_in_frustum(ego: Pose2, means: np.ndarray, config: LocalMapConfig, shrink: float) -> np.ndarray:
+    """Which rows of ``means`` lie in the sensor frustum scaled by ``shrink``, from an ego position array."""
+    max_r, max_bearing = config.max_range_m * shrink, config.fov_half_angle_rad * shrink
+    inside = []
+    for dx, dy in (means - np.array([ego.x, ego.y], dtype=float)).tolist():
+        bearing = math.atan2(dy, dx) - ego.theta
+        inside.append(math.hypot(dx, dy) <= max_r and abs(math.atan2(math.sin(bearing), math.cos(bearing))) <= max_bearing)
+    return np.array(inside, bool)
+
+
+def array_ingest_frame(
+    state: LocalMapState,
+    batches: Sequence[ObservationBatch],
+    vel: Velocity2,
+    dt: float,
+    config: LocalMapConfig,
+    mode: MapMode | None = None,
+) -> tuple[LocalMapState, LocalMapSnapshot]:
+    """``local_map.ingest_frame`` with its columns concatenated on every frame and its existence,
+    pruning and eviction as numpy masks, associating by :func:`greedy_associate`."""
+    by_source = {batch.source: batch for batch in batches}
+    if len(by_source) != len(batches):
+        raise ValueError(f"more than one observation batch per source: {[b.source.value for b in batches]}")
+    if dt < 0:
+        raise ValueError("dt must be non-negative")
+    cones = state.cones
+    ego, now = state.ego, state.time
+    if dt > 0:
+        ego, now = integrate_velocity(ego, vel, dt), now + dt
+
+    last_source_time = dict(state.last_source_time)
+    for source in by_source:
+        last_source_time[source] = now
+    live = frozenset(source for source, last in last_source_time.items() if now - last <= config.staleness_timeout_s)
+    active_mode = mode or mode_of(live) or state.mode
+
+    fed = [(by_source[source], weight) for source, weight in MODE_SOURCES[active_mode] if len(by_source.get(source, ()))]
+    n = len(cones)
+    means = np.concatenate([cones.means, *(batch.means for batch, _ in fed)])
+    means[n:] = transform_point(ego, means[n:])
+    rotated = rotate_covariance(ego.theta, np.concatenate([cones.covs[:0], *(batch.covs for batch, _ in fed)]))
+    if dt > 0:
+        covs = project_spd(np.concatenate([_grow_covariances(cones.covs, dt, config), rotated]))
+    else:
+        covs = np.concatenate([cones.covs, project_spd(rotated)])
+    obs_means, obs_covs = means[n:], covs[n:]
+    evidence = np.concatenate([cones.color_evidence, np.empty((len(means) - n, 3))])
+    last_seen = np.concatenate([cones.last_seen, np.full(len(means) - n, now)])
+    matched = np.zeros(len(means), bool)
+
+    used = n
+    first = 0
+    for batch, weight in fed:
+        k = len(batch)
+        src_means, src_covs = obs_means[first : first + k], obs_covs[first : first + k]
+        first += k
+        pairs = greedy_associate(means[:used], covs[:used], src_means, src_covs, config.gate_distance)
+        obs, rows = np.array(pairs, np.intp).reshape(-1, 2).T
+        if pairs:
+            means[rows], covs[rows] = update_position(
+                means.take(rows, 0), covs.take(rows, 0), src_means.take(obs, 0), src_covs.take(obs, 0)
+            )
+            evidence[rows] += weight * batch.colors.take(obs, 0)
+            last_seen[rows] = now
+            matched[rows] = True
+        if len(pairs) < k:
+            new = np.ones(k, bool)
+            new[obs] = False
+            fresh = slice(used, used + k - len(pairs))
+            used = fresh.stop
+            means[fresh], covs[fresh] = src_means[new], src_covs[new]
+            evidence[fresh] = weight * batch.colors[new] + 1e-12
+    next_id = state.next_cone_id + used - n
+    ids = np.concatenate([cones.ids, np.arange(state.next_cone_id, next_id)])
+    means, covs, evidence, last_seen, matched = means[:used], covs[:used], evidence[:used], last_seen[:used], matched[:used]
+    existence = np.concatenate([cones.existence, np.full(used - n, config.initial_existence)])
+    observed = matched.copy()
+    observed[n:] = True
+    observed_ids = frozenset(ids[observed].tolist())
+
+    unseen = ~observed
+    unseen[unseen] = array_in_frustum(ego, means[unseen], config, config.negative_frustum_shrink)
+    e = existence
+    existence = np.where(matched, e + config.existence_gain * (1.0 - e), np.where(unseen, e * config.existence_decay, e))
+    keep = (~unseen | (existence >= config.prune_threshold)) & (now - last_seen <= config.eviction_timeout_s)
+    cones = ConeTable(ids, means, covs, evidence, existence, last_seen)
+    if not keep.all():
+        cones = cones.take(keep)
+    state = LocalMapState(ego, cones, now, active_mode, next_id, last_source_time)
+    return state, LocalMapSnapshot(now, ego, cones, observed_ids, active_mode)

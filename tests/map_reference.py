@@ -23,6 +23,11 @@ one block when they are read; :class:`AppendedRowsGraph` and
 to the arrays as it came, chaining each pose from the last row of
 ``poses``.
 
+``add_snapshot`` computes each near observed cone's measurement and
+variance in plain floats and writes them straight into the queue's columns;
+:func:`indexed_add_snapshot` is the form it replaced, numpy fancy indexing
+over the snapshot's few rows and one ``Graph.add_observations`` call.
+
 The graph keeps its links to local cone ids in one table and associates a
 snapshot's new cones in one call. :class:`DictLinkGraph` and
 :func:`reference_add_snapshot` are the per-cone form it replaced: a dict of
@@ -486,4 +491,47 @@ def appending_add_snapshot(graph: AppendedRowsGraph, snapshot, config: GlobalMap
     floor = config.observation_sigma_floor_m**2
     variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
     graph.add_observations(len(graph.poses) - 1, landmarks, measurements, variances)
+    return graph
+
+
+def indexed_add_snapshot(graph: Graph, snapshot, config: GlobalMapConfig = GlobalMapConfig()) -> Graph:
+    """``global_map.add_snapshot`` on numpy arrays: the near observed rows gathered by fancy indexing,
+    their measurements by one ``body_frame_point`` call, and one ``add_observations`` call."""
+    if graph.last_timestamp is not None and snapshot.timestamp <= graph.last_timestamp:
+        raise ValueError(f"snapshot at {snapshot.timestamp} s arrived after {graph.last_timestamp} s")
+    ego = snapshot.ego
+    if graph.last_ego is None:
+        pose = Pose2.identity()
+        graph.add_pose(pose)
+    else:
+        odometry = relative_pose(graph.last_ego, ego)
+        pose = compose(graph.last_pose, odometry)
+        dt_f = max(snapshot.timestamp - graph.last_timestamp, 1e-3)
+        graph.add_pose(pose, odometry, [1.0 / (sigma * sigma * dt_f) for sigma in config.odometry_sigma_rates])
+    graph.last_timestamp, graph.last_ego = snapshot.timestamp, ego
+
+    cones = snapshot.cones
+    ids = cones.ids.tolist()
+    observed = [k for k, cid in enumerate(ids) if cid in snapshot.observed_ids]
+    offsets = (cones.means[observed] - np.array([ego.x, ego.y], dtype=float)).tolist()
+    rows = [k for k, (dx, dy) in zip(observed, offsets) if not math.hypot(dx, dy) > config.proximity_radius_m]
+    measurements = body_frame_point(ego, cones.means[rows])
+    evidence = cones.color_evidence[rows]
+    link_rows = [graph.link_index.get(ids[k]) for k in rows]
+    old = [j for j, row in enumerate(link_rows) if row is not None]
+    new = [j for j, row in enumerate(link_rows) if row is None]
+    linked = [link_rows[j] for j in old]
+    graph.links["evidence"][linked] = evidence[old]
+    landmarks = np.empty(len(rows), np.intp)
+    landmarks[old] = graph.links["landmark"][linked]
+    if new:
+        world_guesses = transform_point(pose, measurements[new])
+        matched = _associate_landmarks(graph, world_guesses, evidence[new], ids, config.association_radius_m)
+        unmatched = matched < 0
+        matched[unmatched] = graph.add_landmarks(world_guesses[unmatched])
+        graph.add_links([ids[rows[j]] for j in new], matched, evidence[new])
+        landmarks[new] = matched
+    floor = config.observation_sigma_floor_m**2
+    variances = np.maximum((cones.covs[rows, 0, 0] + cones.covs[rows, 1, 1]) / 2.0, floor)
+    graph.add_observations(graph.pose_count - 1, landmarks, measurements, variances)
     return graph

@@ -13,7 +13,9 @@ import pytest
 import conetrack
 from conetrack.cli import main
 from conetrack.config import dump_resolved, load_config
-from conetrack.pipeline import MAX_RUN_FRAMES
+from conetrack import pipeline
+from conetrack.evaluate import timing_percentiles
+from conetrack.pipeline import MAX_RUN_FRAMES, StageTimer
 from conetrack.simulate import MAX_TRACK_SAMPLES, TrackSpec, generate_track, save_track
 
 
@@ -313,6 +315,45 @@ def noisy_run(tmp_path_factory):
     return config, out
 
 
+class TestStageTimer:
+    @staticmethod
+    def clock(monkeypatch, *readings):
+        """Make ``time.perf_counter`` return ``readings`` in turn."""
+        ticks = iter(readings)
+        monkeypatch.setattr(pipeline.time, "perf_counter", lambda: next(ticks))
+
+    def test_a_block_that_raises_adds_no_sample(self, monkeypatch):
+        timer = StageTimer("sense")
+        self.clock(monkeypatch, 1.0, 2.0, 3.0)
+        with pytest.raises(ZeroDivisionError):
+            with timer.stage("sense"):
+                1 / 0
+        with timer.stage("sense"):
+            pass
+        assert timer.samples == {"sense": [1000.0]}
+
+    def test_stages_named_at_construction_report_count_0(self):
+        timer = StageTimer("sense", "local_map")
+        with timer.stage("local_map"):
+            pass
+        with timer.stage("export"):  # a stage not named at construction is listed from its first sample
+            pass
+        assert list(timer.samples) == ["sense", "local_map", "export"]
+        report = {name: timing_percentiles(samples) for name, samples in timer.samples.items()}
+        assert report["sense"]["count"] == 0 and report["sense"]["mean_ms"] is None
+        assert report["local_map"]["count"] == report["export"]["count"] == 1
+
+    def test_samples_are_milliseconds_in_block_order(self, monkeypatch):
+        timer = StageTimer("export")
+        self.clock(monkeypatch, 10.0, 10.25, 11.0, 11.5, 12.0, 12.001)
+        with timer.stage("export"):
+            with timer.stage("map_write"):  # nested blocks each time their own span
+                pass
+        with timer.stage("export"):
+            pass
+        assert timer.samples == {"export": [1500.0, (12.001 - 12.0) * 1e3], "map_write": [750.0]}
+
+
 class TestReplay:
 
     def test_replay_reproduces_planner_log(self, tmp_path, run_dir):
@@ -509,6 +550,7 @@ BAD_INPUTS = [
     ["run", "--config", "{crawlspeed}"],
     ["run", "--config", "{hugeframerate}"],
     ["run", "--config", "{pasttimelimit}"],
+    ["run", "--config", "{pastcoordinatelimit}"],
     ["run", "--config", "{nanlength}"],
     ["run", "--config", "{infradius}"],
     ["run", "--config", "{intkind}"],
@@ -693,6 +735,12 @@ BAD_FILES = {
     ),
     # a lap whose frames, 27.6 and 10 spare of 3.3e7 s, could pass the snapshot log's time limit
     "pasttimelimit": (SLOW_LAP % (1.5e-7, 3e-8), "ask for 27.6 frames of 3.33e+07 s, over the cap of 200000 frames or"),
+    # the same slow lap with the default, noisy velocity: 2.5e7 s frames used to dead-reckon the
+    # ego to 1.06e6 m by the third record, a snapshot log that replay rejects
+    "pastcoordinatelimit": (
+        SLOW_LAP.replace(' "profiles": {"fusion": "noise_free:fusion"},', "") % (2e-7, 4e-8),
+        "could dead-reckon the ego 7.53e+08 m from the start with the velocity noise at 10 sigmas",
+    ),
     "nanlength": ('{"track_spec": {"length_m": NaN}}', "length_m"),
     "infradius": ('{"track_spec": {"kind": "circle", "radius_m": Infinity}}', "radius_m"),
     "intkind": ('{"track_spec": {"kind": 5}}', "bad track_spec: track spec kind must be one of"),

@@ -26,6 +26,7 @@ from map_reference import (
     colamd_optimize,
     coo_assemble,
     dominant_class,
+    indexed_add_snapshot,
     information_matrices,
     numpy_color_probabilities,
     one_edge,
@@ -269,6 +270,38 @@ class TestLinkTableMatchesPerConeReference:
         ],
         ids=["degraded", "lidar_only", "camera_only", "fusion_restored_at_6_s"],
     )
+    def test_seeded_local_map_lap(self, alive_at):
+        self.check(lap_snapshots(alive_at))
+
+
+class TestFloatIntakeMatchesIndexedReference:
+    """``add_snapshot``'s plain-float intake against the fancy-indexing form it replaced
+    (``map_reference.indexed_add_snapshot``): every graph array and the chaining state, snapshot by snapshot."""
+
+    ARRAYS = ("poses", "landmarks", "links", "odometry_edges", "observation_edges")
+
+    @classmethod
+    def check(cls, snapshots, config=CONFIG):
+        graph, reference = Graph(), Graph()
+        for k, snap in enumerate(snapshots):
+            add_snapshot(graph, snap, config)
+            indexed_add_snapshot(reference, snap, config)
+            for name in cls.ARRAYS:
+                mine, theirs = getattr(graph, name), getattr(reference, name)
+                assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), (k, name)
+                assert np.array_equal(mine, theirs) and mine.tobytes() == theirs.tobytes(), (k, name)
+            assert graph.link_index == reference.link_index
+            assert (graph.pose_count, graph.last_pose, graph.last_ego) == (reference.pose_count, reference.last_pose, reference.last_ego)
+            assert graph.last_timestamp == reference.last_timestamp
+        # some snapshot linked a new local id to a landmark an earlier id made
+        assert len(graph.links) > len(np.unique(graph.links["landmark"]))
+
+    def test_golden_lap(self, golden_lap):
+        out, _ = golden_lap
+        config = dataclasses.replace(load_config("noise-free-circle"), plan_enabled=False).global_map_config()
+        self.check(list(read_snapshot_log(out / "snapshots.ndjson")), config)
+
+    @pytest.mark.parametrize("alive_at", [lambda t: ["fusion"], fusion_fails_at_3_s], ids=["fusion", "degraded"])
     def test_seeded_local_map_lap(self, alive_at):
         self.check(lap_snapshots(alive_at))
 

@@ -15,10 +15,12 @@ from cone_reference import (
     ConeClass,
     RefGaussian,
     all_pairs_associate,
+    array_ingest_frame,
     bhattacharyya_distance_matrix,
     color_class,
     color_probabilities,
     cone_table,
+    greedy_associate,
     ref_bhattacharyya_distance,
     ref_snapshot_from_dict,
 )
@@ -418,6 +420,32 @@ class TestGatedAssociationMatchesAllPairs:
         monkeypatch.setattr(local_map, "associate", checked)
         degraded_lap_snapshots()
         assert len(calls) > 100 and sum(map(len, calls)) > 1000
+
+
+class TestDirectPairs:
+    """:func:`associate` takes the near pairs directly only when no cone and no observation is in two of them;
+    a contended cone or observation goes through the greedy match, as ``cone_reference.greedy_associate`` does."""
+
+    @staticmethod
+    def check(cone_means, means, expected, contended=True):
+        cone_covs, covs = np.array([0.09 * np.eye(2)] * len(cone_means)), np.array([0.09 * np.eye(2)] * len(means))
+        case = (np.array(cone_means, float), cone_covs, np.array(means, float), covs, CONFIG.gate_distance)
+        near = bhattacharyya_distance_matrix(case[2], covs, case[0], cone_covs) <= CONFIG.gate_distance
+        assert (near.sum(axis=0).max() > 1 or near.sum(axis=1).max() > 1) == contended
+        assert associate(*case) == greedy_associate(*case) == all_pairs_associate(*case) == expected
+
+    def test_two_observations_inside_one_cones_gate(self):
+        self.check([[0.0, 0.0]], [[0.3, 0.0], [0.1, 0.0]], [(1, 0)])
+
+    def test_one_observation_inside_two_cones_gates(self):
+        self.check([[0.0, 0.0], [0.5, 0.0]], [[0.35, 0.0]], [(0, 1)])
+
+    def test_crossed_pairs_go_by_ascending_distance(self):
+        # every pair is near: (cone 1, observation 1) is the closest, then (cone 0, observation 0)
+        self.check([[0.0, 0.0], [1.0, 0.0]], [[0.45, 0.0], [0.6, 0.0]], [(0, 0), (1, 1)])
+
+    def test_uncontended_pairs_are_all_taken(self):
+        self.check([[0.0, 0.0], [4.0, 0.0], [8.0, 0.0]], [[4.1, 0.0], [20.0, 0.0], [0.2, 0.0]], [(0, 1), (2, 0)], contended=False)
 
 
 class TestKalmanUpdate:
@@ -1533,6 +1561,63 @@ class TestArrayFilterMatchesPerConeReference:
         if len(modes) > 1:  # fusion is back in charge after degraded frames
             assert seen[-1] is MapMode.FUSION
         assert state.next_cone_id > len(state.cones)  # cones were pruned or evicted on the way
+
+
+def with_gaps(frames):
+    """The frames with every third one's batches left out and every fifth one fed again at zero dt."""
+    for k, (batches, vel, dt) in enumerate(frames):
+        yield (batches if k % 3 else []), vel, dt
+        if k % 5 == 4:
+            yield batches, vel, 0.0
+
+
+class TestFrameMatchesArrayReference:
+    """``ingest_frame`` against the array form it replaced (``cone_reference.array_ingest_frame``):
+    every state column, the state and the snapshot, frame by frame."""
+
+    COLUMNS = ("ids", "means", "covs", "color_evidence", "existence", "last_seen")
+
+    @classmethod
+    def check(cls, frames, monkeypatch) -> None:
+        """Step both over the frames, counting the frames whose association went through the greedy match."""
+        import conetrack.local_map as local_map
+
+        greedy, contended, frame = local_map.greedy_pairs, [], 0
+
+        def counted(*args):
+            contended.append(frame)
+            return greedy(*args)
+
+        monkeypatch.setattr(local_map, "greedy_pairs", counted)
+        state, ref = LocalMapState(), LocalMapState()
+        for frame, (batches, vel, dt) in enumerate(frames):
+            state, snap = ingest_frame(state, batches, vel, dt, LAP_CONFIG)
+            ref, ref_snap = array_ingest_frame(ref, batches, vel, dt, LAP_CONFIG)
+            for name in cls.COLUMNS:
+                mine, theirs = getattr(state.cones, name), getattr(ref.cones, name)
+                assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), (frame, name)
+                assert np.array_equal(mine, theirs) and mine.tobytes() == theirs.tobytes(), (frame, name)
+            assert (state.ego, state.time, state.mode, state.next_cone_id) == (ref.ego, ref.time, ref.mode, ref.next_cone_id)
+            assert state.last_source_time == ref.last_source_time
+            assert (snap.timestamp, snap.ego, snap.observed_ids, snap.mode) == (
+                ref_snap.timestamp,
+                ref_snap.ego,
+                ref_snap.observed_ids,
+                ref_snap.mode,
+            )
+            assert snap.cones is state.cones
+        assert frame > 100 and state.next_cone_id > len(state.cones)  # cones were pruned or evicted on the way
+        # some frames' near pairs contended for a cone or an observation, and some did not
+        assert 0 < len(set(contended)) < frame
+
+    def test_seeded_fusion_lap(self, monkeypatch):
+        self.check(seeded_lap_frames(lambda t: ["fusion"]), monkeypatch)
+
+    def test_seeded_degraded_lap(self, monkeypatch):
+        self.check(seeded_lap_frames(fusion_fails_at_3_s), monkeypatch)
+
+    def test_frames_without_batches_and_at_zero_dt(self, monkeypatch):
+        self.check(with_gaps(seeded_lap_frames(fusion_fails_at_3_s)), monkeypatch)
 
 
 def test_one_frame_builds_at_most_two_cone_tables(monkeypatch):

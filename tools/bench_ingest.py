@@ -5,7 +5,10 @@ Runs one lap of a benchmark workload (``--workload``, its config as
 every ``ingest_frame`` call's arguments, then replays those frames from an
 empty map ``--repeats`` times and prints the median and quartiles of one
 replay's wall time. The replay's snapshots are hashed, so two builds that
-print the same digest stepped every frame to the same bits. Then it adds the
+print the same digest stepped every frame to the same bits. It also times
+the step's fixed cost: ``ingest_frame`` with no batch on the state the
+replay reaches half way through the lap, as the median and quartiles of
+``--repeats`` loops of 1,000 calls each, per call. Then it adds the
 replay's snapshots to an empty graph ``--repeats`` times, with the
 workload's global-map config, and prints the same figures for
 ``add_snapshot`` and the sha256 of the graph's ``save_graph`` bytes. Last it
@@ -69,6 +72,26 @@ def replay(frames) -> list:
     return snapshots
 
 
+def fixed_cost(frames, repeats: int, calls: int = 1000) -> str:
+    """Per-call wall time of ``ingest_frame`` with no batch on the mid-lap state, over ``repeats`` timed loops."""
+    half = len(frames) // 2
+    state = LocalMapState()
+    for batches, vel, dt, config, mode in frames[:half]:
+        state, _ = ingest_frame(state, batches, vel, dt, config, mode)
+    _, vel, dt, config, mode = frames[half]
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            ingest_frame(state, [], vel, dt, config, mode)
+        times.append((time.perf_counter() - start) / calls)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return (
+        f"median {median * 1e6:.1f} us  quartiles {q1 * 1e6:.1f} / {q3 * 1e6:.1f} us"
+        f"  ({len(state.cones)} cones, {repeats} loops of {calls} calls)"
+    )
+
+
 def build_graph(snapshots, config) -> Graph:
     """A graph of the snapshots, its pose and edge arrays built as a reader would build them."""
     graph = Graph()
@@ -129,6 +152,7 @@ def main() -> None:
     snapshots = replay(frames)
     print(f"frames {len(frames)}  snapshot digest {digest(snapshots)}")
     print(f"ingest_frame replay: {timed(lambda: replay(frames), args.repeats)}")
+    print(f"ingest_frame with no batch, mid-lap: {fixed_cost(frames, args.repeats)}")
     graph_config = config.global_map_config()
     print(f"graph digest {graph_digest(build_graph(snapshots, graph_config))}")
     print(f"add_snapshot replay: {timed(lambda: build_graph(snapshots, graph_config), args.repeats)}")
